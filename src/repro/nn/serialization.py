@@ -3,16 +3,31 @@
 Models are serialized as ``.npz`` archives containing the state dict produced
 by :meth:`repro.nn.layers.Module.state_dict`.  This keeps checkpoints portable
 (pure NumPy, no pickled code objects) and small enough to version control.
+
+State that is rewritten and re-read at serving rates (the adapter registry's
+per-user spill files) uses a flat *record* instead — :func:`save_record` /
+:func:`load_record` — which trades ``.npz``'s compression and zip container
+for one file read, one CRC check and zero-copy array views::
+
+    magic (8 bytes) || header length (uint32 LE) || JSON header
+        || payload || CRC32 (uint32 LE) of everything before it
+
+The header holds the caller's metadata, the payload length and, per tensor,
+its key, dtype, shape and offset into the payload.  The header is padded
+with JSON whitespace and every tensor offset is rounded up so that each
+tensor starts on a 64-byte boundary of the file.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
+import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,10 +42,18 @@ __all__ = [
     "save_state_bytes",
     "state_checksum",
     "load_model_into",
+    "save_record",
+    "load_record",
+    "read_record_header",
 ]
 
 PathLike = Union[str, Path]
 _METADATA_KEY = "__repro_metadata__"
+
+_RECORD_MAGIC = b"RPROREC1"
+_RECORD_PREFIX = struct.Struct("<8sI")
+_RECORD_CRC = struct.Struct("<I")
+_RECORD_ALIGN = 64
 
 
 def state_checksum(state: Dict[str, np.ndarray]) -> int:
@@ -139,6 +162,159 @@ def read_metadata(path: PathLike) -> Optional[Dict]:
         if _METADATA_KEY not in archive.files:
             return None
         return json.loads(bytes(archive[_METADATA_KEY].tolist()).decode("utf-8"))
+
+
+def _aligned(size: int) -> int:
+    return -(-size // _RECORD_ALIGN) * _RECORD_ALIGN
+
+
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def save_record(
+    state: Dict[str, np.ndarray], path: PathLike, metadata: Optional[Dict] = None
+) -> Path:
+    """Write a state dict (plus optional JSON-serializable metadata) as a record.
+
+    The layout is the module docstring's.  Arrays are stored raw, so
+    :func:`load_record` returns them bitwise with their dtype and shape.  The
+    write is atomic like :func:`save_state`'s: the record is assembled in a
+    temporary sibling file and :func:`os.replace`-renamed onto ``path``.
+    """
+    path = Path(path)
+    arrays: List[Tuple[int, np.ndarray]] = []
+    tensors = []
+    size = 0
+    for key, value in state.items():
+        array = np.asarray(value)
+        if not array.flags.c_contiguous:
+            array = np.ascontiguousarray(array)
+        if array.dtype.hasobject or np.dtype(array.dtype.str) != array.dtype:
+            raise ValueError(f"tensor {key!r} has a dtype a record cannot hold: {array.dtype}")
+        offset = _aligned(size)
+        tensors.append(
+            {"key": key, "dtype": array.dtype.str, "shape": list(array.shape), "offset": offset}
+        )
+        arrays.append((offset, array))
+        size = offset + array.nbytes
+    header = json.dumps({"metadata": metadata, "payload_bytes": size, "tensors": tensors})
+    header = header.encode("utf-8")
+    # JSON ignores trailing whitespace: pad so the payload starts aligned.
+    header = header.ljust(_aligned(_RECORD_PREFIX.size + len(header)) - _RECORD_PREFIX.size)
+    parts = [_RECORD_PREFIX.pack(_RECORD_MAGIC, len(header)), header]
+    written = 0
+    for offset, array in arrays:
+        parts.append(bytes(offset - written))
+        parts.append(array.reshape(-1).view(np.uint8))
+        written = offset + array.nbytes
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_RECORD_CRC.pack(crc))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            for part in parts:
+                handle.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _record_header_end(head: bytes, path) -> int:
+    """Check a record's magic number; return the offset where its header ends."""
+    if len(head) < _RECORD_PREFIX.size:
+        raise ValueError(f"{path} is too short to be a record")
+    magic, header_bytes = _RECORD_PREFIX.unpack_from(head)
+    if magic != _RECORD_MAGIC:
+        raise ValueError(f"{path} is not a record (bad magic number)")
+    return _RECORD_PREFIX.size + header_bytes
+
+
+def _parse_record_header(
+    head: bytes, end: int, size: int, path
+) -> Tuple[Optional[Dict], List[tuple]]:
+    """Decode a record's header and check it against the record's length.
+
+    ``head`` holds the record at least up to ``end``, where the header ends
+    and the payload starts; ``size`` is the length of the whole record.
+    Returns the metadata and the tensor table as ``(key, dtype, shape,
+    offset)`` rows, offsets relative to the payload.
+    """
+    if len(head) < end:
+        raise ValueError(f"{path} is truncated inside its header")
+    try:
+        header = json.loads(head[_RECORD_PREFIX.size : end])
+        metadata = header["metadata"]
+        payload = _count(header["payload_bytes"])
+        tensors = []
+        for entry in header["tensors"]:
+            key, dtype = entry["key"], np.dtype(entry["dtype"])
+            shape = tuple(_count(side) for side in entry["shape"])
+            offset = _count(entry["offset"])
+            if not isinstance(key, str) or dtype.hasobject:
+                raise ValueError(f"{path} holds an unsupported tensor entry {entry!r}")
+            if offset + math.prod(shape) * dtype.itemsize > payload:
+                raise ValueError(f"{path}: tensor {key!r} overruns the payload")
+            tensors.append((key, dtype, shape, offset))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} has a malformed record header") from exc
+    if metadata is not None and not isinstance(metadata, dict):
+        raise ValueError(f"{path} has a malformed record header")
+    if len({row[0] for row in tensors}) != len(tensors):
+        raise ValueError(f"{path} repeats a tensor key")
+    expected = end + payload + _RECORD_CRC.size
+    if size != expected:
+        raise ValueError(f"{path} is {size} bytes long, its header describes {expected}")
+    return metadata, tensors
+
+
+def load_record(path: PathLike) -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
+    """Load a state dict and its metadata from a :func:`save_record` record.
+
+    One file read and one CRC32 over everything before the trailer; each
+    tensor is then a read-only :func:`numpy.frombuffer` view into the bytes
+    read.  Any damage — a flipped bit anywhere, a truncation, a file of
+    another kind — raises :class:`ValueError` before an array is returned.
+    """
+    data = Path(path).read_bytes()
+    end = _record_header_end(data, path)
+    body = len(data) - _RECORD_CRC.size
+    (stored,) = _RECORD_CRC.unpack_from(data, body)
+    if zlib.crc32(memoryview(data)[:body]) != stored:
+        raise ValueError(f"{path} failed its CRC32 check")
+    metadata, tensors = _parse_record_header(data, end, len(data), path)
+    state = {
+        key: np.frombuffer(
+            data, dtype=dtype, count=math.prod(shape), offset=end + offset
+        ).reshape(shape)
+        for key, dtype, shape, offset in tensors
+    }
+    return state, metadata
+
+
+def read_record_header(path: PathLike) -> Optional[Dict]:
+    """Read only the metadata of a :func:`save_record` record.
+
+    Reads the header, not the payload.  It checks the magic number, the
+    header, and that the file is exactly as long as the header says, which
+    catches a torn write; the CRC needs the payload, so only
+    :func:`load_record` checks it.  This is the cheap way to identify many
+    records, e.g. scanning an adapter spill directory on startup.
+    """
+    with open(path, "rb") as handle:
+        head = handle.read(_RECORD_PREFIX.size)
+        end = _record_header_end(head, path)
+        head += handle.read(end - len(head))
+        size = os.fstat(handle.fileno()).st_size
+    metadata, _ = _parse_record_header(head, end, size, path)
+    return metadata
 
 
 def save_model(model: Module, path: PathLike, metadata: Optional[Dict] = None) -> Path:

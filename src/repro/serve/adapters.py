@@ -34,13 +34,16 @@ Three adaptation scopes, selected by :class:`repro.serve.AdapterPolicy`:
 Around the parameter store sits the **adapter lifecycle**: the in-memory
 store is the *hot* tier, bounded by ``policy.hot_capacity`` with
 least-recently-served demotion.  With ``policy.spill_dir`` set, every
-adaptation is written through to a per-user ``.npz`` spill file, so a
-demoted user lands in the *warm* tier (on disk, promoted back transparently
-on the next access) instead of vanishing; ``policy.warm_capacity`` bounds
-the spill files before the coldest users are dropped entirely (*cold* —
-re-onboard on demand).  Because spill files are written through at
-adaptation time, they double as crash persistence: a restarted process
-pointed at the same spill directory re-attaches every warm user.
+adaptation is written through to a per-user spill file, so a demoted user
+lands in the *warm* tier (on disk, promoted back transparently on the next
+access) instead of vanishing; ``policy.warm_capacity`` bounds the spill
+files before the coldest users are dropped entirely (*cold* — re-onboard on
+demand).  Because spill files are written through at adaptation time, they
+double as crash persistence: a restarted process pointed at the same spill
+directory re-attaches every warm user.  A spill file is a flat CRC-checked
+record (:func:`repro.nn.serialization.save_record`), so a promotion costs
+one file read, one CRC check and zero-copy array views; checkpoints and
+migration bytes stay ``.npz``.
 
 The registry also answers the serving hot path: :meth:`gather` stacks the
 parameter sets of the users in one micro-batch into ``(tasks, ...)`` tensors.
@@ -57,6 +60,8 @@ as the only miss.
 from __future__ import annotations
 
 import hashlib
+import json
+import logging
 import warnings
 from collections import OrderedDict
 from pathlib import Path
@@ -78,9 +83,11 @@ from ..engine.functional import (
     supports_batched_execution,
 )
 from ..nn.serialization import (
+    load_record,
     load_state,
     load_state_bytes,
-    read_metadata,
+    read_record_header,
+    save_record,
     save_state,
     save_state_bytes,
     state_checksum,
@@ -100,6 +107,11 @@ __all__ = ["AdapterRegistry"]
 SAVE_FORMAT = 2
 
 _SPILL_PREFIX = "user-"
+_SPILL_SUFFIX = ".spill"
+#: spill files of the earlier layout, converted to records at attach
+_LEGACY_SPILL_SUFFIX = ".npz"
+
+_log = logging.getLogger(__name__)
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -142,8 +154,8 @@ class AdapterRegistry:
     fault_injector:
         Optional :class:`repro.serve.FaultInjector` for deterministic
         chaos testing; its ``corrupt_spill`` rules mangle just-written
-        spill archives so the checksum/quarantine path can be exercised on
-        a schedule.  ``None`` (the default) injects nothing.
+        spill records so the CRC/quarantine path can be exercised on a
+        schedule.  ``None`` (the default) injects nothing.
     """
 
     def __init__(
@@ -472,22 +484,16 @@ class AdapterRegistry:
     ) -> Optional[List[np.ndarray]]:
         """Load a warm user's spill file back into the hot tier.
 
-        A spill file that fails to load or verify — truncated archive,
-        checksum mismatch, wrong schema — is *quarantined*: renamed aside
-        (preserved for forensics, out of the attach scan), the user demoted
-        to cold, and ``None`` returned so the caller serves the base model
-        instead of crashing the whole flush.  Graceful degradation, visible
-        only in the ``spill_quarantined`` counter.
+        A spill file that fails to load or verify is quarantined (see
+        :meth:`_read_spill`) and ``None`` returned, so the caller serves the
+        base model instead of crashing the whole flush.  Graceful
+        degradation, visible in the ``spill_quarantined`` counter and one
+        log line.
         """
-        path = self._warm.pop(user_id)
-        try:
-            state, metadata = load_state(path)
-            self._validate_archive(metadata, path, spill=True)
-            self._verify_checksum(state, metadata, path)
-        except Exception:
-            self._quarantine_spill(path, user_id)
+        params = self._read_spill(user_id)
+        if params is None:
             return None
-        params = [state[key] for key in sorted(state)]
+        del self._warm[user_id]
         self._params[user_id] = params
         self._params.move_to_end(user_id)
         # The spill file stays current (write-through), so a later demotion
@@ -495,6 +501,24 @@ class AdapterRegistry:
         self._invalidate_gather_state()
         self._enforce_budgets(protect={user_id} | set(protect))
         return params
+
+    def _read_spill(self, user_id: Hashable) -> Optional[List[np.ndarray]]:
+        """Read and verify a warm user's spill record, without promoting them.
+
+        The one spill reader after attach: promotion, :meth:`save` and
+        :meth:`export_user_bytes` all come here, so every read checks the
+        record's CRC and schema.  A record that fails — torn, corrupted,
+        wrong schema — is *quarantined* (renamed aside for forensics, out of
+        the attach scan), the user demoted to cold, and ``None`` returned.
+        """
+        path = self._warm[user_id]
+        try:
+            state, metadata = load_record(path)
+            self._validate_archive(metadata, path, spill=True)
+        except (OSError, ValueError) as exc:
+            self._quarantine_spill(path, exc, user_id)
+            return None
+        return [state[key] for key in sorted(state)]
 
     @staticmethod
     def _verify_checksum(
@@ -515,13 +539,27 @@ class AdapterRegistry:
                 f"(stored {expected}, computed {actual})"
             )
 
-    def _quarantine_spill(self, path: Path, user_id: Optional[Hashable] = None) -> None:
-        """Set a bad spill file aside and demote its user to cold."""
-        quarantined = path.with_name(path.name + ".quarantined")
+    def _quarantine_spill(
+        self, path: Path, reason: Exception, user_id: Optional[Hashable] = None
+    ) -> None:
+        """Set a bad spill file aside, demote its user to cold, and log why.
+
+        Each quarantine logs exactly one JSON warning on the
+        ``repro.serve.adapters`` logger (``event``, ``user``, ``path``,
+        ``reason``), so log lines reconcile with ``spill_quarantined``; a
+        failed rename is reported in the same line as ``rename_error``.
+        """
+        entry = {
+            "event": "spill_quarantined",
+            "user": user_id,
+            "path": str(path),
+            "reason": f"{type(reason).__name__}: {reason}",
+        }
         try:
-            path.replace(quarantined)
-        except OSError:
-            pass
+            path.replace(path.with_name(path.name + ".quarantined"))
+        except OSError as exc:
+            entry["rename_error"] = f"{type(exc).__name__}: {exc}"
+        _log.warning(json.dumps(entry, default=repr))
         if user_id is not None:
             self._spill_paths.pop(user_id, None)
             self._warm.pop(user_id, None)
@@ -564,18 +602,21 @@ class AdapterRegistry:
 
         This is what lets adapter state survive a worker-process crash: the
         restarted process scans ``policy.spill_dir`` and every previously
-        spilled user comes back warm, promoted on their next request.
+        spilled user comes back warm, promoted on their next request.  Only
+        record headers are read here; the CRC is checked on every full read.
         """
-        for path in sorted(self._spill_dir.glob(f"{_SPILL_PREFIX}*.npz")):
+        for path in sorted(self._spill_dir.glob(f"{_SPILL_PREFIX}*{_LEGACY_SPILL_SUFFIX}")):
+            self._convert_legacy_spill(path)
+        for path in sorted(self._spill_dir.glob(f"{_SPILL_PREFIX}*{_SPILL_SUFFIX}")):
             try:
-                metadata = read_metadata(path)
-            except Exception:
+                metadata = read_record_header(path)
+            except (OSError, ValueError) as exc:
                 # An unreadable (truncated, corrupted) file must not block
                 # the restart — quarantine it and keep scanning; its user
                 # re-onboards from the base model.  Policy mismatches below
                 # still raise: a wrong-rank archive is an operator error,
                 # not data corruption.
-                self._quarantine_spill(path)
+                self._quarantine_spill(path, exc)
                 continue
             if not metadata or "user" not in metadata:
                 continue
@@ -585,21 +626,41 @@ class AdapterRegistry:
                 self._warm[user_id] = path
             self._spill_paths[user_id] = path
 
+    def _convert_legacy_spill(self, path: Path) -> None:
+        """Rewrite one ``.npz`` spill file of the earlier layout as a record.
+
+        The file is read through the checkpoint path — :func:`load_state`,
+        schema validation, and the recorded checksum when it has one — and a
+        file that fails is quarantined, as its promotion would have done.
+        The record replaces it, so a restart after an upgrade keeps its warm
+        users while serving reads spills through one reader only.
+        """
+        try:
+            state, metadata = load_state(path)
+        except Exception as exc:  # a damaged zip fails in many ways
+            self._quarantine_spill(path, exc)
+            return
+        if not metadata or "user" not in metadata:
+            return
+        self._validate_archive(metadata, path, spill=True)
+        user_id = self._decode_user(metadata["user"])
+        try:
+            self._verify_checksum(state, metadata, path)
+        except ValueError as exc:
+            self._quarantine_spill(path, exc, user_id)
+            return
+        self._write_spill(user_id, [state[key] for key in sorted(state)])
+        path.unlink()
+
     def _write_spill(self, user_id: Hashable, params: Sequence[np.ndarray]) -> None:
-        """Write-through one user's parameters to their spill file."""
+        """Write-through one user's parameters to their spill record."""
         if self._spill_dir is None:
             return
         encoded = self._encode_user(user_id)
         digest = hashlib.sha1(repr(encoded).encode("utf-8")).hexdigest()[:16]
-        path = self._spill_dir / f"{_SPILL_PREFIX}{digest}.npz"
+        path = self._spill_dir / f"{_SPILL_PREFIX}{digest}{_SPILL_SUFFIX}"
         state = {f"p{slot:03d}": array for slot, array in enumerate(params)}
-        save_state(
-            state,
-            path,
-            metadata=self._archive_metadata(
-                user=encoded, checksum=state_checksum(state)
-            ),
-        )
+        save_record(state, path, metadata=self._archive_metadata(user=encoded))
         self._spill_paths[user_id] = path
         if (
             self.fault_injector is not None
@@ -664,16 +725,18 @@ class AdapterRegistry:
         Built on :mod:`repro.nn.serialization`: pure-NumPy arrays plus a JSON
         metadata block (format version, adaptation scope, low-rank rank, user
         ids), no pickled code objects.  Both hot and warm users are included
-        (warm users are read from their spill files without promotion).  User
-        ids must be strings or integers — the hashables a JSON round trip
-        preserves.
+        (warm users are read from their spill records without promotion; a
+        record that fails verification is quarantined and its user left
+        out).  User ids must be strings or integers — the hashables a JSON
+        round trip preserves.
         """
         state: Dict[str, np.ndarray] = {}
         users: List[List] = []
-        entries = [(user, params) for user, params in self._params.items()]
-        for user in self._warm:
-            warm_state, _ = load_state(self._warm[user])
-            entries.append((user, [warm_state[key] for key in sorted(warm_state)]))
+        entries = list(self._params.items())
+        for user in list(self._warm):
+            params = self._read_spill(user)
+            if params is not None:
+                entries.append((user, params))
         for index, (user_id, params) in enumerate(entries):
             users.append(self._encode_user(user_id))
             for slot, array in enumerate(params):
@@ -740,14 +803,15 @@ class AdapterRegistry:
         The archive carries the same format-2 metadata as a spill file
         (format/scope/rank plus the encoded user id), so the importing
         registry validates schema compatibility before accepting it.  Warm
-        users are read without promotion; cold/unknown users return ``None``.
-        This is the unit of adapter state that live user migration moves over
-        the wire.
+        users are read without promotion; cold/unknown users return ``None``,
+        and so does a warm user whose spill record fails verification (it is
+        quarantined, so corrupted factors never travel under a fresh
+        checksum).  This is the unit of adapter state that live user
+        migration moves over the wire.
         """
         params = self._params.get(user_id)
         if params is None and user_id in self._warm:
-            warm_state, _ = load_state(self._warm[user_id])
-            params = [warm_state[key] for key in sorted(warm_state)]
+            params = self._read_spill(user_id)
         if params is None:
             return None
         state = {f"p{slot:03d}": array for slot, array in enumerate(params)}

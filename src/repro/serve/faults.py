@@ -44,8 +44,8 @@ Fault operations (``FaultRule.op``):
     Cut a matched outgoing reply frame short and hang up mid-frame, so the
     peer sees :class:`TruncatedFrame`.  Target: the reply message ``type``.
 ``corrupt_spill``
-    Flip a byte inside a just-written adapter spill archive, so the next
-    load fails checksum verification and exercises the quarantine path.
+    Flip a byte inside a just-written adapter spill record, so the next
+    load fails its CRC check and exercises the quarantine path.
     Target: ``spill``.
 """
 

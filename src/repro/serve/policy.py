@@ -18,7 +18,7 @@ describing *everything* about per-user adaptation:
   rule the FUSE initialization was optimized for);
 * **where adapter state lives** — the hot/warm/cold lifecycle:
   ``hot_capacity`` bounds the users resident in the in-memory gather stack,
-  ``spill_dir`` enables the warm tier (per-user ``.npz`` spill files,
+  ``spill_dir`` enables the warm tier (per-user CRC-checked spill records,
   written through on adaptation so they double as crash persistence), and
   ``warm_capacity`` bounds the spill files before the coldest users are
   dropped entirely (cold: re-onboard on demand).
@@ -71,7 +71,7 @@ class AdapterPolicy:
         the least recently demoted user's file is deleted (cold).
         ``None`` = unbounded.
     spill_dir:
-        Directory of the warm tier's per-user ``.npz`` files.  ``None``
+        Directory of the warm tier's per-user spill records.  ``None``
         disables the warm tier: demoted users drop straight to cold, and
         adapter state does not survive a process restart.
     """

@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro import nn
+from repro.nn.serialization import load_record, read_record_header, save_record
 from repro.nn.tensor import Tensor
+
+
+def state_dicts(max_dims: int = 3):
+    """1-12 float64/float32 tensors, 0-d and empty shapes included."""
+    tensors = st.sampled_from([np.float64, np.float32]).flatmap(
+        lambda dtype: arrays(
+            dtype, array_shapes(min_dims=0, max_dims=max_dims, min_side=0, max_side=3)
+        )
+    )
+    return st.dictionaries(st.text(min_size=1, max_size=8), tensors, min_size=1, max_size=12)
+
+
+_METADATA = st.none() | st.dictionaries(
+    st.text(max_size=6), st.none() | st.integers() | st.text(max_size=6), max_size=3
+)
 
 
 def build_model():
@@ -60,3 +83,63 @@ class TestSaveLoadModel:
         other = nn.Sequential(nn.Linear(6, 5, rng=np.random.default_rng(1)))
         with pytest.raises((KeyError, ValueError)):
             nn.load_model_into(other, path)
+
+
+class TestRecords:
+    @given(state_dicts(), _METADATA)
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_is_bitwise(self, state, metadata):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_record(state, Path(tmp) / "state.spill", metadata=metadata)
+            loaded, loaded_metadata = load_record(path)
+            assert read_record_header(path) == metadata
+        assert loaded_metadata == metadata
+        assert list(loaded) == list(state)
+        for key, array in state.items():
+            assert loaded[key].dtype == array.dtype
+            assert loaded[key].shape == array.shape
+            assert loaded[key].tobytes() == array.tobytes()
+
+    @given(state_dicts(max_dims=2), st.integers(min_value=1, max_value=255))
+    @settings(max_examples=20, deadline=None)
+    def test_every_single_byte_flip_raises(self, state, mask):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_record(state, Path(tmp) / "state.spill", metadata={"user": "u"})
+            with open(path, "r+b") as handle:
+                for position in range(path.stat().st_size):
+                    handle.seek(position)
+                    original = handle.read(1)
+                    handle.seek(position)
+                    handle.write(bytes([original[0] ^ mask]))
+                    handle.flush()
+                    with pytest.raises(ValueError):
+                        load_record(path)
+                    handle.seek(position)
+                    handle.write(original)
+                    handle.flush()
+            load_record(path)  # every flip was undone: the record loads again
+
+    @given(state_dicts(max_dims=2))
+    @settings(max_examples=20, deadline=None)
+    def test_every_truncation_raises(self, state):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_record(state, Path(tmp) / "state.spill", metadata={"user": "u"})
+            for length in reversed(range(path.stat().st_size)):
+                os.truncate(path, length)
+                with pytest.raises(ValueError):
+                    load_record(path)
+                with pytest.raises(ValueError):
+                    read_record_header(path)
+
+    def test_foreign_files_are_rejected(self, tmp_path):
+        path = nn.save_state({"x": np.zeros(3)}, tmp_path / "ckpt.npz")
+        with pytest.raises(ValueError, match="magic"):
+            load_record(path)
+        with pytest.raises(ValueError, match="magic"):
+            read_record_header(path)
+
+    def test_write_is_atomic_and_leaves_no_temporaries(self, tmp_path):
+        path = save_record({"x": np.arange(3.0)}, tmp_path / "nested" / "state.spill")
+        save_record({"x": np.arange(4.0)}, path)
+        assert [p.name for p in path.parent.iterdir()] == ["state.spill"]
+        np.testing.assert_array_equal(load_record(path)[0]["x"], np.arange(4.0))

@@ -1,19 +1,24 @@
-"""Corrupted adapter spill files: checksum verification and quarantine.
+"""Corrupted adapter spill files: CRC verification and quarantine.
 
-The degradation contract: a spill archive that fails verification is moved
-aside (``.quarantined``), counted, and the user transparently re-onboards
-from the base model — serving never crashes and never silently loads
-garbage parameters.  Checksum-less archives from the previous save format
-keep loading (back compatibility), and spill writes stay atomic.
+The degradation contract: a spill record that fails verification is moved
+aside (``.quarantined``), counted, logged once, and the user transparently
+re-onboards from the base model — serving never crashes and never silently
+loads garbage parameters.  Spill directories of the earlier ``.npz``
+layout, with or without checksums, are converted at attach (back
+compatibility), and spill writes stay atomic.
 """
 
 from __future__ import annotations
+
+import json
+import logging
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.dataset.loader import ArrayDataset
-from repro.nn.serialization import load_state, save_state, state_checksum
+from repro.nn.serialization import load_record, save_state, state_checksum
 from repro.serve import (
     AdapterPolicy,
     AdapterRegistry,
@@ -24,6 +29,8 @@ from repro.serve import (
     ServeConfig,
     ServeMetrics,
 )
+
+from ..conftest import make_frame
 
 
 @pytest.fixture(scope="module")
@@ -48,12 +55,20 @@ def _spilled_registry(estimator, calibration_sets, spill_dir, users=2):
 
 
 class TestChecksums:
-    def test_spill_metadata_records_a_crc32(self, estimator, calibration_sets, tmp_path):
+    def test_spill_record_ends_with_a_crc32_trailer(
+        self, estimator, calibration_sets, tmp_path
+    ):
         registry = _spilled_registry(estimator, calibration_sets, tmp_path / "spill")
         warm_user = next(iter(calibration_sets))
         path = registry._spill_paths[warm_user]
-        state, metadata = load_state(path)
-        assert metadata["checksum"] == state_checksum(state)
+        data = path.read_bytes()
+        assert path.suffix == ".spill"
+        assert int.from_bytes(data[-4:], "little") == zlib.crc32(data[:-4])
+        # the CRC covers the header too: a flipped metadata byte fails it
+        at = data.index(b'"scope"') + 1
+        path.write_bytes(data[:at] + bytes([data[at] ^ 0x20]) + data[at + 1 :])
+        with pytest.raises(ValueError, match="CRC32"):
+            load_record(path)
 
     def test_checksum_is_key_order_independent(self):
         state = {"b": np.arange(4.0), "a": np.ones((2, 2))}
@@ -65,22 +80,38 @@ class TestChecksums:
         leftovers = [p for p in spill.iterdir() if ".tmp" in p.name]
         assert leftovers == []
 
-    def test_checksum_less_legacy_archives_still_load(
+    def test_legacy_npz_spill_converts_at_attach(
         self, estimator, calibration_sets, tmp_path
     ):
-        registry = _spilled_registry(estimator, calibration_sets, tmp_path / "spill")
-        warm_user = next(iter(calibration_sets))
-        expected = [p.copy() for p in registry.parameters_for(warm_user)]
-        path = registry._spill_paths[warm_user]
-        state, metadata = load_state(path)
-        del metadata["checksum"]  # what a pre-checksum writer left behind
-        save_state(state, path, metadata=metadata)
+        """A spill directory of the earlier ``.npz`` layout, with and without
+        checksums: attach converts every file once, and the warm users serve
+        bitwise what they served before the upgrade."""
+        warm_user, hot_user = list(calibration_sets)[:2]
+        frame = make_frame(np.random.default_rng(0))
+        for with_checksum in (True, False):
+            spill = tmp_path / f"spill-{with_checksum}"
+            policy = AdapterPolicy(
+                scope="lora", rank=2, epochs=1, hot_capacity=1, spill_dir=spill
+            )
+            config = ServeConfig(max_batch_size=4, adapter=policy)
+            before = PoseServer(estimator, config)
+            before.adapt_user(warm_user, calibration_sets[warm_user])
+            before.adapt_user(hot_user, calibration_sets[hot_user])
+            expected = {user: before.submit(user, frame) for user in (warm_user, hot_user)}
+            for record in spill.glob("user-*.spill"):
+                # what the earlier writer left: format-2 metadata, compressed
+                state, metadata = load_record(record)
+                if with_checksum:
+                    metadata["checksum"] = state_checksum(state)
+                save_state(state, record.with_suffix(".npz"), metadata=metadata)
+                record.unlink()
 
-        reattached = AdapterRegistry(estimator.model, policy=registry.policy)
-        got = reattached.parameters_for(warm_user)
-        assert got is not None
-        for a, b in zip(expected, got):
-            np.testing.assert_array_equal(a, b)
+            after = PoseServer(estimator, config)
+            assert sorted(p.suffix for p in spill.iterdir()) == [".spill", ".spill"]
+            assert after.registry.tier_sizes() == {"hot": 0, "warm": 2, "cold": 0}
+            for user, prediction in expected.items():
+                np.testing.assert_array_equal(after.submit(user, frame), prediction)
+            assert after.metrics.spill_quarantined == 0
 
 
 class TestQuarantine:
@@ -142,6 +173,71 @@ class TestQuarantine:
             fresh.import_user_bytes(user, mangled)
         fresh.import_user_bytes(user, blob)
         assert user in fresh
+
+    def test_export_user_bytes_quarantines_a_corrupt_warm_spill(
+        self, estimator, calibration_sets, tmp_path
+    ):
+        registry = _spilled_registry(estimator, calibration_sets, tmp_path / "spill")
+        warm_user = next(iter(calibration_sets))
+        path = registry._spill_paths[warm_user]
+        FaultInjector().corrupt_file(path)
+
+        assert registry.export_user_bytes(warm_user) is None  # nothing ships
+        assert warm_user not in registry
+        assert registry.tier_sizes()["cold"] == 1
+        assert path.with_name(path.name + ".quarantined").exists()
+        assert registry.metrics.spill_quarantined == 1
+
+    def test_save_leaves_out_a_corrupt_warm_spill(
+        self, estimator, calibration_sets, tmp_path
+    ):
+        registry = _spilled_registry(estimator, calibration_sets, tmp_path / "spill")
+        warm_user, hot_user = list(calibration_sets)[:2]
+        FaultInjector().corrupt_file(registry._spill_paths[warm_user])
+
+        checkpoint = registry.save(tmp_path / "adapters.npz")
+        assert warm_user not in registry
+        assert registry.metrics.spill_quarantined == 1
+        restored = AdapterRegistry(estimator.model, policy=AdapterPolicy(scope="last", epochs=1))
+        assert restored.load(checkpoint) == [hot_user]
+
+
+class TestQuarantineLog:
+    def test_each_quarantine_logs_one_json_line(
+        self, estimator, calibration_sets, tmp_path, caplog
+    ):
+        metrics = ServeMetrics()
+        policy = AdapterPolicy(
+            scope="last", epochs=1, hot_capacity=1, spill_dir=tmp_path / "spill"
+        )
+        registry = AdapterRegistry(estimator.model, policy=policy, metrics=metrics)
+        registry.adapt_many(calibration_sets)
+        corrupt, missing, torn = [u for u in calibration_sets if u in registry._warm]
+        paths = {user: registry._spill_paths[user] for user in (corrupt, missing, torn)}
+        FaultInjector().corrupt_file(paths[corrupt])
+        paths[missing].unlink()  # the quarantine rename fails too, and says so
+        paths[torn].write_bytes(paths[torn].read_bytes()[:40])
+
+        with caplog.at_level(logging.WARNING, logger="repro.serve.adapters"):
+            assert registry.parameters_for(corrupt) is None
+            assert registry.parameters_for(missing) is None
+            AdapterRegistry(estimator.model, policy=policy, metrics=metrics)  # attach
+
+        lines = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.serve.adapters"
+        ]
+        assert len(lines) == metrics.spill_quarantined == 3
+        assert {line["event"] for line in lines} == {"spill_quarantined"}
+        assert [line["user"] for line in lines] == [corrupt, missing, None]
+        assert [line["path"] for line in lines] == [
+            str(paths[user]) for user in (corrupt, missing, torn)
+        ]
+        assert "CRC32" in lines[0]["reason"]
+        assert lines[1]["reason"].startswith("FileNotFoundError")
+        assert "rename_error" in lines[1] and "rename_error" not in lines[0]
+        assert "truncated" in lines[2]["reason"]
 
 
 class TestTransparentReonboarding:

@@ -104,7 +104,7 @@ class TestTierBudgets:
         assert sizes["hot"] == 1 and sizes["warm"] == 1
         assert sizes["cold"] == len(calibration_sets) - 2
         # Exactly hot + warm spill files remain on disk.
-        assert len(list((tmp_path / "spill").glob("user-*.npz"))) == 2
+        assert len(list((tmp_path / "spill").glob("user-*.spill"))) == 2
 
     def test_remove_clears_every_tier_and_the_spill_file(
         self, estimator, calibration_sets, tmp_path
@@ -113,10 +113,10 @@ class TestTierBudgets:
         registry = AdapterRegistry(estimator.model, policy=policy)
         user = next(iter(calibration_sets))
         registry.adapt_user(user, calibration_sets[user])
-        assert len(list((tmp_path / "spill").glob("user-*.npz"))) == 1
+        assert len(list((tmp_path / "spill").glob("user-*.spill"))) == 1
         assert registry.remove(user)
         assert user not in registry
-        assert list((tmp_path / "spill").glob("user-*.npz")) == []
+        assert list((tmp_path / "spill").glob("user-*.spill")) == []
         assert not registry.remove(user)
 
 
