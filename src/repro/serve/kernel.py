@@ -21,6 +21,21 @@ only on its own features — not on how many co-riders shared the block, which
 slot it occupied, or what the padding contained.  This is verified bitwise by
 ``tests/serve/test_replay_equivalence.py``.
 
+Convolutions are lowered channels-last.  One NCHW→NHWC conversion runs
+before the first convolution, and activations stay ``(block, height, width,
+channels)`` from one conv step to the next.  A step's im2col patch is a
+strided window view over its zero-padded NHWC input in ``(kh, kw, C)`` order,
+so a single copy gathers it in contiguous channel runs; the conv weight is
+permuted to that order once, at construction.  The GEMM's ``(block * out_h *
+out_w, out_channels)`` product is already the next step's NHWC input, with
+no per-layer transpose.  One conversion back to NCHW runs before
+``Flatten``, so fully connected layers and every caller see the training
+layout.  Low-rank factors keep the training ``(C, kh, kw)`` patch order —
+the order adaptation learns them in and the registry, spill records and
+migration bytes carry — and each block permutes its conv ``A`` factors to
+the kernel's order.  The training ops (:mod:`repro.nn.cols`,
+:mod:`repro.nn.ops`, the backends) stay NCHW as the numeric reference.
+
 The arithmetic executes through a :class:`repro.nn.backend.KernelBackend`
 (default: whatever is active in the registry).  Backends with
 ``parallelism > 1`` fan independent blocks out over threads — every block is
@@ -39,20 +54,23 @@ construction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import nn
 from ..nn import backend as _kernel_backends
 from ..nn.backend import KernelBackend
-from ..nn.ops import conv_output_shape, im2col
+from ..nn.cols import _as_pair, conv_output_shape
 
 __all__ = ["SharedParameterKernel"]
 
 
 class _ConvStep:
-    """One convolution lowered to a fixed-shape matrix product."""
+    """One channels-last convolution lowered to a fixed-shape matrix product.
+
+    Input and output are ``(block, height, width, channels)``.
+    """
 
     def __init__(
         self,
@@ -61,35 +79,47 @@ class _ConvStep:
         bias: Optional[np.ndarray],
         backend: KernelBackend,
     ) -> None:
-        out_channels = weight.shape[0]
-        self.kernel_size = weight.shape[2], weight.shape[3]
-        self.stride = layer.stride
-        self.padding = layer.padding
-        # (patch, out_channels), contiguous so the GEMM reads it linearly.
-        self.weight_flat = np.ascontiguousarray(weight.reshape(out_channels, -1).T)
+        out_channels, self.in_channels, kh, kw = weight.shape
+        self.kernel_size = kh, kw
+        self.stride = _as_pair(layer.stride)
+        self.padding = _as_pair(layer.padding)
+        # (kh * kw * C, out_channels): the patch in (kh, kw, C) order,
+        # contiguous so the GEMM reads it linearly.
+        self.weight_flat = np.ascontiguousarray(
+            weight.transpose(2, 3, 1, 0).reshape(-1, out_channels)
+        )
         self.bias = None if bias is None else np.ascontiguousarray(bias)
         self.backend = backend
 
     def _base(self, x: np.ndarray):
-        block = x.shape[0]
-        out_h, out_w = conv_output_shape(
-            x.shape[2], x.shape[3], self.kernel_size, self.stride, self.padding
+        block, height, width, channels = x.shape
+        (kh, kw), (sh, sw), (ph, pw) = self.kernel_size, self.stride, self.padding
+        out_h, out_w = conv_output_shape(height, width, (kh, kw), (sh, sw), (ph, pw))
+        if ph or pw:
+            padded = np.zeros((block, height + 2 * ph, width + 2 * pw, channels), x.dtype)
+            padded[:, ph : ph + height, pw : pw + width] = x
+            x = padded
+        step_b, step_h, step_w, step_c = x.strides
+        windows = np.lib.stride_tricks.as_strided(
+            x,
+            shape=(block, out_h, out_w, kh, kw, channels),
+            strides=(step_b, step_h * sh, step_w * sw, step_h, step_w, step_c),
+            writeable=False,
         )
-        cols = im2col(x, self.kernel_size, self.stride, self.padding)
-        flat = cols.reshape(block * out_h * out_w, -1)
+        # The one im2col copy; over a contiguous input each (kw, C) window
+        # row is a single run.
+        cols = windows.reshape(block * out_h * out_w, kh * kw * channels)
         workspace = self.backend.workspace(
-            (id(self), "out"), (flat.shape[0], self.weight_flat.shape[1]), flat.dtype
+            (id(self), "out"), (cols.shape[0], self.weight_flat.shape[1]), cols.dtype
         )
-        out = self.backend.gemm(flat, self.weight_flat, out=workspace)
+        out = self.backend.gemm(cols, self.weight_flat, out=workspace)
         if self.bias is not None:
             out += self.bias
-        return out, flat, block, out_h, out_w
+        return out, cols, block, out_h, out_w
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out, _, block, out_h, out_w = self._base(x)
-        return np.ascontiguousarray(
-            out.reshape(block, out_h, out_w, -1).transpose(0, 3, 1, 2)
-        )
+        return out.reshape(block, out_h, out_w, -1)
 
     def lowrank(self, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The base product plus a per-frame rank-r delta on the patch view.
@@ -97,16 +127,17 @@ class _ConvStep:
         The base GEMM is exactly :meth:`__call__`'s fixed-shape product; the
         delta ``(cols @ a[i].T) @ b[i].T`` runs as per-frame batched rank-r
         matmuls whose shapes never depend on the batch, so the sum stays
-        batch-invariant frame by frame.
+        batch-invariant frame by frame.  ``a`` arrives in the training
+        ``(C, kh, kw)`` patch order and is permuted here to ``(kh, kw, C)``.
         """
-        out, flat, block, out_h, out_w = self._base(x)
-        cols3 = flat.reshape(block, out_h * out_w, -1)
-        hidden = self.backend.matmul(cols3, a.transpose(0, 2, 1))  # (block, oh*ow, r)
+        out, cols, block, out_h, out_w = self._base(x)
+        rank = a.shape[1]
+        a_t = a.reshape(block, rank, self.in_channels, *self.kernel_size)
+        a_t = a_t.transpose(0, 3, 4, 2, 1).reshape(block, -1, rank)  # (block, patch, r)
+        hidden = self.backend.matmul(cols.reshape(block, out_h * out_w, -1), a_t)
         out3 = out.reshape(block, out_h * out_w, -1)
         out3 += self.backend.matmul(hidden, b.transpose(0, 2, 1))
-        return np.ascontiguousarray(
-            out3.reshape(block, out_h, out_w, -1).transpose(0, 3, 1, 2)
-        )
+        return out.reshape(block, out_h, out_w, -1)
 
 
 class _LinearStep:
@@ -169,6 +200,16 @@ class _FlattenStep:
         return x.reshape(x.shape[0], -1)
 
 
+class _LayoutStep:
+    """An NCHW <-> NHWC axis permutation (a view; the consumer copies)."""
+
+    def __init__(self, axes: Tuple[int, ...]) -> None:
+        self.axes = axes
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return x.transpose(self.axes)
+
+
 class SharedParameterKernel:
     """Batch-size-invariant forward pass for one shared parameter set.
 
@@ -213,13 +254,21 @@ class SharedParameterKernel:
             )
         self._steps: List = []
         self._out_features: Optional[int] = None
+        self._channels_last = False
         remaining = self._compile(module, list(parameters))
         if remaining:
             raise ValueError("more parameters supplied than the module consumes")
+        self._set_layout(channels_last=False)
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
+    def _set_layout(self, channels_last: bool) -> None:
+        """Append a layout conversion if the activations are in the other one."""
+        if channels_last != self._channels_last:
+            self._steps.append(_LayoutStep((0, 2, 3, 1) if channels_last else (0, 3, 1, 2)))
+            self._channels_last = channels_last
+
     def _compile(self, module: nn.Module, params: List[np.ndarray]) -> List[np.ndarray]:
         """Flatten the module tree into primitive steps, consuming ``params``."""
         if isinstance(module, nn.Sequential):
@@ -229,6 +278,7 @@ class SharedParameterKernel:
         if isinstance(module, nn.Conv2d):
             weight = params.pop(0)
             bias = params.pop(0) if module.bias is not None else None
+            self._set_layout(channels_last=True)
             self._steps.append(_ConvStep(module, weight, bias, self.backend))
             return params
         if isinstance(module, nn.Linear):
@@ -247,6 +297,7 @@ class SharedParameterKernel:
             self._steps.append(_SigmoidStep(self.backend))
             return params
         if isinstance(module, nn.Flatten):
+            self._set_layout(channels_last=False)
             self._steps.append(_FlattenStep())
             return params
         if isinstance(module, nn.Dropout):
@@ -264,19 +315,25 @@ class SharedParameterKernel:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def _run_block(self, x: np.ndarray) -> np.ndarray:
+    def _run_block(self, x: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+        pairs = iter(factors)
         for step in self._steps:
-            x = step(x)
+            if factors and isinstance(step, (_ConvStep, _LinearStep)):
+                x = step.lowrank(x, next(pairs), next(pairs))
+            else:
+                x = step(x)
         return x
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Forward ``(batch, channels, height, width)`` features to ``(batch, out)``.
+    def _run_blocks(
+        self, features: np.ndarray, factors: Sequence[np.ndarray] = ()
+    ) -> np.ndarray:
+        """Run the steps over zero-padded blocks of exactly :attr:`block` frames.
 
-        The batch is processed in zero-padded blocks of exactly
-        :attr:`block` frames so every GEMM shape — and therefore every
-        frame's bit pattern — is independent of the batch size.  Parallel
-        backends compute independent blocks on different threads; the block
-        shapes (and hence the bits) do not depend on the thread assignment.
+        ``features`` and every per-row ``factors`` stack are padded alike
+        (zero rows), so every GEMM shape — and therefore every frame's bit
+        pattern — is independent of the batch size.  Parallel backends
+        compute independent blocks on different threads; the block shapes
+        (and hence the bits) do not depend on the thread assignment.
         """
         features = np.asarray(features, dtype=float)
         if features.ndim != 4:
@@ -284,32 +341,32 @@ class SharedParameterKernel:
                 f"expected (batch, channels, height, width) features, got {features.shape}"
             )
         total = features.shape[0]
+        if any(array.shape[0] != total for array in factors):
+            raise ValueError("every factor stack needs one row per frame")
         if total == 0:
             if self._out_features is None:
                 raise ValueError("cannot infer output width of an empty batch")
             return np.zeros((0, self._out_features))
-        starts = list(range(0, total, self.block))
-        if len(starts) > 1 and self.backend.parallelism > 1:
+        inputs = [features, *factors]
 
-            def run(start: int) -> np.ndarray:
-                chunk = features[start : start + self.block]
-                valid = chunk.shape[0]
-                block_buffer = np.zeros((self.block, *features.shape[1:]))
-                block_buffer[:valid] = chunk
-                return self._run_block(block_buffer)[:valid].copy()
+        def run(start: int) -> np.ndarray:
+            valid = min(self.block, total - start)
+            padded = []
+            for array in inputs:
+                buffer = np.zeros((self.block, *array.shape[1:]))
+                buffer[:valid] = array[start : start + valid]
+                padded.append(buffer)
+            return self._run_block(*padded)[:valid].copy()
 
-            outputs = self.backend.map_blocks(run, starts)
-        else:
-            outputs = []
-            buffer = np.zeros((self.block, *features.shape[1:]))
-            for start in starts:
-                chunk = features[start : start + self.block]
-                valid = chunk.shape[0]
-                buffer[:valid] = chunk
-                if valid < self.block:
-                    buffer[valid:] = 0.0
-                outputs.append(self._run_block(buffer)[:valid].copy())
-        return np.concatenate(outputs, axis=0)
+        return np.concatenate(self.backend.map_blocks(run, range(0, total, self.block)))
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Forward ``(batch, channels, height, width)`` features to ``(batch, out)``.
+
+        The batch runs in fixed-width zero-padded blocks, so a frame's bits
+        do not depend on the batch it rode in.
+        """
+        return self._run_blocks(features)
 
     def predict_lowrank(
         self, features: np.ndarray, factors: Sequence
@@ -327,11 +384,6 @@ class SharedParameterKernel:
         micro-batch composition while the heavy GEMMs remain the shared
         base's, not per-user ones.
         """
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 4:
-            raise ValueError(
-                f"expected (batch, channels, height, width) features, got {features.shape}"
-            )
         arrays = [
             np.asarray(f.data if isinstance(f, nn.Tensor) else f, dtype=float)
             for f in factors
@@ -342,54 +394,7 @@ class SharedParameterKernel:
                 f"kernel has {adaptable} adaptable layers and needs {2 * adaptable} "
                 f"factor stacks, got {len(arrays)}"
             )
-        total = features.shape[0]
-        if any(array.shape[0] != total for array in arrays):
-            raise ValueError("every factor stack needs one row per frame")
-        if total == 0:
-            if self._out_features is None:
-                raise ValueError("cannot infer output width of an empty batch")
-            return np.zeros((0, self._out_features))
-        starts = list(range(0, total, self.block))
-        if len(starts) > 1 and self.backend.parallelism > 1:
-
-            def run(start: int) -> np.ndarray:
-                chunk = features[start : start + self.block]
-                valid = chunk.shape[0]
-                block_buffer = np.zeros((self.block, *features.shape[1:]))
-                block_buffer[:valid] = chunk
-                block_factors = []
-                for array in arrays:
-                    padded_slot = np.zeros((self.block, *array.shape[1:]))
-                    padded_slot[:valid] = array[start : start + valid]
-                    block_factors.append(padded_slot)
-                return self._run_block_lowrank(block_buffer, block_factors)[:valid].copy()
-
-            outputs = self.backend.map_blocks(run, starts)
-        else:
-            outputs = []
-            buffer = np.zeros((self.block, *features.shape[1:]))
-            padded = [np.zeros((self.block, *array.shape[1:])) for array in arrays]
-            for start in starts:
-                chunk = features[start : start + self.block]
-                valid = chunk.shape[0]
-                buffer[:valid] = chunk
-                if valid < self.block:
-                    buffer[valid:] = 0.0
-                for slot, array in enumerate(arrays):
-                    padded[slot][:valid] = array[start : start + valid]
-                    if valid < self.block:
-                        padded[slot][valid:] = 0.0
-                outputs.append(self._run_block_lowrank(buffer, padded)[:valid].copy())
-        return np.concatenate(outputs, axis=0)
-
-    def _run_block_lowrank(self, x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-        pairs = iter(factors)
-        for step in self._steps:
-            if isinstance(step, (_ConvStep, _LinearStep)):
-                x = step.lowrank(x, next(pairs), next(pairs))
-            else:
-                x = step(x)
-        return x
+        return self._run_blocks(features, arrays)
 
     def predict_joints(self, features: np.ndarray) -> np.ndarray:
         """Inference reshaped to ``(batch, joints, 3)`` coordinates."""

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.models import PoseCNN
+from repro import nn
+from repro.core.models import PoseCNN, PoseCNNConfig
+from repro.engine import lowrank_forward, lowrank_shapes
 from repro.serve import SharedParameterKernel
 
 from .conftest import make_frame
@@ -19,6 +21,87 @@ def model():
 @pytest.fixture(scope="module")
 def kernel(model):
     return SharedParameterKernel(model, block=16)
+
+
+def _strided_stack() -> nn.Module:
+    """Stride 2, padding 0 and a non-square kernel: (5, 8, 8) -> (7,)."""
+    rng = np.random.default_rng(4)
+    return nn.Sequential(
+        nn.Conv2d(5, 8, (3, 2), stride=2, padding=0, rng=rng),
+        nn.Tanh(),
+        nn.Conv2d(8, 6, 2, stride=2, padding=0, rng=rng),
+        nn.ReLU(),
+        nn.Flatten(),
+        nn.Linear(6 * 1 * 2, 7, rng=rng),
+    )
+
+
+def _conv_only_stack() -> nn.Module:
+    """No Flatten: the kernel's output must come back NCHW."""
+    rng = np.random.default_rng(5)
+    return nn.Sequential(nn.Conv2d(5, 4, 3, padding=1, rng=rng), nn.Sigmoid())
+
+
+LOWERINGS = {
+    "posecnn_3x3": lambda: PoseCNN(seed=3),
+    "posecnn_5x5": lambda: PoseCNN(PoseCNNConfig(kernel_size=5), seed=6),
+    "stride2_pad0": _strided_stack,
+    "conv_only": _conv_only_stack,
+}
+
+
+def _forward(module: nn.Module, features: np.ndarray) -> np.ndarray:
+    with nn.no_grad():
+        return module(nn.Tensor(features)).numpy()
+
+
+def _random_factors(module: nn.Module, frames: int, rng, rank: int = 3):
+    """Non-zero per-frame ``[a0, b0, a1, b1, ...]`` stacks."""
+    factors = []
+    for fan_out, fan_in in lowrank_shapes(module):
+        factors.append(rng.normal(scale=0.3, size=(frames, rank, fan_in)))
+        factors.append(rng.normal(scale=0.3, size=(frames, fan_out, rank)))
+    return factors
+
+
+@pytest.mark.parametrize("name", sorted(LOWERINGS))
+class TestLoweringGeometry:
+    """The channels-last lowering beyond the 3x3 / stride 1 / padding 1 default."""
+
+    def test_matches_module_forward(self, name, rng):
+        module = LOWERINGS[name]()
+        features = rng.normal(size=(11, 5, 8, 8))
+        np.testing.assert_allclose(
+            SharedParameterKernel(module, block=4).predict(features),
+            _forward(module, features),
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+    def test_single_frame_equals_full_block_bitwise(self, name, rng):
+        kernel = SharedParameterKernel(LOWERINGS[name](), block=8)
+        features = rng.normal(size=(8, 5, 8, 8))
+        solo = np.concatenate([kernel.predict(features[i : i + 1]) for i in range(8)])
+        np.testing.assert_array_equal(kernel.predict(features), solo)
+
+    def test_lowrank_matches_adaptation_forward(self, name, rng):
+        """Serving's low-rank path equals the path adaptation trains through
+        (one task per frame), so a wrong factor permutation cannot hide."""
+        module = LOWERINGS[name]()
+        features = rng.normal(size=(9, 5, 8, 8))
+        factors = _random_factors(module, 9, rng)
+        kernel = SharedParameterKernel(module, block=4)
+        served = kernel.predict_lowrank(features, factors)
+        with nn.no_grad():
+            adapted = lowrank_forward(
+                module,
+                [nn.Tensor(p.data) for p in module.parameters()],
+                [nn.Tensor(f) for f in factors],
+                nn.Tensor(features[:, None]),
+            ).numpy()[:, 0]
+        np.testing.assert_allclose(served, adapted, rtol=1e-9, atol=1e-12)
+        # The deltas are live, so the check above is not base == base.
+        assert not np.allclose(served, kernel.predict(features))
 
 
 class TestBatchInvariance:
