@@ -42,10 +42,11 @@ from typing import Dict, List, Optional
 THROUGHPUT_KEY = re.compile(r"(^|_)(fps|tps|per_sec|throughput)($|_)")
 
 # Machine-context keys a benchmark section may record.  Two runs are only
-# comparable where this context matches: a figure measured on 4 cores with
-# the "fast" kernel backend says nothing about a 1-core "reference" run, so
-# mismatched sections are pruned from the comparison (loudly) instead of
-# producing a bogus regression or a bogus pass.
+# comparable where this context matches: a figure measured on 4 cores says
+# nothing about a 1-core run, and older history snapshots can carry figures
+# of the retired "fast" numeric backend, so mismatched sections are pruned
+# from the comparison (loudly) instead of producing a bogus regression or a
+# bogus pass.
 CONTEXT_KEYS = ("cpu_count", "backend")
 
 

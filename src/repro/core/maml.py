@@ -28,7 +28,6 @@ implemented; see DESIGN.md for the substitution rationale.
 
 from __future__ import annotations
 
-import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
@@ -231,12 +230,6 @@ class MetaTrainer:
     # ------------------------------------------------------------------
     # Task-batched meta step (the engine's vectorized path)
     # ------------------------------------------------------------------
-    def _backend_scope(self):
-        """Kernel-backend selection scope honoring ``plan.kernel_backend``."""
-        if self.plan.kernel_backend is not None:
-            return nn.use_backend(self.plan.kernel_backend)
-        return contextlib.nullcontext()
-
     def _task_gradient_stacks(
         self, tasks: List[Task]
     ) -> tuple[List[np.ndarray], List[float], List[float]]:
@@ -259,52 +252,51 @@ class MetaTrainer:
         """
         cfg = self.config
         num_tasks = len(tasks)
-        with self._backend_scope():
-            support_x = nn.Tensor(np.stack([task.support.features for task in tasks]))
-            support_y = nn.Tensor(np.stack([task.support.labels for task in tasks]))
-            query_x = nn.Tensor(np.stack([task.query.features for task in tasks]))
-            query_y = nn.Tensor(np.stack([task.query.labels for task in tasks]))
+        support_x = nn.Tensor(np.stack([task.support.features for task in tasks]))
+        support_y = nn.Tensor(np.stack([task.support.labels for task in tasks]))
+        query_x = nn.Tensor(np.stack([task.query.features for task in tasks]))
+        query_y = nn.Tensor(np.stack([task.query.labels for task in tasks]))
 
-            def adapt(
-                params: List[nn.Tensor], x: nn.Tensor, y: nn.Tensor
-            ) -> tuple[List[nn.Tensor], np.ndarray]:
-                """Inner-loop gradient steps (Eq. 5) on per-task parameters."""
-                last_losses = np.zeros(num_tasks)
-                for _ in range(cfg.inner_steps):
-                    predictions = batched_forward(self.model, params, x)
-                    losses = nn.per_task_loss(predictions, y, cfg.loss)
-                    losses.sum().backward()
-                    last_losses = losses.data.copy()
-                    params = gradient_step(params, cfg.inner_lr)
-                return params, last_losses
+        def adapt(
+            params: List[nn.Tensor], x: nn.Tensor, y: nn.Tensor
+        ) -> tuple[List[nn.Tensor], np.ndarray]:
+            """Inner-loop gradient steps (Eq. 5) on per-task parameters."""
+            last_losses = np.zeros(num_tasks)
+            for _ in range(cfg.inner_steps):
+                predictions = batched_forward(self.model, params, x)
+                losses = nn.per_task_loss(predictions, y, cfg.loss)
+                losses.sum().backward()
+                last_losses = losses.data.copy()
+                params = gradient_step(params, cfg.inner_lr)
+            return params, last_losses
 
-            params = replicate_parameters(self.model, num_tasks)
-            adapted, support_losses = adapt(params, support_x, support_y)
+        params = replicate_parameters(self.model, num_tasks)
+        adapted, support_losses = adapt(params, support_x, support_y)
 
-            if cfg.algorithm == "fomaml":
+        if cfg.algorithm == "fomaml":
+            predictions = batched_forward(self.model, adapted, query_x)
+            query_losses = nn.per_task_loss(predictions, query_y, cfg.loss)
+            query_losses.sum().backward()
+            stacks = [
+                param.grad
+                if param.grad is not None
+                else np.zeros((num_tasks, *param.shape[1:]))
+                for param in adapted
+            ]
+            query_loss_values = query_losses.data.copy()
+        else:  # reptile
+            # One extra adaptation phase on the query set, then use the
+            # total parameter displacement as the meta gradient.
+            adapted, _ = adapt(adapted, query_x, query_y)
+            with nn.no_grad():
                 predictions = batched_forward(self.model, adapted, query_x)
-                query_losses = nn.per_task_loss(predictions, query_y, cfg.loss)
-                query_losses.sum().backward()
-                stacks = [
-                    param.grad
-                    if param.grad is not None
-                    else np.zeros((num_tasks, *param.shape[1:]))
-                    for param in adapted
-                ]
-                query_loss_values = query_losses.data.copy()
-            else:  # reptile
-                # One extra adaptation phase on the query set, then use the
-                # total parameter displacement as the meta gradient.
-                adapted, _ = adapt(adapted, query_x, query_y)
-                with nn.no_grad():
-                    predictions = batched_forward(self.model, adapted, query_x)
-                    query_loss_values = nn.per_task_loss(
-                        predictions, query_y, cfg.loss
-                    ).data.copy()
-                stacks = [
-                    initial.data[None] - param.data
-                    for initial, param in zip(self.model.parameters(), adapted)
-                ]
+                query_loss_values = nn.per_task_loss(
+                    predictions, query_y, cfg.loss
+                ).data.copy()
+            stacks = [
+                initial.data[None] - param.data
+                for initial, param in zip(self.model.parameters(), adapted)
+            ]
         return stacks, list(support_losses), list(query_loss_values)
 
     def _combine_stacks(self, stacks: List[np.ndarray]) -> List[np.ndarray]:

@@ -180,14 +180,6 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
         default="process",
         help="run shards in worker processes (default) or in the front-end process",
     )
-    sharding.add_argument(
-        "--kernel-backend",
-        metavar="NAME",
-        default=None,
-        help="numeric kernel backend from the repro.nn.backend registry "
-        "(e.g. 'reference', 'fast'; default: the process default, "
-        "REPRO_KERNEL_BACKEND or 'reference')",
-    )
 
     scheduling = parser.add_argument_group("micro-batch scheduling")
     scheduling.add_argument("--max-batch-size", type=int, default=32)
@@ -315,7 +307,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             max_delay_ms=args.max_delay_ms,
             max_queue_depth=args.max_queue_depth,
             adapter=adapter,
-            kernel_backend=args.kernel_backend,
             scheduling=_scheduling_from_args(args),
             fault_plan=fault_plan,
         )
@@ -474,13 +465,6 @@ def _add_router_options(parser: argparse.ArgumentParser) -> None:
     spawned.add_argument("--train-seconds", type=float, default=9.0)
     spawned.add_argument("--train-epochs", type=int, default=3)
     spawned.add_argument("--seed", type=int, default=5)
-    spawned.add_argument(
-        "--kernel-backend",
-        metavar="NAME",
-        default=None,
-        help="numeric kernel backend forwarded to every spawned fuse-serve "
-        "backend (e.g. 'reference', 'fast')",
-    )
 
     parser.add_argument(
         "--allow-remote-shutdown",
@@ -519,15 +503,6 @@ def _run_router(args: argparse.Namespace) -> int:
             "no backends: give --backend NAME=ENDPOINT and/or --spawn N",
             prog="fuse-router",
         )
-    if args.kernel_backend is not None:
-        from ..nn import backend as _kernel_backends
-
-        if args.kernel_backend not in _kernel_backends.available_backends():
-            return _fail(
-                f"unknown kernel backend '{args.kernel_backend}'; registered "
-                f"backends: {', '.join(sorted(_kernel_backends.available_backends()))}",
-                prog="fuse-router",
-            )
 
     specs: list = []
     procs: list = []
@@ -560,8 +535,6 @@ def _run_router(args: argparse.Namespace) -> int:
                     "--seed",
                     str(args.seed),
                 ]
-                if args.kernel_backend is not None:
-                    command += ["--kernel-backend", args.kernel_backend]
                 for flag, value in (
                     ("--interactive-budget-ms", args.interactive_budget_ms),
                     ("--bulk-budget-ms", args.bulk_budget_ms),

@@ -6,14 +6,11 @@ needed by the MARS baseline CNN and the FUSE model (:mod:`repro.nn.layers`),
 the losses and optimizers used in the paper (:mod:`repro.nn.functional`,
 :mod:`repro.nn.optim`) and checkpoint serialization.
 
-The arithmetic of the batched hot-path ops executes through a pluggable
-kernel backend selected via :mod:`repro.nn.backend` (registry, ``use_backend``
-context manager and the ``REPRO_KERNEL_BACKEND`` environment variable); the
-default ``reference`` backend is the original serial numpy code.
+The task-batched hot-path ops (per-task and low-rank linear/convolution)
+keep their fused forward/backward arithmetic in :mod:`repro.nn.backend`, as
+plain numpy functions; there is one numeric path and nothing to select.
 """
 
-from . import backend
-from .backend import use_backend
 from .functional import (
     cross_entropy_loss,
     linear_batched,
@@ -59,9 +56,6 @@ from .serialization import load_model_into, load_state, save_model, save_state
 from .tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
-    # kernel backends
-    "backend",
-    "use_backend",
     # tensor
     "Tensor",
     "no_grad",

@@ -1,10 +1,10 @@
-"""im2col/col2im lowering shared by the conv ops and every kernel backend.
+"""im2col/col2im lowering shared by the conv ops and their fused bodies.
 
 These are the pure array-rearrangement primitives of the convolution path:
-no arithmetic policy lives here, only the patch lowering.  They sit in their
-own leaf module (rather than :mod:`repro.nn.ops`) so the kernel backends in
-:mod:`repro.nn.backend` can import them without a cycle — ``ops`` dispatches
-into ``backend``, and ``backend`` lowers with ``cols``.
+no arithmetic lives here, only the patch lowering.  They sit in their own
+leaf module (rather than :mod:`repro.nn.ops`) so the fused forward/backward
+bodies in :mod:`repro.nn.backend` can import them without a cycle — ``ops``
+calls into ``backend``, and ``backend`` lowers with ``cols``.
 """
 
 from __future__ import annotations

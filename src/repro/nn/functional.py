@@ -105,15 +105,14 @@ def linear_batched(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
                 f"bias must have shape {(weight.shape[0], weight.shape[1])}, got {bias.shape}"
             )
 
-    kernel = _backend.active_for("linear_batched")
-    out, ctx = kernel.linear_batched_forward(
+    out, ctx = _backend.linear_batched_forward(
         x.data, weight.data, None if bias is None else bias.data
     )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad_x, grad_weight, grad_bias = kernel.linear_batched_backward(
+        grad_x, grad_weight, grad_bias = _backend.linear_batched_backward(
             ctx,
             grad,
             (
@@ -193,15 +192,14 @@ def linear_lowrank_batched(
         if bias.shape != (out_features,):
             raise ValueError(f"bias must have shape {(out_features,)}, got {bias.shape}")
 
-    kernel = _backend.active_for("linear_lowrank_batched")
-    out, ctx = kernel.linear_lowrank_forward(
+    out, ctx = _backend.linear_lowrank_forward(
         x.data, weight.data, a.data, b.data, None if bias is None else bias.data
     )
 
     parents = (x, weight, a, b) if bias is None else (x, weight, a, b, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad_x, grad_weight, grad_a, grad_b, grad_bias = kernel.linear_lowrank_backward(
+        grad_x, grad_weight, grad_a, grad_b, grad_bias = _backend.linear_lowrank_backward(
             ctx,
             grad,
             (

@@ -126,15 +126,14 @@ def conv2d_batched(
             f"bias must have shape ({tasks}, {out_channels}), got {bias.shape}"
         )
 
-    kernel = _backend.active_for("conv2d_batched")
-    out, ctx = kernel.conv2d_batched_forward(
+    out, ctx = _backend.conv2d_batched_forward(
         x.data, weight.data, None if bias is None else bias.data, stride, padding
     )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad_x, grad_weight, grad_bias = kernel.conv2d_batched_backward(
+        grad_x, grad_weight, grad_bias = _backend.conv2d_batched_backward(
             ctx,
             grad,
             (
@@ -212,8 +211,7 @@ def conv2d_lowrank_batched(
     if bias is not None and bias.shape != (out_channels,):
         raise ValueError(f"bias must have shape ({out_channels},), got {bias.shape}")
 
-    kernel = _backend.active_for("conv2d_lowrank_batched")
-    out, ctx = kernel.conv2d_lowrank_forward(
+    out, ctx = _backend.conv2d_lowrank_forward(
         x.data,
         weight.data,
         a.data,
@@ -226,7 +224,7 @@ def conv2d_lowrank_batched(
     parents = (x, weight, a, b) if bias is None else (x, weight, a, b, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad_x, grad_weight, grad_a, grad_b, grad_bias = kernel.conv2d_lowrank_backward(
+        grad_x, grad_weight, grad_a, grad_b, grad_bias = _backend.conv2d_lowrank_backward(
             ctx,
             grad,
             (

@@ -65,16 +65,7 @@ class ExecutionPlan:
         Optional radar-backend override (``"geometric"`` or ``"signal"``)
         applied by engine helpers that construct pipelines; ``None`` keeps
         the caller's configured backend.  This selects the *radar* synthesis
-        model — the numeric kernel implementation is ``kernel_backend``.
-    kernel_backend:
-        Optional kernel-backend name (validated against the
-        :mod:`repro.nn.backend` registry — ``"reference"``, ``"fast"``,
-        ``"compiled"``, or anything registered by the embedding
-        application).  ``None`` defers to the process default
-        (``REPRO_KERNEL_BACKEND`` environment variable or ``reference``).
-        Layers that honor the plan scope the selection around their compute
-        (e.g. :class:`repro.core.MetaTrainer` wraps its steps in
-        ``nn.use_backend``).
+        model.
     """
 
     vectorized: bool = True
@@ -86,7 +77,6 @@ class ExecutionPlan:
     cache_dir: Optional[str] = None
     cache_disk_capacity: int = 64
     backend: Optional[str] = None
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -105,21 +95,8 @@ class ExecutionPlan:
             raise ValueError("cache_disk_capacity must be >= 1")
         if self.backend is not None and self.backend not in ("geometric", "signal"):
             raise ValueError(
-                f"unknown radar backend '{self.backend}' (expected 'geometric' or "
-                f"'signal'; numeric kernels are selected via kernel_backend)"
+                f"unknown radar backend '{self.backend}' (expected 'geometric' or 'signal')"
             )
-        if self.kernel_backend is not None:
-            # Late import: runtime must not drag the nn substrate in at
-            # module load, and registration happens on repro.nn.backend
-            # import.  Registry-driven validation means plans accept any
-            # backend an embedding application registered.
-            from repro.nn import backend as _kernel_backends
-
-            if self.kernel_backend not in _kernel_backends.available_backends():
-                raise ValueError(
-                    f"unknown kernel backend '{self.kernel_backend}'; registered "
-                    f"backends: {', '.join(sorted(_kernel_backends.available_backends()))}"
-                )
 
     @classmethod
     def reference(cls) -> "ExecutionPlan":

@@ -147,10 +147,6 @@ class AdapterRegistry:
         Block width of the trunk-embedding kernel under ``scope="last"``
         (matched to the server's ``gemm_block`` so embeddings agree bitwise
         with the serving path).
-    kernel_backend:
-        Kernel backend of the trunk-embedding kernel (registry name,
-        instance, or ``None`` for the active backend) — matched to the
-        server's backend so embeddings and serving use the same kernels.
     fault_injector:
         Optional :class:`repro.serve.FaultInjector` for deterministic
         chaos testing; its ``corrupt_spill`` rules mangle just-written
@@ -166,7 +162,6 @@ class AdapterRegistry:
         metrics: Optional[ServeMetrics] = None,
         gemm_block: int = 32,
         config: Optional[FineTuneConfig] = None,
-        kernel_backend=None,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         self.model = model
@@ -197,7 +192,7 @@ class AdapterRegistry:
                 raise ValueError("scope='last' requires the final layer to be Linear")
             trunk = nn.Sequential(*list(model.network)[:-1])
             self._trunk_kernel: Optional[SharedParameterKernel] = SharedParameterKernel(
-                trunk, block=gemm_block, backend=kernel_backend
+                trunk, block=gemm_block
             )
             self._head_init = [head.weight.data.copy()]
             if head.bias is not None:

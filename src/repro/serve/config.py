@@ -69,13 +69,6 @@ class ServeConfig:
         budgets.  ``None`` falls back to the server's legacy ``adaptation``
         kwarg (or the default all-scope policy) — existing call sites keep
         working unchanged.
-    kernel_backend:
-        Optional kernel-backend name from the :mod:`repro.nn.backend`
-        registry used by the server's shared-parameter kernels.  ``None``
-        defers to the process default (``REPRO_KERNEL_BACKEND`` environment
-        variable or ``reference``).  Because :class:`ServeConfig` crosses
-        the worker pickle boundary inside :class:`repro.serve.ShardFactory`,
-        shard processes inherit the parent's selection automatically.
     scheduling:
         The deadline-scheduling and admission-control policy
         (:class:`repro.serve.SchedulingPolicy`): the traffic-class table
@@ -89,7 +82,7 @@ class ServeConfig:
     fault_plan:
         Optional deterministic fault-injection schedule
         (:class:`repro.serve.FaultPlan`) for chaos testing and manual
-        chaos runs (``--fault-plan``).  Like ``kernel_backend`` it crosses
+        chaos runs (``--fault-plan``).  Like every other field it crosses
         the worker pickle boundary inside :class:`repro.serve.ShardFactory`,
         which is how ``worker_crash`` rules reach shard worker processes.
         ``None`` (the default) injects nothing and costs nothing.
@@ -103,7 +96,6 @@ class ServeConfig:
     max_sessions: int = 1024
     gemm_block: Optional[int] = None
     adapter: Optional[AdapterPolicy] = None
-    kernel_backend: Optional[str] = None
     scheduling: Optional[SchedulingPolicy] = None
     fault_plan: Optional[FaultPlan] = None
 
@@ -122,14 +114,6 @@ class ServeConfig:
             raise ValueError("max_sessions must be >= 1")
         if self.gemm_block is not None and self.gemm_block < 2:
             raise ValueError("gemm_block must be >= 2 (width-1 GEMMs hit the gemv kernel)")
-        if self.kernel_backend is not None:
-            from repro.nn import backend as _kernel_backends
-
-            if self.kernel_backend not in _kernel_backends.available_backends():
-                raise ValueError(
-                    f"unknown kernel backend '{self.kernel_backend}'; registered "
-                    f"backends: {', '.join(sorted(_kernel_backends.available_backends()))}"
-                )
 
     @property
     def max_delay_s(self) -> float:

@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
+import logging
 import os
 import stat
 from collections import Counter, OrderedDict, deque
@@ -89,6 +91,8 @@ __all__ = [
 
 #: default bound on concurrently dispatched requests per connection
 DEFAULT_MAX_IN_FLIGHT = 32
+
+_log = logging.getLogger(__name__)
 
 
 class ServerClosing(RuntimeError):
@@ -1261,7 +1265,14 @@ class PoseFrontend(SocketServerBase):
                 self._push(conn, push, codec)
 
     async def _poll_loop(self) -> None:
-        """Apply the backend's latency deadline while tickets are pending."""
+        """Apply the backend's latency deadline while tickets are pending.
+
+        A failing poll is retried on the next tick.  The first failure of a
+        run logs one JSON warning on the ``repro.serve.frontend`` logger
+        (``event: "poll_failed"``, ``error``); the next successful poll
+        logs one ``poll_recovered`` line with the run's ``failed_polls``.
+        """
+        failed_polls = 0
         while not self._closing.is_set():
             await asyncio.sleep(self.poll_interval_s)
             if not any(conn.tickets for conn in self._connections):
@@ -1270,8 +1281,17 @@ class PoseFrontend(SocketServerBase):
                 await self._run_blocking(self.server.poll)
             except ServerClosing:
                 return
-            except Exception:
-                pass  # backend hiccup: the next tick retries
+            except Exception as error:  # backend hiccup: the next tick retries
+                if not failed_polls:
+                    entry = {"event": "poll_failed", "error": f"{type(error).__name__}: {error}"}
+                    _log.warning(json.dumps(entry))
+                failed_polls += 1
+            else:
+                if failed_polls:
+                    _log.warning(
+                        json.dumps({"event": "poll_recovered", "failed_polls": failed_polls})
+                    )
+                    failed_polls = 0
             # Sweep even after a failed poll: a crashed shard records its
             # drops in the handles before the poll raises, and those drop
             # notifications must still reach the waiting clients.

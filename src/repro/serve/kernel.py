@@ -34,16 +34,12 @@ layout.  Low-rank factors keep the training ``(C, kh, kw)`` patch order —
 the order adaptation learns them in and the registry, spill records and
 migration bytes carry — and each block permutes its conv ``A`` factors to
 the kernel's order.  The training ops (:mod:`repro.nn.cols`,
-:mod:`repro.nn.ops`, the backends) stay NCHW as the numeric reference.
+:mod:`repro.nn.ops`, :mod:`repro.nn.backend`) stay NCHW as the numeric
+reference.
 
-The arithmetic executes through a :class:`repro.nn.backend.KernelBackend`
-(default: whatever is active in the registry).  Backends with
-``parallelism > 1`` fan independent blocks out over threads — every block is
-computed with identical GEMM shapes, so the result bits stay independent of
-which thread ran which block and the batch-invariance contract holds
-per backend.  Within one backend, batched replay remains bitwise identical
-to unbatched; across backends results are numerically equivalent within the
-op-db suite's pinned tolerances.
+The arithmetic is plain numpy (``np.matmul`` for every product, and each
+activation's own expression), and the blocks run one after another on the
+calling thread.
 
 The kernel is inference-only (no autograd) and holds its own contiguous copy
 of the shared parameters, so serving never races with training code mutating
@@ -54,13 +50,11 @@ construction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
-from ..nn import backend as _kernel_backends
-from ..nn.backend import KernelBackend
 from ..nn.cols import _as_pair, conv_output_shape
 
 __all__ = ["SharedParameterKernel"]
@@ -72,13 +66,7 @@ class _ConvStep:
     Input and output are ``(block, height, width, channels)``.
     """
 
-    def __init__(
-        self,
-        layer: nn.Conv2d,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        backend: KernelBackend,
-    ) -> None:
+    def __init__(self, layer: nn.Conv2d, weight: np.ndarray, bias: Optional[np.ndarray]) -> None:
         out_channels, self.in_channels, kh, kw = weight.shape
         self.kernel_size = kh, kw
         self.stride = _as_pair(layer.stride)
@@ -89,7 +77,6 @@ class _ConvStep:
             weight.transpose(2, 3, 1, 0).reshape(-1, out_channels)
         )
         self.bias = None if bias is None else np.ascontiguousarray(bias)
-        self.backend = backend
 
     def _base(self, x: np.ndarray):
         block, height, width, channels = x.shape
@@ -109,10 +96,7 @@ class _ConvStep:
         # The one im2col copy; over a contiguous input each (kw, C) window
         # row is a single run.
         cols = windows.reshape(block * out_h * out_w, kh * kw * channels)
-        workspace = self.backend.workspace(
-            (id(self), "out"), (cols.shape[0], self.weight_flat.shape[1]), cols.dtype
-        )
-        out = self.backend.gemm(cols, self.weight_flat, out=workspace)
+        out = np.matmul(cols, self.weight_flat)
         if self.bias is not None:
             out += self.bias
         return out, cols, block, out_h, out_w
@@ -134,28 +118,22 @@ class _ConvStep:
         rank = a.shape[1]
         a_t = a.reshape(block, rank, self.in_channels, *self.kernel_size)
         a_t = a_t.transpose(0, 3, 4, 2, 1).reshape(block, -1, rank)  # (block, patch, r)
-        hidden = self.backend.matmul(cols.reshape(block, out_h * out_w, -1), a_t)
+        hidden = np.matmul(cols.reshape(block, out_h * out_w, -1), a_t)
         out3 = out.reshape(block, out_h * out_w, -1)
-        out3 += self.backend.matmul(hidden, b.transpose(0, 2, 1))
+        out3 += np.matmul(hidden, b.transpose(0, 2, 1))
         return out.reshape(block, out_h, out_w, -1)
 
 
 class _LinearStep:
     """One fully connected layer computed transposed (batch on the N axis)."""
 
-    def __init__(
-        self, weight: np.ndarray, bias: Optional[np.ndarray], backend: KernelBackend
-    ) -> None:
+    def __init__(self, weight: np.ndarray, bias: Optional[np.ndarray]) -> None:
         self.weight = np.ascontiguousarray(weight)  # (out_features, in_features)
         self.bias = None if bias is None else np.ascontiguousarray(bias)
-        self.backend = backend
 
     def _base(self, x: np.ndarray) -> np.ndarray:
         x_t = np.ascontiguousarray(x).T
-        workspace = self.backend.workspace(
-            (id(self), "out"), (self.weight.shape[0], x_t.shape[1]), x_t.dtype
-        )
-        out_t = self.backend.gemm(self.weight, x_t, out=workspace)  # (out_features, block)
+        out_t = np.matmul(self.weight, x_t)  # (out_features, block)
         if self.bias is not None:
             out_t += self.bias[:, None]
         return out_t
@@ -166,33 +144,17 @@ class _LinearStep:
     def lowrank(self, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The base product plus a per-frame rank-r delta (see _ConvStep)."""
         out_t = self._base(x)
-        hidden = self.backend.matmul(x[:, None, :], a.transpose(0, 2, 1))  # (block, 1, r)
-        delta = self.backend.matmul(hidden, b.transpose(0, 2, 1))[:, 0]  # (block, out)
+        hidden = np.matmul(x[:, None, :], a.transpose(0, 2, 1))  # (block, 1, r)
+        delta = np.matmul(hidden, b.transpose(0, 2, 1))[:, 0]  # (block, out)
         return out_t.T + delta
 
 
-class _ReluStep:
-    def __init__(self, backend: KernelBackend) -> None:
-        self.backend = backend
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.backend.relu(x)
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
-class _TanhStep:
-    def __init__(self, backend: KernelBackend) -> None:
-        self.backend = backend
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.backend.tanh(x)
-
-
-class _SigmoidStep:
-    def __init__(self, backend: KernelBackend) -> None:
-        self.backend = backend
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.backend.sigmoid(x)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 class _FlattenStep:
@@ -226,10 +188,6 @@ class SharedParameterKernel:
         Fixed GEMM block width.  Must be >= 2: single-column products fall
         into BLAS's ``gemv`` fast path, whose reduction order differs from
         the blocked ``gemm`` kernel and would break batch invariance.
-    backend:
-        Kernel backend: a registry name, a :class:`KernelBackend` instance,
-        or ``None`` for the currently active backend (the process default or
-        the innermost ``nn.use_backend`` scope at construction time).
     """
 
     def __init__(
@@ -237,13 +195,10 @@ class SharedParameterKernel:
         module: nn.Module,
         parameters: Optional[Sequence[np.ndarray]] = None,
         block: int = 32,
-        backend: Union[None, str, KernelBackend] = None,
     ) -> None:
         if block < 2:
             raise ValueError("block must be >= 2 for batch-invariant GEMM shapes")
         self.block = block
-        self.backend = _kernel_backends.resolve_backend(backend)
-        self.backend_name = self.backend.name
         if parameters is None:
             parameters = [param.data for param in module.parameters()]
         expected = sum(1 for _ in module.parameters())
@@ -279,22 +234,22 @@ class SharedParameterKernel:
             weight = params.pop(0)
             bias = params.pop(0) if module.bias is not None else None
             self._set_layout(channels_last=True)
-            self._steps.append(_ConvStep(module, weight, bias, self.backend))
+            self._steps.append(_ConvStep(module, weight, bias))
             return params
         if isinstance(module, nn.Linear):
             weight = params.pop(0)
             bias = params.pop(0) if module.bias is not None else None
-            self._steps.append(_LinearStep(weight, bias, self.backend))
+            self._steps.append(_LinearStep(weight, bias))
             self._out_features = int(weight.shape[0])
             return params
         if isinstance(module, nn.ReLU):
-            self._steps.append(_ReluStep(self.backend))
+            self._steps.append(_relu)
             return params
         if isinstance(module, nn.Tanh):
-            self._steps.append(_TanhStep(self.backend))
+            self._steps.append(np.tanh)
             return params
         if isinstance(module, nn.Sigmoid):
-            self._steps.append(_SigmoidStep(self.backend))
+            self._steps.append(_sigmoid)
             return params
         if isinstance(module, nn.Flatten):
             self._set_layout(channels_last=False)
@@ -331,9 +286,7 @@ class SharedParameterKernel:
 
         ``features`` and every per-row ``factors`` stack are padded alike
         (zero rows), so every GEMM shape — and therefore every frame's bit
-        pattern — is independent of the batch size.  Parallel backends
-        compute independent blocks on different threads; the block shapes
-        (and hence the bits) do not depend on the thread assignment.
+        pattern — is independent of the batch size.
         """
         features = np.asarray(features, dtype=float)
         if features.ndim != 4:
@@ -347,18 +300,18 @@ class SharedParameterKernel:
             if self._out_features is None:
                 raise ValueError("cannot infer output width of an empty batch")
             return np.zeros((0, self._out_features))
-        inputs = [features, *factors]
-
-        def run(start: int) -> np.ndarray:
+        outputs = []
+        for start in range(0, total, self.block):
             valid = min(self.block, total - start)
             padded = []
-            for array in inputs:
+            for array in (features, *factors):
                 buffer = np.zeros((self.block, *array.shape[1:]))
                 buffer[:valid] = array[start : start + valid]
                 padded.append(buffer)
-            return self._run_block(*padded)[:valid].copy()
-
-        return np.concatenate(self.backend.map_blocks(run, range(0, total, self.block)))
+            # A Linear step returns a transposed view and np.concatenate
+            # keeps its inputs' order: the copy keeps the result row-major.
+            outputs.append(self._run_block(*padded)[:valid].copy())
+        return np.concatenate(outputs)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Forward ``(batch, channels, height, width)`` features to ``(batch, out)``.

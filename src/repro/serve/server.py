@@ -138,14 +138,9 @@ class PoseServer:
             policy=self.policy,
             metrics=self.metrics,
             gemm_block=self.config.block_width,
-            kernel_backend=self.config.kernel_backend,
             fault_injector=self.fault_injector,
         )
-        self.kernel = SharedParameterKernel(
-            estimator.model,
-            block=self.config.block_width,
-            backend=self.config.kernel_backend,
-        )
+        self.kernel = SharedParameterKernel(estimator.model, block=self.config.block_width)
         self._batcher = MicroBatcher(self.config, metrics=self.metrics)
         self._sequence = 0
 

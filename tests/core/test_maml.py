@@ -190,17 +190,3 @@ class TestShardedMetaTraining:
         assert serial_support == sharded_support
         for serial, sharded in zip(serial_params, sharded_params):
             np.testing.assert_array_equal(serial, sharded)
-
-    def test_plan_kernel_backend_is_honoured_and_close_to_reference(self):
-        from repro.engine import BatchPlan
-
-        config = MetaLearningConfig(
-            meta_iterations=2, tasks_per_batch=2, support_size=16, query_size=16
-        )
-        data = toy_data(96)
-        reference_model = small_model(seed=5)
-        MetaTrainer(reference_model, config, BatchPlan()).meta_train(data)
-        fast_model = small_model(seed=5)
-        MetaTrainer(fast_model, config, BatchPlan(kernel_backend="fast")).meta_train(data)
-        for ref, fast in zip(reference_model.parameters(), fast_model.parameters()):
-            np.testing.assert_allclose(ref.data, fast.data, rtol=1e-9, atol=1e-11)

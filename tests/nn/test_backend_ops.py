@@ -1,162 +1,199 @@
-"""Op-database equivalence suite: every registered kernel backend vs reference.
+"""Op-database suite: the fast path against plain autograd references.
 
-Every op the :mod:`repro.nn.backend` interface exposes is exercised over a
-table of (shape x dtype x input layout) cases, and every registered backend
-other than ``reference`` is compared against the ``reference`` answer —
-forward values *and* every gradient the fused ops produce.  Backends whose
-dependency is absent in this environment (e.g. ``compiled`` without numba)
-are skipped with the registry's own unavailability message, never silently
-dropped from the table.
+The ``fast`` path is the arithmetic that runs on plain arrays, outside the
+per-op autograd graph: the fused task-batched bodies of
+:mod:`repro.nn.backend` (per-task linear and convolution, and their
+shared-base + rank-r variants), which the batched ``repro.nn`` ops run on,
+and the serving kernel's steps (:mod:`repro.serve.kernel`).  Every op runs
+over a table of (shape x dtype x input layout) cases and is checked against
+the same op built from plain ``Tensor`` ops:
 
-Tolerances are pinned per dtype: float64 comparisons allow only reassociation
--level error (threaded backends split reductions), float32 proportionally
-more.  The ``reference`` backend itself is *not* compared against anything
-here — its bit-for-bit agreement with the pre-registry code is what the rest
-of the test suite pins.
+* ``gemm``: the serving kernel's fully connected step against ``a @ b``;
+* ``relu``, ``tanh``, ``sigmoid``: the serving kernel's activation steps
+  against the ``Tensor`` activations;
+* ``linear_batched``: ``x[t] @ w[t].T + b[t]`` on each task;
+* ``conv2d_batched``: :func:`repro.nn.conv2d` on each task;
+* the two low-rank ops: the same, with the dense weight ``base + b[t] @ a[t]``.
+
+The fused ops are checked on their forward value and every gradient.
+``planar`` inputs are C-ordered and ``blocked`` ones Fortran-ordered.
+
+The fast path runs on the raw arrays in the case's dtype; the reference runs
+through ``Tensor`` (float64) on the same values.  Tolerances are pinned per
+dtype and applied normwise: an array's largest error must sit within
+``rtol`` of its largest magnitude (plus ``atol``).  float64 allows only
+reassociation-level error; float32 allows its own rounding, which on an
+entry that cancels to near zero is set by the size of its terms, not of the
+entry.  Finite-difference checks of the two per-task ops' ``Tensor`` entry
+points close the loop on their backward wiring.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.nn import backend as kb
+from repro import nn
+from repro.nn import backend as fused
+from repro.nn import Tensor
+from repro.nn.grad_check import check_gradients
+from repro.serve.kernel import SharedParameterKernel, _LinearStep
 
-REFERENCE = kb.get_backend("reference")
-
-#: Pinned per-dtype comparison tolerances of the equivalence suite.
+#: Pinned per-dtype comparison tolerances of the op-db suite.
 TOLERANCES = {
     "float64": {"rtol": 1e-9, "atol": 1e-12},
     "float32": {"rtol": 1e-4, "atol": 1e-6},
 }
 
 DTYPES = ("float64", "float32")
+LAYOUTS = ("planar", "blocked")
+ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 
-def _backend_params():
-    """One pytest param per non-reference registered backend.
-
-    Unavailable backends become skip-marked params so the suite's collected
-    table always shows the full registry.
-    """
-    params = []
-    for name in kb.available_backends():
-        if name == "reference":
-            continue
-        marks = ()
-        try:
-            kb.get_backend(name)
-        except kb.BackendUnavailableError as error:
-            marks = (pytest.mark.skip(reason=str(error)),)
-        params.append(pytest.param(name, id=name, marks=marks))
-    return params
+def _serving_step(layer: nn.Module):
+    """The one step the serving kernel compiles a parameter-free ``layer`` to."""
+    (step,) = SharedParameterKernel(nn.Sequential(layer))._steps
+    return step
 
 
-BACKENDS = _backend_params()
+def _serving_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` through the serving kernel's fully connected step."""
+    return _LinearStep(b.T, None)(a)
 
 
-def _as_layout(array: np.ndarray, layout: str) -> np.ndarray:
-    """Materialize an input in the requested memory layout (values unchanged)."""
-    if layout == "planar":
-        return np.ascontiguousarray(array)
-    return np.asfortranarray(array)
+FAST = SimpleNamespace(
+    gemm=_serving_gemm,
+    relu=_serving_step(nn.ReLU()),
+    tanh=_serving_step(nn.Tanh()),
+    sigmoid=_serving_step(nn.Sigmoid()),
+    **{
+        name: getattr(fused, name)
+        for name in fused.__all__
+        if name.endswith(("_forward", "_backward"))
+    },
+)
+
+
+@pytest.fixture(params=[pytest.param(FAST, id="fast")])
+def fast(request):
+    """The fast path under test; its id opens every case id."""
+    return request.param
+
+
+def _draw(rng, shape, dtype: str, layout: str = "planar") -> np.ndarray:
+    order = "C" if layout == "planar" else "F"
+    return np.asarray(rng.normal(size=shape).astype(dtype), order=order)
 
 
 def _close(actual, expected, dtype: str) -> None:
-    np.testing.assert_allclose(actual, expected, **TOLERANCES[dtype])
+    assert actual.shape == expected.shape
+    tol = TOLERANCES[dtype]
+    error = np.max(np.abs(actual - expected), initial=0.0)
+    bound = tol["rtol"] * np.max(np.abs(expected), initial=0.0) + tol["atol"]
+    assert error <= bound, f"largest error {error:.3e} exceeds {bound:.3e} ({dtype})"
 
 
-def _draw(rng, shape, dtype: str) -> np.ndarray:
-    return rng.normal(size=shape).astype(dtype)
+def _per_task_reference(build, arrays, grad):
+    """Forward value and every input gradient of ``build`` under ``grad``."""
+    leaves = [Tensor(array, requires_grad=True) for array in arrays]
+    out = build(*leaves)
+    out.backward(grad)
+    return out.data, [leaf.grad for leaf in leaves]
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return kb.get_backend(request.param)
+def _check_fused(forward, backward, build, arrays, rng, dtype: str) -> None:
+    """Fused forward + backward (all gradients) against the per-task build."""
+    out, ctx = forward(*arrays)
+    assert out.dtype == np.dtype(dtype)
+    grad = _draw(rng, out.shape, dtype)
+    grads = backward(ctx, grad, (True,) * len(arrays))
+    ref_out, ref_grads = _per_task_reference(build, arrays, grad)
+    _close(out, ref_out, dtype)
+    for got, want in zip(grads, ref_grads):
+        _close(got, want, dtype)
 
 
 # ----------------------------------------------------------------------
-# Dense products
+# Per-task reference builds from plain autograd ops
+# ----------------------------------------------------------------------
+def _linear_per_task(x, weight, bias):
+    return Tensor.stack([x[t] @ weight[t].T + bias[t] for t in range(x.shape[0])])
+
+
+def _linear_per_task_no_bias(x, weight):
+    return Tensor.stack([x[t] @ weight[t].T for t in range(x.shape[0])])
+
+
+def _linear_lowrank_per_task(x, weight, a, b, bias):
+    return Tensor.stack(
+        [x[t] @ (weight + b[t] @ a[t]).T + bias for t in range(x.shape[0])]
+    )
+
+
+def _conv_per_task(stride, padding):
+    def build(x, weight, bias):
+        return Tensor.stack(
+            [nn.conv2d(x[t], weight[t], bias[t], stride, padding) for t in range(x.shape[0])]
+        )
+
+    return build
+
+
+def _conv_lowrank_per_task(stride, padding):
+    def build(x, weight, a, b, bias):
+        flat = weight.reshape(weight.shape[0], -1)
+        return Tensor.stack(
+            [
+                nn.conv2d(x[t], (flat + b[t] @ a[t]).reshape(weight.shape), bias, stride, padding)
+                for t in range(x.shape[0])
+            ]
+        )
+
+    return build
+
+
+# ----------------------------------------------------------------------
+# Serving kernel steps: dense product and activations
 # ----------------------------------------------------------------------
 class TestGemm:
     SHAPES = [(1, 1, 1), (3, 4, 5), (16, 8, 32), (64, 48, 24), (7, 1, 9)]
 
     @pytest.mark.parametrize("m,k,n", SHAPES)
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("layout", kb.LAYOUTS)
-    def test_matches_reference(self, backend, rng, m, k, n, dtype, layout):
-        a = _as_layout(_draw(rng, (m, k), dtype), layout)
-        b = _as_layout(_draw(rng, (k, n), dtype), layout)
-        _close(backend.gemm(a, b), REFERENCE.gemm(a, b), dtype)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_reference(self, fast, rng, m, k, n, dtype, layout):
+        a = _draw(rng, (m, k), dtype, layout)
+        b = _draw(rng, (k, n), dtype, layout)
+        out = fast.gemm(a, b)
+        assert out.dtype == np.dtype(dtype)
+        _close(out, (Tensor(a) @ Tensor(b)).data, dtype)
 
-    def test_out_buffer_is_used_and_returned(self, backend, rng):
-        a, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 5))
-        out = np.empty((6, 5))
-        result = backend.gemm(a, b, out=out)
-        assert result is out
-        _close(out, REFERENCE.gemm(a, b), "float64")
-
-    def test_deterministic_across_calls(self, backend, rng):
-        """Repeat calls yield identical bits (thread splits are pinned)."""
+    def test_deterministic_across_calls(self, fast, rng):
+        """Repeat calls yield identical bits."""
         a, b = rng.normal(size=(33, 17)), rng.normal(size=(17, 29))
-        np.testing.assert_array_equal(backend.gemm(a, b), backend.gemm(a, b))
+        np.testing.assert_array_equal(fast.gemm(a, b), fast.gemm(a, b))
 
 
-class TestMatmul:
-    @pytest.mark.parametrize(
-        "a_shape,b_shape",
-        [
-            ((4, 5), (5, 3)),  # 2-D degenerates to gemm
-            ((3, 4, 5), (3, 5, 2)),  # per-task stacked product
-            ((6, 2, 8), (8, 3)),  # broadcast 2-D rhs
-            ((2, 3, 4, 5), (2, 3, 5, 1)),  # >3-D falls through to numpy
-        ],
-    )
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_matches_reference(self, backend, rng, a_shape, b_shape, dtype):
-        a = _draw(rng, a_shape, dtype)
-        b = _draw(rng, b_shape, dtype)
-        _close(backend.matmul(a, b), REFERENCE.matmul(a, b), dtype)
-
-    def test_broadcast_rhs_with_mismatched_leading_dim(self, backend, rng):
-        """(1, m, k) @ (T, k, n) broadcasts the lhs — no task-axis split applies."""
-        a = rng.normal(size=(1, 4, 6))
-        b = rng.normal(size=(5, 6, 3))
-        _close(backend.matmul(a, b), REFERENCE.matmul(a, b), "float64")
-
-
-# ----------------------------------------------------------------------
-# Elementwise activations and reductions
-# ----------------------------------------------------------------------
 class TestElementwise:
     SHAPES = [(1,), (7,), (3, 4), (2, 3, 4, 5), (4, 1024)]
 
-    @pytest.mark.parametrize("op", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("op", ACTIVATIONS)
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_matches_reference(self, backend, rng, op, shape, dtype):
+    def test_matches_reference(self, fast, rng, op, shape, dtype):
         x = _draw(rng, shape, dtype)
-        _close(getattr(backend, op)(x), getattr(REFERENCE, op)(x), dtype)
+        out = getattr(fast, op)(x)
+        assert out.dtype == np.dtype(dtype)
+        _close(out, getattr(Tensor(x), op)().data, dtype)
 
-    @pytest.mark.parametrize("op", ["relu", "tanh", "sigmoid"])
-    def test_does_not_mutate_input(self, backend, rng, op):
+    @pytest.mark.parametrize("op", ACTIVATIONS)
+    def test_does_not_mutate_input(self, fast, rng, op):
         x = rng.normal(size=(5, 6))
         before = x.copy()
-        getattr(backend, op)(x)
+        getattr(fast, op)(x)
         np.testing.assert_array_equal(x, before)
-
-
-class TestReductions:
-    @pytest.mark.parametrize("op", ["reduce_sum", "reduce_mean"])
-    @pytest.mark.parametrize("axis", [None, 0, 1, (0, 1)])
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_matches_reference(self, backend, rng, op, axis, dtype):
-        x = _draw(rng, (6, 7, 8), dtype)
-        _close(
-            getattr(backend, op)(x, axis=axis),
-            getattr(REFERENCE, op)(x, axis=axis),
-            dtype,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -167,35 +204,33 @@ class TestLinearBatched:
 
     @pytest.mark.parametrize("tasks,batch,features_in,features_out", CASES)
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("layout", kb.LAYOUTS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
     def test_forward_and_gradients(
-        self, backend, rng, tasks, batch, features_in, features_out, dtype, layout
+        self, fast, rng, tasks, batch, features_in, features_out, dtype, layout
     ):
-        x = _as_layout(_draw(rng, (tasks, batch, features_in), dtype), layout)
-        weight = _as_layout(_draw(rng, (tasks, features_out, features_in), dtype), layout)
-        bias = _draw(rng, (tasks, features_out), dtype)
-        grad = _draw(rng, (tasks, batch, features_out), dtype)
-        needs = (True, True, True)
+        arrays = [
+            _draw(rng, (tasks, batch, features_in), dtype, layout),
+            _draw(rng, (tasks, features_out, features_in), dtype, layout),
+            _draw(rng, (tasks, features_out), dtype),
+        ]
+        _check_fused(
+            fast.linear_batched_forward,
+            fast.linear_batched_backward,
+            _linear_per_task,
+            arrays,
+            rng,
+            dtype,
+        )
 
-        out, ctx = backend.linear_batched_forward(x, weight, bias)
-        ref_out, ref_ctx = REFERENCE.linear_batched_forward(x, weight, bias)
-        _close(out, ref_out, dtype)
-
-        grads = backend.linear_batched_backward(ctx, grad, needs)
-        ref_grads = REFERENCE.linear_batched_backward(ref_ctx, grad, needs)
-        for got, want in zip(grads, ref_grads):
-            _close(got, want, dtype)
-
-    def test_no_bias_and_partial_needs(self, backend, rng):
+    def test_no_bias_and_partial_needs(self, fast, rng):
         x = rng.normal(size=(2, 3, 4))
         weight = rng.normal(size=(2, 5, 4))
         grad = rng.normal(size=(2, 3, 5))
-        out, ctx = backend.linear_batched_forward(x, weight, None)
-        ref_out, ref_ctx = REFERENCE.linear_batched_forward(x, weight, None)
-        _close(out, ref_out, "float64")
-        gx, gweight, gbias = backend.linear_batched_backward(ctx, grad, (True, False, False))
+        out, ctx = fast.linear_batched_forward(x, weight, None)
+        gx, gweight, gbias = fast.linear_batched_backward(ctx, grad, (True, False, False))
         assert gweight is None and gbias is None
-        ref_gx, _, _ = REFERENCE.linear_batched_backward(ref_ctx, grad, (True, False, False))
+        ref_out, (ref_gx, _) = _per_task_reference(_linear_per_task_no_bias, [x, weight], grad)
+        _close(out, ref_out, "float64")
         _close(gx, ref_gx, "float64")
 
 
@@ -205,30 +240,27 @@ class TestLinearLowRank:
     @pytest.mark.parametrize("tasks,batch,features_in,features_out,rank", CASES)
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_forward_and_gradients(
-        self, backend, rng, tasks, batch, features_in, features_out, rank, dtype
+        self, fast, rng, tasks, batch, features_in, features_out, rank, dtype
     ):
-        x = _draw(rng, (tasks, batch, features_in), dtype)
-        weight = _draw(rng, (features_out, features_in), dtype)
-        a = _draw(rng, (tasks, rank, features_in), dtype)
-        b = _draw(rng, (tasks, features_out, rank), dtype)
-        bias = _draw(rng, (features_out,), dtype)
-        grad = _draw(rng, (tasks, batch, features_out), dtype)
-        needs = (True, True, True, True, True)
-
-        out, ctx = backend.linear_lowrank_forward(x, weight, a, b, bias)
-        ref_out, ref_ctx = REFERENCE.linear_lowrank_forward(x, weight, a, b, bias)
-        _close(out, ref_out, dtype)
-
-        grads = backend.linear_lowrank_backward(ctx, grad, needs)
-        ref_grads = REFERENCE.linear_lowrank_backward(ref_ctx, grad, needs)
-        for got, want in zip(grads, ref_grads):
-            _close(got, want, dtype)
+        arrays = [
+            _draw(rng, (tasks, batch, features_in), dtype),
+            _draw(rng, (features_out, features_in), dtype),
+            _draw(rng, (tasks, rank, features_in), dtype),
+            _draw(rng, (tasks, features_out, rank), dtype),
+            _draw(rng, (features_out,), dtype),
+        ]
+        _check_fused(
+            fast.linear_lowrank_forward,
+            fast.linear_lowrank_backward,
+            _linear_lowrank_per_task,
+            arrays,
+            rng,
+            dtype,
+        )
 
 
 class TestConv2dBatched:
-    # (tasks, batch, c_in, h, w, c_out, kernel, stride, padding); the last
-    # case satisfies out_channels * 4 <= c_in * kh * kw, steering the fast
-    # backend down its blocked-layout (transposed GEMM + reorder) path.
+    # (tasks, batch, c_in, h, w, c_out, kernel, stride, padding)
     CASES = [
         (1, 1, 1, 5, 5, 2, 3, 1, 0),
         (2, 2, 3, 6, 6, 4, 3, 1, 1),
@@ -239,22 +271,21 @@ class TestConv2dBatched:
     @pytest.mark.parametrize("tasks,batch,c_in,h,w,c_out,kernel,stride,padding", CASES)
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_forward_and_gradients(
-        self, backend, rng, tasks, batch, c_in, h, w, c_out, kernel, stride, padding, dtype
+        self, fast, rng, tasks, batch, c_in, h, w, c_out, kernel, stride, padding, dtype
     ):
-        x = _draw(rng, (tasks, batch, c_in, h, w), dtype)
-        weight = _draw(rng, (tasks, c_out, c_in, kernel, kernel), dtype)
-        bias = _draw(rng, (tasks, c_out), dtype)
-        needs = (True, True, True)
-
-        out, ctx = backend.conv2d_batched_forward(x, weight, bias, stride, padding)
-        ref_out, ref_ctx = REFERENCE.conv2d_batched_forward(x, weight, bias, stride, padding)
-        _close(out, ref_out, dtype)
-
-        grad = _draw(rng, out.shape, dtype)
-        grads = backend.conv2d_batched_backward(ctx, grad, needs)
-        ref_grads = REFERENCE.conv2d_batched_backward(ref_ctx, grad, needs)
-        for got, want in zip(grads, ref_grads):
-            _close(got, want, dtype)
+        arrays = [
+            _draw(rng, (tasks, batch, c_in, h, w), dtype),
+            _draw(rng, (tasks, c_out, c_in, kernel, kernel), dtype),
+            _draw(rng, (tasks, c_out), dtype),
+        ]
+        _check_fused(
+            lambda x, weight, bias: fast.conv2d_batched_forward(x, weight, bias, stride, padding),
+            fast.conv2d_batched_backward,
+            _conv_per_task(stride, padding),
+            arrays,
+            rng,
+            dtype,
+        )
 
 
 class TestConv2dLowRank:
@@ -269,77 +300,83 @@ class TestConv2dLowRank:
     )
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_forward_and_gradients(
-        self, backend, rng, tasks, batch, c_in, h, w, c_out, kernel, stride, padding, rank, dtype
+        self, fast, rng, tasks, batch, c_in, h, w, c_out, kernel, stride, padding, rank, dtype
     ):
         patch = c_in * kernel * kernel
-        x = _draw(rng, (tasks, batch, c_in, h, w), dtype)
-        weight = _draw(rng, (c_out, c_in, kernel, kernel), dtype)
-        a = _draw(rng, (tasks, rank, patch), dtype)
-        b = _draw(rng, (tasks, c_out, rank), dtype)
-        bias = _draw(rng, (c_out,), dtype)
-        needs = (True, True, True, True, True)
-
-        out, ctx = backend.conv2d_lowrank_forward(x, weight, a, b, bias, stride, padding)
-        ref_out, ref_ctx = REFERENCE.conv2d_lowrank_forward(
-            x, weight, a, b, bias, stride, padding
+        arrays = [
+            _draw(rng, (tasks, batch, c_in, h, w), dtype),
+            _draw(rng, (c_out, c_in, kernel, kernel), dtype),
+            _draw(rng, (tasks, rank, patch), dtype),
+            _draw(rng, (tasks, c_out, rank), dtype),
+            _draw(rng, (c_out,), dtype),
+        ]
+        _check_fused(
+            lambda x, weight, a, b, bias: fast.conv2d_lowrank_forward(
+                x, weight, a, b, bias, stride, padding
+            ),
+            fast.conv2d_lowrank_backward,
+            _conv_lowrank_per_task(stride, padding),
+            arrays,
+            rng,
+            dtype,
         )
-        _close(out, ref_out, dtype)
-
-        grad = _draw(rng, out.shape, dtype)
-        grads = backend.conv2d_lowrank_backward(ctx, grad, needs)
-        ref_grads = REFERENCE.conv2d_lowrank_backward(ref_ctx, grad, needs)
-        for got, want in zip(grads, ref_grads):
-            _close(got, want, dtype)
 
 
 # ----------------------------------------------------------------------
-# Serving hook and workspace semantics
+# Tensor entry points: partial gradients and finite differences
 # ----------------------------------------------------------------------
-class TestMapBlocks:
-    def test_preserves_order_and_values(self, backend):
-        blocks = list(range(23))
-        assert backend.map_blocks(lambda i: i * i, blocks) == [i * i for i in blocks]
+class TestPartialNeeds:
+    def test_linear_batched_without_bias_grads_only_the_input(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(2, 5, 4)))
+        grad = rng.normal(size=(2, 3, 5))
+        out = nn.linear_batched(x, weight)
+        out.backward(grad)
+        assert weight.grad is None
+        ref_out, (ref_gx, _) = _per_task_reference(
+            _linear_per_task_no_bias, [x.data, weight.data], grad
+        )
+        _close(out.data, ref_out, "float64")
+        _close(x.grad, ref_gx, "float64")
 
-    def test_nested_ops_inside_blocks(self, backend, rng):
-        """Blocks that themselves call backend GEMMs must not deadlock."""
-        a = rng.normal(size=(8, 6))
-        b = rng.normal(size=(6, 4))
-        results = backend.map_blocks(lambda _: backend.gemm(a, b), range(4))
-        for result in results:
-            _close(result, REFERENCE.gemm(a, b), "float64")
+    def test_conv2d_batched_without_bias_grads_only_the_weight(self, rng):
+        x = Tensor(rng.normal(size=(2, 2, 3, 6, 6)))
+        weight = Tensor(rng.normal(size=(2, 4, 3, 3, 3)), requires_grad=True)
+        out = nn.conv2d_batched(x, weight, stride=1, padding=1)
+        grad = rng.normal(size=out.shape)
+        out.backward(grad)
+        assert x.grad is None
+        _, (_, ref_gweight) = _per_task_reference(
+            lambda xx, ww: Tensor.stack([nn.conv2d(xx[t], ww[t], None, 1, 1) for t in range(2)]),
+            [x.data, weight.data],
+            grad,
+        )
+        _close(weight.grad, ref_gweight, "float64")
 
 
-class TestWorkspace:
-    def test_reference_always_allocates_fresh(self):
-        assert REFERENCE.workspace("tag", (3, 3), np.dtype(np.float64)) is None
+class TestGradientCheck:
+    def test_linear_batched_with_bias(self, rng):
+        inputs = [
+            Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True),
+            Tensor(rng.normal(size=(3, 6, 5)), requires_grad=True),
+            Tensor(rng.normal(size=(3, 6)), requires_grad=True),
+        ]
+        probe = Tensor(rng.normal(size=(3, 4, 6)))
 
-    def test_workspace_contract(self, backend):
-        """A backend either declines (None) or returns a matching buffer."""
-        buffer = backend.workspace("op-db", (4, 5), np.dtype(np.float64))
-        if buffer is not None:
-            assert buffer.shape == (4, 5) and buffer.dtype == np.float64
-            again = backend.workspace("op-db", (4, 5), np.dtype(np.float64))
-            assert again is buffer, "same tag+shape+dtype must reuse the buffer"
+        def f(inp):
+            return (nn.linear_batched(*inp) * probe).sum()
 
+        check_gradients(f, inputs, tolerance=1e-4)
 
-class TestLayoutHelpers:
-    def test_layout_of_classifies(self, rng):
-        planar = rng.normal(size=(3, 4))
-        assert kb.layout_of(planar) == "planar"
-        assert kb.layout_of(np.asfortranarray(planar)) == "blocked"
-        assert kb.layout_of(np.zeros((6, 6))[::2, ::2]) == "strided"
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv2d_batched_with_bias_stride_2(self, rng, padding):
+        inputs = [
+            Tensor(rng.normal(size=(2, 2, 3, 7, 6)), requires_grad=True),
+            Tensor(rng.normal(size=(2, 4, 3, 3, 3)), requires_grad=True),
+            Tensor(rng.normal(size=(2, 4)), requires_grad=True),
+        ]
 
-    def test_to_layout_round_trip(self, rng):
-        planar = rng.normal(size=(3, 4))
-        blocked = kb.to_layout(planar, "blocked")
-        assert blocked.flags["F_CONTIGUOUS"]
-        np.testing.assert_array_equal(blocked, planar)
-        back = kb.to_layout(blocked, "planar")
-        assert back.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(back, planar)
+        def f(inp):
+            return (nn.conv2d_batched(*inp, stride=2, padding=padding) ** 2).sum()
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            kb.layout_of(np.zeros(3))
-        with pytest.raises(ValueError):
-            kb.to_layout(np.zeros((2, 2)), "tiled")
+        check_gradients(f, inputs, tolerance=1e-4)

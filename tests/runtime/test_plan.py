@@ -40,23 +40,15 @@ class TestExecutionPlan:
             {"cache_capacity": 0},
             {"cache_disk_capacity": 0},
             {"backend": "optical"},
-            {"kernel_backend": "warp"},
+            {"cache_policy": "disk", "cache_dir": ""},  # empty cache_dir
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExecutionPlan(**kwargs)
 
-    def test_kernel_backend_accepts_registered_names(self):
-        from repro.nn import backend as kernel_backends
-
-        assert ExecutionPlan().kernel_backend is None
-        for name in kernel_backends.available_backends():
-            assert ExecutionPlan(kernel_backend=name).kernel_backend == name
-
-    def test_radar_backend_error_disambiguates_kernel_backend(self):
-        """The two backend axes are distinct; the error must say which is which."""
-        with pytest.raises(ValueError, match="kernel_backend"):
+    def test_radar_backend_error_names_the_radar_choices(self):
+        with pytest.raises(ValueError, match="expected 'geometric' or 'signal'"):
             ExecutionPlan(backend="fast")
 
     def test_hashable_and_frozen(self):

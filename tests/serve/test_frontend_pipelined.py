@@ -13,6 +13,8 @@ serving.
 from __future__ import annotations
 
 import asyncio
+import json
+import logging
 
 import numpy as np
 import pytest
@@ -208,6 +210,38 @@ class TestStreaming:
             assert np.asarray(joints["joints"]).shape == (19, 3)
 
         run_scenario(backend, scenario, tmp_path)
+
+    def test_failing_polls_log_one_line_then_one_recovery(self, estimator, tmp_path, caplog):
+        """A failing poll run logs once, its recovery once, and the ticket
+        still resolves on the next good tick."""
+        backend = PoseServer(estimator, ServeConfig(max_batch_size=64, max_delay_ms=1.0))
+        failures = [RuntimeError("shard hiccup")] * 2
+        real_poll = backend.poll
+
+        def flaky_poll():
+            if failures:
+                raise failures.pop()
+            return real_poll()
+
+        backend.poll = flaky_poll
+
+        async def scenario(client, frontend):
+            future = await client.enqueue("dave", make_frame(np.random.default_rng(3)))
+            joints = await asyncio.wait_for(future, timeout=5.0)
+            assert np.asarray(joints["joints"]).shape == (19, 3)
+
+        with caplog.at_level(logging.WARNING, logger="repro.serve.frontend"):
+            run_scenario(backend, scenario, tmp_path)
+
+        lines = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.serve.frontend"
+        ]
+        assert lines == [
+            {"event": "poll_failed", "error": "RuntimeError: shard hiccup"},
+            {"event": "poll_recovered", "failed_polls": 2},
+        ]
 
     def test_reused_id_with_outstanding_ticket_rejected(self, backend, tmp_path):
         async def scenario(client, frontend):

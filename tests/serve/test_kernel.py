@@ -135,6 +135,11 @@ class TestBatchInvariance:
             kernel.predict(features), model.predict(features), rtol=1e-9, atol=1e-12
         )
 
+    def test_predictions_are_row_major(self, kernel, rng):
+        """Linear steps compute transposed; callers still get C-ordered rows."""
+        for batch in (1, 37):
+            assert kernel.predict(rng.normal(size=(batch, 5, 8, 8))).flags["C_CONTIGUOUS"]
+
     def test_predict_joints_shape(self, kernel, rng):
         joints = kernel.predict_joints(rng.normal(size=(4, 5, 8, 8)))
         assert joints.shape == (4, 19, 3)
