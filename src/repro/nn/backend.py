@@ -9,6 +9,17 @@ upstream gradient and a ``needs`` tuple of booleans (one per differentiable
 input, in signature order) and returns one gradient per input, ``None``
 where it was not requested.
 
+The shared-base products of the four low-rank bodies (``x @ weight.T`` and
+``grad @ weight`` for linear layers, their im2col counterparts for
+convolutions) run once over every task's rows, not once per task.  The rows
+go through GEMMs of one fixed shape, :data:`FOLD_FRAMES` frames per block
+(the last block zero-padded), whatever the number of tasks.  A task's rows
+therefore come out bitwise the same alone or in any cohort: a row of a
+fixed-shape GEMM depends only on its own input row, the same batch-invariance
+rule :mod:`repro.serve.kernel` rests on.  A plain fold over all rows would not
+keep it, because BLAS picks a different kernel, and different bits, as the
+row count crosses its small-matrix thresholds.
+
 This is the only numeric path: every bitwise pin of the test suite
 (batched == sequential, sharded == serial, grouped == solo) covers it.
 """
@@ -34,9 +45,37 @@ __all__ = [
 ]
 
 
+#: Frames per block of the low-rank bodies' shared-base products.
+FOLD_FRAMES = 16
+
+
 def active_backend_name() -> str:
     """Name of the numeric path, as benchmark run contexts record it."""
     return "reference"
+
+
+def _fold_product(rows: np.ndarray, weight: np.ndarray, frame_rows: int) -> np.ndarray:
+    """``rows @ weight`` over fixed-shape blocks of :data:`FOLD_FRAMES` frames.
+
+    ``rows`` is ``(tasks, task_rows, k)`` with ``frame_rows`` consecutive rows
+    per frame; ``weight`` is ``(k, n)``.  All tasks' rows are cut into blocks
+    of ``FOLD_FRAMES * frame_rows`` rows, and the blocks run as one
+    ``np.matmul`` stack: the full blocks as a view, the tail zero-padded in
+    the input's dtype.  Returns ``(tasks, task_rows, n)``.
+    """
+    tasks, task_rows, k = rows.shape
+    n = weight.shape[1]
+    flat = rows.reshape(tasks * task_rows, k)
+    height = FOLD_FRAMES * frame_rows
+    full, tail = divmod(flat.shape[0], height)
+    out = np.empty((full + (tail > 0), height, n), dtype=np.result_type(flat, weight))
+    if full:
+        np.matmul(flat[: full * height].reshape(full, height, k), weight, out=out[:full])
+    if tail:
+        padded = np.zeros((1, height, k), dtype=flat.dtype)
+        padded[0, :tail] = flat[full * height :]
+        np.matmul(padded, weight, out=out[full:])
+    return out.reshape(-1, n)[: flat.shape[0]].reshape(tasks, task_rows, n)
 
 
 # ----------------------------------------------------------------------
@@ -75,11 +114,10 @@ def linear_lowrank_forward(
     bias: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, Any]:
     """Shared-base + rank-r linear: ``(T,B,I) x (O,I) + factors -> (T,B,O)``."""
-    # Base path: one shared matrix for every task (broadcast over the task
-    # axis, each slice its own fixed-shape GEMM).  Low-rank path: two
-    # rank-r products per task.
+    # Base path: one shared matrix, folded over every task's frames in
+    # fixed-shape blocks.  Low-rank path: two rank-r products per task.
     hidden = np.matmul(x, a.transpose(0, 2, 1))  # (T, B, r)
-    out = np.matmul(x, weight.T)
+    out = _fold_product(x, weight.T, 1)
     out += np.matmul(hidden, b.transpose(0, 2, 1))
     if bias is not None:
         out += bias
@@ -99,7 +137,7 @@ def linear_lowrank_backward(
     grad_a = np.matmul(grad_hidden.transpose(0, 2, 1), x) if needs_a else None
     grad_x = None
     if needs_x:
-        grad_x = np.matmul(grad, weight)
+        grad_x = _fold_product(grad, weight, 1)
         grad_x += np.matmul(grad_hidden, a)
     grad_weight = (
         np.einsum("tbo,tbi->oi", grad, x, optimize=True) if needs_weight else None
@@ -198,7 +236,7 @@ def conv2d_lowrank_forward(
     weight_flat = weight.reshape(out_channels, patch)
 
     hidden = np.matmul(cols_flat, a.transpose(0, 2, 1))  # (T, rows, r)
-    out = np.matmul(cols_flat, weight_flat.T)  # broadcast base: (T, rows, O)
+    out = _fold_product(cols_flat, weight_flat.T, out_h * out_w)  # (T, rows, O)
     out += np.matmul(hidden, b.transpose(0, 2, 1))
     out = out.reshape(tasks, batch, out_h, out_w, out_channels).transpose(0, 1, 4, 2, 3)
     if bias is not None:
@@ -255,7 +293,7 @@ def conv2d_lowrank_backward(
     grad_bias = grad.sum(axis=(0, 1, 3, 4)) if needs_bias else None
     grad_x = None
     if needs_x:
-        grad_cols = np.matmul(grad_flat, weight_flat)  # (T, rows, patch)
+        grad_cols = _fold_product(grad_flat, weight_flat, out_h * out_w)  # (T, rows, patch)
         grad_cols += np.matmul(grad_hidden, a)
         grad_cols = grad_cols.reshape(tasks * batch, out_h, out_w, patch)
         grad_x = col2im(

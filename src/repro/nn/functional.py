@@ -145,7 +145,10 @@ def linear_lowrank_batched(
     low-rank factors are applied as two small matrix products per task,
     ``(x[t] @ a[t].T) @ b[t].T``.  That is the arithmetic that makes
     full-network per-user personalization cost ``O(r * (in + out))`` memory
-    per task instead of ``O(in * out)``.
+    per task instead of ``O(in * out)``.  The shared base product runs once
+    over every task's rows, in fixed-shape blocks of
+    :data:`repro.nn.backend.FOLD_FRAMES` frames, so a task's output does not
+    depend on its peers.
 
     Gradients flow to ``a`` and ``b`` (and through ``x``); the base
     ``weight`` / ``bias`` are typically frozen snapshots (``requires_grad``

@@ -166,10 +166,12 @@ def conv2d_lowrank_batched(
     The effective per-task filters are ``weight + unflatten(b[t] @ a[t])``
     on the im2col-lowered ``(out_channels, patch)`` view of the weights
     (``patch = in_channels * kh * kw``), but the dense delta is never
-    materialized: the base runs as one broadcast matrix product against the
-    shared filters and the delta as two rank-r products per task.  Only the
-    factors carry gradients in the adaptation use case (the base weight and
-    bias are frozen snapshots), so fine-tuning a task touches
+    materialized: the base runs against the shared filters once over every
+    task's patch rows, in fixed-shape blocks of
+    :data:`repro.nn.backend.FOLD_FRAMES` frames (so a task's output does not
+    depend on its peers), and the delta as two rank-r products per task.
+    Only the factors carry gradients in the adaptation use case (the base
+    weight and bias are frozen snapshots), so fine-tuning a task touches
     ``O(r * (patch + out_channels))`` parameters instead of the full bank.
 
     Parameters

@@ -27,9 +27,14 @@ Three adaptation scopes, selected by :class:`repro.serve.AdapterPolicy`:
   deltas: the shared base weights are frozen and each user owns per-layer
   ``(A, B)`` factor pairs with ``delta = B @ A``, trained through the
   grouped low-rank kernels (:func:`repro.engine.lowrank_forward`) so the
-  dense delta is never materialized.  Per-user memory drops from
-  ``O(in * out)`` to ``O(r * (in + out))`` — full-network personalization at
-  close to last-layer cost, the route to millions of resident users.
+  dense delta is never materialized.  Each layer's shared-base product runs
+  once over the whole cohort's frames, in fixed-shape blocks of
+  :data:`repro.nn.backend.FOLD_FRAMES` frames, so a cohort shares the base
+  GEMMs while every user's rows stay bitwise what a solo run computes; a solo
+  :meth:`adapt_user` pays for padding its frames to a full block.  Per-user
+  memory drops from ``O(in * out)`` to ``O(r * (in + out))`` — full-network
+  personalization at close to last-layer cost, the route to millions of
+  resident users.
 
 Around the parameter store sits the **adapter lifecycle**: the in-memory
 store is the *hot* tier, bounded by ``policy.hot_capacity`` with

@@ -12,6 +12,13 @@ callback's decision.
 The monitor is policy-free: it never touches the ring or the backends, it
 only calls ``on_down`` / ``on_up``.  Callbacks may be plain functions or
 coroutine functions.
+
+Each transition logs one JSON warning on the ``repro.serve.health`` logger:
+``target_down`` with the ``target``, its ``failures`` streak and the
+``reason`` of the failure that crossed the threshold (the exception's type
+and message, ``timeout``, ``falsy reply``, or ``request_failure`` for a
+:meth:`HealthMonitor.record_failure` streak), and ``target_up`` when a down
+target answers a probe again.
 """
 
 from __future__ import annotations
@@ -19,9 +26,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import inspect
+import json
+import logging
 from typing import Awaitable, Callable, Dict, List, Optional, Set
 
 __all__ = ["HealthMonitor"]
+
+_log = logging.getLogger(__name__)
 
 
 class HealthMonitor:
@@ -101,28 +112,23 @@ class HealthMonitor:
         up/down state — that is :meth:`is_down`).
         """
         names = list(self._failures)
-        outcomes = await asyncio.gather(
+        failures = await asyncio.gather(
             *(self._probe_one(name) for name in names)
         )
         self.rounds += 1
         results: Dict[str, bool] = {}
-        for name, ok in zip(names, outcomes):
+        for name, reason in zip(names, failures):
             if name not in self._failures:
                 continue  # unwatched while the probe was in flight
-            results[name] = ok
-            if ok:
+            results[name] = reason is None
+            if reason is None:
                 self._failures[name] = 0
                 if name in self._down:
                     self._down.discard(name)
+                    _log.warning(json.dumps({"event": "target_up", "target": name}))
                     await self._notify(self._on_up, name)
             else:
-                self._failures[name] += 1
-                if (
-                    self._failures[name] >= self.failure_threshold
-                    and name not in self._down
-                ):
-                    self._down.add(name)
-                    await self._notify(self._on_down, name)
+                await self._count_failure(name, reason)
         return results
 
     # ------------------------------------------------------------------
@@ -141,12 +147,7 @@ class HealthMonitor:
         """
         if name not in self._failures:
             return False
-        self._failures[name] += 1
-        if self._failures[name] >= self.failure_threshold and name not in self._down:
-            self._down.add(name)
-            await self._notify(self._on_down, name)
-            return True
-        return False
+        return await self._count_failure(name, "request_failure")
 
     def record_success(self, name: str) -> None:
         """Reset ``name``'s failure streak after a successful request.
@@ -158,13 +159,32 @@ class HealthMonitor:
         if name in self._failures and name not in self._down:
             self._failures[name] = 0
 
-    async def _probe_one(self, name: str) -> bool:
-        try:
-            return bool(
-                await asyncio.wait_for(self._probe(name), timeout=self.timeout_s)
-            )
-        except Exception:
+    async def _count_failure(self, name: str, reason: str) -> bool:
+        """Extend ``name``'s streak; declare it down when the streak crosses
+        the threshold.  Returns ``True`` when this failure did."""
+        self._failures[name] += 1
+        if self._failures[name] < self.failure_threshold or name in self._down:
             return False
+        self._down.add(name)
+        entry = {
+            "event": "target_down",
+            "target": name,
+            "failures": self._failures[name],
+            "reason": reason,
+        }
+        _log.warning(json.dumps(entry))
+        await self._notify(self._on_down, name)
+        return True
+
+    async def _probe_one(self, name: str) -> Optional[str]:
+        """One probe of ``name``: ``None`` on success, else why it failed."""
+        try:
+            ok = bool(await asyncio.wait_for(self._probe(name), timeout=self.timeout_s))
+        except asyncio.TimeoutError:
+            return "timeout"
+        except Exception as error:
+            return f"{type(error).__name__}: {error}"
+        return None if ok else "falsy reply"
 
     @staticmethod
     async def _notify(callback, name: str) -> None:

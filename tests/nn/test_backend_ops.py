@@ -235,7 +235,15 @@ class TestLinearBatched:
 
 
 class TestLinearLowRank:
-    CASES = [(1, 1, 3, 2, 1), (2, 4, 6, 5, 2), (3, 2, 8, 8, 4), (4, 8, 16, 12, 3)]
+    # The last case's 21 frames fill one 16-frame block of the shared-base
+    # fold and leave a padded tail.
+    CASES = [
+        (1, 1, 3, 2, 1),
+        (2, 4, 6, 5, 2),
+        (3, 2, 8, 8, 4),
+        (4, 8, 16, 12, 3),
+        (3, 7, 16, 12, 3),
+    ]
 
     @pytest.mark.parametrize("tasks,batch,features_in,features_out,rank", CASES)
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -289,10 +297,13 @@ class TestConv2dBatched:
 
 
 class TestConv2dLowRank:
+    # The last case's 21 frames fill one 16-frame block of the shared-base
+    # fold and leave a padded tail.
     CASES = [
         (1, 1, 1, 5, 5, 2, 3, 1, 0, 1),
         (2, 2, 3, 6, 6, 4, 3, 1, 1, 2),
         (2, 3, 8, 9, 9, 4, 3, 1, 1, 3),
+        (3, 7, 2, 6, 6, 3, 3, 1, 1, 2),
     ]
 
     @pytest.mark.parametrize(

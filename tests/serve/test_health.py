@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import logging
 
 import pytest
 
@@ -113,6 +115,57 @@ class TestTransitions:
             assert monitor.down == ["b1", "b2"]
 
         run(body())
+
+
+def health_lines(caplog) -> list:
+    return [
+        json.loads(record.getMessage())
+        for record in caplog.records
+        if record.name == "repro.serve.health"
+    ]
+
+
+class TestTransitionLog:
+    def test_down_then_up_logs_two_lines_with_the_reason(self, caplog):
+        """A raising probe is declared down with its error, then up once."""
+        fleet = FakeFleet(b1="raise")
+
+        async def body():
+            monitor = HealthMonitor(fleet.probe, failure_threshold=3)
+            monitor.watch("b1")
+            for _ in range(3):
+                await monitor.check_now()
+            fleet.health["b1"] = True
+            await monitor.check_now()
+            await monitor.check_now()
+            assert not monitor.is_down("b1")
+
+        with caplog.at_level(logging.WARNING, logger="repro.serve.health"):
+            run(body())
+        assert health_lines(caplog) == [
+            {
+                "event": "target_down",
+                "target": "b1",
+                "failures": 3,
+                "reason": "ConnectionError: backend gone",
+            },
+            {"event": "target_up", "target": "b1"},
+        ]
+
+    def test_timeout_falsy_and_request_failure_reasons(self, caplog):
+        fleet = FakeFleet(b1="hang", b2=False, b3=True)
+
+        async def body():
+            monitor = HealthMonitor(fleet.probe, timeout_s=0.05, failure_threshold=1)
+            for name in ("b1", "b2", "b3"):
+                monitor.watch(name)
+            await monitor.check_now()
+            assert await monitor.record_failure("b3")
+
+        with caplog.at_level(logging.WARNING, logger="repro.serve.health"):
+            run(body())
+        reasons = {line["target"]: line["reason"] for line in health_lines(caplog)}
+        assert reasons == {"b1": "timeout", "b2": "falsy reply", "b3": "request_failure"}
 
 
 class TestTargetSet:
