@@ -177,6 +177,8 @@ class FineTuner:
                     f"{name} {result.curves[name][-1]:.2f} cm" for name in evaluation_sets
                 )
                 print(f"fine-tune epoch {epoch:3d}: loss {result.train_loss[-1]:.4f} {summary}")
+        # Leave no gradients behind (see SupervisedTrainer.fit).
+        self.model.zero_grad()
         return result
 
 

@@ -142,4 +142,7 @@ class SupervisedTrainer:
                     )
             elif verbose:
                 print(f"epoch {epoch:3d}: train loss {train_loss:.4f}")
+        # The last step's gradients are dead weight: a trained model pickled
+        # to a serving process would otherwise carry one per parameter.
+        self.model.zero_grad()
         return self.history

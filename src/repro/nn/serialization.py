@@ -20,6 +20,7 @@ tensor starts on a 64-byte boundary of the file.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
@@ -54,6 +55,10 @@ _RECORD_MAGIC = b"RPROREC1"
 _RECORD_PREFIX = struct.Struct("<8sI")
 _RECORD_CRC = struct.Struct("<I")
 _RECORD_ALIGN = 64
+#: decoded record headers keyed by their exact bytes; a spill record's
+#: header never changes between promotions, so each is decoded once
+_HEADER_MEMO: Dict[bytes, tuple] = {}
+_HEADER_MEMO_SIZE = 256
 
 
 def state_checksum(state: Dict[str, np.ndarray]) -> int:
@@ -239,22 +244,42 @@ def _record_header_end(head: bytes, path) -> int:
 
 def _parse_record_header(
     head: bytes, end: int, size: int, path
-) -> Tuple[Optional[Dict], List[tuple]]:
+) -> Tuple[Optional[Dict], Tuple[tuple, ...]]:
     """Decode a record's header and check it against the record's length.
 
     ``head`` holds the record at least up to ``end``, where the header ends
     and the payload starts; ``size`` is the length of the whole record.
-    Returns the metadata and the tensor table as ``(key, dtype, shape,
-    offset)`` rows, offsets relative to the payload.
+    Returns a fresh copy of the metadata and the tensor table as ``(key,
+    dtype, shape, offset)`` rows, offsets relative to the payload.  Each
+    distinct header is decoded once (memoized by its exact bytes); the
+    length check runs on every call.
     """
     if len(head) < end:
         raise ValueError(f"{path} is truncated inside its header")
+    header = head[_RECORD_PREFIX.size : end]
+    decoded = _HEADER_MEMO.get(header)
+    if decoded is None:
+        decoded = _decode_record_header(header, path)
+        if len(_HEADER_MEMO) >= _HEADER_MEMO_SIZE:
+            _HEADER_MEMO.clear()
+        _HEADER_MEMO[header] = decoded
+    metadata, tensors, payload = decoded
+    expected = end + payload + _RECORD_CRC.size
+    if size != expected:
+        raise ValueError(f"{path} is {size} bytes long, its header describes {expected}")
+    return copy.deepcopy(metadata), tensors
+
+
+def _decode_record_header(
+    header: bytes, path
+) -> Tuple[Optional[Dict], Tuple[tuple, ...], int]:
+    """Parse and validate a record's JSON header: metadata, tensor table, payload length."""
     try:
-        header = json.loads(head[_RECORD_PREFIX.size : end])
-        metadata = header["metadata"]
-        payload = _count(header["payload_bytes"])
+        decoded = json.loads(header)
+        metadata = decoded["metadata"]
+        payload = _count(decoded["payload_bytes"])
         tensors = []
-        for entry in header["tensors"]:
+        for entry in decoded["tensors"]:
             key, dtype = entry["key"], np.dtype(entry["dtype"])
             shape = tuple(_count(side) for side in entry["shape"])
             offset = _count(entry["offset"])
@@ -269,10 +294,7 @@ def _parse_record_header(
         raise ValueError(f"{path} has a malformed record header")
     if len({row[0] for row in tensors}) != len(tensors):
         raise ValueError(f"{path} repeats a tensor key")
-    expected = end + payload + _RECORD_CRC.size
-    if size != expected:
-        raise ValueError(f"{path} is {size} bytes long, its header describes {expected}")
-    return metadata, tensors
+    return metadata, tuple(tensors), payload
 
 
 def load_record(path: PathLike) -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
@@ -282,6 +304,8 @@ def load_record(path: PathLike) -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
     tensor is then a read-only :func:`numpy.frombuffer` view into the bytes
     read.  Any damage — a flipped bit anywhere, a truncation, a file of
     another kind — raises :class:`ValueError` before an array is returned.
+    A header seen before is not decoded again, but the CRC and the check of
+    the file's length against its header run on every call.
     """
     data = Path(path).read_bytes()
     end = _record_header_end(data, path)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter, uniform_filter
 
 __all__ = [
     "CfarConfig",
@@ -68,6 +67,10 @@ def _local_noise_estimate(power: np.ndarray, config: CfarConfig) -> np.ndarray:
     ``(R, D)`` map or a ``(B, R, D)`` stack — a window size of one along the
     batch axis keeps every frame's estimate independent.
     """
+    # Imported here, not at module level: only the `signal` radar backend
+    # runs CFAR, and serving processes reach this module without it.
+    from scipy.ndimage import uniform_filter
+
     guard_r, guard_d = config.guard_cells
     train_r, train_d = config.training_cells
 
@@ -126,6 +129,8 @@ def group_peaks(power: np.ndarray, mask: np.ndarray, neighborhood: int = 3) -> n
     one ``(R, D)`` map or a ``(B, R, D)`` stack (the grouping window never
     crosses the batch axis).
     """
+    from scipy.ndimage import maximum_filter  # see _local_noise_estimate
+
     if power.shape != mask.shape:
         raise ValueError("power and mask must have identical shapes")
     size: int | tuple = neighborhood

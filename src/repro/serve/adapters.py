@@ -52,14 +52,19 @@ migration bytes stay ``.npz``.
 
 The registry also answers the serving hot path: :meth:`gather` stacks the
 parameter sets of the users in one micro-batch into ``(tasks, ...)`` tensors.
-Two cache levels back it: a full-registry ``(all_users, ...)`` stack built
-once per registry version (each gather is then one vectorized row-index into
-it, never a per-user Python-level restack), and a small LRU of recently
-served batch compositions that skips even the row copy for exact repeats.
-Steady-state traffic therefore hits on every micro-batch regardless of how
-batch boundaries drift across the user cohort — the ``param_cache`` hit rate
-in :class:`repro.serve.ServeMetrics` counts a rebuild of the registry stack
-as the only miss.
+Two cache levels back it: a hot-tier ``(rows, ...)`` stack (each gather is
+one vectorized row-index into it, never a per-user Python-level restack),
+and a small LRU of recently served batch compositions that skips even the
+row copy for exact repeats.  The stack survives tier moves: a demotion frees
+its user's row and a promotion writes the promoted user into a free row, so
+hot-tier churn costs one user's bytes per move.  It is rebuilt, sized to the
+hot population, only when a promotion finds no free row or when adaptation
+of new users, :meth:`remove`, :meth:`load` or :meth:`import_user_bytes`
+changes the cohort.  Steady-state traffic therefore hits on every
+micro-batch regardless of how batch boundaries drift across the user cohort
+or how often it churns the hot tier — the ``param_cache`` hit rate in
+:class:`repro.serve.ServeMetrics` counts a rebuild of the stack as the only
+miss.
 """
 
 from __future__ import annotations
@@ -237,11 +242,14 @@ class AdapterRegistry:
         self._cold: Set[Hashable] = set()
         self._gather_cache: "OrderedDict[Tuple, List[nn.Tensor]]" = OrderedDict()
         self._gather_cache_size = gather_cache_size
-        # Full-registry (all_users, ...) stack, rebuilt lazily when `version`
-        # moves; the steady-state gather path row-indexes into it instead of
-        # restacking per-user arrays batch by batch.
+        # Hot-tier (rows, ...) stack; the steady-state gather path
+        # row-indexes into it instead of restacking per-user arrays batch by
+        # batch.  Tier moves keep it current in place: a demoted user's row
+        # joins `_free_rows` and a promoted user fills one.  Dropped (and
+        # rebuilt lazily by the next gather) when no free row fits.
         self._stack: Optional[List[np.ndarray]] = None
         self._stack_rows: Dict[Hashable, int] = {}
+        self._free_rows: List[int] = []
         self._stack_version = -1
         self._spill_dir = self.policy.spill_path()
         if self._spill_dir is not None:
@@ -497,9 +505,10 @@ class AdapterRegistry:
         self._params[user_id] = params
         self._params.move_to_end(user_id)
         # The spill file stays current (write-through), so a later demotion
-        # of this user is again a pure in-memory drop.
-        self._invalidate_gather_state()
+        # of this user is again a pure in-memory drop.  Demote first: the
+        # users pushed out free the stack row the promoted user fills.
         self._enforce_budgets(protect={user_id} | set(protect))
+        self._fill_free_row(user_id, params)
         return params
 
     def _read_spill(self, user_id: Hashable) -> Optional[List[np.ndarray]]:
@@ -577,6 +586,9 @@ class AdapterRegistry:
                 user = evictable.pop(0)
                 del self._params[user]
                 evicted = True
+                row = self._stack_rows.pop(user, None)
+                if row is not None:
+                    self._free_rows.append(row)
                 if user in self._spill_paths:
                     self._warm[user] = self._spill_paths[user]
                     if self.metrics is not None:
@@ -586,7 +598,7 @@ class AdapterRegistry:
                     if self.metrics is not None:
                         self.metrics.record_adapter_demotion("cold")
             if evicted:
-                self._invalidate_gather_state()
+                self._stack_moved()
         warm_capacity = self.policy.warm_capacity
         if warm_capacity is not None:
             while len(self._warm) > warm_capacity:
@@ -868,27 +880,62 @@ class AdapterRegistry:
         self._gather_cache.clear()
         self._stack = None
         self._stack_rows = {}
+        self._free_rows = []
+
+    def _stack_moved(self) -> None:
+        """Stack rows changed in place: bump the version, drop only the memo.
+
+        A memoized composition may hold a row's old values; the stack itself
+        was updated, so it stays current.
+        """
+        self.version += 1
+        self._gather_cache.clear()
+        if self._stack is not None:
+            self._stack_version = self.version
+
+    def _fill_free_row(self, user_id: Hashable, params: Sequence[np.ndarray]) -> None:
+        """Write a promoted user into a free stack row, or drop the stack.
+
+        In place only when a row is free and every tensor has its block's
+        shape and dtype, so the row holds exactly what a rebuild's
+        ``np.stack`` would; otherwise the next gather rebuilds.
+        """
+        stack = self._stack
+        if (
+            stack is None
+            or not self._free_rows
+            or len(params) != len(stack)
+            or any(
+                array.shape != block.shape[1:] or array.dtype != block.dtype
+                for block, array in zip(stack, params)
+            )
+        ):
+            self._invalidate_gather_state()
+            return
+        row = self._free_rows.pop()
+        for block, array in zip(stack, params):
+            block[row] = array
+        self._stack_rows[user_id] = row
+        self._stack_moved()
 
     def _absorb_adaptation(self, adapted: Mapping[Hashable, List[np.ndarray]]) -> None:
         """Fold fresh adaptations into the gather state without a rebuild.
 
-        Composition memos always die (the values changed), but the
-        full-registry stack survives a re-adaptation of *existing* users:
-        their rows are overwritten in place, so a deployment that adapts
-        users while serving pays O(adapted) per call instead of restacking
-        the whole cohort on the next gather.  New users still invalidate
-        the stack (their rows do not exist yet).
+        Composition memos always die (the values changed), but the hot-tier
+        stack survives a re-adaptation of *existing* users: their rows are
+        overwritten in place, so a deployment that adapts users while
+        serving pays O(adapted) per call instead of restacking the whole
+        cohort on the next gather.  New users still invalidate the stack
+        (their rows do not exist yet).
         """
         if self._stack is None or any(user not in self._stack_rows for user in adapted):
             self._invalidate_gather_state()
             return
-        self.version += 1
-        self._gather_cache.clear()
         for user, params in adapted.items():
             row = self._stack_rows[user]
             for block, array in zip(self._stack, params):
                 block[row] = array
-        self._stack_version = self.version
+        self._stack_moved()
 
     # ------------------------------------------------------------------
     # Serving hot path
@@ -901,15 +948,17 @@ class AdapterRegistry:
         users are transparently promoted to the hot tier first; requesting a
         cold or unknown user raises :class:`KeyError` (the caller re-onboards
         on demand).  An exact composition repeat returns the memoized
-        tensors; any other composition row-indexes the full-registry stack
-        (one vectorized copy per parameter tensor).  The only cache *miss* is
-        a registry-stack rebuild, which happens only when the hot cohort's
-        membership changes (re-adapting existing users overwrites their rows
-        in place) — steady-state serving hits on every micro-batch even when
-        batch boundaries drift across the user cohort (the bug the old
+        tensors; any other composition row-indexes the hot-tier stack (one
+        vectorized copy per parameter tensor).  The stack survives tier
+        moves — a promotion writes one row that its demotions freed, and
+        re-adapting existing users overwrites their rows — so the only cache
+        *miss* is a rebuild: after adaptation of new users, :meth:`remove`,
+        :meth:`load` or :meth:`import_user_bytes`, or a promotion that found
+        no free row.  Steady-state serving hits on every micro-batch even
+        when batch boundaries drift across the user cohort (the bug the old
         composition-keyed cache had: with 50 users and 64-wide batches no
         composition ever repeated inside the LRU window, so the hit rate
-        pinned at 0).
+        pinned at 0) and when the working set churns the hot tier.
         """
         if not user_ids:
             raise ValueError("at least one user is required")
@@ -950,6 +999,7 @@ class AdapterRegistry:
             per_param = zip(*(self._params[user] for user in users))
             self._stack = [np.stack(arrays) for arrays in per_param]
             self._stack_rows = {user: row for row, user in enumerate(users)}
+            self._free_rows = []
             self._stack_version = self.version
         if self.metrics is not None:
             self.metrics.record_param_cache(hit=hit)

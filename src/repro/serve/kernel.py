@@ -282,13 +282,18 @@ class SharedParameterKernel:
     def _run_blocks(
         self, features: np.ndarray, factors: Sequence[np.ndarray] = ()
     ) -> np.ndarray:
-        """Run the steps over zero-padded blocks of exactly :attr:`block` frames.
+        """Run the steps over blocks of exactly :attr:`block` frames.
 
-        ``features`` and every per-row ``factors`` stack are padded alike
-        (zero rows), so every GEMM shape — and therefore every frame's bit
-        pattern — is independent of the batch size.
+        A full block runs in place, on row views of the C-contiguous
+        ``features`` and per-row ``factors`` stacks; only a partial tail
+        block is copied into zero-padded buffers (features and factors
+        padded alike).  Every GEMM shape — and therefore every frame's bit
+        pattern — is independent of the batch size.  Because full blocks
+        are the caller's memory, a step must never write its input: the
+        registry's gather memo hands the same factor stacks to later
+        flushes.
         """
-        features = np.asarray(features, dtype=float)
+        features = np.ascontiguousarray(features, dtype=float)
         if features.ndim != 4:
             raise ValueError(
                 f"expected (batch, channels, height, width) features, got {features.shape}"
@@ -300,17 +305,21 @@ class SharedParameterKernel:
             if self._out_features is None:
                 raise ValueError("cannot infer output width of an empty batch")
             return np.zeros((0, self._out_features))
+        arrays = [features, *(np.ascontiguousarray(array) for array in factors)]
         outputs = []
         for start in range(0, total, self.block):
             valid = min(self.block, total - start)
-            padded = []
-            for array in (features, *factors):
-                buffer = np.zeros((self.block, *array.shape[1:]))
-                buffer[:valid] = array[start : start + valid]
-                padded.append(buffer)
+            if valid == self.block:
+                block = [array[start : start + valid] for array in arrays]
+            else:
+                block = []
+                for array in arrays:
+                    buffer = np.zeros((self.block, *array.shape[1:]))
+                    buffer[:valid] = array[start:]
+                    block.append(buffer)
             # A Linear step returns a transposed view and np.concatenate
             # keeps its inputs' order: the copy keeps the result row-major.
-            outputs.append(self._run_block(*padded)[:valid].copy())
+            outputs.append(self._run_block(*block)[:valid].copy())
         return np.concatenate(outputs)
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
+import logging
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -88,6 +90,8 @@ DEFAULT_PUSH_CREDITS = 256
 #: exactly the pre-policy behaviour (the second attempt lands on the new
 #: placement after a mark-down, with the mirror restore in between)
 DEFAULT_FORWARD_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0)
+
+_log = logging.getLogger(__name__)
 
 
 class NoBackendAvailable(RuntimeError):
@@ -534,8 +538,11 @@ class PoseRouter(SocketServerBase):
         Best-effort and bounded by the request timeout: when the repair
         import itself fails the backend is almost certainly dead and the
         next failure marks it down — the subsequent placement restores from
-        the mirror anyway.  The import carries no adapter (``None``), so a
-        backend-resident adapter is left untouched.
+        the mirror anyway.  A failed repair logs one JSON warning
+        ``repair_failed`` (``user``, ``backend``, ``reason``) on the
+        ``repro.serve.router`` logger and the retry proceeds.  The import
+        carries no adapter (``None``), so a backend-resident adapter is left
+        untouched.
         """
         state = self.mirror.repair_state(user)
         try:
@@ -545,8 +552,14 @@ class PoseRouter(SocketServerBase):
                 )
             else:
                 await backend.client.import_user(state)
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            pass
+        except (asyncio.TimeoutError, ConnectionError, OSError) as error:
+            entry = {
+                "event": "repair_failed",
+                "user": user,
+                "backend": backend.name,
+                "reason": f"{type(error).__name__}: {error}",
+            }
+            _log.warning(json.dumps(entry, default=repr))
 
     async def _submit(self, message: dict) -> dict:
         if self._closing.is_set():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,15 @@ class TestFineTuner:
         assert any(
             not np.allclose(before, after.data) for before, after in zip(last_before, last_after)
         )
+
+    @pytest.mark.parametrize("scope", ["last", "all"])
+    def test_finetune_leaves_no_gradients(self, pretrained, scope):
+        FineTuner(pretrained, FineTuneConfig(epochs=2, scope=scope)).finetune(
+            shifted_data(seed=7, offset=0.5)
+        )
+        assert all(p.grad is None for p in pretrained.parameters())
+        parameter_bytes = sum(p.data.nbytes for p in pretrained.parameters())
+        assert len(pickle.dumps(pretrained)) <= 1.05 * parameter_bytes
 
     def test_all_scope_changes_backbone(self, pretrained):
         backbone_before = [p.data.copy() for p in pretrained.parameters()[:-2]]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ class TestSupervisedTrainer:
         history = trainer.fit(toy_data())
         assert history.validation_mae_cm == []
         assert history.best_validation_epoch() is None
+
+    def test_fit_leaves_no_gradients(self):
+        """A trained model ships without its last step's gradients: pickled
+        (as it is to every serving process) it is about its parameters."""
+        model = small_model()
+        SupervisedTrainer(model, TrainingConfig(epochs=2, batch_size=32)).fit(toy_data())
+        assert all(p.grad is None for p in model.parameters())
+        parameter_bytes = sum(p.data.nbytes for p in model.parameters())
+        assert len(pickle.dumps(model)) <= 1.05 * parameter_bytes
 
     def test_epoch_override(self):
         trainer = SupervisedTrainer(small_model(), TrainingConfig(epochs=10, batch_size=32))

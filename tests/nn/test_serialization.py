@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro import nn
+from repro.nn import serialization
 from repro.nn.serialization import load_record, read_record_header, save_record
 from repro.nn.tensor import Tensor
 
@@ -143,3 +145,58 @@ class TestRecords:
         save_record({"x": np.arange(4.0)}, path)
         assert [p.name for p in path.parent.iterdir()] == ["state.spill"]
         np.testing.assert_array_equal(load_record(path)[0]["x"], np.arange(4.0))
+
+
+def _header_bytes(path: Path) -> bytes:
+    data = path.read_bytes()
+    return data[12 : 12 + int.from_bytes(data[8:12], "little")]
+
+
+class TestHeaderMemo:
+    """Each distinct record header is decoded once; every load still checks
+    the CRC and the record's length, and returns metadata of its own."""
+
+    METADATA = {"format": 2, "user": ["str", "u"], "rank": 2}
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        serialization._HEADER_MEMO.clear()
+        state = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4, dtype=np.float32)}
+        path = save_record(state, tmp_path / "state.spill", metadata=self.METADATA)
+        load_record(path)
+        return path
+
+    def test_first_load_fills_the_memo(self, path):
+        assert list(serialization._HEADER_MEMO) == [_header_bytes(path)]
+
+    def test_flipped_payload_bit_still_fails_the_crc(self, path):
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 0x01  # the last payload byte, just before the trailer
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="CRC32"):
+            load_record(path)
+
+    def test_appended_valid_crc_still_fails_the_length_check(self, path):
+        """Four extra bytes that are a valid CRC of the rest pass the CRC
+        check; the memoized header must still catch the wrong length."""
+        data = path.read_bytes()
+        path.write_bytes(data + zlib.crc32(data).to_bytes(4, "little"))
+        with pytest.raises(ValueError, match="its header describes"):
+            load_record(path)
+        with pytest.raises(ValueError, match="its header describes"):
+            read_record_header(path)
+
+    def test_mutating_returned_metadata_does_not_leak(self, path):
+        _, metadata = load_record(path)
+        metadata["rank"] = 99
+        metadata["user"].append("x")
+        header = read_record_header(path)
+        header["user"][1] = "v"
+        assert load_record(path)[1] == self.METADATA
+        assert read_record_header(path) == self.METADATA
+
+    def test_memo_is_cleared_when_full(self, path, tmp_path):
+        for index in range(serialization._HEADER_MEMO_SIZE):
+            load_record(save_record({"x": np.zeros(1)}, tmp_path / "many.spill", {"i": index}))
+        assert len(serialization._HEADER_MEMO) == 1
+        assert list(serialization._HEADER_MEMO) == [_header_bytes(tmp_path / "many.spill")]

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.radar.cfar import CfarConfig, ca_cfar_2d, detect_peaks, group_peaks
 
 
@@ -103,3 +109,19 @@ class TestDetectPeaks:
         ungrouped = detect_peaks(power, CfarConfig(), peak_grouping=False)
         grouped = detect_peaks(power, CfarConfig(), peak_grouping=True)
         assert len(grouped) <= len(ungrouped)
+
+
+def test_serving_import_leaves_scipy_unloaded():
+    """Only the signal backend's CFAR calls scipy, so a serving process that
+    imports ``repro.serve`` (and, through it, this module) never loads it."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, repro.serve\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

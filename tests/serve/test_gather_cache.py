@@ -4,8 +4,9 @@ The original composition-keyed LRU never hit under realistic traffic: with
 50 users and 64-wide micro-batches, batch boundaries drift across the
 cohort and no composition repeats inside the LRU window — the benchmark
 recorded ``param_cache_hit_rate: 0.0``.  The registry now keeps a
-full-registry parameter stack per version; any composition row-indexes it,
-so the only miss is a stack rebuild after the registry changes.
+hot-tier parameter stack; any composition row-indexes it, and tier moves
+rewrite single rows in place, so the only miss is a stack rebuild after the
+cohort changes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro.dataset.sample import PoseDataset
 from repro.serve import (
+    AdapterPolicy,
     AdapterRegistry,
     PoseServer,
     ServeConfig,
@@ -37,6 +39,30 @@ def adapted_registry(estimator, serve_dataset):
     }
     registry.adapt_many(datasets, epochs=1)
     return registry, metrics, list(datasets)
+
+
+@pytest.fixture()
+def churning_registry(estimator, serve_dataset, tmp_path):
+    """A lora registry whose hot tier (3) is half its cohort (6): after
+    adaptation users 0-2 are warm, so gathers promote and demote."""
+    streams = user_streams_from_dataset(serve_dataset, num_users=6, frames_per_user=8)
+    calibration, _ = adaptation_split(streams, adaptation_frames=4)
+    metrics = ServeMetrics()
+    policy = AdapterPolicy(
+        scope="lora", rank=2, epochs=1, hot_capacity=3, spill_dir=tmp_path / "spill"
+    )
+    registry = AdapterRegistry(estimator.model, policy=policy, metrics=metrics)
+    datasets = {
+        user: estimator.to_arrays(_as_dataset(frames))
+        for user, frames in calibration.items()
+    }
+    registry.adapt_many(datasets)
+    return registry, metrics, list(datasets)
+
+
+#: every composition promotes a warm user; the third brings user 0 back
+#: after the second reused its row
+CHURN = [(0, 1), (2, 3), (0, 1, 4), (5, 2), (3,), (1, 0, 2)]
 
 
 def _as_dataset(frames) -> PoseDataset:
@@ -76,6 +102,32 @@ class TestGatherCache:
         registry.gather(users[:2])
         assert metrics.param_cache_misses == 2  # rebuilt once after remove
 
+    def test_tier_moves_rewrite_rows_instead_of_rebuilding(self, churning_registry):
+        """A promotion writes the row its demotion freed: churning the hot
+        tier keeps the first build (each promoting gather rebuilt it)."""
+        registry, metrics, users = churning_registry
+        assert registry.tier_sizes() == {"hot": 3, "warm": 3, "cold": 0}
+        for composition in CHURN:
+            registry.gather([users[index] for index in composition])
+        assert metrics.adapter_warm_hits == 11  # every gather promoted
+        assert metrics.param_cache_misses == 1
+        assert metrics.param_cache_hits == len(CHURN) - 1
+        assert registry.tier_sizes()["hot"] == 3
+
+    def test_rows_after_tier_moves_match_parameters_bitwise(self, churning_registry):
+        registry, metrics, users = churning_registry
+        expected = {user: [p.copy() for p in registry.parameters_for(user)] for user in users}
+        # The four-user composition outgrows the hot tier: its last
+        # promotion finds no free row and the stack is rebuilt.
+        for composition in [*CHURN, (0, 1, 2, 3), *CHURN]:
+            ids = [users[index] for index in composition]
+            stacked = registry.gather(ids)
+            for slot, tensor in enumerate(stacked):
+                want = np.stack([expected[user][slot] for user in ids])
+                assert tensor.data.dtype == want.dtype
+                np.testing.assert_array_equal(tensor.data, want)
+        assert metrics.param_cache_misses == 2
+
     def test_readaptation_of_existing_users_keeps_the_stack_hot(
         self, adapted_registry, estimator, serve_dataset
     ):
@@ -94,6 +146,22 @@ class TestGatherCache:
         np.testing.assert_array_equal(
             stacked[0].data[1], registry.parameters_for(target)[0]
         )
+
+    def test_readaptation_refreshes_a_memoized_composition(
+        self, adapted_registry, estimator, serve_dataset
+    ):
+        """Rows rewritten in place must not be served from the composition
+        memo: the same composition after a re-adaptation sees new values."""
+        registry, _, users = adapted_registry
+        before = registry.gather(users[:2])
+        streams = user_streams_from_dataset(serve_dataset, num_users=6, frames_per_user=8)
+        calibration, _ = adaptation_split(streams, adaptation_frames=4)
+        registry.adapt_many(
+            {users[1]: estimator.to_arrays(_as_dataset(calibration[users[1]]))}, epochs=2
+        )
+        after = registry.gather(users[:2])
+        assert not np.array_equal(after[0].data[1], before[0].data[1])
+        np.testing.assert_array_equal(after[0].data[1], registry.parameters_for(users[1])[0])
 
     def test_steady_state_replay_hit_rate_is_high(self, estimator, serve_dataset):
         """The end-to-end regression: a 10-user replay with drifting 8-wide

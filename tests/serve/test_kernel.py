@@ -140,6 +140,24 @@ class TestBatchInvariance:
         for batch in (1, 37):
             assert kernel.predict(rng.normal(size=(batch, 5, 8, 8))).flags["C_CONTIGUOUS"]
 
+    @pytest.mark.parametrize("frames", [16, 21], ids=["full_block", "block_and_tail"])
+    def test_read_only_inputs_serve_bitwise(self, model, kernel, rng, frames):
+        """Full blocks run on views of the caller's arrays, so no step may
+        write its input: read-only features and factor stacks serve, with
+        the bits writable copies give."""
+        features = rng.normal(size=(frames, 5, 8, 8))
+        factors = _random_factors(model, frames, rng)
+        frozen = [array.copy() for array in (features, *factors)]
+        for array in frozen:
+            array.setflags(write=False)
+        np.testing.assert_array_equal(kernel.predict(frozen[0]), kernel.predict(features))
+        np.testing.assert_array_equal(
+            kernel.predict_lowrank(frozen[0], frozen[1:]),
+            kernel.predict_lowrank(features, factors),
+        )
+        for original, array in zip(frozen, (features, *factors)):
+            np.testing.assert_array_equal(array, original)
+
     def test_predict_joints_shape(self, kernel, rng):
         joints = kernel.predict_joints(rng.normal(size=(4, 5, 8, 8)))
         assert joints.shape == (4, 19, 3)

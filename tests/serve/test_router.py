@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
+import logging
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.serve import (
     PoseRouter,
     PoseServer,
     ProcessShardedPoseServer,
+    RouterBackend,
     ServeConfig,
 )
 
@@ -175,6 +178,48 @@ class TestRoutedReplay:
                 np.testing.assert_array_equal(got, want)
 
         run_cluster(servers, scenario, tmp_path)
+
+
+class TestSessionRepair:
+    def test_failed_repair_logs_one_line_and_the_retry_proceeds(self, caplog):
+        """A retry's mirror re-seed is best-effort, but not silent."""
+
+        class ResettingClient:
+            async def import_user(self, state):
+                raise ConnectionError("connection reset by peer")
+
+        attempts = []
+
+        async def call(backend):
+            attempts.append(backend.name)
+            if len(attempts) == 1:
+                raise asyncio.TimeoutError  # ambiguous: the retry must repair
+            return "joints"
+
+        async def body():
+            router = PoseRouter(unix_path="router.sock", request_timeout_s=5.0)
+            spec = BackendSpec(name="b0", unix_path="unused.sock")
+            router._backends["b0"] = RouterBackend(spec, ResettingClient())
+            router.ring.add("b0")
+            router.monitor.watch("b0")
+            return await router._forward("user-0", call, repair_on_retry=True)
+
+        with caplog.at_level(logging.WARNING, logger="repro.serve.router"):
+            assert asyncio.run(body()) == "joints"
+        assert attempts == ["b0", "b0"]
+        lines = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.serve.router"
+        ]
+        assert lines == [
+            {
+                "event": "repair_failed",
+                "user": "user-0",
+                "backend": "b0",
+                "reason": "ConnectionError: connection reset by peer",
+            }
+        ]
 
 
 class TestClusterMetrics:
