@@ -14,14 +14,19 @@ in place.  An optional on-disk tier (``cache_dir``) persists entries as
 ``<content-hash>.npz`` files for cross-process and cross-run reuse: a miss in
 memory falls through to disk before rebuilding, writes are atomic
 (temp-file + rename) so concurrent processes can share one directory, and the
-directory is bounded by least-recently-used eviction.
+directory is bounded by least-recently-used eviction.  A disk entry that
+cannot be read is removed, counted as ``disk_corrupt`` and logged once as a
+JSON warning on the ``repro.dataset.cache`` logger.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import logging
 import os
 import time
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +39,8 @@ from .sample import LabelledFrame
 
 __all__ = ["CacheStats", "FeatureCache"]
 
+_log = logging.getLogger(__name__)
+
 #: Age after which an orphaned spill temp file is reclaimed by eviction.
 _STALE_TEMP_SECONDS = 3600.0
 
@@ -43,7 +50,8 @@ class CacheStats:
     """Counters describing cache effectiveness.
 
     ``hits`` counts in-memory hits, ``disk_hits`` entries recovered from the
-    on-disk tier, ``misses`` full rebuilds.
+    on-disk tier, ``misses`` full rebuilds, and ``disk_corrupt`` unreadable
+    disk entries that were dropped (each then rebuilds as a miss).
     """
 
     hits: int = 0
@@ -51,6 +59,7 @@ class CacheStats:
     evictions: int = 0
     disk_hits: int = 0
     disk_evictions: int = 0
+    disk_corrupt: int = 0
 
     @property
     def requests(self) -> int:
@@ -67,6 +76,7 @@ class CacheStats:
             "evictions": self.evictions,
             "disk_hits": self.disk_hits,
             "disk_evictions": self.disk_evictions,
+            "disk_corrupt": self.disk_corrupt,
             "hit_rate": self.hit_rate,
         }
 
@@ -204,19 +214,32 @@ class FeatureCache:
         try:
             with np.load(path) as archive:
                 features, labels = archive["features"], archive["labels"]
-        except (OSError, ValueError, KeyError, EOFError):
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as error:
             # A torn or foreign file is treated as a miss and removed so it
             # cannot poison later lookups.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._drop_corrupt(path, error)
             return None
         try:
             os.utime(path)  # refresh the LRU clock of the disk tier
         except OSError:
             pass
         return features, labels
+
+    def _drop_corrupt(self, path: Path, reason: Exception) -> None:
+        """Remove an unreadable disk entry, count it and log one JSON warning
+        (``event``, ``path``, ``reason``); a failed removal is reported in the
+        same line as ``unlink_error``."""
+        self.stats.disk_corrupt += 1
+        entry = {
+            "event": "feature_cache_corrupt",
+            "path": str(path),
+            "reason": f"{type(reason).__name__}: {reason}",
+        }
+        try:
+            path.unlink()
+        except OSError as exc:
+            entry["unlink_error"] = f"{type(exc).__name__}: {exc}"
+        _log.warning(json.dumps(entry))
 
     def _spill_to_disk(self, key: str, features: np.ndarray, labels: np.ndarray) -> None:
         path = self._disk_path(key)

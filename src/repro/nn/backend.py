@@ -20,6 +20,14 @@ rule :mod:`repro.serve.kernel` rests on.  A plain fold over all rows would not
 keep it, because BLAS picks a different kernel, and different bits, as the
 row count crosses its small-matrix thresholds.
 
+The convolution bodies lower channels-last through :mod:`repro.nn.cols`,
+as :func:`repro.nn.conv2d` and the serving kernel do: the patches of the
+``(T,B,C,H,W)`` input's NHWC view in ``(kh, kw, C)`` order, the filters (per
+task under ``conv2d_batched``) and the low-rank ``a`` factors permuted to
+that order per call, and ``grad_a`` / ``grad_weight`` permuted back to the
+stored ``(C, kh, kw)`` order.  The bias is added in place after the rank-r
+delta; the output and ``grad_x`` are NCHW views of NHWC memory.
+
 This is the only numeric path: every bitwise pin of the test suite
 (batched == sequential, sharded == serial, grouped == solo) covers it.
 """
@@ -30,7 +38,14 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from .cols import col2im, conv_output_shape, im2col
+from .cols import (
+    col2im_nhwc,
+    conv_output_shape,
+    filters_nhwc,
+    patches_nhwc,
+    patches_to_nchw,
+    patches_to_nhwc,
+)
 
 __all__ = [
     "active_backend_name",
@@ -149,6 +164,37 @@ def linear_lowrank_backward(
 # ----------------------------------------------------------------------
 # Per-task convolution
 # ----------------------------------------------------------------------
+def _patch_rows(x: np.ndarray, kernel_size, stride, padding) -> np.ndarray:
+    """``(T,B,C,H,W)`` input -> ``(T, B*OH*OW, kh*kw*C)`` channels-last patches."""
+    tasks, batch, in_channels, height, width = x.shape
+    frames = x.reshape(tasks * batch, in_channels, height, width)
+    cols = patches_nhwc(frames.transpose(0, 2, 3, 1), kernel_size, stride, padding)
+    return cols.reshape(tasks, -1, cols.shape[1])
+
+
+def _nchw(out: np.ndarray, batch: int, out_h: int, out_w: int) -> np.ndarray:
+    """``(T, B*OH*OW, O)`` GEMM output -> its ``(T,B,O,OH,OW)`` view."""
+    tasks, _, out_channels = out.shape
+    return out.reshape(tasks, batch, out_h, out_w, out_channels).transpose(0, 1, 4, 2, 3)
+
+
+def _grad_rows(grad: np.ndarray) -> np.ndarray:
+    """``(T,B,O,OH,OW)`` upstream gradient -> ``(T, B*OH*OW, O)`` rows; a view
+    when ``grad`` lies in the NHWC memory order the forward returned."""
+    tasks, _, out_channels = grad.shape[:3]
+    return grad.transpose(0, 1, 3, 4, 2).reshape(tasks, -1, out_channels)
+
+
+def _grad_input(grad_cols: np.ndarray, x_shape, kernel_size, stride, padding) -> np.ndarray:
+    """``(T, B*OH*OW, kh*kw*C)`` column gradient -> ``(T,B,C,H,W)`` NCHW view
+    of the NHWC input gradient."""
+    tasks, batch, in_channels, height, width = x_shape
+    image = col2im_nhwc(
+        grad_cols, (tasks * batch, height, width, in_channels), kernel_size, stride, padding
+    )
+    return image.reshape(tasks, batch, height, width, in_channels).transpose(0, 1, 4, 2, 3)
+
+
 def conv2d_batched_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -157,56 +203,39 @@ def conv2d_batched_forward(
     padding,
 ) -> Tuple[np.ndarray, Any]:
     """Per-task conv: ``(T,B,C,H,W) x (T,O,C,kh,kw) -> (T,B,O,OH,OW)``."""
-    tasks, batch, in_channels, height, width = x.shape
-    _, out_channels, _, kh, kw = weight.shape
+    _, batch, _, height, width = x.shape
+    kh, kw = weight.shape[-2:]
     out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, padding)
-    patch = in_channels * kh * kw
 
-    cols = im2col(
-        x.reshape(tasks * batch, in_channels, height, width), (kh, kw), stride, padding
-    )  # (T*B, OH, OW, patch)
-    cols_flat = cols.reshape(tasks, batch * out_h * out_w, patch)
-    weight_flat = weight.reshape(tasks, out_channels, patch)
+    cols_flat = _patch_rows(x, (kh, kw), stride, padding)  # (T, B*OH*OW, patch)
+    weight_flat = filters_nhwc(weight)  # (T, O, patch)
 
     out = np.matmul(cols_flat, weight_flat.transpose(0, 2, 1))  # (T, B*OH*OW, O)
-    out = out.reshape(tasks, batch, out_h, out_w, out_channels).transpose(0, 1, 4, 2, 3)
     if bias is not None:
-        out = out + bias.reshape(tasks, 1, out_channels, 1, 1)
-    ctx = (cols_flat, weight_flat, x.shape, weight.shape, (out_h, out_w), stride, padding)
-    return out, ctx
+        out += bias[:, None, :]
+    ctx = (cols_flat, weight_flat, x.shape, weight.shape, stride, padding)
+    return _nchw(out, batch, out_h, out_w), ctx
 
 
 def conv2d_batched_backward(
     ctx: Any, grad: np.ndarray, needs: Tuple[bool, bool, bool]
 ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
     """Gradients ``(gx, gweight, gbias)`` for :func:`conv2d_batched_forward`."""
-    cols_flat, weight_flat, x_shape, weight_shape, (out_h, out_w), stride, padding = ctx
-    tasks, batch, in_channels, height, width = x_shape
-    _, out_channels, _, kh, kw = weight_shape
-    patch = in_channels * kh * kw
+    cols_flat, weight_flat, x_shape, weight_shape, stride, padding = ctx
+    in_channels, kh, kw = weight_shape[2:]
     needs_x, needs_weight, needs_bias = needs
 
-    # grad: (T, B, O, OH, OW)
-    grad_flat = grad.transpose(0, 1, 3, 4, 2).reshape(
-        tasks, batch * out_h * out_w, out_channels
-    )
+    grad_flat = _grad_rows(grad)  # (T, B*OH*OW, O)
     grad_weight = None
     if needs_weight:
-        grad_weight = np.matmul(grad_flat.transpose(0, 2, 1), cols_flat).reshape(
-            weight_shape
-        )
-    grad_bias = grad.sum(axis=(1, 3, 4)) if needs_bias else None
+        grad_weight = patches_to_nchw(
+            np.matmul(grad_flat.transpose(0, 2, 1), cols_flat), in_channels, (kh, kw)
+        ).reshape(weight_shape)
+    grad_bias = grad_flat.sum(axis=1) if needs_bias else None
     grad_x = None
     if needs_x:
         grad_cols = np.matmul(grad_flat, weight_flat)  # (T, B*OH*OW, patch)
-        grad_cols = grad_cols.reshape(tasks * batch, out_h, out_w, patch)
-        grad_x = col2im(
-            grad_cols,
-            (tasks * batch, in_channels, height, width),
-            (kh, kw),
-            stride,
-            padding,
-        ).reshape(x_shape)
+        grad_x = _grad_input(grad_cols, x_shape, (kh, kw), stride, padding)
     return grad_x, grad_weight, grad_bias
 
 
@@ -222,85 +251,56 @@ def conv2d_lowrank_forward(
     stride,
     padding,
 ) -> Tuple[np.ndarray, Any]:
-    """Shared-base + rank-r conv: ``(T,B,C,H,W) x (O,C,kh,kw) + factors``."""
-    tasks, batch, in_channels, height, width = x.shape
-    out_channels, _, kh, kw = weight.shape
-    patch = in_channels * kh * kw
+    """Shared-base + rank-r conv: ``(T,B,C,H,W) x (O,C,kh,kw) + factors``.
+
+    ``a`` arrives in the stored ``(C, kh, kw)`` patch order and is permuted
+    to the lowering's ``(kh, kw, C)`` order here, as the base weight is.
+    """
+    _, batch, in_channels, height, width = x.shape
+    kh, kw = weight.shape[-2:]
     out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, padding)
-    rows = batch * out_h * out_w
 
-    cols = im2col(
-        x.reshape(tasks * batch, in_channels, height, width), (kh, kw), stride, padding
-    )  # (T*B, OH, OW, patch)
-    cols_flat = cols.reshape(tasks, rows, patch)
-    weight_flat = weight.reshape(out_channels, patch)
+    cols_flat = _patch_rows(x, (kh, kw), stride, padding)  # (T, rows, patch)
+    weight_flat = filters_nhwc(weight)  # (O, patch)
+    a_flat = patches_to_nhwc(a, in_channels, (kh, kw))
 
-    hidden = np.matmul(cols_flat, a.transpose(0, 2, 1))  # (T, rows, r)
+    hidden = np.matmul(cols_flat, a_flat.transpose(0, 2, 1))  # (T, rows, r)
     out = _fold_product(cols_flat, weight_flat.T, out_h * out_w)  # (T, rows, O)
     out += np.matmul(hidden, b.transpose(0, 2, 1))
-    out = out.reshape(tasks, batch, out_h, out_w, out_channels).transpose(0, 1, 4, 2, 3)
     if bias is not None:
-        out = out + bias.reshape(1, 1, out_channels, 1, 1)
-    ctx = (
-        cols_flat,
-        weight_flat,
-        a,
-        b,
-        hidden,
-        x.shape,
-        weight.shape,
-        (out_h, out_w),
-        stride,
-        padding,
-    )
-    return out, ctx
+        out += bias
+    ctx = (cols_flat, weight_flat, a_flat, b, hidden, x.shape, weight.shape, stride, padding)
+    return _nchw(out, batch, out_h, out_w), ctx
 
 
 def conv2d_lowrank_backward(
     ctx: Any, grad: np.ndarray, needs: Tuple[bool, bool, bool, bool, bool]
 ) -> Tuple[Optional[np.ndarray], ...]:
-    """Gradients ``(gx, gweight, ga, gb, gbias)``."""
-    (
-        cols_flat,
-        weight_flat,
-        a,
-        b,
-        hidden,
-        x_shape,
-        weight_shape,
-        (out_h, out_w),
-        stride,
-        padding,
-    ) = ctx
-    tasks, batch, in_channels, height, width = x_shape
-    out_channels, _, kh, kw = weight_shape
-    patch = in_channels * kh * kw
-    rows = batch * out_h * out_w
+    """Gradients ``(gx, gweight, ga, gb, gbias)``; ``ga`` in the stored order."""
+    cols_flat, weight_flat, a_flat, b, hidden, x_shape, weight_shape, stride, padding = ctx
+    in_channels, kh, kw = weight_shape[1:]
+    frame_rows = cols_flat.shape[1] // x_shape[1]
     needs_x, needs_weight, needs_a, needs_b, needs_bias = needs
 
-    # grad: (T, B, O, OH, OW)
-    grad_flat = grad.transpose(0, 1, 3, 4, 2).reshape(tasks, rows, out_channels)
+    grad_flat = _grad_rows(grad)  # (T, rows, O)
     grad_b = np.matmul(grad_flat.transpose(0, 2, 1), hidden) if needs_b else None
     grad_hidden = None
     if needs_a or needs_x:
         grad_hidden = np.matmul(grad_flat, b)  # (T, rows, r)
-    grad_a = np.matmul(grad_hidden.transpose(0, 2, 1), cols_flat) if needs_a else None
+    grad_a = None
+    if needs_a:
+        grad_a = patches_to_nchw(
+            np.matmul(grad_hidden.transpose(0, 2, 1), cols_flat), in_channels, (kh, kw)
+        )
     grad_weight = None
     if needs_weight:
-        grad_weight = np.einsum(
-            "tro,trp->op", grad_flat, cols_flat, optimize=True
+        grad_weight = patches_to_nchw(
+            np.einsum("tro,trp->op", grad_flat, cols_flat, optimize=True), in_channels, (kh, kw)
         ).reshape(weight_shape)
-    grad_bias = grad.sum(axis=(0, 1, 3, 4)) if needs_bias else None
+    grad_bias = grad_flat.sum(axis=(0, 1)) if needs_bias else None
     grad_x = None
     if needs_x:
-        grad_cols = _fold_product(grad_flat, weight_flat, out_h * out_w)  # (T, rows, patch)
-        grad_cols += np.matmul(grad_hidden, a)
-        grad_cols = grad_cols.reshape(tasks * batch, out_h, out_w, patch)
-        grad_x = col2im(
-            grad_cols,
-            (tasks * batch, in_channels, height, width),
-            (kh, kw),
-            stride,
-            padding,
-        ).reshape(x_shape)
+        grad_cols = _fold_product(grad_flat, weight_flat, frame_rows)  # (T, rows, patch)
+        grad_cols += np.matmul(grad_hidden, a_flat)
+        grad_x = _grad_input(grad_cols, x_shape, (kh, kw), stride, padding)
     return grad_x, grad_weight, grad_a, grad_b, grad_bias

@@ -3,6 +3,16 @@
 The implementations use an im2col/col2im lowering so that the heavy lifting is
 delegated to a single matrix multiplication per layer, which keeps CPU
 training of the small MARS/FUSE CNNs practical.
+
+Every convolution lowers channels-last (:mod:`repro.nn.cols`): the input is
+viewed NHWC and its ``(kh, kw, C)`` patches gathered with one contiguous
+copy, the filters are flattened in the same order, and the bias is added in
+place on the ``(rows, out_channels)`` product.  A conv op returns the NCHW
+view of that NHWC memory, and its input gradient is the NCHW view of
+:func:`repro.nn.cols.col2im_nhwc`'s output, so the ops between two convs run
+in one memory order.  Stored layouts stay NCHW: weights ``(O, C, kh, kw)``
+and low-rank ``a`` factors in ``(C, kh, kw)`` patch order.  The pooling ops
+lower through the NCHW reference :func:`im2col` / :func:`col2im`.
 """
 
 from __future__ import annotations
@@ -10,7 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import backend as _backend
-from .cols import IntPair, _as_pair, col2im, conv_output_shape, im2col
+from .cols import (
+    IntPair,
+    _as_pair,
+    col2im,
+    col2im_nhwc,
+    conv_output_shape,
+    filters_nhwc,
+    im2col,
+    patches_nhwc,
+    patches_to_nchw,
+)
 from .tensor import Tensor
 
 __all__ = [
@@ -53,17 +73,16 @@ def conv2d(
             f"input has {x.shape[1]} channels but weight expects {in_channels}"
         )
 
-    batch = x.shape[0]
-    out_h, out_w = conv_output_shape(x.shape[2], x.shape[3], (kh, kw), stride, padding)
+    batch, _, height, width = x.shape
+    out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, padding)
 
-    cols = im2col(x.data, (kh, kw), stride, padding)  # (B, OH, OW, C*kh*kw)
-    cols_flat = cols.reshape(-1, in_channels * kh * kw)
-    weight_flat = weight.data.reshape(out_channels, -1)
+    cols_flat = patches_nhwc(x.data.transpose(0, 2, 3, 1), (kh, kw), stride, padding)
+    weight_flat = filters_nhwc(weight.data)
 
     out = cols_flat @ weight_flat.T  # (B*OH*OW, out_channels)
-    out = out.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
     if bias is not None:
-        out = out + bias.data.reshape(1, out_channels, 1, 1)
+        out += bias.data
+    out = out.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -71,15 +90,16 @@ def conv2d(
         # grad: (B, out_channels, OH, OW)
         grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, out_channels)
         if weight.requires_grad:
-            grad_weight = grad_flat.T @ cols_flat
+            grad_weight = patches_to_nchw(grad_flat.T @ cols_flat, in_channels, (kh, kw))
             weight._accumulate(grad_weight.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(grad_flat.sum(axis=0))
         if x.requires_grad:
-            grad_cols = grad_flat @ weight_flat  # (B*OH*OW, C*kh*kw)
-            grad_cols = grad_cols.reshape(batch, out_h, out_w, -1)
-            grad_x = col2im(grad_cols, x.data.shape, (kh, kw), stride, padding)
-            x._accumulate(grad_x)
+            grad_cols = grad_flat @ weight_flat  # (B*OH*OW, kh*kw*C)
+            grad_x = col2im_nhwc(
+                grad_cols, (batch, height, width, in_channels), (kh, kw), stride, padding
+            )
+            x._accumulate_owned(grad_x.transpose(0, 3, 1, 2))
 
     return Tensor._make(out, parents, backward)
 
@@ -182,7 +202,9 @@ def conv2d_lowrank_batched(
         Shared filter bank of shape ``(out_channels, in_channels, kh, kw)``
         — no task axis.
     a:
-        Down-projection factors of shape ``(tasks, rank, patch)``.
+        Down-projection factors of shape ``(tasks, rank, patch)``, the patch
+        in the weights' ``(C, kh, kw)`` order (the lowering permutes a copy
+        per call).
     b:
         Up-projection factors of shape ``(tasks, out_channels, rank)``.
     bias:

@@ -457,7 +457,7 @@ class Tensor:
         data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate_owned(grad * mask)
 
         return Tensor._make(data, (self,), backward)
 

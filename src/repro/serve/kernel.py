@@ -21,21 +21,20 @@ only on its own features — not on how many co-riders shared the block, which
 slot it occupied, or what the padding contained.  This is verified bitwise by
 ``tests/serve/test_replay_equivalence.py``.
 
-Convolutions are lowered channels-last.  One NCHW→NHWC conversion runs
-before the first convolution, and activations stay ``(block, height, width,
-channels)`` from one conv step to the next.  A step's im2col patch is a
-strided window view over its zero-padded NHWC input in ``(kh, kw, C)`` order,
-so a single copy gathers it in contiguous channel runs; the conv weight is
-permuted to that order once, at construction.  The GEMM's ``(block * out_h *
-out_w, out_channels)`` product is already the next step's NHWC input, with
-no per-layer transpose.  One conversion back to NCHW runs before
-``Flatten``, so fully connected layers and every caller see the training
-layout.  Low-rank factors keep the training ``(C, kh, kw)`` patch order —
-the order adaptation learns them in and the registry, spill records and
-migration bytes carry — and each block permutes its conv ``A`` factors to
-the kernel's order.  The training ops (:mod:`repro.nn.cols`,
-:mod:`repro.nn.ops`, :mod:`repro.nn.backend`) stay NCHW as the numeric
-reference.
+Convolutions are lowered channels-last, through the same
+:func:`repro.nn.cols.patches_nhwc` helper every training conv op uses.  One
+NCHW→NHWC conversion runs before the first convolution, and activations
+stay ``(block, height, width, channels)`` from one conv step to the next.  A
+step's im2col patch is a strided window view over its zero-padded NHWC input
+in ``(kh, kw, C)`` order, so a single copy gathers it in contiguous channel
+runs; the conv weight is permuted to that order once, at construction, by
+:func:`repro.nn.cols.filters_nhwc`.  The GEMM's ``(block * out_h * out_w,
+out_channels)`` product is already the next step's NHWC input, with no
+per-layer transpose.  One conversion back to NCHW runs before ``Flatten``,
+so fully connected layers and every caller see the training layout.
+Low-rank factors keep their stored ``(C, kh, kw)`` patch order — the order
+the registry, spill records and migration bytes carry — and each block
+permutes its conv ``A`` factors to the kernel's order.
 
 The arithmetic is plain numpy (``np.matmul`` for every product, and each
 activation's own expression), and the blocks run one after another on the
@@ -55,7 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
-from ..nn.cols import _as_pair, conv_output_shape
+from ..nn.cols import _as_pair, conv_output_shape, filters_nhwc, patches_nhwc
 
 __all__ = ["SharedParameterKernel"]
 
@@ -67,35 +66,19 @@ class _ConvStep:
     """
 
     def __init__(self, layer: nn.Conv2d, weight: np.ndarray, bias: Optional[np.ndarray]) -> None:
-        out_channels, self.in_channels, kh, kw = weight.shape
+        _, self.in_channels, kh, kw = weight.shape
         self.kernel_size = kh, kw
         self.stride = _as_pair(layer.stride)
         self.padding = _as_pair(layer.padding)
         # (kh * kw * C, out_channels): the patch in (kh, kw, C) order,
         # contiguous so the GEMM reads it linearly.
-        self.weight_flat = np.ascontiguousarray(
-            weight.transpose(2, 3, 1, 0).reshape(-1, out_channels)
-        )
+        self.weight_flat = np.ascontiguousarray(filters_nhwc(weight).T)
         self.bias = None if bias is None else np.ascontiguousarray(bias)
 
     def _base(self, x: np.ndarray):
-        block, height, width, channels = x.shape
-        (kh, kw), (sh, sw), (ph, pw) = self.kernel_size, self.stride, self.padding
-        out_h, out_w = conv_output_shape(height, width, (kh, kw), (sh, sw), (ph, pw))
-        if ph or pw:
-            padded = np.zeros((block, height + 2 * ph, width + 2 * pw, channels), x.dtype)
-            padded[:, ph : ph + height, pw : pw + width] = x
-            x = padded
-        step_b, step_h, step_w, step_c = x.strides
-        windows = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(block, out_h, out_w, kh, kw, channels),
-            strides=(step_b, step_h * sh, step_w * sw, step_h, step_w, step_c),
-            writeable=False,
-        )
-        # The one im2col copy; over a contiguous input each (kw, C) window
-        # row is a single run.
-        cols = windows.reshape(block * out_h * out_w, kh * kw * channels)
+        block, height, width, _ = x.shape
+        out_h, out_w = conv_output_shape(height, width, self.kernel_size, self.stride, self.padding)
+        cols = patches_nhwc(x, self.kernel_size, self.stride, self.padding)
         out = np.matmul(cols, self.weight_flat)
         if self.bias is not None:
             out += self.bias

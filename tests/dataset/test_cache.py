@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,35 @@ class TestDiskSpill:
         rebuilt, _ = reader.get_or_build(samples, builder)
         assert reader.stats.misses == 1 and reader.stats.disk_hits == 0
         np.testing.assert_array_equal(rebuilt, expected)
+
+    def test_torn_entry_is_counted_logged_and_removed(self, tmp_path, caplog, monkeypatch):
+        samples = make_samples(4, seed=41)
+        builder = FeatureMapBuilder()
+        FeatureCache(cache_dir=tmp_path).get_or_build(samples, builder)
+        (entry,) = tmp_path.glob("*.npz")
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+
+        reader = FeatureCache(cache_dir=tmp_path)
+        # Keep the rebuild off disk, so the torn entry's removal shows.
+        monkeypatch.setattr(reader, "_spill_to_disk", lambda *args: None)
+        with caplog.at_level(logging.WARNING, logger="repro.dataset.cache"):
+            features, labels = reader.get_or_build(samples, builder)
+        lines = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.dataset.cache"
+        ]
+        assert len(lines) == 1
+        assert lines[0]["event"] == "feature_cache_corrupt"
+        assert lines[0]["path"] == str(entry)
+        assert lines[0]["reason"].startswith("BadZipFile: ")
+        assert reader.stats.disk_corrupt == 1
+        assert reader.stats.as_dict()["disk_corrupt"] == 1
+        assert reader.stats.misses == 1 and reader.stats.disk_hits == 0
+        assert not entry.exists()
+        fresh_features, fresh_labels = FeatureCache().get_or_build(samples, builder)
+        np.testing.assert_array_equal(features, fresh_features)
+        np.testing.assert_array_equal(labels, fresh_labels)
 
     def test_hit_rate_counts_disk_hits(self, tmp_path):
         samples = make_samples(4, seed=50)

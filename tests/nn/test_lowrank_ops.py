@@ -22,6 +22,7 @@ import pytest
 from repro import nn
 from repro.core.models import PoseCNN
 from repro.nn import backend
+from repro.nn.cols import filters_nhwc
 from repro.nn.grad_check import check_gradients
 from repro.nn.tensor import Tensor
 
@@ -254,14 +255,18 @@ def _posecnn_base_products():
     """Every shared-base product of a PoseCNN adaptation step: for each
     layer, ``(name, weight operand, rows per frame)`` of the forward
     (``rows @ weight.T``) and the input-gradient (``grad @ weight``)
-    product, in the layouts the low-rank bodies pass to BLAS."""
+    product, in the layouts the low-rank bodies pass to BLAS.  Conv filters
+    are flattened by the bodies' own :func:`repro.nn.cols.filters_nhwc`,
+    in the channels-last ``(kh, kw, C)`` patch order."""
     model = PoseCNN()
     pixels = model.config.input_height * model.config.input_width  # same padding
     products = []
     for kind, module_type, frame_rows in (("conv", nn.Conv2d, pixels), ("fc", nn.Linear, 1)):
         layers = [m for m in model.network if isinstance(m, module_type)]
         for index, layer in enumerate(layers, start=1):
-            weight = layer.weight.data.reshape(layer.weight.shape[0], -1)
+            weight = layer.weight.data
+            if kind == "conv":
+                weight = filters_nhwc(weight)
             products.append((f"{kind}{index}-forward", weight.T, frame_rows))
             products.append((f"{kind}{index}-grad_x", weight, frame_rows))
     return products
