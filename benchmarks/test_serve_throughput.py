@@ -9,13 +9,8 @@ three serving paths:
   (the bitwise reference path of the equivalence tests);
 * **micro-batched server** — cross-user coalescing, the deployment
   configuration;
-* **sharded serving** — the same replay through a
-  :class:`repro.serve.ShardedPoseServer` at 1/2/4 shards (users hashed onto
-  independent server shards; predictions identical, throughput recorded for
-  the trend check — in-process shards document the scheduling overhead a
-  process-per-shard deployment would amortize over real cores);
-* **socket front-end** — the strict v1 request/reply path
-  (``serving_frontend``) and the protocol-v2 pipelined/batched paths
+* **socket front-end** — one request in flight at a time
+  (``serving_frontend``) and the pipelined/batched paths
   (``serving_frontend_pipelined``: in-flight windows 1/8/64 and batched
   submits), both through shard worker processes behind a Unix socket;
 * **routed cluster** — the replay through :class:`repro.serve.PoseRouter`
@@ -47,13 +42,13 @@ from repro.core.training import TrainingConfig
 from repro.dataset.synthetic import SyntheticDatasetConfig, generate_dataset
 from repro.nn.backend import active_backend_name
 from repro.serve import (
+    AdapterPolicy,
     AsyncPoseClient,
     PoseFrontend,
     PoseServer,
     ProcessShardedPoseServer,
     SchedulingPolicy,
     ServeConfig,
-    ShardedPoseServer,
     TrafficClass,
     adaptation_split,
     replay_users,
@@ -148,8 +143,6 @@ class TestServeThroughput:
         calibration, serving = adaptation_split(streams, adaptation_frames=5)
         adapted_users = list(serving)[::2]  # every other user has personal weights
 
-        from repro.core.finetune import FineTuneConfig
-
         naive_base = _RESULTS.get("base_model_serving", {}).get("naive_sequential_fps")
         if naive_base is None:  # standalone -k run: measure the yardstick here
             total = sum(len(stream) for stream in serving.values())
@@ -162,7 +155,7 @@ class TestServeThroughput:
             server = PoseServer(
                 estimator,
                 ServeConfig(max_batch_size=64),
-                adaptation=FineTuneConfig(epochs=3, scope=scope),
+                policy=AdapterPolicy(scope=scope, epochs=3),
             )
             adapt_start = time.perf_counter()
             server.adapt_users(
@@ -212,8 +205,6 @@ class TestServeThroughput:
           ``O(r * (in + out))`` values per layer instead of full tensors;
           the bar is >= 5x the full-adaptation onboarding rate.
         """
-        from repro.serve import AdapterPolicy
-
         estimator, streams = _serve_fixture()
         calibration, serving = adaptation_split(streams, adaptation_frames=5)
         adapted_users = list(serving)[::2]
@@ -281,50 +272,6 @@ class TestServeThroughput:
         assert serving_payload["serving_ratio_vs_scope_last"] >= 0.5, (
             f"rank-4 lora serving at {lora_result.frames_per_second:.0f} fps is below "
             f"half of scope='last' ({last_result.frames_per_second:.0f} fps)"
-        )
-
-
-class TestShardedServing:
-    def test_shard_scaling_throughput(self):
-        """50-user replay through 1/2/4 server shards.
-
-        Predictions are bitwise identical at every shard count (the
-        equivalence suite pins this); here the throughput of each layout is
-        recorded.  In one process, shards split each micro-batch into
-        smaller per-shard batches, so this documents the scheduling overhead
-        a process-per-shard deployment buys back with real cores; the floor
-        asserts the overhead stays bounded.
-        """
-        estimator, streams = _serve_fixture()
-        total = sum(len(stream) for stream in streams.values())
-        config = ServeConfig(max_batch_size=64)
-
-        # Warm caches/allocators once so every layout is measured hot.
-        replay_users(ShardedPoseServer(estimator, num_shards=2, config=config), streams)
-
-        payload: dict = {
-            "users": NUM_USERS,
-            "frames": total,
-            "cpu_count": os.cpu_count(),
-            "backend": active_backend_name(),
-        }
-        fps: dict = {}
-        for shards in (1, 2, 4):
-            server = ShardedPoseServer(estimator, num_shards=shards, config=config)
-            result = replay_users(server, streams)
-            assert result.frames_dropped == 0
-            assert result.frames_served == total
-            fps[shards] = result.frames_per_second
-            payload[f"shards_{shards}_fps"] = result.frames_per_second
-        # Deliberately named so the regression gate's throughput-key regex
-        # (fps/tps/throughput) skips it: this ratio is scheduling-overhead
-        # noise on small containers, not a throughput figure.
-        payload["shard_overhead_ratio_4_vs_1"] = fps[4] / fps[1]
-        _record("sharded_serving_scaling", payload)
-
-        assert payload["shard_overhead_ratio_4_vs_1"] >= 0.25, (
-            f"4-shard serving collapsed to {payload['shard_overhead_ratio_4_vs_1']:.2f}x "
-            "of single-shard throughput"
         )
 
 
@@ -402,9 +349,9 @@ class TestServingFrontend:
 
         * **in_flight_{1,8,64}_fps** — every user pipelines its own
           connection with the given in-flight window
-          (:meth:`AsyncPoseClient.submit_many`).  Window 1 *is* the strict
-          v1 request/reply discipline, measured here as the same-host
-          baseline the acceptance bar compares against.
+          (:meth:`AsyncPoseClient.submit_many`).  Window 1 is strict
+          request/reply (one request in flight), measured here as the
+          same-host baseline the acceptance bar compares against.
         * **batched_submit_fps** — one admin connection sends one
           ``submit_batch`` per replay tick (all 50 users' frames in one
           wire frame, one contiguous ndarray block, one ``EnqueueBatch``

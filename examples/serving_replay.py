@@ -11,9 +11,10 @@ This example walks the full serving story:
    batching: consecutive requests always come from different users),
 5. compare the micro-batched run against the naive per-user loop and print
    the serving metrics,
-6. replay the same streams through a 4-shard :class:`ShardedPoseServer`
-   (users hashed onto independent server shards — identical predictions)
-   and print the Prometheus text exposition a scrape endpoint would serve.
+6. replay the same streams through a 4-shard
+   :class:`ProcessShardedPoseServer` (users hashed onto shard worker
+   processes — identical predictions) and print the Prometheus text
+   exposition a scrape endpoint would serve.
 
 Run with::
 
@@ -24,13 +25,15 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.core import FuseConfig, FusePoseEstimator, TrainingConfig
-from repro.core.finetune import FineTuneConfig
 from repro.dataset import PoseDataset, SyntheticDatasetConfig, generate_dataset
 from repro.serve import (
+    AdapterPolicy,
     PoseServer,
+    ProcessShardedPoseServer,
     ServeConfig,
-    ShardedPoseServer,
     adaptation_split,
     replay_users,
     sequential_reference,
@@ -39,6 +42,8 @@ from repro.serve import (
 
 NUM_USERS = 50
 NUM_SHARDS = 4
+CONFIG = ServeConfig(max_batch_size=64, max_delay_ms=5.0, max_queue_depth=256)
+LAST_LAYER = AdapterPolicy(scope="last", epochs=3)
 
 
 def as_pose_dataset(frames) -> PoseDataset:
@@ -68,11 +73,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. The server: micro-batching across users, bounded queues.
     # ------------------------------------------------------------------
-    server = PoseServer(
-        estimator,
-        ServeConfig(max_batch_size=64, max_delay_ms=5.0, max_queue_depth=256),
-        adaptation=FineTuneConfig(epochs=3, scope="last"),
-    )
+    server = PoseServer(estimator, CONFIG, policy=LAST_LAYER)
 
     # ------------------------------------------------------------------
     # 3. Simulated users; half get personal last-layer adaptation.
@@ -110,21 +111,18 @@ def main() -> None:
         print(f"  {key:28s} {value:10.3f}")
 
     # ------------------------------------------------------------------
-    # 6. Multi-shard serving: same users, N independent shards, same bits.
+    # 6. Multi-shard serving: same users, N shard processes, same bits.
     # ------------------------------------------------------------------
-    sharded_server = ShardedPoseServer(
-        estimator,
-        num_shards=NUM_SHARDS,
-        config=ServeConfig(max_batch_size=64, max_delay_ms=5.0, max_queue_depth=256),
-        adaptation=FineTuneConfig(epochs=3, scope="last"),
-    )
-    # Same personalised cohort; each shard adapts its own users in one
-    # grouped call, landing on exactly the same personal heads.
-    sharded_server.adapt_users(
-        {user: as_pose_dataset(calibration[user]) for user in personalised}
-    )
-    sharded = replay_users(sharded_server, serving)
-    import numpy as np
+    with ProcessShardedPoseServer(
+        estimator, num_shards=NUM_SHARDS, config=CONFIG, policy=LAST_LAYER
+    ) as sharded_server:
+        # Same personalised cohort; each shard adapts its own users in one
+        # grouped call, landing on exactly the same personal heads.
+        sharded_server.adapt_users(
+            {user: as_pose_dataset(calibration[user]) for user in personalised}
+        )
+        sharded = replay_users(sharded_server, serving)
+        exposition = sharded_server.to_prometheus()
 
     for user in serving:
         np.testing.assert_array_equal(
@@ -137,7 +135,7 @@ def main() -> None:
     )
 
     print("\nPrometheus exposition (what a /metrics endpoint would serve):")
-    print(sharded_server.to_prometheus())
+    print(exposition)
 
 
 if __name__ == "__main__":

@@ -21,11 +21,11 @@ every substrate it depends on:
   (:class:`repro.engine.BatchPlan`, a façade over the runtime plan) driving
   the radar, feature and meta-learning hot paths,
 * :mod:`repro.serve` — the streaming multi-user serving layer
-  (:class:`repro.serve.PoseServer` / :class:`repro.serve.ShardedPoseServer`
-  / :class:`repro.serve.ProcessShardedPoseServer`): per-user sessions,
+  (:class:`repro.serve.PoseServer` /
+  :class:`repro.serve.ProcessShardedPoseServer`): per-user sessions,
   cross-user micro-batching, per-user adaptation at scale, multi-shard
-  placement in one process or one worker process per shard, and the asyncio
-  socket front-end (:class:`repro.serve.PoseFrontend`),
+  placement with one worker process per shard, and the asyncio socket
+  front-end (:class:`repro.serve.PoseFrontend`),
 * :mod:`repro.viz` — point-cloud rendering and result tables,
 * :mod:`repro.experiments` — drivers that regenerate every table and figure
   of the paper's evaluation section, plus the ``fuse-experiment`` /

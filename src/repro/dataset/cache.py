@@ -16,7 +16,9 @@ memory falls through to disk before rebuilding, writes are atomic
 (temp-file + rename) so concurrent processes can share one directory, and the
 directory is bounded by least-recently-used eviction.  A disk entry that
 cannot be read is removed, counted as ``disk_corrupt`` and logged once as a
-JSON warning on the ``repro.dataset.cache`` logger.
+JSON warning on the ``repro.dataset.cache`` logger; a disk write that fails
+is counted as ``disk_write_failed`` and logged the same way (the build is
+still returned and kept in memory).
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class CacheStats:
     """Counters describing cache effectiveness.
 
     ``hits`` counts in-memory hits, ``disk_hits`` entries recovered from the
-    on-disk tier, ``misses`` full rebuilds, and ``disk_corrupt`` unreadable
-    disk entries that were dropped (each then rebuilds as a miss).
+    on-disk tier, ``misses`` full rebuilds, ``disk_corrupt`` unreadable
+    disk entries that were dropped (each then rebuilds as a miss), and
+    ``disk_write_failed`` builds that could not be spilled to disk.
     """
 
     hits: int = 0
@@ -60,6 +63,7 @@ class CacheStats:
     disk_hits: int = 0
     disk_evictions: int = 0
     disk_corrupt: int = 0
+    disk_write_failed: int = 0
 
     @property
     def requests(self) -> int:
@@ -77,6 +81,7 @@ class CacheStats:
             "disk_hits": self.disk_hits,
             "disk_evictions": self.disk_evictions,
             "disk_corrupt": self.disk_corrupt,
+            "disk_write_failed": self.disk_write_failed,
             "hit_rate": self.hit_rate,
         }
 
@@ -250,7 +255,16 @@ class FeatureCache:
             with open(temp, "wb") as handle:
                 np.savez(handle, features=features, labels=labels)
             os.replace(temp, path)  # atomic: readers never see a torn entry
-        except OSError:
+        except OSError as error:
+            # The build is still served from memory; count and log the lost
+            # disk entry once (``event``, ``path``, ``reason``).
+            self.stats.disk_write_failed += 1
+            entry = {
+                "event": "feature_cache_write_failed",
+                "path": str(path),
+                "reason": f"{type(error).__name__}: {error}",
+            }
+            _log.warning(json.dumps(entry))
             try:
                 temp.unlink()
             except OSError:

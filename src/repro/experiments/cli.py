@@ -9,7 +9,7 @@ Installed as the ``fuse-experiment`` console script::
     fuse-experiment table1 --scale ci --workers 4   # sharded generation/features
 
     fuse-experiment fuse-serve --unix /tmp/fuse.sock --shards 4
-    fuse-experiment fuse-serve --host 127.0.0.1 --port 8707 --backend inproc
+    fuse-experiment fuse-serve --host 127.0.0.1 --port 8707 --adapter-scope lora
     fuse-experiment fuse-serve --host 127.0.0.1 --port 0 --max-in-flight 64
 
 ``--workers`` threads a multi-process :class:`repro.runtime.ExecutionPlan`
@@ -21,9 +21,8 @@ seeding), so reproductions only get faster, never different.
 trains a small estimator on synthetic data, stands up a
 :class:`repro.serve.ProcessShardedPoseServer` — one worker process per
 serving shard — and exposes it through the asyncio socket front-end
-(:class:`repro.serve.PoseFrontend`), speaking the pipelined protocol v2 by
-default (``--protocol 1`` restores strict request/reply;
-``--max-in-flight`` bounds per-connection pipelining).  Once the socket is
+(:class:`repro.serve.PoseFrontend`), speaking the pipelined protocol v2
+(``--max-in-flight`` bounds per-connection pipelining).  Once the socket is
 bound a ``[fuse-serve] ready ...`` line reports the actual address — with
 ``--port 0`` that is the kernel-assigned port, so drivers wait for the
 line instead of sleeping.  The wire protocol is specified in
@@ -174,12 +173,6 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     sharding.add_argument(
         "--shards", type=int, default=2, help="serving shards / worker processes (default: 2)"
     )
-    sharding.add_argument(
-        "--backend",
-        choices=("process", "inproc"),
-        default="process",
-        help="run shards in worker processes (default) or in the front-end process",
-    )
 
     scheduling = parser.add_argument_group("micro-batch scheduling")
     scheduling.add_argument("--max-batch-size", type=int, default=32)
@@ -194,14 +187,6 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
         default=32,
         help="pipelined requests served concurrently per connection "
         "(protocol v2; default: 32)",
-    )
-    wire.add_argument(
-        "--protocol",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="highest wire-protocol generation to speak (1 = strict "
-        "request/reply, 2 = pipelined/streaming/batched; default: 2)",
     )
 
     adaptation = parser.add_argument_group("per-user adaptation")
@@ -267,7 +252,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         PoseFrontend,
         ProcessShardedPoseServer,
         ServeConfig,
-        ShardedPoseServer,
     )
     from ..serve.cli_utils import format_ready_line
 
@@ -330,10 +314,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     print(f"[fuse-serve] training on {len(dataset)} synthetic frames...", flush=True)
     estimator.fit_supervised(estimator.prepare(dataset))
 
-    if args.backend == "process":
-        server = ProcessShardedPoseServer(estimator, num_shards=args.shards, config=config)
-    else:
-        server = ShardedPoseServer(estimator, num_shards=args.shards, config=config)
+    server = ProcessShardedPoseServer(estimator, num_shards=args.shards, config=config)
 
     async def run() -> None:
         frontend = PoseFrontend(
@@ -342,14 +323,13 @@ def _run_serve(args: argparse.Namespace) -> int:
             port=args.port,
             unix_path=args.unix,
             max_in_flight=args.max_in_flight,
-            protocol=args.protocol,
             allow_remote_shutdown=args.allow_remote_shutdown,
         )
         await frontend.start()
         where = frontend.address
         print(
-            f"[fuse-serve] {args.shards} {args.backend} shard(s) listening on {where} "
-            f"(protocol v{args.protocol}, max in-flight {args.max_in_flight})",
+            f"[fuse-serve] {args.shards} process shard(s) listening on {where} "
+            f"(protocol v2, max in-flight {args.max_in_flight})",
             flush=True,
         )
         # A parseable readiness line carrying the *bound* address — with
@@ -374,8 +354,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("[fuse-serve] interrupted, shutting down", flush=True)
     finally:
-        if hasattr(server, "close"):
-            server.close()
+        server.close()
     return 0
 
 

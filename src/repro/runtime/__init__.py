@@ -18,11 +18,10 @@ One subsystem owns *how* work executes so no other layer has to:
 
 Consumers: synthetic dataset generation and bulk feature building shard on
 :func:`map_shards`; the batched engine reads its vectorization/cache policy
-from the plan; :class:`repro.serve.ShardedPoseServer` places users with
-:func:`shard_for`; :class:`repro.serve.ProcessShardedPoseServer` derives
-its worker processes from :func:`pool_context` and seeds each shard with
-:func:`seed_for_key`; the experiment drivers and CLI thread one plan
-through all of it.
+from the plan; :class:`repro.serve.ProcessShardedPoseServer` places users
+with :func:`shard_for`, derives its worker processes from
+:func:`pool_context` and seeds each shard with :func:`seed_for_key`; the
+experiment drivers and CLI thread one plan through all of it.
 """
 
 from .plan import ExecutionPlan

@@ -23,21 +23,20 @@ Pieces, inside-out:
 * :class:`ServeMetrics` — latency percentiles, throughput, queue depth and
   cache hit rates, with Prometheus text export and picklable state transfer
   for cross-process aggregation;
-* :class:`ShardedPoseServer` — N independent server shards behind one
-  façade; users hash onto shards (:func:`repro.runtime.shard_for`), each
-  shard owns its registry/batcher/sessions, metrics aggregate across shards;
-* :class:`ProcessShardedPoseServer` — the same shard layout with every
-  shard in its own worker process (:mod:`repro.serve.worker`): bounded
-  request/reply pipes, graceful shutdown, restart on crash, replay still
-  bitwise identical to the in-process servers;
+* :class:`ProcessShardedPoseServer` — N :class:`PoseServer` shards behind
+  one façade, each in its own worker process (:mod:`repro.serve.worker`);
+  users hash onto shards (:func:`repro.runtime.shard_for`), each shard owns
+  its registry/batcher/sessions, metrics aggregate across shards; bounded
+  request/reply pipes, graceful shutdown, restart on crash, replay bitwise
+  identical to a single :class:`PoseServer`;
 * :class:`PoseFrontend` / :class:`AsyncPoseClient`
   (:mod:`repro.serve.frontend`) — the asyncio socket layer speaking the
-  length-prefixed msgpack/JSON wire protocol of
-  :mod:`repro.serve.transport`, v2: pipelined multi-in-flight connections
-  with out-of-order reply correlation, a streaming ``enqueue``/push path
-  that feeds the cross-user micro-batcher from remote traffic, and
-  batched submits carrying N frames per wire frame in one contiguous
-  zero-copy ndarray block;
+  length-prefixed msgpack/JSON wire protocol v2 of
+  :mod:`repro.serve.transport`: pipelined multi-in-flight connections
+  with out-of-order reply correlation by request id, a streaming
+  ``enqueue``/push path that feeds the cross-user micro-batcher from
+  remote traffic, and batched submits carrying N frames per wire frame in
+  one contiguous zero-copy ndarray block;
 * the replay driver (:func:`replay_users`, :func:`user_streams_from_dataset`)
   simulating N concurrent users from the synthetic dataset;
 * the cluster tier (:mod:`repro.serve.router`) — :class:`PoseRouter`
@@ -86,7 +85,7 @@ from .replay import (
 )
 from .server import PoseServer
 from .session import SessionManager, UserSession, streaming_window
-from .sharded import ProcessShardedPoseServer, ShardedPoseServer
+from .sharded import ProcessShardedPoseServer
 from .worker import ShardCrashed, ShardDegraded, ShardProcess, ShardRemoteError
 
 __all__ = [
@@ -130,7 +129,6 @@ __all__ = [
     "ShardProcess",
     "ShardRemoteError",
     "SharedParameterKernel",
-    "ShardedPoseServer",
     "SocketServerBase",
     "TokenBucket",
     "TrafficClass",

@@ -72,7 +72,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -80,7 +79,6 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import nn
-from ..core.finetune import FineTuneConfig
 from ..core.models import PoseCNN
 from ..dataset.loader import ArrayDataset
 from ..engine.functional import (
@@ -110,10 +108,9 @@ from .policy import AdapterPolicy
 
 __all__ = ["AdapterRegistry"]
 
-#: current on-disk schema of :meth:`AdapterRegistry.save` and the spill files.
-#: Format 1 (PR-3 era) stored full parameter tensors with no rank metadata;
-#: format 2 adds the ``rank`` field so low-rank factor archives are
-#: self-describing.  :meth:`AdapterRegistry.load` reads both.
+#: on-disk schema of :meth:`AdapterRegistry.save` and the spill files; the
+#: ``rank`` field makes low-rank factor archives self-describing.  Archives
+#: of any other format are rejected with an error naming their format.
 SAVE_FORMAT = 2
 
 _SPILL_PREFIX = "user-"
@@ -142,11 +139,7 @@ class AdapterRegistry:
         The :class:`repro.serve.AdapterPolicy` governing everything here:
         adaptation scope and hyper-parameters, the low-rank ``rank``, and the
         hot/warm/cold tier budgets.  ``None`` uses the default policy
-        (``scope="all"``, the paper's ~5-epoch online regime).  Passing a
-        legacy :class:`FineTuneConfig` (positionally or via the deprecated
-        ``config=`` keyword) still works — it is translated through
-        :meth:`AdapterPolicy.from_finetune`, bitwise-equivalent — but emits a
-        :class:`DeprecationWarning`.
+        (``scope="all"``, the paper's ~5-epoch online regime).
     gather_cache_size:
         Number of recently used ``(tasks, ...)`` parameter stacks memoized
         for the serving hot path.
@@ -167,32 +160,13 @@ class AdapterRegistry:
     def __init__(
         self,
         model: PoseCNN,
-        policy: Optional[Union[AdapterPolicy, FineTuneConfig]] = None,
+        policy: Optional[AdapterPolicy] = None,
         gather_cache_size: int = 8,
         metrics: Optional[ServeMetrics] = None,
         gemm_block: int = 32,
-        config: Optional[FineTuneConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         self.model = model
-        if config is not None:
-            if policy is not None:
-                raise TypeError("pass either policy= or the legacy config=, not both")
-            warnings.warn(
-                "AdapterRegistry(config=FineTuneConfig(...)) is deprecated; "
-                "pass policy=AdapterPolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = AdapterPolicy.from_finetune(config)
-        elif isinstance(policy, FineTuneConfig):
-            warnings.warn(
-                "passing a FineTuneConfig to AdapterRegistry is deprecated; "
-                "pass an AdapterPolicy instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = AdapterPolicy.from_finetune(policy)
         self.policy: AdapterPolicy = policy if policy is not None else AdapterPolicy()
         if gather_cache_size < 1:
             raise ValueError("gather_cache_size must be >= 1")
@@ -260,16 +234,6 @@ class AdapterRegistry:
     def scope(self) -> str:
         """Which layers are personalised: ``"all"``, ``"last"`` or ``"lora"``."""
         return self.policy.scope
-
-    @property
-    def config(self) -> FineTuneConfig:
-        """Legacy accessor: the policy as a :class:`FineTuneConfig`.
-
-        Pre-policy call sites read ``registry.config`` for the adaptation
-        hyper-parameters; they keep working for the scopes a
-        :class:`FineTuneConfig` can express (``all``/``last``).
-        """
-        return self.policy.finetune_config()
 
     def trunk_embed(self, features: np.ndarray) -> np.ndarray:
         """The shared-trunk embedding under ``scope="last"`` (batch-invariant)."""
@@ -710,18 +674,18 @@ class AdapterRegistry:
         archive surface later as a shape crash inside a gather.
         """
         kind = "spill file" if spill else "checkpoint"
-        if not metadata or metadata.get("format") not in (1, SAVE_FORMAT):
+        if not metadata or "format" not in metadata:
             raise ValueError(f"{path} is not an adapter-registry {kind}")
+        if metadata["format"] != SAVE_FORMAT:
+            raise ValueError(
+                f"{kind} {path} is a format-{metadata['format']} archive; "
+                f"this registry reads format {SAVE_FORMAT} only"
+            )
         archive_scope = metadata.get("scope")
         if archive_scope != self.scope:
             raise ValueError(
                 f"{kind} {path} was saved with scope='{archive_scope}', "
                 f"registry policy has scope='{self.scope}'"
-            )
-        if metadata["format"] == 1 and self.scope == "lora":
-            raise ValueError(
-                f"{kind} {path} is a legacy format-1 archive (full parameter "
-                "tensors); it cannot load into a scope='lora' policy"
             )
         if self.scope == "lora":
             archive_rank = metadata.get("rank")
@@ -764,10 +728,8 @@ class AdapterRegistry:
     def load(self, path: Union[str, Path], replace: bool = True) -> List[Hashable]:
         """Restore adapted parameter sets saved by :meth:`save`.
 
-        Reads both the current format-2 schema and legacy PR-3-era format-1
-        archives (full parameter tensors, scopes ``all``/``last``) — a legacy
-        archive loads into a registry whose policy matches its scope exactly
-        as it always did.  Mismatched scope or rank raises a readable error.
+        Reads :data:`SAVE_FORMAT` archives only; another format, a
+        mismatched scope or a mismatched rank raises a readable error.
 
         ``replace=True`` (default) makes the registry contents equal the
         archive's — current users (including warm spill files) are dropped

@@ -7,11 +7,11 @@ typically a :class:`repro.serve.ProcessShardedPoseServer`, whose
 :func:`repro.runtime.shard_for` placement sends the user to its shard
 process — and streams results back on the same connection.
 
-Concurrency model (protocol v2, the default):
+Concurrency model (protocol v2):
 
 * the asyncio event loop owns every socket: reads, frame parsing and writes
   never block on model compute;
-* a connection is **pipelined**: every request carrying an ``id`` is
+* a connection is **pipelined**: every request carries an ``id`` and is
   dispatched as its own task (bounded by ``max_in_flight`` per connection)
   and replies carry the request's ``id`` so they may return out of order —
   one client can keep several shards busy through one socket;
@@ -30,9 +30,8 @@ Concurrency model (protocol v2, the default):
   one backend batch call per shard — the cheapest way to feed the batcher
   over a socket.
 
-Requests without an ``id`` keep the strict v1 request/reply discipline:
-they are served inline, in order, and answered without an ``id`` — a v1
-client on a v2 server downgrades gracefully.
+A request without an int or str ``id`` is answered with an uncorrelated
+``error`` frame (``ProtocolError``) and the connection keeps reading.
 
 Backpressure surfaces exactly like in-process serving: a full shard queue
 drops or rejects per :class:`repro.serve.ServeConfig`, and the client sees
@@ -71,8 +70,6 @@ from .transport import (
     CODEC_JSON,
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOLS,
-    V2_MESSAGE_TYPES,
     ArrayBlock,
     WireError,
     available_codecs,
@@ -231,14 +228,11 @@ class SocketServerBase:
         unix_path: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        protocol: int = PROTOCOL_VERSION,
         allow_remote_shutdown: bool = False,
         push_credits: Optional[int] = None,
     ) -> None:
         if (host is None) == (unix_path is None):
             raise ValueError("provide exactly one of host / unix_path")
-        if protocol not in SUPPORTED_PROTOCOLS:
-            raise ValueError(f"protocol must be one of {SUPPORTED_PROTOCOLS}")
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if push_credits is not None and push_credits < 1:
@@ -248,7 +242,6 @@ class SocketServerBase:
         self.unix_path = unix_path
         self.max_frame_bytes = max_frame_bytes
         self.max_in_flight = max_in_flight
-        self.protocol = protocol
         self.allow_remote_shutdown = allow_remote_shutdown
         self.push_credits = push_credits
         self._listener: Optional[asyncio.AbstractServer] = None
@@ -368,29 +361,14 @@ class SocketServerBase:
                     break  # clean EOF between frames
                 message, codec = framed
                 conn.codec = codec  # fallback for unparseable-frame errors
-                request_id = message.get("id") if self.protocol >= 2 else None
-                if request_id is None:
-                    # Strict v1 discipline: serve inline, reply without id.
-                    # Barrier behind in-flight pipelined requests first —
-                    # this inline path would otherwise reach its shard lock
-                    # before an earlier request's task has even started,
-                    # overtaking it in the enqueue order.
-                    if conn.tasks:
-                        await asyncio.gather(*list(conn.tasks), return_exceptions=True)
-                    reply = await self._serve(conn, message, None, codec)
-                    if reply is None:  # blackholed
-                        continue
-                    conn.outbox.put_nowait((reply, codec, None))
-                    self.requests_served += 1
-                    if reply["type"] == "goodbye":
-                        self._closing.set()
-                        break
-                    continue
+                request_id = message.get("id")
                 if not isinstance(request_id, (int, str)):
                     conn.outbox.put_nowait(
                         (
                             _error_message(
-                                transport.ProtocolError("request id must be an int or str")
+                                transport.ProtocolError(
+                                    "every request requires a request id (an int or str)"
+                                )
                             ),
                             codec,
                             None,
@@ -580,15 +558,10 @@ class SocketServerBase:
     # ------------------------------------------------------------------
     async def _dispatch(self, conn: _Connection, message: dict, request_id, codec: str) -> dict:
         kind = message["type"]
-        if self.protocol < 2 and kind in V2_MESSAGE_TYPES:
-            raise transport.ProtocolError(
-                f"message type {kind!r} requires protocol v2, front-end speaks v1"
-            )
         if kind == "hello":
             reply = {
                 "type": "hello",
-                "protocol": self.protocol,
-                "protocols": [v for v in SUPPORTED_PROTOCOLS if v <= self.protocol],
+                "protocol": PROTOCOL_VERSION,
                 "codecs": list(available_codecs()),
                 "max_in_flight": self.max_in_flight,
                 # push flow control: the per-connection credit budget, or
@@ -681,10 +654,8 @@ class PoseFrontend(SocketServerBase):
     ----------
     server:
         The backend: a :class:`repro.serve.ProcessShardedPoseServer` for a
-        process-per-shard deployment, or any object with ``submit`` /
-        ``enqueue`` / ``poll`` / ``flush`` / ``metrics_snapshot`` /
-        ``to_prometheus`` (the in-process servers work too, serialized
-        through a single executor thread).
+        process-per-shard deployment, or a :class:`repro.serve.PoseServer`
+        (serialized through a single executor thread).
     host / port:
         TCP listening address, or
     unix_path:
@@ -696,18 +667,17 @@ class PoseFrontend(SocketServerBase):
         ``num_shards`` when the backend declares ``parallel_safe = True``
         (the process-per-shard server does: each shard's commands
         serialize on their own lock) and to 1 otherwise — the in-process
-        servers are single-threaded by design and must never see
+        server is single-threaded by design and must never see
         concurrent calls.  More threads than shards buys nothing: each
         shard serializes its own commands.
     max_in_flight:
         Bound on concurrently dispatched requests per connection
-        (protocol v2 pipelining).  When a connection's window is full the
-        front-end stops reading from it, so the socket's own buffers are
-        the only queue ahead of the dispatch layer.
+        (pipelining).  When a connection's window is full the front-end
+        stops reading from it, so the socket's own buffers are the only
+        queue ahead of the dispatch layer.
     protocol:
-        Highest protocol generation to speak (default 2).  ``protocol=1``
-        restores the strict one-request-in-flight behaviour: request ids
-        are ignored and the v2 message types are rejected.
+        Accepted only as ``2``, the one protocol generation spoken; any
+        other value raises ``ValueError``.
     poll_interval_s:
         Cadence of the background poller that applies the backend's
         micro-batch latency deadline while streaming tickets are
@@ -757,13 +727,14 @@ class PoseFrontend(SocketServerBase):
         clock: Optional[Callable[[], float]] = None,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
+        if protocol != PROTOCOL_VERSION:
+            raise ValueError(f"protocol must be {PROTOCOL_VERSION}, got {protocol!r}")
         super().__init__(
             host=host,
             port=port,
             unix_path=unix_path,
             max_frame_bytes=max_frame_bytes,
             max_in_flight=max_in_flight,
-            protocol=protocol,
             allow_remote_shutdown=allow_remote_shutdown,
             push_credits=push_credits,
         )
@@ -812,8 +783,7 @@ class PoseFrontend(SocketServerBase):
         )
 
     async def _after_listen(self) -> None:
-        if self.protocol >= 2:
-            self._poller = asyncio.ensure_future(self._poll_loop())
+        self._poller = asyncio.ensure_future(self._poll_loop())
 
     async def _before_unbind(self) -> None:
         if self._poller is not None:
@@ -831,13 +801,12 @@ class PoseFrontend(SocketServerBase):
     # Dispatch
     # ------------------------------------------------------------------
     def _hello_extra(self) -> dict:
-        policy = getattr(self.server, "policy", None)
         return {
             "shards": int(getattr(self.server, "num_shards", 1) or 1),
             # adapter_policy lets a client discover how this deployment
             # personalizes (scope, rank, tier budgets) without a side
-            # channel; None when the backend predates AdapterPolicy.
-            "adapter_policy": policy.to_dict() if policy is not None else None,
+            # channel.
+            "adapter_policy": self.server.policy.to_dict(),
             # the traffic classes, budgets and rate limits this deployment
             # schedules under — clients pick a priority from these
             "scheduling": self.scheduler.to_dict(),
@@ -962,20 +931,6 @@ class PoseFrontend(SocketServerBase):
         for user, tokens in counts.items():
             buckets[user].try_acquire(now, tokens)
 
-    def _backend_call(self, method: str, priority, deadline_ms=None):
-        """The backend method, with scheduling kwargs bound when present.
-
-        Plain calls stay kwarg-free so any object with the bare
-        ``submit``/``enqueue`` signature still works as a backend.
-        """
-        fn = getattr(self.server, method)
-        kwargs = {}
-        if priority is not None:
-            kwargs["priority"] = priority
-        if deadline_ms is not None:
-            kwargs["deadline_ms"] = deadline_ms
-        return partial(fn, **kwargs) if kwargs else fn
-
     async def _submit(self, message: dict) -> dict:
         if self._closing.is_set():
             raise ServerClosing("front-end is shutting down")
@@ -988,7 +943,7 @@ class PoseFrontend(SocketServerBase):
         self._admit(user)
         loop = asyncio.get_running_loop()
         start = loop.time()
-        submit = self._backend_call("submit", priority, deadline_ms)
+        submit = partial(self.server.submit, priority=priority, deadline_ms=deadline_ms)
         lock = self._shard_lock(user)
         async with lock.held(lock.claim()):
             joints = await self._run_blocking(submit, user, cloud)
@@ -1003,10 +958,6 @@ class PoseFrontend(SocketServerBase):
     async def _enqueue(self, conn: _Connection, message: dict, request_id, codec: str) -> dict:
         if self._closing.is_set():
             raise ServerClosing("front-end is shutting down")
-        if request_id is None:
-            raise transport.ProtocolError(
-                "enqueue requires a request id (it doubles as the ticket)"
-            )
         if request_id in conn.tickets:
             raise transport.ProtocolError(
                 f"ticket {request_id!r} is still outstanding on this connection"
@@ -1018,7 +969,7 @@ class PoseFrontend(SocketServerBase):
             raise transport.ProtocolError(f"malformed enqueue message: {error}") from error
         priority, deadline_ms = _parse_scheduling(message)
         self._admit(user)
-        enqueue = self._backend_call("enqueue", priority, deadline_ms)
+        enqueue = partial(self.server.enqueue, priority=priority, deadline_ms=deadline_ms)
         lock = self._shard_lock(user)
         async with lock.held(lock.claim()):
             handle = await self._run_blocking(enqueue, user, cloud)
@@ -1068,8 +1019,8 @@ class PoseFrontend(SocketServerBase):
         priority, _ = _parse_scheduling(message)
         # Streamed mode: push each frame's prediction the moment its handle
         # resolves (correlated by ``batch``/``index``), ahead of the final
-        # ``predictions`` reply.  Needs a request id to correlate against.
-        stream = bool(message.get("stream")) and request_id is not None
+        # ``predictions`` reply.
+        stream = bool(message.get("stream"))
         self._admit_all(users)
         loop = asyncio.get_running_loop()
         start = loop.time()
@@ -1093,9 +1044,7 @@ class PoseFrontend(SocketServerBase):
         async def enqueue_shard(index: int, positions: List[int]) -> None:
             shard_items = [items[p] for p in positions]
             async with self._shard_lock_by_index(index).held(claims[index]):
-                got = await self._run_blocking(
-                    self._enqueue_many_blocking, shard_items, priority
-                )
+                got = await self._run_blocking(self.server.enqueue_many, shard_items, priority)
             for position, handle in zip(positions, got):
                 handles[position] = handle
 
@@ -1162,22 +1111,6 @@ class PoseFrontend(SocketServerBase):
             "joints": ArrayBlock(joints),
             "latency_ms": (loop.time() - start) * 1000.0,
         }
-
-    def _enqueue_many_blocking(
-        self,
-        items: Sequence[Tuple[Hashable, PointCloudFrame]],
-        priority: Optional[str] = None,
-    ):
-        enqueue_many = getattr(self.server, "enqueue_many", None)
-        if enqueue_many is not None:
-            if priority is not None:
-                return enqueue_many(items, priority=priority)
-            return enqueue_many(items)
-        from .server import enqueue_each
-
-        if priority is not None:
-            return enqueue_each(self.server, items, priority=priority)
-        return enqueue_each(self.server, items)
 
     @staticmethod
     def _resolve_handles_blocking(handles: Sequence) -> List:
@@ -1374,11 +1307,10 @@ class AsyncPoseClient:
     * :meth:`submit_batch` ships N frames in one contiguous
       :class:`repro.serve.transport.ArrayBlock` frame.
 
-    Replies without an ``id`` (a v1 server) resolve the oldest outstanding
-    request — exactly the strict-ordering discipline v1 guarantees — so the
-    same client speaks to either protocol generation.  ``codec`` selects
-    msgpack when both sides have it; the server always answers in the codec
-    of the request.
+    An ``error`` frame that carries neither ``id`` nor ``ticket`` cannot be
+    attributed to one request, so it fails every outstanding one.
+    ``codec`` selects msgpack when both sides have it; the server always
+    answers in the codec of the request.
     """
 
     def __init__(
@@ -1408,12 +1340,11 @@ class AsyncPoseClient:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._send_lock = asyncio.Lock()
-        self._pending: "OrderedDict[object, asyncio.Future]" = OrderedDict()
+        self._pending: Dict[object, asyncio.Future] = {}
         self._tickets: Dict[object, asyncio.Future] = {}
         #: streamed submit_batch callbacks, keyed by the batch's request id
         self._streams: Dict[object, Callable[[dict], None]] = {}
         self._next_id = 0
-        self._server_protocol: Optional[int] = None
         self._read_error: Optional[Exception] = None
         self._opener = None
         self._dial_policy = RetryPolicy(max_attempts=1, base_delay_s=0.05, max_delay_s=1.0)
@@ -1560,24 +1491,15 @@ class AsyncPoseClient:
                 self._streams[batch](message)  # not kill the read loop
             self._note_push()
             return
-        if request_id is None and ticket is None:
-            if message["type"] == "error" and (self._server_protocol or 0) >= 2:
-                # A v2 server only ever sends an uncorrelated error for a
-                # connection-level fault (an unparseable frame) and hangs
-                # up right after — blaming the oldest request would point
-                # the caller at the wrong submission.
-                self._fail_outstanding(
-                    RuntimeError(
-                        f"server error {message['error']}: {message['detail']}"
-                    )
-                )
-                return
-            if self._pending:
-                # A v1 server answers strictly in order and without ids:
-                # the reply belongs to the oldest outstanding request.
-                _, future = self._pending.popitem(last=False)
-                self._resolve(future, message)
-                return
+        if request_id is None and ticket is None and message["type"] == "error":
+            # The server sends an uncorrelated error only for a fault it
+            # cannot pin on one request (an unparseable frame, a request
+            # without an id) — blaming any one request would point the
+            # caller at the wrong submission.
+            self._fail_outstanding(
+                RuntimeError(f"server error {message['error']}: {message['detail']}")
+            )
+            return
         self.unmatched_replies += 1
 
     @staticmethod
@@ -1634,7 +1556,7 @@ class AsyncPoseClient:
         """Send one request and await its correlated reply.
 
         Raises on an ``error`` reply.  Many requests may be in flight at
-        once; replies resolve by ``id`` (or in order against a v1 server).
+        once; replies resolve by ``id``.
         """
         if self._reader is None or self._writer is None:
             raise RuntimeError("client is not connected")
@@ -1707,10 +1629,6 @@ class AsyncPoseClient:
 
     async def hello(self) -> dict:
         reply = await self.request({"type": "hello", "protocol": PROTOCOL_VERSION})
-        try:
-            self._server_protocol = int(reply.get("protocol", 1))
-        except (TypeError, ValueError):
-            self._server_protocol = None
         budget = reply.get("push_credits")
         self._push_budget = int(budget) if isinstance(budget, int) else None
         self._push_consumed = 0

@@ -11,8 +11,8 @@ Two export surfaces sit on top of the counters:
 
 * :meth:`ServeMetrics.to_prometheus` renders the Prometheus text exposition
   format (counters, gauges and a latency summary with quantiles), optionally
-  with a fixed label set — :class:`repro.serve.ShardedPoseServer` labels each
-  shard's block with ``shard="<index>"``.
+  with a fixed label set — :class:`repro.serve.ProcessShardedPoseServer`
+  labels each shard's block with ``shard="<index>"``.
 * :meth:`ServeMetrics.aggregate` merges several instances (one per serving
   shard) into a single snapshot: counters sum, high-water marks take the
   maximum, and latency percentiles are computed over the pooled windows.

@@ -1,11 +1,7 @@
 """The unified per-user adaptation policy of the serving subsystem.
 
-Historically the adapter surface was a string ``scope`` on
-:class:`repro.core.finetune.FineTuneConfig` plus scattered constructor
-kwargs (``adaptation=...``, ``gemm_block=...``) threaded hand to hand
-through :class:`AdapterRegistry`, the servers and the CLI.
-:class:`AdapterPolicy` replaces that with one frozen configuration object
-describing *everything* about per-user adaptation:
+:class:`AdapterPolicy` is one frozen configuration object describing
+*everything* about per-user adaptation:
 
 * **what is personalised** — ``scope``: ``"all"`` (full per-user parameter
   tensors), ``"last"`` (shared trunk + personal final layer), or ``"lora"``
@@ -13,9 +9,8 @@ describing *everything* about per-user adaptation:
   every layer: ``O(rank * (fan_in + fan_out))`` resident memory per user
   instead of ``O(fan_in * fan_out)``);
 * **how adaptation trains** — ``epochs`` / ``learning_rate`` /
-  ``batch_size`` / ``loss`` / ``shuffle`` / ``seed``, mirroring the
-  fine-tuning hyper-parameters the registry always used (plain SGD, the
-  rule the FUSE initialization was optimized for);
+  ``batch_size`` / ``loss`` / ``shuffle`` / ``seed``, the plain-SGD
+  fine-tuning hyper-parameters the FUSE initialization was optimized for;
 * **where adapter state lives** — the hot/warm/cold lifecycle:
   ``hot_capacity`` bounds the users resident in the in-memory gather stack,
   ``spill_dir`` enables the warm tier (per-user CRC-checked spill records,
@@ -26,9 +21,7 @@ describing *everything* about per-user adaptation:
 One policy object travels through :class:`repro.serve.ServeConfig`, every
 server constructor, the :class:`repro.serve.worker.ShardFactory` pickle
 boundary, the wire protocol's ``hello`` handshake and the ``fuse-serve``
-CLI.  The legacy ``adaptation=FineTuneConfig(...)`` kwargs keep working
-through :meth:`AdapterPolicy.from_finetune` (with a
-``DeprecationWarning``), bitwise-equivalent to the old path.
+CLI.
 """
 
 from __future__ import annotations
@@ -36,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
-
-from ..core.finetune import FineTuneConfig
 
 __all__ = ["AdapterPolicy"]
 
@@ -112,50 +103,6 @@ class AdapterPolicy:
             # Frozen dataclass: normalise Path and friends through the
             # object.__setattr__ escape hatch the dataclass itself uses.
             object.__setattr__(self, "spill_dir", str(self.spill_dir))
-
-    # ------------------------------------------------------------------
-    # Legacy interop
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_finetune(cls, config: FineTuneConfig, **overrides) -> "AdapterPolicy":
-        """Translate a legacy :class:`FineTuneConfig` into a policy.
-
-        The translation is exact — every adaptation hyper-parameter carries
-        over verbatim, so an old ``adaptation=FineTuneConfig(...)`` call
-        site behaves bitwise identically under the policy API.  Grouped
-        adaptation requires plain SGD, as it always has.
-        """
-        if config.optimizer != "sgd":
-            raise ValueError("grouped adaptation only supports the sgd optimizer")
-        return cls(
-            scope=config.scope,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            loss=config.loss,
-            shuffle=config.shuffle,
-            seed=config.seed,
-            **overrides,
-        )
-
-    def finetune_config(self) -> FineTuneConfig:
-        """The equivalent :class:`FineTuneConfig` (scopes ``all``/``last``).
-
-        ``scope="lora"`` has no fine-tune-config equivalent — the low-rank
-        trajectory trains factors, not parameter tensors.
-        """
-        if self.scope == "lora":
-            raise ValueError("scope='lora' has no FineTuneConfig equivalent")
-        return FineTuneConfig(
-            epochs=self.epochs,
-            scope=self.scope,
-            optimizer="sgd",
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            loss=self.loss,
-            shuffle=self.shuffle,
-            seed=self.seed,
-        )
 
     # ------------------------------------------------------------------
     # Derived forms

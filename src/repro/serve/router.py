@@ -75,11 +75,7 @@ from .health import HealthMonitor
 from .metrics import ServeMetrics, merge_expositions
 from .migration import SessionMirror
 from .ring import DEFAULT_VNODES, HashRing
-from .transport import (
-    DEFAULT_MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    ArrayBlock,
-)
+from .transport import DEFAULT_MAX_FRAME_BYTES, ArrayBlock
 
 __all__ = ["BackendSpec", "NoBackendAvailable", "PoseRouter", "RouterBackend"]
 
@@ -200,7 +196,6 @@ class PoseRouter(SocketServerBase):
         codec: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        protocol: int = PROTOCOL_VERSION,
         allow_remote_shutdown: bool = False,
         push_credits: Optional[int] = DEFAULT_PUSH_CREDITS,
         connect_retries: int = 20,
@@ -219,12 +214,9 @@ class PoseRouter(SocketServerBase):
             unix_path=unix_path,
             max_frame_bytes=max_frame_bytes,
             max_in_flight=max_in_flight,
-            protocol=protocol,
             allow_remote_shutdown=allow_remote_shutdown,
             push_credits=push_credits,
         )
-        if protocol < 2:
-            raise ValueError("the router requires protocol v2 (pipelining + pushes)")
         self._specs = list(backends)
         self.codec = codec
         self.connect_retries = connect_retries
@@ -597,10 +589,6 @@ class PoseRouter(SocketServerBase):
     async def _enqueue(self, conn: _Connection, message: dict, request_id, codec: str) -> dict:
         if self._closing.is_set():
             raise ServerClosing("router is shutting down")
-        if request_id is None:
-            raise transport.ProtocolError(
-                "enqueue requires a request id (it doubles as the ticket)"
-            )
         if request_id in conn.tickets:
             raise transport.ProtocolError(
                 f"ticket {request_id!r} is still outstanding on this connection"
@@ -710,7 +698,7 @@ class PoseRouter(SocketServerBase):
         # Streamed mode mirrors the front-end's: each forwarded frame's
         # prediction is pushed (correlated by ``batch``/``index``) the
         # moment its backend answers, ahead of the aggregate reply.
-        stream = bool(message.get("stream")) and request_id is not None
+        stream = bool(message.get("stream"))
         loop = asyncio.get_running_loop()
         start = loop.time()
 

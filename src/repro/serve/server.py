@@ -25,13 +25,11 @@ logical (many interleaved user streams), scheduling is explicit
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import nn
-from ..core.finetune import FineTuneConfig
 from ..core.pipeline import FusePoseEstimator
 from ..dataset.loader import ArrayDataset
 from ..dataset.sample import PoseDataset
@@ -47,31 +45,7 @@ from .migration import export_user_state, import_user_state
 from .policy import AdapterPolicy
 from .session import SessionManager
 
-__all__ = ["PoseServer", "enqueue_each"]
-
-
-def enqueue_each(
-    server,
-    items: Sequence[Tuple[Hashable, PointCloudFrame]],
-    priority: Optional[str] = None,
-) -> List[Union[PendingPrediction, Exception]]:
-    """Enqueue ``(user_id, frame)`` pairs in order, one outcome per slot.
-
-    The shared per-frame contract of every ``enqueue_many`` surface: each
-    slot holds the handle, or the exception its enqueue raised
-    (``QueueFull`` under the ``reject`` backpressure policy).  Capturing
-    per slot — rather than raising mid-batch — keeps the already-admitted
-    prefix addressable: those frames *did* enter their users' fusion
-    rings, so a caller must never blindly resubmit them.  ``priority``
-    names the traffic class every frame of the batch is scheduled under.
-    """
-    outcomes: List[Union[PendingPrediction, Exception]] = []
-    for user_id, frame in items:
-        try:
-            outcomes.append(server.enqueue(user_id, frame, priority=priority))
-        except Exception as error:
-            outcomes.append(error)
-    return outcomes
+__all__ = ["PoseServer"]
 
 
 class PoseServer:
@@ -88,38 +62,23 @@ class PoseServer:
         Scheduling and capacity knobs (:class:`ServeConfig`).  Its
         ``adapter`` field is the canonical place to configure per-user
         adaptation.
-    adaptation:
-        Deprecated: legacy fine-tuning hyper-parameters.  Use
-        ``policy=AdapterPolicy(...)`` (or ``config.adapter``) instead; the
-        translated policy is bitwise-equivalent.
     clock:
         Monotonic time source, injectable for deterministic latency tests.
     policy:
         The per-user :class:`AdapterPolicy`.  Resolution order: this kwarg,
         then ``config.adapter``, then the default policy (``scope="all"``,
-        the ~5-epoch online regime the legacy default expressed).
+        the paper's ~5-epoch online regime).
     """
 
     def __init__(
         self,
         estimator: FusePoseEstimator,
         config: Optional[ServeConfig] = None,
-        adaptation: Optional[FineTuneConfig] = None,
         clock: Callable[[], float] = time.perf_counter,
         policy: Optional[AdapterPolicy] = None,
     ) -> None:
         self.estimator = estimator
         self.config = config if config is not None else ServeConfig()
-        if adaptation is not None:
-            if policy is not None:
-                raise TypeError("pass either policy= or the legacy adaptation=, not both")
-            warnings.warn(
-                "PoseServer(adaptation=FineTuneConfig(...)) is deprecated; "
-                "pass policy=AdapterPolicy(...) or set ServeConfig.adapter instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = AdapterPolicy.from_finetune(adaptation)
         if policy is None:
             policy = self.config.adapter
         self.policy = policy if policy is not None else AdapterPolicy()
@@ -213,13 +172,25 @@ class PoseServer:
         priority: Optional[str] = None,
     ) -> List[Union[PendingPrediction, Exception]]:
         """Enqueue many ``(user_id, frame)`` pairs in order, one outcome
-        per slot (see :func:`enqueue_each` for the per-frame contract).
+        per slot.
 
-        The batched surface exists so transports (the socket front-end,
-        the process-shard command channel) can amortize their per-request
-        round-trip cost over N frames.
+        Each slot holds the handle, or the exception its enqueue raised
+        (``QueueFull`` under the ``reject`` backpressure policy).  Capturing
+        per slot — rather than raising mid-batch — keeps the
+        already-admitted prefix addressable: those frames *did* enter their
+        users' fusion rings, so a caller must never blindly resubmit them.
+        ``priority`` names the traffic class every frame of the batch is
+        scheduled under.  The batched surface exists so the socket
+        front-end can amortize its per-request round-trip cost over N
+        frames.
         """
-        return enqueue_each(self, items, priority=priority)
+        outcomes: List[Union[PendingPrediction, Exception]] = []
+        for user_id, frame in items:
+            try:
+                outcomes.append(self.enqueue(user_id, frame, priority=priority))
+            except Exception as error:
+                outcomes.append(error)
+        return outcomes
 
     def submit(
         self,

@@ -1,55 +1,48 @@
-"""Multi-shard serving: hash users onto N independent :class:`PoseServer`\\ s.
+"""Multi-shard serving: hash users onto N :class:`PoseServer` worker processes.
 
 One :class:`PoseServer` is single-threaded by design; scaling past one core
-(or one process, with a process-per-shard deployment in front) means running
-several of them side by side.  :class:`ShardedPoseServer` owns that layout:
+means running several of them side by side.
+:class:`ProcessShardedPoseServer` owns that layout:
 
 * every user hashes onto a fixed shard (:func:`repro.runtime.shard_for`,
   stable across processes), so the user's session ring, adapted parameters
   and micro-batch co-riders all live on one shard — no cross-shard state;
-* each shard has its own :class:`MicroBatcher`, :class:`SessionManager` and
-  :class:`AdapterRegistry`, sharing only the read-only estimator (weights
-  and feature builder);
+* each shard is a :class:`PoseServer` in its own worker process
+  (:class:`repro.serve.worker.ShardProcess`) with its own
+  :class:`MicroBatcher`, :class:`SessionManager` and
+  :class:`AdapterRegistry`, built from the same read-only estimator;
 * metrics aggregate across shards (:meth:`ServeMetrics.aggregate`), and the
   Prometheus exposition labels each shard's samples with ``shard="<i>"``.
 
 Because every serving route is batch-composition invariant, splitting users
-over shards never changes a prediction: a replay through N shards is bitwise
-identical to the same replay through one server with the same scheduling
-config — ``tests/serve/test_sharded_server.py`` pins this user for user.
+over shards never changes a prediction: a replay through N shard processes
+is bitwise identical to the same replay through one :class:`PoseServer`
+with the same scheduling config — ``tests/serve/test_sharded_server.py``
+and ``tests/serve/test_process_sharded.py`` pin this user for user.
 
 The façade mirrors the :class:`PoseServer` surface (``enqueue`` / ``submit``
 / ``poll`` / ``flush`` / ``adapt_users`` / ``metrics_snapshot``), so the
-replay driver and the examples run unchanged against either.
-
-:class:`ProcessShardedPoseServer` keeps the same façade and the same
-bitwise-replay guarantee but runs every shard in its own worker process
-(:class:`repro.serve.worker.ShardProcess`): identical shard placement,
-identical per-shard scheduling, so the only difference is *where* each
-shard's flush executes.  That is the layer at which shard parallelism
-finally buys wall-clock throughput on a multi-core host.
+replay driver, the socket front-end and the examples run unchanged against
+either.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.finetune import FineTuneConfig
 from ..core.pipeline import FusePoseEstimator
 from ..dataset.loader import ArrayDataset
 from ..dataset.sample import PoseDataset
 from ..radar.pointcloud import PointCloudFrame
 from ..runtime import shard_for
-from .batcher import FrameDropped, PendingPrediction, QueueFull
+from .batcher import FrameDropped, QueueFull
 from .config import ServeConfig
 from .metrics import ServeMetrics, prometheus_exposition
 from .policy import AdapterPolicy
-from .server import PoseServer, enqueue_each
 from .faults import RetryPolicy
 from .worker import (
     DEFAULT_CHANNEL_DEPTH,
@@ -69,213 +62,7 @@ from .worker import (
     ShardProcess,
 )
 
-__all__ = ["ProcessShardedPoseServer", "ShardedPoseServer"]
-
-
-def _resolve_policy(
-    config: ServeConfig,
-    adaptation: Optional[FineTuneConfig],
-    policy: Optional[AdapterPolicy],
-    owner: str,
-) -> Optional[AdapterPolicy]:
-    """Shared kwarg resolution of the sharded façades.
-
-    Explicit ``policy`` wins; the legacy ``adaptation`` kwarg is translated
-    (with a :class:`DeprecationWarning`, bitwise-equivalent); otherwise
-    ``config.adapter`` applies, and ``None`` leaves each shard on the
-    default policy.
-    """
-    if adaptation is not None:
-        if policy is not None:
-            raise TypeError("pass either policy= or the legacy adaptation=, not both")
-        warnings.warn(
-            f"{owner}(adaptation=FineTuneConfig(...)) is deprecated; "
-            "pass policy=AdapterPolicy(...) or set ServeConfig.adapter instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        policy = AdapterPolicy.from_finetune(adaptation)
-    return policy if policy is not None else config.adapter
-
-
-class ShardedPoseServer:
-    """N :class:`PoseServer` shards behind one server-shaped façade.
-
-    Parameters
-    ----------
-    estimator:
-        The shared (read-only) estimator; every shard serves the same base
-        weights and feature builder.
-    num_shards:
-        Number of independent shards.  Users are assigned by a stable hash
-        of their id, so the mapping survives restarts and is identical in
-        every process of a multi-process deployment.
-    config / adaptation / clock / policy:
-        Forwarded to every shard (see :class:`PoseServer`; ``adaptation``
-        is the deprecated legacy spelling of ``policy``).  Using one
-        scheduling config everywhere keeps the shared-parameter kernel's
-        GEMM block width identical across shards, which is what makes the
-        sharded replay bitwise equal to a single-server replay.  A policy
-        with a spill directory is split into per-shard subdirectories
-        (``shard000/…``) so shards never share spill files.
-    """
-
-    def __init__(
-        self,
-        estimator: FusePoseEstimator,
-        num_shards: int = 2,
-        config: Optional[ServeConfig] = None,
-        adaptation: Optional[FineTuneConfig] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        policy: Optional[AdapterPolicy] = None,
-    ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.estimator = estimator
-        self.config = config if config is not None else ServeConfig()
-        resolved = _resolve_policy(self.config, adaptation, policy, "ShardedPoseServer")
-        self.policy = resolved if resolved is not None else AdapterPolicy()
-        self.shards: List[PoseServer] = [
-            PoseServer(
-                estimator,
-                self.config,
-                clock=clock,
-                policy=self.policy.with_spill_subdir(f"shard{index:03d}"),
-            )
-            for index in range(num_shards)
-        ]
-
-    # ------------------------------------------------------------------
-    # Placement
-    # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    def shard_index(self, user_id: Hashable) -> int:
-        """The shard a user's traffic and state live on (stable hash)."""
-        return shard_for(user_id, len(self.shards))
-
-    def shard_of(self, user_id: Hashable) -> PoseServer:
-        return self.shards[self.shard_index(user_id)]
-
-    # ------------------------------------------------------------------
-    # Request path (PoseServer façade)
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Requests waiting for the next micro-batch, across all shards."""
-        return sum(shard.pending for shard in self.shards)
-
-    def enqueue(
-        self,
-        user_id: Hashable,
-        frame: PointCloudFrame,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> PendingPrediction:
-        """Route one frame to the user's shard (may flush that shard)."""
-        return self.shard_of(user_id).enqueue(
-            user_id, frame, priority=priority, deadline_ms=deadline_ms
-        )
-
-    def enqueue_many(
-        self,
-        items: Sequence[Tuple[Hashable, PointCloudFrame]],
-        priority: Optional[str] = None,
-    ) -> List[Union[PendingPrediction, Exception]]:
-        """Enqueue many ``(user_id, frame)`` pairs in order, one outcome
-        per slot — the shared :func:`repro.serve.server.enqueue_each`
-        contract."""
-        return enqueue_each(self, items, priority=priority)
-
-    def submit(
-        self,
-        user_id: Hashable,
-        frame: PointCloudFrame,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> np.ndarray:
-        """Synchronous prediction through the user's shard."""
-        return self.shard_of(user_id).submit(
-            user_id, frame, priority=priority, deadline_ms=deadline_ms
-        )
-
-    def poll(self, now: Optional[float] = None) -> int:
-        """Apply every shard's latency deadline; returns predictions produced."""
-        return sum(shard.poll(now) for shard in self.shards)
-
-    def flush(self) -> int:
-        """Flush every shard's pending micro-batch now."""
-        return sum(shard.flush() for shard in self.shards)
-
-    # ------------------------------------------------------------------
-    # Per-user adaptation
-    # ------------------------------------------------------------------
-    def adapt_user(
-        self,
-        user_id: Hashable,
-        dataset: Union[PoseDataset, ArrayDataset],
-        epochs: Optional[int] = None,
-    ) -> None:
-        """Fine-tune one user's personal parameters on their shard."""
-        self.shard_of(user_id).adapt_user(user_id, dataset, epochs=epochs)
-
-    def adapt_users(
-        self,
-        datasets: Mapping[Hashable, Union[PoseDataset, ArrayDataset]],
-        epochs: Optional[int] = None,
-    ) -> None:
-        """Adapt many users, grouped per shard so each shard's registry
-        still runs one grouped task-batched call for its cohort."""
-        by_shard: Dict[int, Dict[Hashable, Union[PoseDataset, ArrayDataset]]] = {}
-        for user_id, dataset in datasets.items():
-            by_shard.setdefault(self.shard_index(user_id), {})[user_id] = dataset
-        for index, group in sorted(by_shard.items()):
-            self.shards[index].adapt_users(group, epochs=epochs)
-
-    def forget_user(self, user_id: Hashable) -> None:
-        """Drop a user's session history and adapted parameters."""
-        self.shard_of(user_id).forget_user(user_id)
-
-    # ------------------------------------------------------------------
-    # Live migration
-    # ------------------------------------------------------------------
-    def export_user(self, user_id: Hashable, forget: bool = False) -> Optional[Dict]:
-        """Snapshot one user's state from their shard (see :class:`PoseServer`)."""
-        return self.shard_of(user_id).export_user(user_id, forget=forget)
-
-    def import_user(self, state: Mapping) -> Hashable:
-        """Install an exported user state onto the user's shard."""
-        user_id = state["user"] if isinstance(state, Mapping) else None
-        if user_id is None:
-            raise ValueError("user state requires a 'user' id")
-        return self.shard_of(user_id).import_user(state)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> Dict[str, float]:
-        """One aggregated snapshot across shards, plus shard-level gauges."""
-        report = ServeMetrics.aggregate([shard.metrics for shard in self.shards])
-        report["queue_depth"] = self.pending
-        report["shards"] = len(self.shards)
-        report["sessions"] = sum(len(shard.sessions) for shard in self.shards)
-        report["adapted_parameter_sets"] = sum(len(shard.registry) for shard in self.shards)
-        cache = self.estimator.feature_cache
-        if cache is not None:
-            for key, value in cache.stats.as_dict().items():
-                report[f"feature_cache_{key}"] = value
-        return report
-
-    def to_prometheus(self) -> str:
-        """One valid text exposition with every shard labelled ``shard="i"``."""
-        return prometheus_exposition(
-            [
-                ({"shard": str(index)}, shard.metrics, shard.pending)
-                for index, shard in enumerate(self.shards)
-            ]
-        )
+__all__ = ["ProcessShardedPoseServer"]
 
 
 class ProcessPendingPrediction:
@@ -347,13 +134,12 @@ class ProcessPendingPrediction:
 class ProcessShardedPoseServer:
     """N :class:`PoseServer` shards, each in its own worker process.
 
-    Same placement (:func:`repro.runtime.shard_for`), same per-shard
-    scheduling config and the same replay guarantee as
-    :class:`ShardedPoseServer` — a replay through N shard *processes* is
-    bitwise identical to the same replay through the in-process sharded
-    server, and therefore to a single server.  What changes is execution:
-    every shard's micro-batch flush runs on its own core, so on a
-    multi-core host shard parallelism becomes real throughput.
+    Users are placed by :func:`repro.runtime.shard_for` and every shard
+    serves under the same scheduling config, so a replay through N shard
+    processes is bitwise identical to the same replay through a single
+    :class:`PoseServer`.  Every shard's micro-batch flush runs in its own
+    process, so on a multi-core host shard parallelism becomes real
+    throughput.
 
     Lifecycle
     ---------
@@ -373,8 +159,20 @@ class ProcessShardedPoseServer:
 
     Parameters
     ----------
-    estimator / num_shards / config / adaptation / policy:
-        As for :class:`ShardedPoseServer`.
+    estimator:
+        The shared (read-only) estimator; every shard serves the same base
+        weights and feature builder.
+    num_shards:
+        Number of shard worker processes.  Users are assigned by a stable
+        hash of their id, so the mapping survives restarts.
+    config / policy:
+        Forwarded to every shard (see :class:`PoseServer`).  One scheduling
+        config everywhere keeps the shared-parameter kernel's GEMM block
+        width identical across shards, which is what makes the sharded
+        replay bitwise equal to a single-server replay.  ``policy`` wins
+        over ``config.adapter``; a policy with a spill directory is split
+        into per-shard subdirectories (``shard000/…``) so shards never
+        share spill files.
     channel_depth:
         Bound of each shard's request queue (see
         :class:`repro.serve.worker.ShardProcess`).
@@ -398,7 +196,6 @@ class ProcessShardedPoseServer:
         estimator: FusePoseEstimator,
         num_shards: int = 2,
         config: Optional[ServeConfig] = None,
-        adaptation: Optional[FineTuneConfig] = None,
         channel_depth: int = DEFAULT_CHANNEL_DEPTH,
         start_method: Optional[str] = None,
         auto_restart: bool = True,
@@ -411,10 +208,9 @@ class ProcessShardedPoseServer:
             raise ValueError("num_shards must be >= 1")
         self.estimator = estimator
         self.config = config if config is not None else ServeConfig()
-        resolved = _resolve_policy(
-            self.config, adaptation, policy, "ProcessShardedPoseServer"
-        )
-        self.policy = resolved if resolved is not None else AdapterPolicy()
+        if policy is None:
+            policy = self.config.adapter
+        self.policy = policy if policy is not None else AdapterPolicy()
         self.auto_restart = auto_restart
         # Supervisor-side observability: restarts and the degraded gauge
         # happen in the parent (a dead worker cannot report its own death),

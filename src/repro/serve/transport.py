@@ -24,15 +24,15 @@ goes through this module, so the protocol has exactly one definition:
   by ``tests/serve/test_transport.py``.  :func:`validate_message` rejects
   frames without a known type before they reach the serving layer.
 
-* **Protocol v2** — requests may carry a caller-chosen ``"id"`` so one
-  connection holds many requests in flight and replies correlate out of
-  order; the streaming ``enqueue``/``ticket``/``poll``/``flush`` messages
-  expose the server's micro-batching API over the socket; ``submit_batch``
-  carries N frames in one frame using :class:`ArrayBlock` — a contiguous
-  ndarray block with one header and one ``bytes`` region per dtype/shape
-  group, decoded with buffer-protocol reads (no per-frame copy, no
-  per-frame tag overhead).  v1 messages (no ``id``) remain valid and keep
-  their strict request/reply semantics.
+* **Protocol v2** — every request carries a caller-chosen ``"id"`` (an int
+  or str) so one connection holds many requests in flight and replies
+  correlate out of order; a request without one is answered with an
+  uncorrelated ``error`` frame.  The streaming
+  ``enqueue``/``ticket``/``poll``/``flush`` messages expose the server's
+  micro-batching API over the socket; ``submit_batch`` carries N frames in
+  one frame using :class:`ArrayBlock` — a contiguous ndarray block with one
+  header and one ``bytes`` region per dtype/shape group, decoded with
+  buffer-protocol reads (no per-frame copy, no per-frame tag overhead).
 
 * **Scheduling fields** — requests that enter the micro-batcher
   (``submit`` / ``enqueue`` / ``submit_batch``) may carry ``"priority"``
@@ -73,7 +73,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "MESSAGE_TYPES",
     "PROTOCOL_VERSION",
-    "SUPPORTED_PROTOCOLS",
     "ArrayBlock",
     "FrameDecoder",
     "FrameTooLarge",
@@ -93,11 +92,8 @@ __all__ = [
     "write_message",
 ]
 
+#: the wire-protocol generation every server and client speaks
 PROTOCOL_VERSION = 2
-
-#: every protocol generation a v2 front-end can speak (v1 = strict
-#: request/reply without ids; v2 adds correlation, streaming and batching)
-SUPPORTED_PROTOCOLS = (1, 2)
 
 CODEC_JSON = "json"
 CODEC_MSGPACK = "msgpack"
@@ -135,29 +131,6 @@ MESSAGE_TYPES = frozenset(
         "submit_batch",
         "predictions",
         # --- protocol v2: cluster tier (router, migration, flow control)
-        "export_user",
-        "user_state",
-        "import_user",
-        "imported",
-        "credits",
-    }
-)
-
-#: message types that exist only in protocol v2.  ``ping``/``pong`` are the
-#: router's liveness probe and the migration/credit messages exist for the
-#: cluster tier, so none of them are part of the frozen v1 surface — a v1
-#: connection gets a correlation-free ``error`` frame back instead.
-V2_MESSAGE_TYPES = frozenset(
-    {
-        "ping",
-        "pong",
-        "enqueue",
-        "ticket",
-        "poll",
-        "flush",
-        "flushed",
-        "submit_batch",
-        "predictions",
         "export_user",
         "user_state",
         "import_user",

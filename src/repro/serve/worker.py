@@ -1,9 +1,8 @@
 """Process-per-shard execution: one :class:`PoseServer` per worker process.
 
-The in-process :class:`repro.serve.ShardedPoseServer` proves that sharding
-is *correct* (bitwise-identical replay); this module is what makes it
-*useful* on a multi-core host.  Each shard runs in its own worker process
-and talks to the parent over a picklable request/reply transport:
+:class:`repro.serve.ProcessShardedPoseServer` places users on shards; this
+module runs each shard in its own worker process, talking to the parent
+over a picklable request/reply transport:
 
 * **Commands** (:class:`Enqueue`, :class:`EnqueueBatch`, :class:`Flush`,
   :class:`Poll`, :class:`AdaptUsers`, :class:`ForgetUser`,
@@ -23,8 +22,11 @@ and talks to the parent over a picklable request/reply transport:
 * **Lifecycle** — :meth:`ShardProcess.stop` drains the shard gracefully
   (flush, resolve, exit); a crashed worker is detected mid-call
   (:class:`ShardCrashed`) and :meth:`ShardProcess.restart` brings up a
-  fresh process with the same factory.  Per-shard determinism is preserved
-  by seeding each worker from :func:`repro.runtime.seed_for_key`, the same
+  fresh process with the same factory.  A graceful stop that fails (the
+  worker crashed or timed out on :class:`Shutdown`) still tears the
+  process down and logs one JSON ``shard_stop_failed`` warning on the
+  ``repro.serve.worker`` logger.  Per-shard determinism is preserved by
+  seeding each worker from :func:`repro.runtime.seed_for_key`, the same
   derivation the sharded dataset generator uses.
 
 The worker body builds its :class:`PoseServer` from a :class:`ShardFactory`
@@ -35,6 +37,8 @@ exactly once, at start-up.
 
 from __future__ import annotations
 
+import json
+import logging
 import multiprocessing
 import os
 import queue
@@ -46,7 +50,6 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Uni
 
 import numpy as np
 
-from ..core.finetune import FineTuneConfig
 from ..core.pipeline import FusePoseEstimator
 from ..dataset.loader import ArrayDataset
 from ..dataset.sample import PoseDataset
@@ -98,6 +101,8 @@ DEFAULT_RESTART_BACKOFF = RetryPolicy(
     max_attempts=DEFAULT_MAX_RESTARTS + 1, base_delay_s=0.05, max_delay_s=2.0
 )
 
+_log = logging.getLogger(__name__)
+
 
 class ShardCrashed(RuntimeError):
     """The worker process died while a command was in flight."""
@@ -123,19 +128,16 @@ class ShardRemoteError(RuntimeError):
 class ShardFactory:
     """Everything a worker needs to build its :class:`PoseServer` shard.
 
-    ``policy`` is the adapter policy every shard serves under; the legacy
-    ``adaptation`` field is kept for old pickles and translated on build.
+    ``policy`` is the adapter policy every shard serves under (``None``
+    falls back to ``config.adapter``, as :class:`PoseServer` does).
     """
 
     estimator: FusePoseEstimator
     config: ServeConfig
-    adaptation: Optional[FineTuneConfig] = None
     policy: Optional[AdapterPolicy] = None
 
     def build(self, shard_index: Optional[int] = None) -> PoseServer:
         policy = self.policy
-        if policy is None and self.adaptation is not None:
-            policy = AdapterPolicy.from_finetune(self.adaptation)
         if policy is not None and shard_index is not None:
             # Every shard spills under its own subdirectory — two shards
             # never share a user (stable hash placement), so this keeps a
@@ -572,7 +574,14 @@ class ShardProcess:
         self.start()
 
     def stop(self, timeout: float = 5.0) -> Optional[Stopped]:
-        """Gracefully drain and stop the worker; returns its final events."""
+        """Gracefully drain and stop the worker; returns its final events.
+
+        A :class:`Shutdown` that fails (the worker crashed, raised or did
+        not answer within ``timeout``) returns ``None`` and logs one JSON
+        warning on the ``repro.serve.worker`` logger (``event:
+        "shard_stop_failed"``, ``shard``, ``reason``); the process is torn
+        down either way.
+        """
         with self._lock:
             final: Optional[Stopped] = None
             if self.alive:
@@ -580,8 +589,13 @@ class ShardProcess:
                     reply = self._roundtrip(Shutdown(), timeout=timeout)
                     if isinstance(reply, Stopped):
                         final = reply
-                except (ShardCrashed, ShardRemoteError):
-                    final = None
+                except (ShardCrashed, ShardRemoteError) as error:
+                    entry = {
+                        "event": "shard_stop_failed",
+                        "shard": self.index,
+                        "reason": f"{type(error).__name__}: {error}",
+                    }
+                    _log.warning(json.dumps(entry))
             self._teardown(graceful=True, timeout=timeout)
             return final
 

@@ -192,6 +192,32 @@ class TestDiskSpill:
         np.testing.assert_array_equal(features, fresh_features)
         np.testing.assert_array_equal(labels, fresh_labels)
 
+    def test_failed_disk_write_is_counted_logged_and_served(self, tmp_path, caplog):
+        samples = make_samples(4, seed=42)
+        builder = FeatureMapBuilder()
+        cache_dir = tmp_path / "cache"
+        cache = FeatureCache(cache_dir=cache_dir)
+        cache_dir.rmdir()  # the disk tier vanishes under the cache
+        with caplog.at_level(logging.WARNING, logger="repro.dataset.cache"):
+            features, labels = cache.get_or_build(samples, builder)
+        lines = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.dataset.cache"
+        ]
+        assert len(lines) == 1
+        assert lines[0]["event"] == "feature_cache_write_failed"
+        assert lines[0]["path"] == str(cache_dir / f"{cache.key_for(samples, builder)}.npz")
+        assert lines[0]["reason"].startswith("FileNotFoundError: ")
+        assert cache.stats.disk_write_failed == 1
+        assert cache.stats.as_dict()["disk_write_failed"] == 1
+        assert cache.stats.misses == 1
+        fresh_features, fresh_labels = FeatureCache().get_or_build(samples, builder)
+        np.testing.assert_array_equal(features, fresh_features)
+        np.testing.assert_array_equal(labels, fresh_labels)
+        cache.get_or_build(samples, builder)  # the build is still memoized
+        assert cache.stats.hits == 1
+
     def test_hit_rate_counts_disk_hits(self, tmp_path):
         samples = make_samples(4, seed=50)
         builder = FeatureMapBuilder()

@@ -39,8 +39,9 @@ class TestServeCli:
             cli.main(["fuse-serve", "--help"])
         text = capsys.readouterr().out
         assert "--max-in-flight" in text
-        assert "--protocol" in text
         assert "--port" in text
+        assert "--protocol" not in text
+        assert "--backend" not in text
 
     def test_invalid_shards_fails_fast(self, capsys):
         assert cli.main(["fuse-serve", "--shards", "0"]) == 2
@@ -51,8 +52,9 @@ class TestServeCli:
         assert "--max-in-flight" in capsys.readouterr().err
 
     def test_unknown_protocol_rejected(self):
+        # One wire protocol: there is no flag to pick one.
         with pytest.raises(SystemExit):
-            cli.main(["fuse-serve", "--protocol", "3"])
+            cli.main(["fuse-serve", "--protocol", "2"])
 
     def test_unix_and_host_mutually_exclusive(self, capsys):
         exit_code = cli.main(["fuse-serve", "--unix", "/tmp/x.sock", "--host", "::1"])

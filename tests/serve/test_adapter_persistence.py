@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.finetune import FineTuneConfig
 from repro.dataset.loader import ArrayDataset
-from repro.serve import AdapterRegistry
+from repro.serve import AdapterPolicy, AdapterRegistry
 
 
 @pytest.fixture(scope="module")
@@ -31,23 +30,23 @@ def _assert_registries_equal(a: AdapterRegistry, b: AdapterRegistry):
 class TestRoundTrip:
     @pytest.mark.parametrize("scope", ["all", "last"])
     def test_save_load_round_trip(self, estimator, calibration_sets, tmp_path, scope):
-        config = FineTuneConfig(epochs=2, scope=scope)
-        registry = AdapterRegistry(estimator.model, config=config)
+        policy = AdapterPolicy(epochs=2, scope=scope)
+        registry = AdapterRegistry(estimator.model, policy=policy)
         registry.adapt_many(calibration_sets)
         path = registry.save(tmp_path / f"adapters_{scope}.npz")
 
-        restored = AdapterRegistry(estimator.model, config=config)
+        restored = AdapterRegistry(estimator.model, policy=policy)
         loaded_users = restored.load(path)
         assert set(loaded_users) == set(calibration_sets)
         _assert_registries_equal(registry, restored)
 
     def test_restored_registry_serves_identically(self, estimator, calibration_sets, tmp_path):
-        config = FineTuneConfig(epochs=2, scope="last")
-        registry = AdapterRegistry(estimator.model, config=config, gemm_block=16)
+        policy = AdapterPolicy(epochs=2, scope="last")
+        registry = AdapterRegistry(estimator.model, policy=policy, gemm_block=16)
         registry.adapt_many(calibration_sets)
         path = registry.save(tmp_path / "adapters")
 
-        restored = AdapterRegistry(estimator.model, config=config, gemm_block=16)
+        restored = AdapterRegistry(estimator.model, policy=policy, gemm_block=16)
         restored.load(path)
         users = list(calibration_sets)
         for original, reloaded in zip(registry.gather(users), restored.gather(users)):
@@ -56,17 +55,17 @@ class TestRoundTrip:
     def test_load_replaces_by_default_and_merges_on_request(
         self, estimator, calibration_sets, tmp_path
     ):
-        config = FineTuneConfig(epochs=1, scope="last")
-        first = AdapterRegistry(estimator.model, config=config)
+        policy = AdapterPolicy(epochs=1, scope="last")
+        first = AdapterRegistry(estimator.model, policy=policy)
         first.adapt_many({"alice": calibration_sets["alice"]})
         path = first.save(tmp_path / "alice.npz")
 
-        second = AdapterRegistry(estimator.model, config=config)
+        second = AdapterRegistry(estimator.model, policy=policy)
         second.adapt_many({"bob": calibration_sets["bob"]})
         second.load(path)  # replace
         assert second.user_ids == ["alice"]
 
-        third = AdapterRegistry(estimator.model, config=config)
+        third = AdapterRegistry(estimator.model, policy=policy)
         third.adapt_many({"bob": calibration_sets["bob"]})
         third.load(path, replace=False)  # merge
         assert set(third.user_ids) == {"bob", "alice"}
@@ -74,8 +73,8 @@ class TestRoundTrip:
     def test_load_bumps_version_and_invalidates_gather_cache(
         self, estimator, calibration_sets, tmp_path
     ):
-        config = FineTuneConfig(epochs=1, scope="last")
-        registry = AdapterRegistry(estimator.model, config=config)
+        policy = AdapterPolicy(epochs=1, scope="last")
+        registry = AdapterRegistry(estimator.model, policy=policy)
         registry.adapt_many(calibration_sets)
         registry.gather(["alice", "bob"])  # populate the gather cache
         version = registry.version
@@ -87,16 +86,16 @@ class TestRoundTrip:
 
 class TestErrorHandling:
     def test_scope_mismatch_rejected(self, estimator, calibration_sets, tmp_path):
-        last = AdapterRegistry(estimator.model, config=FineTuneConfig(epochs=1, scope="last"))
+        last = AdapterRegistry(estimator.model, policy=AdapterPolicy(epochs=1, scope="last"))
         last.adapt_many({"alice": calibration_sets["alice"]})
         path = last.save(tmp_path / "last.npz")
-        all_scope = AdapterRegistry(estimator.model, config=FineTuneConfig(epochs=1, scope="all"))
+        all_scope = AdapterRegistry(estimator.model, policy=AdapterPolicy(epochs=1, scope="all"))
         with pytest.raises(ValueError, match="scope"):
             all_scope.load(path)
 
     def test_non_persistable_user_id_rejected(self, estimator, calibration_sets, tmp_path):
-        config = FineTuneConfig(epochs=1, scope="last")
-        registry = AdapterRegistry(estimator.model, config=config)
+        policy = AdapterPolicy(epochs=1, scope="last")
+        registry = AdapterRegistry(estimator.model, policy=policy)
         registry.adapt_many({("tuple", "id"): calibration_sets["alice"]})
         with pytest.raises(TypeError, match="user ids"):
             registry.save(tmp_path / "bad.npz")
@@ -105,16 +104,16 @@ class TestErrorHandling:
         from repro.nn.serialization import save_state
 
         path = save_state({"weights": np.zeros(3)}, tmp_path / "foreign.npz")
-        registry = AdapterRegistry(estimator.model, config=FineTuneConfig(epochs=1, scope="last"))
+        registry = AdapterRegistry(estimator.model, policy=AdapterPolicy(epochs=1, scope="last"))
         with pytest.raises(ValueError, match="checkpoint"):
             registry.load(path)
 
     def test_int_user_ids_survive_the_round_trip(self, estimator, calibration_sets, tmp_path):
-        config = FineTuneConfig(epochs=1, scope="last")
-        registry = AdapterRegistry(estimator.model, config=config)
+        policy = AdapterPolicy(epochs=1, scope="last")
+        registry = AdapterRegistry(estimator.model, policy=policy)
         registry.adapt_many({7: calibration_sets[7]})
         path = registry.save(tmp_path / "int_user.npz")
-        restored = AdapterRegistry(estimator.model, config=config)
+        restored = AdapterRegistry(estimator.model, policy=policy)
         assert restored.load(path) == [7]
         assert 7 in restored
         assert "7" not in restored

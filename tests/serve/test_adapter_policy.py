@@ -1,11 +1,7 @@
-"""The unified :class:`AdapterPolicy` API and its backward-compatible shims.
+"""The unified :class:`AdapterPolicy` API.
 
 One frozen policy object travels from the CLI / :class:`ServeConfig` through
-every server down to the :class:`AdapterRegistry`.  The legacy spellings —
-``AdapterRegistry(config=FineTuneConfig(...))`` and
-``PoseServer(adaptation=FineTuneConfig(...))`` — keep working with a
-:class:`DeprecationWarning` and are pinned bitwise-equivalent to the policy
-they translate into.
+every server down to the :class:`AdapterRegistry`.
 """
 
 from __future__ import annotations
@@ -13,25 +9,12 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.finetune import FineTuneConfig
-from repro.dataset.loader import ArrayDataset
-from repro.serve import (
-    AdapterPolicy,
-    AdapterRegistry,
-    PoseServer,
-    ServeConfig,
-    ShardedPoseServer,
-)
+from repro.serve import AdapterPolicy, PoseServer, ServeConfig
 from repro.serve.sharded import ProcessShardedPoseServer
-
-
-@pytest.fixture(scope="module")
-def calibration(estimator, serve_dataset):
-    arrays = estimator.prepare(serve_dataset[:8])
-    return {"alice": ArrayDataset(arrays.features, arrays.labels)}
+from repro.serve.worker import ShardFactory
 
 
 class TestPolicyValidation:
@@ -90,95 +73,6 @@ class TestPolicyValidation:
         assert AdapterPolicy.from_dict({**encoded, "unknown_field": 1}) == policy
 
 
-class TestFineTuneTranslation:
-    def test_from_finetune_copies_every_shared_field(self):
-        legacy = FineTuneConfig(
-            epochs=7, learning_rate=0.5, batch_size=4, scope="last",
-            loss="l2", shuffle=False, seed=9,
-        )
-        policy = AdapterPolicy.from_finetune(legacy)
-        assert policy.scope == "last" and policy.epochs == 7
-        assert policy.learning_rate == 0.5 and policy.batch_size == 4
-        assert policy.loss == "l2" and policy.shuffle is False and policy.seed == 9
-
-    def test_from_finetune_rejects_non_sgd(self):
-        with pytest.raises(ValueError, match="sgd"):
-            AdapterPolicy.from_finetune(FineTuneConfig(optimizer="adam"))
-
-    def test_finetune_config_round_trip(self):
-        policy = AdapterPolicy(scope="last", epochs=2, learning_rate=0.1)
-        legacy = policy.finetune_config()
-        assert isinstance(legacy, FineTuneConfig)
-        assert AdapterPolicy.from_finetune(legacy) == policy
-
-    def test_finetune_config_unavailable_for_lora(self):
-        with pytest.raises(ValueError, match="lora"):
-            AdapterPolicy(scope="lora").finetune_config()
-
-
-class TestDeprecatedShims:
-    def test_registry_config_kwarg_warns_and_is_bitwise_equivalent(
-        self, estimator, calibration
-    ):
-        legacy_cfg = FineTuneConfig(epochs=2, scope="last")
-        with pytest.warns(DeprecationWarning):
-            legacy = AdapterRegistry(estimator.model, config=legacy_cfg)
-        modern = AdapterRegistry(
-            estimator.model, policy=AdapterPolicy.from_finetune(legacy_cfg)
-        )
-        legacy.adapt_many(calibration)
-        modern.adapt_many(calibration)
-        for a, b in zip(
-            legacy.parameters_for("alice"), modern.parameters_for("alice")
-        ):
-            np.testing.assert_array_equal(a, b)
-
-    def test_registry_positional_finetune_config_warns(self, estimator):
-        with pytest.warns(DeprecationWarning):
-            registry = AdapterRegistry(estimator.model, FineTuneConfig(epochs=1))
-        assert registry.policy.epochs == 1
-
-    def test_registry_rejects_both_policy_and_config(self, estimator):
-        with pytest.raises(TypeError):
-            AdapterRegistry(
-                estimator.model,
-                policy=AdapterPolicy(),
-                config=FineTuneConfig(),
-            )
-
-    def test_registry_config_property_still_reads(self, estimator):
-        registry = AdapterRegistry(
-            estimator.model, policy=AdapterPolicy(scope="last", epochs=3)
-        )
-        assert isinstance(registry.config, FineTuneConfig)
-        assert registry.config.epochs == 3
-
-    def test_server_adaptation_kwarg_warns_and_is_bitwise_equivalent(
-        self, estimator, calibration
-    ):
-        legacy_cfg = FineTuneConfig(epochs=2, scope="last")
-        with pytest.warns(DeprecationWarning):
-            legacy = PoseServer(estimator, adaptation=legacy_cfg)
-        modern = PoseServer(
-            estimator, policy=AdapterPolicy.from_finetune(legacy_cfg)
-        )
-        legacy.registry.adapt_many(calibration)
-        modern.registry.adapt_many(calibration)
-        for a, b in zip(
-            legacy.registry.parameters_for("alice"),
-            modern.registry.parameters_for("alice"),
-        ):
-            np.testing.assert_array_equal(a, b)
-
-    def test_server_rejects_both_policy_and_adaptation(self, estimator):
-        with pytest.raises(TypeError):
-            PoseServer(
-                estimator,
-                adaptation=FineTuneConfig(),
-                policy=AdapterPolicy(),
-            )
-
-
 class TestPolicyThreading:
     def test_serve_config_adapter_reaches_the_registry(self, estimator):
         policy = AdapterPolicy(scope="last", epochs=1)
@@ -195,18 +89,14 @@ class TestPolicyThreading:
         assert server.policy is explicit
 
     def test_sharded_server_splits_spill_dir_per_shard(self, estimator, tmp_path):
+        """What each shard worker builds: its own spill subdirectory."""
         policy = AdapterPolicy(scope="last", epochs=1, spill_dir=tmp_path)
-        server = ShardedPoseServer(estimator, num_shards=3, policy=policy)
-        assert server.policy is policy
-        for index, shard in enumerate(server.shards):
-            assert shard.policy.spill_dir == str(Path(tmp_path) / f"shard{index:03d}")
-
-    def test_sharded_server_legacy_adaptation_warns(self, estimator):
-        with pytest.warns(DeprecationWarning):
-            server = ShardedPoseServer(
-                estimator, num_shards=2, adaptation=FineTuneConfig(epochs=1)
-            )
-        assert server.policy.epochs == 1
+        factory = ShardFactory(estimator, ServeConfig(), policy=policy)
+        for index in range(3):
+            shard = factory.build(index)
+            spill_dir = Path(tmp_path) / f"shard{index:03d}"
+            assert shard.policy.spill_dir == str(spill_dir)
+            assert spill_dir.is_dir()
 
     @pytest.mark.slow
     def test_process_sharded_policy_reaches_the_workers(self, estimator, tmp_path):

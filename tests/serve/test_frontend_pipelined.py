@@ -1,10 +1,10 @@
-"""Protocol v2 front-end tests: pipelining, streaming, batching, downgrade.
+"""Protocol v2 front-end tests: pipelining, streaming, batching, request ids.
 
 The serving semantics are pinned by the server/shard suites; these tests
 cover what the v2 socket layer owns: out-of-order reply correlation,
-duplicate/unknown request ids, the enqueue/ticket/push streaming path
-(remote traffic actually forms micro-batches), batched submits over the
-contiguous ndarray block, graceful v1 downgrade, oversized-batch rejection,
+duplicate/unknown/missing request ids, the enqueue/ticket/push streaming
+path (remote traffic actually forms micro-batches), batched submits over
+the contiguous ndarray block, oversized-batch rejection,
 bounded in-flight windows, connect retry — and the acceptance property:
 a replay over the pipelined path is bitwise identical to in-process
 serving.
@@ -104,6 +104,23 @@ class TestCorrelation:
         client._route({"type": "pong"})  # id-less reply with nothing pending
         assert client.unmatched_replies == 2
 
+    def test_uncorrelated_error_fails_every_pending_request(self):
+        """Without a hello, an error frame carrying neither id nor ticket
+        fails every outstanding request — it is never pinned on one."""
+
+        async def body():
+            client = AsyncPoseClient()
+            loop = asyncio.get_running_loop()
+            pending = [loop.create_future(), loop.create_future()]
+            client._pending.update(enumerate(pending, start=1))
+            client._route({"type": "error", "error": "ProtocolError", "detail": "bad frame"})
+            for future in pending:
+                assert type(future.exception()) is RuntimeError
+                assert "ProtocolError: bad frame" in str(future.exception())
+            assert not client._pending and client.unmatched_replies == 0
+
+        asyncio.run(body())
+
     def test_non_scalar_request_id_rejected(self, backend, tmp_path):
         async def scenario(client, frontend):
             writer, reader = client._writer, client._reader
@@ -118,39 +135,33 @@ class TestCorrelation:
 
 
 class TestV1Downgrade:
-    def test_idless_requests_keep_strict_request_reply(self, backend, tmp_path):
-        """A v1 client (no ids) gets in-order replies without ids."""
+    """There is no downgrade: a request without an id (the retired v1
+    discipline) is refused with an uncorrelated ``ProtocolError`` and the
+    connection keeps reading."""
 
+    def test_idless_request_gets_uncorrelated_error_and_connection_survives(
+        self, backend, tmp_path
+    ):
         async def scenario(client, frontend):
             writer, reader = client._writer, client._reader
             client._reader_task.cancel()
             await asyncio.sleep(0)
             await write_message(writer, {"type": "ping"}, CODEC_JSON)
-            await write_message(writer, {"type": "metrics"}, CODEC_JSON)
-            first = (await read_message(reader))[0]
-            second = (await read_message(reader))[0]
-            assert first["type"] == "pong" and "id" not in first
-            assert second["type"] == "metrics_report" and "id" not in second
+            refused = (await read_message(reader))[0]
+            assert refused["type"] == "error" and "id" not in refused
+            assert refused["error"] == "ProtocolError"
+            assert "requires a request id" in refused["detail"]
+            await write_message(writer, {"type": "ping", "id": 1}, CODEC_JSON)
+            assert (await read_message(reader))[0] == {"type": "pong", "id": 1}
 
         run_scenario(backend, scenario, tmp_path)
 
-    def test_v1_frontend_rejects_v2_messages(self, backend, tmp_path):
-        async def scenario(client, frontend):
-            with pytest.raises(RuntimeError, match="requires protocol v2"):
-                await client.flush()
-            # ping is a v2 liveness frame: a v1 front-end rejects it with a
-            # correlated error instead of hanging up.
-            with pytest.raises(RuntimeError, match="requires protocol v2"):
-                await client.ping()
-            hello = await client.hello()
-            assert hello["protocol"] == 1
-            assert hello["protocols"] == [1]
-            # ids are ignored in v1 mode, replies still correlate FIFO —
-            # the connection survived the rejected frames above.
-            rng = np.random.default_rng(7)
-            assert (await client.submit("v1-user", make_frame(rng))).shape == (19, 3)
-
-        run_scenario(backend, scenario, tmp_path, protocol=1)
+    def test_frontend_accepts_only_protocol_2(self, backend):
+        frontend = PoseFrontend(backend, unix_path="unused", protocol=2)
+        assert not hasattr(frontend, "protocol")
+        for protocol in (1, 3):
+            with pytest.raises(ValueError, match="protocol must be 2"):
+                PoseFrontend(backend, unix_path="unused", protocol=protocol)
 
     def test_idless_enqueue_rejected(self, backend, tmp_path):
         """enqueue cannot work without an id: the ticket IS the id."""

@@ -205,18 +205,19 @@ class TestVersionedSchema:
         with pytest.raises(ValueError, match="scope='last'"):
             loader.load(path)
 
-    def test_legacy_format1_archive_loads_into_matching_policy(
+    def test_legacy_format1_archive_is_rejected_naming_its_format(
         self, estimator, calibration_arrays, tmp_path
     ):
-        """A PR-3-era archive (no format/rank metadata evolution) keeps loading."""
+        """A format-1 archive (full tensors, no rank metadata) no longer
+        loads, even into a policy whose scope matches."""
         policy = AdapterPolicy(scope="last", epochs=1)
         registry = AdapterRegistry(estimator.model, policy=policy)
         user = next(iter(calibration_arrays))
         registry.adapt_user(user, calibration_arrays[user])
         params = registry.parameters_for(user)
 
-        # Re-author the archive exactly as format 1 wrote it: full tensors,
-        # metadata with just format/scope/users.
+        # Author the archive as format 1 wrote it: full tensors, metadata
+        # with just format/scope/users.
         state = {f"user000000.p{slot:03d}": np.asarray(p) for slot, p in enumerate(params)}
         legacy = save_state(
             state,
@@ -225,9 +226,9 @@ class TestVersionedSchema:
         )
 
         restored = AdapterRegistry(estimator.model, policy=policy)
-        assert restored.load(legacy) == [str(user)]
-        for a, b in zip(params, restored.parameters_for(str(user))):
-            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError, match="format-1 archive"):
+            restored.load(legacy)
+        assert len(restored) == 0
 
     def test_legacy_format1_cannot_load_into_lora_policy(self, estimator, tmp_path):
         legacy = save_state(

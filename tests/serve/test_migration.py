@@ -19,7 +19,6 @@ from repro.serve import (
     ProcessShardedPoseServer,
     ServeConfig,
     SessionMirror,
-    ShardedPoseServer,
 )
 from repro.serve.migration import USER_STATE_VERSION, validate_user_state
 
@@ -104,18 +103,22 @@ class TestExportImportRoundTrip:
 
 class TestShardedDelegation:
     def test_sharded_server_routes_export_to_the_users_shard(self, estimator):
-        sharded = ShardedPoseServer(estimator, num_shards=2, config=LAZY)
         reference = PoseServer(estimator, LAZY)
-        feed(sharded, "carol", 3, seed=4)
         feed(reference, "carol", 3, seed=4)
-        state = sharded.export_user("carol", forget=True)
-        importer = ShardedPoseServer(estimator, num_shards=2, config=LAZY)
-        importer.import_user(state)
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        np.testing.assert_array_equal(
-            importer.submit("carol", make_frame(rng_a)),
-            reference.submit("carol", make_frame(rng_b)),
-        )
+        with ProcessShardedPoseServer(
+            estimator, num_shards=2, config=LAZY
+        ) as sharded, ProcessShardedPoseServer(
+            estimator, num_shards=2, config=LAZY
+        ) as importer:
+            feed(sharded, "carol", 3, seed=4)
+            state = sharded.export_user("carol", forget=True)
+            assert sharded.metrics_snapshot()["sessions"] == 0
+            importer.import_user(state)
+            rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+            np.testing.assert_array_equal(
+                importer.submit("carol", make_frame(rng_a)),
+                reference.submit("carol", make_frame(rng_b)),
+            )
 
     def test_process_sharded_export_crosses_the_pickle_boundary(self, estimator):
         server = ProcessShardedPoseServer(estimator, num_shards=1, config=LAZY)

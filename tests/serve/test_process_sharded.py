@@ -1,13 +1,16 @@
 """Process-per-shard serving: replay equivalence, lifecycle, crash recovery.
 
-The acceptance property extends the sharded one across the process
-boundary: a replay through a :class:`ProcessShardedPoseServer` — every
-shard a worker process behind a picklable request/reply transport — is
-bitwise identical, user for user, to the same replay through the in-process
-:class:`ShardedPoseServer` (and therefore to a single server).
+The acceptance property holds across the process boundary: a replay
+through a :class:`ProcessShardedPoseServer` — every shard a worker process
+behind a picklable request/reply transport — is bitwise identical, user for
+user, to the same replay through one in-process :class:`PoseServer`.
 """
 
 from __future__ import annotations
+
+import json
+import logging
+import time
 
 import numpy as np
 import pytest
@@ -15,17 +18,18 @@ import pytest
 from repro.dataset.sample import PoseDataset
 from repro.serve import (
     FrameDropped,
+    PoseServer,
     ProcessShardedPoseServer,
     QueueFull,
     ServeConfig,
     ShardCrashed,
+    ShardProcess,
     ShardRemoteError,
-    ShardedPoseServer,
     adaptation_split,
     replay_users,
     user_streams_from_dataset,
 )
-from repro.serve.worker import MetricsRequest
+from repro.serve.worker import MetricsRequest, ShardFactory
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +51,7 @@ class TestReplayEquivalence:
         self, estimator, streams, num_shards
     ):
         config = ServeConfig(max_batch_size=16)
-        inproc = replay_users(
-            ShardedPoseServer(estimator, num_shards=num_shards, config=config), streams
-        )
+        inproc = replay_users(PoseServer(estimator, config), streams)
         with ProcessShardedPoseServer(
             estimator, num_shards=num_shards, config=config
         ) as server:
@@ -70,7 +72,7 @@ class TestReplayEquivalence:
             calibration_sets[user] = dataset
 
         config = ServeConfig(max_batch_size=8)
-        inproc_server = ShardedPoseServer(estimator, num_shards=2, config=config)
+        inproc_server = PoseServer(estimator, config)
         inproc_server.adapt_users(calibration_sets, epochs=2)
         inproc = replay_users(inproc_server, serving)
 
@@ -260,3 +262,28 @@ class TestLifecycle:
             for user in users[:4]:
                 assert server.submit(user, streams[user][0].cloud).shape == (19, 3)
             assert server.metrics_snapshot()["shard_restarts"] == 1
+
+    def test_failed_graceful_stop_is_logged(self, estimator, caplog, monkeypatch):
+        """A Shutdown the worker never answers still tears the process down
+        and logs why, instead of turning the failure into a silent None."""
+        # The forked worker inherits this flush, so its Shutdown outlives
+        # the stop timeout.
+        monkeypatch.setattr(PoseServer, "flush", lambda self: time.sleep(30))
+        worker = ShardProcess(
+            ShardFactory(estimator, ServeConfig()), 3, start_method="fork"
+        )
+        worker.start()
+        with caplog.at_level(logging.WARNING, logger="repro.serve.worker"):
+            assert worker.stop(timeout=0.5) is None
+        assert not worker.alive
+        lines = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.serve.worker"
+        ]
+        assert len(lines) == 1
+        assert lines[0]["event"] == "shard_stop_failed"
+        assert lines[0]["shard"] == 3
+        assert lines[0]["reason"].startswith(
+            "ShardCrashed: shard 3 did not reply to Shutdown"
+        )

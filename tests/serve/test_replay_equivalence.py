@@ -15,6 +15,7 @@ import pytest
 
 from repro.dataset.sample import PoseDataset
 from repro.serve import (
+    AdapterPolicy,
     AdapterRegistry,
     PoseServer,
     ServeConfig,
@@ -146,10 +147,8 @@ class TestLastLayerAdaptedReplay:
         streams = user_streams_from_dataset(serve_dataset, num_users=12, frames_per_user=10)
         return adaptation_split(streams, adaptation_frames=6)
 
-    def last_config(self):
-        from repro.core.finetune import FineTuneConfig
-
-        return FineTuneConfig(epochs=2, scope="last")
+    def last_policy(self):
+        return AdapterPolicy(scope="last", epochs=2)
 
     def test_grouped_head_adaptation_matches_sequential_bitwise(
         self, estimator, split_streams
@@ -159,9 +158,9 @@ class TestLastLayerAdaptedReplay:
         datasets = {
             user: estimator.to_arrays(as_pose_dataset(calibration[user])) for user in users
         }
-        grouped = AdapterRegistry(estimator.model, config=self.last_config(), gemm_block=16)
+        grouped = AdapterRegistry(estimator.model, policy=self.last_policy(), gemm_block=16)
         grouped.adapt_many(datasets)
-        solo = AdapterRegistry(estimator.model, config=self.last_config(), gemm_block=16)
+        solo = AdapterRegistry(estimator.model, policy=self.last_policy(), gemm_block=16)
         for user in users:
             solo.adapt_user(user, datasets[user])
         for user in users:
@@ -175,7 +174,7 @@ class TestLastLayerAdaptedReplay:
         calibration, serving = split_streams
         adapted_users = list(serving)[:5]
         batched = PoseServer(
-            estimator, ServeConfig(max_batch_size=16), adaptation=self.last_config()
+            estimator, ServeConfig(max_batch_size=16), policy=self.last_policy()
         )
         batched.adapt_users(
             {user: as_pose_dataset(calibration[user]) for user in adapted_users}
@@ -183,7 +182,7 @@ class TestLastLayerAdaptedReplay:
         unbatched = PoseServer(
             estimator,
             ServeConfig(max_batch_size=1, gemm_block=16),
-            adaptation=self.last_config(),
+            policy=self.last_policy(),
         )
         for user in adapted_users:
             unbatched.adapt_user(user, as_pose_dataset(calibration[user]))
@@ -202,7 +201,7 @@ class TestLastLayerAdaptedReplay:
         base_user = list(serving)[-1]
         plain = PoseServer(estimator, ServeConfig(max_batch_size=16))
         mixed = PoseServer(
-            estimator, ServeConfig(max_batch_size=16), adaptation=self.last_config()
+            estimator, ServeConfig(max_batch_size=16), policy=self.last_policy()
         )
         mixed.adapt_users(
             {user: as_pose_dataset(calibration[user]) for user in list(serving)[:5]}

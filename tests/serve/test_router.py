@@ -30,6 +30,7 @@ from repro.serve import (
     ProcessShardedPoseServer,
     RouterBackend,
     ServeConfig,
+    SocketServerBase,
 )
 
 from .conftest import make_frame
@@ -113,9 +114,30 @@ class TestClusterShape:
 
         run_cluster(servers, scenario, tmp_path)
 
-    def test_router_requires_protocol_v2(self):
-        with pytest.raises(ValueError, match="protocol v2"):
-            PoseRouter(unix_path="/tmp/unused.sock", protocol=1)
+    def test_router_requires_protocol_v2(self, tmp_path):
+        """A backend whose hello announces another protocol is refused at
+        attach; the router itself has no protocol setting."""
+
+        class OldBackend(SocketServerBase):
+            def _hello_extra(self):
+                return {"protocol": 1}
+
+        async def body():
+            path = str(tmp_path / "old.sock")
+            backend = await OldBackend(unix_path=path).start()
+            router = PoseRouter(
+                [BackendSpec(name="old", unix_path=path)],
+                unix_path=str(tmp_path / "router.sock"),
+            )
+            try:
+                with pytest.raises(ValueError, match="speaks protocol v1"):
+                    await router.start()
+            finally:
+                await backend.stop()
+
+        asyncio.run(body())
+        with pytest.raises(TypeError):
+            PoseRouter(unix_path=str(tmp_path / "unused.sock"), protocol=2)
 
     def test_empty_ring_rejects_submits(self, estimator, tmp_path):
         async def scenario(client, router, frontends):

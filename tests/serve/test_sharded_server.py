@@ -1,9 +1,10 @@
 """Multi-shard serving: placement, equivalence and aggregated observability.
 
 The acceptance property mirrors the micro-batching one: sharding users over
-N independent :class:`PoseServer` shards must be invisible — a replay
-through a :class:`ShardedPoseServer` is bitwise identical, user for user, to
-the same replay through a single server with the same scheduling config.
+N shard processes must be invisible — a replay through a
+:class:`ProcessShardedPoseServer` is bitwise identical, user for user, to
+the same replay through a single :class:`PoseServer` with the same
+scheduling config.
 """
 
 from __future__ import annotations
@@ -12,20 +13,27 @@ import numpy as np
 import pytest
 
 from repro.dataset.sample import PoseDataset
+from repro.runtime import shard_for
 from repro.serve import (
     PoseServer,
+    ProcessShardedPoseServer,
     ServeConfig,
-    ShardedPoseServer,
     adaptation_split,
     replay_users,
     user_streams_from_dataset,
 )
+from repro.serve.worker import MetricsRequest
 
 
 def as_pose_dataset(frames) -> PoseDataset:
     dataset = PoseDataset(name="calibration")
     dataset.extend(frames)
     return dataset
+
+
+def shard_replies(server: ProcessShardedPoseServer):
+    """Each shard worker's occupancy report, in shard order."""
+    return [worker.call(MetricsRequest()) for worker in server.workers]
 
 
 @pytest.fixture(scope="module")
@@ -35,21 +43,25 @@ def streams(serve_dataset):
 
 class TestPlacement:
     def test_users_route_to_stable_shards(self, estimator):
-        server = ShardedPoseServer(estimator, num_shards=4)
-        for user in ("alice", "bob", 42):
-            index = server.shard_index(user)
-            assert 0 <= index < 4
-            assert server.shard_index(user) == index
-            assert server.shard_of(user) is server.shards[index]
+        users = ("alice", "bob", 42)
+        with ProcessShardedPoseServer(estimator, num_shards=4) as server:
+            placement = {user: server.shard_index(user) for user in users}
+        assert all(0 <= index < 4 for index in placement.values())
+        # The stable hash: the same placement in every process and restart.
+        assert placement == {user: shard_for(user, 4) for user in users}
 
     def test_invalid_shard_count(self, estimator):
         with pytest.raises(ValueError):
-            ShardedPoseServer(estimator, num_shards=0)
+            ProcessShardedPoseServer(estimator, num_shards=0)
 
-    def test_single_shard_degenerates_to_one_server(self, estimator):
-        server = ShardedPoseServer(estimator, num_shards=1)
-        assert len(server.shards) == 1
-        assert server.shard_of("anyone") is server.shards[0]
+    def test_single_shard_degenerates_to_one_server(self, estimator, streams):
+        user = next(iter(streams))
+        frame = streams[user][0].cloud
+        expected = PoseServer(estimator).submit(user, frame)
+        with ProcessShardedPoseServer(estimator, num_shards=1) as server:
+            assert server.num_shards == 1
+            assert server.shard_index("anyone") == 0
+            np.testing.assert_array_equal(server.submit(user, frame), expected)
 
 
 class TestReplayEquivalence:
@@ -59,16 +71,18 @@ class TestReplayEquivalence:
     ):
         config = ServeConfig(max_batch_size=32)
         single = replay_users(PoseServer(estimator, config), streams)
-        sharded_server = ShardedPoseServer(estimator, num_shards=num_shards, config=config)
-        sharded = replay_users(sharded_server, streams)
+        with ProcessShardedPoseServer(
+            estimator, num_shards=num_shards, config=config
+        ) as sharded_server:
+            sharded = replay_users(sharded_server, streams)
+            # Traffic genuinely spread over the shards.
+            active = [reply for reply in shard_replies(sharded_server) if reply.sessions]
         assert sharded.frames_served == single.frames_served
         assert sharded.frames_dropped == 0
         for user in streams:
             np.testing.assert_array_equal(
                 sharded.predictions[user], single.predictions[user]
             )
-        # Traffic genuinely spread over the shards.
-        active = [shard for shard in sharded_server.shards if shard.metrics.submitted]
         assert len(active) > 1
 
     def test_adapted_sharded_replay_bitwise_identical(self, estimator, serve_dataset):
@@ -82,62 +96,71 @@ class TestReplayEquivalence:
         config = ServeConfig(max_batch_size=16)
         single_server = PoseServer(estimator, config)
         single_server.adapt_users(calibration_sets, epochs=2)
-        sharded_server = ShardedPoseServer(estimator, num_shards=3, config=config)
-        sharded_server.adapt_users(calibration_sets, epochs=2)
-
         single = replay_users(single_server, serving)
-        sharded = replay_users(sharded_server, serving)
+        with ProcessShardedPoseServer(estimator, num_shards=3, config=config) as sharded_server:
+            sharded_server.adapt_users(calibration_sets, epochs=2)
+            sharded = replay_users(sharded_server, serving)
+            # Each adapted user's parameters live on exactly their shard.
+            owners = [sharded_server.shard_index(user) for user in adapted_users]
+            for index, reply in enumerate(shard_replies(sharded_server)):
+                assert reply.adapted_parameter_sets == owners.count(index)
         for user in serving:
             np.testing.assert_array_equal(
                 sharded.predictions[user], single.predictions[user]
             )
-        # Each adapted user's parameters live on exactly their shard.
-        for user in adapted_users:
-            owner = sharded_server.shard_index(user)
-            for index, shard in enumerate(sharded_server.shards):
-                assert (user in shard.registry) == (index == owner)
 
     def test_submit_and_forget_route_to_the_owner_shard(self, estimator, streams):
-        server = ShardedPoseServer(estimator, num_shards=2, config=ServeConfig(max_batch_size=4))
         user = next(iter(streams))
         frame = streams[user][0].cloud
-        joints = server.submit(user, frame)
-        assert joints.shape == (19, 3)
-        assert len(server.shard_of(user).sessions) == 1
-        server.forget_user(user)
-        assert len(server.shard_of(user).sessions) == 0
+        with ProcessShardedPoseServer(
+            estimator, num_shards=2, config=ServeConfig(max_batch_size=4)
+        ) as server:
+            owner = server.shard_index(user)
+            joints = server.submit(user, frame)
+            assert joints.shape == (19, 3)
+            sessions = [reply.sessions for reply in shard_replies(server)]
+            assert sessions[owner] == 1 and sum(sessions) == 1
+            server.forget_user(user)
+            assert [reply.sessions for reply in shard_replies(server)] == [0, 0]
 
 
 class TestAggregatedMetrics:
     def test_snapshot_sums_across_shards(self, estimator, streams):
         config = ServeConfig(max_batch_size=8)
-        server = ShardedPoseServer(estimator, num_shards=3, config=config)
-        result = replay_users(server, streams)
+        with ProcessShardedPoseServer(estimator, num_shards=3, config=config) as server:
+            result = replay_users(server, streams)
+            flushes = sum(
+                reply.state["flushes"] for reply in shard_replies(server)
+            )
         total = sum(len(stream) for stream in streams.values())
         snapshot = result.metrics
         assert snapshot["shards"] == 3
         assert snapshot["submitted"] == total
         assert snapshot["completed"] == total
         assert snapshot["sessions"] == len(streams)
-        assert snapshot["flushes"] == sum(s.metrics.flushes for s in server.shards)
+        assert snapshot["flushes"] == flushes
         assert snapshot["latency_p95_ms"] >= snapshot["latency_p50_ms"] >= 0.0
         assert snapshot["throughput_fps"] > 0
 
     def test_poll_applies_every_shards_deadline(self, estimator, streams):
         config = ServeConfig(max_batch_size=64, max_delay_ms=0.0)
-        server = ShardedPoseServer(estimator, num_shards=2, config=config)
-        users = list(streams)[:4]
-        for user in users:
-            server.enqueue(user, streams[user][0].cloud)
-        assert server.pending == 4
-        produced = server.poll()
-        assert produced == 4
-        assert server.pending == 0
+        # Two users on each shard, so both shards hold a pending request.
+        users = [user for user in streams if shard_for(user, 2) == 0][:2]
+        users += [user for user in streams if shard_for(user, 2) == 1][:2]
+        with ProcessShardedPoseServer(estimator, num_shards=2, config=config) as server:
+            for user in users:
+                server.enqueue(user, streams[user][0].cloud)
+            assert server.pending == 4
+            produced = server.poll()
+            assert produced == 4
+            assert server.pending == 0
 
     def test_prometheus_exposition_labels_every_shard(self, estimator, streams):
-        server = ShardedPoseServer(estimator, num_shards=2, config=ServeConfig(max_batch_size=8))
-        replay_users(server, streams)
-        text = server.to_prometheus()
+        with ProcessShardedPoseServer(
+            estimator, num_shards=2, config=ServeConfig(max_batch_size=8)
+        ) as server:
+            replay_users(server, streams)
+            text = server.to_prometheus()
         assert text.endswith("\n")
         for shard in (0, 1):
             assert f'fuse_serve_requests_completed_total{{shard="{shard}"}}' in text
