@@ -36,10 +36,11 @@ from repro.core.models import PoseCNN
 from repro.dataset.features import FeatureMapBuilder
 from repro.dataset.loader import ArrayDataset
 from repro.dataset.synthetic import SyntheticDatasetConfig, generate_dataset
-from repro.engine import BatchPlan, BatchedRadarEngine
+from repro.engine import BatchedRadarEngine
 from repro.experiments.figure2 import run_figure2
 from repro.nn.backend import active_backend_name
 from repro.radar import GeometricPipeline, RadarConfig
+from repro.runtime import ExecutionPlan
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -68,8 +69,8 @@ class TestRadarThroughput:
             subject, "squat", duration=30.0, rng=np.random.default_rng(0)
         )
         pipeline = GeometricPipeline(config=RadarConfig())
-        vectorized = BatchedRadarEngine(plan=BatchPlan(batch_size=64))
-        reference = BatchedRadarEngine(plan=BatchPlan.reference())
+        vectorized = BatchedRadarEngine(plan=ExecutionPlan())
+        reference = BatchedRadarEngine(plan=ExecutionPlan.reference())
 
         t_ref = _time(
             lambda: reference.point_cloud_sequence(
@@ -147,11 +148,11 @@ class TestMetaThroughput:
 
         t_ref = _time(
             lambda: MetaTrainer(
-                PoseCNN(seed=4), config, plan=BatchPlan.reference()
+                PoseCNN(seed=4), config, plan=ExecutionPlan.reference()
             ).meta_train(data)
         )
         t_vec = _time(
-            lambda: MetaTrainer(PoseCNN(seed=4), config, plan=BatchPlan()).meta_train(data)
+            lambda: MetaTrainer(PoseCNN(seed=4), config, plan=ExecutionPlan()).meta_train(data)
         )
         speedup = t_ref / t_vec
         _record(
@@ -184,7 +185,7 @@ class TestShardScaling:
         }
         seconds: dict = {}
         for workers in (1, 2, 4):
-            plan = BatchPlan(workers=workers)
+            plan = ExecutionPlan(workers=workers)
             seconds[workers] = _time(
                 lambda plan=plan: generate_dataset(config, use_cache=False, plan=plan),
                 repeats=2,
@@ -203,8 +204,8 @@ class TestShardScaling:
 class TestEndToEnd:
     def test_figure2_wall_clock(self):
         """The acceptance bar: figure2 end-to-end >= 3x faster batched."""
-        t_ref = _time(lambda: run_figure2("ci", plan=BatchPlan.reference()), repeats=2)
-        t_vec = _time(lambda: run_figure2("ci", plan=BatchPlan()), repeats=2)
+        t_ref = _time(lambda: run_figure2("ci", plan=ExecutionPlan.reference()), repeats=2)
+        t_vec = _time(lambda: run_figure2("ci", plan=ExecutionPlan()), repeats=2)
         speedup = t_ref / t_vec
         _record(
             "figure2_end_to_end",
@@ -216,7 +217,7 @@ class TestEndToEnd:
         )
         assert speedup >= 3.0, f"figure2 end-to-end only {speedup:.2f}x faster"
 
-    @pytest.mark.parametrize("plan", [BatchPlan(), BatchPlan.reference()])
+    @pytest.mark.parametrize("plan", [ExecutionPlan(), ExecutionPlan.reference()])
     def test_figure2_results_sane_under_both_plans(self, plan):
         result = run_figure2("ci", plan=plan)
         assert result.fused_points > result.single_points

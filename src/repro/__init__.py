@@ -14,11 +14,10 @@ every substrate it depends on:
 * :mod:`repro.core` — the FUSE framework itself: multi-frame fusion,
   meta-learning, fine-tuning, evaluation,
 * :mod:`repro.runtime` — the shared execution-policy layer
-  (:class:`repro.runtime.ExecutionPlan`): worker pools, shard layout,
-  deterministic per-shard seeding and result merging, consulted by every
-  compute layer,
-* :mod:`repro.engine` — the vectorized batched execution engine
-  (:class:`repro.engine.BatchPlan`, a façade over the runtime plan) driving
+  (:class:`repro.runtime.ExecutionPlan`, taken by every compute layer):
+  worker pools, shard layout, deterministic per-shard seeding and result
+  merging,
+* :mod:`repro.engine` — the vectorized batched execution engine driving
   the radar, feature and meta-learning hot paths,
 * :mod:`repro.serve` — the streaming multi-user serving layer
   (:class:`repro.serve.PoseServer` /

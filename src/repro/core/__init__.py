@@ -15,7 +15,7 @@ from .evaluation import (
     mae_per_axis_cm,
     per_joint_mae_cm,
 )
-from .finetune import FineTuneConfig, FineTuneResult, FineTuner, finetune_population
+from .finetune import FineTuneConfig, FineTuneResult, FineTuner
 from .fusion import FrameFusion, fuse_dataset
 from .maml import MetaLearningConfig, MetaTrainer, MetaTrainingHistory
 from .models import PoseCNN, PoseCNNConfig, build_baseline_model, build_fuse_model
@@ -41,7 +41,6 @@ __all__ = [
     "FineTuneConfig",
     "FineTuneResult",
     "FineTuner",
-    "finetune_population",
     "PoseErrorReport",
     "evaluate_model",
     "mae_cm",

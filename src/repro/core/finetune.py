@@ -18,23 +18,17 @@ more epochs and forgets the original data in the process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .. import nn
 from ..dataset.loader import ArrayDataset, BatchLoader
-from ..engine.functional import (
-    batched_forward,
-    gradient_step,
-    replicate_parameters,
-    supports_batched_execution,
-)
-from .evaluation import evaluate_model, mae_per_axis_cm
+from .evaluation import evaluate_model
 from .models import PoseCNN
 from .training import TrainingConfig
 
-__all__ = ["FineTuneConfig", "FineTuneResult", "FineTuner", "finetune_population"]
+__all__ = ["FineTuneConfig", "FineTuneResult", "FineTuner"]
 
 
 @dataclass(frozen=True)
@@ -181,125 +175,3 @@ class FineTuner:
         self.model.zero_grad()
         return result
 
-
-def finetune_population(
-    models: Sequence[PoseCNN],
-    adaptation_sets: Sequence[ArrayDataset],
-    evaluation_sets: Optional[Sequence[Dict[str, ArrayDataset]]] = None,
-    config: Optional[FineTuneConfig] = None,
-    epochs: Optional[int] = None,
-) -> List[FineTuneResult]:
-    """Fine-tune several deployed models on their own adaptation sets at once.
-
-    This batches the *scenario* dimension of online adaptation: every model
-    (e.g. the supervised baseline and the meta-learned FUSE model, or one
-    model per newly onboarded user) is adapted in parallel through the
-    task-batched functional kernels, sharing one grouped forward/backward
-    call per mini-batch instead of a Python loop over scenarios.
-
-    Restrictions compared to :class:`FineTuner`: all models must share one
-    architecture, all adaptation sets must have equal sizes (so mini-batches
-    stack), and only the ``"all"`` scope with the plain SGD update rule is
-    supported — exactly the setting the FUSE initialization was optimized
-    for.  Results match running :class:`FineTuner` per model with the same
-    configuration (shared shuffling seed) up to floating-point reduction
-    order.  The adapted parameters are written back into each model.
-    """
-    config = config if config is not None else FineTuneConfig()
-    if config.scope != "all":
-        raise ValueError("finetune_population only supports scope='all'")
-    if config.optimizer != "sgd":
-        raise ValueError("finetune_population only supports the sgd optimizer")
-    if len(models) == 0 or len(models) != len(adaptation_sets):
-        raise ValueError("one adaptation set per model is required")
-    sizes = {len(dataset) for dataset in adaptation_sets}
-    if len(sizes) != 1 or 0 in sizes:
-        raise ValueError("adaptation sets must be non-empty and equally sized")
-    template = models[0]
-    if not supports_batched_execution(template):
-        raise ValueError("model architecture has no task-batched kernels")
-    evaluation_sets = list(evaluation_sets) if evaluation_sets is not None else [
-        {} for _ in models
-    ]
-    if len(evaluation_sets) != len(models):
-        raise ValueError("one evaluation-set mapping per model is required")
-
-    num_models = len(models)
-    epochs = epochs if epochs is not None else config.epochs
-    size = sizes.pop()
-    batch_size = min(config.batch_size, size)
-
-    # Stack per-model parameters: slice t holds model t's weights.
-    params = replicate_parameters(template, num_models)
-    for slot, model in enumerate(models):
-        for stacked, param in zip(params, model.parameters()):
-            stacked.data[slot] = param.data
-
-    features = np.stack([dataset.features for dataset in adaptation_sets])
-    labels = np.stack([dataset.labels for dataset in adaptation_sets])
-
-    results = [FineTuneResult(scope=config.scope) for _ in models]
-
-    def evaluate_all() -> List[Dict[str, float]]:
-        maes: List[Dict[str, float]] = [{} for _ in models]
-        all_names = sorted(set().union(*(named.keys() for named in evaluation_sets)))
-        with nn.no_grad():
-            for name in all_names:
-                datasets = [named.get(name) for named in evaluation_sets]
-                eval_sizes = {len(d) for d in datasets if d is not None}
-                if all(d is not None for d in datasets) and len(eval_sizes) == 1:
-                    # Every model evaluates an equally sized set under this
-                    # name (the common case): one stacked forward for all.
-                    x = nn.Tensor(np.stack([d.features for d in datasets]))
-                    predictions = batched_forward(template, params, x).numpy()
-                    for slot, dataset in enumerate(datasets):
-                        maes[slot][name] = float(
-                            mae_per_axis_cm(predictions[slot], dataset.labels).mean()
-                        )
-                    continue
-                for slot, dataset in enumerate(datasets):
-                    if dataset is None:
-                        continue
-                    single = [nn.Tensor(p.data[slot][None]) for p in params]
-                    predictions = batched_forward(
-                        template, single, nn.Tensor(dataset.features[None])
-                    ).numpy()[0]
-                    maes[slot][name] = float(
-                        mae_per_axis_cm(predictions, dataset.labels).mean()
-                    )
-        return maes
-
-    for slot, row in enumerate(evaluate_all()):
-        for name, value in row.items():
-            results[slot].curves[name] = []
-            results[slot].initial_mae_cm[name] = value
-
-    for epoch in range(epochs):
-        # Mirror BatchLoader's shuffling so per-model curves match the
-        # sequential FineTuner run with the same seed.
-        indices = np.arange(size)
-        if config.shuffle:
-            indices = np.random.default_rng(config.seed + epoch).permutation(size)
-        epoch_losses = np.zeros(num_models)
-        num_batches = 0
-        for start in range(0, size, batch_size):
-            batch = indices[start : start + batch_size]
-            x = nn.Tensor(features[:, batch])
-            y = nn.Tensor(labels[:, batch])
-            predictions = batched_forward(template, params, x)
-            losses = nn.per_task_loss(predictions, y, config.loss)
-            losses.sum().backward()
-            epoch_losses += losses.data
-            num_batches += 1
-            params = gradient_step(params, config.learning_rate)
-
-        for slot, row in enumerate(evaluate_all()):
-            results[slot].train_loss.append(float(epoch_losses[slot] / max(num_batches, 1)))
-            for name, value in row.items():
-                results[slot].curves[name].append(value)
-
-    # Write the adapted parameters back into the deployed models.
-    for slot, model in enumerate(models):
-        for stacked, param in zip(params, model.parameters()):
-            param.data = stacked.data[slot].copy()
-    return results

@@ -42,7 +42,7 @@ from ..engine.functional import (
     replicate_parameters,
     supports_batched_execution,
 )
-from ..engine.plan import BatchPlan
+from ..runtime.plan import ExecutionPlan
 from ..runtime.pool import pool_context, shard_items
 from .evaluation import evaluate_model
 from .models import PoseCNN
@@ -55,7 +55,7 @@ __all__ = ["MetaLearningConfig", "MetaTrainingHistory", "MetaTrainer"]
 def _meta_shard_gradients(
     model: PoseCNN,
     config: "MetaLearningConfig",
-    plan: BatchPlan,
+    plan: ExecutionPlan,
     tasks: List[Task],
 ):
     """Worker entry point of the process-sharded meta step.
@@ -159,23 +159,23 @@ class MetaTrainingHistory:
 class MetaTrainer:
     """Meta-trains a :class:`PoseCNN` following Algorithm 1.
 
-    With the default :class:`repro.engine.BatchPlan` the task dimension is
-    batched: the inner-loop adaptation of every task in a meta-batch runs
+    With the default :class:`repro.runtime.ExecutionPlan` the task dimension
+    is batched: the inner-loop adaptation of every task in a meta-batch runs
     through one grouped forward/backward pass with per-task parameter
     tensors (see :mod:`repro.engine.functional`), which is numerically
     equivalent to — and several times faster than — the sequential
-    task-at-a-time loop retained for ``BatchPlan.reference()``.
+    task-at-a-time loop retained for ``ExecutionPlan.reference()``.
     """
 
     def __init__(
         self,
         model: PoseCNN,
         config: Optional[MetaLearningConfig] = None,
-        plan: Optional[BatchPlan] = None,
+        plan: Optional[ExecutionPlan] = None,
     ) -> None:
         self.model = model
         self.config = config if config is not None else MetaLearningConfig()
-        self.plan = plan if plan is not None else BatchPlan()
+        self.plan = plan if plan is not None else ExecutionPlan()
         self.history = MetaTrainingHistory()
         self._loss_fn = TrainingConfig(loss=self.config.loss).loss_function()
         self._batched = self.plan.vectorized and supports_batched_execution(model)

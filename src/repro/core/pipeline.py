@@ -28,11 +28,11 @@ import numpy as np
 from .. import nn
 from ..dataset.cache import FeatureCache
 from ..dataset.features import FeatureMapBuilder
-from ..dataset.loader import ArrayDataset, build_array_dataset
+from ..dataset.loader import ArrayDataset
 from ..dataset.sample import PoseDataset
 from ..engine.functional import predict_with_parameters
-from ..engine.plan import BatchPlan
 from ..radar.pointcloud import PointCloudFrame
+from ..runtime.plan import ExecutionPlan
 from .evaluation import PoseErrorReport, evaluate_model
 from .finetune import FineTuneConfig, FineTuneResult, FineTuner
 from .fusion import FrameFusion
@@ -64,11 +64,9 @@ class FuseConfig:
     model_seed:
         Seed of the model's weight initialization.
     plan:
-        Execution plan (:class:`repro.engine.BatchPlan`, a façade over
-        :class:`repro.runtime.ExecutionPlan`): selects the vectorized hot
-        path, the worker-process count for bulk feature building, the
-        feature-cache policy and the radar backend override for everything
-        this estimator does.
+        Execution plan (:class:`repro.runtime.ExecutionPlan`): selects the
+        vectorized hot path and the worker-process count for bulk feature
+        building and meta-training.
     """
 
     num_context_frames: int = 1
@@ -77,7 +75,7 @@ class FuseConfig:
     meta: MetaLearningConfig = field(default_factory=MetaLearningConfig)
     finetune: FineTuneConfig = field(default_factory=FineTuneConfig)
     model_seed: int = 0
-    plan: BatchPlan = field(default_factory=BatchPlan)
+    plan: ExecutionPlan = field(default_factory=ExecutionPlan)
 
 
 class FusePoseEstimator:
@@ -93,18 +91,7 @@ class FusePoseEstimator:
             if model is not None
             else build_fuse_model(self.feature_builder, seed=self.config.model_seed)
         )
-        if self.plan.cache_policy == "memory":
-            self._feature_cache: Optional[FeatureCache] = FeatureCache(
-                capacity=self.plan.cache_capacity
-            )
-        elif self.plan.cache_policy == "disk":
-            self._feature_cache = FeatureCache(
-                capacity=self.plan.cache_capacity,
-                cache_dir=self.plan.cache_dir,
-                disk_capacity=self.plan.cache_disk_capacity,
-            )
-        else:
-            self._feature_cache = None
+        self.feature_cache = FeatureCache()
         self.training_history: Optional[TrainingHistory] = None
         self.meta_history: Optional[MetaTrainingHistory] = None
         self.finetune_result: Optional[FineTuneResult] = None
@@ -115,19 +102,16 @@ class FusePoseEstimator:
     def prepare(self, dataset: PoseDataset, fuse: bool = True) -> ArrayDataset:
         """Fuse a labelled dataset and convert it to feature/label arrays.
 
-        With a caching plan the built arrays are memoized by content hash, so
-        repeated preparation of the same split (the adaptation experiments
-        re-prepare their evaluation sets many times) costs one lookup.
+        The built arrays are memoized in :attr:`feature_cache` by content
+        hash, so repeated preparation of the same split (the adaptation
+        experiments re-prepare their evaluation sets many times) costs one
+        lookup.
         """
         fused = self.fusion.fuse_dataset(dataset) if fuse else dataset
-        if self._feature_cache is not None:
-            features, labels = self._feature_cache.get_or_build(
-                fused, self.feature_builder, workers=self.plan.workers
-            )
-            return ArrayDataset(features, labels)
-        return build_array_dataset(
-            fused, builder=self.feature_builder, workers=self.plan.workers
+        features, labels = self.feature_cache.get_or_build(
+            fused, self.feature_builder, workers=self.plan.workers
         )
+        return ArrayDataset(features, labels)
 
     # ------------------------------------------------------------------
     # Offline training
@@ -140,8 +124,8 @@ class FusePoseEstimator:
         verbose: bool = False,
     ) -> TrainingHistory:
         """Train with conventional supervised learning (the baseline recipe)."""
-        train_arrays = self._as_arrays(train)
-        validation_arrays = self._as_arrays(validation) if validation is not None else None
+        train_arrays = self.to_arrays(train)
+        validation_arrays = self.to_arrays(validation) if validation is not None else None
         trainer = SupervisedTrainer(self.model, self.config.training)
         self.training_history = trainer.fit(
             train_arrays, validation_arrays, epochs=epochs, verbose=verbose
@@ -156,8 +140,8 @@ class FusePoseEstimator:
         verbose: bool = False,
     ) -> MetaTrainingHistory:
         """Meta-train the initialization (Algorithm 1)."""
-        train_arrays = self._as_arrays(train)
-        validation_arrays = self._as_arrays(validation) if validation is not None else None
+        train_arrays = self.to_arrays(train)
+        validation_arrays = self.to_arrays(validation) if validation is not None else None
         trainer = MetaTrainer(self.model, self.config.meta, plan=self.plan)
         self.meta_history = trainer.meta_train(
             train_arrays,
@@ -178,9 +162,9 @@ class FusePoseEstimator:
         verbose: bool = False,
     ) -> FineTuneResult:
         """Fine-tune the deployed model on a few new-scenario frames."""
-        adaptation_arrays = self._as_arrays(new_data)
+        adaptation_arrays = self.to_arrays(new_data)
         named_arrays = {
-            name: self._as_arrays(dataset) for name, dataset in (evaluation_sets or {}).items()
+            name: self.to_arrays(dataset) for name, dataset in (evaluation_sets or {}).items()
         }
         tuner = FineTuner(self.model, self.config.finetune)
         self.finetune_result = tuner.finetune(
@@ -222,7 +206,7 @@ class FusePoseEstimator:
 
     def evaluate(self, dataset: PoseDataset | ArrayDataset) -> PoseErrorReport:
         """Evaluate the current model; returns the MAE report in cm."""
-        arrays = self._as_arrays(dataset)
+        arrays = self.to_arrays(dataset)
         return evaluate_model(self.model, arrays)
 
     # ------------------------------------------------------------------
@@ -251,11 +235,6 @@ class FusePoseEstimator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @property
-    def feature_cache(self) -> Optional[FeatureCache]:
-        """The configured feature cache (``None`` under ``cache_policy="none"``)."""
-        return self._feature_cache
-
     def to_arrays(self, data: PoseDataset | ArrayDataset) -> ArrayDataset:
         """Coerce labelled or pre-built data to feature/label arrays.
 
@@ -267,6 +246,3 @@ class FusePoseEstimator:
         if isinstance(data, PoseDataset):
             return self.prepare(data)
         raise TypeError(f"expected PoseDataset or ArrayDataset, got {type(data).__name__}")
-
-    def _as_arrays(self, data: PoseDataset | ArrayDataset) -> ArrayDataset:
-        return self.to_arrays(data)

@@ -16,8 +16,8 @@ Public entry points:
 * :class:`PoseDataset` / :class:`LabelledFrame` — the labelled-frame
   containers every driver exchanges;
 * :class:`FeatureMapBuilder` — point-cloud-to-feature-map conversion
-  (vectorized ``build_batch``), with :class:`FeatureCache` memoization
-  (in-memory LRU, optional disk spill);
+  (vectorized ``build_batch``), with in-memory LRU :class:`FeatureCache`
+  memoization;
 * :func:`per_movement_split` / :func:`leave_out_split` — the paper's
   evaluation splits;
 * :class:`BatchLoader` / :func:`build_array_dataset` — batch iteration for

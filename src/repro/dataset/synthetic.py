@@ -293,28 +293,23 @@ class SyntheticDatasetGenerator:
             self._subject(spec.subject_id), spec.movement_name, spec.sequence_id, rng
         )
 
-    def generate(
-        self, vectorized: Optional[bool] = None, plan: Optional[ExecutionPlan] = None
-    ) -> PoseDataset:
+    def generate(self, plan: Optional[ExecutionPlan] = None) -> PoseDataset:
         """Generate the full dataset described by the configuration.
 
-        ``vectorized`` selects the batched radar/scattering path; the
-        per-frame path is retained as the reference implementation and for
-        throughput comparisons.  Left as ``None`` it follows
-        ``plan.vectorized`` (the plan's master switch), defaulting to the
-        batched path without a plan; an explicit argument wins over the
-        plan.  ``plan.workers > 1`` shards the sessions over a process pool
+        ``plan.vectorized`` selects the batched radar/scattering path (the
+        default without a plan); the per-frame path is retained as the
+        reference implementation and for throughput comparisons.
+        ``plan.workers > 1`` shards the sessions over a process pool
         (:func:`repro.runtime.map_shards`); per-session seeding makes the
         output bitwise identical to the serial run.
         """
-        if vectorized is None:
-            vectorized = plan.vectorized if plan is not None else True
+        plan = plan if plan is not None else ExecutionPlan()
         cfg = self.config
         dataset = PoseDataset(name=f"synthetic-mars(seed={cfg.seed})")
         shard_results = map_shards(
-            partial(_generate_session_shard, cfg, vectorized),
+            partial(_generate_session_shard, cfg, plan.vectorized),
             self.session_specs(),
-            plan,
+            plan.workers,
         )
         dataset.extend(merge_shards(shard_results))
         return dataset
@@ -335,25 +330,22 @@ def _generate_session_shard(
 def generate_dataset(
     config: Optional[SyntheticDatasetConfig] = None,
     use_cache: bool = True,
-    vectorized: Optional[bool] = None,
     plan: Optional[ExecutionPlan] = None,
 ) -> PoseDataset:
     """Generate (or fetch from the in-process cache) a synthetic dataset.
 
-    The generation path follows ``vectorized`` when given, else
-    ``plan.vectorized``, else the batched default (the batched and
-    reference paths draw randomness in different orders, so they are
-    distinct cache entries).  The plan's *scheduling* half (worker
-    processes, shard layout) never affects contents, so cached datasets are
-    shared across worker counts.
+    The generation path follows ``plan.vectorized`` (batched without a
+    plan); the batched and reference paths draw randomness in different
+    orders, so they are distinct cache entries.  The plan's worker count
+    never affects contents, so cached datasets are shared across worker
+    counts.
     """
     config = config if config is not None else SyntheticDatasetConfig()
-    if vectorized is None:
-        vectorized = plan.vectorized if plan is not None else True
-    cache_key = (config, vectorized)
+    plan = plan if plan is not None else ExecutionPlan()
+    cache_key = (config, plan.vectorized)
     if use_cache and cache_key in _DATASET_CACHE:
         return _DATASET_CACHE[cache_key]
-    dataset = SyntheticDatasetGenerator(config).generate(vectorized=vectorized, plan=plan)
+    dataset = SyntheticDatasetGenerator(config).generate(plan=plan)
     if use_cache:
         _DATASET_CACHE[cache_key] = dataset
     return dataset

@@ -3,21 +3,17 @@
 The engine is the architectural seam between "what the reproduction
 computes" and "how fast it computes it".  Its pieces:
 
-* :class:`BatchPlan` — one frozen object selecting batch size, feature-cache
-  policy, worker processes and radar backend, consumed by
-  :class:`repro.core.FusePoseEstimator` and the experiment drivers.  Since
-  the runtime refactor it is a thin façade over
-  :class:`repro.runtime.ExecutionPlan`, the shared execution-policy layer;
 * :class:`BatchedRadarEngine` — whole-trajectory radar execution over
   ``(batch, frame, ...)`` arrays;
 * task-batched functional model execution
   (:func:`replicate_parameters` / :func:`batched_forward`) used by the
-  meta-learning and fine-tuning task loops.
+  meta-learning and adaptation task loops.
 
 Every vectorized path has a per-frame / per-task reference twin selected by
-``BatchPlan.reference()``; the equivalence tests in ``tests/engine`` pin the
-two together numerically, and ``benchmarks/test_engine_throughput.py``
-tracks the speedup as ``BENCH_engine.json``.
+:meth:`repro.runtime.ExecutionPlan.reference`; the equivalence tests in
+``tests/engine`` pin the two together numerically, and
+``benchmarks/test_engine_throughput.py`` tracks the speedup as
+``BENCH_engine.json``.
 """
 
 from .functional import (
@@ -29,11 +25,9 @@ from .functional import (
     replicate_parameters,
     supports_batched_execution,
 )
-from .plan import BatchPlan
 from .radar import BatchedRadarEngine
 
 __all__ = [
-    "BatchPlan",
     "BatchedRadarEngine",
     "batched_forward",
     "lowrank_forward",

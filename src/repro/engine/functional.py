@@ -301,5 +301,5 @@ def _forward_module(
         return x
     raise NotImplementedError(
         f"no task-batched kernel for layer {module!r}; "
-        "run with BatchPlan(vectorized=False) instead"
+        "run with ExecutionPlan(vectorized=False) instead"
     )

@@ -3,8 +3,8 @@
 :class:`BatchedRadarEngine` is the engine-side entry point for turning a
 posed motion trajectory into a point-cloud sequence.  It samples the body
 scatterers for every frame at once, packs them into a
-:class:`repro.radar.SceneBatch` and pushes chunks of ``plan.batch_size``
-frames through the selected radar backend's ``process_batch`` kernel; with
+:class:`repro.radar.SceneBatch` and pushes chunks of :data:`CHUNK_FRAMES`
+frames through the radar backend's ``process_batch`` kernel; with
 ``plan.vectorized`` disabled it reproduces the historical frame-at-a-time
 loop, which the throughput benchmark uses as its baseline.
 """
@@ -12,33 +12,29 @@ loop, which the throughput benchmark uses as its baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ..body.motion import MotionTrajectory
 from ..body.surface import BodyScatteringModel
-from ..radar.config import RadarConfig
-from ..radar.pipeline import RadarPipeline, make_pipeline
+from ..radar.pipeline import RadarPipeline
 from ..radar.pointcloud import PointCloudSequence
 from ..radar.scene import scene_batch_from_world
-from .plan import BatchPlan
+from ..runtime.plan import ExecutionPlan
 
 __all__ = ["BatchedRadarEngine"]
+
+#: Radar frames per vectorized chunk.  Bounds the peak memory of the
+#: signal-chain backend (each frame's data cube is a ``(samples, chirps,
+#: antennas)`` complex array).
+CHUNK_FRAMES = 64
 
 
 @dataclass
 class BatchedRadarEngine:
     """Executes the radar stage of the hot path according to a plan."""
 
-    plan: BatchPlan = field(default_factory=BatchPlan)
-
-    def make_pipeline(
-        self, backend: str, config: Optional[RadarConfig] = None, **kwargs
-    ) -> RadarPipeline:
-        """Build a radar pipeline, honouring the plan's backend override."""
-        backend = self.plan.backend if self.plan.backend is not None else backend
-        return make_pipeline(backend, config=config, **kwargs)
+    plan: ExecutionPlan = field(default_factory=ExecutionPlan)
 
     def point_cloud_sequence(
         self,
@@ -50,7 +46,7 @@ class BatchedRadarEngine:
         """Convert a posed trajectory into one point cloud per frame.
 
         The vectorized path samples every frame's scatterers in one call and
-        feeds ``plan.batch_size``-frame chunks through the backend's batched
+        feeds :data:`CHUNK_FRAMES`-frame chunks through the backend's batched
         kernel; the reference path mirrors the original per-frame loop.
         """
         frame_rate = trajectory.frame_rate
@@ -74,8 +70,8 @@ class BatchedRadarEngine:
             trajectory.positions, trajectory.velocities, rng
         )
         num_frames = trajectory.num_frames
-        for start in range(0, num_frames, self.plan.batch_size):
-            stop = min(start + self.plan.batch_size, num_frames)
+        for start in range(0, num_frames, CHUNK_FRAMES):
+            stop = min(start + CHUNK_FRAMES, num_frames)
             chunk = scene_batch_from_world(
                 positions[start:stop],
                 velocities[start:stop],

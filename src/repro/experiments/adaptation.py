@@ -22,7 +22,7 @@ each run), which keeps the benchmark wall-clock manageable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -122,8 +122,10 @@ class AdaptationResult:
 
 
 # In-process cache so Table 2 / Figure 3 / Figure 4 drivers (and their
-# benchmarks) share one offline-training run per scale.
-_RESULT_CACHE: Dict[str, AdaptationResult] = {}
+# benchmarks) share one offline-training run per scale.  Keyed by the whole
+# scale with the worker count normalised to 1: every budget and the dataset
+# path are part of a result's identity, the worker count is not.
+_RESULT_CACHE: Dict[ExperimentScale, AdaptationResult] = {}
 
 
 def clear_cache() -> None:
@@ -165,13 +167,7 @@ def run_adaptation(
 ) -> AdaptationResult:
     """Run (or fetch) the full adaptation experiment for one scale."""
     scale = get_scale(scale) if isinstance(scale, str) else scale
-    # plan.vectorized selects which (deliberately distinct) dataset the
-    # generator produces, so it is part of the result's identity; the
-    # plan's scheduling half (workers/shards) is not.
-    cache_key = (
-        f"{scale.name}/{scale.dataset}/{scale.finetune_frames}"
-        f"/vectorized={scale.plan.vectorized}"
-    )
+    cache_key = replace(scale, plan=replace(scale.plan, workers=1))
     if use_cache and cache_key in _RESULT_CACHE:
         return _RESULT_CACHE[cache_key]
 

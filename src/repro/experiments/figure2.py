@@ -22,9 +22,10 @@ from ..body.skeleton import JOINT_INDEX
 from ..body.subjects import default_subjects
 from ..body.surface import BodyScatteringModel
 from ..core.fusion import FrameFusion
-from ..engine.plan import BatchPlan
 from ..engine.radar import BatchedRadarEngine
+from ..radar.pipeline import make_pipeline
 from ..radar.pointcloud import PointCloudFrame
+from ..runtime.plan import ExecutionPlan
 from ..viz.render import RenderConfig, occupancy_grid, render_point_cloud
 from ..viz.tables import format_table
 from .scale import ExperimentScale, get_scale
@@ -71,12 +72,12 @@ def run_figure2(
     num_context_frames: int = 1,
     frame_index: int = 25,
     seed: int = 11,
-    plan: Optional[BatchPlan] = None,
+    plan: Optional[ExecutionPlan] = None,
 ) -> Figure2Result:
     """Generate the squat sequence and build the single vs fused comparison.
 
     The radar stage runs through the batched execution engine; pass
-    ``plan=BatchPlan.reference()`` to reproduce the historical per-frame
+    ``plan=ExecutionPlan.reference()`` to reproduce the historical per-frame
     loop (the throughput benchmark compares the two).
     """
     scale = get_scale(scale) if isinstance(scale, str) else scale
@@ -90,11 +91,10 @@ def run_figure2(
         points_per_segment=scale.dataset.points_per_segment,
         reflectivity=subject.reflectivity,
     )
-    engine = BatchedRadarEngine(plan=plan)
-    pipeline = engine.make_pipeline(
-        scale.dataset.radar_backend, config=scale.dataset.radar_config
+    pipeline = make_pipeline(scale.dataset.radar_backend, config=scale.dataset.radar_config)
+    sequence = BatchedRadarEngine(plan=plan).point_cloud_sequence(
+        scattering, trajectory, pipeline, rng
     )
-    sequence = engine.point_cloud_sequence(scattering, trajectory, pipeline, rng)
 
     frame_index = min(frame_index, len(sequence) - 1)
     fusion = FrameFusion(num_context_frames=num_context_frames)

@@ -21,7 +21,7 @@ from ..core.finetune import FineTuneConfig
 from ..core.maml import MetaLearningConfig
 from ..core.training import TrainingConfig
 from ..dataset.synthetic import SyntheticDatasetConfig
-from ..engine.plan import BatchPlan
+from ..runtime.plan import ExecutionPlan
 
 __all__ = ["ExperimentScale", "get_scale", "SCALE_NAMES"]
 
@@ -30,13 +30,11 @@ __all__ = ["ExperimentScale", "get_scale", "SCALE_NAMES"]
 class ExperimentScale:
     """A bundle of dataset and training budgets used by experiment drivers.
 
-    ``plan`` is the :class:`repro.engine.BatchPlan` (a façade over
-    :class:`repro.runtime.ExecutionPlan`) the drivers hand to the estimator
-    stack *and* to dataset generation; override it
-    (``with_overrides(plan=...)``) to force the per-frame reference path, a
-    different radar backend, a different cache policy — or, via
-    :meth:`with_workers`, a multi-process run — without touching the
-    drivers.
+    ``plan`` is the :class:`repro.runtime.ExecutionPlan` the drivers hand to
+    the estimator stack *and* to dataset generation; override it
+    (``with_overrides(plan=...)``) to force the per-frame reference path —
+    or, via :meth:`with_workers`, a multi-process run — without touching
+    the drivers.
     """
 
     name: str
@@ -47,7 +45,7 @@ class ExperimentScale:
     finetune_last: FineTuneConfig
     finetune_frames: int = 200
     fusion_settings: tuple[int, ...] = (0, 1, 2)
-    plan: BatchPlan = field(default_factory=BatchPlan)
+    plan: ExecutionPlan = field(default_factory=ExecutionPlan)
 
     def with_overrides(self, **kwargs) -> "ExperimentScale":
         """Return a copy with selected fields replaced."""

@@ -2,9 +2,8 @@
 
 One subsystem owns *how* work executes so no other layer has to:
 
-* :class:`ExecutionPlan` — worker count, shard layout, vectorization,
-  feature-cache policy and radar-backend override in one frozen object.
-  :class:`repro.engine.BatchPlan` is a thin compatibility façade over it.
+* :class:`ExecutionPlan` — the two execution choices (batched kernels or
+  their reference twins; how many worker processes) in one frozen object.
 * :func:`map_shards` / :func:`shard_items` / :func:`merge_shards` — the
   fan-out primitive: contiguous shards, optional process pool, results in
   shard order.
@@ -17,9 +16,9 @@ One subsystem owns *how* work executes so no other layer has to:
   shared by the shard pools and the serving shard workers.
 
 Consumers: synthetic dataset generation and bulk feature building shard on
-:func:`map_shards`; the batched engine reads its vectorization/cache policy
-from the plan; :class:`repro.serve.ProcessShardedPoseServer` places users
-with :func:`shard_for`, derives its worker processes from
+:func:`map_shards`; the batched engine and the meta-trainer read
+``plan.vectorized``; :class:`repro.serve.ProcessShardedPoseServer` places
+users with :func:`shard_for`, derives its worker processes from
 :func:`pool_context` and seeds each shard with :func:`seed_for_key`; the
 experiment drivers and CLI thread one plan through all of it.
 """

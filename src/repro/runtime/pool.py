@@ -1,15 +1,15 @@
 """Worker pools, shard layout and result merging.
 
 :func:`map_shards` is the one fan-out primitive of the runtime layer: cut a
-list of work items into contiguous shards, apply a function to every shard —
-in-process when the plan asks for one worker, over a process pool otherwise —
-and return the per-shard results *in shard order*, so merging is a plain
+list of work items into one contiguous shard per worker, apply a function to
+every shard — in-process for one worker, over a process pool otherwise — and
+return the per-shard results *in shard order*, so merging is a plain
 concatenation and the output is independent of scheduling.
 
 Design constraints:
 
 * **Determinism** — shard layout is a pure function of ``(len(items),
-  workers, shard_size)``; results are returned in submission order
+  workers)``; results are returned in submission order
   (``ProcessPoolExecutor.map`` preserves it), and stochastic stages draw
   per-item randomness (:mod:`repro.runtime.seeding`), so worker count never
   changes bits.
@@ -28,36 +28,23 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from .plan import ExecutionPlan
-
 __all__ = ["shard_items", "map_shards", "merge_shards", "pool_context", "shard_for"]
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 
-def shard_items(
-    items: Sequence[ItemT],
-    num_shards: Optional[int] = None,
-    shard_size: Optional[int] = None,
-) -> List[List[ItemT]]:
-    """Cut ``items`` into contiguous, order-preserving shards.
+def shard_items(items: Sequence[ItemT], num_shards: int) -> List[List[ItemT]]:
+    """Cut ``items`` into ``num_shards`` contiguous, order-preserving shards.
 
-    Exactly one of ``num_shards`` / ``shard_size`` selects the layout; with
-    ``num_shards`` the items are spread as evenly as possible (sizes differ
-    by at most one).  Empty shards are never produced.
+    The items are spread as evenly as possible (sizes differ by at most
+    one).  Empty shards are never produced.
     """
     items = list(items)
-    if (num_shards is None) == (shard_size is None):
-        raise ValueError("provide exactly one of num_shards / shard_size")
-    if not items:
-        return []
-    if shard_size is not None:
-        if shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
-        return [items[start : start + shard_size] for start in range(0, len(items), shard_size)]
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
+    if not items:
+        return []
     num_shards = min(num_shards, len(items))
     base, extra = divmod(len(items), num_shards)
     shards: List[List[ItemT]] = []
@@ -85,45 +72,25 @@ def pool_context(start_method: Optional[str] = None) -> multiprocessing.context.
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-#: backwards-compatible private alias (pre-frontend callers)
-_pool_context = pool_context
-
-
 def map_shards(
     fn: Callable[[List[ItemT]], ResultT],
     items: Sequence[ItemT],
-    plan: Optional[ExecutionPlan] = None,
-    *,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
+    workers: int = 1,
 ) -> List[ResultT]:
-    """Apply ``fn`` to every shard of ``items``; results come back in order.
+    """Apply ``fn`` to each of ``workers`` shards of ``items``; results come
+    back in order.
 
-    The worker count and shard size default to the plan's (``workers=1`` and
-    one shard per worker when no plan is given).  With one effective worker
-    or one shard the call degenerates to a serial loop in this process;
-    otherwise shards run on a process pool, so ``fn`` must be picklable — a
-    module-level function or a :func:`functools.partial` of one.
+    With one worker or one shard the call degenerates to a serial loop in
+    this process; otherwise shards run on a process pool, so ``fn`` must be
+    picklable — a module-level function or a :func:`functools.partial` of
+    one.
     """
-    if workers is None:
-        workers = plan.workers if plan is not None else 1
-    if shard_size is None and plan is not None:
-        shard_size = plan.shard_size
     if workers < 1:
         raise ValueError("workers must be >= 1")
-
-    items = list(items)
-    if shard_size is not None:
-        shards = shard_items(items, shard_size=shard_size)
-    else:
-        shards = shard_items(items, num_shards=max(workers, 1))
-    if not shards:
-        return []
-
-    effective = min(workers, len(shards))
-    if effective <= 1:
+    shards = shard_items(items, num_shards=workers)
+    if len(shards) <= 1:
         return [fn(shard) for shard in shards]
-    with ProcessPoolExecutor(max_workers=effective, mp_context=_pool_context()) as pool:
+    with ProcessPoolExecutor(max_workers=len(shards), mp_context=pool_context()) as pool:
         return list(pool.map(fn, shards))
 
 

@@ -371,10 +371,8 @@ class PoseServer:
         report["adapted_parameter_sets"] = len(self.registry)
         for tier, count in self.registry.tier_sizes().items():
             report[f"adapter_tier_{tier}"] = count
-        cache = self.estimator.feature_cache
-        if cache is not None:
-            for key, value in cache.stats.as_dict().items():
-                report[f"feature_cache_{key}"] = value
+        for key, value in self.estimator.feature_cache.stats.as_dict().items():
+            report[f"feature_cache_{key}"] = value
         return report
 
     def to_prometheus(self) -> str:

@@ -163,7 +163,7 @@ class TestShardedMetaTraining:
 
     @pytest.mark.parametrize("algorithm", ["fomaml", "reptile"])
     def test_sharded_training_is_bitwise_identical_to_serial(self, algorithm):
-        from repro.engine import BatchPlan
+        from repro.runtime import ExecutionPlan
 
         config = MetaLearningConfig(
             meta_iterations=3,
@@ -176,7 +176,7 @@ class TestShardedMetaTraining:
         results = {}
         for workers in (1, 2):
             model = small_model(seed=7)
-            history = MetaTrainer(model, config, BatchPlan().with_workers(workers)).meta_train(
+            history = MetaTrainer(model, config, ExecutionPlan(workers=workers)).meta_train(
                 data
             )
             results[workers] = (

@@ -45,27 +45,22 @@ class TestPreparation:
         occupied_single = (np.abs(single.features).sum(axis=1) > 0).mean()
         assert occupied_fused > occupied_single
 
-    def test_as_arrays_passthrough(self, tiny_arrays):
+    def test_to_arrays_passthrough(self, tiny_arrays):
         estimator = small_estimator()
-        assert estimator._as_arrays(tiny_arrays) is tiny_arrays
+        assert estimator.to_arrays(tiny_arrays) is tiny_arrays
 
-    def test_disk_cache_plan_persists_prepared_features(self, tiny_dataset, tmp_path):
-        from repro.engine import BatchPlan
+    def test_second_prepare_hits_the_feature_cache(self, tiny_dataset):
+        estimator = FusePoseEstimator(FuseConfig(num_context_frames=1))
+        first = estimator.prepare(tiny_dataset[:10])
+        second = estimator.prepare(tiny_dataset[:10])
+        assert estimator.feature_cache.stats.misses == 1
+        assert estimator.feature_cache.stats.hits == 1
+        np.testing.assert_array_equal(second.features, first.features)
+        np.testing.assert_array_equal(second.labels, first.labels)
 
-        plan = BatchPlan(cache_policy="disk", cache_dir=str(tmp_path / "features"))
-        first = FusePoseEstimator(FuseConfig(num_context_frames=1, plan=plan))
-        arrays = first.prepare(tiny_dataset[:10])
-        assert first.feature_cache is not None
-        assert first.feature_cache.stats.misses == 1
-
-        second = FusePoseEstimator(FuseConfig(num_context_frames=1, plan=plan))
-        recovered = second.prepare(tiny_dataset[:10])
-        assert second.feature_cache.stats.disk_hits == 1
-        np.testing.assert_array_equal(recovered.features, arrays.features)
-
-    def test_as_arrays_rejects_unknown_type(self):
+    def test_to_arrays_rejects_unknown_type(self):
         with pytest.raises(TypeError):
-            small_estimator()._as_arrays([1, 2, 3])
+            small_estimator().to_arrays([1, 2, 3])
 
 
 class TestTraining:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import logging
-
 import numpy as np
 import pytest
 
@@ -112,117 +109,3 @@ class TestFeatureCache:
         assert len(cache) == 0
         assert cache.stats.requests == 0
 
-
-class TestDiskSpill:
-    """The satellite requirement: optional persistence for cross-process reuse."""
-
-    def test_fresh_instance_recovers_entries_from_disk(self, tmp_path):
-        samples = make_samples(8, seed=20)
-        builder = FeatureMapBuilder()
-        writer = FeatureCache(cache_dir=tmp_path)
-        features, labels = writer.get_or_build(samples, builder)
-        assert writer.stats.misses == 1
-        assert len(list(tmp_path.glob("*.npz"))) == 1
-
-        # A second instance (simulating another process) hits disk, not a
-        # rebuild, and returns bitwise-identical arrays.
-        reader = FeatureCache(cache_dir=tmp_path)
-        recovered_features, recovered_labels = reader.get_or_build(samples, builder)
-        assert reader.stats.disk_hits == 1 and reader.stats.misses == 0
-        np.testing.assert_array_equal(recovered_features, features)
-        np.testing.assert_array_equal(recovered_labels, labels)
-        # Once recovered, the entry lives in memory.
-        reader.get_or_build(samples, builder)
-        assert reader.stats.hits == 1
-
-    def test_disk_entries_are_read_only(self, tmp_path):
-        samples = make_samples(4, seed=21)
-        FeatureCache(cache_dir=tmp_path).get_or_build(samples, FeatureMapBuilder())
-        reader = FeatureCache(cache_dir=tmp_path)
-        features, _ = reader.get_or_build(samples, FeatureMapBuilder())
-        with pytest.raises(ValueError):
-            features[0, 0, 0, 0] = 1.0
-
-    def test_disk_eviction_bounds_the_directory(self, tmp_path):
-        cache = FeatureCache(cache_dir=tmp_path, disk_capacity=2)
-        for index in range(4):
-            cache.get_or_build(make_samples(4, seed=30 + index), FeatureMapBuilder())
-        assert len(list(tmp_path.glob("*.npz"))) == 2
-        assert cache.stats.disk_evictions == 2
-
-    def test_corrupt_disk_entry_is_rebuilt_and_replaced(self, tmp_path):
-        samples = make_samples(4, seed=40)
-        builder = FeatureMapBuilder()
-        writer = FeatureCache(cache_dir=tmp_path)
-        expected, _ = writer.get_or_build(samples, builder)
-        (entry,) = tmp_path.glob("*.npz")
-        entry.write_bytes(b"not an npz archive")
-
-        reader = FeatureCache(cache_dir=tmp_path)
-        rebuilt, _ = reader.get_or_build(samples, builder)
-        assert reader.stats.misses == 1 and reader.stats.disk_hits == 0
-        np.testing.assert_array_equal(rebuilt, expected)
-
-    def test_torn_entry_is_counted_logged_and_removed(self, tmp_path, caplog, monkeypatch):
-        samples = make_samples(4, seed=41)
-        builder = FeatureMapBuilder()
-        FeatureCache(cache_dir=tmp_path).get_or_build(samples, builder)
-        (entry,) = tmp_path.glob("*.npz")
-        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
-
-        reader = FeatureCache(cache_dir=tmp_path)
-        # Keep the rebuild off disk, so the torn entry's removal shows.
-        monkeypatch.setattr(reader, "_spill_to_disk", lambda *args: None)
-        with caplog.at_level(logging.WARNING, logger="repro.dataset.cache"):
-            features, labels = reader.get_or_build(samples, builder)
-        lines = [
-            json.loads(record.getMessage())
-            for record in caplog.records
-            if record.name == "repro.dataset.cache"
-        ]
-        assert len(lines) == 1
-        assert lines[0]["event"] == "feature_cache_corrupt"
-        assert lines[0]["path"] == str(entry)
-        assert lines[0]["reason"].startswith("BadZipFile: ")
-        assert reader.stats.disk_corrupt == 1
-        assert reader.stats.as_dict()["disk_corrupt"] == 1
-        assert reader.stats.misses == 1 and reader.stats.disk_hits == 0
-        assert not entry.exists()
-        fresh_features, fresh_labels = FeatureCache().get_or_build(samples, builder)
-        np.testing.assert_array_equal(features, fresh_features)
-        np.testing.assert_array_equal(labels, fresh_labels)
-
-    def test_failed_disk_write_is_counted_logged_and_served(self, tmp_path, caplog):
-        samples = make_samples(4, seed=42)
-        builder = FeatureMapBuilder()
-        cache_dir = tmp_path / "cache"
-        cache = FeatureCache(cache_dir=cache_dir)
-        cache_dir.rmdir()  # the disk tier vanishes under the cache
-        with caplog.at_level(logging.WARNING, logger="repro.dataset.cache"):
-            features, labels = cache.get_or_build(samples, builder)
-        lines = [
-            json.loads(record.getMessage())
-            for record in caplog.records
-            if record.name == "repro.dataset.cache"
-        ]
-        assert len(lines) == 1
-        assert lines[0]["event"] == "feature_cache_write_failed"
-        assert lines[0]["path"] == str(cache_dir / f"{cache.key_for(samples, builder)}.npz")
-        assert lines[0]["reason"].startswith("FileNotFoundError: ")
-        assert cache.stats.disk_write_failed == 1
-        assert cache.stats.as_dict()["disk_write_failed"] == 1
-        assert cache.stats.misses == 1
-        fresh_features, fresh_labels = FeatureCache().get_or_build(samples, builder)
-        np.testing.assert_array_equal(features, fresh_features)
-        np.testing.assert_array_equal(labels, fresh_labels)
-        cache.get_or_build(samples, builder)  # the build is still memoized
-        assert cache.stats.hits == 1
-
-    def test_hit_rate_counts_disk_hits(self, tmp_path):
-        samples = make_samples(4, seed=50)
-        builder = FeatureMapBuilder()
-        FeatureCache(cache_dir=tmp_path).get_or_build(samples, builder)
-        reader = FeatureCache(cache_dir=tmp_path)
-        reader.get_or_build(samples, builder)
-        assert reader.stats.hit_rate == 1.0
-        assert reader.stats.as_dict()["disk_hits"] == 1

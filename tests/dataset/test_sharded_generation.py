@@ -18,7 +18,7 @@ from repro.dataset.synthetic import (
     SyntheticDatasetGenerator,
     generate_dataset,
 )
-from repro.engine import BatchPlan
+from repro.runtime import ExecutionPlan
 
 
 @pytest.fixture(scope="module")
@@ -44,23 +44,21 @@ def _assert_datasets_identical(a, b):
 
 class TestShardedGeneration:
     def test_workers_4_bitwise_identical_to_workers_1(self, small_config):
-        serial = generate_dataset(small_config, use_cache=False, plan=BatchPlan(workers=1))
-        sharded = generate_dataset(small_config, use_cache=False, plan=BatchPlan(workers=4))
+        serial = generate_dataset(small_config, use_cache=False, plan=ExecutionPlan(workers=1))
+        sharded = generate_dataset(small_config, use_cache=False, plan=ExecutionPlan(workers=4))
         _assert_datasets_identical(serial, sharded)
 
-    def test_shard_size_does_not_change_bits(self, small_config):
-        """Cutting the four sessions into single-session shards (the least
-        balanced layout) still reproduces the serial dataset exactly."""
+    def test_uneven_shards_do_not_change_bits(self, small_config):
+        """Three workers cut the four sessions into uneven shards (2, 1, 1),
+        which still reproduce the serial dataset exactly."""
         serial = generate_dataset(small_config, use_cache=False)
-        fine = generate_dataset(
-            small_config, use_cache=False, plan=BatchPlan(workers=2, shard_size=1)
-        )
-        _assert_datasets_identical(serial, fine)
+        uneven = generate_dataset(small_config, use_cache=False, plan=ExecutionPlan(workers=3))
+        _assert_datasets_identical(serial, uneven)
 
     def test_reference_path_shards_identically(self, small_config):
-        serial = generate_dataset(small_config, use_cache=False, vectorized=False)
+        serial = generate_dataset(small_config, use_cache=False, plan=ExecutionPlan.reference())
         sharded = generate_dataset(
-            small_config, use_cache=False, vectorized=False, plan=BatchPlan(workers=2)
+            small_config, use_cache=False, plan=ExecutionPlan(vectorized=False, workers=2)
         )
         _assert_datasets_identical(serial, sharded)
 
@@ -112,8 +110,8 @@ class TestShardedFeatureBuild:
     def test_estimator_prepare_with_workers(self, tiny_dataset):
         from repro.core import FuseConfig, FusePoseEstimator
 
-        serial = FusePoseEstimator(FuseConfig(plan=BatchPlan(workers=1)))
-        sharded = FusePoseEstimator(FuseConfig(plan=BatchPlan(workers=2)))
+        serial = FusePoseEstimator(FuseConfig(plan=ExecutionPlan(workers=1)))
+        sharded = FusePoseEstimator(FuseConfig(plan=ExecutionPlan(workers=2)))
         np.testing.assert_array_equal(
             serial.prepare(tiny_dataset).features,
             sharded.prepare(tiny_dataset).features,
@@ -122,23 +120,25 @@ class TestShardedFeatureBuild:
 
 class TestPlanVectorizedResolution:
     def test_reference_plan_selects_reference_path(self, small_config):
-        """plan.vectorized is the master switch when no explicit argument."""
-        explicit = generate_dataset(small_config, use_cache=False, vectorized=False)
+        """plan.vectorized is the one switch between the generation paths."""
+        generator = SyntheticDatasetGenerator(small_config)
+        per_session = [
+            frame
+            for spec in generator.session_specs()
+            for frame in generator.generate_session(spec, vectorized=False)
+        ]
         via_plan = generate_dataset(
-            small_config, use_cache=False, plan=BatchPlan.reference()
+            small_config, use_cache=False, plan=ExecutionPlan.reference()
         )
-        _assert_datasets_identical(explicit, via_plan)
-
-    def test_explicit_argument_wins_over_plan(self, small_config):
-        explicit = generate_dataset(
-            small_config, use_cache=False, vectorized=True, plan=BatchPlan.reference()
-        )
-        batched = generate_dataset(small_config, use_cache=False)
-        _assert_datasets_identical(explicit, batched)
+        _assert_datasets_identical(per_session, via_plan)
 
     def test_cache_keys_by_resolved_path(self, small_config):
         batched = generate_dataset(small_config, use_cache=True)
         via_plan = generate_dataset(
-            small_config, use_cache=True, plan=BatchPlan(workers=1)
+            small_config, use_cache=True, plan=ExecutionPlan(workers=1)
         )
         assert batched is via_plan  # same resolved path -> same cache entry
+        reference = generate_dataset(
+            small_config, use_cache=True, plan=ExecutionPlan.reference()
+        )
+        assert reference is not batched

@@ -3,7 +3,7 @@
 The batched execution engine reorganizes the computation — it must not
 change the answers.  These tests pin every vectorized stage to its reference
 twin: the deterministic stages (signal chain, feature maps, meta-learning,
-fine-tuning) must agree within floating-point reduction tolerance, and the
+grouped adaptation) must agree within floating-point reduction tolerance, and the
 stochastic geometric backend must agree in distribution.
 """
 
@@ -15,13 +15,13 @@ import pytest
 from repro.body.motion import MotionSynthesizer
 from repro.body.subjects import default_subjects
 from repro.body.surface import BodyScatteringModel
-from repro.core.finetune import FineTuneConfig, FineTuner, finetune_population
+from repro.core.finetune import FineTuneConfig, FineTuner
 from repro.core.maml import MetaLearningConfig, MetaTrainer
 from repro.core.models import PoseCNN
 from repro.dataset.features import FeatureMapBuilder
 from repro.dataset.loader import ArrayDataset
 from repro.dataset.synthetic import SyntheticDatasetConfig, SyntheticDatasetGenerator
-from repro.engine import BatchPlan, BatchedRadarEngine
+from repro.engine import BatchedRadarEngine
 from repro.radar import (
     GeometricPipeline,
     RadarConfig,
@@ -35,6 +35,8 @@ from repro.radar import (
 )
 from repro.radar.pointcloud import PointCloudFrame
 from repro.radar.signal_chain import RadarDataCube
+from repro.runtime import ExecutionPlan
+from repro.serve import AdapterPolicy, AdapterRegistry
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +104,8 @@ class TestGeometricBatch:
             subject, "squat", duration=12.0, rng=np.random.default_rng(3)
         )
         pipeline = GeometricPipeline(config=radar_config)
-        engine_vec = BatchedRadarEngine(plan=BatchPlan(batch_size=32))
-        engine_ref = BatchedRadarEngine(plan=BatchPlan.reference())
+        engine_vec = BatchedRadarEngine(plan=ExecutionPlan())
+        engine_ref = BatchedRadarEngine(plan=ExecutionPlan.reference())
 
         vec = engine_vec.point_cloud_sequence(
             scattering, trajectory, pipeline, np.random.default_rng(5)
@@ -180,8 +182,8 @@ class TestDatasetGenerationPaths:
             seed=123,
         )
         generator = SyntheticDatasetGenerator(config)
-        sequential = generator.generate(vectorized=False)
-        vectorized = generator.generate(vectorized=True)
+        sequential = generator.generate(plan=ExecutionPlan.reference())
+        vectorized = generator.generate(plan=ExecutionPlan())
         assert len(sequential) == len(vectorized) == config.expected_frames
         mean_seq = np.mean([s.cloud.num_points for s in sequential])
         mean_vec = np.mean([s.cloud.num_points for s in vectorized])
@@ -211,9 +213,9 @@ class TestMetaLearningEquivalence:
         sequential_model = PoseCNN(seed=2)
         batched_model = PoseCNN(seed=2)
         history_seq = MetaTrainer(
-            sequential_model, config, plan=BatchPlan.reference()
+            sequential_model, config, plan=ExecutionPlan.reference()
         ).meta_train(array_data)
-        history_bat = MetaTrainer(batched_model, config, plan=BatchPlan()).meta_train(
+        history_bat = MetaTrainer(batched_model, config, plan=ExecutionPlan()).meta_train(
             array_data
         )
         for p_seq, p_bat in zip(sequential_model.parameters(), batched_model.parameters()):
@@ -226,51 +228,27 @@ class TestMetaLearningEquivalence:
 
 class TestFineTunePopulation:
     def test_population_matches_sequential_finetuner(self):
+        """Grouped all-layer adaptation of a user population (the serving
+        tier's ``AdapterRegistry``) matches the core ``FineTuner`` run per
+        user from the same base model."""
+
         def make_dataset(count, seed):
             rng = np.random.default_rng(seed)
             return ArrayDataset(rng.normal(size=(count, 5, 8, 8)), rng.normal(size=(count, 57)))
 
-        models = [PoseCNN(seed=s) for s in (0, 1)]
-        adaptation = [make_dataset(48, 100 + s) for s in range(2)]
-        evaluations = [
-            {"new": make_dataset(32, 200 + s), "original": make_dataset(32, 300 + s)}
-            for s in range(2)
-        ]
+        base = PoseCNN(seed=0)
+        adaptation = {user: make_dataset(48, 100 + user) for user in range(2)}
         config = FineTuneConfig(epochs=4, scope="all", optimizer="sgd", batch_size=16)
 
-        reference_models = [model.clone() for model in models]
-        reference = [
-            FineTuner(model, config).finetune(data, evaluation_sets=evals)
-            for model, data, evals in zip(reference_models, adaptation, evaluations)
-        ]
-        population = finetune_population(
-            models, adaptation, evaluation_sets=evaluations, config=config
+        registry = AdapterRegistry(
+            base, policy=AdapterPolicy(scope="all", epochs=4, batch_size=16)
         )
-        for model_ref, model_pop in zip(reference_models, models):
-            for p_ref, p_pop in zip(model_ref.parameters(), model_pop.parameters()):
-                np.testing.assert_allclose(p_ref.data, p_pop.data, atol=1e-8)
-        for result_ref, result_pop in zip(reference, population):
-            np.testing.assert_allclose(
-                result_ref.train_loss, result_pop.train_loss, atol=1e-8
-            )
-            for name in result_ref.curves:
-                np.testing.assert_allclose(
-                    result_ref.curves[name], result_pop.curves[name], atol=1e-6
-                )
-
-    def test_population_rejects_mismatched_inputs(self):
-        rng = np.random.default_rng(0)
-        data = ArrayDataset(rng.normal(size=(16, 5, 8, 8)), rng.normal(size=(16, 57)))
-        with pytest.raises(ValueError):
-            finetune_population([PoseCNN(seed=0)], [])
-        with pytest.raises(ValueError):
-            finetune_population(
-                [PoseCNN(seed=0)], [data], config=FineTuneConfig(scope="last")
-            )
-        with pytest.raises(ValueError):
-            finetune_population(
-                [PoseCNN(seed=0)], [data], config=FineTuneConfig(optimizer="adam")
-            )
+        population = registry.adapt_many(adaptation)
+        for user, data in adaptation.items():
+            reference = base.clone()
+            FineTuner(reference, config).finetune(data)
+            for p_ref, p_pop in zip(reference.parameters(), population[user]):
+                np.testing.assert_allclose(p_ref.data, p_pop, atol=1e-8)
 
 
 class TestSceneBatchInterop:

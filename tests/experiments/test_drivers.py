@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.finetune import FineTuneConfig
 from repro.experiments import adaptation, figure2, figure3, figure4, table1, table2
 from repro.experiments.scale import get_scale
 
@@ -80,6 +81,17 @@ class TestAdaptationDriver:
     def test_cache_returns_same_object(self, smoke_adaptation, smoke_scale):
         again = adaptation.run_adaptation(smoke_scale)
         assert again is smoke_adaptation
+
+    def test_overridden_budget_misses_the_cache(self, smoke_adaptation, smoke_scale):
+        one_epoch = smoke_scale.with_overrides(
+            finetune_all=FineTuneConfig(epochs=1, scope="all")
+        )
+        result = adaptation.run_adaptation(one_epoch)
+        assert result is not smoke_adaptation
+        assert len(result.model_curves("all", "baseline").new_curve()) == 2
+
+    def test_worker_count_still_hits_the_cache(self, smoke_adaptation, smoke_scale):
+        assert adaptation.run_adaptation(smoke_scale.with_workers(2)) is smoke_adaptation
 
     def test_table2_formatting(self, smoke_adaptation):
         text = table2.format_table2(smoke_adaptation)

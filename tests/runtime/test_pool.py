@@ -7,13 +7,7 @@ from functools import partial
 
 import pytest
 
-from repro.runtime import (
-    ExecutionPlan,
-    map_shards,
-    merge_shards,
-    shard_for,
-    shard_items,
-)
+from repro.runtime import map_shards, merge_shards, shard_for, shard_items
 
 
 def _square_shard(items):
@@ -38,17 +32,8 @@ class TestShardItems:
         shards = shard_items([1, 2], num_shards=8)
         assert shards == [[1], [2]]
 
-    def test_by_shard_size(self):
-        assert shard_items(list(range(5)), shard_size=2) == [[0, 1], [2, 3], [4]]
-
     def test_empty_items(self):
         assert shard_items([], num_shards=3) == []
-
-    def test_exactly_one_layout_argument(self):
-        with pytest.raises(ValueError):
-            shard_items([1], num_shards=1, shard_size=1)
-        with pytest.raises(ValueError):
-            shard_items([1])
 
 
 class TestMapShards:
@@ -75,11 +60,6 @@ class TestMapShards:
         fn = partial(_square_shard)
         results = map_shards(fn, [2, 3], workers=2)
         assert merge_shards(results) == [4, 9]
-
-    def test_plan_supplies_workers_and_shard_size(self):
-        plan = ExecutionPlan(workers=1, shard_size=2)
-        results = map_shards(_square_shard, [1, 2, 3, 4, 5], plan)
-        assert [len(s) for s in results] == [2, 2, 1]
 
     def test_empty_items(self):
         assert map_shards(_square_shard, [], workers=4) == []
