@@ -5,6 +5,15 @@ applied to the subtree rooted at that joint, exactly like the joint angles of
 an articulated figure.  :func:`forward_kinematics` composes those rotations
 down the kinematic tree to produce world-space joint positions.
 
+It does so for a whole recording at once: per joint, the frames' local
+rotations (the identity where a pose sets none) are stacked into a
+``(frames, 3, 3)`` array and composed parent-then-local with one stacked
+``np.matmul``, so the Python walk over the 19 joints runs once per recording
+rather than once per frame.  A single pose is the batch of one.  Each frame's
+positions are bitwise those of composing that frame alone: a stacked product
+of 3x3 operands equals the per-item product, identity factors included (a
+property of the shipped numpy/OpenBLAS that ``tests/body`` pins).
+
 The module also provides small helpers used by the movement generators:
 axis-angle / Euler rotation matrices, ground-contact correction (so that a
 squatting skeleton does not hover above the floor) and velocity estimation by
@@ -14,7 +23,7 @@ finite differences, which feeds the Doppler channel of the radar simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +38,14 @@ __all__ = [
     "forward_kinematics",
     "ground_correction",
     "joint_velocities",
+]
+
+#: joints whose lowest point :func:`ground_correction` puts on the floor
+_FOOT_INDICES = [
+    JOINT_INDEX["foot_left"],
+    JOINT_INDEX["foot_right"],
+    JOINT_INDEX["ankle_left"],
+    JOINT_INDEX["ankle_right"],
 ]
 
 
@@ -107,67 +124,77 @@ class Pose:
 
 def forward_kinematics(
     skeleton: Skeleton,
-    pose: Pose,
+    poses: Union[Pose, Sequence[Pose]],
     keep_feet_on_ground: bool = True,
 ) -> np.ndarray:
-    """Compute world joint positions for ``pose`` on ``skeleton``.
+    """Compute world joint positions for one pose or a recording's poses.
 
     Parameters
     ----------
     skeleton:
         Subject-specific skeleton providing neutral-pose bone offsets.
-    pose:
-        Joint rotations and root position.
+    poses:
+        One :class:`Pose`, or a sequence of poses (one per frame).
     keep_feet_on_ground:
-        When ``True`` the whole skeleton is translated vertically so that the
+        When ``True`` every frame is translated vertically so that its
         lowest foot/ankle touches the floor (``z = 0``).  This mimics how a
         real subject's feet stay planted during squats and lunges even though
         the kinematic root (the pelvis) drops.
 
     Returns
     -------
-    Array of shape ``(19, 3)``.
+    Array of shape ``(19, 3)`` for a single pose, ``(frames, 19, 3)`` for a
+    sequence.  A single pose is computed as a batch of one.
     """
+    single = isinstance(poses, Pose)
+    batch = [poses] if single else list(poses)
+    if not batch:
+        return np.zeros((0, NUM_JOINTS, 3))
     offsets = skeleton.neutral_offsets()
-    root = (
-        np.array([0.0, 0.0, skeleton.hip_height])
-        if pose.root_position is None
-        else np.asarray(pose.root_position, dtype=float)
+    neutral_root = np.array([0.0, 0.0, skeleton.hip_height])
+    roots = np.array(
+        [
+            neutral_root
+            if pose.root_position is None
+            else np.asarray(pose.root_position, dtype=float)
+            for pose in batch
+        ]
     )
-    root = root + np.asarray(pose.root_offset, dtype=float)
+    roots = roots + np.array([np.asarray(pose.root_offset, dtype=float) for pose in batch])
 
-    positions = np.zeros((NUM_JOINTS, 3))
+    identity = np.eye(3)
+    positions = np.zeros((len(batch), NUM_JOINTS, 3))
     global_rotations: Dict[str, np.ndarray] = {}
 
     for name in JOINT_NAMES:
         parent = JOINT_PARENTS[name]
-        local_rotation = pose.rotation_for(name)
+        # (frames, 3, 3), the identity where a pose sets none: multiplying
+        # by it, as the frame alone would, keeps the bits (signed zeros too).
+        local_rotation = np.array([pose.rotations.get(name, identity) for pose in batch])
         if parent == name:
             global_rotations[name] = local_rotation
-            positions[JOINT_INDEX[name]] = root
+            positions[:, JOINT_INDEX[name]] = roots
         else:
             parent_rotation = global_rotations[parent]
             global_rotations[name] = parent_rotation @ local_rotation
-            positions[JOINT_INDEX[name]] = (
-                positions[JOINT_INDEX[parent]] + parent_rotation @ offsets[name]
+            positions[:, JOINT_INDEX[name]] = (
+                positions[:, JOINT_INDEX[parent]] + parent_rotation @ offsets[name]
             )
 
     if keep_feet_on_ground:
         positions = ground_correction(positions)
-    return positions
+    return positions[0] if single else positions
 
 
 def ground_correction(positions: np.ndarray) -> np.ndarray:
-    """Translate the skeleton vertically so the lowest foot touches the floor."""
+    """Translate the skeleton vertically so the lowest foot touches the floor.
+
+    ``positions`` is one frame ``(19, 3)`` or a stack ``(frames, 19, 3)``;
+    every frame is shifted by its own lowest foot/ankle height.
+    """
     positions = np.asarray(positions, dtype=float).copy()
-    foot_indices = [
-        JOINT_INDEX["foot_left"],
-        JOINT_INDEX["foot_right"],
-        JOINT_INDEX["ankle_left"],
-        JOINT_INDEX["ankle_right"],
-    ]
-    lowest = positions[foot_indices, 2].min()
-    positions[:, 2] -= lowest
+    lowest = positions[..., _FOOT_INDICES, 2].min(axis=-1)
+    positions[..., 2] -= lowest[..., None]
     return positions
 
 

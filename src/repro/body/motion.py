@@ -7,6 +7,10 @@ phase jitter and lateral sway) and returns the resulting joint-position
 trajectory together with per-joint velocities.  This trajectory is both the
 ground-truth label stream (what the Kinect would have reported) and the
 input that drives the radar scattering simulation.
+
+The movement's pose program runs once per frame; the resulting poses then go
+through :func:`repro.body.kinematics.forward_kinematics` in one call per
+recording.
 """
 
 from __future__ import annotations
@@ -128,21 +132,24 @@ class MotionSynthesizer:
         sway_x = _smooth_noise(num_frames, rng) * subject.lateral_sway * 3.0
         sway_y = _smooth_noise(num_frames, rng) * subject.lateral_sway * 1.5
 
-        positions = np.zeros((num_frames, NUM_JOINTS, 3))
+        body_offsets = np.stack(
+            [sway_x, subject.standoff + sway_y, np.zeros(num_frames)], axis=1
+        )
+        poses = []
         for frame_index, t in enumerate(timestamps):
             phase = start_phase + t / period + jitter[frame_index]
             pose = movement.pose_at(phase, subject)
-            body_offset = np.array(
-                [sway_x[frame_index], subject.standoff + sway_y[frame_index], 0.0]
+            poses.append(
+                Pose(
+                    rotations=pose.rotations,
+                    root_position=pose.root_position,
+                    root_offset=np.asarray(pose.root_offset, dtype=float)
+                    + body_offsets[frame_index],
+                )
             )
-            pose = Pose(
-                rotations=pose.rotations,
-                root_position=pose.root_position,
-                root_offset=np.asarray(pose.root_offset, dtype=float) + body_offset,
-            )
-            positions[frame_index] = forward_kinematics(
-                skeleton, pose, keep_feet_on_ground=self.keep_feet_on_ground
-            )
+        positions = forward_kinematics(
+            skeleton, poses, keep_feet_on_ground=self.keep_feet_on_ground
+        )
 
         velocities = joint_velocities(positions, frame_period)
         return MotionTrajectory(

@@ -13,6 +13,7 @@ plain numpy functions; there is one numeric path and nothing to select.
 
 from .functional import (
     cross_entropy_loss,
+    linear,
     linear_batched,
     linear_lowrank_batched,
     per_task_loss,
@@ -93,6 +94,7 @@ __all__ = [
     "mse_loss",
     "huber_loss",
     "cross_entropy_loss",
+    "linear",
     "linear_batched",
     "linear_lowrank_batched",
     "per_task_loss",

@@ -19,6 +19,7 @@ __all__ = [
     "tanh",
     "softmax",
     "log_softmax",
+    "linear",
     "linear_batched",
     "linear_lowrank_batched",
     "l1_loss",
@@ -62,6 +63,56 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Fully connected layer ``x @ weight.T + bias`` as one fused autograd op.
+
+    The output and every gradient equal, bitwise, those of the composition
+    ``x.matmul(weight.T) + bias``, without its intermediate nodes.  The weight
+    gradient is ``grad.T @ x``, computed in the weight's own ``(out, in)``
+    layout rather than transposed and copied into it, and every gradient is
+    a fresh BLAS product or reduction, adopted without a defensive copy.
+
+    Parameters
+    ----------
+    x:
+        Input of shape ``(..., in_features)``; leading axes are batch axes.
+    weight:
+        Weights of shape ``(out_features, in_features)``.
+    bias:
+        Optional bias of shape ``(out_features,)``.
+    """
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    if weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
+        raise ValueError(
+            f"linear expects (..., in_features) inputs and (out_features, "
+            f"in_features) weights, got {x.shape} and {weight.shape}"
+        )
+    out = x.data @ weight.data.T
+    if bias is not None:
+        out += bias.data
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        if weight.requires_grad:
+            if x.ndim == 1:
+                grad_weight = np.outer(grad, x.data)
+            else:
+                # One product per leading index, summed over the leading
+                # axes: the reduction order of the broadcast matmul rule.
+                grad_weight = np.swapaxes(grad, -1, -2) @ x.data
+                if grad_weight.ndim > 2:
+                    grad_weight = grad_weight.sum(axis=tuple(range(grad_weight.ndim - 2)))
+            weight._accumulate_owned(grad_weight)
+        if bias is not None and bias.requires_grad:
+            # axis=() on a 1-D input still returns a fresh array.
+            bias._accumulate_owned(grad.sum(axis=tuple(range(grad.ndim - 1))))
+        if x.requires_grad:
+            x._accumulate_owned(grad @ weight.data)
+
+    return Tensor._make(out, parents, backward)
 
 
 def linear_batched(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

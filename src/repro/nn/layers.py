@@ -3,6 +3,10 @@
 The layer set intentionally covers exactly what the MARS baseline CNN and the
 FUSE model need (Conv2d, ReLU, Flatten, Linear) plus the regularization layers
 (Dropout, BatchNorm2d) used by the ablation experiments.
+
+:class:`Conv2d` and :class:`Linear` each run one fused autograd op,
+:func:`repro.nn.ops.conv2d` and :func:`repro.nn.functional.linear`, whose
+backward returns the weight gradient in the weight's own layout.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import init as initializers
+from .functional import linear
 from .ops import avg_pool2d, conv2d, max_pool2d
 from .tensor import Tensor
 
@@ -211,15 +216,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"Linear expected input with {self.in_features} features, "
-                f"got shape {x.shape}"
-            )
-        out = x.matmul(self.weight.T)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear(in={self.in_features}, out={self.out_features})"

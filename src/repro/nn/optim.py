@@ -4,6 +4,12 @@ The FUSE paper uses Adam for both supervised training and meta-training
 (Section 4.1).  Plain SGD is also provided because the MAML inner loop
 (Algorithm 1, line 7) is a single vanilla gradient step with the
 sample-level learning rate ``alpha``.
+
+:class:`Adam` evaluates its update in place, one numpy operation at a time
+in the textbook expression's order, through one scratch buffer per
+parameter held by the optimizer (not by the parameter, so ``state_dict``
+and pickled models do not carry it).  Every step rebinds ``param.data`` to
+a fresh array, because callers may hold the old one.
 """
 
 from __future__ import annotations
@@ -114,26 +120,45 @@ class Adam(Optimizer):
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        # Per-parameter temporaries reused by every step; not optimizer state.
+        self._scratch = [np.empty_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        """Apply one Adam update to every parameter with a gradient."""
+        """Apply one Adam update to every parameter with a gradient.
+
+        ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
+        ``p - lr*m_hat / (sqrt(v_hat) + eps)``, one operation at a time in
+        that order.  The result lands in a fresh array that ``param.data``
+        is rebound to, so arrays a caller took from ``param.data`` keep
+        their values.
+        """
         self._step += 1
         beta1, beta2 = self.betas
         bias_correction1 = 1.0 - beta1 ** self._step
         bias_correction2 = 1.0 - beta2 ** self._step
-        for param, m, v in zip(self.parameters, self._m, self._v):
+        for param, m, v, scratch in zip(self.parameters, self._m, self._v, self._scratch):
             if param.grad is None:
                 continue
+            updated = np.empty_like(param.data)
             grad = param.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
+                # ``updated`` holds the decayed gradient until the update
+                # overwrites it below.
+                grad = np.multiply(param.data, self.weight_decay, out=updated)
+                grad += param.grad
             m *= beta1
-            m += (1.0 - beta1) * grad
+            m += np.multiply(grad, 1.0 - beta1, out=scratch)
             v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            m_hat = m / bias_correction1
-            v_hat = v / bias_correction2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            product = np.multiply(grad, 1.0 - beta2, out=scratch)
+            product *= grad
+            v += product
+            denominator = np.divide(v, bias_correction2, out=scratch)
+            np.sqrt(denominator, out=denominator)
+            denominator += self.eps
+            update = np.divide(m, bias_correction1, out=updated)
+            update *= self.lr
+            update /= denominator
+            param.data = np.subtract(param.data, update, out=update)
 
     def state_dict(self) -> Dict:
         state = super().state_dict()

@@ -24,10 +24,17 @@ The façade mirrors the :class:`PoseServer` surface (``enqueue`` / ``submit``
 / ``poll`` / ``flush`` / ``adapt_users`` / ``metrics_snapshot``), so the
 replay driver, the socket front-end and the examples run unchanged against
 either.
+
+A server collected without :meth:`~ProcessShardedPoseServer.close` is
+closed by its finalizer; a close that fails there logs one JSON warning on
+the ``repro.serve.sharded`` logger (``event: "shard_close_failed"``,
+``reason``).
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import threading
 import time
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -63,6 +70,8 @@ from .worker import (
 )
 
 __all__ = ["ProcessShardedPoseServer"]
+
+_log = logging.getLogger(__name__)
 
 
 class ProcessPendingPrediction:
@@ -579,7 +588,10 @@ class ProcessShardedPoseServer:
         self.close()
 
     def __del__(self) -> None:  # best effort: don't leak worker processes
+        if "_closed" not in self.__dict__:
+            return  # __init__ raised before there was anything to close
         try:
             self.close(timeout=0.5)
-        except Exception:
-            pass
+        except Exception as error:
+            entry = {"event": "shard_close_failed", "reason": f"{type(error).__name__}: {error}"}
+            _log.warning(json.dumps(entry))

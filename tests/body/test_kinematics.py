@@ -16,7 +16,10 @@ from repro.body.kinematics import (
     rotation_y,
     rotation_z,
 )
-from repro.body.skeleton import JOINT_INDEX, NUM_JOINTS, Skeleton
+from repro.body.skeleton import JOINT_INDEX, JOINT_NAMES, NUM_JOINTS, Skeleton
+from repro.body.subjects import default_subjects
+
+from .conftest import FOOT_JOINTS, assert_bitwise_equal, per_frame_forward_kinematics
 
 
 class TestRotations:
@@ -144,6 +147,73 @@ class TestForwardKinematics:
         assert positions[foot_indices, 2].min() == pytest.approx(0.0, abs=1e-9)
 
 
+def random_poses(rng: np.random.Generator, frames: int) -> list:
+    """Poses rotating a random subset of joints (none to all), half of them
+    with an absolute root position, every one with a root offset."""
+    poses = []
+    for _ in range(frames):
+        joints = rng.choice(JOINT_NAMES, size=int(rng.integers(0, NUM_JOINTS + 1)), replace=False)
+        rotations = {str(joint): euler_rotation(*rng.uniform(-np.pi, np.pi, 3)) for joint in joints}
+        if rng.random() < 0.25:
+            # axis rotations carry exact (and signed) zeros
+            rotations["shoulder_left"] = rotation_y(-np.pi / 2)
+            rotations["knee_right"] = rotation_x(np.pi)
+        root_position = None if rng.random() < 0.5 else rng.normal((0.1, 2.5, 1.0), 0.1)
+        poses.append(
+            Pose(rotations=rotations, root_position=root_position, root_offset=rng.normal(0.0, 0.2, 3))
+        )
+    return poses
+
+
+class TestBatchedForwardKinematics:
+    """One call composes every frame's rotations; each frame's positions are
+    bitwise those of the frame-at-a-time loop."""
+
+    @pytest.mark.parametrize("frames", [1, 120])
+    @pytest.mark.parametrize("keep_feet_on_ground", [True, False])
+    def test_equals_per_frame_loop_bitwise(self, frames, keep_feet_on_ground):
+        rng = np.random.default_rng(frames)
+        skeleton = default_subjects()[2].skeleton()
+        poses = random_poses(rng, frames)
+        batched = forward_kinematics(skeleton, poses, keep_feet_on_ground=keep_feet_on_ground)
+        expected = np.stack(
+            [per_frame_forward_kinematics(skeleton, pose, keep_feet_on_ground) for pose in poses]
+        )
+        assert_bitwise_equal(batched, expected)
+
+    @pytest.mark.parametrize("keep_feet_on_ground", [True, False])
+    def test_single_pose_is_the_batch_of_one(self, keep_feet_on_ground):
+        skeleton = Skeleton()
+        (pose,) = random_poses(np.random.default_rng(3), 1)
+        single = forward_kinematics(skeleton, pose, keep_feet_on_ground=keep_feet_on_ground)
+        assert single.shape == (NUM_JOINTS, 3)
+        assert_bitwise_equal(
+            single, forward_kinematics(skeleton, [pose], keep_feet_on_ground=keep_feet_on_ground)[0]
+        )
+        assert_bitwise_equal(
+            single, per_frame_forward_kinematics(skeleton, pose, keep_feet_on_ground)
+        )
+
+    def test_frames_are_grounded_independently(self):
+        skeleton = Skeleton()
+        rest = Pose()
+        squat = Pose(
+            rotations={
+                "hip_left": rotation_x(-1.0),
+                "hip_right": rotation_x(-1.0),
+                "knee_left": rotation_x(1.3),
+                "knee_right": rotation_x(1.3),
+            }
+        )
+        positions = forward_kinematics(skeleton, [rest, squat, rest])
+        feet = [JOINT_INDEX[joint] for joint in FOOT_JOINTS]
+        np.testing.assert_array_equal(positions[:, feet, 2].min(axis=1), 0.0)
+        assert_bitwise_equal(positions[0], positions[2])
+
+    def test_empty_sequence_gives_no_frames(self):
+        assert forward_kinematics(Skeleton(), []).shape == (0, NUM_JOINTS, 3)
+
+
 class TestGroundCorrection:
     def test_translates_to_floor(self):
         positions = Skeleton().neutral_joint_positions()
@@ -156,6 +226,13 @@ class TestGroundCorrection:
         positions = Skeleton().neutral_joint_positions() + np.array([0.0, 0.0, 0.3])
         corrected = ground_correction(positions)
         np.testing.assert_allclose(corrected[:, :2], positions[:, :2])
+
+    def test_stack_corrects_each_frame_like_one_frame(self):
+        neutral = Skeleton().neutral_joint_positions()
+        stack = np.stack([neutral + np.array([0.0, 0.0, lift]) for lift in (0.5, -0.2, 0.0)])
+        corrected = ground_correction(stack)
+        for frame, expected in zip(corrected, stack):
+            assert_bitwise_equal(frame, ground_correction(expected))
 
 
 class TestJointVelocities:

@@ -5,9 +5,41 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.body.motion import MotionSynthesizer, MotionTrajectory
-from repro.body.movements import MOVEMENT_NAMES
+from repro.body.kinematics import Pose, joint_velocities
+from repro.body.motion import MotionSynthesizer, MotionTrajectory, _smooth_noise
+from repro.body.movements import MOVEMENT_NAMES, get_movement
 from repro.body.skeleton import JOINT_INDEX, NUM_JOINTS
+from repro.body.subjects import default_subjects
+
+from .conftest import assert_bitwise_equal, per_frame_forward_kinematics
+
+
+def per_frame_trajectory(synthesizer, subject, movement_name, duration, rng, start_phase):
+    """Positions and velocities built one frame and one kinematics call at a
+    time, drawing the same random streams in the same order as
+    :meth:`MotionSynthesizer.synthesize`."""
+    movement = get_movement(movement_name)
+    skeleton = subject.skeleton()
+    period = movement.period_for(subject)
+    frame_period = 1.0 / synthesizer.frame_rate
+    num_frames = max(2, int(round(duration * synthesizer.frame_rate)))
+    timestamps = np.arange(num_frames) * frame_period
+    jitter = _smooth_noise(num_frames, rng) * subject.phase_jitter
+    sway_x = _smooth_noise(num_frames, rng) * subject.lateral_sway * 3.0
+    sway_y = _smooth_noise(num_frames, rng) * subject.lateral_sway * 1.5
+    positions = np.zeros((num_frames, NUM_JOINTS, 3))
+    for frame_index, t in enumerate(timestamps):
+        pose = movement.pose_at(start_phase + t / period + jitter[frame_index], subject)
+        body_offset = np.array([sway_x[frame_index], subject.standoff + sway_y[frame_index], 0.0])
+        pose = Pose(
+            rotations=pose.rotations,
+            root_position=pose.root_position,
+            root_offset=np.asarray(pose.root_offset, dtype=float) + body_offset,
+        )
+        positions[frame_index] = per_frame_forward_kinematics(
+            skeleton, pose, synthesizer.keep_feet_on_ground
+        )
+    return positions, joint_velocities(positions, frame_period)
 
 
 class TestMotionSynthesizer:
@@ -74,6 +106,35 @@ class TestMotionSynthesizer:
     def test_invalid_frame_rate_raises(self):
         with pytest.raises(ValueError):
             MotionSynthesizer(frame_rate=0.0)
+
+
+class TestOneKinematicsPassPerRecording:
+    """A recording's frames go through forward kinematics in one call; its
+    positions and velocities are bitwise the frame-by-frame ones."""
+
+    @pytest.mark.parametrize("movement", MOVEMENT_NAMES)
+    def test_equals_frame_by_frame_reference(self, movement):
+        subject = default_subjects()[MOVEMENT_NAMES.index(movement) % 4]
+        synthesizer = MotionSynthesizer(frame_rate=10.0)
+        trajectory = synthesizer.synthesize(
+            subject, movement, 6.0, rng=np.random.default_rng(31), start_phase=0.37
+        )
+        positions, velocities = per_frame_trajectory(
+            synthesizer, subject, movement, 6.0, np.random.default_rng(31), 0.37
+        )
+        assert_bitwise_equal(trajectory.positions, positions)
+        assert_bitwise_equal(trajectory.velocities, velocities)
+
+    def test_equals_frame_by_frame_reference_off_the_ground(self, subject_one):
+        synthesizer = MotionSynthesizer(frame_rate=20.0, keep_feet_on_ground=False)
+        trajectory = synthesizer.synthesize(
+            subject_one, "left_front_lunge", 3.0, rng=np.random.default_rng(8)
+        )
+        positions, velocities = per_frame_trajectory(
+            synthesizer, subject_one, "left_front_lunge", 3.0, np.random.default_rng(8), 0.0
+        )
+        assert_bitwise_equal(trajectory.positions, positions)
+        assert_bitwise_equal(trajectory.velocities, velocities)
 
 
 class TestMotionTrajectoryValidation:

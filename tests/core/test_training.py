@@ -7,10 +7,14 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.core import FuseConfig, FusePoseEstimator
 from repro.core.evaluation import evaluate_model
 from repro.core.models import PoseCNN, PoseCNNConfig
 from repro.core.training import SupervisedTrainer, TrainingConfig
 from repro.dataset.loader import ArrayDataset, BatchLoader
+
+from ..nn.conftest import ReferenceAdam, bits, composed_linear
 
 
 def small_model():
@@ -99,3 +103,44 @@ class TestSupervisedTrainer:
         loader = BatchLoader(data, batch_size=32, shuffle=False)
         loss = trainer.train_epoch(loader)
         assert loss > 0
+
+
+class TestTrainingArithmetic:
+    """Supervised training runs the fused linear op and the scratch-buffer
+    Adam step; its weights are bitwise those of the composed reference."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_fit_equals_composed_reference_bitwise(self, weight_decay, monkeypatch):
+        data = toy_data(n=80, seed=3)
+        config = TrainingConfig(epochs=3, batch_size=32, weight_decay=weight_decay, seed=2)
+        model = PoseCNN(PoseCNNConfig(), seed=4)
+        SupervisedTrainer(model, config).fit(data)
+
+        reference = PoseCNN(PoseCNNConfig(), seed=4)
+        monkeypatch.setattr(
+            nn.Linear, "forward", lambda self, x: composed_linear(x, self.weight, self.bias)
+        )
+        trainer = SupervisedTrainer(reference, config)
+        trainer.optimizer = ReferenceAdam(
+            reference.parameters(), lr=config.learning_rate, weight_decay=weight_decay
+        )
+        trainer.fit(data)
+
+        initial = PoseCNN(PoseCNNConfig(), seed=4).parameters()
+        for (name, param), (_, expected), start in zip(
+            model.named_parameters(), reference.named_parameters(), initial
+        ):
+            assert bits(param.data) == bits(expected.data), name
+            assert bits(param.data) != bits(start.data), name
+
+    def test_trained_estimator_pickles_to_its_parameters(self, tiny_dataset):
+        """Optimizer temporaries live on the optimizer, which training drops:
+        a trained estimator pickles to its parameters, its feature cache and
+        small metadata."""
+        estimator = FusePoseEstimator(
+            FuseConfig(num_context_frames=1, training=TrainingConfig(epochs=1, batch_size=64))
+        )
+        estimator.fit_supervised(estimator.prepare(tiny_dataset))
+        parameter_bytes = sum(p.data.nbytes for p in estimator.model.parameters())
+        cache_bytes = len(pickle.dumps(estimator.feature_cache))
+        assert len(pickle.dumps(estimator)) <= parameter_bytes + cache_bytes + 64 * 1024

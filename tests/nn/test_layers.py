@@ -9,6 +9,8 @@ from repro import nn
 from repro.nn.grad_check import check_gradients
 from repro.nn.tensor import Tensor
 
+from .conftest import bits, composed_linear
+
 
 def make_rng():
     return np.random.default_rng(7)
@@ -128,6 +130,87 @@ class TestLinear:
     def test_invalid_sizes_raise(self):
         with pytest.raises(ValueError):
             nn.Linear(0, 2)
+
+
+def assert_bits(actual, expected):
+    if expected is None:
+        assert actual is None
+        return
+    assert actual.shape == expected.shape
+    assert bits(actual) == bits(expected)
+
+
+class TestFusedLinear:
+    """``nn.linear``, the one op :class:`nn.Linear` runs, equals the composed
+    ``x.matmul(weight.T) + bias`` bitwise: output and every gradient."""
+
+    @staticmethod
+    def leaves(rng, x_shape, out_features, use_bias, frozen):
+        in_features = x_shape[-1]
+        data = (
+            rng.normal(size=x_shape),
+            rng.normal(size=(out_features, in_features)),
+            rng.normal(size=out_features),
+        )
+
+        def build():
+            x = Tensor(data[0].copy(), requires_grad=frozen != "input")
+            weight = nn.Parameter(data[1].copy())
+            weight.requires_grad = frozen != "weight"
+            bias = nn.Parameter(data[2].copy()) if use_bias else None
+            return x, weight, bias
+
+        return build(), build()
+
+    @pytest.mark.parametrize(
+        "x_shape, out_features",
+        [((512,), 57), ((37, 512), 57), ((3, 11, 512), 57), ((2, 3, 5, 64), 9), ((128, 2048), 512)],
+    )
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("frozen", ["nothing", "weight", "input"])
+    def test_equals_composition_bitwise(self, x_shape, out_features, use_bias, frozen):
+        rng = np.random.default_rng(len(x_shape) * 100 + out_features)
+        fused_leaves, composed_leaves = self.leaves(rng, x_shape, out_features, use_bias, frozen)
+        upstream = [rng.normal(size=x_shape[:-1] + (out_features,)) for _ in range(2)]
+        # Two graphs per side, so the second backward accumulates into the
+        # leaves' existing gradients.
+        for grad in upstream:
+            fused = nn.linear(*fused_leaves)
+            composed = composed_linear(*composed_leaves)
+            assert_bits(fused.data, composed.data)
+            fused.backward(grad)
+            composed.backward(grad)
+        for fused_leaf, composed_leaf in zip(fused_leaves, composed_leaves):
+            if composed_leaf is not None:
+                assert_bits(fused_leaf.grad, composed_leaf.grad)
+        weight = fused_leaves[1]
+        if weight.requires_grad:
+            assert weight.grad.flags.c_contiguous
+
+    def test_no_grad_builds_no_graph(self):
+        (x, weight, bias), (cx, cweight, cbias) = self.leaves(
+            np.random.default_rng(4), (6, 16), 5, True, "nothing"
+        )
+        with nn.no_grad():
+            fused = nn.linear(x, weight, bias)
+            composed = composed_linear(cx, cweight, cbias)
+        assert not fused.requires_grad
+        assert fused._parents == ()
+        assert_bits(fused.data, composed.data)
+
+    def test_linear_layer_is_one_node(self):
+        layer = nn.Linear(8, 3, rng=make_rng())
+        x = Tensor(np.ones((2, 8)), requires_grad=True)
+        out = layer(x)
+        assert out._parents == (x, layer.weight, layer.bias)
+        no_bias = nn.Linear(8, 3, bias=False, rng=make_rng())
+        assert no_bias(x)._parents == (x, no_bias.weight)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            nn.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))))
+        with pytest.raises(ValueError):
+            nn.linear(Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
 
 
 class TestConv2dLayer:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn.layers import Parameter
 from repro.nn.tensor import Tensor
+
+from .conftest import ReferenceAdam, bits
 
 
 def quadratic_loss(param: Parameter, target: np.ndarray) -> Tensor:
@@ -146,3 +150,75 @@ class TestAdam:
         assert fresh._step == 3
         np.testing.assert_allclose(fresh._m[0], opt._m[0])
         np.testing.assert_allclose(fresh._v[0], opt._v[0])
+
+
+class TestAdamArithmetic:
+    """The scratch-buffer step is the reference expression, bit for bit."""
+
+    SHAPES = [(512, 2048), (57, 512), (32, 16, 3, 3), (57,), (1,)]
+
+    def twin_parameters(self, rng):
+        data = [rng.normal(size=shape) for shape in self.SHAPES]
+        return [Parameter(d.copy()) for d in data], [Parameter(d.copy()) for d in data]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_steps_equal_reference_expression_bitwise(self, weight_decay):
+        rng = np.random.default_rng(17)
+        params, reference_params = self.twin_parameters(rng)
+        adam = nn.Adam(params, lr=3e-3, weight_decay=weight_decay)
+        reference = ReferenceAdam(reference_params, lr=3e-3, weight_decay=weight_decay)
+        for step in range(6):
+            for param, reference_param in zip(params, reference_params):
+                grad = rng.normal(scale=10.0 ** rng.integers(-4, 2), size=param.data.shape)
+                # a parameter without a gradient keeps its value and moments
+                keep = step == 2 and param.data.ndim == 1
+                param.grad = None if keep else grad.copy()
+                reference_param.grad = None if keep else grad.copy()
+            adam.step()
+            reference.step()
+            for param, reference_param in zip(params, reference_params):
+                assert bits(param.data) == bits(reference_param.data)
+            for ours, theirs in zip(adam._m + adam._v, reference._m + reference._v):
+                assert bits(ours) == bits(theirs)
+
+    def test_step_rebinds_parameter_data(self):
+        param = Parameter(np.ones(4))
+        held = param.data
+        opt = nn.Adam([param], lr=0.1)
+        param.grad = np.full(4, 2.0)
+        opt.step()
+        assert param.data is not held
+        np.testing.assert_array_equal(held, 1.0)
+        assert not np.shares_memory(param.data, opt._scratch[0])
+
+    def test_state_dict_keys_unchanged(self):
+        opt = nn.Adam([Parameter(np.zeros(3))], lr=0.01)
+        assert set(opt.state_dict()) == {"lr", "betas", "eps", "weight_decay", "step", "m", "v"}
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_resume_from_state_dict_matches_uninterrupted_run(self, weight_decay):
+        rng = np.random.default_rng(5)
+        grads = [[rng.normal(size=shape) for shape in ((6, 4), (4,))] for _ in range(8)]
+
+        def run(params, opt, steps):
+            for step_grads in steps:
+                for param, grad in zip(params, step_grads):
+                    param.grad = grad.copy()
+                opt.step()
+
+        start = [rng.normal(size=(6, 4)), rng.normal(size=(4,))]
+        through = [Parameter(d.copy()) for d in start]
+        through_opt = nn.Adam(through, lr=0.02, weight_decay=weight_decay)
+        run(through, through_opt, grads)
+
+        first = [Parameter(d.copy()) for d in start]
+        first_opt = nn.Adam(first, lr=0.02, weight_decay=weight_decay)
+        run(first, first_opt, grads[:3])
+        state = pickle.loads(pickle.dumps(first_opt.state_dict()))
+        resumed = [Parameter(p.data.copy()) for p in first]
+        resumed_opt = nn.Adam(resumed, lr=0.5)
+        resumed_opt.load_state_dict(state)
+        assert resumed_opt.lr == 0.02
+        run(resumed, resumed_opt, grads[3:])
+        for ours, theirs in zip(resumed, through):
+            assert bits(ours.data) == bits(theirs.data)

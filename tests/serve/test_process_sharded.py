@@ -8,6 +8,7 @@ user, to the same replay through one in-process :class:`PoseServer`.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import time
@@ -226,6 +227,14 @@ class TestThreadSafety:
             assert server.pending == 0
 
 
+def sharded_lines(caplog) -> list:
+    return [
+        json.loads(record.getMessage())
+        for record in caplog.records
+        if record.name == "repro.serve.sharded"
+    ]
+
+
 class TestLifecycle:
     def test_close_is_idempotent_and_drops_outstanding(self, estimator, streams):
         config = ServeConfig(max_batch_size=64, max_delay_ms=10_000.0)
@@ -262,6 +271,32 @@ class TestLifecycle:
             for user in users[:4]:
                 assert server.submit(user, streams[user][0].cloud).shape == (19, 3)
             assert server.metrics_snapshot()["shard_restarts"] == 1
+
+    def test_failed_close_at_collection_is_logged(self, estimator, caplog, monkeypatch):
+        """A server collected without close() whose shutdown raises logs one
+        JSON line with the reason instead of swallowing the error."""
+        server = ProcessShardedPoseServer(estimator, num_shards=1)
+        worker = server.workers[0]
+
+        def failing_stop(self, timeout=5.0):
+            raise RuntimeError("shutdown lost")
+
+        monkeypatch.setattr(ShardProcess, "stop", failing_stop)
+        with caplog.at_level(logging.WARNING, logger="repro.serve.sharded"):
+            del server
+            gc.collect()
+        monkeypatch.undo()
+        worker.stop()
+        assert sharded_lines(caplog) == [
+            {"event": "shard_close_failed", "reason": "RuntimeError: shutdown lost"}
+        ]
+
+    def test_collecting_a_half_built_server_logs_nothing(self, estimator, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.serve.sharded"):
+            with pytest.raises(ValueError):
+                ProcessShardedPoseServer(estimator, num_shards=0)
+            gc.collect()
+        assert sharded_lines(caplog) == []
 
     def test_failed_graceful_stop_is_logged(self, estimator, caplog, monkeypatch):
         """A Shutdown the worker never answers still tears the process down
