@@ -1,12 +1,12 @@
 """Throughput benchmark of the batched execution engine.
 
-Measures the vectorized engine against the per-frame / per-task reference
-paths on three axes of the hot path:
+Measures the vectorized engine against the per-frame reference paths on
+the radar hot path, and records the training stack's one meta path:
 
 * **frames/sec** — radar point-cloud generation for a full trajectory
   (scatterer sampling + geometric backend);
-* **tasks/sec** — meta-learning: tasks adapted per second through the
-  task-batched inner loop vs the sequential loop;
+* **tasks/sec** — meta-learning: tasks adapted per second through
+  Algorithm 1's task-at-a-time loop;
 * **figure2 end-to-end** — wall-clock of the Figure 2 experiment (motion
   synthesis, radar, fusion, statistics) under both plans;
 * **shard scaling** — synthetic dataset generation through
@@ -133,11 +133,10 @@ class TestRadarThroughput:
 
 class TestMetaThroughput:
     def test_tasks_per_second(self):
-        """Task-batched inner loop must at least match the sequential loop.
+        """Tasks adapted per second by the meta-trainer's one path.
 
-        The inner loop is BLAS-bound; on a single-core host the batched path
-        mainly removes Python overhead, so the bar here is parity (>= 0.8x),
-        while multi-core hosts see real gains from the grouped GEMMs.
+        The figure keeps its historical key, ``sequential_tps``, so the
+        nightly trend check watches it against the committed baseline.
         """
         rng = np.random.default_rng(3)
         data = ArrayDataset(rng.normal(size=(512, 5, 8, 8)), rng.normal(size=(512, 57)))
@@ -146,25 +145,11 @@ class TestMetaThroughput:
         )
         tasks_total = config.meta_iterations * config.tasks_per_batch
 
-        t_ref = _time(
-            lambda: MetaTrainer(
-                PoseCNN(seed=4), config, plan=ExecutionPlan.reference()
-            ).meta_train(data)
-        )
-        t_vec = _time(
-            lambda: MetaTrainer(PoseCNN(seed=4), config, plan=ExecutionPlan()).meta_train(data)
-        )
-        speedup = t_ref / t_vec
+        seconds = _time(lambda: MetaTrainer(PoseCNN(seed=4), config).meta_train(data))
         _record(
             "meta_tasks_per_sec",
-            {
-                "tasks": tasks_total,
-                "sequential_tps": tasks_total / t_ref,
-                "batched_tps": tasks_total / t_vec,
-                "speedup": speedup,
-            },
+            {"tasks": tasks_total, "sequential_tps": tasks_total / seconds},
         )
-        assert speedup >= 0.8, f"task-batched meta step regressed to {speedup:.2f}x"
 
 
 class TestShardScaling:

@@ -14,11 +14,11 @@ every substrate it depends on:
 * :mod:`repro.core` — the FUSE framework itself: multi-frame fusion,
   meta-learning, fine-tuning, evaluation,
 * :mod:`repro.runtime` — the shared execution-policy layer
-  (:class:`repro.runtime.ExecutionPlan`, taken by every compute layer):
-  worker pools, shard layout, deterministic per-shard seeding and result
-  merging,
-* :mod:`repro.engine` — the vectorized batched execution engine driving
-  the radar, feature and meta-learning hot paths,
+  (:class:`repro.runtime.ExecutionPlan`, taken by dataset generation and
+  the radar engine): worker pools, shard layout, deterministic per-shard
+  seeding and result merging,
+* :mod:`repro.engine` — the vectorized radar engine and the task-batched
+  model walker behind serving's grouped adaptation,
 * :mod:`repro.serve` — the streaming multi-user serving layer
   (:class:`repro.serve.PoseServer` /
   :class:`repro.serve.ProcessShardedPoseServer`): per-user sessions,

@@ -28,47 +28,19 @@ implemented; see DESIGN.md for the substitution rationale.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .. import nn
 from ..dataset.loader import ArrayDataset
-from ..engine.functional import (
-    batched_forward,
-    gradient_step,
-    replicate_parameters,
-    supports_batched_execution,
-)
-from ..runtime.plan import ExecutionPlan
-from ..runtime.pool import pool_context, shard_items
 from .evaluation import evaluate_model
 from .models import PoseCNN
 from .tasks import Task, TaskSampler
 from .training import TrainingConfig
 
 __all__ = ["MetaLearningConfig", "MetaTrainingHistory", "MetaTrainer"]
-
-
-def _meta_shard_gradients(
-    model: PoseCNN,
-    config: "MetaLearningConfig",
-    plan: ExecutionPlan,
-    tasks: List[Task],
-):
-    """Worker entry point of the process-sharded meta step.
-
-    Module-level because it crosses the worker pickle boundary (the pool may
-    use ``spawn``).  Builds a throwaway serial trainer around the snapshot
-    of the parent's parameters that rode along inside ``model`` and returns
-    the per-task gradient stacks for this shard — the parent concatenates
-    shards in order, so the combined stack is the one the single-process
-    step would have produced.
-    """
-    trainer = MetaTrainer(model, config, plan)
-    return trainer._task_gradient_stacks(tasks)
 
 
 @dataclass(frozen=True)
@@ -159,26 +131,16 @@ class MetaTrainingHistory:
 class MetaTrainer:
     """Meta-trains a :class:`PoseCNN` following Algorithm 1.
 
-    With the default :class:`repro.runtime.ExecutionPlan` the task dimension
-    is batched: the inner-loop adaptation of every task in a meta-batch runs
-    through one grouped forward/backward pass with per-task parameter
-    tensors (see :mod:`repro.engine.functional`), which is numerically
-    equivalent to — and several times faster than — the sequential
-    task-at-a-time loop retained for ``ExecutionPlan.reference()``.
+    Tasks run one at a time through the model itself: restore the initial
+    parameters, adapt on the support set, take the task's meta gradient,
+    and after the last task apply the summed gradients in one meta step.
     """
 
-    def __init__(
-        self,
-        model: PoseCNN,
-        config: Optional[MetaLearningConfig] = None,
-        plan: Optional[ExecutionPlan] = None,
-    ) -> None:
+    def __init__(self, model: PoseCNN, config: Optional[MetaLearningConfig] = None) -> None:
         self.model = model
         self.config = config if config is not None else MetaLearningConfig()
-        self.plan = plan if plan is not None else ExecutionPlan()
         self.history = MetaTrainingHistory()
         self._loss_fn = TrainingConfig(loss=self.config.loss).loss_function()
-        self._batched = self.plan.vectorized and supports_batched_execution(model)
         # The outer update of Eq. 6 is a gradient step on the initial
         # parameters; the paper uses Adam as the optimizer, so the meta
         # gradient is fed through Adam with learning rate beta.
@@ -228,121 +190,6 @@ class MetaTrainer:
         return grads, loss.item()
 
     # ------------------------------------------------------------------
-    # Task-batched meta step (the engine's vectorized path)
-    # ------------------------------------------------------------------
-    def _task_gradient_stacks(
-        self, tasks: List[Task]
-    ) -> tuple[List[np.ndarray], List[float], List[float]]:
-        """Per-task meta-gradient stacks for one batch of tasks.
-
-        Every task's inner-loop adaptation and query evaluation run through
-        grouped kernels over ``(tasks, ...)`` parameter tensors.  Summing the
-        per-task losses before ``backward`` yields each task's own gradient
-        in its parameter slice (tasks are independent), so the result matches
-        the sequential loop up to floating-point reduction order.
-
-        Returns one ``(tasks, ...)`` array per model parameter: the per-task
-        query gradients under ``fomaml``, the per-task parameter
-        displacements under ``reptile`` (the ``1 / inner_lr`` scaling is
-        applied by :meth:`_combine_stacks` after summation, preserving the
-        single-process operation order).  Each task's slice is computed by
-        fixed-shape per-slice GEMMs, so it does not depend on which other
-        tasks shared the stack — the property that makes process sharding
-        bitwise-neutral.
-        """
-        cfg = self.config
-        num_tasks = len(tasks)
-        support_x = nn.Tensor(np.stack([task.support.features for task in tasks]))
-        support_y = nn.Tensor(np.stack([task.support.labels for task in tasks]))
-        query_x = nn.Tensor(np.stack([task.query.features for task in tasks]))
-        query_y = nn.Tensor(np.stack([task.query.labels for task in tasks]))
-
-        def adapt(
-            params: List[nn.Tensor], x: nn.Tensor, y: nn.Tensor
-        ) -> tuple[List[nn.Tensor], np.ndarray]:
-            """Inner-loop gradient steps (Eq. 5) on per-task parameters."""
-            last_losses = np.zeros(num_tasks)
-            for _ in range(cfg.inner_steps):
-                predictions = batched_forward(self.model, params, x)
-                losses = nn.per_task_loss(predictions, y, cfg.loss)
-                losses.sum().backward()
-                last_losses = losses.data.copy()
-                params = gradient_step(params, cfg.inner_lr)
-            return params, last_losses
-
-        params = replicate_parameters(self.model, num_tasks)
-        adapted, support_losses = adapt(params, support_x, support_y)
-
-        if cfg.algorithm == "fomaml":
-            predictions = batched_forward(self.model, adapted, query_x)
-            query_losses = nn.per_task_loss(predictions, query_y, cfg.loss)
-            query_losses.sum().backward()
-            stacks = [
-                param.grad
-                if param.grad is not None
-                else np.zeros((num_tasks, *param.shape[1:]))
-                for param in adapted
-            ]
-            query_loss_values = query_losses.data.copy()
-        else:  # reptile
-            # One extra adaptation phase on the query set, then use the
-            # total parameter displacement as the meta gradient.
-            adapted, _ = adapt(adapted, query_x, query_y)
-            with nn.no_grad():
-                predictions = batched_forward(self.model, adapted, query_x)
-                query_loss_values = nn.per_task_loss(
-                    predictions, query_y, cfg.loss
-                ).data.copy()
-            stacks = [
-                initial.data[None] - param.data
-                for initial, param in zip(self.model.parameters(), adapted)
-            ]
-        return stacks, list(support_losses), list(query_loss_values)
-
-    def _combine_stacks(self, stacks: List[np.ndarray]) -> List[np.ndarray]:
-        """Reduce per-task stacks to meta gradients (Eq. 6 summation)."""
-        if self.config.algorithm == "fomaml":
-            return [stack.sum(axis=0) for stack in stacks]
-        return [stack.sum(axis=0) / self.config.inner_lr for stack in stacks]
-
-    def _meta_step_batched(
-        self, tasks: List[Task]
-    ) -> tuple[List[np.ndarray], List[float], List[float]]:
-        """One meta-iteration with the task dimension batched in-process."""
-        stacks, support_losses, query_losses = self._task_gradient_stacks(tasks)
-        return self._combine_stacks(stacks), support_losses, query_losses
-
-    def _meta_step_sharded(
-        self, tasks: List[Task], pool: ProcessPoolExecutor
-    ) -> tuple[List[np.ndarray], List[float], List[float]]:
-        """One meta-iteration with the task batch sharded over processes.
-
-        The tasks are cut into contiguous shards (one per worker); each
-        worker computes its shard's per-task gradient stacks with the same
-        batched kernels, and the parent concatenates the stacks in shard
-        order before performing the exact summation the single-process step
-        performs.  Because each task's gradient slice is independent of its
-        stack-mates (fixed-shape per-slice GEMMs) and the reduction happens
-        once, in task order, in the parent, the result is bitwise identical
-        to ``workers=1`` — ``plan.workers`` only changes the wall clock.
-        """
-        shards = shard_items(tasks, num_shards=self.plan.workers)
-        serial_plan = replace(self.plan, workers=1)
-        futures = [
-            pool.submit(_meta_shard_gradients, self.model, self.config, serial_plan, shard)
-            for shard in shards
-        ]
-        results = [future.result() for future in futures]
-        num_params = len(results[0][0])
-        stacks = [
-            np.concatenate([shard_stacks[index] for shard_stacks, _, _ in results], axis=0)
-            for index in range(num_params)
-        ]
-        support_losses = [loss for _, losses, _ in results for loss in losses]
-        query_losses = [loss for _, _, losses in results for loss in losses]
-        return self._combine_stacks(stacks), support_losses, query_losses
-
-    # ------------------------------------------------------------------
     # Warm start
     # ------------------------------------------------------------------
     def _warmstart(self, train_data: ArrayDataset, verbose: bool = False) -> None:
@@ -386,74 +233,32 @@ class MetaTrainer:
         rng = np.random.default_rng(cfg.seed)
         parameters = self.model.parameters()
 
-        # Task shards fan out over a persistent pool when the plan asks for
-        # workers; the pool is scoped to this call so trainers never leak
-        # processes.  Sharding applies to the batched path (the sequential
-        # reference path stays serial by design).
-        pool: Optional[ProcessPoolExecutor] = None
-        if self._batched and self.plan.workers > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=self.plan.workers, mp_context=pool_context()
-            )
-        try:
-            self._meta_train_loop(
-                iterations, sampler, rng, parameters, validation_data,
-                validation_every, verbose, pool,
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        return self.history
-
-    def _meta_train_loop(
-        self,
-        iterations: int,
-        sampler: TaskSampler,
-        rng: np.random.Generator,
-        parameters: List[nn.Tensor],
-        validation_data: Optional[ArrayDataset],
-        validation_every: int,
-        verbose: bool,
-        pool: Optional[ProcessPoolExecutor],
-    ) -> None:
-        cfg = self.config
         for iteration in range(1, iterations + 1):
             tasks = sampler.sample_batch(rng)
             theta = self._snapshot()
+            meta_gradients = [np.zeros_like(param.data) for param in parameters]
+            support_losses = []
+            query_losses = []
 
-            if self._batched and pool is not None and len(tasks) > 1:
-                meta_gradients, support_losses, query_losses = self._meta_step_sharded(
-                    tasks, pool
-                )
-            elif self._batched:
-                meta_gradients, support_losses, query_losses = self._meta_step_batched(tasks)
-            else:
-                meta_gradients = [np.zeros_like(param.data) for param in parameters]
-                support_losses = []
-                query_losses = []
-
-                for task in tasks:
-                    self._restore(theta)
-                    support_losses.append(self._inner_adapt(task))
-                    if cfg.algorithm == "fomaml":
-                        grads, query_loss = self._query_gradient(task)
-                        for accumulator, grad in zip(meta_gradients, grads):
-                            accumulator += grad
-                    else:  # reptile
-                        # One extra adaptation step on the query set, then use
-                        # the total parameter displacement as the meta gradient.
-                        self._inner_adapt(Task(support=task.query, query=task.query))
-                        with nn.no_grad():
-                            predictions = self.model(nn.Tensor(task.query.features))
-                            query_loss = self._loss_fn(
-                                predictions, nn.Tensor(task.query.labels)
-                            ).item()
-                        for accumulator, param, initial in zip(
-                            meta_gradients, parameters, theta
-                        ):
-                            accumulator += (initial - param.data) / cfg.inner_lr
-
-                    query_losses.append(query_loss)
+            for task in tasks:
+                self._restore(theta)
+                support_losses.append(self._inner_adapt(task))
+                if cfg.algorithm == "fomaml":
+                    grads, query_loss = self._query_gradient(task)
+                    for accumulator, grad in zip(meta_gradients, grads):
+                        accumulator += grad
+                else:  # reptile
+                    # One extra adaptation step on the query set, then use
+                    # the total parameter displacement as the meta gradient.
+                    self._inner_adapt(Task(support=task.query, query=task.query))
+                    with nn.no_grad():
+                        predictions = self.model(nn.Tensor(task.query.features))
+                        query_loss = self._loss_fn(
+                            predictions, nn.Tensor(task.query.labels)
+                        ).item()
+                    for accumulator, param, initial in zip(meta_gradients, parameters, theta):
+                        accumulator += (initial - param.data) / cfg.inner_lr
+                query_losses.append(query_loss)
 
             # Outer update (Eq. 6): restore the initial parameters and apply
             # the summed query gradients through the meta optimizer.
@@ -482,3 +287,4 @@ class MetaTrainer:
                 print(
                     f"meta-iteration {iteration:5d}: query loss {self.history.query_loss[-1]:.4f}"
                 )
+        return self.history

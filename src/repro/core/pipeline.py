@@ -30,9 +30,7 @@ from ..dataset.cache import FeatureCache
 from ..dataset.features import FeatureMapBuilder
 from ..dataset.loader import ArrayDataset
 from ..dataset.sample import PoseDataset
-from ..engine.functional import predict_with_parameters
 from ..radar.pointcloud import PointCloudFrame
-from ..runtime.plan import ExecutionPlan
 from .evaluation import PoseErrorReport, evaluate_model
 from .finetune import FineTuneConfig, FineTuneResult, FineTuner
 from .fusion import FrameFusion
@@ -63,10 +61,6 @@ class FuseConfig:
         Online adaptation hyper-parameters (used by :meth:`adapt`).
     model_seed:
         Seed of the model's weight initialization.
-    plan:
-        Execution plan (:class:`repro.runtime.ExecutionPlan`): selects the
-        vectorized hot path and the worker-process count for bulk feature
-        building and meta-training.
     """
 
     num_context_frames: int = 1
@@ -75,7 +69,6 @@ class FuseConfig:
     meta: MetaLearningConfig = field(default_factory=MetaLearningConfig)
     finetune: FineTuneConfig = field(default_factory=FineTuneConfig)
     model_seed: int = 0
-    plan: ExecutionPlan = field(default_factory=ExecutionPlan)
 
 
 class FusePoseEstimator:
@@ -83,7 +76,6 @@ class FusePoseEstimator:
 
     def __init__(self, config: Optional[FuseConfig] = None, model: Optional[PoseCNN] = None) -> None:
         self.config = config if config is not None else FuseConfig()
-        self.plan = self.config.plan
         self.fusion = FrameFusion(num_context_frames=self.config.num_context_frames)
         self.feature_builder = self.config.feature_builder
         self.model = (
@@ -108,9 +100,7 @@ class FusePoseEstimator:
         lookup.
         """
         fused = self.fusion.fuse_dataset(dataset) if fuse else dataset
-        features, labels = self.feature_cache.get_or_build(
-            fused, self.feature_builder, workers=self.plan.workers
-        )
+        features, labels = self.feature_cache.get_or_build(fused, self.feature_builder)
         return ArrayDataset(features, labels)
 
     # ------------------------------------------------------------------
@@ -142,7 +132,7 @@ class FusePoseEstimator:
         """Meta-train the initialization (Algorithm 1)."""
         train_arrays = self.to_arrays(train)
         validation_arrays = self.to_arrays(validation) if validation is not None else None
-        trainer = MetaTrainer(self.model, self.config.meta, plan=self.plan)
+        trainer = MetaTrainer(self.model, self.config.meta)
         self.meta_history = trainer.meta_train(
             train_arrays,
             validation_data=validation_arrays,
@@ -173,22 +163,13 @@ class FusePoseEstimator:
         return self.finetune_result
 
     def predict(
-        self,
-        frames: Union[Sequence[PointCloudFrame], PoseDataset, np.ndarray],
-        parameters: Optional[Sequence[np.ndarray]] = None,
+        self, frames: Union[Sequence[PointCloudFrame], PoseDataset, np.ndarray]
     ) -> np.ndarray:
         """Predict joint coordinates.
 
         Accepts raw point-cloud frames (fused on the fly with the configured
         window), a labelled dataset, or pre-built feature maps.  Returns an
         ``(N, 19, 3)`` array of joint coordinates in metres.
-
-        With ``parameters`` — plain arrays in ``model.parameters()`` order,
-        e.g. a per-user adapted set from
-        :class:`repro.serve.AdapterRegistry` — inference runs functionally
-        through those weights and the estimator's own model state is neither
-        consulted nor mutated, so one shared estimator can serve many users'
-        personalised parameter sets concurrently.
         """
         if isinstance(frames, np.ndarray):
             features = frames
@@ -199,9 +180,6 @@ class FusePoseEstimator:
             frame_list = list(frames)
             fused = self.fusion.fuse_sequence(frame_list)
             features = self.feature_builder.build_batch(fused)
-        if parameters is not None:
-            flat = predict_with_parameters(self.model, parameters, features)
-            return flat.reshape(flat.shape[0], -1, 3)
         return self.model.predict_joints(features)
 
     def evaluate(self, dataset: PoseDataset | ArrayDataset) -> PoseErrorReport:

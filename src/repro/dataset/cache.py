@@ -106,16 +106,12 @@ class FeatureCache:
         samples: Iterable[LabelledFrame],
         builder: FeatureMapBuilder,
         rng: Optional[np.random.Generator] = None,
-        workers: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Return cached ``(features, labels)`` or build and remember them.
 
         Builds that depend on runtime randomness (the ``"random"`` selection
         mode with a caller-supplied generator) bypass the cache entirely —
-        caching them would freeze one random draw forever.  ``workers``
-        shards a cache-missing (rng-free) build over a process pool; sharded
-        builds are bitwise identical to serial ones, so the cache key is
-        unaffected.
+        caching them would freeze one random draw forever.
         """
         sample_list = list(samples)
         if builder.selection == "random" and rng is not None:
@@ -130,12 +126,7 @@ class FeatureCache:
             return features, labels
 
         self.stats.misses += 1
-        if rng is None:
-            from .loader import build_features_sharded
-
-            features, labels = build_features_sharded(sample_list, builder, workers=workers)
-        else:
-            features, labels = builder.build_dataset(sample_list, rng=rng)
+        features, labels = builder.build_dataset(sample_list, rng=rng)
         features, labels = _readonly(features), _readonly(labels)
         self._remember(key, features, labels)
         return features, labels

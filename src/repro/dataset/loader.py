@@ -10,16 +10,14 @@ the same small dataset for tens of epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..runtime import map_shards
 from .features import FeatureMapBuilder
 from .sample import LabelledFrame, PoseDataset
 
-__all__ = ["ArrayDataset", "BatchLoader", "build_array_dataset", "build_features_sharded"]
+__all__ = ["ArrayDataset", "BatchLoader", "build_array_dataset"]
 
 
 @dataclass
@@ -100,59 +98,12 @@ class BatchLoader:
             yield self.dataset.features[batch], self.dataset.labels[batch]
 
 
-def _build_feature_shard(
-    builder: FeatureMapBuilder, samples: List[LabelledFrame]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Build one shard's feature/label arrays (module-level: crosses the
-    worker pool's pickle boundary)."""
-    return builder.build_dataset(samples)
-
-
-#: Below this many frames per worker the vectorized serial build finishes in
-#: less time than forking a pool and pickling the arrays back.
-_MIN_FRAMES_PER_WORKER = 1024
-
-
-def build_features_sharded(
-    samples: Sequence[LabelledFrame],
-    builder: FeatureMapBuilder,
-    workers: int = 1,
-    min_frames_per_worker: int = _MIN_FRAMES_PER_WORKER,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Build feature/label arrays, sharding frames over a process pool.
-
-    Feature maps are built per frame with no cross-frame coupling, so
-    chunking the batch and concatenating the shard results is bitwise
-    identical to one whole-batch build — the worker count only changes the
-    wall clock.  Small batches (fewer than ``min_frames_per_worker`` frames
-    per worker) stay on the serial path: pool start-up and pickling would
-    dwarf the build itself.
-    """
-    sample_list = list(samples)
-    if workers <= 1 or len(sample_list) < workers * min_frames_per_worker:
-        return builder.build_dataset(sample_list)
-    shards = map_shards(partial(_build_feature_shard, builder), sample_list, workers=workers)
-    features = np.concatenate([shard[0] for shard in shards])
-    labels = np.concatenate([shard[1] for shard in shards])
-    return features, labels
-
-
 def build_array_dataset(
     samples: PoseDataset | Sequence[LabelledFrame],
     builder: Optional[FeatureMapBuilder] = None,
     rng: Optional[np.random.Generator] = None,
-    workers: int = 1,
 ) -> ArrayDataset:
-    """Convert labelled samples into an :class:`ArrayDataset` of feature maps.
-
-    ``workers > 1`` fans the (rng-free) build out over a process pool; a
-    caller-supplied ``rng`` forces the serial path, because sharding would
-    change the draw order of the ``"random"`` selection mode.
-    """
+    """Convert labelled samples into an :class:`ArrayDataset` of feature maps."""
     builder = builder if builder is not None else FeatureMapBuilder()
-    sample_list = list(samples)
-    if rng is None:
-        features, labels = build_features_sharded(sample_list, builder, workers=workers)
-    else:
-        features, labels = builder.build_dataset(sample_list, rng=rng)
+    features, labels = builder.build_dataset(list(samples), rng=rng)
     return ArrayDataset(features, labels)

@@ -4,16 +4,16 @@ The engine is the architectural seam between "what the reproduction
 computes" and "how fast it computes it".  Its pieces:
 
 * :class:`BatchedRadarEngine` — whole-trajectory radar execution over
-  ``(batch, frame, ...)`` arrays;
+  ``(batch, frame, ...)`` arrays, with a per-frame reference twin selected
+  by :meth:`repro.runtime.ExecutionPlan.reference`;
 * task-batched functional model execution
-  (:func:`replicate_parameters` / :func:`batched_forward`) used by the
-  meta-learning and adaptation task loops.
+  (:func:`replicate_parameters` / :func:`batched_forward`, and the
+  ``lowrank_*`` family) used by the serving tier's grouped per-user
+  adaptation.
 
-Every vectorized path has a per-frame / per-task reference twin selected by
-:meth:`repro.runtime.ExecutionPlan.reference`; the equivalence tests in
-``tests/engine`` pin the two together numerically, and
-``benchmarks/test_engine_throughput.py`` tracks the speedup as
-``BENCH_engine.json``.
+The equivalence tests in ``tests/engine`` pin each batched path to its
+reference, and ``benchmarks/test_engine_throughput.py`` tracks the radar
+speedup in ``BENCH_engine.json``.
 """
 
 from .functional import (
@@ -21,7 +21,6 @@ from .functional import (
     lowrank_forward,
     lowrank_parameters,
     lowrank_shapes,
-    predict_with_parameters,
     replicate_parameters,
     supports_batched_execution,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "lowrank_forward",
     "lowrank_parameters",
     "lowrank_shapes",
-    "predict_with_parameters",
     "replicate_parameters",
     "supports_batched_execution",
 ]

@@ -1,17 +1,20 @@
 """Task-batched functional execution of ``repro.nn`` models.
 
-Meta-learning adapts one model per task, which naively means ``T`` separate
-forward/backward passes per meta-iteration.  This module runs all tasks at
-once: every parameter of the underlying model is replicated into a
+The serving tier adapts one model per user, which naively means ``T``
+separate forward/backward passes per adaptation step.  This module runs all
+users at once: every parameter of the underlying model is replicated into a
 ``(tasks, ...)`` tensor, and the network is replayed *functionally* — the
 module tree supplies the architecture while the per-task parameter tensors
 supply the weights — using the grouped kernels
 (:func:`repro.nn.conv2d_batched`, :func:`repro.nn.linear_batched`).
+:class:`repro.serve.AdapterRegistry` adapts ``scope="all"`` cohorts this way
+and :class:`repro.serve.PoseServer` serves their parameter stacks with
+:func:`batched_forward`; the ``lowrank_*`` functions adapt ``scope="lora"``
+factors the same way.
 
 Because tasks are mathematically independent, backpropagating the **sum** of
 per-task losses through the ``(tasks, ...)`` parameters yields exactly each
-task's own gradient in its slice — no cross-task terms — which is what makes
-the batched inner loop numerically equivalent to the sequential one.
+task's own gradient in its slice — no cross-task terms.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "replicate_parameters",
     "batched_forward",
     "gradient_step",
-    "predict_with_parameters",
     "lowrank_shapes",
     "lowrank_parameters",
     "lowrank_forward",
@@ -68,8 +70,8 @@ def gradient_step(params: Sequence[nn.Tensor], learning_rate: float) -> List[nn.
     Returns fresh leaf tensors ``param - learning_rate * grad`` (parameters
     without a gradient are copied unchanged) and consumes the gradient
     buffers in place to avoid an extra ``(tasks, ...)``-sized temporary per
-    parameter.  This is the shared update rule of the meta-learning inner
-    loop (Eq. 5) and of batched population fine-tuning.
+    parameter.  This is the SGD update of the serving tier's grouped
+    ``scope="all"`` adaptation.
     """
     updated: List[nn.Tensor] = []
     for param in params:
@@ -110,28 +112,6 @@ def batched_forward(
     if leftover is not None:
         raise ValueError("more per-task parameters supplied than the module consumes")
     return out
-
-
-def predict_with_parameters(
-    module: nn.Module, parameters: Sequence[np.ndarray], features: np.ndarray
-) -> np.ndarray:
-    """Inference with an explicit parameter set, leaving ``module`` untouched.
-
-    This is how the serving layer predicts with per-user adapted weights:
-    the module supplies only the architecture, ``parameters`` (plain arrays
-    in ``module.parameters()`` order) supply the weights, and the module's
-    own state is neither read nor mutated.  Returns the flat ``(batch, out)``
-    predictions for ``(batch, ...)`` features.
-    """
-    expected = sum(1 for _ in module.parameters())
-    if len(parameters) != expected:
-        raise ValueError(
-            f"module has {expected} parameters but {len(parameters)} were supplied"
-        )
-    params = [nn.Tensor(np.asarray(p, dtype=float)[None]) for p in parameters]
-    with nn.no_grad():
-        out = batched_forward(module, params, nn.Tensor(np.asarray(features)[None]))
-    return out.numpy()[0]
 
 
 def lowrank_shapes(module: nn.Module) -> List[tuple]:
@@ -299,7 +279,4 @@ def _forward_module(
         for child in children:
             x = _forward_module(child, params, x)
         return x
-    raise NotImplementedError(
-        f"no task-batched kernel for layer {module!r}; "
-        "run with ExecutionPlan(vectorized=False) instead"
-    )
+    raise NotImplementedError(f"no task-batched kernel for layer {module!r}")

@@ -178,9 +178,7 @@ def run_adaptation(
     # Offline training
     # ------------------------------------------------------------------
     baseline_estimator = FusePoseEstimator(
-        FuseConfig(
-            num_context_frames=0, training=scale.training, model_seed=0, plan=scale.plan
-        )
+        FuseConfig(num_context_frames=0, training=scale.training, model_seed=0)
     )
     baseline_arrays = _prepare_arrays(baseline_estimator, split)
     if verbose:
@@ -189,14 +187,12 @@ def run_adaptation(
     baseline_state = baseline_estimator.model.state_dict()
 
     fuse_estimator = FusePoseEstimator(
-        FuseConfig(num_context_frames=1, meta=scale.meta, model_seed=1, plan=scale.plan)
+        FuseConfig(num_context_frames=1, meta=scale.meta, model_seed=1)
     )
     fuse_arrays = _prepare_arrays(fuse_estimator, split)
     if verbose:
         print(f"[adaptation] offline meta-training ({scale.meta.meta_iterations} iterations)")
-    MetaTrainer(fuse_estimator.model, scale.meta, plan=scale.plan).meta_train(
-        fuse_arrays["train"]
-    )
+    MetaTrainer(fuse_estimator.model, scale.meta).meta_train(fuse_arrays["train"])
     fuse_state = fuse_estimator.model.state_dict()
 
     # ------------------------------------------------------------------

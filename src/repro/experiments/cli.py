@@ -6,16 +6,17 @@ Installed as the ``fuse-experiment`` console script::
     fuse-experiment table2 --scale ci
     fuse-experiment figure2
     fuse-experiment all --scale smoke
-    fuse-experiment table1 --scale ci --workers 4   # sharded generation/features
+    fuse-experiment table1 --scale ci --workers 4   # sharded dataset generation
 
     fuse-experiment fuse-serve --unix /tmp/fuse.sock --shards 4
     fuse-experiment fuse-serve --host 127.0.0.1 --port 8707 --adapter-scope lora
     fuse-experiment fuse-serve --host 127.0.0.1 --port 0 --max-in-flight 64
 
 ``--workers`` threads a multi-process :class:`repro.runtime.ExecutionPlan`
-through the selected scale: dataset generation and bulk feature building
-shard over a process pool, with bitwise-identical results (per-work-item
-seeding), so reproductions only get faster, never different.
+through the selected scale: synthetic dataset generation shards its
+sessions over a process pool, with bitwise-identical results (per-session
+seeding), so reproductions only get faster, never different.  Feature
+building and training run in process.
 
 ``fuse-serve`` (also installed as its own ``fuse-serve`` console script)
 trains a small estimator on synthetic data, stands up a
@@ -35,6 +36,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..serve.policy import ADAPTER_SCOPES, AdapterPolicy
 from . import figure2, figure3, figure4, table1, table2
 from .scale import SCALE_NAMES, ExperimentScale, get_scale
 
@@ -68,8 +70,8 @@ def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for shardable stages (default: 1; results are "
-        "bitwise independent of this knob)",
+        help="worker processes for synthetic dataset generation (default: 1; "
+        "results are bitwise independent of this knob)",
     )
 
 
@@ -192,16 +194,16 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     adaptation = parser.add_argument_group("per-user adaptation")
     adaptation.add_argument(
         "--adapter-scope",
-        choices=("all", "last", "lora"),
+        choices=ADAPTER_SCOPES,
         default=None,
         help="per-user adaptation scope: full network, last layer, or "
-        "low-rank factors (default: the serving default, 'all')",
+        "low-rank factors (default: AdapterPolicy's)",
     )
     adaptation.add_argument(
         "--adapter-rank",
         type=int,
         default=None,
-        help="low-rank factor rank for --adapter-scope lora (default: 4)",
+        help="low-rank factor rank for --adapter-scope lora (default: AdapterPolicy's)",
     )
     adaptation.add_argument(
         "--adapter-spill-dir",
@@ -239,6 +241,24 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _adapter_policy(args: argparse.Namespace) -> Optional[AdapterPolicy]:
+    """The :class:`repro.serve.AdapterPolicy` the ``--adapter-*`` flags ask for.
+
+    Only the flags given reach the policy, so its own defaults fill the
+    rest; ``None`` (no flag given) leaves the serving default in place.
+    """
+    given = {
+        name: value
+        for name, value in (
+            ("scope", args.adapter_scope),
+            ("rank", args.adapter_rank),
+            ("spill_dir", args.adapter_spill_dir),
+        )
+        if value is not None
+    }
+    return AdapterPolicy(**given) if given else None
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     """Train a small estimator, start the shard backend and serve sockets."""
     import asyncio
@@ -246,13 +266,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from ..core import FuseConfig, FusePoseEstimator
     from ..core.training import TrainingConfig
     from ..dataset.synthetic import SyntheticDatasetConfig, generate_dataset
-    from ..serve import (
-        AdapterPolicy,
-        FaultPlan,
-        PoseFrontend,
-        ProcessShardedPoseServer,
-        ServeConfig,
-    )
+    from ..serve import FaultPlan, PoseFrontend, ProcessShardedPoseServer, ServeConfig
     from ..serve.cli_utils import format_ready_line
 
     if args.shards < 1:
@@ -263,20 +277,10 @@ def _run_serve(args: argparse.Namespace) -> int:
         return _fail("--unix and --host are mutually exclusive")
     if args.adapter_rank is not None and args.adapter_scope != "lora":
         return _fail("--adapter-rank requires --adapter-scope lora")
-
-    adapter = None
-    if any(
-        value is not None
-        for value in (args.adapter_scope, args.adapter_rank, args.adapter_spill_dir)
-    ):
-        try:
-            adapter = AdapterPolicy(
-                scope=args.adapter_scope if args.adapter_scope is not None else "all",
-                rank=args.adapter_rank if args.adapter_rank is not None else 4,
-                spill_dir=args.adapter_spill_dir,
-            )
-        except ValueError as error:
-            return _fail(str(error))
+    try:
+        adapter = _adapter_policy(args)
+    except ValueError as error:
+        return _fail(str(error))
 
     fault_plan = None
     if args.fault_plan is not None:

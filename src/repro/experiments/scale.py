@@ -31,10 +31,10 @@ class ExperimentScale:
     """A bundle of dataset and training budgets used by experiment drivers.
 
     ``plan`` is the :class:`repro.runtime.ExecutionPlan` the drivers hand to
-    the estimator stack *and* to dataset generation; override it
+    synthetic dataset generation and figure 2's radar engine; override it
     (``with_overrides(plan=...)``) to force the per-frame reference path —
-    or, via :meth:`with_workers`, a multi-process run — without touching
-    the drivers.
+    or, via :meth:`with_workers`, a multi-process generation — without
+    touching the drivers.
     """
 
     name: str
@@ -52,9 +52,9 @@ class ExperimentScale:
         return replace(self, **kwargs)
 
     def with_workers(self, workers: int) -> "ExperimentScale":
-        """Return a copy whose plan shards work over ``workers`` processes.
+        """Return a copy whose plan shards generation over ``workers`` processes.
 
-        Sharded stages are bitwise identical to serial ones (per-work-item
+        Sharded generation is bitwise identical to serial (per-work-item
         seeding), so this changes reproduction wall clock, never results.
         """
         return self.with_overrides(plan=replace(self.plan, workers=workers))

@@ -90,7 +90,6 @@ def run_table1(
                 num_context_frames=num_context_frames,
                 training=scale.training,
                 model_seed=0,
-                plan=scale.plan,
             )
         )
         train_arrays = estimator.prepare(split.train)

@@ -121,7 +121,7 @@ def linear_batched(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
     Implemented as one fused autograd op (rather than composing transpose,
     matmul and broadcast-add nodes) so that every gradient array is produced
     contiguous by a single batched BLAS call — the difference is significant
-    for the large per-task FC weight tensors of the meta-learning inner loop.
+    for the large per-user FC weight tensors of grouped adaptation.
 
     Parameters
     ----------
@@ -285,7 +285,7 @@ def per_task_loss(prediction: Tensor, target: Tensor, loss: str = "l1", delta: f
     task ``t`` computed over its own batch.  Because the tasks are
     independent, backpropagating ``per_task_loss(...).sum()`` through
     per-task parameters yields exactly each task's own gradient — the
-    property the task-batched meta-learning inner loop relies on.
+    property grouped per-user adaptation relies on.
     """
     prediction, target = _as_tensor(prediction), _as_tensor(target)
     if prediction.shape != target.shape:

@@ -113,7 +113,7 @@ def conv2d_batched(
 ) -> Tensor:
     """Grouped 2-D convolution with an independent filter bank per task.
 
-    This is the workhorse of task-batched meta-learning: every task ``t`` in
+    This is the workhorse of grouped per-user adaptation: every task ``t`` in
     the leading axis owns its own adapted weights, and all tasks' forward and
     backward passes are computed with one ``im2col`` and one batched matrix
     multiplication instead of a Python loop over tasks.

@@ -2,8 +2,9 @@
 
 One subsystem owns *how* work executes so no other layer has to:
 
-* :class:`ExecutionPlan` — the two execution choices (batched kernels or
-  their reference twins; how many worker processes) in one frozen object.
+* :class:`ExecutionPlan` — the two execution choices (batched radar
+  kernels or their per-frame twins; how many generation processes) in one
+  frozen object.
 * :func:`map_shards` / :func:`shard_items` / :func:`merge_shards` — the
   fan-out primitive: contiguous shards, optional process pool, results in
   shard order.
@@ -15,12 +16,13 @@ One subsystem owns *how* work executes so no other layer has to:
 * :func:`pool_context` — the one process-lifecycle policy (start method)
   shared by the shard pools and the serving shard workers.
 
-Consumers: synthetic dataset generation and bulk feature building shard on
-:func:`map_shards`; the batched engine and the meta-trainer read
-``plan.vectorized``; :class:`repro.serve.ProcessShardedPoseServer` places
+Consumers: synthetic dataset generation shards on :func:`map_shards` and
+reads ``plan.vectorized``, as do :class:`repro.engine.BatchedRadarEngine`
+and figure 2's driver; :class:`repro.serve.ProcessShardedPoseServer` places
 users with :func:`shard_for`, derives its worker processes from
 :func:`pool_context` and seeds each shard with :func:`seed_for_key`; the
-experiment drivers and CLI thread one plan through all of it.
+experiment drivers and CLI hand the scale's plan to generation and the
+radar engine.
 """
 
 from .plan import ExecutionPlan

@@ -1,10 +1,9 @@
 """The :class:`ExecutionPlan` — the one execution-policy object.
 
-Every compute layer — synthetic dataset generation, bulk feature building,
-the batched radar engine, meta-training and the experiment drivers — takes
-the same plan, so one object switches the whole stack between the batched
-kernels and their per-frame / per-task reference twins, and between serial
-and multi-process execution.
+The plan is taken only where its choices pay: synthetic dataset generation
+(batched or per-frame synthesis, serial or sharded over processes), the
+batched radar engine and figure 2's driver (batched or per-frame radar).
+Feature building and meta-training have one path each and take no plan.
 """
 
 from __future__ import annotations
@@ -21,17 +20,15 @@ class ExecutionPlan:
     Attributes
     ----------
     vectorized:
-        ``True`` (default) routes radar synthesis, feature building and
-        meta-learning inner loops through the batched kernels; ``False``
-        selects the frame-at-a-time / task-at-a-time reference paths (used
+        ``True`` (default) routes radar synthesis through the batched
+        kernels; ``False`` selects the frame-at-a-time reference path (used
         by the equivalence tests and throughput benchmarks).
     workers:
-        Number of worker processes for shardable stages (synthetic dataset
-        generation, bulk feature building, meta-training).  ``1`` (default)
-        runs in-process; higher values fan contiguous shards out over a
-        process pool via :func:`repro.runtime.map_shards`.  Per-shard
-        seeding makes results bitwise independent of this knob — it only
-        changes the wall clock.
+        Number of worker processes for synthetic dataset generation.  ``1``
+        (default) runs in-process; higher values fan contiguous session
+        shards out over a process pool via :func:`repro.runtime.map_shards`.
+        Per-session seeding makes results bitwise independent of this knob —
+        it only changes the wall clock.
     """
 
     vectorized: bool = True
@@ -43,5 +40,5 @@ class ExecutionPlan:
 
     @classmethod
     def reference(cls) -> "ExecutionPlan":
-        """The per-frame / per-task reference plan."""
+        """The per-frame reference plan."""
         return cls(vectorized=False)

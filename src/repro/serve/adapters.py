@@ -6,8 +6,7 @@ personal parameter set.  Doing that one user at a time wastes the batched
 substrate, so :class:`AdapterRegistry` adapts *populations*: every user in an
 :meth:`AdapterRegistry.adapt_many` call becomes one slice of a
 ``(users, ...)`` parameter tensor and all users share a single grouped
-forward/backward per mini-batch through :func:`repro.engine.batched_forward`
-(the same task-batched kernels as the meta-learning inner loop).
+forward/backward per mini-batch through :func:`repro.engine.batched_forward`.
 
 Because task slices are mathematically and bitwise independent, a user
 adapted inside a group ends up with exactly the parameters a solo

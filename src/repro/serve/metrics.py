@@ -80,8 +80,6 @@ class ServeMetrics:
         self.adapter_demotions_cold = 0
         self.restarts = 0
         self.spill_quarantined = 0
-        self.request_timeouts = 0
-        self.retries = 0
         self.deadline_shed = 0
         self.shards_degraded = 0
         self.latency_sum_s = 0.0
@@ -171,21 +169,9 @@ class ServeMetrics:
         else:
             raise ValueError(f"unknown demotion tier '{tier}'")
 
-    def record_restart(self) -> None:
-        """One shard worker process restarted by its supervisor."""
-        self.restarts += 1
-
     def record_spill_quarantined(self) -> None:
         """One adapter spill archive failed verification and was set aside."""
         self.spill_quarantined += 1
-
-    def record_request_timeout(self) -> None:
-        """One remote call exceeded its per-request timeout (brownout signal)."""
-        self.request_timeouts += 1
-
-    def record_retry(self) -> None:
-        """One request re-attempted under the retry policy."""
-        self.retries += 1
 
     def record_deadline_shed(self) -> None:
         """One request shed because its deadline budget was already spent."""
@@ -262,8 +248,6 @@ class ServeMetrics:
             "adapter_tier_hit_rate": self.adapter_tier_hit_rate,
             "restarts": self.restarts,
             "spill_quarantined": self.spill_quarantined,
-            "request_timeouts": self.request_timeouts,
-            "retries": self.retries,
             "deadline_shed": self.deadline_shed,
             "shards_degraded": self.shards_degraded,
         }
@@ -302,8 +286,6 @@ class ServeMetrics:
         "adapter_demotions_cold",
         "restarts",
         "spill_quarantined",
-        "request_timeouts",
-        "retries",
         "deadline_shed",
         "shards_degraded",
         "latency_sum_s",
@@ -546,12 +528,6 @@ class ServeMetrics:
             "spill_quarantined",
             "Adapter spill archives that failed verification and were quarantined.",
         ),
-        (
-            "fuse_serve_request_timeouts_total",
-            "request_timeouts",
-            "Remote calls that exceeded their per-request timeout.",
-        ),
-        ("fuse_serve_retries_total", "retries", "Requests re-attempted under the retry policy."),
         (
             "fuse_serve_deadline_shed_total",
             "deadline_shed",

@@ -29,7 +29,6 @@ import numpy as np
 from ..core.pipeline import FusePoseEstimator
 from ..dataset.sample import LabelledFrame, PoseDataset
 from ..radar.pointcloud import merge_frames
-from .adapters import AdapterRegistry
 from .batcher import PendingPrediction
 from .server import PoseServer
 from .session import streaming_window
@@ -211,20 +210,17 @@ def replay_users(
 def sequential_reference(
     estimator: FusePoseEstimator,
     streams: Mapping[Hashable, Sequence[LabelledFrame]],
-    registry: Optional[AdapterRegistry] = None,
 ) -> Dict[Hashable, np.ndarray]:
     """The naive per-user serving loop: no batching, no serving machinery.
 
     Each user's frames are processed strictly one at a time — streaming
-    fusion window, solo feature build, one single-frame model call (with the
-    user's adapted parameters when a registry is given).  This is the
-    throughput baseline micro-batched serving is measured against.
+    fusion window, solo feature build, one single-frame model call.  This
+    is the throughput baseline micro-batched serving is measured against.
     """
     m = estimator.config.num_context_frames
     num_joints = estimator.model.config.output_dim // 3
     results: Dict[Hashable, np.ndarray] = {}
     for user_id, stream in streams.items():
-        parameters = registry.parameters_for(user_id) if registry is not None else None
         history: List = []
         predictions: List[np.ndarray] = []
         for sample in stream:
@@ -236,7 +232,7 @@ def sequential_reference(
             else:
                 fused = sample.cloud
             features = estimator.feature_builder.build_batch([fused])
-            predictions.append(estimator.predict(features, parameters=parameters)[0])
+            predictions.append(estimator.predict(features)[0])
         results[user_id] = (
             np.stack(predictions) if predictions else np.zeros((0, num_joints, 3))
         )

@@ -5,10 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core.evaluation import evaluate_model
 from repro.core.maml import MetaLearningConfig, MetaTrainer
 from repro.core.models import PoseCNN, PoseCNNConfig
+from repro.core.tasks import TaskSampler
+from repro.core.training import TrainingConfig
 from repro.dataset.loader import ArrayDataset
+
+from ..nn.conftest import bits
 
 
 def small_model(seed=0):
@@ -158,35 +163,99 @@ class TestMetaTrainer:
         }
 
 
-class TestShardedMetaTraining:
-    """``plan.workers`` shards the task loop over processes without moving a bit."""
+def composed_meta_train(model, config, data):
+    """Algorithm 1 written out step by step, one task at a time.
+
+    Per task: restore θ, take ``inner_steps`` SGD steps on the support set,
+    then the query gradient (FOMAML) or one more adaptation on the query
+    set and the displacement ``(θ - θ') / inner_lr`` (Reptile).  The task
+    gradients are summed, scaled by ``1 / len(tasks)`` and applied with one
+    Adam step.  Returns the per-iteration mean support and query losses.
+    """
+    loss_fn = TrainingConfig(loss=config.loss).loss_function()
+    params = model.parameters()
+    adam = nn.Adam(params, lr=config.meta_lr)
+    sampler = TaskSampler(
+        data,
+        support_size=config.support_size,
+        query_size=config.query_size,
+        tasks_per_batch=config.tasks_per_batch,
+    )
+    rng = np.random.default_rng(config.seed)
+
+    def loss_on(subset):
+        return loss_fn(model.forward(nn.Tensor(subset.features)), nn.Tensor(subset.labels))
+
+    def adapt(subset):
+        for _ in range(config.inner_steps):
+            model.zero_grad()
+            loss = loss_on(subset)
+            loss.backward()
+            for param in params:
+                param.data = param.data - config.inner_lr * param.grad
+        return loss.item()
+
+    support_means, query_means = [], []
+    for _ in range(config.meta_iterations):
+        tasks = sampler.sample_batch(rng)
+        theta = [param.data.copy() for param in params]
+        total = [np.zeros_like(initial) for initial in theta]
+        support_losses, query_losses = [], []
+        for task in tasks:
+            for param, initial in zip(params, theta):
+                param.data = initial.copy()
+            support_losses.append(adapt(task.support))
+            if config.algorithm == "fomaml":
+                model.zero_grad()
+                loss = loss_on(task.query)
+                loss.backward()
+                query_losses.append(loss.item())
+                gradients = [param.grad for param in params]
+            else:
+                adapt(task.query)
+                with nn.no_grad():
+                    query_losses.append(loss_on(task.query).item())
+                gradients = [
+                    (initial - param.data) / config.inner_lr
+                    for param, initial in zip(params, theta)
+                ]
+            for accumulator, gradient in zip(total, gradients):
+                accumulator += gradient
+        for param, initial, gradient in zip(params, theta, total):
+            param.data = initial.copy()
+            param.grad = gradient * (1.0 / len(tasks))
+        adam.step()
+        support_means.append(float(np.mean(support_losses)))
+        query_means.append(float(np.mean(query_losses)))
+    return support_means, query_means
+
+
+class TestMetaStepArithmetic:
+    """``MetaTrainer`` runs Algorithm 1 task by task; its weights and losses
+    are bitwise those of the composed reference."""
 
     @pytest.mark.parametrize("algorithm", ["fomaml", "reptile"])
-    def test_sharded_training_is_bitwise_identical_to_serial(self, algorithm):
-        from repro.runtime import ExecutionPlan
-
+    def test_meta_train_equals_composed_reference_bitwise(self, algorithm):
         config = MetaLearningConfig(
-            meta_iterations=3,
-            tasks_per_batch=4,
+            meta_iterations=2,
+            tasks_per_batch=3,
             support_size=16,
             query_size=16,
+            inner_steps=2,
             algorithm=algorithm,
         )
         data = toy_data()
-        results = {}
-        for workers in (1, 2):
-            model = small_model(seed=7)
-            history = MetaTrainer(model, config, ExecutionPlan(workers=workers)).meta_train(
-                data
-            )
-            results[workers] = (
-                [p.data.copy() for p in model.parameters()],
-                list(history.query_loss),
-                list(history.support_loss),
-            )
-        serial_params, serial_query, serial_support = results[1]
-        sharded_params, sharded_query, sharded_support = results[2]
-        assert serial_query == sharded_query
-        assert serial_support == sharded_support
-        for serial, sharded in zip(serial_params, sharded_params):
-            np.testing.assert_array_equal(serial, sharded)
+        model = small_model(seed=7)
+        history = MetaTrainer(model, config).meta_train(data)
+
+        reference = small_model(seed=7)
+        support_means, query_means = composed_meta_train(reference, config, data)
+
+        assert history.support_loss == support_means
+        assert history.query_loss == query_means
+        initial = small_model(seed=7).parameters()
+        for (name, param), (_, expected), start in zip(
+            model.named_parameters(), reference.named_parameters(), initial
+        ):
+            assert bits(param.data) == bits(expected.data), name
+            assert bits(param.data) != bits(start.data), name

@@ -107,40 +107,6 @@ class TestPrediction:
         joints = estimator.predict(frames)
         assert joints.shape == (6, 19, 3)
 
-    def test_predict_with_explicit_parameters_does_not_touch_model(self):
-        """The serving refactor: inference through a caller-supplied parameter
-        set leaves the estimator's own weights alone."""
-        estimator = small_estimator()
-        rng = np.random.default_rng(3)
-        features = rng.normal(size=(4, 5, 8, 8))
-        own = estimator.predict(features)
-        snapshot = [param.data.copy() for param in estimator.model.parameters()]
-
-        foreign = [rng.normal(size=param.data.shape) for param in estimator.model.parameters()]
-        adapted = estimator.predict(features, parameters=foreign)
-        assert adapted.shape == (4, 19, 3)
-        assert not np.allclose(adapted, own)
-        for param, before in zip(estimator.model.parameters(), snapshot):
-            np.testing.assert_array_equal(param.data, before)
-        # And the model's own state still answers unchanged afterwards.
-        np.testing.assert_array_equal(estimator.predict(features), own)
-
-    def test_predict_with_own_parameters_matches_model_closely(self):
-        estimator = small_estimator()
-        features = np.random.default_rng(4).normal(size=(3, 5, 8, 8))
-        own = [param.data.copy() for param in estimator.model.parameters()]
-        np.testing.assert_allclose(
-            estimator.predict(features, parameters=own),
-            estimator.predict(features),
-            rtol=1e-9,
-            atol=1e-12,
-        )
-
-    def test_predict_with_wrong_parameter_count_raises(self):
-        estimator = small_estimator()
-        with pytest.raises(ValueError, match="parameters"):
-            estimator.predict(np.zeros((1, 5, 8, 8)), parameters=[np.zeros((2, 2))])
-
     def test_predictions_in_scene_ballpark_after_training(self, tiny_dataset):
         estimator = small_estimator()
         split = per_movement_split(tiny_dataset)

@@ -1,10 +1,9 @@
-"""Shard transparency of dataset generation and bulk feature building.
+"""Shard transparency of synthetic dataset generation.
 
 The runtime contract: ``workers`` changes the wall clock, never the bits.
 Generation derives every session's randomness from the session coordinates
 (:func:`repro.runtime.rng_for_key`), so the shard layout cannot reorder any
-draw; feature building is per-frame independent, so chunked builds
-concatenate back to the whole-batch result exactly.
+draw.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dataset.loader import build_array_dataset, build_features_sharded
 from repro.dataset.synthetic import (
     SyntheticDatasetConfig,
     SyntheticDatasetGenerator,
@@ -74,48 +72,6 @@ class TestShardedGeneration:
         assert len(specs) == 4  # 2 subjects x 2 movements x 1 session
         assert [spec.sequence_id for spec in specs] == [0, 1, 2, 3]
         assert len({(s.subject_id, s.movement_name, s.session) for s in specs}) == 4
-
-
-class TestShardedFeatureBuild:
-    def test_sharded_build_bitwise_identical(self, tiny_dataset, feature_builder):
-        serial_features, serial_labels = build_features_sharded(
-            list(tiny_dataset), feature_builder, workers=1
-        )
-        # min_frames_per_worker=1 forces the pool even for this small batch,
-        # so the equality below genuinely crosses the process boundary.
-        sharded_features, sharded_labels = build_features_sharded(
-            list(tiny_dataset), feature_builder, workers=4, min_frames_per_worker=1
-        )
-        np.testing.assert_array_equal(serial_features, sharded_features)
-        np.testing.assert_array_equal(serial_labels, sharded_labels)
-
-    def test_small_builds_stay_serial(self, tiny_dataset, feature_builder, monkeypatch):
-        """Below the per-worker floor the pool is never forked (its start-up
-        would dwarf the build)."""
-        from repro.dataset import loader
-
-        def _fail(*args, **kwargs):
-            raise AssertionError("map_shards must not run for small builds")
-
-        monkeypatch.setattr(loader, "map_shards", _fail)
-        features, _ = build_features_sharded(list(tiny_dataset), feature_builder, workers=4)
-        assert features.shape[0] == len(tiny_dataset)
-
-    def test_build_array_dataset_workers(self, tiny_dataset, feature_builder):
-        serial = build_array_dataset(tiny_dataset, builder=feature_builder)
-        sharded = build_array_dataset(tiny_dataset, builder=feature_builder, workers=3)
-        np.testing.assert_array_equal(serial.features, sharded.features)
-        np.testing.assert_array_equal(serial.labels, sharded.labels)
-
-    def test_estimator_prepare_with_workers(self, tiny_dataset):
-        from repro.core import FuseConfig, FusePoseEstimator
-
-        serial = FusePoseEstimator(FuseConfig(plan=ExecutionPlan(workers=1)))
-        sharded = FusePoseEstimator(FuseConfig(plan=ExecutionPlan(workers=2)))
-        np.testing.assert_array_equal(
-            serial.prepare(tiny_dataset).features,
-            sharded.prepare(tiny_dataset).features,
-        )
 
 
 class TestPlanVectorizedResolution:

@@ -2,8 +2,8 @@
 
 The batched execution engine reorganizes the computation — it must not
 change the answers.  These tests pin every vectorized stage to its reference
-twin: the deterministic stages (signal chain, feature maps, meta-learning,
-grouped adaptation) must agree within floating-point reduction tolerance, and the
+twin: the deterministic stages (signal chain, feature maps, grouped
+adaptation) must agree within floating-point reduction tolerance, and the
 stochastic geometric backend must agree in distribution.
 """
 
@@ -16,7 +16,6 @@ from repro.body.motion import MotionSynthesizer
 from repro.body.subjects import default_subjects
 from repro.body.surface import BodyScatteringModel
 from repro.core.finetune import FineTuneConfig, FineTuner
-from repro.core.maml import MetaLearningConfig, MetaTrainer
 from repro.core.models import PoseCNN
 from repro.dataset.features import FeatureMapBuilder
 from repro.dataset.loader import ArrayDataset
@@ -192,38 +191,6 @@ class TestDatasetGenerationPaths:
         # Labels are RNG-order independent up to the motion synthesis, which
         # both paths share draw-for-draw.
         np.testing.assert_allclose(sequential[0].joints, vectorized[0].joints)
-
-
-class TestMetaLearningEquivalence:
-    @pytest.fixture(scope="class")
-    def array_data(self):
-        rng = np.random.default_rng(21)
-        return ArrayDataset(rng.normal(size=(256, 5, 8, 8)), rng.normal(size=(256, 57)))
-
-    @pytest.mark.parametrize("algorithm", ["fomaml", "reptile"])
-    def test_batched_meta_training_matches_sequential(self, array_data, algorithm):
-        config = MetaLearningConfig(
-            meta_iterations=4,
-            tasks_per_batch=3,
-            support_size=24,
-            query_size=24,
-            inner_steps=2,
-            algorithm=algorithm,
-        )
-        sequential_model = PoseCNN(seed=2)
-        batched_model = PoseCNN(seed=2)
-        history_seq = MetaTrainer(
-            sequential_model, config, plan=ExecutionPlan.reference()
-        ).meta_train(array_data)
-        history_bat = MetaTrainer(batched_model, config, plan=ExecutionPlan()).meta_train(
-            array_data
-        )
-        for p_seq, p_bat in zip(sequential_model.parameters(), batched_model.parameters()):
-            np.testing.assert_allclose(p_seq.data, p_bat.data, atol=1e-8)
-        np.testing.assert_allclose(history_seq.query_loss, history_bat.query_loss, atol=1e-8)
-        np.testing.assert_allclose(
-            history_seq.support_loss, history_bat.support_loss, atol=1e-8
-        )
 
 
 class TestFineTunePopulation:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.experiments import cli
+from repro.serve import AdapterPolicy
 
 
 class TestCli:
@@ -55,6 +58,14 @@ class TestServeCli:
         # One wire protocol: there is no flag to pick one.
         with pytest.raises(SystemExit):
             cli.main(["fuse-serve", "--protocol", "2"])
+
+    def test_spill_dir_alone_keeps_the_policy_defaults(self, tmp_path):
+        """AdapterPolicy owns its defaults: the CLI passes only the flags given."""
+        parser = argparse.ArgumentParser()
+        cli._add_serve_options(parser)
+        args = parser.parse_args(["--adapter-spill-dir", str(tmp_path)])
+        assert cli._adapter_policy(args) == AdapterPolicy(spill_dir=str(tmp_path))
+        assert cli._adapter_policy(parser.parse_args([])) is None
 
     def test_unix_and_host_mutually_exclusive(self, capsys):
         exit_code = cli.main(["fuse-serve", "--unix", "/tmp/x.sock", "--host", "::1"])

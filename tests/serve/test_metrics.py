@@ -172,6 +172,18 @@ class TestPrometheusExport:
         assert "fuse_serve_request_latency_seconds_count 1" in text
         assert text.endswith("\n")
 
+    def test_router_owned_series_are_not_exported_per_shard(self, clock):
+        """Request timeouts and retries happen at the router, which exports
+        them as ``fuse_router_*``; a shard has no such counter to report."""
+        metrics = ServeMetrics(clock=clock)
+        metrics.record_submit(queue_depth=1)
+        text = metrics.to_prometheus(queue_depth=0)
+        assert "fuse_serve_request_timeouts_total" not in text
+        assert "fuse_serve_retries_total" not in text
+        assert "fuse_serve_restarts_total 0" in text
+        assert "request_timeouts" not in metrics.snapshot()
+        assert "retries" not in metrics.state_dict()
+
     def test_labels_attach_to_every_sample(self, clock):
         metrics = ServeMetrics(clock=clock)
         metrics.record_completion(0.002)
