@@ -11,9 +11,9 @@ This example is the full network serving story, protocol v2 edition:
    no sleeps, no socket-file polling;
 2. stream every user's frames concurrently over **one pipelined
    connection per user** (:meth:`AsyncPoseClient.submit_many` with a
-   bounded in-flight window), then replay the same traffic as **batched
-   submits** — 50 frames per wire frame in one contiguous ndarray block —
-   so the server's cross-user micro-batcher sees real batches;
+   bounded in-flight window): the front-end group-commits whatever is in
+   flight per shard, so the server's cross-user micro-batcher sees real
+   batches;
 3. fetch the aggregated serving metrics and the Prometheus exposition over
    the same socket, then ask the front-end to shut down.
 
@@ -124,20 +124,6 @@ async def drive(host: str, port: int) -> None:
             labels = np.stack([sample.joints for sample in frames])
             errors.append(np.abs(predicted - labels).mean())
         print(f"Mean absolute joint error over the wire: {np.mean(errors) * 100:.2f} cm")
-
-        # The same traffic again, now as one submit_batch per tick: every
-        # wire frame carries one frame per user in a contiguous ndarray
-        # block, so the micro-batcher coalesces the whole cohort at once.
-        start = time.perf_counter()
-        for tick in range(FRAMES_PER_USER):
-            await admin.submit_batch(
-                [(user, streams[user][tick].cloud) for user in streams]
-            )
-        wall = time.perf_counter() - start
-        print(
-            f"Batched submits: {total} frames in {FRAMES_PER_USER} wire frames "
-            f"in {wall:.2f}s ({total / wall:,.0f} frames/s over the socket)"
-        )
 
         metrics = await admin.metrics()
         print("\nAggregated serving metrics (via the socket):")

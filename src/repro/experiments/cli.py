@@ -430,12 +430,6 @@ def _add_router_options(parser: argparse.ArgumentParser) -> None:
         default=32,
         help="pipelined requests served concurrently per connection (default: 32)",
     )
-    wire.add_argument(
-        "--push-credits",
-        type=int,
-        default=256,
-        help="per-connection push flow-control budget (default: 256)",
-    )
 
     spawned = parser.add_argument_group("spawned backends (with --spawn)")
     spawned.add_argument(
@@ -555,7 +549,6 @@ def _run_router(args: argparse.Namespace) -> int:
                 unix_path=args.unix,
                 vnodes=args.vnodes,
                 max_in_flight=args.max_in_flight,
-                push_credits=args.push_credits,
                 health_interval_s=args.health_interval,
                 health_timeout_s=args.health_timeout,
                 health_failures=args.health_failures,

@@ -31,12 +31,11 @@ Pieces, inside-out:
   identical to a single :class:`PoseServer`;
 * :class:`PoseFrontend` / :class:`AsyncPoseClient`
   (:mod:`repro.serve.frontend`) — the asyncio socket layer speaking the
-  length-prefixed msgpack/JSON wire protocol v2 of
-  :mod:`repro.serve.transport`: pipelined multi-in-flight connections
-  with out-of-order reply correlation by request id, a streaming
-  ``enqueue``/push path that feeds the cross-user micro-batcher from
-  remote traffic, and batched submits carrying N frames per wire frame in
-  one contiguous zero-copy ndarray block;
+  length-prefixed JSON wire protocol v2 of :mod:`repro.serve.transport`:
+  pipelined multi-in-flight connections with out-of-order reply
+  correlation by request id, and one request path — ``submit`` —
+  group-committed per shard, so concurrent remote frames share the
+  cross-user micro-batches;
 * the replay driver (:func:`replay_users`, :func:`user_streams_from_dataset`)
   simulating N concurrent users from the synthetic dataset;
 * the cluster tier (:mod:`repro.serve.router`) — :class:`PoseRouter`
@@ -45,8 +44,7 @@ Pieces, inside-out:
   placement, a :class:`HealthMonitor` ping-checks backends and a dead one
   fails over to the survivors (sessions restored from a
   :class:`SessionMirror`), planned topology changes live-migrate users
-  (adapter + session ring over the wire, bitwise-identical predictions),
-  and pushed predictions flow under per-connection credit grants.
+  (adapter + session ring over the wire, bitwise-identical predictions).
 """
 
 from .adapters import AdapterRegistry

@@ -1,8 +1,8 @@
 """Asyncio socket front-end: network ingress for the serving subsystem.
 
 :class:`PoseFrontend` decouples request ingress from shard compute.  It
-accepts length-prefixed msgpack/JSON frames (:mod:`repro.serve.transport`)
-over TCP or a Unix socket, routes each request to the backend server —
+accepts length-prefixed JSON frames (:mod:`repro.serve.transport`) over
+TCP or a Unix socket, routes each request to the backend server —
 typically a :class:`repro.serve.ProcessShardedPoseServer`, whose
 :func:`repro.runtime.shard_for` placement sends the user to its shard
 process — and streams results back on the same connection.
@@ -15,29 +15,24 @@ Concurrency model (protocol v2):
   dispatched as its own task (bounded by ``max_in_flight`` per connection)
   and replies carry the request's ``id`` so they may return out of order —
   one client can keep several shards busy through one socket;
-* per-shard **FIFO ordering locks** keep each shard's submissions in
-  arrival order (queue positions are claimed synchronously at dispatch
-  time — :class:`_FifoShardLock`), so a user's frame order — what
-  streaming fusion depends on — survives pipelining while different
-  shards still execute concurrently;
-* the streaming ``enqueue`` path returns a ``ticket`` immediately and the
-  completed prediction is **pushed** later, so the cross-user micro-batcher
-  finally forms batches from remote traffic instead of being defeated by
-  per-frame round-trips; a background poller applies the server's latency
-  deadline while tickets are outstanding;
-* ``submit_batch`` carries N frames in one frame (contiguous
-  :class:`repro.serve.transport.ArrayBlock` payload) and enqueues them with
-  one backend batch call per shard — the cheapest way to feed the batcher
-  over a socket.
+* requests are **group-committed** per shard: a ``submit`` (or an
+  ``export_user`` / ``import_user``) joins its shard's arrival-ordered
+  queue synchronously at dispatch, and one drain task per shard sends
+  every frame queued since its last round to the backend in one
+  ``enqueue_many`` call, then answers each waiter with its own slot.
+  Whatever arrives during one round forms the next micro-batch, so remote
+  traffic fills the cross-user micro-batcher while a lone frame still
+  flushes at once; per-shard arrival order — what streaming fusion
+  depends on — is the order the backend sees.
 
 A request without an int or str ``id`` is answered with an uncorrelated
 ``error`` frame (``ProtocolError``) and the connection keeps reading.
 
 Backpressure surfaces exactly like in-process serving: a full shard queue
 drops or rejects per :class:`repro.serve.ServeConfig`, and the client sees
-a ``prediction``, a pushed resolution, or an ``error`` frame per request.
-Framing violations (truncated or oversized frames, unknown codecs) close
-the connection after a best-effort ``error`` frame — the stream cannot be
+a ``prediction`` or an ``error`` frame per request.  Framing violations
+(truncated or oversized frames, unknown codecs or message types) close the
+connection after a best-effort ``error`` frame — the stream cannot be
 resynchronized.
 
 :class:`AsyncPoseClient` is the matching client used by the examples, the
@@ -48,14 +43,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
-import logging
 import os
 import stat
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -67,10 +60,8 @@ from .metrics import ServeMetrics, merge_expositions
 from .scheduling import RateLimited, SchedulingPolicy, TokenBucket
 from . import transport
 from .transport import (
-    CODEC_JSON,
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    ArrayBlock,
     WireError,
     available_codecs,
     encode_message,
@@ -89,8 +80,6 @@ __all__ = [
 #: default bound on concurrently dispatched requests per connection
 DEFAULT_MAX_IN_FLIGHT = 32
 
-_log = logging.getLogger(__name__)
-
 
 class ServerClosing(RuntimeError):
     """The front-end refused a request because it is shutting down."""
@@ -100,90 +89,16 @@ class _TruncatedByFault(Exception):
     """Internal write-loop signal: an injected truncation closed the writer."""
 
 
-class _FifoShardLock:
-    """A FIFO lock whose queue position is taken *synchronously*.
-
-    ``asyncio.Lock`` wakes waiters first-in first-out, but a task only
-    joins the queue when it *awaits* ``acquire`` — a dispatch path with an
-    await before the acquire (``submit_batch`` fans out one task per
-    shard) would lose its arrival-order slot to a later request that
-    reaches its lock without suspending.  :meth:`claim` registers the
-    position at dispatch time, synchronously; the holder awaits the claim
-    when it is ready to enqueue.  Per-shard submission order therefore
-    always equals request arrival order.
-    """
-
-    __slots__ = ("_locked", "_waiters")
-
-    def __init__(self) -> None:
-        self._locked = False
-        self._waiters: "deque[asyncio.Future]" = deque()
-
-    def claim(self) -> asyncio.Future:
-        """Take the next queue position now; await the result to hold it."""
-        claim = asyncio.get_running_loop().create_future()
-        if self._locked or self._waiters:
-            self._waiters.append(claim)
-        else:
-            self._locked = True
-            claim.set_result(None)
-        return claim
-
-    async def acquire(self, claim: asyncio.Future) -> None:
-        try:
-            await claim
-        except asyncio.CancelledError:
-            if claim.done() and not claim.cancelled():
-                self.release()  # granted concurrently with the cancellation
-            else:
-                with contextlib.suppress(ValueError):
-                    self._waiters.remove(claim)
-            raise
-
-    def release(self) -> None:
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.done():  # skip claims their tasks abandoned
-                waiter.set_result(None)
-                return
-        self._locked = False
-
-    @contextlib.asynccontextmanager
-    async def held(self, claim: asyncio.Future):
-        await self.acquire(claim)
-        try:
-            yield
-        finally:
-            self.release()
-
-
 class _Connection:
     """Per-connection pipelining state, owned by the event loop."""
 
-    __slots__ = (
-        "reader",
-        "writer",
-        "codec",
-        "outbox",
-        "window",
-        "inflight",
-        "tickets",
-        "tasks",
-        "credits",
-        "deferred",
-    )
+    __slots__ = ("writer", "outbox", "window", "inflight", "tasks")
 
-    def __init__(
-        self, reader, writer, max_in_flight: int, push_credits: Optional[int] = None
-    ) -> None:
-        self.reader = reader
+    def __init__(self, writer, max_in_flight: int) -> None:
         self.writer = writer
-        self.codec = CODEC_JSON
-        #: replies and pushes serialized onto the socket by the write
-        #: loop, as ``(message, codec, on_written)`` triples (``None`` is
-        #: the shutdown sentinel): every reply is encoded in the codec of
-        #: *its own* request, and ``on_written`` releases the dispatch
-        #: window slot
+        #: replies serialized onto the socket by the write loop, as
+        #: ``(message, on_written)`` pairs (``None`` is the shutdown
+        #: sentinel); ``on_written`` releases the dispatch window slot
         self.outbox: "asyncio.Queue[Optional[tuple]]" = asyncio.Queue()
         #: bounds requests between read and *written reply*: acquired in
         #: the read loop (a saturated window stops reading) and released
@@ -194,15 +109,7 @@ class _Connection:
         self.window = asyncio.Semaphore(max_in_flight)
         #: ids currently being served (duplicate detection)
         self.inflight: Set = set()
-        #: streaming ledger: ticket id -> (user_id, pending handle, codec)
-        self.tickets: "OrderedDict" = OrderedDict()
         self.tasks: Set[asyncio.Task] = set()
-        #: remaining push credits (``None`` disables flow control): every
-        #: server-initiated push spends one; the client replenishes with a
-        #: ``credits`` grant as it consumes pushes
-        self.credits = push_credits
-        #: pushes awaiting credit, in completion order
-        self.deferred: "deque[tuple]" = deque()
 
 
 class SocketServerBase:
@@ -210,9 +117,8 @@ class SocketServerBase:
 
     Owns everything about speaking the wire protocol to *clients*: the
     listener lifecycle, the per-connection read/write loops, the pipelined
-    dispatch window, the synchronous-claim FIFO ordering locks, the
-    credit-based push flow control, and the protocol-generic message types
-    (``hello``, ``ping``, ``credits``, ``shutdown``).
+    dispatch window and the protocol-generic message types (``hello``,
+    ``ping``, ``shutdown``).
 
     :class:`PoseFrontend` plugs one backend server underneath;
     :class:`repro.serve.router.PoseRouter` plugs a fleet of backend
@@ -229,28 +135,22 @@ class SocketServerBase:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         allow_remote_shutdown: bool = False,
-        push_credits: Optional[int] = None,
     ) -> None:
         if (host is None) == (unix_path is None):
             raise ValueError("provide exactly one of host / unix_path")
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if push_credits is not None and push_credits < 1:
-            raise ValueError("push_credits must be >= 1, or None for no flow control")
         self.host = host
         self.port = port
         self.unix_path = unix_path
         self.max_frame_bytes = max_frame_bytes
         self.max_in_flight = max_in_flight
         self.allow_remote_shutdown = allow_remote_shutdown
-        self.push_credits = push_credits
         self._listener: Optional[asyncio.AbstractServer] = None
         self._closing = asyncio.Event()
         self._connections: Set[_Connection] = set()
-        self._locks: Dict[Hashable, _FifoShardLock] = {}
         self.connections_served = 0
         self.requests_served = 0
-        self.predictions_pushed = 0
         self.protocol_errors = 0
         #: deterministic fault injection over this server's wire surfaces
         #: (``blackhole``/``reply_latency`` at dispatch, ``corrupt_frame``/
@@ -340,7 +240,7 @@ class SocketServerBase:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections_served += 1
-        conn = _Connection(reader, writer, self.max_in_flight, self.push_credits)
+        conn = _Connection(writer, self.max_in_flight)
         self._connections.add(conn)
         write_loop = asyncio.ensure_future(self._write_loop(conn))
         try:
@@ -355,49 +255,33 @@ class SocketServerBase:
                     # The stream cannot be resynchronized after a framing
                     # fault: report and hang up.
                     self.protocol_errors += 1
-                    conn.outbox.put_nowait((_error_message(error), conn.codec, None))
+                    conn.outbox.put_nowait((_error_message(error), None))
                     break
                 if framed is None:
                     break  # clean EOF between frames
-                message, codec = framed
-                conn.codec = codec  # fallback for unparseable-frame errors
+                message = framed[0]
                 request_id = message.get("id")
                 if not isinstance(request_id, (int, str)):
-                    conn.outbox.put_nowait(
-                        (
-                            _error_message(
-                                transport.ProtocolError(
-                                    "every request requires a request id (an int or str)"
-                                )
-                            ),
-                            codec,
-                            None,
-                        )
+                    refusal = transport.ProtocolError(
+                        "every request requires a request id (an int or str)"
                     )
+                    conn.outbox.put_nowait((_error_message(refusal), None))
                     continue
                 if request_id in conn.inflight:
+                    duplicate = transport.ProtocolError(
+                        f"request id {request_id!r} is already in flight"
+                    )
                     conn.outbox.put_nowait(
-                        (
-                            _error_message(
-                                transport.ProtocolError(
-                                    f"request id {request_id!r} is already in flight"
-                                ),
-                                request_id=request_id,
-                            ),
-                            codec,
-                            None,
-                        )
+                        (_error_message(duplicate, request_id=request_id), None)
                     )
                     continue
                 # Acquire the window in the read loop: a full window stops
                 # reads (backpressure) and guarantees dispatch tasks are
-                # created — and therefore hit the shard locks — in arrival
-                # order.
+                # created — and therefore join their shard queues — in
+                # arrival order.
                 await conn.window.acquire()
                 conn.inflight.add(request_id)
-                task = asyncio.ensure_future(
-                    self._serve_pipelined(conn, message, request_id, codec)
-                )
+                task = asyncio.ensure_future(self._serve_pipelined(conn, message, request_id))
                 conn.tasks.add(task)
                 task.add_done_callback(conn.tasks.discard)
         finally:
@@ -411,8 +295,6 @@ class SocketServerBase:
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await write_loop
             self._connections.discard(conn)
-            conn.tickets.clear()
-            conn.deferred.clear()
             writer.close()
             # Suppress CancelledError too: stop() tears connections down
             # mid-wait and the close has already been issued above.
@@ -420,14 +302,14 @@ class SocketServerBase:
                 await writer.wait_closed()
 
     async def _write_loop(self, conn: _Connection) -> None:
-        """Serialize every reply and push of one connection onto its socket."""
+        """Serialize every reply of one connection onto its socket."""
         while True:
             item = await conn.outbox.get()
             if item is None:
                 return
-            message, codec, on_written = item
+            message, on_written = item
             try:
-                await self._write_frame(conn, message, codec)
+                await self._write_frame(conn, message)
             except _TruncatedByFault:
                 # The injected truncation already closed the writer; free
                 # the slot and drain like any other dead connection.
@@ -441,12 +323,9 @@ class SocketServerBase:
                 # correlated error frame so the client gets an exception
                 # instead of awaiting a reply that never comes.
                 self.protocol_errors += 1
-                fallback = _error_message(error)
-                for key in ("id", "ticket"):
-                    if key in message:
-                        fallback[key] = message[key]
+                fallback = _error_message(error, request_id=message.get("id"))
                 try:
-                    await write_message(conn.writer, fallback, codec, self.max_frame_bytes)
+                    await write_message(conn.writer, fallback, max_frame_bytes=self.max_frame_bytes)
                 except (OSError, WireError):
                     conn.writer.close()  # give the read loop its EOF
                     if on_written is not None:
@@ -471,7 +350,7 @@ class SocketServerBase:
                 if on_written is not None:
                     on_written()
 
-    async def _write_frame(self, conn: _Connection, message: dict, codec: str) -> None:
+    async def _write_frame(self, conn: _Connection, message: dict) -> None:
         """Write one frame, applying any injected outgoing-frame faults.
 
         ``corrupt_frame`` rules (matched against the outgoing message type)
@@ -486,7 +365,7 @@ class SocketServerBase:
             corrupt = self.fault_injector.check("corrupt_frame", kind)
             truncate = self.fault_injector.check("truncate_frame", kind)
             if corrupt is not None or truncate is not None:
-                data = encode_message(message, codec, self.max_frame_bytes)
+                data = encode_message(message, max_frame_bytes=self.max_frame_bytes)
                 if corrupt is not None:
                     conn.writer.write(FaultInjector.corrupt_bytes(data))
                     await conn.writer.drain()
@@ -495,7 +374,7 @@ class SocketServerBase:
                 await conn.writer.drain()
                 conn.writer.close()  # mid-frame hangup: the peer cannot resync
                 raise _TruncatedByFault()
-        await write_message(conn.writer, message, codec, self.max_frame_bytes)
+        await write_message(conn.writer, message, max_frame_bytes=self.max_frame_bytes)
 
     @staticmethod
     async def _drain_outbox(conn: _Connection) -> None:
@@ -504,14 +383,12 @@ class SocketServerBase:
             leftover = await conn.outbox.get()
             if leftover is None:
                 return
-            if leftover[2] is not None:
-                leftover[2]()
+            if leftover[1] is not None:
+                leftover[1]()
 
-    async def _serve_pipelined(
-        self, conn: _Connection, message: dict, request_id, codec: str
-    ) -> None:
+    async def _serve_pipelined(self, conn: _Connection, message: dict, request_id) -> None:
         try:
-            reply = await self._serve(conn, message, request_id, codec)
+            reply = await self._serve(message)
         except BaseException:
             # Cancellation (frontend teardown): free the slot so the read
             # loop never wedges on a window that cannot refill.
@@ -524,23 +401,19 @@ class SocketServerBase:
             return
         # The slot frees when the reply is *written*, not when it is
         # queued: that ties the dispatch window to socket backpressure.
-        conn.outbox.put_nowait(
-            (dict(reply, id=reply.get("id", request_id)), codec, conn.window.release)
-        )
+        conn.outbox.put_nowait((dict(reply, id=request_id), conn.window.release))
         self.requests_served += 1
         if reply["type"] == "goodbye":
             self._closing.set()
 
-    async def _serve(
-        self, conn: _Connection, message: dict, request_id, codec: str
-    ) -> Optional[dict]:
+    async def _serve(self, message: dict) -> Optional[dict]:
         try:
-            reply = await self._dispatch(conn, message, request_id, codec)
+            reply = await self._dispatch(message)
         except (FrameDropped, QueueFull, RateLimited, ServerClosing) as error:
-            reply = _error_message(error, request_id=request_id)
+            reply = _error_message(error)
         except Exception as error:  # backend fault: report, keep serving
             self.protocol_errors += 1
-            reply = _error_message(error, request_id=request_id)
+            reply = _error_message(error)
         if self.fault_injector is not None:
             # Both checks advance their per-(op, target) counters on every
             # served request, keyed by the *request* type, so schedules
@@ -556,7 +429,7 @@ class SocketServerBase:
     # ------------------------------------------------------------------
     # Dispatch: protocol-generic message types
     # ------------------------------------------------------------------
-    async def _dispatch(self, conn: _Connection, message: dict, request_id, codec: str) -> dict:
+    async def _dispatch(self, message: dict) -> dict:
         kind = message["type"]
         if kind == "hello":
             reply = {
@@ -564,21 +437,16 @@ class SocketServerBase:
                 "protocol": PROTOCOL_VERSION,
                 "codecs": list(available_codecs()),
                 "max_in_flight": self.max_in_flight,
-                # push flow control: the per-connection credit budget, or
-                # None when this server pushes without credit accounting
-                "push_credits": self.push_credits,
             }
             reply.update(self._hello_extra())
             return reply
         if kind == "ping":
             return self._pong()
-        if kind == "credits":
-            return self._grant_credits(conn, message)
         if kind == "shutdown":
             if not self.allow_remote_shutdown:
                 raise ServerClosing("remote shutdown is disabled on this front-end")
             return {"type": "goodbye"}
-        return await self._dispatch_extra(conn, message, request_id, codec)
+        return await self._dispatch_extra(message)
 
     def _hello_extra(self) -> dict:
         """Subclass-specific fields merged into the ``hello`` reply."""
@@ -588,63 +456,10 @@ class SocketServerBase:
         """The ``ping`` reply; subclasses may attach health fields."""
         return {"type": "pong"}
 
-    async def _dispatch_extra(
-        self, conn: _Connection, message: dict, request_id, codec: str
-    ) -> dict:
+    async def _dispatch_extra(self, message: dict) -> dict:
         raise transport.ProtocolError(
             f"front-end cannot serve message type {message['type']!r}"
         )
-
-    # ------------------------------------------------------------------
-    # Push flow control
-    # ------------------------------------------------------------------
-    def _push(self, conn: _Connection, message: dict, codec: str) -> None:
-        """Queue a server-initiated frame, spending one push credit.
-
-        With flow control off (``push_credits=None``) this is a plain
-        outbox put.  Otherwise a push with no credit left is *deferred* —
-        held server-side, in completion order, until the client grants
-        more — so a slow consumer bounds the reply queue at its own pace
-        instead of growing it without limit.
-        """
-        self.predictions_pushed += 1
-        if conn.credits is None:
-            conn.outbox.put_nowait((message, codec, None))
-            return
-        if conn.credits > 0:
-            conn.credits -= 1
-            conn.outbox.put_nowait((message, codec, None))
-        else:
-            conn.deferred.append((message, codec))
-
-    def _grant_credits(self, conn: _Connection, message: dict) -> dict:
-        """Apply a ``credits`` grant and release deferred pushes in order."""
-        try:
-            grant = int(message.get("grant", 0))
-        except (TypeError, ValueError) as error:
-            raise transport.ProtocolError(f"malformed credits grant: {error}") from error
-        if grant < 0:
-            raise transport.ProtocolError("credits grant must be >= 0")
-        if conn.credits is not None:
-            conn.credits += grant
-            while conn.credits > 0 and conn.deferred:
-                deferred_message, deferred_codec = conn.deferred.popleft()
-                conn.credits -= 1
-                conn.outbox.put_nowait((deferred_message, deferred_codec, None))
-        return {"type": "credits", "available": conn.credits}
-
-    # ------------------------------------------------------------------
-    # FIFO ordering locks
-    # ------------------------------------------------------------------
-    def _fifo_lock(self, key: Hashable) -> _FifoShardLock:
-        """The FIFO ordering lock of ``key`` (a shard index or a backend
-        name): per-key submission order equals request arrival order even
-        under pipelining, because claims are taken synchronously at
-        dispatch time."""
-        lock = self._locks.get(key)
-        if lock is None:
-            lock = self._locks[key] = _FifoShardLock()
-        return lock
 
 
 class PoseFrontend(SocketServerBase):
@@ -654,22 +469,18 @@ class PoseFrontend(SocketServerBase):
     ----------
     server:
         The backend: a :class:`repro.serve.ProcessShardedPoseServer` for a
-        process-per-shard deployment, or a :class:`repro.serve.PoseServer`
-        (serialized through a single executor thread).
+        process-per-shard deployment, or a :class:`repro.serve.PoseServer`.
+        Backend calls run on an executor sized from it: ``num_shards``
+        threads when the backend declares ``parallel_safe = True`` (the
+        process-per-shard server does: each shard's commands serialize on
+        their own lock), else one — the in-process server is
+        single-threaded by design and must never see concurrent calls.
     host / port:
         TCP listening address, or
     unix_path:
         Unix-domain socket path (mutually exclusive with ``host``).
     max_frame_bytes:
         Per-frame payload bound enforced before any payload is read.
-    parallelism:
-        Executor threads for backend calls.  Defaults to the backend's
-        ``num_shards`` when the backend declares ``parallel_safe = True``
-        (the process-per-shard server does: each shard's commands
-        serialize on their own lock) and to 1 otherwise — the in-process
-        server is single-threaded by design and must never see
-        concurrent calls.  More threads than shards buys nothing: each
-        shard serializes its own commands.
     max_in_flight:
         Bound on concurrently dispatched requests per connection
         (pipelining).  When a connection's window is full the front-end
@@ -678,21 +489,9 @@ class PoseFrontend(SocketServerBase):
     protocol:
         Accepted only as ``2``, the one protocol generation spoken; any
         other value raises ``ValueError``.
-    poll_interval_s:
-        Cadence of the background poller that applies the backend's
-        micro-batch latency deadline while streaming tickets are
-        outstanding.  Defaults to the backend's ``config.max_delay_s``
-        (5 ms for a default :class:`repro.serve.ServeConfig`).
     allow_remote_shutdown:
         Honour the ``shutdown`` message type (handy for examples and tests;
         leave off for real deployments).
-    push_credits:
-        Per-connection credit budget for server-initiated pushes (the
-        streaming ``enqueue`` resolutions).  ``None`` — the default —
-        pushes unconditionally, the pre-credit behaviour; an integer
-        defers pushes beyond the budget until the client grants more with
-        a ``credits`` frame (:class:`AsyncPoseClient` grants
-        automatically as it consumes pushes).
     clock:
         Time source for admission control (token-bucket refill).  Any
         zero-argument callable returning seconds, or a
@@ -700,12 +499,25 @@ class PoseFrontend(SocketServerBase):
         inject a :class:`repro.serve.FakeClock` to make rate-limit refill
         deterministic.
 
+    **Group commit.**  A ``submit``, an ``export_user`` and an
+    ``import_user`` each join their shard's arrival-ordered queue
+    synchronously at dispatch.  At most one drain task per shard works
+    through that queue in rounds: every frame queued since the last round
+    goes to the backend in one ``enqueue_many`` call (one ``EnqueueBatch``
+    IPC hop on a process shard), the handles resolve (flushing the shard)
+    and each waiter gets its own slot — a prediction, or that frame's own
+    rejection.  Whatever arrives during one round forms the next
+    micro-batch; a lone frame flushes at once.  A user-state operation is
+    a round of its own, so it sees exactly the frames that arrived before
+    it.  The batch-invariant kernels keep every reply bitwise equal to
+    serving the same per-shard order one frame at a time.
+
     Admission control follows the backend's
     :class:`repro.serve.SchedulingPolicy` (``server.config.scheduler``):
     when ``rate_limit_per_user`` is set, each user spends one token per
     frame at the front door and an exhausted bucket sheds the request
     with a correlated ``error`` frame carrying ``retry_after_ms`` —
-    before the request ever touches a shard lock or the backend.
+    before the request ever joins a shard queue.
     """
 
     #: bound on distinct per-user token buckets held at once (LRU evicted)
@@ -718,12 +530,9 @@ class PoseFrontend(SocketServerBase):
         port: int = 0,
         unix_path: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        parallelism: Optional[int] = None,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         protocol: int = PROTOCOL_VERSION,
-        poll_interval_s: Optional[float] = None,
         allow_remote_shutdown: bool = False,
-        push_credits: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
@@ -736,25 +545,21 @@ class PoseFrontend(SocketServerBase):
             max_frame_bytes=max_frame_bytes,
             max_in_flight=max_in_flight,
             allow_remote_shutdown=allow_remote_shutdown,
-            push_credits=push_credits,
         )
         self.server = server
-        if poll_interval_s is None:
-            config = getattr(server, "config", None)
-            poll_interval_s = getattr(config, "max_delay_s", None) or 0.005
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        self.poll_interval_s = poll_interval_s
-        if parallelism is None:
-            if getattr(server, "parallel_safe", False):
-                parallelism = int(getattr(server, "num_shards", 1) or 1)
-            else:
-                parallelism = 1
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        self.parallelism = parallelism
+        #: executor threads for backend calls (see the class docstring)
+        self.parallelism = (
+            int(getattr(server, "num_shards", 1) or 1)
+            if getattr(server, "parallel_safe", False)
+            else 1
+        )
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._poller: Optional[asyncio.Task] = None
+        #: shard index -> arrival-ordered ``(request, waiter)`` entries; a
+        #: request is a frame ``(user, cloud, priority, deadline_ms)`` or a
+        #: user-state operation (a zero-argument callable)
+        self._queues: Dict[int, deque] = {}
+        #: shard index -> the drain task working through that queue
+        self._drains: Dict[int, asyncio.Task] = {}
         self.clock = as_clock(clock) if clock is not None else MonotonicClock()
         config = getattr(server, "config", None)
         scheduler = getattr(config, "scheduler", None)
@@ -782,15 +587,18 @@ class PoseFrontend(SocketServerBase):
             max_workers=self.parallelism, thread_name_prefix="fuse-frontend"
         )
 
-    async def _after_listen(self) -> None:
-        self._poller = asyncio.ensure_future(self._poll_loop())
-
     async def _before_unbind(self) -> None:
-        if self._poller is not None:
-            self._poller.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._poller
-            self._poller = None
+        """Refuse every queued request no round has taken yet, then let the
+        rounds in flight finish: each waiter resolves exactly once, with
+        its outcome or :class:`ServerClosing`, and no drain task outlives
+        the front-end."""
+        for queue in self._queues.values():
+            while queue:
+                _, waiter = queue.popleft()
+                if not waiter.done():
+                    waiter.set_exception(ServerClosing("front-end is shutting down"))
+        if self._drains:
+            await asyncio.gather(*self._drains.values(), return_exceptions=True)
 
     async def _after_unbind(self) -> None:
         if self._executor is not None:
@@ -812,24 +620,10 @@ class PoseFrontend(SocketServerBase):
             "scheduling": self.scheduler.to_dict(),
         }
 
-    async def _dispatch_extra(
-        self, conn: _Connection, message: dict, request_id, codec: str
-    ) -> dict:
+    async def _dispatch_extra(self, message: dict) -> dict:
         kind = message["type"]
         if kind == "submit":
             return await self._submit(message)
-        if kind == "enqueue":
-            return await self._enqueue(conn, message, request_id, codec)
-        if kind == "poll":
-            produced = await self._run_blocking(self.server.poll)
-            self._sweep()
-            return {"type": "flushed", "produced": int(produced)}
-        if kind == "flush":
-            produced = await self._run_blocking(self.server.flush)
-            self._sweep()
-            return {"type": "flushed", "produced": int(produced)}
-        if kind == "submit_batch":
-            return await self._submit_batch(conn, message, request_id, codec)
         if kind == "metrics":
             snapshot = await self._run_blocking(self.server.metrics_snapshot)
             # Overlay the front door's admission counters: a shed request
@@ -848,14 +642,7 @@ class PoseFrontend(SocketServerBase):
             return await self._export_user(message)
         if kind == "import_user":
             return await self._import_user(message)
-        return await super()._dispatch_extra(conn, message, request_id, codec)
-
-    @staticmethod
-    def _parse_frame(frame: dict) -> PointCloudFrame:
-        points = np.asarray(frame["points"], dtype=float)
-        timestamp = float(frame.get("timestamp", 0.0))
-        frame_index = int(frame.get("frame_index", 0))
-        return PointCloudFrame(points, timestamp=timestamp, frame_index=frame_index)
+        return await super()._dispatch_extra(message)
 
     def _pong(self) -> dict:
         """Pong with the backend's health: a degraded backend (a shard past
@@ -866,22 +653,15 @@ class PoseFrontend(SocketServerBase):
             reply["degraded"] = True
         return reply
 
-    def _shard_lock(self, user_id: Hashable) -> _FifoShardLock:
-        """The FIFO ordering lock of the user's shard: per-shard submission
-        order equals request arrival order even under pipelining (claims
-        are taken synchronously at dispatch time)."""
-        shard_index = getattr(self.server, "shard_index", None)
-        index = shard_index(user_id) if callable(shard_index) else 0
-        return self._shard_lock_by_index(index)
-
-    def _shard_lock_by_index(self, index: int) -> _FifoShardLock:
-        return self._fifo_lock(index)
-
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------
-    def _bucket(self, user: Hashable, now: float) -> TokenBucket:
-        """The user's token bucket, created full on first sight (LRU-bounded)."""
+    def _admit(self, user: Hashable) -> None:
+        """Charge the user's token bucket or shed the request, before any
+        backend work: a rate-limited frame must not reach a shard queue."""
+        if self.scheduler.rate_limit_per_user is None:
+            return
+        now = self.clock.now()
         bucket = self._buckets.get(user)
         if bucket is None:
             while len(self._buckets) >= self.MAX_TRACKED_USERS:
@@ -893,13 +673,11 @@ class PoseFrontend(SocketServerBase):
             )
         else:
             self._buckets.move_to_end(user)
-        return bucket
-
-    def _shed(self, user: Hashable, bucket: TokenBucket, now: float, tokens: float) -> None:
-        """Record the shed and raise the correlated ``RateLimited``."""
+        if bucket.try_acquire(now):
+            return
         self.admission.record_shed()
         retry_after_ms = max(
-            bucket.retry_after_s(now, tokens) * 1000.0, self.scheduler.retry_after_ms
+            bucket.retry_after_s(now) * 1000.0, self.scheduler.retry_after_ms
         )
         raise RateLimited(
             f"user {user!r} exceeded {self.scheduler.rate_limit_per_user:g} "
@@ -907,47 +685,20 @@ class PoseFrontend(SocketServerBase):
             retry_after_ms=retry_after_ms,
         )
 
-    def _admit(self, user: Hashable, tokens: float = 1.0) -> None:
-        """Charge the user's bucket or shed the request, before any backend
-        work: a rate-limited frame must not consume a shard queue slot."""
-        if self.scheduler.rate_limit_per_user is None:
-            return
-        now = self.clock.now()
-        bucket = self._bucket(user, now)
-        if not bucket.try_acquire(now, tokens):
-            self._shed(user, bucket, now, tokens)
-
-    def _admit_all(self, users: Sequence[Hashable]) -> None:
-        """Admit a batch atomically: every user's frames fit their bucket,
-        or the whole batch is shed without spending anyone's tokens."""
-        if self.scheduler.rate_limit_per_user is None:
-            return
-        now = self.clock.now()
-        counts = Counter(users)
-        buckets = {user: self._bucket(user, now) for user in counts}
-        for user, tokens in counts.items():
-            if buckets[user].balance(now) < tokens:
-                self._shed(user, buckets[user], now, tokens)
-        for user, tokens in counts.items():
-            buckets[user].try_acquire(now, tokens)
-
+    # ------------------------------------------------------------------
+    # Requests
+    # ------------------------------------------------------------------
     async def _submit(self, message: dict) -> dict:
-        if self._closing.is_set():
-            raise ServerClosing("front-end is shutting down")
         try:
             user = message["user"]
-            cloud = self._parse_frame(message["frame"])
+            cloud = _parse_frame(message["frame"])
         except (KeyError, TypeError, ValueError) as error:
             raise transport.ProtocolError(f"malformed submit message: {error}") from error
         priority, deadline_ms = _parse_scheduling(message)
         self._admit(user)
         loop = asyncio.get_running_loop()
         start = loop.time()
-        submit = partial(self.server.submit, priority=priority, deadline_ms=deadline_ms)
-        lock = self._shard_lock(user)
-        async with lock.held(lock.claim()):
-            joints = await self._run_blocking(submit, user, cloud)
-        self._sweep()
+        joints = await self._queue(user, (user, cloud, priority, deadline_ms))
         return {
             "type": "prediction",
             "user": user,
@@ -955,192 +706,16 @@ class PoseFrontend(SocketServerBase):
             "latency_ms": (loop.time() - start) * 1000.0,
         }
 
-    async def _enqueue(self, conn: _Connection, message: dict, request_id, codec: str) -> dict:
-        if self._closing.is_set():
-            raise ServerClosing("front-end is shutting down")
-        if request_id in conn.tickets:
-            raise transport.ProtocolError(
-                f"ticket {request_id!r} is still outstanding on this connection"
-            )
-        try:
-            user = message["user"]
-            cloud = self._parse_frame(message["frame"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise transport.ProtocolError(f"malformed enqueue message: {error}") from error
-        priority, deadline_ms = _parse_scheduling(message)
-        self._admit(user)
-        enqueue = partial(self.server.enqueue, priority=priority, deadline_ms=deadline_ms)
-        lock = self._shard_lock(user)
-        async with lock.held(lock.claim()):
-            handle = await self._run_blocking(enqueue, user, cloud)
-        # Register before sweeping: this very enqueue may have completed a
-        # micro-batch, in which case its own resolution is pushed right away.
-        conn.tickets[request_id] = (user, handle, codec)
-        self._sweep()
-        return {"type": "ticket", "user": user, "ticket": request_id}
-
-    async def _submit_batch(
-        self, conn: _Connection, message: dict, request_id, codec: str
-    ) -> dict:
-        if self._closing.is_set():
-            raise ServerClosing("front-end is shutting down")
-        try:
-            users = list(message["users"])
-            frames = message["frames"]
-            points = list(frames["points"])
-            timestamps = list(frames.get("timestamps") or [0.0] * len(points))
-            frame_indices = list(frames.get("frame_indices") or [0] * len(points))
-        except (KeyError, TypeError, ValueError) as error:
-            raise transport.ProtocolError(
-                f"malformed submit_batch message: {error}"
-            ) from error
-        if not users or not (len(users) == len(points) == len(timestamps) == len(frame_indices)):
-            raise transport.ProtocolError(
-                "submit_batch requires equally sized, non-empty users/frames lists"
-            )
-        try:
-            items: List[Tuple[Hashable, PointCloudFrame]] = [
-                (
-                    user,
-                    PointCloudFrame(
-                        np.asarray(cloud, dtype=float),
-                        timestamp=float(timestamp),
-                        frame_index=int(frame_index),
-                    ),
-                )
-                for user, cloud, timestamp, frame_index in zip(
-                    users, points, timestamps, frame_indices
-                )
-            ]
-        except (TypeError, ValueError) as error:
-            raise transport.ProtocolError(
-                f"malformed submit_batch frame: {error}"
-            ) from error
-        priority, _ = _parse_scheduling(message)
-        # Streamed mode: push each frame's prediction the moment its handle
-        # resolves (correlated by ``batch``/``index``), ahead of the final
-        # ``predictions`` reply.
-        stream = bool(message.get("stream"))
-        self._admit_all(users)
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-
-        by_shard: Dict[int, List[int]] = {}
-        shard_index = getattr(self.server, "shard_index", None)
-        for position, (user, _) in enumerate(items):
-            index = shard_index(user) if callable(shard_index) else 0
-            by_shard.setdefault(index, []).append(position)
-
-        handles: List = [None] * len(items)
-
-        # Claim every involved shard's queue position NOW, synchronously —
-        # the fan-out below runs as separate tasks, and a later request
-        # that reaches its shard lock without suspending must not overtake
-        # this batch's frames on any shard.
-        claims = {
-            index: self._shard_lock_by_index(index).claim() for index in sorted(by_shard)
-        }
-
-        async def enqueue_shard(index: int, positions: List[int]) -> None:
-            shard_items = [items[p] for p in positions]
-            async with self._shard_lock_by_index(index).held(claims[index]):
-                got = await self._run_blocking(self.server.enqueue_many, shard_items, priority)
-            for position, handle in zip(positions, got):
-                handles[position] = handle
-
-        # Settle every shard before surfacing a failure: a sibling shard's
-        # fault must not orphan half-registered handles mid-flight.
-        outcomes = await asyncio.gather(
-            *(enqueue_shard(index, positions) for index, positions in sorted(by_shard.items())),
-            return_exceptions=True,
-        )
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-
-        resolutions: List = [None] * len(items)
-
-        async def resolve_shard(positions: List[int]) -> None:
-            if not stream:
-                resolved = await self._run_blocking(
-                    self._resolve_handles_blocking, [handles[p] for p in positions]
-                )
-                for position, value in zip(positions, resolved):
-                    resolutions[position] = value
-                return
-            # Streamed: resolve one handle at a time so each completed
-            # frame is pushed as soon as it exists — the first resolution
-            # flushes the micro-batch, the rest are plain reads.
-            for position in positions:
-                resolved = await self._run_blocking(
-                    self._resolve_handles_blocking, [handles[position]]
-                )
-                value = resolutions[position] = resolved[0]
-                if not isinstance(value, Exception):
-                    self._push(
-                        conn,
-                        {
-                            "type": "prediction",
-                            "user": items[position][0],
-                            "batch": request_id,
-                            "index": position,
-                            "joints": np.asarray(value),
-                            "pushed": True,
-                        },
-                        codec,
-                    )
-
-        await asyncio.gather(
-            *(resolve_shard(positions) for _, positions in sorted(by_shard.items()))
-        )
-        self._sweep()
-
-        results: List[dict] = []
-        joints: List[np.ndarray] = []
-        for user, value in zip(users, resolutions):
-            if isinstance(value, Exception):
-                results.append(
-                    {"ok": False, "user": user, "error": type(value).__name__, "detail": str(value)}
-                )
-            else:
-                results.append({"ok": True, "user": user})
-                joints.append(np.asarray(value))
-        return {
-            "type": "predictions",
-            "results": results,
-            "joints": ArrayBlock(joints),
-            "latency_ms": (loop.time() - start) * 1000.0,
-        }
-
-    @staticmethod
-    def _resolve_handles_blocking(handles: Sequence) -> List:
-        resolved: List = []
-        for handle in handles:
-            if isinstance(handle, Exception):  # rejected at enqueue time
-                resolved.append(handle)
-                continue
-            try:
-                resolved.append(handle.result(flush=True))
-            except (FrameDropped, QueueFull) as error:
-                resolved.append(error)
-        return resolved
-
-    # ------------------------------------------------------------------
-    # Live user migration
-    # ------------------------------------------------------------------
     async def _export_user(self, message: dict) -> dict:
         try:
             user = message["user"]
         except KeyError as error:
             raise transport.ProtocolError(f"malformed export_user message: {error}") from error
         forget = bool(message.get("forget", False))
-        # Under the user's shard lock: the export drains (flushes) the
-        # shard first, and no later frame of this user may slip in between
-        # the drain and the snapshot.
-        lock = self._shard_lock(user)
-        async with lock.held(lock.claim()):
-            state = await self._run_blocking(self.server.export_user, user, forget)
-        self._sweep()  # the drain may have resolved outstanding tickets
+        # A round of its own in the user's shard queue: the export drains
+        # (flushes) the shard, and the snapshot holds exactly the frames
+        # that arrived before this request.
+        state = await self._queue(user, partial(self.server.export_user, user, forget))
         return {"type": "user_state", "user": user, "state": state}
 
     async def _import_user(self, message: dict) -> dict:
@@ -1148,92 +723,94 @@ class PoseFrontend(SocketServerBase):
         if not isinstance(state, dict):
             raise transport.ProtocolError("import_user requires a state mapping")
         user = state.get("user")
-        lock = self._shard_lock(user)
-        async with lock.held(lock.claim()):
-            user = await self._run_blocking(self.server.import_user, state)
+        user = await self._queue(user, partial(self.server.import_user, state))
         return {"type": "imported", "user": user}
 
     # ------------------------------------------------------------------
-    # Streaming resolution
+    # Group commit
     # ------------------------------------------------------------------
-    def _sweep(self) -> None:
-        """Push every resolved or dropped ticket of every connection.
+    def _queue(self, user: Hashable, request) -> asyncio.Future:
+        """Append ``request`` to the user's shard queue — now, so queue
+        order is arrival order — and start that shard's drain task if none
+        runs.  The returned future resolves with the request's own
+        outcome."""
+        if self._closing.is_set():
+            raise ServerClosing("front-end is shutting down")
+        shard_index = getattr(self.server, "shard_index", None)
+        index = shard_index(user) if callable(shard_index) else 0
+        waiter = asyncio.get_running_loop().create_future()
+        self._queues.setdefault(index, deque()).append((request, waiter))
+        if index not in self._drains:
+            self._drains[index] = asyncio.ensure_future(self._drain(index))
+        return waiter
 
-        Runs on the event loop after any backend call that can resolve
-        handles (a flush inside an enqueue, an explicit poll/flush, a
-        submit's co-rider batch) — never blocks: ``result(flush=False)`` on
-        a done handle is a plain attribute read.
-        """
-        for conn in self._connections:
-            if not conn.tickets:
-                continue
-            completed = [
-                ticket
-                for ticket, (_, handle, _codec) in conn.tickets.items()
-                if handle.done or handle.dropped
-            ]
-            for ticket in completed:
-                user, handle, codec = conn.tickets.pop(ticket)
-                if handle.dropped:
-                    reason = (
-                        getattr(handle, "drop_reason", None)
-                        or "backpressure or shard restart"
-                    )
-                    push = _error_message(
-                        FrameDropped(
-                            f"request {ticket!r} of user {user!r} was dropped "
-                            f"({reason})",
-                            retry_after_ms=self.scheduler.retry_after_ms,
-                        )
-                    )
-                    push["ticket"] = ticket
-                else:
-                    push = {
-                        "type": "prediction",
-                        "user": user,
-                        "ticket": ticket,
-                        "joints": np.asarray(handle.result(flush=False)),
-                        "pushed": True,
-                    }
-                self._push(conn, push, codec)
+    async def _drain(self, index: int) -> None:
+        """Work through one shard's queue a round at a time until it is
+        empty; every waiter of a round is answered when the round ends."""
+        queue = self._queues[index]
+        try:
+            while queue:
+                entries = _next_round(queue)
+                head = entries[0][0]
+                try:
+                    if callable(head):  # a user-state operation
+                        outcomes = [await self._run_blocking(head)]
+                    else:
+                        frames = [request for request, _ in entries]
+                        outcomes = await self._run_blocking(self._commit, frames)
+                except Exception as error:  # the round itself failed
+                    outcomes = [error] * len(entries)
+                for (_, waiter), outcome in zip(entries, outcomes):
+                    if waiter.done():  # its request task was cancelled
+                        continue
+                    if isinstance(outcome, Exception):
+                        waiter.set_exception(outcome)
+                    else:
+                        waiter.set_result(outcome)
+        finally:
+            del self._drains[index]
 
-    async def _poll_loop(self) -> None:
-        """Apply the backend's latency deadline while tickets are pending.
-
-        A failing poll is retried on the next tick.  The first failure of a
-        run logs one JSON warning on the ``repro.serve.frontend`` logger
-        (``event: "poll_failed"``, ``error``); the next successful poll
-        logs one ``poll_recovered`` line with the run's ``failed_polls``.
-        """
-        failed_polls = 0
-        while not self._closing.is_set():
-            await asyncio.sleep(self.poll_interval_s)
-            if not any(conn.tickets for conn in self._connections):
+    def _commit(self, frames: Sequence[tuple]) -> List:
+        """One round on the executor: enqueue every frame in one backend
+        call, then resolve the handles (the first pending one flushes the
+        shard).  Returns one outcome per frame: its joints, or its own
+        exception."""
+        outcomes: List = []
+        for handle in self.server.enqueue_many(frames):
+            if isinstance(handle, Exception):  # refused at admission
+                outcomes.append(handle)
                 continue
             try:
-                await self._run_blocking(self.server.poll)
-            except ServerClosing:
-                return
-            except Exception as error:  # backend hiccup: the next tick retries
-                if not failed_polls:
-                    entry = {"event": "poll_failed", "error": f"{type(error).__name__}: {error}"}
-                    _log.warning(json.dumps(entry))
-                failed_polls += 1
-            else:
-                if failed_polls:
-                    _log.warning(
-                        json.dumps({"event": "poll_recovered", "failed_polls": failed_polls})
-                    )
-                    failed_polls = 0
-            # Sweep even after a failed poll: a crashed shard records its
-            # drops in the handles before the poll raises, and those drop
-            # notifications must still reach the waiting clients.
-            self._sweep()
+                outcomes.append(handle.result(flush=True))
+            except Exception as error:
+                if isinstance(error, FrameDropped):
+                    # Evicted, or lost with a crashed shard: retryable.
+                    error.retry_after_ms = self.scheduler.retry_after_ms
+                outcomes.append(error)
+        return outcomes
 
     async def _run_blocking(self, fn, *args):
         if self._executor is None:
             raise ServerClosing("front-end is not running")
         return await asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
+
+
+def _next_round(queue: deque) -> list:
+    """Pop one round off a shard queue: a user-state operation alone, or
+    every frame up to the next such operation."""
+    if callable(queue[0][0]):
+        return [queue.popleft()]
+    entries = []
+    while queue and not callable(queue[0][0]):
+        entries.append(queue.popleft())
+    return entries
+
+
+def _parse_frame(frame: dict) -> PointCloudFrame:
+    points = np.asarray(frame["points"], dtype=float)
+    timestamp = float(frame.get("timestamp", 0.0))
+    frame_index = int(frame.get("frame_index", 0))
+    return PointCloudFrame(points, timestamp=timestamp, frame_index=frame_index)
 
 
 def _parse_scheduling(message: dict):
@@ -1294,42 +871,28 @@ class ServerError(RuntimeError):
 class AsyncPoseClient:
     """Asyncio client of a :class:`PoseFrontend` socket.
 
-    Protocol v2: every request carries a connection-unique ``id``, a reader
-    task demultiplexes replies by ``id`` (out-of-order safe) and pushed
-    ``prediction`` frames by ``ticket``, so one connection can hold many
-    requests in flight:
+    Protocol v2: every request carries a connection-unique ``id`` and a
+    reader task demultiplexes replies by ``id`` (out-of-order safe), so one
+    connection can hold many requests in flight — :meth:`submit_many`
+    pipelines ``submit`` requests under a bounded in-flight window, and the
+    server's group commit batches whatever is in flight together.
 
-    * :meth:`submit_many` pipelines ``submit`` requests under a bounded
-      in-flight window;
-    * :meth:`stream` rides the ``enqueue``/``ticket`` path — frames join
-      the server's cross-user micro-batches and resolutions are pushed
-      back as they complete;
-    * :meth:`submit_batch` ships N frames in one contiguous
-      :class:`repro.serve.transport.ArrayBlock` frame.
-
-    An ``error`` frame that carries neither ``id`` nor ``ticket`` cannot be
-    attributed to one request, so it fails every outstanding one.
-    ``codec`` selects msgpack when both sides have it; the server always
-    answers in the codec of the request.
+    An ``error`` frame that carries no ``id`` cannot be attributed to one
+    request, so it fails every outstanding one.
     """
 
     def __init__(
         self,
-        codec: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         reconnect: bool = False,
-        auto_credits: bool = True,
         rate_limit_retries: int = 4,
     ) -> None:
         if rate_limit_retries < 0:
             raise ValueError("rate_limit_retries must be >= 0")
-        self.codec = codec if codec is not None else available_codecs()[-1]
         self.max_frame_bytes = max_frame_bytes
         #: opt-in: re-dial (with the connect call's bounded backoff) and
         #: replay the hello when a request finds the reader dead
         self.reconnect = reconnect
-        #: grant push credits back automatically as pushes are consumed
-        self.auto_credits = auto_credits
         #: extra attempts when the server sheds with ``RateLimited``: the
         #: client honours the reply's ``retry_after_ms`` hint between tries
         self.rate_limit_retries = rate_limit_retries
@@ -1341,17 +904,12 @@ class AsyncPoseClient:
         self._reader_task: Optional[asyncio.Task] = None
         self._send_lock = asyncio.Lock()
         self._pending: Dict[object, asyncio.Future] = {}
-        self._tickets: Dict[object, asyncio.Future] = {}
-        #: streamed submit_batch callbacks, keyed by the batch's request id
-        self._streams: Dict[object, Callable[[dict], None]] = {}
         self._next_id = 0
         self._read_error: Optional[Exception] = None
         self._opener = None
         self._dial_policy = RetryPolicy(max_attempts=1, base_delay_s=0.05, max_delay_s=1.0)
         self._redial_lock = asyncio.Lock()
         self._hello_done = False
-        self._push_budget: Optional[int] = None
-        self._push_consumed = 0
 
     # ------------------------------------------------------------------
     # Connection
@@ -1473,25 +1031,12 @@ class AsyncPoseClient:
         self._fail_outstanding(error)
 
     def _route(self, message: dict) -> None:
-        """One incoming frame: a correlated reply, a push, or unmatched."""
+        """One incoming frame: a correlated reply, or unmatched."""
         request_id = message.get("id")
         if request_id is not None and request_id in self._pending:
             self._resolve(self._pending.pop(request_id), message)
             return
-        ticket = message.get("ticket")
-        if ticket is not None and ticket in self._tickets:
-            self._resolve(self._tickets.pop(ticket), message)
-            self._note_push()
-            return
-        batch = message.get("batch")
-        if batch is not None and batch in self._streams:
-            # An incremental per-frame push of a streamed submit_batch:
-            # hand it to the batch's callback, keep the request pending.
-            with contextlib.suppress(Exception):  # a faulty callback must
-                self._streams[batch](message)  # not kill the read loop
-            self._note_push()
-            return
-        if request_id is None and ticket is None and message["type"] == "error":
+        if request_id is None and message["type"] == "error":
             # The server sends an uncorrelated error only for a fault it
             # cannot pin on one request (an unparseable frame, a request
             # without an id) — blaming any one request would point the
@@ -1518,32 +1063,10 @@ class AsyncPoseClient:
             future.set_result(message)
 
     def _fail_outstanding(self, error: Exception) -> None:
-        for future in list(self._pending.values()) + list(self._tickets.values()):
+        for future in self._pending.values():
             if not future.done():
                 future.set_exception(error)
         self._pending.clear()
-        self._tickets.clear()
-
-    def _note_push(self) -> None:
-        """Account one consumed push; replenish the server's credits.
-
-        Fire-and-forget at the half-budget mark — granting per push would
-        double every push's round-trips, while waiting for the budget to
-        empty would stall the server's push stream on the grant's
-        round-trip latency.
-        """
-        if self._push_budget is None or not self.auto_credits:
-            return
-        self._push_consumed += 1
-        threshold = max(1, self._push_budget // 2)
-        if self._push_consumed >= threshold:
-            grant = self._push_consumed
-            self._push_consumed = 0
-            asyncio.ensure_future(self._grant_quietly(grant))
-
-    async def _grant_quietly(self, grant: int) -> None:
-        with contextlib.suppress(Exception):
-            await self.grant_credits(grant)
 
     def _claim_id(self) -> int:
         self._next_id += 1
@@ -1576,7 +1099,7 @@ class AsyncPoseClient:
         self._pending[request_id] = future
         try:
             async with self._send_lock:
-                await write_message(self._writer, message, self.codec, self.max_frame_bytes)
+                await write_message(self._writer, message, max_frame_bytes=self.max_frame_bytes)
             return await future
         finally:
             self._pending.pop(request_id, None)
@@ -1619,19 +1142,13 @@ class AsyncPoseClient:
                 with contextlib.suppress(ConnectionError, BrokenPipeError, OSError):
                     await writer.wait_closed()
             self._read_error = None
-            self._push_consumed = 0
             await self._connect(self._opener, self._dial_policy)
             self.reconnects += 1
             if self._hello_done:
-                # Re-announce the protocol and refresh the negotiated
-                # fields (the server's push-credit budget in particular).
-                await self.hello()
+                await self.hello()  # re-announce the protocol
 
     async def hello(self) -> dict:
         reply = await self.request({"type": "hello", "protocol": PROTOCOL_VERSION})
-        budget = reply.get("push_credits")
-        self._push_budget = int(budget) if isinstance(budget, int) else None
-        self._push_consumed = 0
         self._hello_done = True
         return reply
 
@@ -1689,9 +1206,9 @@ class AsyncPoseClient:
         """Pipeline many submits under a bounded in-flight window.
 
         Frames are sent in order on this one connection (the front-end's
-        per-shard FIFO locks preserve that order into the serving layer),
-        up to ``max_in_flight`` awaiting replies at any moment.  Returns
-        the predictions in frame order.
+        per-shard queues preserve that order into the serving layer), up
+        to ``max_in_flight`` awaiting replies at any moment.  Returns the
+        predictions in frame order.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
@@ -1720,182 +1237,6 @@ class AsyncPoseClient:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # Streaming (enqueue / ticket / push)
-    # ------------------------------------------------------------------
-    async def enqueue(
-        self,
-        user_id,
-        frame: PointCloudFrame,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> asyncio.Future:
-        """Enqueue one frame; returns a future for the pushed prediction.
-
-        The returned future resolves with the ``(joints, 3)`` array when
-        the server pushes the completed prediction (batch full, a poll
-        deadline, or an explicit :meth:`flush`); it raises if the request
-        was dropped under backpressure.  ``priority`` / ``deadline_ms``
-        select the frame's traffic class and budget; a rate-limited reply
-        is retried (fresh ticket per attempt) with the server's backoff
-        hint.
-        """
-        payload = self._scheduling_fields(
-            {"type": "enqueue", "user": user_id, "frame": self._frame_payload(frame)},
-            priority,
-            deadline_ms,
-        )
-        attempts = 0
-        loop = asyncio.get_running_loop()
-        while True:
-            ticket = self._claim_id()
-            push: asyncio.Future = loop.create_future()
-            # Register before sending: the push may beat the ticket reply
-            # when this enqueue completes a micro-batch inside the server.
-            self._tickets[ticket] = push
-            try:
-                await self.request({**payload, "id": ticket})
-            except BaseException as error:
-                self._tickets.pop(ticket, None)
-                if (
-                    isinstance(error, ServerError)
-                    and error.error == "RateLimited"
-                    and attempts < self.rate_limit_retries
-                ):
-                    attempts += 1
-                    self.rate_limited_retries_performed += 1
-                    await asyncio.sleep((error.retry_after_ms or 25.0) / 1000.0)
-                    continue
-                raise
-            return push
-
-    async def poll(self) -> int:
-        """Apply the server's latency deadline; returns predictions produced."""
-        return int((await self.request({"type": "poll"}))["produced"])
-
-    async def flush(self) -> int:
-        """Force the server's pending micro-batches out now."""
-        return int((await self.request({"type": "flush"}))["produced"])
-
-    async def stream(
-        self,
-        user_id,
-        frames: Sequence[PointCloudFrame],
-        max_in_flight: int = 8,
-        flush: bool = True,
-        return_errors: bool = False,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> List:
-        """Stream frames through the server's micro-batcher, in order.
-
-        Each frame is enqueued (joining cross-user micro-batches on the
-        server) with at most ``max_in_flight`` unresolved tickets; the
-        final partial batch is flushed unless ``flush=False`` (e.g. when
-        co-riding clients or the server's poll deadline will flush it).
-        Returns the predictions in frame order.  Every ticket is awaited
-        even when some frames fail (dropped under backpressure), so
-        successful predictions are never abandoned mid-stream; a failed
-        frame raises after the stream settles — or, with
-        ``return_errors=True``, yields the error object in its slot.
-        """
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        futures: List[asyncio.Future] = []
-        for index, frame in enumerate(frames):
-            if index >= max_in_flight:
-                with contextlib.suppress(Exception):
-                    # Window pacing only; failures surface when collected.
-                    await self._await_push(futures[index - max_in_flight])
-            futures.append(
-                await self.enqueue(
-                    user_id, frame, priority=priority, deadline_ms=deadline_ms
-                )
-            )
-        if flush and frames:
-            await self.flush()
-        outcomes: List = []
-        first_error: Optional[Exception] = None
-        for future in futures:
-            try:
-                outcomes.append(await self._await_push(future))
-            except Exception as error:
-                outcomes.append(error)
-                if first_error is None:
-                    first_error = error
-        if first_error is not None and not return_errors:
-            raise first_error
-        return outcomes
-
-    @staticmethod
-    async def _await_push(future: asyncio.Future) -> np.ndarray:
-        message = await future
-        return np.asarray(message["joints"])
-
-    # ------------------------------------------------------------------
-    # Batched submits
-    # ------------------------------------------------------------------
-    async def submit_batch(
-        self,
-        items: Sequence[Tuple[Hashable, PointCloudFrame]],
-        return_errors: bool = False,
-        priority: Optional[str] = None,
-        on_result: Optional[Callable[[int, Hashable, np.ndarray], None]] = None,
-    ) -> List:
-        """Submit N ``(user_id, frame)`` pairs in one wire frame.
-
-        Point clouds travel as one contiguous
-        :class:`repro.serve.transport.ArrayBlock` (one header + one bytes
-        region per dtype/shape group).  Returns the predictions in item
-        order; a frame dropped under backpressure raises — or, with
-        ``return_errors=True``, yields the error object in its slot.
-
-        ``priority`` names the traffic class every frame of the batch
-        rides under.  ``on_result`` opts into *streamed* results: the
-        server pushes each frame's prediction as its micro-batch resolves
-        and the callback fires as ``on_result(index, user_id, joints)``,
-        ahead of the final aggregate reply this method still returns.
-        """
-        if not items:
-            raise ValueError("at least one (user, frame) item is required")
-        message = {
-            "type": "submit_batch",
-            "users": [user for user, _ in items],
-            "frames": {
-                "points": ArrayBlock([frame.points for _, frame in items]),
-                "timestamps": [float(frame.timestamp) for _, frame in items],
-                "frame_indices": [int(frame.frame_index) for _, frame in items],
-            },
-        }
-        if priority is not None:
-            message["priority"] = priority
-        if on_result is None:
-            reply = await self.request_retrying(message)
-        else:
-            request_id = self._claim_id()
-            message["id"] = request_id
-            message["stream"] = True
-
-            def deliver(push: dict) -> None:
-                on_result(int(push["index"]), push["user"], np.asarray(push["joints"]))
-
-            self._streams[request_id] = deliver
-            try:
-                reply = await self.request_retrying(message)
-            finally:
-                self._streams.pop(request_id, None)
-        joints = iter(reply["joints"])
-        out: List = []
-        for result in reply["results"]:
-            if result["ok"]:
-                out.append(np.asarray(next(joints)))
-                continue
-            error = ServerError(result["error"], result["detail"])
-            if not return_errors:
-                raise error
-            out.append(error)
-        return out
-
-    # ------------------------------------------------------------------
     # Live user migration
     # ------------------------------------------------------------------
     async def export_user(self, user_id, forget: bool = False) -> Optional[dict]:
@@ -1915,15 +1256,6 @@ class AsyncPoseClient:
         """Install a user state exported elsewhere; returns the user id."""
         reply = await self.request({"type": "import_user", "state": state})
         return reply["user"]
-
-    # ------------------------------------------------------------------
-    # Push flow control
-    # ------------------------------------------------------------------
-    async def grant_credits(self, grant: int) -> Optional[int]:
-        """Grant the server ``grant`` push credits; returns its new balance
-        (``None`` when the server runs without flow control)."""
-        reply = await self.request({"type": "credits", "grant": int(grant)})
-        return reply["available"]
 
     # ------------------------------------------------------------------
     # Observability / control

@@ -6,7 +6,7 @@ frames feeding streaming fusion) and their adapted parameters (an
 handful of point-cloud arrays, the adapter is a versioned ``.npz`` archive —
 so moving a user between backends is a *state copy*, not a retrain: export
 on the source, ship the dict over wire protocol v2 (arrays travel tagged,
-the adapter archive as a ``uint8`` byte array, so both codecs carry it),
+the adapter archive as a ``uint8`` byte array, which JSON carries),
 import on the destination.  Because serving is batch-invariant and the
 restored ring is bitwise equal to the source's, the destination's next
 prediction for the user is bitwise identical to what the source would have

@@ -16,12 +16,13 @@ Placement
     under the FIFO locks that also order the user's frames.
 
 Ordering
-    One FIFO lock per backend (the shared synchronous-claim discipline of
-    the front-end) keeps each backend's submissions in arrival order.
-    After acquiring, a dispatch re-resolves placement: if a failover or
-    migration moved the user while it waited, it re-claims the new
-    backend's lock — synchronously, preserving its slot relative to later
-    frames.
+    One FIFO lock per backend (:class:`_FifoLock`, whose queue position is
+    claimed synchronously at dispatch) keeps each backend's submissions in
+    arrival order.  After acquiring, a dispatch re-resolves placement: if a
+    failover or migration moved the user while it waited, it re-claims the
+    new backend's lock — synchronously, preserving its slot relative to
+    later frames.  The lock is held for the forwarded call's whole round
+    trip, so a backend sees one routed frame at a time.
 
 Failover
     A :class:`repro.serve.health.HealthMonitor` pings every backend; a
@@ -41,11 +42,6 @@ Migration
     the source (session ring + adapter npz bytes) and ``import_user``
     installs it on the target — predictions continue bitwise-identically,
     adapters included.
-
-Flow control
-    The router always serves clients with credit-based push flow control
-    (``push_credits``), so one slow consumer defers its own pushes instead
-    of growing the router's write queues without bound.
 """
 
 from __future__ import annotations
@@ -54,12 +50,12 @@ import asyncio
 import contextlib
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..radar.pointcloud import PointCloudFrame
 from . import transport
 from .faults import FaultInjector, RetryPolicy
 from .frontend import (
@@ -67,20 +63,16 @@ from .frontend import (
     AsyncPoseClient,
     ServerClosing,
     SocketServerBase,
-    _Connection,
-    _error_message,
+    _parse_frame,
     _parse_scheduling,
 )
 from .health import HealthMonitor
 from .metrics import ServeMetrics, merge_expositions
 from .migration import SessionMirror
 from .ring import DEFAULT_VNODES, HashRing
-from .transport import DEFAULT_MAX_FRAME_BYTES, ArrayBlock
+from .transport import DEFAULT_MAX_FRAME_BYTES
 
 __all__ = ["BackendSpec", "NoBackendAvailable", "PoseRouter", "RouterBackend"]
-
-#: default per-connection push credit budget on the router's front side
-DEFAULT_PUSH_CREDITS = 256
 
 #: default router→backend retry schedule: one immediate failover retry —
 #: exactly the pre-policy behaviour (the second attempt lands on the new
@@ -92,6 +84,54 @@ _log = logging.getLogger(__name__)
 
 class NoBackendAvailable(RuntimeError):
     """Every backend that could serve the request is down."""
+
+
+class _FifoLock:
+    """A FIFO lock whose queue position is taken *synchronously*.
+
+    ``asyncio.Lock`` wakes waiters first-in first-out, but a task only
+    joins the queue when it *awaits* ``acquire`` — a dispatch path with an
+    await before the acquire would lose its arrival-order slot to a later
+    request that reaches the lock without suspending.  :meth:`claim`
+    registers the position at dispatch time, synchronously; the holder
+    awaits the claim when it is ready.  Per-backend submission order
+    therefore always equals request arrival order.
+    """
+
+    __slots__ = ("_locked", "_waiters")
+
+    def __init__(self) -> None:
+        self._locked = False
+        self._waiters: "deque[asyncio.Future]" = deque()
+
+    def claim(self) -> asyncio.Future:
+        """Take the next queue position now; await the result to hold it."""
+        claim = asyncio.get_running_loop().create_future()
+        if self._locked or self._waiters:
+            self._waiters.append(claim)
+        else:
+            self._locked = True
+            claim.set_result(None)
+        return claim
+
+    async def acquire(self, claim: asyncio.Future) -> None:
+        try:
+            await claim
+        except asyncio.CancelledError:
+            if claim.done() and not claim.cancelled():
+                self.release()  # granted concurrently with the cancellation
+            else:
+                with contextlib.suppress(ValueError):
+                    self._waiters.remove(claim)
+            raise
+
+    def release(self) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():  # skip claims their tasks abandoned
+                waiter.set_result(None)
+                return
+        self._locked = False
 
 
 @dataclass(frozen=True)
@@ -155,9 +195,6 @@ class PoseRouter(SocketServerBase):
         with :meth:`add_backend`).
     vnodes:
         Virtual nodes per backend on the hash ring.
-    codec:
-        Wire codec for the backend connections (client side picks the
-        richest by default).
     connect_retries / connect_backoff_s:
         Bounded-backoff dialing of each backend at :meth:`start` (absorbs
         the race against a just-spawned ``fuse-serve``).
@@ -166,9 +203,6 @@ class PoseRouter(SocketServerBase):
         consecutive-failure threshold for declaring a backend dead.
     mirror_capacity:
         Session frames mirrored per user for failover restore.
-    push_credits:
-        Front-side push flow control budget (always on for a router;
-        ``DEFAULT_PUSH_CREDITS`` unless overridden).
     request_timeout_s:
         Per-request deadline on every routed backend call.  A timeout
         counts one failure against the backend's health streak (brownout
@@ -193,11 +227,9 @@ class PoseRouter(SocketServerBase):
         port: int = 0,
         unix_path: Optional[str] = None,
         vnodes: int = DEFAULT_VNODES,
-        codec: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         allow_remote_shutdown: bool = False,
-        push_credits: Optional[int] = DEFAULT_PUSH_CREDITS,
         connect_retries: int = 20,
         connect_backoff_s: float = 0.05,
         health_interval_s: float = 1.0,
@@ -215,10 +247,8 @@ class PoseRouter(SocketServerBase):
             max_frame_bytes=max_frame_bytes,
             max_in_flight=max_in_flight,
             allow_remote_shutdown=allow_remote_shutdown,
-            push_credits=push_credits,
         )
         self._specs = list(backends)
-        self.codec = codec
         self.connect_retries = connect_retries
         self.connect_backoff_s = connect_backoff_s
         self.ring = HashRing(vnodes=vnodes)
@@ -235,6 +265,8 @@ class PoseRouter(SocketServerBase):
         #: Routing consults this before the ring, so a mid-change ring
         #: never forwards a pinned user to a backend without its state.
         self._placement: Dict[Hashable, str] = {}
+        #: backend name -> its FIFO ordering lock
+        self._locks: Dict[str, _FifoLock] = {}
         if request_timeout_s is not None and request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive, or None")
         self.request_timeout_s = request_timeout_s
@@ -273,7 +305,7 @@ class PoseRouter(SocketServerBase):
         # rate_limit_retries=0: a backend's shed is *relayed* to the end
         # client (with its retry_after_ms hint) rather than absorbed by
         # router-side sleeps — the client owns the backoff decision.
-        client = AsyncPoseClient(codec=self.codec, reconnect=True, rate_limit_retries=0)
+        client = AsyncPoseClient(reconnect=True, rate_limit_retries=0)
         if spec.unix_path is not None:
             await client.connect_unix(
                 spec.unix_path,
@@ -294,7 +326,7 @@ class PoseRouter(SocketServerBase):
             if protocol < 2:
                 raise ValueError(
                     f"backend {spec.name!r} speaks protocol v{protocol}; the "
-                    "router needs v2 (pipelining, pushes, migration frames)"
+                    "router needs v2 (pipelining, migration frames)"
                 )
         except BaseException:
             await client.close()
@@ -341,6 +373,13 @@ class PoseRouter(SocketServerBase):
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
+    def _fifo_lock(self, name: str) -> _FifoLock:
+        """The FIFO ordering lock of one backend, created on first use."""
+        lock = self._locks.get(name)
+        if lock is None:
+            lock = self._locks[name] = _FifoLock()
+        return lock
+
     def _resolve(self, user: Hashable) -> str:
         """The backend that should serve the user's next frame, by name."""
         name = self._placement.get(user)
@@ -417,20 +456,10 @@ class PoseRouter(SocketServerBase):
             "shards": sum(b.shards for b in self._backends.values()),
         }
 
-    async def _dispatch_extra(
-        self, conn: _Connection, message: dict, request_id, codec: str
-    ) -> dict:
+    async def _dispatch_extra(self, message: dict) -> dict:
         kind = message["type"]
         if kind == "submit":
             return await self._submit(message)
-        if kind == "enqueue":
-            return await self._enqueue(conn, message, request_id, codec)
-        if kind == "poll":
-            return {"type": "flushed", "produced": await self._fan_produce("poll")}
-        if kind == "flush":
-            return {"type": "flushed", "produced": await self._fan_produce("flush")}
-        if kind == "submit_batch":
-            return await self._submit_batch(conn, message, request_id, codec)
         if kind == "metrics":
             return {"type": "metrics_report", "metrics": await self.cluster_metrics()}
         if kind == "prometheus":
@@ -439,14 +468,7 @@ class PoseRouter(SocketServerBase):
             return await self._export_user(message)
         if kind == "import_user":
             return await self._import_user(message)
-        return await super()._dispatch_extra(conn, message, request_id, codec)
-
-    @staticmethod
-    def _parse_frame(frame: dict) -> PointCloudFrame:
-        points = np.asarray(frame["points"], dtype=float)
-        timestamp = float(frame.get("timestamp", 0.0))
-        frame_index = int(frame.get("frame_index", 0))
-        return PointCloudFrame(points, timestamp=timestamp, frame_index=frame_index)
+        return await super()._dispatch_extra(message)
 
     @staticmethod
     def _remaining_deadline(deadline_ms, start: float, loop) -> Optional[float]:
@@ -558,7 +580,7 @@ class PoseRouter(SocketServerBase):
             raise ServerClosing("router is shutting down")
         try:
             user = message["user"]
-            cloud = self._parse_frame(message["frame"])
+            cloud = _parse_frame(message["frame"])
         except (KeyError, TypeError, ValueError) as error:
             raise transport.ProtocolError(f"malformed submit message: {error}") from error
         priority, deadline_ms = _parse_scheduling(message)
@@ -583,194 +605,6 @@ class PoseRouter(SocketServerBase):
             "type": "prediction",
             "user": user,
             "joints": np.asarray(joints),
-            "latency_ms": (loop.time() - start) * 1000.0,
-        }
-
-    async def _enqueue(self, conn: _Connection, message: dict, request_id, codec: str) -> dict:
-        if self._closing.is_set():
-            raise ServerClosing("router is shutting down")
-        if request_id in conn.tickets:
-            raise transport.ProtocolError(
-                f"ticket {request_id!r} is still outstanding on this connection"
-            )
-        try:
-            user = message["user"]
-            cloud = self._parse_frame(message["frame"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise transport.ProtocolError(f"malformed enqueue message: {error}") from error
-        priority, deadline_ms = _parse_scheduling(message)
-
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-
-        async def call(backend, cloud):
-            push = await backend.client.enqueue(
-                user,
-                cloud,
-                priority=priority,
-                deadline_ms=self._remaining_deadline(deadline_ms, start, loop),
-            )
-            # The ticket reply means the backend admitted the frame into its
-            # session; only then does it belong in the failover mirror.
-            self.mirror.observe(user, cloud.points, cloud.timestamp, cloud.frame_index)
-            return push
-
-        push_future = await self._forward(user, call, cloud, repair_on_retry=True)
-        conn.tickets[request_id] = (user, push_future, codec)
-        push_future.add_done_callback(
-            lambda fut: self._relay_push(conn, request_id, user, codec, fut)
-        )
-        return {"type": "ticket", "user": user, "ticket": request_id}
-
-    def _relay_push(self, conn: _Connection, ticket, user, codec: str, fut) -> None:
-        """A backend pushed (or failed) a ticket: relay to the client."""
-        if ticket not in conn.tickets:
-            return  # connection tore down first
-        conn.tickets.pop(ticket, None)
-        try:
-            pushed = fut.result()
-            push = {
-                "type": "prediction",
-                "user": user,
-                "ticket": ticket,
-                "joints": np.asarray(pushed["joints"]),
-                "pushed": True,
-            }
-        except Exception as error:
-            push = _error_message(error)
-            push["ticket"] = ticket
-        self._push(conn, push, codec)
-
-    async def _fan_produce(self, method: str) -> int:
-        """poll/flush every healthy backend; sum the predictions produced."""
-        backends = self.healthy_backends()
-        outcomes = await asyncio.gather(
-            *(getattr(b.client, method)() for b in backends), return_exceptions=True
-        )
-        produced = 0
-        for backend, outcome in zip(backends, outcomes):
-            if isinstance(outcome, (ConnectionError, OSError)):
-                self._mark_down(backend.name)
-            elif isinstance(outcome, BaseException):
-                raise outcome
-            else:
-                produced += int(outcome)
-        return produced
-
-    async def _submit_batch(
-        self, conn: _Connection, message: dict, request_id, codec: str
-    ) -> dict:
-        if self._closing.is_set():
-            raise ServerClosing("router is shutting down")
-        try:
-            users = list(message["users"])
-            frames = message["frames"]
-            points = list(frames["points"])
-            timestamps = list(frames.get("timestamps") or [0.0] * len(points))
-            frame_indices = list(frames.get("frame_indices") or [0] * len(points))
-        except (KeyError, TypeError, ValueError) as error:
-            raise transport.ProtocolError(
-                f"malformed submit_batch message: {error}"
-            ) from error
-        if not users or not (len(users) == len(points) == len(timestamps) == len(frame_indices)):
-            raise transport.ProtocolError(
-                "submit_batch requires equally sized, non-empty users/frames lists"
-            )
-        try:
-            items: List[Tuple[Hashable, PointCloudFrame]] = [
-                (
-                    user,
-                    PointCloudFrame(
-                        np.asarray(cloud, dtype=float),
-                        timestamp=float(timestamp),
-                        frame_index=int(frame_index),
-                    ),
-                )
-                for user, cloud, timestamp, frame_index in zip(
-                    users, points, timestamps, frame_indices
-                )
-            ]
-        except (TypeError, ValueError) as error:
-            raise transport.ProtocolError(
-                f"malformed submit_batch frame: {error}"
-            ) from error
-        priority, _ = _parse_scheduling(message)
-        # Streamed mode mirrors the front-end's: each forwarded frame's
-        # prediction is pushed (correlated by ``batch``/``index``) the
-        # moment its backend answers, ahead of the aggregate reply.
-        stream = bool(message.get("stream"))
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-
-        # A batch keeps per-user frame order by forwarding each user's
-        # frames sequentially, users fanned out concurrently.  (Per-user,
-        # not per-backend: a user mid-failover may move backends between
-        # two of its frames, and _forward handles that per call.)
-        by_user: Dict[Hashable, List[int]] = {}
-        for position, (user, _) in enumerate(items):
-            by_user.setdefault(user, []).append(position)
-
-        resolutions: List = [None] * len(items)
-
-        async def run_user(user: Hashable, positions: List[int]) -> None:
-            for position in positions:
-                cloud = items[position][1]
-
-                async def call(backend, cloud):
-                    joints = await backend.client.submit(user, cloud, priority=priority)
-                    self.mirror.observe(
-                        user, cloud.points, cloud.timestamp, cloud.frame_index
-                    )
-                    return joints
-
-                try:
-                    value = np.asarray(
-                        await self._forward(user, call, cloud, repair_on_retry=True)
-                    )
-                except Exception as error:
-                    resolutions[position] = error
-                    continue
-                resolutions[position] = value
-                if stream:
-                    self._push(
-                        conn,
-                        {
-                            "type": "prediction",
-                            "user": user,
-                            "batch": request_id,
-                            "index": position,
-                            "joints": value,
-                            "pushed": True,
-                        },
-                        codec,
-                    )
-
-        await asyncio.gather(
-            *(run_user(user, positions) for user, positions in by_user.items())
-        )
-
-        results: List[dict] = []
-        joints: List[np.ndarray] = []
-        for user, value in zip(users, resolutions):
-            if isinstance(value, Exception):
-                # _error_message unwraps a relayed ServerError to its
-                # origin class name; reuse it for the per-item shape.
-                relayed = _error_message(value)
-                results.append(
-                    {
-                        "ok": False,
-                        "user": user,
-                        "error": relayed["error"],
-                        "detail": relayed["detail"],
-                    }
-                )
-            else:
-                results.append({"ok": True, "user": user})
-                joints.append(np.asarray(value))
-        return {
-            "type": "predictions",
-            "results": results,
-            "joints": ArrayBlock(joints),
             "latency_ms": (loop.time() - start) * 1000.0,
         }
 
@@ -810,7 +644,6 @@ class PoseRouter(SocketServerBase):
         return {
             "router_connections_served": self.connections_served,
             "router_requests_served": self.requests_served,
-            "router_predictions_pushed": self.predictions_pushed,
             "router_protocol_errors": self.protocol_errors,
             "router_frames_routed": self.frames_routed,
             "router_users_failed_over": self.users_failed_over,

@@ -25,7 +25,7 @@ logical (many interleaved user streams), scheduling is explicit
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -167,27 +167,24 @@ class PoseServer:
         return pending
 
     def enqueue_many(
-        self,
-        items: Sequence[Tuple[Hashable, PointCloudFrame]],
-        priority: Optional[str] = None,
+        self, items: Sequence[tuple]
     ) -> List[Union[PendingPrediction, Exception]]:
-        """Enqueue many ``(user_id, frame)`` pairs in order, one outcome
-        per slot.
+        """Enqueue many frames in order, one outcome per slot.
 
+        Each item is ``(user_id, frame)``, optionally followed by the
+        frame's ``priority`` and ``deadline_ms`` (see :meth:`enqueue`).
         Each slot holds the handle, or the exception its enqueue raised
-        (``QueueFull`` under the ``reject`` backpressure policy).  Capturing
-        per slot — rather than raising mid-batch — keeps the
-        already-admitted prefix addressable: those frames *did* enter their
-        users' fusion rings, so a caller must never blindly resubmit them.
-        ``priority`` names the traffic class every frame of the batch is
-        scheduled under.  The batched surface exists so the socket
-        front-end can amortize its per-request round-trip cost over N
-        frames.
+        (``FrameDropped`` for a spent deadline, ``QueueFull`` under the
+        ``reject`` backpressure policy).  Capturing per slot — rather than
+        raising mid-batch — keeps the already-admitted prefix addressable:
+        those frames *did* enter their users' fusion rings, so a caller
+        must never blindly resubmit them.  The socket front-end hands each
+        group-commit round to the backend through this call.
         """
         outcomes: List[Union[PendingPrediction, Exception]] = []
-        for user_id, frame in items:
+        for user_id, frame, *scheduling in items:
             try:
-                outcomes.append(self.enqueue(user_id, frame, priority=priority))
+                outcomes.append(self.enqueue(user_id, frame, *scheduling))
             except Exception as error:
                 outcomes.append(error)
         return outcomes
@@ -248,7 +245,7 @@ class PoseServer:
                 # (corrupted archive, failed checksum): their registry
                 # membership changed mid-flush.  Re-split by the current
                 # membership and serve the defected rows from the base model
-                # — the ticket still resolves, degradation shows up only in
+                # — the request still resolves, degradation shows up only in
                 # the ``spill_quarantined`` counter.
                 survivors = [
                     row for row in adapted_rows if requests[row].user_id in self.registry

@@ -37,7 +37,7 @@ import json
 import logging
 import threading
 import time
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .worker import (
     DEFAULT_CHANNEL_DEPTH,
     DEFAULT_MAX_RESTARTS,
     AdaptUsers,
-    Enqueue,
     EnqueueBatch,
     ExportUser,
     Flush,
@@ -67,11 +66,25 @@ from .worker import (
     ShardEvents,
     ShardFactory,
     ShardProcess,
+    ShardRemoteError,
 )
 
 __all__ = ["ProcessShardedPoseServer"]
 
 _log = logging.getLogger(__name__)
+
+#: the admission rejections a shard raises, re-raised in the parent by name
+_REJECTIONS = {cls.__name__: cls for cls in (FrameDropped, QueueFull)}
+
+
+def _rejection(name: str, detail: str, retry_after_ms: Optional[float]) -> Exception:
+    """Rebuild a frame's in-worker rejection as the exception an in-process
+    :class:`PoseServer` raises: same class, message and retry hint."""
+    if name in _REJECTIONS:
+        return _REJECTIONS[name](detail, retry_after_ms=retry_after_ms)
+    if name == "ValueError":  # an unknown traffic class or a negative deadline
+        return ValueError(detail)
+    return ShardRemoteError(f"{name}: {detail}")
 
 
 class ProcessPendingPrediction:
@@ -331,76 +344,59 @@ class ProcessShardedPoseServer:
         priority: Optional[str] = None,
         deadline_ms: Optional[float] = None,
     ) -> ProcessPendingPrediction:
-        """Route one frame to the user's shard process (may flush there)."""
-        index = self.shard_index(user_id)
-        command = Enqueue(
-            user_id=user_id,
-            points=frame.points,
-            timestamp=frame.timestamp,
-            frame_index=frame.frame_index,
-            priority=priority,
-            deadline_ms=deadline_ms,
-        )
-        handle_box: List[ProcessPendingPrediction] = []
+        """Route one frame to the user's shard process (may flush there).
 
-        def register(reply) -> None:
-            # Register before the ledger is applied: the enqueue may have
-            # completed a batch inside the worker, in which case this very
-            # request's resolution already sits in the reply's events.
-            handle = ProcessPendingPrediction(
-                user_id, reply.sequence, index, flush=self._flush_shard
-            )
-            self._outstanding[index][reply.sequence] = handle
-            handle_box.append(handle)
-
-        self._call(index, command, register=register)
-        return handle_box[0]
+        Raises the shard's rejection — ``FrameDropped``, ``QueueFull`` or
+        ``ValueError`` — exactly as :meth:`PoseServer.enqueue` would.
+        """
+        (outcome,) = self.enqueue_many([(user_id, frame, priority, deadline_ms)])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def enqueue_many(
-        self,
-        items: Sequence[Tuple[Hashable, PointCloudFrame]],
-        priority: Optional[str] = None,
+        self, items: Sequence[tuple]
     ) -> List[Union[ProcessPendingPrediction, Exception]]:
-        """Enqueue many ``(user_id, frame)`` pairs with one IPC hop per shard.
+        """Enqueue many frames with one IPC hop per shard.
 
+        Each item is ``(user_id, frame)``, optionally followed by the
+        frame's ``priority`` and ``deadline_ms`` (see :meth:`enqueue`).
         Items are grouped by shard with their relative order preserved, so
-        per-user frame order — what streaming fusion depends on — is exactly
-        the caller's order; each shard sees a single :class:`EnqueueBatch`
-        command instead of N :class:`Enqueue` round-trips.  Returns one
-        outcome per item, in the original order: the handle, or the
-        exception its enqueue raised inside the worker (``QueueFull``
-        under the ``reject`` policy).  A mid-batch failure never orphans
-        the admitted prefix — those handles stay registered and resolve
-        normally.
+        per-user frame order — what streaming fusion depends on — is
+        exactly the caller's order; each shard sees a single
+        :class:`EnqueueBatch` command.  Returns one outcome per item, in
+        the original order: the handle, or the rejection its enqueue raised
+        inside the worker (the same class, message and retry hint an
+        in-process :class:`PoseServer` raises).  A mid-batch failure never
+        orphans the admitted prefix — those handles stay registered and
+        resolve normally.
         """
         outcomes: List[Union[ProcessPendingPrediction, Exception, None]] = [None] * len(items)
         by_shard: Dict[int, List[int]] = {}
-        for position, (user_id, _) in enumerate(items):
-            by_shard.setdefault(self.shard_index(user_id), []).append(position)
+        for position, item in enumerate(items):
+            by_shard.setdefault(self.shard_index(item[0]), []).append(position)
         for index, positions in sorted(by_shard.items()):
+            # each item padded to (user_id, frame, priority, deadline_ms)
+            rows = [(*items[p], None, None)[:4] for p in positions]
+            user_ids, frames, priorities, deadlines = zip(*rows)
             command = EnqueueBatch(
-                user_ids=tuple(items[p][0] for p in positions),
-                points=tuple(items[p][1].points for p in positions),
-                timestamps=tuple(float(items[p][1].timestamp) for p in positions),
-                frame_indices=tuple(int(items[p][1].frame_index) for p in positions),
-                priority=priority,
+                user_ids=user_ids,
+                points=tuple(frame.points for frame in frames),
+                timestamps=tuple(float(frame.timestamp) for frame in frames),
+                frame_indices=tuple(int(frame.frame_index) for frame in frames),
+                priorities=priorities,
+                deadlines_ms=deadlines,
             )
 
             def register(reply, index=index, positions=positions) -> None:
-                # Same window as Enqueue's register: handles must exist
-                # before the reply's event ledger is applied, because frames
-                # that completed a batch inside the worker already sit
-                # resolved in that ledger.
+                # Handles must exist before the reply's event ledger is
+                # applied: frames that completed a batch inside the worker
+                # already sit resolved in that ledger.
                 for position, sequence, error in zip(
                     positions, reply.sequences, reply.errors
                 ):
                     if sequence is None:
-                        name, detail = error
-                        outcomes[position] = (
-                            QueueFull(detail) if name == "QueueFull" else RuntimeError(
-                                f"{name}: {detail}"
-                            )
-                        )
+                        outcomes[position] = _rejection(*error)
                         continue
                     handle = ProcessPendingPrediction(
                         items[position][0], sequence, index, flush=self._flush_shard

@@ -4,14 +4,18 @@
 module runs each shard in its own worker process, talking to the parent
 over a picklable request/reply transport:
 
-* **Commands** (:class:`Enqueue`, :class:`EnqueueBatch`, :class:`Flush`,
-  :class:`Poll`, :class:`AdaptUsers`, :class:`ForgetUser`,
-  :class:`MetricsRequest`, :class:`Shutdown`) are small frozen
-  dataclasses; frames travel as raw ``(N, 5)`` point arrays, never as
-  live server objects.  :class:`EnqueueBatch` amortizes the queue
-  round-trip over N frames — the command surface behind
-  ``ProcessShardedPoseServer.enqueue_many`` and the socket front-end's
-  batched submits.
+* **Commands** (:class:`EnqueueBatch`, :class:`Flush`, :class:`Poll`,
+  :class:`AdaptUsers`, :class:`ForgetUser`, :class:`MetricsRequest`,
+  :class:`Shutdown`) are small frozen dataclasses; frames travel as raw
+  ``(N, 5)`` point arrays, never as live server objects.
+  :class:`EnqueueBatch` is the one enqueue command: it carries N >= 1
+  frames, each with its own traffic class and deadline, in one queue
+  round-trip — the command behind ``ProcessShardedPoseServer.enqueue`` /
+  ``enqueue_many`` and so behind each group-commit round of the socket
+  front-end.  A frame the shard refuses (a deadline shed, a full queue, an
+  unknown traffic class) comes back as a per-frame outcome carrying the
+  exception's class, detail and retry hint, so the parent re-raises the
+  same rejection an in-process :class:`PoseServer` would.
 * **Replies** carry an :class:`ShardEvents` ledger — every prediction the
   shard resolved and every request it dropped since the last reply — so the
   parent's pending handles resolve without polling.
@@ -63,9 +67,7 @@ from .server import PoseServer
 
 __all__ = [
     "AdaptUsers",
-    "Enqueue",
     "EnqueueBatch",
-    "Enqueued",
     "EnqueuedBatch",
     "Done",
     "ExportUser",
@@ -147,42 +149,23 @@ class ShardFactory:
 
 
 @dataclass(frozen=True)
-class Enqueue:
-    """Enqueue one frame for ``user_id`` (may trigger an in-shard flush).
-
-    ``priority`` names the request's traffic class (``None`` = the config's
-    default class); ``deadline_ms`` overrides the class latency budget for
-    this one request.
-    """
-
-    user_id: Hashable
-    points: np.ndarray
-    timestamp: float = 0.0
-    frame_index: int = 0
-    priority: Optional[str] = None
-    deadline_ms: Optional[float] = None
-
-    def frame(self) -> PointCloudFrame:
-        return PointCloudFrame(
-            self.points, timestamp=self.timestamp, frame_index=self.frame_index
-        )
-
-
-@dataclass(frozen=True)
 class EnqueueBatch:
     """Enqueue N frames in one command round-trip (one IPC hop for N).
 
     Frames are enqueued strictly in tuple order, so per-user frame order —
     what streaming fusion depends on — is exactly what the caller sent.
-    The reply carries one shard-local sequence id per frame.  ``priority``
-    names the traffic class every frame of the batch is scheduled under.
+    ``priorities[i]`` names frame i's traffic class (``None`` = the
+    config's default class) and ``deadlines_ms[i]`` overrides that class's
+    latency budget for the one frame.  The reply carries one shard-local
+    sequence id per admitted frame.
     """
 
     user_ids: Tuple[Hashable, ...]
     points: Tuple[np.ndarray, ...]
     timestamps: Tuple[float, ...]
     frame_indices: Tuple[int, ...]
-    priority: Optional[str] = None
+    priorities: Tuple[Optional[str], ...]
+    deadlines_ms: Tuple[Optional[float], ...]
 
     def frames(self) -> List[PointCloudFrame]:
         return [
@@ -249,7 +232,7 @@ class ShardEvents:
 
     Dropped entries are ``(sequence, reason)`` pairs: the reason the
     shard's batcher recorded (eviction, shutdown) travels with the event so
-    the parent's handle — and ultimately the wire error frame a poller
+    the parent's handle — and ultimately the wire error frame its waiter
     receives — can say *why* the request died instead of hanging silently.
     """
 
@@ -258,28 +241,22 @@ class ShardEvents:
 
 
 @dataclass
-class Enqueued:
-    """Reply to :class:`Enqueue`: the shard-local sequence id of the handle."""
-
-    sequence: int
-    events: ShardEvents
-
-
-@dataclass
 class EnqueuedBatch:
     """Reply to :class:`EnqueueBatch`: one outcome per frame, in order.
 
     ``sequences[i]`` is the frame's shard-local sequence id, or ``None``
     when its enqueue failed — then ``errors[i]`` carries ``(type name,
-    detail)``.  Per-frame outcomes keep a mid-batch admission failure
-    (``QueueFull`` under the ``reject`` policy) from orphaning the
-    already-admitted prefix: those frames stay valid, resolvable requests
-    instead of being silently discarded with mutated fusion rings behind
-    them.
+    detail, retry_after_ms)``, enough for the parent to re-raise the same
+    rejection (``FrameDropped`` for a deadline shed, ``QueueFull`` with
+    its hint under ``reject``, ``ValueError`` for an unknown traffic
+    class).  Per-frame outcomes keep a mid-batch admission failure from
+    orphaning the already-admitted prefix: those frames stay valid,
+    resolvable requests instead of being silently discarded with mutated
+    fusion rings behind them.
     """
 
     sequences: List[Optional[int]]
-    errors: List[Optional[Tuple[str, str]]]
+    errors: List[Optional[Tuple[str, str, Optional[float]]]]
     events: ShardEvents
 
 
@@ -414,29 +391,25 @@ def _dispatch(
     injector: Optional[FaultInjector] = None,
     shard_name: str = "",
 ):
-    if isinstance(command, Enqueue):
-        _maybe_crash(injector, shard_name)
-        handle = server.enqueue(
-            command.user_id,
-            command.frame(),
-            priority=command.priority,
-            deadline_ms=command.deadline_ms,
-        )
-        outstanding[handle.sequence] = handle
-        return Enqueued(sequence=handle.sequence, events=_collect_events(outstanding))
     if isinstance(command, EnqueueBatch):
         sequences: List[Optional[int]] = []
-        errors: List[Optional[Tuple[str, str]]] = []
-        for user_id, frame in zip(command.user_ids, command.frames()):
+        errors: List[Optional[Tuple[str, str, Optional[float]]]] = []
+        for user_id, frame, priority, deadline_ms in zip(
+            command.user_ids, command.frames(), command.priorities, command.deadlines_ms
+        ):
             # Checked per frame, so a mid-batch schedule kills the worker
             # with the batch prefix already admitted — the hardest case for
-            # the parent's ticket-resolution invariant.
+            # the parent's handle-resolution invariant.
             _maybe_crash(injector, shard_name)
             try:
-                handle = server.enqueue(user_id, frame, priority=command.priority)
+                handle = server.enqueue(
+                    user_id, frame, priority=priority, deadline_ms=deadline_ms
+                )
             except Exception as error:  # per-frame: the prefix stays valid
                 sequences.append(None)
-                errors.append((type(error).__name__, str(error)))
+                errors.append(
+                    (type(error).__name__, str(error), getattr(error, "retry_after_ms", None))
+                )
                 continue
             outstanding[handle.sequence] = handle
             sequences.append(handle.sequence)

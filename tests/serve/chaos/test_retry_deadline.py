@@ -19,10 +19,13 @@ from repro.serve import (
     AsyncPoseClient,
     FrameDropped,
     HealthMonitor,
+    PoseFrontend,
     PoseRouter,
     PoseServer,
+    ProcessShardedPoseServer,
     RetryPolicy,
     ServeConfig,
+    ServerError,
 )
 
 from ..conftest import make_frame
@@ -60,6 +63,37 @@ class TestDeadlineShedding:
         with pytest.raises(FrameDropped):
             server.enqueue("alice", make_frame(np.random.default_rng(3)), deadline_ms=0)
         assert "fuse_serve_deadline_shed_total 1" in server.metrics.to_prometheus()
+
+
+    def test_spent_budget_over_the_socket_is_a_shed_not_a_backend_fault(
+        self, estimator, tmp_path
+    ):
+        """The router forwards a blown budget as ``deadline_ms=0``; a
+        process-sharded backend must answer it as the ``FrameDropped`` shed
+        it is — not as a remote fault counted in ``protocol_errors``."""
+
+        async def scenario(server):
+            path = str(tmp_path / "fuse.sock")
+            frontend = PoseFrontend(server, unix_path=path)
+            await frontend.start()
+            try:
+                async with AsyncPoseClient() as client:
+                    await client.connect_unix(path)
+                    frame = make_frame(np.random.default_rng(4))
+                    with pytest.raises(ServerError) as shed:
+                        await client.submit("alice", frame, deadline_ms=0)
+                    joints = await client.submit("alice", frame, deadline_ms=60_000.0)
+                return shed.value, joints, frontend.protocol_errors
+            finally:
+                await frontend.stop()
+
+        with ProcessShardedPoseServer(estimator, num_shards=1, config=LAZY) as server:
+            shed, joints, protocol_errors = asyncio.run(scenario(server))
+            assert server.metrics_snapshot()["deadline_shed"] == 1
+        assert shed.error == "FrameDropped"
+        assert "deadline exhausted" in shed.detail
+        assert protocol_errors == 0
+        assert joints.shape == (19, 3)
 
 
 class _FrozenLoop:

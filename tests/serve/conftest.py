@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import asyncio
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import FuseConfig, FusePoseEstimator
 from repro.dataset.synthetic import SyntheticDatasetConfig, generate_dataset
 from repro.radar.pointcloud import PointCloudFrame
+from repro.serve import PoseServer
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +44,36 @@ def make_frame(rng: np.random.Generator, count: int = 24) -> PointCloudFrame:
         ]
     )
     return PointCloudFrame(points)
+
+
+class HeldBackend(PoseServer):
+    """A :class:`PoseServer` whose first ``enqueue_many`` call waits for
+    :attr:`release`, so a test decides exactly what queues up behind the
+    front-end's first group-commit round.
+
+    ``calls`` records every ``enqueue_many`` call as ``(user, points)``
+    pairs in the order the backend received them.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.calls = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def enqueue_many(self, items):
+        self.calls.append([(item[0], np.asarray(item[1].points)) for item in items])
+        if len(self.calls) == 1:
+            self.entered.set()
+            self.release.wait(timeout=30.0)
+        return super().enqueue_many(items)
+
+
+async def wait_until(predicate, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` on the event loop; fail (never hang) past ``timeout``."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        if loop.time() > deadline:
+            raise AssertionError(f"condition not reached within {timeout:g}s")
+        await asyncio.sleep(0.005)

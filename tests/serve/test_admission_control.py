@@ -27,7 +27,7 @@ from repro.serve import (
     TrafficClass,
 )
 
-from .conftest import make_frame
+from .conftest import HeldBackend, make_frame, wait_until
 
 
 def limited_policy(rate: float = 10.0, burst: float = 2.0) -> SchedulingPolicy:
@@ -146,90 +146,71 @@ class TestShedding:
     def test_enqueue_sheds_before_any_session_state_is_touched(
         self, estimator, tmp_path
     ):
-        """A shed frame must not enter the user's fusion ring: admission
-        runs before the backend sees the request, so a retry after backoff
-        fuses the frame exactly once."""
+        """A shed frame never reaches a shard: admission runs before the
+        request joins its shard queue, so the backend never enqueues it and
+        the user's fusion ring never sees it — a retry after backoff fuses
+        the frame exactly once."""
         backend = make_backend(estimator, scheduling=limited_policy(burst=1.0))
+        enqueued = []
+        enqueue_many = backend.enqueue_many
+
+        def spy(items):
+            enqueued.extend(user for user, *_ in items)
+            return enqueue_many(items)
+
+        backend.enqueue_many = spy
         rng = np.random.default_rng(4)
 
         async def scenario(client, frontend, clock):
-            future = await client.enqueue("alice", make_frame(rng))
-            await client.flush()
-            await asyncio.wait_for(future, timeout=5)
+            await client.submit("alice", make_frame(rng))
             seen = backend.sessions.get_or_create("alice").frames_seen
-            with pytest.raises(ServerError):
-                await client.enqueue("alice", make_frame(rng))
+            with pytest.raises(ServerError, match="RateLimited"):
+                await client.submit("alice", make_frame(rng))
             assert backend.sessions.get_or_create("alice").frames_seen == seen
+            assert enqueued == ["alice"]  # only the admitted frame
 
         asyncio.run(
             run_scenario(backend, scenario, rate_limit_retries=0)(tmp_path)
         )
 
 
-class TestEvictionResolvesTickets:
-    def test_evicted_ticket_gets_an_error_push_not_a_hang(self, estimator, tmp_path):
-        """Regression: drop-oldest eviction must push an error frame for the
-        evicted ticket — a poller awaiting it gets FrameDropped with the
-        eviction reason and a retry hint, never a silent hang."""
-        backend = make_backend(
+class TestEvictionResolvesWaiters:
+    def test_evicted_frame_gets_a_retryable_error_not_a_hang(self, estimator, tmp_path):
+        """Drop-oldest eviction inside one group-commit round: each evicted
+        frame's waiter gets ``FrameDropped`` with the eviction reason and a
+        retry hint, never a silent hang; the survivors are answered."""
+        backend = HeldBackend(
             estimator,
-            max_batch_size=64,
-            max_queue_depth=2,
-            max_delay_ms=10_000.0,  # only explicit flushes serve the queue
+            ServeConfig(
+                max_batch_size=64,
+                max_queue_depth=2,
+                max_delay_ms=10_000.0,  # only the round's own flush serves the queue
+            ),
         )
         rng = np.random.default_rng(5)
 
         async def scenario(client, frontend, clock):
-            tickets = [
-                await client.enqueue(f"u{i}", make_frame(rng)) for i in range(4)
-            ]
-            # u0/u1 were evicted by u2/u3; their tickets must already be
-            # resolved (or resolve promptly) with the eviction error.
-            for victim in tickets[:2]:
-                with pytest.raises(ServerError) as exc_info:
-                    await asyncio.wait_for(victim, timeout=5)
-                assert exc_info.value.error == "FrameDropped"
-                assert "evicted by a newer arrival under drop_oldest" in (
-                    exc_info.value.detail
-                )
-                assert exc_info.value.retry_after_ms is not None
-            await client.flush()
-            for survivor in tickets[2:]:
-                message = await asyncio.wait_for(survivor, timeout=5)
-                assert np.asarray(message["joints"]).shape == (19, 3)
+            try:
+                head = asyncio.ensure_future(client.submit("held", make_frame(rng)))
+                await wait_until(backend.entered.is_set)
+                rest = [
+                    asyncio.ensure_future(client.submit(f"u{i}", make_frame(rng)))
+                    for i in range(4)
+                ]
+                await wait_until(lambda: len(frontend._queues[0]) == 4)
+            finally:
+                backend.release.set()
+            return await asyncio.gather(head, *rest, return_exceptions=True)
 
-        asyncio.run(run_scenario(backend, scenario)(tmp_path))
-
-
-class TestStreamedSubmitBatch:
-    def test_on_result_streams_every_frame_and_matches_final_reply(
-        self, estimator, tmp_path
-    ):
-        backend = make_backend(estimator, max_batch_size=4)
-        rng = np.random.default_rng(6)
-        items = [(f"user-{i % 3}", make_frame(rng)) for i in range(6)]
-
-        async def scenario(client, frontend, clock):
-            streamed = {}
-
-            def on_result(index, user, joints):
-                assert index not in streamed
-                streamed[index] = (user, np.asarray(joints))
-
-            results = await client.submit_batch(items, on_result=on_result)
-            assert sorted(streamed) == list(range(len(items)))
-            for index, (user, frame) in enumerate(items):
-                pushed_user, pushed = streamed[index]
-                assert pushed_user == user
-                np.testing.assert_array_equal(pushed, results[index])
-            return results
-
-        results = asyncio.run(run_scenario(backend, scenario)(tmp_path))
-        # Replay equivalence: the streamed micro-batched run is bitwise
-        # identical to an unbatched server fed the same per-user order.
-        reference = PoseServer(estimator, ServeConfig(max_batch_size=1, gemm_block=8))
-        for index, (user, frame) in enumerate(items):
-            np.testing.assert_array_equal(results[index], reference.submit(user, frame))
+        outcomes = asyncio.run(run_scenario(backend, scenario)(tmp_path))
+        # u0/u1 were evicted by u2/u3 inside the round
+        for error in outcomes[1:3]:
+            assert isinstance(error, ServerError)
+            assert error.error == "FrameDropped"
+            assert "evicted by a newer arrival under drop_oldest" in error.detail
+            assert error.retry_after_ms is not None
+        for joints in (outcomes[0], *outcomes[3:]):
+            assert joints.shape == (19, 3)
 
 
 class TestPriorityThreading:

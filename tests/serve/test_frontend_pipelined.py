@@ -1,35 +1,38 @@
-"""Protocol v2 front-end tests: pipelining, streaming, batching, request ids.
+"""Protocol v2 front-end tests: pipelining, group commit, request ids.
 
 The serving semantics are pinned by the server/shard suites; these tests
 cover what the v2 socket layer owns: out-of-order reply correlation,
-duplicate/unknown/missing request ids, the enqueue/ticket/push streaming
-path (remote traffic actually forms micro-batches), batched submits over
-the contiguous ndarray block, oversized-batch rejection,
-bounded in-flight windows, connect retry — and the acceptance property:
-a replay over the pipelined path is bitwise identical to in-process
-serving.
+duplicate/unknown/missing request ids, the per-shard group commit (remote
+traffic forms micro-batches, in arrival order, and every waiter resolves
+exactly once), bounded in-flight windows, connect retry — and the
+acceptance property: a replay over the pipelined path is bitwise identical
+to in-process serving.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
-import logging
 
 import numpy as np
 import pytest
 
 from repro.serve import (
     AsyncPoseClient,
+    FaultPlan,
+    FaultRule,
     PoseFrontend,
     PoseServer,
     ProcessShardedPoseServer,
     ServeConfig,
+    ServerClosing,
+    ServerError,
     user_streams_from_dataset,
 )
-from repro.serve.transport import CODEC_JSON, encode_message, read_message, write_message
+from repro.serve.transport import CODEC_JSON, read_message, write_message
 
-from .conftest import make_frame
+from .conftest import HeldBackend, make_frame, wait_until
 
 #: a deadline long enough that only batch-full/explicit flushes fire during
 #: a test (keeps batch formation deterministic on slow CI containers)
@@ -99,14 +102,16 @@ class TestCorrelation:
         run_scenario(backend, scenario, tmp_path)
 
     def test_unmatched_push_is_counted_not_fatal(self):
+        """A frame the client never asked for — a stray prediction, an
+        id-less reply — is counted and dropped; the read loop goes on."""
         client = AsyncPoseClient()
-        client._route({"type": "prediction", "ticket": 999, "joints": 1, "pushed": True})
+        client._route({"type": "prediction", "id": 999, "joints": 1})
         client._route({"type": "pong"})  # id-less reply with nothing pending
         assert client.unmatched_replies == 2
 
     def test_uncorrelated_error_fails_every_pending_request(self):
-        """Without a hello, an error frame carrying neither id nor ticket
-        fails every outstanding request — it is never pinned on one."""
+        """Without a hello, an error frame carrying no id fails every
+        outstanding request — it is never pinned on one."""
 
         async def body():
             client = AsyncPoseClient()
@@ -164,300 +169,237 @@ class TestV1Downgrade:
                 PoseFrontend(backend, unix_path="unused", protocol=protocol)
 
     def test_idless_enqueue_rejected(self, backend, tmp_path):
-        """enqueue cannot work without an id: the ticket IS the id."""
+        """The retired streaming ``enqueue`` is no message type any more:
+        a frame carrying one is a protocol fault, answered with an error
+        before the connection closes."""
 
         async def scenario(client, frontend):
             writer, reader = client._writer, client._reader
             client._reader_task.cancel()
             await asyncio.sleep(0)
-            message = {
-                "type": "enqueue",
-                "user": "carol",
-                "frame": {"points": make_frame(np.random.default_rng(2)).points},
-            }
-            await write_message(writer, message, CODEC_JSON)
+            frame = {"points": make_frame(np.random.default_rng(2)).points.tolist()}
+            payload = json.dumps({"type": "enqueue", "user": "carol", "frame": frame})
+            # framed by hand: the encoder itself refuses unknown types
+            writer.write(b"J" + len(payload).to_bytes(4, "big") + payload.encode())
+            await writer.drain()
             reply = (await read_message(reader))[0]
             assert reply["type"] == "error"
-            assert "requires a request id" in reply["detail"]
-
-        run_scenario(backend, scenario, tmp_path)
-
-
-class TestStreaming:
-    def test_remote_enqueues_form_micro_batches(self, estimator, tmp_path):
-        """The point of the streaming path: concurrent remote clients fill
-        the cross-user micro-batcher instead of flushing singletons."""
-        backend = PoseServer(estimator, LAZY)
-
-        async def body():
-            path = str(tmp_path / "fuse.sock")
-            frontend = PoseFrontend(backend, unix_path=path)
-            await frontend.start()
-            try:
-
-                async def one(user):
-                    rng = np.random.default_rng(abs(hash(user)) % 2**32)
-                    frames = [make_frame(rng) for _ in range(4)]
-                    async with AsyncPoseClient() as client:
-                        await client.connect_unix(path)
-                        return await client.stream(user, frames, max_in_flight=4)
-
-                results = await asyncio.gather(*(one(f"user-{i}") for i in range(4)))
-                assert all(j.shape == (19, 3) for user in results for j in user)
-                assert frontend.predictions_pushed == 16
-            finally:
-                await frontend.stop()
-
-        asyncio.run(body())
-        assert backend.metrics.max_batch_seen == 8  # real cross-user batches
-
-    def test_poll_deadline_resolves_tickets_without_client_flush(self, estimator, tmp_path):
-        """The background poller applies max_delay to remote streams."""
-        backend = PoseServer(estimator, ServeConfig(max_batch_size=64, max_delay_ms=1.0))
-
-        async def scenario(client, frontend):
-            future = await client.enqueue("dave", make_frame(np.random.default_rng(3)))
-            joints = await asyncio.wait_for(future, timeout=5.0)
-            assert np.asarray(joints["joints"]).shape == (19, 3)
-
-        run_scenario(backend, scenario, tmp_path)
-
-    def test_failing_polls_log_one_line_then_one_recovery(self, estimator, tmp_path, caplog):
-        """A failing poll run logs once, its recovery once, and the ticket
-        still resolves on the next good tick."""
-        backend = PoseServer(estimator, ServeConfig(max_batch_size=64, max_delay_ms=1.0))
-        failures = [RuntimeError("shard hiccup")] * 2
-        real_poll = backend.poll
-
-        def flaky_poll():
-            if failures:
-                raise failures.pop()
-            return real_poll()
-
-        backend.poll = flaky_poll
-
-        async def scenario(client, frontend):
-            future = await client.enqueue("dave", make_frame(np.random.default_rng(3)))
-            joints = await asyncio.wait_for(future, timeout=5.0)
-            assert np.asarray(joints["joints"]).shape == (19, 3)
-
-        with caplog.at_level(logging.WARNING, logger="repro.serve.frontend"):
-            run_scenario(backend, scenario, tmp_path)
-
-        lines = [
-            json.loads(record.getMessage())
-            for record in caplog.records
-            if record.name == "repro.serve.frontend"
-        ]
-        assert lines == [
-            {"event": "poll_failed", "error": "RuntimeError: shard hiccup"},
-            {"event": "poll_recovered", "failed_polls": 2},
-        ]
-
-    def test_reused_id_with_outstanding_ticket_rejected(self, backend, tmp_path):
-        async def scenario(client, frontend):
-            await client.enqueue("gail", make_frame(np.random.default_rng(7)))
-            # Force the same id for a second enqueue while the first ticket
-            # is still unresolved: the ledger must not be overwritten.
-            client._next_id -= 1
-            with pytest.raises(RuntimeError, match="still outstanding"):
-                await client.enqueue("gail", make_frame(np.random.default_rng(8)))
-            await client.flush()
-
-        run_scenario(backend, scenario, tmp_path)
-
-    def test_stream_settles_every_ticket_under_drops(self, estimator, tmp_path):
-        """Dropped frames mid-stream must not abandon later predictions:
-        every ticket settles, successes stay retrievable."""
-        backend = PoseServer(
-            estimator,
-            ServeConfig(max_batch_size=64, max_queue_depth=2, max_delay_ms=10_000.0),
-        )
-        rng = np.random.default_rng(13)
-        frames = [make_frame(rng) for _ in range(5)]
-
-        async def scenario(client, frontend):
-            mixed = await client.stream(
-                "kate", frames, max_in_flight=5, return_errors=True
-            )
-            with pytest.raises(RuntimeError, match="dropped"):
-                await client.stream("kate", frames, max_in_flight=5)
-            return mixed
-
-        mixed = run_scenario(backend, scenario, tmp_path)
-        served = [r for r in mixed if isinstance(r, np.ndarray)]
-        dropped = [r for r in mixed if isinstance(r, Exception)]
-        assert len(served) == 2 and len(dropped) == 3  # drop_oldest kept the tail
-        assert all(j.shape == (19, 3) for j in served)
-
-    def test_explicit_flush_resolves_partial_batch(self, backend, tmp_path):
-        async def scenario(client, frontend):
-            future = await client.enqueue("erin", make_frame(np.random.default_rng(4)))
-            assert not future.done()
-            produced = await client.flush()
-            assert produced == 1
-            assert (await future)["ticket"] is not None
+            assert "unknown message type 'enqueue'" in reply["detail"]
+            assert await reader.read() == b""  # the server hung up
+            assert frontend.protocol_errors == 1
 
         run_scenario(backend, scenario, tmp_path)
 
 
 class TestBatchedSubmits:
-    def test_submit_batch_matches_individual_submits_bitwise(
-        self, estimator, tmp_path
-    ):
-        rng = np.random.default_rng(5)
-        items = [(f"user-{i % 3}", make_frame(rng)) for i in range(9)]
-        reference_server = PoseServer(estimator, LAZY)
-        expected = [reference_server.submit(user, frame) for user, frame in items]
-        backend = PoseServer(estimator, LAZY)
+    """Submits are batched by the per-shard group commit: each round sends
+    every frame queued since the last one to the backend in one
+    ``enqueue_many`` call.  :class:`HeldBackend` holds the first round so
+    the test decides exactly what queues up behind it."""
+
+    def test_pipelined_submits_form_one_micro_batch_per_round(self, estimator, tmp_path):
+        """K pipelined submits that arrive while a round is in flight reach
+        the backend in one ``enqueue_many`` call, in arrival order, and
+        every reply equals a sequential in-process replay bitwise."""
+        backend = HeldBackend(estimator, LAZY)
+        rng = np.random.default_rng(41)
+        held = ("held", make_frame(rng))
+        queued = [(f"user-{i % 3}", make_frame(rng)) for i in range(6)]
+        reference = PoseServer(estimator, LAZY)
+        expected = [reference.submit(user, frame) for user, frame in [held, *queued]]
 
         async def scenario(client, frontend):
-            return await client.submit_batch(items)
+            try:
+                head = asyncio.ensure_future(client.submit(*held))
+                await wait_until(backend.entered.is_set)
+                rest = [asyncio.ensure_future(client.submit(*item)) for item in queued]
+                await wait_until(lambda: len(frontend._queues[0]) == len(queued))
+            finally:
+                backend.release.set()
+            return await asyncio.gather(head, *rest)
 
         served = run_scenario(backend, scenario, tmp_path)
-        for over_wire, direct in zip(served, expected):
-            np.testing.assert_array_equal(over_wire, direct)
-        # One wire frame coalesced the whole cohort into real micro-batches.
-        assert backend.metrics.max_batch_seen == 8
-
-    def test_batch_then_pipelined_submit_keeps_frame_order(self, estimator, tmp_path):
-        """A submit_batch immediately followed by pipelined submits for the
-        same user must enqueue in arrival order: the batch's fan-out tasks
-        claim their shard slots at dispatch time, so a later request that
-        reaches its shard lock without suspending cannot overtake them
-        (fusion is order-dependent, so a reorder would change the bits)."""
-        rng = np.random.default_rng(11)
-        frames = [make_frame(rng) for _ in range(6)]
-        reference_server = PoseServer(estimator, LAZY)
-        expected = [reference_server.submit("heidi", frame) for frame in frames]
-        backend = PoseServer(estimator, LAZY)
-
-        async def scenario(client, frontend):
-            batch = asyncio.ensure_future(
-                client.submit_batch([("heidi", frame) for frame in frames[:3]])
-            )
-            await asyncio.sleep(0)  # the batch is dispatched, fan-out pending
-            tail = [
-                asyncio.ensure_future(client.submit("heidi", frame))
-                for frame in frames[3:]
-            ]
-            first = await batch
-            rest = await asyncio.gather(*tail)
-            return list(first) + list(rest)
-
-        served = run_scenario(backend, scenario, tmp_path)
-        for over_wire, direct in zip(served, expected):
-            np.testing.assert_array_equal(over_wire, direct)
-
-    def test_malformed_batch_reports_error(self, backend, tmp_path):
-        async def scenario(client, frontend):
-            with pytest.raises(RuntimeError, match="equally sized"):
-                await client.request(
-                    {"type": "submit_batch", "users": ["a", "b"], "frames": {"points": []}}
-                )
-            assert await client.ping()
-
-        run_scenario(backend, scenario, tmp_path)
+        assert [[user for user, _ in call] for call in backend.calls] == [
+            ["held"],
+            [user for user, _ in queued],
+        ]
+        for (_, points), (_, frame) in zip(backend.calls[1], queued):
+            np.testing.assert_array_equal(points, frame.points)
+        for got, want in zip(served, expected):
+            np.testing.assert_array_equal(got, want)
+        assert backend.metrics.max_batch_seen == len(queued)
 
     def test_mid_batch_rejection_reports_per_frame_errors(self, estimator, tmp_path):
-        """Backpressure inside a submit_batch: admitted frames answer,
-        rejected frames carry their own error slots."""
-        backend = PoseServer(
-            estimator,
-            ServeConfig(max_batch_size=64, max_queue_depth=2, overflow="reject"),
+        """Under ``reject`` a round larger than the queue admits its prefix;
+        each refused frame's waiter gets ``QueueFull`` with the retry hint,
+        and the admitted frames are answered."""
+        config = ServeConfig(
+            max_batch_size=64, max_queue_depth=2, max_delay_ms=10_000.0, overflow="reject"
         )
-        rng = np.random.default_rng(12)
-        items = [(f"user-{i}", make_frame(rng)) for i in range(5)]
+        backend = HeldBackend(estimator, config)
+        rng = np.random.default_rng(42)
 
         async def scenario(client, frontend):
-            return await client.submit_batch(items, return_errors=True)
-
-        results = run_scenario(backend, scenario, tmp_path)
-        served = [r for r in results if isinstance(r, np.ndarray)]
-        failed = [r for r in results if isinstance(r, Exception)]
-        assert len(served) == 2 and all(j.shape == (19, 3) for j in served)
-        assert len(failed) == 3 and all("QueueFull" in str(e) for e in failed)
-
-    def test_replies_use_the_codec_of_their_own_request(self, backend, tmp_path):
-        """Pipelined replies must not inherit the codec of the most recent
-        frame on the connection."""
-        from repro.serve.transport import CODEC_MSGPACK, available_codecs
-
-        if CODEC_MSGPACK not in available_codecs():
-            pytest.skip("msgpack not installed")
-        raw = transport_frames = []
-
-        async def scenario(client, frontend):
-            writer, reader = client._writer, client._reader
-            client._reader_task.cancel()
-            await asyncio.sleep(0)
-            slow = {
-                "type": "submit",
-                "user": "ivan",
-                "id": 1,
-                "frame": {"points": make_frame(np.random.default_rng(9)).points},
-            }
-            await write_message(writer, slow, CODEC_MSGPACK)
-            await write_message(writer, {"type": "ping", "id": 2}, CODEC_JSON)
-            for _ in range(2):
-                message, codec = await read_message(reader)
-                raw.append((message["type"], codec))
-
-        run_scenario(backend, scenario, tmp_path)
-        assert dict(transport_frames) == {"pong": CODEC_JSON, "prediction": CODEC_MSGPACK}
-
-    def test_oversized_batched_frame_closes_connection_with_error(
-        self, backend, tmp_path
-    ):
-        async def body():
-            path = str(tmp_path / "fuse.sock")
-            frontend = PoseFrontend(backend, unix_path=path, max_frame_bytes=2048)
-            await frontend.start()
             try:
-                reader, writer = await asyncio.open_unix_connection(path)
-                from repro.serve.transport import ArrayBlock
-
-                big = {
-                    "type": "submit_batch",
-                    "id": 1,
-                    "users": list(range(8)),
-                    "frames": {"points": ArrayBlock([np.zeros((64, 5))] * 8)},
-                }
-                writer.write(encode_message(big, CODEC_JSON))
-                await writer.drain()
-                reply = await read_message(reader)
-                assert reply is not None and reply[0]["type"] == "error"
-                assert "FrameTooLarge" in reply[0]["error"]
-                assert await reader.read() == b""  # server hung up
-                writer.close()
-                await writer.wait_closed()
-                assert frontend.protocol_errors == 1
+                head = asyncio.ensure_future(client.submit("held", make_frame(rng)))
+                await wait_until(backend.entered.is_set)
+                rest = [
+                    asyncio.ensure_future(client.submit(f"user-{i}", make_frame(rng)))
+                    for i in range(5)
+                ]
+                await wait_until(lambda: len(frontend._queues[0]) == 5)
             finally:
-                await frontend.stop()
+                backend.release.set()
+            outcomes = await asyncio.gather(head, *rest, return_exceptions=True)
+            return outcomes, frontend.protocol_errors
 
-        asyncio.run(body())
+        outcomes, protocol_errors = run_scenario(backend, scenario, tmp_path)
+        assert all(joints.shape == (19, 3) for joints in outcomes[:3])
+        for error in outcomes[3:]:
+            assert isinstance(error, ServerError) and error.error == "QueueFull"
+            assert error.retry_after_ms == config.scheduler.retry_after_ms
+        assert protocol_errors == 0  # backpressure, not a backend fault
+
+    def test_a_failed_round_fails_every_waiter_and_none_hangs(self, estimator, tmp_path):
+        """A shard that crashes mid-round with no restart budget left: the
+        round's waiters get ``ShardCrashed``, later rounds ``ShardDegraded``
+        — every request is answered."""
+        plan = FaultPlan(rules=(FaultRule(op="worker_crash", target="shard0", at=0),))
+        config = ServeConfig(max_batch_size=8, max_delay_ms=10_000.0, fault_plan=plan)
+        rng = np.random.default_rng(43)
+        frames = [make_frame(rng) for _ in range(6)]
+
+        async def scenario(client, frontend):
+            submits = [client.submit(f"user-{i}", frame) for i, frame in enumerate(frames)]
+            return await asyncio.wait_for(
+                asyncio.gather(*submits, return_exceptions=True), timeout=30.0
+            )
+
+        with ProcessShardedPoseServer(
+            estimator, num_shards=1, config=config, max_restarts=0
+        ) as server:
+            outcomes = run_scenario(server, scenario, tmp_path)
+        assert len(outcomes) == len(frames)
+        for error in outcomes:
+            assert isinstance(error, ServerError)
+            assert error.error in ("ShardCrashed", "ShardDegraded")
+        assert outcomes[0].error == "ShardCrashed"
+
+    def test_stop_mid_round_resolves_every_waiter_once(self, estimator, tmp_path):
+        """``stop()`` with a round in flight: that round's waiter gets its
+        prediction, every queued waiter ``ServerClosing``; no task outlives
+        the front-end and no exception goes unretrieved."""
+        backend = HeldBackend(estimator, LAZY)
+        rng = np.random.default_rng(44)
+        frames = [make_frame(rng) for _ in range(4)]
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            path = str(tmp_path / "fuse.sock")
+            frontend = PoseFrontend(backend, unix_path=path)
+            await frontend.start()
+            waiters = []
+            queue = frontend._queue
+
+            def spy(user, request):
+                waiters.append(queue(user, request))
+                return waiters[-1]
+
+            frontend._queue = spy
+            client = AsyncPoseClient()
+            await client.connect_unix(path)
+            try:
+                submits = [asyncio.ensure_future(client.submit("sue", frames[0]))]
+                await wait_until(backend.entered.is_set)
+                submits += [
+                    asyncio.ensure_future(client.submit("sue", frame)) for frame in frames[1:]
+                ]
+                await wait_until(lambda: len(waiters) == len(frames))
+                stopping = asyncio.ensure_future(frontend.stop())
+                await asyncio.sleep(0.05)
+                assert not stopping.done()  # waiting on the held round
+                backend.release.set()
+                await stopping
+                assert frontend._drains == {}
+                replies = await asyncio.gather(*submits, return_exceptions=True)
+            finally:
+                backend.release.set()
+                await client.close()
+            current = asyncio.current_task()
+            await wait_until(lambda: all(t is current or t.done() for t in asyncio.all_tasks()))
+            gc.collect()
+            await asyncio.sleep(0)
+            return waiters, replies, unhandled
+
+        waiters, replies, unhandled = asyncio.run(body())
+        assert waiters[0].result().shape == (19, 3)
+        for waiter in waiters[1:]:
+            assert isinstance(waiter.exception(), ServerClosing)
+        for reply in replies:  # a reply may race the hang-up, never a hang
+            if isinstance(reply, ServerError):
+                assert reply.error == "ServerClosing"
+            else:
+                assert isinstance(reply, (np.ndarray, ConnectionError))
+        assert unhandled == []
+
+    def test_export_between_two_submits_snapshots_exactly_the_first(
+        self, estimator, tmp_path
+    ):
+        """An ``export_user`` queued between two submits of one user is a
+        round of its own: its snapshot holds the first frame only."""
+        backend = HeldBackend(estimator, LAZY)
+        rng = np.random.default_rng(45)
+        first, second = make_frame(rng), make_frame(rng)
+
+        async def scenario(client, frontend):
+            try:
+                head = asyncio.ensure_future(client.submit("held", make_frame(rng)))
+                await wait_until(backend.entered.is_set)
+                before = asyncio.ensure_future(client.submit("vera", first))
+                export = asyncio.ensure_future(client.export_user("vera"))
+                after = asyncio.ensure_future(client.submit("vera", second))
+                await wait_until(lambda: len(frontend._queues[0]) == 3)
+            finally:
+                backend.release.set()
+            await asyncio.gather(head, before, after)
+            return await export
+
+        state = run_scenario(backend, scenario, tmp_path)
+        session = state["session"]
+        assert session["frames_seen"] == 1
+        assert len(session["points"]) == 1
+        np.testing.assert_array_equal(session["points"][0], first.points)
+        assert [[user for user, _ in call] for call in backend.calls] == [
+            ["held"],
+            ["vera"],
+            ["vera"],
+        ]
 
 
 class TestFifoShardLock:
-    """The ordering primitive behind pipelined dispatch: queue positions
-    are taken synchronously, so a task that suspends between dispatch and
-    enqueue (submit_batch's fan-out) keeps its arrival-order slot."""
+    """The router's per-backend ordering primitive: queue positions are
+    taken synchronously, so a task that suspends between dispatch and
+    acquire keeps its arrival-order slot."""
 
     def test_claims_grant_in_claim_order_across_suspensions(self):
-        from repro.serve.frontend import _FifoShardLock
+        from repro.serve.router import _FifoLock
 
         async def body():
-            lock = _FifoShardLock()
+            lock = _FifoLock()
             order = []
 
             async def late_runner(claim, name):
                 await asyncio.sleep(0.01)  # suspend before acquiring (the race)
-                async with lock.held(claim):
-                    order.append(name)
+                await lock.acquire(claim)
+                order.append(name)
+                lock.release()
 
             async def eager_runner(name):
-                async with lock.held(lock.claim()):
-                    order.append(name)
+                await lock.acquire(lock.claim())
+                order.append(name)
+                lock.release()
 
             first = lock.claim()  # claimed before the eager task exists
             await asyncio.gather(late_runner(first, "first"), eager_runner("second"))
@@ -466,21 +408,23 @@ class TestFifoShardLock:
         asyncio.run(body())
 
     def test_cancelled_waiter_does_not_wedge_the_queue(self):
-        from repro.serve.frontend import _FifoShardLock
+        from repro.serve.router import _FifoLock
 
         async def body():
-            lock = _FifoShardLock()
+            lock = _FifoLock()
             head = lock.claim()
             waiting = asyncio.ensure_future(lock.acquire(lock.claim()))
             await asyncio.sleep(0)
             waiting.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await waiting
-            async with lock.held(head):
-                pass
+            await lock.acquire(head)
+            lock.release()
             # The abandoned claim was skipped; the lock is free again.
-            async with lock.held(lock.claim()):
-                pass
+            free = lock.claim()
+            assert free.done()
+            await lock.acquire(free)
+            lock.release()
 
         asyncio.run(body())
 
@@ -589,8 +533,8 @@ class TestConnectRetry:
 
 
 class TestPipelinedReplayEquivalence:
-    """The acceptance property: pipelining/streaming/batching over the
-    socket never changes a prediction — bitwise equal to in-process
+    """The acceptance property: pipelining and group commit over the
+    socket never change a prediction — bitwise equal to in-process
     serving."""
 
     @pytest.fixture(scope="class")
@@ -614,6 +558,8 @@ class TestPipelinedReplayEquivalence:
     def test_streamed_replay_bitwise_identical_to_in_process(
         self, estimator, streams, reference, tmp_path
     ):
+        """Every user streams all its frames without waiting for a reply:
+        concurrent connections share group-commit rounds."""
         backend = PoseServer(estimator, LAZY)
 
         async def body():
@@ -625,8 +571,8 @@ class TestPipelinedReplayEquivalence:
                 async def one(user, stream):
                     async with AsyncPoseClient() as client:
                         await client.connect_unix(path)
-                        return await client.stream(
-                            user, [sample.cloud for sample in stream], max_in_flight=4
+                        return await client.submit_many(
+                            user, [sample.cloud for sample in stream], max_in_flight=len(stream)
                         )
 
                 return await asyncio.gather(
@@ -640,9 +586,10 @@ class TestPipelinedReplayEquivalence:
     def test_pipelined_replay_through_shard_processes_bitwise_identical(
         self, estimator, streams, reference, tmp_path
     ):
-        """The deployment shape: pipelined submits + batched submits into
-        process-per-shard serving, still bitwise equal to one in-process
-        server."""
+        """The deployment shape: pipelined submits into process-per-shard
+        serving — one connection per user, then every user's frames in
+        flight at once on one connection — still bitwise equal to one
+        in-process server."""
 
         async def body():
             path = str(tmp_path / "fuse.sock")
@@ -664,28 +611,29 @@ class TestPipelinedReplayEquivalence:
                         *(one(user, stream) for user, stream in streams.items())
                     )
 
-                    # The same replay again as per-tick batched submits (the
-                    # sessions differ per replay, so use a fresh cohort of
-                    # user ids mapped onto the same frames).
+                    # The same replay again with every frame in flight at once
+                    # on one connection (the sessions differ per replay, so
+                    # use a fresh cohort of user ids mapped onto the same
+                    # frames).
                     async with AsyncPoseClient() as client:
                         await client.connect_unix(path)
-                        batched = {user: [] for user in streams}
-                        for tick in range(max(len(s) for s in streams.values())):
-                            items = [
-                                (f"again-{user}", stream[tick].cloud)
+                        shared = await asyncio.gather(
+                            *(
+                                client.submit_many(
+                                    f"again-{user}",
+                                    [sample.cloud for sample in stream],
+                                    max_in_flight=len(stream),
+                                )
                                 for user, stream in streams.items()
-                                if tick < len(stream)
-                            ]
-                            predictions = await client.submit_batch(items)
-                            for (tagged_user, _), joints in zip(items, predictions):
-                                batched[tagged_user[len("again-"):]].append(joints)
-                    return pipelined, list(batched.values())
+                            )
+                        )
+                    return pipelined, shared
                 finally:
                     await frontend.stop()
 
-        pipelined, batched = asyncio.run(body())
+        pipelined, shared = asyncio.run(body())
         self._assert_matches_reference(reference, streams, pipelined)
-        self._assert_matches_reference(reference, streams, batched)
+        self._assert_matches_reference(reference, streams, shared)
 
 
 class TestReconnect:
@@ -750,70 +698,3 @@ class TestReconnect:
                     await client.ping()
 
         asyncio.run(body())
-
-
-class TestPushFlowControl:
-    def test_default_frontend_advertises_no_budget(self, backend, tmp_path):
-        async def scenario(client, frontend):
-            hello = await client.hello()
-            assert hello["push_credits"] is None
-
-        run_scenario(backend, scenario, tmp_path)
-
-    def test_pushes_defer_until_credits_granted(self, backend, tmp_path):
-        async def body():
-            path = str(tmp_path / "fuse.sock")
-            frontend = PoseFrontend(backend, unix_path=path, push_credits=1)
-            await frontend.start()
-            try:
-                async with AsyncPoseClient(auto_credits=False) as client:
-                    await client.connect_unix(path)
-                    await client.hello()
-                    rng = np.random.default_rng(31)
-                    futures = [
-                        await client.enqueue("tess", make_frame(rng))
-                        for _ in range(3)
-                    ]
-                    produced = await client.flush()
-                    assert produced == 3
-                    # budget 1: one push crosses, two wait server-side
-                    await asyncio.wait(futures, timeout=0.3)
-                    assert sum(f.done() for f in futures) == 1
-                    (conn,) = frontend._connections
-                    assert len(conn.deferred) == 2
-
-                    available = await client.grant_credits(2)
-                    assert available == 0  # the deferred pushes drained it
-                    pushes = await asyncio.gather(*futures)
-                    assert all(
-                        np.asarray(push["joints"]).shape == (19, 3)
-                        for push in pushes
-                    )
-            finally:
-                await frontend.stop()
-
-        asyncio.run(body())
-
-    def test_auto_grants_keep_a_long_stream_flowing(self, backend, tmp_path):
-        """With a tiny budget and auto credits on (the default), the client
-        replenishes at half budget and an 8-frame stream fully resolves."""
-
-        async def scenario(client, frontend):
-            await client.hello()
-            rng = np.random.default_rng(32)
-            futures = []
-            for _ in range(8):
-                futures.append(await client.enqueue("uma", make_frame(rng)))
-                await client.flush()
-            pushes = await asyncio.gather(*futures)
-            assert len(pushes) == 8
-            assert all(push["pushed"] for push in pushes)
-
-        run_scenario(backend, scenario, tmp_path, push_credits=2)
-
-    def test_negative_grant_rejected(self, backend, tmp_path):
-        async def scenario(client, frontend):
-            with pytest.raises(RuntimeError, match="grant"):
-                await client.grant_credits(-1)
-
-        run_scenario(backend, scenario, tmp_path, push_credits=1)

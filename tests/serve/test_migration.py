@@ -90,8 +90,8 @@ class TestExportImportRoundTrip:
         assert server.sessions.get("alice") is not None
 
     def test_state_survives_wire_style_byte_round_trip(self, estimator):
-        """The adapter travels as uint8 ndarray (JSON/msgpack carry no raw
-        bytes); importing from the array form must equal the bytes form."""
+        """The adapter travels as uint8 ndarray (JSON carries no raw bytes);
+        importing from the array form must equal the bytes form."""
         policy = AdapterPolicy(scope="last", epochs=1)
         source = PoseServer(estimator, LAZY, policy=policy)
         rng = np.random.default_rng(0)

@@ -32,6 +32,8 @@ from repro.serve import (
 )
 from repro.serve.worker import MetricsRequest, ShardFactory
 
+from .conftest import make_frame
+
 
 @pytest.fixture(scope="module")
 def streams(serve_dataset):
@@ -107,7 +109,7 @@ class TestFacade:
     def test_enqueue_many_matches_sequential_enqueues_bitwise(
         self, estimator, streams
     ):
-        """One EnqueueBatch IPC hop per shard == N Enqueue round-trips."""
+        """One EnqueueBatch IPC hop per shard == N single-frame enqueues."""
         users = list(streams)[:6]
         items = [
             (user, streams[user][tick].cloud) for tick in range(3) for user in users
@@ -173,6 +175,48 @@ class TestFacade:
         # The shard survived the failed command and still serves.
         assert server.submit(user, streams[user][0].cloud).shape == (19, 3)
         assert server.restarts == 0
+
+
+class TestRejectionsCrossTheProcessBoundary:
+    """A frame a shard refuses reaches the caller as the exception an
+    in-process :class:`PoseServer` raises: same class, message and retry
+    hint — from ``enqueue`` and from an ``enqueue_many`` slot alike."""
+
+    CONFIG = ServeConfig(
+        max_batch_size=64, max_queue_depth=1, max_delay_ms=10_000.0, overflow="reject"
+    )
+
+    @staticmethod
+    def _rejections(server, frame):
+        """Deadline shed, unknown class, then a full queue — per slot."""
+        outcomes = server.enqueue_many(
+            [
+                ("ann", frame, None, 0.0),
+                ("ann", frame, "no-such-class", None),
+                ("ann", frame),
+                ("bob", frame),
+            ]
+        )
+        assert not isinstance(outcomes[2], Exception)  # admitted: fills the queue
+        return [outcomes[0], outcomes[1], outcomes[3]]
+
+    def test_rejections_keep_their_class_and_hint(self, estimator):
+        frame = make_frame(np.random.default_rng(3))
+        expected = self._rejections(PoseServer(estimator, self.CONFIG), frame)
+        with ProcessShardedPoseServer(estimator, num_shards=1, config=self.CONFIG) as server:
+            got = self._rejections(server, frame)
+            with pytest.raises(FrameDropped, match="deadline exhausted"):
+                server.enqueue("cy", frame, deadline_ms=0)
+            with pytest.raises(QueueFull) as full:
+                server.submit("cy", frame)
+        assert [type(error) for error in got] == [FrameDropped, ValueError, QueueFull]
+        for remote, local in zip(got, expected):
+            assert type(remote) is type(local)
+            assert str(remote) == str(local)
+            assert getattr(remote, "retry_after_ms", None) == getattr(
+                local, "retry_after_ms", None
+            )
+        assert full.value.retry_after_ms == self.CONFIG.scheduler.retry_after_ms
 
 
 class TestObservability:

@@ -109,7 +109,6 @@ class TestClusterShape:
             assert hello["role"] == "router"
             assert hello["backends"] == ["b0", "b1"]
             assert hello["protocol"] == 2
-            assert hello["push_credits"] == 256
             assert hello["shards"] == 2  # one unsharded server each
 
         run_cluster(servers, scenario, tmp_path)
@@ -169,35 +168,24 @@ class TestRoutedReplay:
 
         run_cluster(servers, scenario, tmp_path)
 
-    def test_streaming_pushes_relay_through_the_router(self, estimator, tmp_path):
-        servers = [PoseServer(estimator, LAZY) for _ in range(2)]
-
-        async def scenario(client, router, frontends):
-            frames = [make_frame(np.random.default_rng(3 + i)) for i in range(3)]
-            reference = PoseServer(estimator, LAZY)
-            expected = [reference.submit("stream-user", frame) for frame in frames]
-            futures = [await client.enqueue("stream-user", frame) for frame in frames]
-            await client.flush()
-            pushes = await asyncio.gather(*futures)
-            for push, want in zip(pushes, expected):
-                assert push.get("pushed") is True
-                np.testing.assert_array_equal(np.asarray(push["joints"]), want)
-
-        run_cluster(servers, scenario, tmp_path)
-
     def test_batched_submit_routes_each_user_in_order(self, estimator, tmp_path):
+        """A batch of submits — every frame of four users in flight at once
+        on one connection — reaches the backends in each user's order,
+        bitwise equal to the single-server replay."""
         streams = make_streams(num_frames=3, users=USERS[:4])
         expected = reference_replay(estimator, streams)
         servers = [PoseServer(estimator, LAZY) for _ in range(2)]
 
         async def scenario(client, router, frontends):
-            batch = [
-                (user, frame) for user in streams for frame in streams[user]
-            ]
-            results = await client.submit_batch(batch)
-            flat_expected = [expected[user][i] for user in streams for i in range(3)]
-            for got, want in zip(results, flat_expected):
-                np.testing.assert_array_equal(got, want)
+            results = await asyncio.gather(
+                *(
+                    client.submit_many(user, frames, max_in_flight=len(frames))
+                    for user, frames in streams.items()
+                )
+            )
+            for user, predictions in zip(streams, results):
+                for got, want in zip(predictions, expected[user]):
+                    np.testing.assert_array_equal(got, want)
 
         run_cluster(servers, scenario, tmp_path)
 

@@ -1,9 +1,9 @@
-"""Wire-protocol tests: framing, codecs, message round-trips, rejection.
+"""Wire-protocol tests: framing, codec, message round-trips, rejection.
 
-Pins the protocol of ``docs/serving.md``: every message type round-trips
-bitwise through both codecs, truncated and oversized frames are rejected
-with the dedicated errors, and malformed payloads never reach the serving
-layer.
+Pins the protocol of ``docs/serving.md``: the message catalogue is exactly
+the kept request/reply types, every type round-trips bitwise through the
+JSON codec, truncated and oversized frames are rejected with the
+dedicated errors, and malformed payloads never reach the serving layer.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import pytest
 
 from repro.serve import transport
 from repro.serve.transport import (
-    CODEC_JSON,
-    CODEC_MSGPACK,
+    MESSAGE_TYPES,
     FrameDecoder,
     FrameTooLarge,
     ProtocolError,
@@ -32,7 +31,7 @@ CODECS = available_codecs()
 
 #: one representative instance of every message type the protocol speaks
 EXAMPLE_MESSAGES = [
-    {"type": "hello", "protocol": 1, "codecs": ["json", "msgpack"], "shards": 4},
+    {"type": "hello", "protocol": 2, "codecs": ["json"], "shards": 4},
     {"type": "ping"},
     {"type": "pong"},
     {
@@ -57,17 +56,16 @@ EXAMPLE_MESSAGES = [
     {"type": "shutdown"},
     {"type": "goodbye"},
     {"type": "error", "error": "QueueFull", "detail": "queue is at 256"},
-    # --- protocol v2 -----------------------------------------------------
+    # --- live user migration ---------------------------------------------
+    {"type": "export_user", "id": 41, "user": "user-007", "forget": True},
     {
-        "type": "enqueue",
+        "type": "user_state",
         "id": 41,
         "user": "user-007",
-        "frame": {"points": np.arange(20.0).reshape(4, 5), "timestamp": 0.5},
+        "state": {"user": "user-007", "adapter": np.arange(6, dtype=np.uint8)},
     },
-    {"type": "ticket", "id": 41, "user": "user-007", "ticket": 41},
-    {"type": "poll", "id": 42},
-    {"type": "flush", "id": 43},
-    {"type": "flushed", "id": 43, "produced": 12},
+    {"type": "import_user", "id": 42, "state": {"user": "user-007", "session": None}},
+    {"type": "imported", "id": 42, "user": "user-007"},
 ]
 
 
@@ -88,6 +86,18 @@ def assert_messages_equal(actual, expected):
 
 
 class TestRoundTrip:
+    def test_catalogue_is_exactly_the_kept_message_types(self):
+        """One frame-carrying request (``submit``) and its replies, the
+        control and observability pairs, and the migration pairs."""
+        assert MESSAGE_TYPES == {
+            "hello", "ping", "pong", "submit", "prediction", "metrics",
+            "metrics_report", "prometheus", "prometheus_report", "shutdown",
+            "goodbye", "error", "export_user", "user_state", "import_user",
+            "imported",
+        }  # fmt: skip
+        assert {message["type"] for message in EXAMPLE_MESSAGES} == MESSAGE_TYPES
+        assert CODECS == ("json",)
+
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize(
         "message", EXAMPLE_MESSAGES, ids=[m["type"] for m in EXAMPLE_MESSAGES]
@@ -105,16 +115,6 @@ class TestRoundTrip:
         frames = list(iter_frames(data))
         assert [m["type"] for m, _ in frames] == [m["type"] for m in EXAMPLE_MESSAGES]
 
-    def test_mixed_codec_stream(self):
-        if CODEC_MSGPACK not in CODECS:
-            pytest.skip("msgpack not installed")
-        data = encode_message({"type": "ping"}, CODEC_JSON) + encode_message(
-            {"type": "pong"}, CODEC_MSGPACK
-        )
-        (first, c1), (second, c2) = iter_frames(data)
-        assert (c1, c2) == (CODEC_JSON, CODEC_MSGPACK)
-        assert (first["type"], second["type"]) == ("ping", "pong")
-
     @pytest.mark.parametrize(
         "array",
         [
@@ -126,98 +126,10 @@ class TestRoundTrip:
         ids=["empty", "int64", "scalar", "float-joints"],
     )
     def test_array_tagging_preserves_dtype_shape_and_bits(self, array):
-        for binary in (False, True):
-            restored = decode_array(encode_array(array, binary=binary))
-            assert restored.dtype == array.dtype
-            assert restored.shape == array.shape
-            np.testing.assert_array_equal(restored, array)
-
-
-class TestArrayBlock:
-    """The protocol-v2 contiguous ndarray block (batched transport)."""
-
-    def block_arrays(self):
-        rng = np.random.default_rng(3)
-        return [
-            rng.normal(size=(24, 5)),            # group 0
-            rng.normal(size=(24, 5)),            # group 0 again
-            rng.normal(size=(12, 5)),            # group 1 (same dtype, new shape)
-            np.arange(6, dtype=np.int64),        # group 2 (new dtype)
-            rng.normal(size=(24, 5)),            # group 0 again
-        ]
-
-    @pytest.mark.parametrize("codec", CODECS)
-    def test_round_trip_preserves_order_dtype_shape_and_bits(self, codec):
-        arrays = self.block_arrays()
-        message = {
-            "type": "submit_batch",
-            "id": 9,
-            "users": list(range(len(arrays))),
-            "frames": {"points": transport.ArrayBlock(arrays)},
-        }
-        ((decoded, _),) = iter_frames(encode_message(message, codec))
-        restored = decoded["frames"]["points"]
-        assert isinstance(restored, list) and len(restored) == len(arrays)
-        for original, view in zip(arrays, restored):
-            assert view.dtype == original.dtype
-            assert view.shape == original.shape
-            np.testing.assert_array_equal(view, original)
-
-    def test_one_bytes_region_per_dtype_shape_group(self):
-        tagged = transport.encode_array_block(self.block_arrays(), binary=True)
-        assert tagged["__ndblock__"] is True
-        assert len(tagged["groups"]) == 3  # (24,5)f8 / (12,5)f8 / (6,)i8
-        assert [group["count"] for group in tagged["groups"]] == [3, 1, 1]
-        assert tagged["index"] == [0, 0, 1, 2, 0]
-        first = tagged["groups"][0]
-        assert isinstance(first["data"], bytes)
-        assert len(first["data"]) == 3 * 24 * 5 * 8  # one contiguous region
-
-    def test_decoded_arrays_are_buffer_views(self):
-        """Decode is zero-copy: each array is a read-only view into the
-        group's byte region, not a per-frame copy."""
-        tagged = transport.encode_array_block(self.block_arrays(), binary=True)
-        restored = transport.decode_array_block(tagged)
-        assert all(not array.flags.writeable for array in restored)
-        assert all(not array.flags.owndata for array in restored)
-
-    def test_empty_block_round_trips(self):
-        tagged = transport.encode_array_block([], binary=True)
-        assert transport.decode_array_block(tagged) == []
-
-    def test_byte_count_mismatch_rejected(self):
-        tagged = transport.encode_array_block([np.zeros((2, 5))], binary=True)
-        tagged["groups"][0]["count"] = 2  # claims more arrays than the bytes hold
-        with pytest.raises(ProtocolError, match="bytes"):
-            transport.decode_array_block(tagged)
-
-    def test_index_group_disagreement_rejected(self):
-        tagged = transport.encode_array_block([np.zeros((2, 5)), np.ones((2, 5))], binary=True)
-        tagged["index"] = [0]  # one entry short
-        with pytest.raises(ProtocolError, match="index disagrees"):
-            transport.decode_array_block(tagged)
-
-    def test_object_dtype_group_rejected(self):
-        tagged = {
-            "__ndblock__": True,
-            "index": [0],
-            "groups": [{"dtype": "|O", "shape": [1], "count": 1, "data": b"\x00" * 8}],
-        }
-        with pytest.raises(ProtocolError, match="non-fixed-width"):
-            transport.decode_array_block(tagged)
-
-    def test_malformed_block_rejected(self):
-        with pytest.raises(ProtocolError, match="malformed array block"):
-            transport.decode_array_block({"__ndblock__": True, "groups": []})
-
-    def test_oversized_block_rejected_at_encode_time(self):
-        message = {
-            "type": "submit_batch",
-            "users": [0, 1],
-            "frames": {"points": transport.ArrayBlock([np.zeros((512, 5))] * 2)},
-        }
-        with pytest.raises(FrameTooLarge, match="exceeds"):
-            encode_message(message, max_frame_bytes=4096)
+        restored = decode_array(encode_array(array))
+        assert restored.dtype == array.dtype
+        assert restored.shape == array.shape
+        np.testing.assert_array_equal(restored, array)
 
 
 class TestRejection:
@@ -276,7 +188,7 @@ class TestRejection:
             decode_array(tagged)
 
     def test_corrupt_array_payload_rejected(self):
-        tagged = encode_array(np.zeros((2, 3)), binary=False)
+        tagged = encode_array(np.zeros((2, 3)))
         tagged["shape"] = [2, 4]  # claims more elements than the data holds
         with pytest.raises(ProtocolError, match="bytes"):
             decode_array(tagged)
