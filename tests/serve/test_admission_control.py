@@ -174,11 +174,12 @@ class TestShedding:
         )
 
 
-class TestEvictionResolvesWaiters:
-    def test_evicted_frame_gets_a_retryable_error_not_a_hang(self, estimator, tmp_path):
-        """Drop-oldest eviction inside one group-commit round: each evicted
-        frame's waiter gets ``FrameDropped`` with the eviction reason and a
-        retry hint, never a silent hang; the survivors are answered."""
+class TestEvictionResolvesTickets:
+    def test_evicted_ticket_gets_an_error_push_not_a_hang(self, estimator, tmp_path):
+        """Regression: drop-oldest eviction inside one group-commit round
+        must push an error frame for each evicted request — its waiter gets
+        ``FrameDropped`` with the eviction reason and a retry hint, never a
+        silent hang; the survivors are answered."""
         backend = HeldBackend(
             estimator,
             ServeConfig(

@@ -191,11 +191,184 @@ class TestV1Downgrade:
         run_scenario(backend, scenario, tmp_path)
 
 
+class TestStreaming:
+    """Clients streaming frames — many submits in flight at once, on one
+    connection or several — and what the group commit makes of them.
+    :class:`HeldBackend` holds the first round so the test decides exactly
+    what queues up behind it."""
+
+    def test_remote_enqueues_form_micro_batches(self, estimator, tmp_path):
+        """The point of the group commit: concurrent remote clients' frames
+        are enqueued together and fill the cross-user micro-batcher instead
+        of flushing singletons, and each user's replies still equal a
+        sequential in-process replay bitwise."""
+        backend = HeldBackend(estimator, LAZY)
+        rng = np.random.default_rng(12)
+        held = make_frame(rng)
+        streams = {f"user-{i}": [make_frame(rng) for _ in range(4)] for i in range(4)}
+        reference = PoseServer(estimator, LAZY)
+        expected = {
+            user: [reference.submit(user, frame) for frame in frames]
+            for user, frames in streams.items()
+        }
+
+        async def body():
+            path = str(tmp_path / "fuse.sock")
+            frontend = PoseFrontend(backend, unix_path=path)
+            await frontend.start()
+            clients = [AsyncPoseClient() for _ in range(len(streams) + 1)]
+            try:
+                for client in clients:
+                    await client.connect_unix(path)
+                try:
+                    head = asyncio.ensure_future(clients[0].submit("held", held))
+                    await wait_until(backend.entered.is_set)
+                    tails = [
+                        asyncio.ensure_future(
+                            client.submit_many(user, frames, max_in_flight=len(frames))
+                        )
+                        for client, (user, frames) in zip(clients[1:], streams.items())
+                    ]
+                    await wait_until(lambda: len(frontend._queues[0]) == 16)
+                finally:
+                    backend.release.set()
+                await head
+                return dict(zip(streams, await asyncio.gather(*tails)))
+            finally:
+                for client in clients:
+                    await client.close()
+                await frontend.stop()
+
+        served = asyncio.run(body())
+        assert [len(call) for call in backend.calls] == [1, 16]
+        assert backend.metrics.max_batch_seen == 8  # real cross-user batches
+        for user, replies in served.items():
+            for got, want in zip(replies, expected[user], strict=True):
+                np.testing.assert_array_equal(got, want)
+
+    def test_stream_settles_every_ticket_under_drops(self, estimator, tmp_path):
+        """Dropped frames mid-stream must not abandon later predictions:
+        under ``drop_oldest`` every in-flight request of one user's stream
+        settles — the evicted head with ``FrameDropped``, the surviving tail
+        with the bits an in-process server gives under the same eviction."""
+        config = ServeConfig(max_batch_size=64, max_queue_depth=2, max_delay_ms=10_000.0)
+        backend = HeldBackend(estimator, config)
+        rng = np.random.default_rng(13)
+        held = make_frame(rng)
+        frames = [make_frame(rng) for _ in range(5)]
+        reference = PoseServer(estimator, config)
+        reference.submit("held", held)
+        handles = reference.enqueue_many([("kate", frame) for frame in frames])
+        reference.flush()
+        expected = [handle.result() for handle in handles[3:]]
+
+        async def scenario(client, frontend):
+            try:
+                head = asyncio.ensure_future(client.submit("held", held))
+                await wait_until(backend.entered.is_set)
+                stream = [asyncio.ensure_future(client.submit("kate", frame)) for frame in frames]
+                await wait_until(lambda: len(frontend._queues[0]) == len(frames))
+            finally:
+                backend.release.set()
+            await head
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*stream, return_exceptions=True), timeout=30.0
+            )
+            return outcomes, dict(client._pending)
+
+        outcomes, pending = run_scenario(backend, scenario, tmp_path)
+        assert pending == {}  # nothing left waiting
+        for error in outcomes[:3]:  # drop_oldest kept the tail
+            assert isinstance(error, ServerError) and error.error == "FrameDropped"
+        for got, want in zip(outcomes[3:], expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestBatchedSubmits:
     """Submits are batched by the per-shard group commit: each round sends
     every frame queued since the last one to the backend in one
     ``enqueue_many`` call.  :class:`HeldBackend` holds the first round so
     the test decides exactly what queues up behind it."""
+
+    def test_submit_batch_matches_individual_submits_bitwise(self, estimator, tmp_path):
+        """A batch of submits in flight together and the same submits sent
+        one at a time give the same bits: the batch is group-committed into
+        full micro-batches, each lone submit is a round of one, and both
+        equal in-process submits."""
+        rng = np.random.default_rng(5)
+        items = [(f"user-{i % 3}", make_frame(rng)) for i in range(9)]
+        reference = PoseServer(estimator, LAZY)
+        expected = [reference.submit(user, frame) for user, frame in items]
+
+        async def individually(client, frontend):
+            return [await client.submit(user, frame) for user, frame in items]
+
+        single = PoseServer(estimator, LAZY)
+        (tmp_path / "single").mkdir()
+        one_by_one = run_scenario(single, individually, tmp_path / "single")
+
+        batched = HeldBackend(estimator, LAZY)
+
+        async def as_a_batch(client, frontend):
+            try:
+                head = asyncio.ensure_future(client.submit("held", make_frame(rng)))
+                await wait_until(batched.entered.is_set)
+                batch = [asyncio.ensure_future(client.submit(*item)) for item in items]
+                await wait_until(lambda: len(frontend._queues[0]) == len(items))
+            finally:
+                batched.release.set()
+            await head
+            return await asyncio.gather(*batch)
+
+        (tmp_path / "batched").mkdir()
+        together = run_scenario(batched, as_a_batch, tmp_path / "batched")
+        for got_batched, got_single, want in zip(together, one_by_one, expected, strict=True):
+            np.testing.assert_array_equal(got_batched, want)
+            np.testing.assert_array_equal(got_single, want)
+        assert single.metrics.max_batch_seen == 1
+        # one enqueue_many call coalesced the cohort into real micro-batches
+        assert [len(call) for call in batched.calls] == [1, len(items)]
+        assert batched.metrics.max_batch_seen == 8
+
+    def test_batch_then_pipelined_submit_keeps_frame_order(self, estimator, tmp_path):
+        """A ``submit_many`` batch immediately followed by pipelined submits
+        for the same user joins the shard's queue in arrival order, so a
+        later submit cannot overtake the batch's frames (fusion is
+        order-dependent, so a reorder would change the bits)."""
+        backend = HeldBackend(estimator, LAZY)
+        rng = np.random.default_rng(11)
+        frames = [make_frame(rng) for _ in range(6)]
+        reference = PoseServer(estimator, LAZY)
+        expected = [reference.submit("heidi", frame) for frame in frames]
+
+        async def scenario(client, frontend):
+            try:
+                batch = asyncio.ensure_future(
+                    client.submit_many("heidi", frames[:3], max_in_flight=3)
+                )
+                await wait_until(backend.entered.is_set)
+                tail = [
+                    asyncio.ensure_future(client.submit("heidi", frame))
+                    for frame in frames[3:]
+                ]
+                # the held round took a prefix of the batch; the rest queues
+                await wait_until(
+                    lambda: len(backend.calls[0]) + len(frontend._queues[0]) == len(frames)
+                )
+            finally:
+                backend.release.set()
+            first = await batch
+            rest = await asyncio.gather(*tail)
+            return list(first) + list(rest)
+
+        served = run_scenario(backend, scenario, tmp_path)
+        assert len(backend.calls) == 2
+        for (_, points), frame in zip(
+            [*backend.calls[0], *backend.calls[1]], frames, strict=True
+        ):
+            np.testing.assert_array_equal(points, frame.points)
+        for got, want in zip(served, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_pipelined_submits_form_one_micro_batch_per_round(self, estimator, tmp_path):
         """K pipelined submits that arrive while a round is in flight reach
