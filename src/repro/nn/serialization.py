@@ -4,10 +4,13 @@ Models are serialized as ``.npz`` archives containing the state dict produced
 by :meth:`repro.nn.layers.Module.state_dict`.  This keeps checkpoints portable
 (pure NumPy, no pickled code objects) and small enough to version control.
 
-State that is rewritten and re-read at serving rates (the adapter registry's
-per-user spill files) uses a flat *record* instead — :func:`save_record` /
-:func:`load_record` — which trades ``.npz``'s compression and zip container
-for one file read, one CRC check and zero-copy array views::
+A serving tier's per-user adapter state — rewritten and re-read at serving
+rates in spill files, and moved between backends as migration bytes — is a
+flat *record* instead, in one layout on disk and in memory:
+:func:`record_bytes` / :func:`parse_record` build and check it in memory,
+and :func:`save_record` / :func:`load_record` wrap them for files.  A
+record trades ``.npz``'s compression and zip container for one CRC check
+and zero-copy array views::
 
     magic (8 bytes) || header length (uint32 LE) || JSON header
         || payload || CRC32 (uint32 LE) of everything before it
@@ -15,13 +18,12 @@ for one file read, one CRC check and zero-copy array views::
 The header holds the caller's metadata, the payload length and, per tensor,
 its key, dtype, shape and offset into the payload.  The header is padded
 with JSON whitespace and every tensor offset is rounded up so that each
-tensor starts on a 64-byte boundary of the file.
+tensor starts on a 64-byte boundary of the record.
 """
 
 from __future__ import annotations
 
 import copy
-import io
 import json
 import math
 import os
@@ -37,12 +39,10 @@ from .layers import Module
 __all__ = [
     "save_state",
     "load_state",
-    "load_state_bytes",
-    "read_metadata",
     "save_model",
-    "save_state_bytes",
-    "state_checksum",
     "load_model_into",
+    "record_bytes",
+    "parse_record",
     "save_record",
     "load_record",
     "read_record_header",
@@ -59,23 +59,6 @@ _RECORD_ALIGN = 64
 #: header never changes between promotions, so each is decoded once
 _HEADER_MEMO: Dict[bytes, tuple] = {}
 _HEADER_MEMO_SIZE = 256
-
-
-def state_checksum(state: Dict[str, np.ndarray]) -> int:
-    """CRC32 over a state dict's keys, dtypes, shapes and raw bytes.
-
-    Key order does not matter (keys are folded in sorted order), so the
-    checksum of a loaded archive matches the checksum recorded at save time
-    regardless of how either side enumerates its members.  The value fits in
-    an unsigned 32-bit integer and round-trips through JSON metadata.
-    """
-    crc = 0
-    for key in sorted(state):
-        array = np.ascontiguousarray(state[key])
-        header = f"{key}:{array.dtype.str}:{array.shape}".encode("utf-8")
-        crc = zlib.crc32(header, crc)
-        crc = zlib.crc32(array.tobytes(), crc)
-    return crc & 0xFFFFFFFF
 
 
 def save_state(
@@ -128,47 +111,6 @@ def load_state(path: PathLike) -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
     return state, metadata
 
 
-def save_state_bytes(state: Dict[str, np.ndarray], metadata: Optional[Dict] = None) -> bytes:
-    """Serialize a state dict to in-memory ``.npz`` bytes.
-
-    Same archive layout as :func:`save_state` (so the two are mutually
-    readable), but targeting a buffer instead of a file — this is how
-    per-user adapter state travels over the serving wire during live user
-    migration without touching the spill directory.
-    """
-    payload = dict(state)
-    if metadata is not None:
-        payload[_METADATA_KEY] = np.frombuffer(
-            json.dumps(metadata).encode("utf-8"), dtype=np.uint8
-        )
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **payload)
-    return buffer.getvalue()
-
-
-def load_state_bytes(data: bytes) -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
-    """Load a state dict and its metadata from in-memory ``.npz`` bytes."""
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        state = {key: archive[key] for key in archive.files if key != _METADATA_KEY}
-        metadata = None
-        if _METADATA_KEY in archive.files:
-            metadata = json.loads(bytes(archive[_METADATA_KEY].tolist()).decode("utf-8"))
-    return state, metadata
-
-
-def read_metadata(path: PathLike) -> Optional[Dict]:
-    """Read only the metadata block of a checkpoint.
-
-    ``.npz`` members decompress lazily, so this touches just the (tiny) JSON
-    array — the cheap way to identify many archives (e.g. scanning an adapter
-    spill directory on startup) without loading their tensors.
-    """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        if _METADATA_KEY not in archive.files:
-            return None
-        return json.loads(bytes(archive[_METADATA_KEY].tolist()).decode("utf-8"))
-
-
 def _aligned(size: int) -> int:
     return -(-size // _RECORD_ALIGN) * _RECORD_ALIGN
 
@@ -179,17 +121,9 @@ def _count(value) -> int:
     return value
 
 
-def save_record(
-    state: Dict[str, np.ndarray], path: PathLike, metadata: Optional[Dict] = None
-) -> Path:
-    """Write a state dict (plus optional JSON-serializable metadata) as a record.
-
-    The layout is the module docstring's.  Arrays are stored raw, so
-    :func:`load_record` returns them bitwise with their dtype and shape.  The
-    write is atomic like :func:`save_state`'s: the record is assembled in a
-    temporary sibling file and :func:`os.replace`-renamed onto ``path``.
-    """
-    path = Path(path)
+def _record_parts(state: Dict[str, np.ndarray], metadata: Optional[Dict]) -> list:
+    """A record's bytes as consecutive parts, CRC trailer last (no copy of
+    the tensors: each payload part is a byte view of its array)."""
     arrays: List[Tuple[int, np.ndarray]] = []
     tensors = []
     size = 0
@@ -219,6 +153,29 @@ def save_record(
     for part in parts:
         crc = zlib.crc32(part, crc)
     parts.append(_RECORD_CRC.pack(crc))
+    return parts
+
+
+def record_bytes(state: Dict[str, np.ndarray], metadata: Optional[Dict] = None) -> bytes:
+    """A state dict (plus optional JSON-serializable metadata) as record bytes.
+
+    The layout is the module docstring's.  Arrays are stored raw, so
+    :func:`parse_record` returns them bitwise with their dtype and shape.
+    """
+    return b"".join(_record_parts(state, metadata))
+
+
+def save_record(
+    state: Dict[str, np.ndarray], path: PathLike, metadata: Optional[Dict] = None
+) -> Path:
+    """Write :func:`record_bytes` of a state dict to ``path``, atomically.
+
+    The record is assembled in a temporary sibling file and
+    :func:`os.replace`-renamed onto ``path``, like :func:`save_state`'s
+    archive, so a crash mid-write leaves the previous record or none.
+    """
+    path = Path(path)
+    parts = _record_parts(state, metadata)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     try:
@@ -297,23 +254,22 @@ def _decode_record_header(
     return metadata, tuple(tensors), payload
 
 
-def load_record(path: PathLike) -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
-    """Load a state dict and its metadata from a :func:`save_record` record.
+def parse_record(data: bytes, source="<record>") -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
+    """Check record bytes and return their state dict and metadata.
 
-    One file read and one CRC32 over everything before the trailer; each
-    tensor is then a read-only :func:`numpy.frombuffer` view into the bytes
-    read.  Any damage — a flipped bit anywhere, a truncation, a file of
-    another kind — raises :class:`ValueError` before an array is returned.
-    A header seen before is not decoded again, but the CRC and the check of
-    the file's length against its header run on every call.
+    One CRC32 over everything before the trailer; each tensor is then a
+    read-only :func:`numpy.frombuffer` view into ``data``, never a copy.
+    Any damage — a flipped bit anywhere, a truncation, bytes of another
+    kind — raises :class:`ValueError` naming ``source`` before an array is
+    returned.  A header seen before is not decoded again, but the CRC and
+    the check of the record's length against its header run on every call.
     """
-    data = Path(path).read_bytes()
-    end = _record_header_end(data, path)
+    end = _record_header_end(data, source)
     body = len(data) - _RECORD_CRC.size
     (stored,) = _RECORD_CRC.unpack_from(data, body)
     if zlib.crc32(memoryview(data)[:body]) != stored:
-        raise ValueError(f"{path} failed its CRC32 check")
-    metadata, tensors = _parse_record_header(data, end, len(data), path)
+        raise ValueError(f"{source} failed its CRC32 check")
+    metadata, tensors = _parse_record_header(data, end, len(data), source)
     state = {
         key: np.frombuffer(
             data, dtype=dtype, count=math.prod(shape), offset=end + offset
@@ -321,6 +277,11 @@ def load_record(path: PathLike) -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
         for key, dtype, shape, offset in tensors
     }
     return state, metadata
+
+
+def load_record(path: PathLike) -> tuple[Dict[str, np.ndarray], Optional[Dict]]:
+    """Load a :func:`save_record` file: one read, then :func:`parse_record`."""
+    return parse_record(Path(path).read_bytes(), path)
 
 
 def read_record_header(path: PathLike) -> Optional[Dict]:

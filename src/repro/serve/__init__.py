@@ -16,8 +16,9 @@ Pieces, inside-out:
 * :class:`MicroBatcher` — bounded pending queue with max-batch/max-latency
   scheduling and drop-oldest backpressure;
 * :class:`AdapterRegistry` — per-user fine-tuned parameter sets, adapted in
-  grouped task-batched calls, gathered per micro-batch and persistable
-  (``save`` / ``load`` on :mod:`repro.nn.serialization`);
+  grouped task-batched calls and gathered per micro-batch; each user's
+  state is one CRC-checked record (:mod:`repro.nn.serialization`), spilled
+  to disk and moved between backends in the same bytes;
 * :class:`SharedParameterKernel` — fixed-GEMM-shape inference for the shared
   base parameters (the reason batched == unbatched, bitwise);
 * :class:`ServeMetrics` — latency percentiles, throughput, queue depth and

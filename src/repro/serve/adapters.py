@@ -44,10 +44,13 @@ access) instead of vanishing; ``policy.warm_capacity`` bounds the spill
 files before the coldest users are dropped entirely (*cold* — re-onboard on
 demand).  Because spill files are written through at adaptation time, they
 double as crash persistence: a restarted process pointed at the same spill
-directory re-attaches every warm user.  A spill file is a flat CRC-checked
-record (:func:`repro.nn.serialization.save_record`), so a promotion costs
-one file read, one CRC check and zero-copy array views; checkpoints and
-migration bytes stay ``.npz``.
+directory re-attaches every warm user, so a registry with a spill
+directory is its own checkpoint.  A user's state has one byte format, the
+flat CRC-checked record of :mod:`repro.nn.serialization`: a spill file is
+one (:func:`~repro.nn.serialization.save_record`), so a promotion costs one
+file read, one CRC check and zero-copy array views, and the migration bytes
+of :meth:`AdapterRegistry.export_user_bytes` are the same record in memory
+(:func:`~repro.nn.serialization.record_bytes`).
 
 The registry also answers the serving hot path: :meth:`gather` stacks the
 parameter sets of the users in one micro-batch into ``(tasks, ...)`` tensors.
@@ -58,10 +61,10 @@ row copy for exact repeats.  The stack survives tier moves: a demotion frees
 its user's row and a promotion writes the promoted user into a free row, so
 hot-tier churn costs one user's bytes per move.  It is rebuilt, sized to the
 hot population, only when a promotion finds no free row or when adaptation
-of new users, :meth:`remove`, :meth:`load` or :meth:`import_user_bytes`
-changes the cohort.  Steady-state traffic therefore hits on every
-micro-batch regardless of how batch boundaries drift across the user cohort
-or how often it churns the hot tier — the ``param_cache`` hit rate in
+of new users, :meth:`remove` or :meth:`import_user_bytes` changes the
+cohort.  Steady-state traffic therefore hits on every micro-batch
+regardless of how batch boundaries drift across the user cohort or how
+often it churns the hot tier — the ``param_cache`` hit rate in
 :class:`repro.serve.ServeMetrics` counts a rebuild of the stack as the only
 miss.
 """
@@ -73,7 +76,7 @@ import json
 import logging
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -91,13 +94,10 @@ from ..engine.functional import (
 )
 from ..nn.serialization import (
     load_record,
-    load_state,
-    load_state_bytes,
+    parse_record,
     read_record_header,
+    record_bytes,
     save_record,
-    save_state,
-    save_state_bytes,
-    state_checksum,
 )
 from ..runtime.seeding import seed_for_key
 from .faults import FaultInjector
@@ -107,15 +107,15 @@ from .policy import AdapterPolicy
 
 __all__ = ["AdapterRegistry"]
 
-#: on-disk schema of :meth:`AdapterRegistry.save` and the spill files; the
-#: ``rank`` field makes low-rank factor archives self-describing.  Archives
-#: of any other format are rejected with an error naming their format.
-SAVE_FORMAT = 2
+#: schema of the metadata in a user's record (spill file or migration
+#: bytes); the ``rank`` field makes low-rank factor records self-describing.
+#: Records of any other format are rejected with an error naming their format.
+RECORD_FORMAT = 2
 
 _SPILL_PREFIX = "user-"
 _SPILL_SUFFIX = ".spill"
-#: spill files of the earlier layout, converted to records at attach
-_LEGACY_SPILL_SUFFIX = ".npz"
+#: recently served ``(tasks, ...)`` parameter stacks memoized by :meth:`gather`
+_GATHER_CACHE_SIZE = 8
 
 _log = logging.getLogger(__name__)
 
@@ -139,9 +139,6 @@ class AdapterRegistry:
         adaptation scope and hyper-parameters, the low-rank ``rank``, and the
         hot/warm/cold tier budgets.  ``None`` uses the default policy
         (``scope="all"``, the paper's ~5-epoch online regime).
-    gather_cache_size:
-        Number of recently used ``(tasks, ...)`` parameter stacks memoized
-        for the serving hot path.
     metrics:
         Optional :class:`ServeMetrics` receiving cache, adaptation and
         tier-lifecycle events.
@@ -160,15 +157,12 @@ class AdapterRegistry:
         self,
         model: PoseCNN,
         policy: Optional[AdapterPolicy] = None,
-        gather_cache_size: int = 8,
         metrics: Optional[ServeMetrics] = None,
         gemm_block: int = 32,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         self.model = model
         self.policy: AdapterPolicy = policy if policy is not None else AdapterPolicy()
-        if gather_cache_size < 1:
-            raise ValueError("gather_cache_size must be >= 1")
         if self.policy.scope == "last":
             head = model.last_layer
             if not isinstance(head, nn.Linear):
@@ -181,12 +175,18 @@ class AdapterRegistry:
             if head.bias is not None:
                 self._head_init.append(head.bias.data.copy())
             self._lora_base: List[nn.Tensor] = []
+            shapes = [p.shape for p in self._head_init]
         elif self.policy.scope == "lora":
             # The adaptable-layer census doubles as the architecture check;
             # the base snapshot is what lowrank_forward serves against and
             # deliberately does not require gradients — adaptation trains
             # only the rank-r factors.
-            lowrank_shapes(model)
+            rank = self.policy.rank
+            shapes = [
+                shape
+                for fan_out, fan_in in lowrank_shapes(model)
+                for shape in ((rank, fan_in), (fan_out, rank))
+            ]
             self._trunk_kernel = None
             self._head_init = []
             self._lora_base = [nn.Tensor(p.data.copy()) for p in model.parameters()]
@@ -198,6 +198,9 @@ class AdapterRegistry:
             self._trunk_kernel = None
             self._head_init = []
             self._lora_base = []
+            shapes = [p.data.shape for p in model.parameters()]
+        #: the tensor shapes of one user's parameter set, in parameter order
+        self._shapes: List[Tuple[int, ...]] = [tuple(shape) for shape in shapes]
         self.metrics = metrics
         self.fault_injector = fault_injector
         self.version = 0
@@ -214,7 +217,6 @@ class AdapterRegistry:
         # "never adapted".
         self._cold: Set[Hashable] = set()
         self._gather_cache: "OrderedDict[Tuple, List[nn.Tensor]]" = OrderedDict()
-        self._gather_cache_size = gather_cache_size
         # Hot-tier (rows, ...) stack; the steady-state gather path
         # row-indexes into it instead of restacking per-user arrays batch by
         # batch.  Tier moves keep it current in place: a demoted user's row
@@ -477,39 +479,22 @@ class AdapterRegistry:
     def _read_spill(self, user_id: Hashable) -> Optional[List[np.ndarray]]:
         """Read and verify a warm user's spill record, without promoting them.
 
-        The one spill reader after attach: promotion, :meth:`save` and
-        :meth:`export_user_bytes` all come here, so every read checks the
-        record's CRC and schema.  A record that fails — torn, corrupted,
-        wrong schema — is *quarantined* (renamed aside for forensics, out of
-        the attach scan), the user demoted to cold, and ``None`` returned.
+        The one spill reader after attach: promotion and
+        :meth:`export_user_bytes` both come here, so every read checks the
+        record's CRC, schema and tensor shapes.  A record that fails — torn,
+        corrupted, wrong schema or shapes — is *quarantined* (renamed aside
+        for forensics, out of the attach scan), the user demoted to cold,
+        and ``None`` returned.
         """
         path = self._warm[user_id]
+        source = f"spill file {path}"
         try:
             state, metadata = load_record(path)
-            self._validate_archive(metadata, path, spill=True)
+            self._validate_record(metadata, source)
+            return self._record_params(state, source)
         except (OSError, ValueError) as exc:
             self._quarantine_spill(path, exc, user_id)
             return None
-        return [state[key] for key in sorted(state)]
-
-    @staticmethod
-    def _verify_checksum(
-        state: Mapping[str, np.ndarray], metadata: Optional[Dict], path
-    ) -> None:
-        """Verify an archive's recorded CRC32 against its loaded tensors.
-
-        Archives written before checksums existed carry no ``checksum``
-        field and load unverified — the format stays backward compatible.
-        """
-        expected = (metadata or {}).get("checksum")
-        if expected is None:
-            return
-        actual = state_checksum(dict(state))
-        if int(expected) != actual:
-            raise ValueError(
-                f"{path} failed checksum verification "
-                f"(stored {expected}, computed {actual})"
-            )
 
     def _quarantine_spill(
         self, path: Path, reason: Exception, user_id: Optional[Hashable] = None
@@ -580,52 +565,24 @@ class AdapterRegistry:
         spilled user comes back warm, promoted on their next request.  Only
         record headers are read here; the CRC is checked on every full read.
         """
-        for path in sorted(self._spill_dir.glob(f"{_SPILL_PREFIX}*{_LEGACY_SPILL_SUFFIX}")):
-            self._convert_legacy_spill(path)
         for path in sorted(self._spill_dir.glob(f"{_SPILL_PREFIX}*{_SPILL_SUFFIX}")):
             try:
                 metadata = read_record_header(path)
+                if not metadata or "user" not in metadata:
+                    continue
+                user_id = self._decode_user(metadata["user"])
             except (OSError, ValueError) as exc:
                 # An unreadable (truncated, corrupted) file must not block
                 # the restart — quarantine it and keep scanning; its user
                 # re-onboards from the base model.  Policy mismatches below
-                # still raise: a wrong-rank archive is an operator error,
+                # still raise: a wrong-rank record is an operator error,
                 # not data corruption.
                 self._quarantine_spill(path, exc)
                 continue
-            if not metadata or "user" not in metadata:
-                continue
-            self._validate_archive(metadata, path, spill=True)
-            user_id = self._decode_user(metadata["user"])
+            self._validate_record(metadata, f"spill file {path}")
             if user_id not in self._params:
                 self._warm[user_id] = path
             self._spill_paths[user_id] = path
-
-    def _convert_legacy_spill(self, path: Path) -> None:
-        """Rewrite one ``.npz`` spill file of the earlier layout as a record.
-
-        The file is read through the checkpoint path — :func:`load_state`,
-        schema validation, and the recorded checksum when it has one — and a
-        file that fails is quarantined, as its promotion would have done.
-        The record replaces it, so a restart after an upgrade keeps its warm
-        users while serving reads spills through one reader only.
-        """
-        try:
-            state, metadata = load_state(path)
-        except Exception as exc:  # a damaged zip fails in many ways
-            self._quarantine_spill(path, exc)
-            return
-        if not metadata or "user" not in metadata:
-            return
-        self._validate_archive(metadata, path, spill=True)
-        user_id = self._decode_user(metadata["user"])
-        try:
-            self._verify_checksum(state, metadata, path)
-        except ValueError as exc:
-            self._quarantine_spill(path, exc, user_id)
-            return
-        self._write_spill(user_id, [state[key] for key in sorted(state)])
-        path.unlink()
 
     def _write_spill(self, user_id: Hashable, params: Sequence[np.ndarray]) -> None:
         """Write-through one user's parameters to their spill record."""
@@ -635,7 +592,7 @@ class AdapterRegistry:
         digest = hashlib.sha1(repr(encoded).encode("utf-8")).hexdigest()[:16]
         path = self._spill_dir / f"{_SPILL_PREFIX}{digest}{_SPILL_SUFFIX}"
         state = {f"p{slot:03d}": array for slot, array in enumerate(params)}
-        save_record(state, path, metadata=self._archive_metadata(user=encoded))
+        save_record(state, path, metadata=self._record_metadata(encoded))
         self._spill_paths[user_id] = path
         if (
             self.fault_injector is not None
@@ -644,7 +601,7 @@ class AdapterRegistry:
             self.fault_injector.corrupt_file(path)
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Records: spill files and migration bytes
     # ------------------------------------------------------------------
     @staticmethod
     def _encode_user(user_id: Hashable) -> List:
@@ -655,132 +612,75 @@ class AdapterRegistry:
         return ["str" if isinstance(user_id, str) else "int", user_id]
 
     @staticmethod
-    def _decode_user(encoded: Sequence) -> Hashable:
-        kind, value = encoded
-        return str(value) if kind == "str" else int(value)
+    def _decode_user(encoded) -> Hashable:
+        """The user id a record's metadata names; ``ValueError`` unless it
+        is exactly what :meth:`_encode_user` writes."""
+        if (
+            not isinstance(encoded, list)
+            or len(encoded) != 2
+            or (encoded[0], type(encoded[1])) not in (("str", str), ("int", int))
+        ):
+            raise ValueError(f"malformed user id {encoded!r} in a record")
+        return encoded[1]
 
-    def _archive_metadata(self, **extra) -> Dict:
-        metadata = {"format": SAVE_FORMAT, "scope": self.scope}
+    def _record_metadata(self, encoded_user: List) -> Dict:
+        metadata = {"format": RECORD_FORMAT, "scope": self.scope}
         if self.scope == "lora":
             metadata["rank"] = self.policy.rank
-        metadata.update(extra)
+        metadata["user"] = encoded_user
         return metadata
 
-    def _validate_archive(self, metadata: Optional[Dict], path, spill: bool = False) -> None:
-        """Check an archive's schema against this registry's policy.
+    def _validate_record(self, metadata: Optional[Dict], source: str) -> None:
+        """Check a record's metadata against this registry's policy.
 
-        Raises a readable error on any mismatch instead of letting a wrong
-        archive surface later as a shape crash inside a gather.
+        Raises a readable error on any mismatch of format, scope or rank.
         """
-        kind = "spill file" if spill else "checkpoint"
         if not metadata or "format" not in metadata:
-            raise ValueError(f"{path} is not an adapter-registry {kind}")
-        if metadata["format"] != SAVE_FORMAT:
+            raise ValueError(f"{source} is not an adapter-registry record")
+        if metadata["format"] != RECORD_FORMAT:
             raise ValueError(
-                f"{kind} {path} is a format-{metadata['format']} archive; "
-                f"this registry reads format {SAVE_FORMAT} only"
+                f"{source} is a format-{metadata['format']} record; "
+                f"this registry reads format {RECORD_FORMAT} only"
             )
-        archive_scope = metadata.get("scope")
-        if archive_scope != self.scope:
+        record_scope = metadata.get("scope")
+        if record_scope != self.scope:
             raise ValueError(
-                f"{kind} {path} was saved with scope='{archive_scope}', "
+                f"{source} was saved with scope='{record_scope}', "
                 f"registry policy has scope='{self.scope}'"
             )
         if self.scope == "lora":
-            archive_rank = metadata.get("rank")
-            if archive_rank != self.policy.rank:
+            record_rank = metadata.get("rank")
+            if record_rank != self.policy.rank:
                 raise ValueError(
-                    f"{kind} {path} holds rank-{archive_rank} factors, "
+                    f"{source} holds rank-{record_rank} factors, "
                     f"registry policy has rank={self.policy.rank}"
                 )
 
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist every resident user's parameter set to an ``.npz`` archive.
-
-        Built on :mod:`repro.nn.serialization`: pure-NumPy arrays plus a JSON
-        metadata block (format version, adaptation scope, low-rank rank, user
-        ids), no pickled code objects.  Both hot and warm users are included
-        (warm users are read from their spill records without promotion; a
-        record that fails verification is quarantined and its user left
-        out).  User ids must be strings or integers — the hashables a JSON
-        round trip preserves.
-        """
-        state: Dict[str, np.ndarray] = {}
-        users: List[List] = []
-        entries = list(self._params.items())
-        for user in list(self._warm):
-            params = self._read_spill(user)
-            if params is not None:
-                entries.append((user, params))
-        for index, (user_id, params) in enumerate(entries):
-            users.append(self._encode_user(user_id))
-            for slot, array in enumerate(params):
-                # Zero-padded slots keep the lexicographic key order equal to
-                # the parameter order on reload.
-                state[f"user{index:06d}.p{slot:03d}"] = array
-        return save_state(
-            state,
-            path,
-            metadata=self._archive_metadata(users=users, checksum=state_checksum(state)),
-        )
-
-    def load(self, path: Union[str, Path], replace: bool = True) -> List[Hashable]:
-        """Restore adapted parameter sets saved by :meth:`save`.
-
-        Reads :data:`SAVE_FORMAT` archives only; another format, a
-        mismatched scope or a mismatched rank raises a readable error.
-
-        ``replace=True`` (default) makes the registry contents equal the
-        archive's — current users (including warm spill files) are dropped
-        first; ``replace=False`` merges, with loaded users overwriting any
-        existing parameter set of the same id.  Loaded users enter the hot
-        tier and are written through to the spill directory when one is
-        configured.  Returns the loaded user ids.
-        """
-        state, metadata = load_state(path)
-        self._validate_archive(metadata, path)
-        self._verify_checksum(state, metadata, path)
-        # One pass over the (sorted-once) keys; zero-padded user and slot
-        # indices make lexicographic order equal to parameter order.
-        by_user: Dict[str, List[np.ndarray]] = {}
-        for key in sorted(state):
-            prefix, _, _ = key.partition(".")
-            by_user.setdefault(prefix, []).append(state[key])
-        loaded: "OrderedDict[Hashable, List[np.ndarray]]" = OrderedDict()
-        for index, encoded in enumerate(metadata["users"]):
-            params = by_user.get(f"user{index:06d}")
-            if not params:
-                raise ValueError(f"checkpoint is missing parameters for user #{index}")
-            loaded[self._decode_user(encoded)] = params
-        if replace:
-            for stale in set(self._spill_paths) - set(loaded):
-                self._spill_paths.pop(stale).unlink(missing_ok=True)
-            self._params = loaded
-            self._warm.clear()
-            self._cold.clear()
-        else:
-            for user_id, params in loaded.items():
-                self._params[user_id] = params
-                self._params.move_to_end(user_id)
-                self._warm.pop(user_id, None)
-                self._cold.discard(user_id)
-        for user_id, params in loaded.items():
-            self._write_spill(user_id, params)
-        self._invalidate_gather_state()
-        self._enforce_budgets()
-        return list(loaded)
+    def _record_params(self, state: Mapping[str, np.ndarray], source: str) -> List[np.ndarray]:
+        """A record's tensors in parameter order, refused unless their
+        shapes are the ones this registry's model and policy adapt — a
+        record of another model must not reach the gather stack, where one
+        wrong shape fails every user's gather."""
+        params = [state[key] for key in sorted(state)]
+        shapes = [array.shape for array in params]
+        if shapes != self._shapes:
+            raise ValueError(
+                f"{source} holds tensors of shapes {shapes}, "
+                f"the registry's model adapts {self._shapes}"
+            )
+        return params
 
     def export_user_bytes(self, user_id: Hashable) -> Optional[bytes]:
-        """One user's parameter set as portable ``.npz`` bytes, or ``None``.
+        """One user's parameter set as record bytes, or ``None``.
 
-        The archive carries the same format-2 metadata as a spill file
-        (format/scope/rank plus the encoded user id), so the importing
-        registry validates schema compatibility before accepting it.  Warm
-        users are read without promotion; cold/unknown users return ``None``,
-        and so does a warm user whose spill record fails verification (it is
-        quarantined, so corrupted factors never travel under a fresh
-        checksum).  This is the unit of adapter state that live user
-        migration moves over the wire.
+        The record is the one a spill file holds (format/scope/rank plus
+        the encoded user id in its metadata), so the importing registry
+        checks its CRC and its schema before accepting it.  Warm users are
+        read without promotion; cold/unknown users return ``None``, and so
+        does a warm user whose spill record fails verification (it is
+        quarantined, so corrupted factors never travel under a fresh CRC).
+        This is the unit of adapter state that live user migration moves
+        over the wire.
         """
         params = self._params.get(user_id)
         if params is None and user_id in self._warm:
@@ -788,33 +688,27 @@ class AdapterRegistry:
         if params is None:
             return None
         state = {f"p{slot:03d}": array for slot, array in enumerate(params)}
-        return save_state_bytes(
-            state,
-            metadata=self._archive_metadata(
-                user=self._encode_user(user_id), checksum=state_checksum(state)
-            ),
-        )
+        return record_bytes(state, metadata=self._record_metadata(self._encode_user(user_id)))
 
     def import_user_bytes(self, user_id: Hashable, data: bytes) -> None:
         """Install one user's parameter set from :meth:`export_user_bytes` output.
 
-        Scope/rank/format mismatches raise the same readable errors as spill
-        and checkpoint loads.  The user enters the hot tier (their adapted
-        predictions are about to be served here) and is written through to
-        the spill directory when one is configured.
+        Damaged bytes (the record's CRC or length check fails),
+        scope/rank/format mismatches and tensors of the wrong shapes raise
+        :class:`ValueError` before the registry changes.  The user enters
+        the hot tier (their adapted predictions are about to be served
+        here) and is written through to the spill directory when one is
+        configured.
         """
-        state, metadata = load_state_bytes(data)
-        self._validate_archive(metadata, "<migrated archive>")
-        self._verify_checksum(state, metadata, "<migrated archive>")
-        encoded = metadata.get("user") if metadata else None
+        source = "migrated record"
+        state, metadata = parse_record(data, source)
+        self._validate_record(metadata, source)
+        encoded = metadata.get("user")
         if encoded is not None and self._decode_user(encoded) != user_id:
             raise ValueError(
-                f"migrated archive belongs to user "
-                f"{self._decode_user(encoded)!r}, not {user_id!r}"
+                f"{source} belongs to user {self._decode_user(encoded)!r}, not {user_id!r}"
             )
-        params = [state[key] for key in sorted(state)]
-        if not params:
-            raise ValueError("migrated archive holds no parameter tensors")
+        params = self._record_params(state, source)
         self._params[user_id] = params
         self._params.move_to_end(user_id)
         self._warm.pop(user_id, None)
@@ -913,9 +807,9 @@ class AdapterRegistry:
         vectorized copy per parameter tensor).  The stack survives tier
         moves — a promotion writes one row that its demotions freed, and
         re-adapting existing users overwrites their rows — so the only cache
-        *miss* is a rebuild: after adaptation of new users, :meth:`remove`,
-        :meth:`load` or :meth:`import_user_bytes`, or a promotion that found
-        no free row.  Steady-state serving hits on every micro-batch even
+        *miss* is a rebuild: after adaptation of new users, :meth:`remove`
+        or :meth:`import_user_bytes`, or a promotion that found no free
+        row.  Steady-state serving hits on every micro-batch even
         when batch boundaries drift across the user cohort (the bug the old
         composition-keyed cache had: with 50 users and 64-wide batches no
         composition ever repeated inside the LRU window, so the hit rate
@@ -967,6 +861,6 @@ class AdapterRegistry:
         rows = [self._stack_rows[user] for user in user_ids]
         stacked = [nn.Tensor(block[rows]) for block in self._stack]
         self._gather_cache[key] = stacked
-        while len(self._gather_cache) > self._gather_cache_size:
+        while len(self._gather_cache) > _GATHER_CACHE_SIZE:
             self._gather_cache.popitem(last=False)
         return stacked

@@ -3,14 +3,19 @@
 The :class:`MicroBatcher` is the scheduling half of the serving layer.  It
 owns the bounded queue of pending requests ordered **earliest-deadline-first**
 (EDF): every request carries an absolute deadline — its arrival time plus its
-traffic class's latency budget — batches assemble in deadline order, and a
-partial batch closes exactly when its earliest deadline arrives.  That is the
-per-request generalization of the old single global ``max_delay_ms``: with
-one class and a uniform budget, EDF order *is* arrival order and the batcher
-behaves bit-for-bit like its arrival-order predecessor.  It applies
-backpressure when producers outrun the model — the classic request-coalescing
-pattern of RAN/inference serving systems (cf. ACCoRD in PAPERS.md), kept
-single-threaded and deterministic here so serving results are replayable.
+traffic class's latency budget — and batches drain in deadline order.  That
+is the per-request generalization of the old single global ``max_delay_ms``:
+with one class and a uniform budget, EDF order *is* arrival order and the
+batcher behaves bit-for-bit like its arrival-order predecessor.
+:meth:`MicroBatcher.due` also reports a partial batch due once its earliest
+deadline arrives, but only :meth:`repro.serve.PoseServer.poll` asks, and no
+serving path calls it: a socket round flushes at once and
+:meth:`repro.serve.PoseServer.enqueue` flushes at ``max_batch_size``, so in
+serving the queue never holds more than one batch and EDF order never
+changes which frames share one.  It applies backpressure when producers
+outrun the model — the classic request-coalescing pattern of RAN/inference
+serving systems (cf. ACCoRD in PAPERS.md), kept single-threaded and
+deterministic here so serving results are replayable.
 
 Execution of a drained batch belongs to :class:`repro.serve.PoseServer`; the
 batcher never touches the model.
@@ -31,7 +36,9 @@ __all__ = ["FrameDropped", "QueueFull", "PendingPrediction", "ServeRequest", "Mi
 
 
 class FrameDropped(RuntimeError):
-    """Raised when a request's prediction was dropped under backpressure.
+    """Raised when a request's prediction was dropped: evicted under
+    backpressure, shed past its deadline, or lost to a shutdown or a
+    crashed shard.
 
     ``retry_after_ms``, when set, is the backoff hint the dropping side
     attaches (copied onto the correlated wire error frame).
@@ -54,32 +61,22 @@ class PendingPrediction:
     """Handle to a prediction that a future micro-batch will produce.
 
     The handle resolves when the request's batch is flushed.  Calling
-    :meth:`result` forces outstanding flushes first, so a caller that cannot
-    wait for co-riders still gets an answer synchronously.  A handle dropped
-    under backpressure resolves to the dropped state with a reason — never
-    left permanently pending, so a poller always observes an outcome.
+    :meth:`result` forces outstanding flushes first (``flush`` runs one and
+    returns how many predictions it produced), so a caller that cannot wait
+    for co-riders still gets an answer synchronously.  One handle serves
+    both servers: :class:`repro.serve.PoseServer` passes its own flush, and
+    :class:`repro.serve.ProcessShardedPoseServer` a flush of the request's
+    shard, whose event ledger resolves the handle.  A dropped handle — an
+    eviction, a shutdown, a crashed shard — resolves to the dropped state
+    with a reason, never left permanently pending, so a poller always
+    observes an outcome.
     """
 
-    __slots__ = (
-        "user_id",
-        "sequence",
-        "submitted_at",
-        "_value",
-        "_dropped",
-        "_drop_reason",
-        "_flush",
-    )
+    __slots__ = ("user_id", "sequence", "_value", "_dropped", "_drop_reason", "_flush")
 
-    def __init__(
-        self,
-        user_id: Hashable,
-        sequence: int,
-        submitted_at: float,
-        flush: Callable[[], int],
-    ) -> None:
+    def __init__(self, user_id: Hashable, sequence: int, flush: Callable[[], int]) -> None:
         self.user_id = user_id
         self.sequence = sequence
-        self.submitted_at = submitted_at
         self._value: Optional[np.ndarray] = None
         self._dropped = False
         self._drop_reason: Optional[str] = None
@@ -101,7 +98,7 @@ class PendingPrediction:
     def _resolve(self, value: np.ndarray) -> None:
         self._value = value
 
-    def _drop(self, reason: Optional[str] = None) -> None:
+    def _drop(self, reason: str) -> None:
         self._dropped = True
         self._drop_reason = reason
 
@@ -111,10 +108,9 @@ class PendingPrediction:
             if self._flush() == 0:
                 break
         if self._dropped:
-            detail = f" ({self._drop_reason})" if self._drop_reason else ""
             raise FrameDropped(
                 f"request {self.sequence} of user {self.user_id!r} was dropped "
-                f"under backpressure{detail}"
+                f"({self._drop_reason})"
             )
         if self._value is None:
             raise RuntimeError(

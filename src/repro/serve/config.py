@@ -1,10 +1,10 @@
 """Configuration of the streaming pose-serving subsystem.
 
 One frozen :class:`ServeConfig` object describes how a :class:`PoseServer`
-schedules work: how many cross-user requests a micro-batch may coalesce, how
-long a request may wait for co-riders before the batch is forced out, how
-deep the pending queue may grow before backpressure kicks in, and how much
-per-user frame history each session retains for streaming fusion.
+schedules work: how many cross-user requests a micro-batch may coalesce, the
+latency budget a request carries, how deep the pending queue may grow before
+backpressure kicks in, and how much per-user frame history each session
+retains for streaming fusion.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ class ServeConfig:
         triggers an immediate flush.
     max_delay_ms:
         Default latency budget of a request that names no traffic class:
-        its deadline is its arrival time plus this delay, and
-        :meth:`PoseServer.poll` flushes a partial batch once its earliest
-        deadline arrives (micro-batching trades at most this much latency
-        for throughput).  With an explicit ``scheduling`` policy, per-class
-        budgets replace this single knob.
+        its deadline is its arrival time plus this delay.  A request served
+        past its deadline counts in ``deadline_misses``.  A partial batch
+        closes at its earliest deadline only when an in-process caller
+        calls :meth:`PoseServer.poll`; no serving path does.  Every socket
+        round flushes at once, and :meth:`PoseServer.enqueue` flushes at
+        ``max_batch_size``.  With an explicit ``scheduling`` policy,
+        per-class budgets replace this single knob.
     max_queue_depth:
         Bound of the pending-request queue.  Requests beyond this depth are
         subject to the ``overflow`` policy — serving never buffers without
@@ -66,9 +68,8 @@ class ServeConfig:
     adapter:
         The per-user adaptation policy (:class:`repro.serve.AdapterPolicy`):
         scope, rank, training hyper-parameters, and hot/warm/cold tier
-        budgets.  ``None`` falls back to the server's legacy ``adaptation``
-        kwarg (or the default all-scope policy) — existing call sites keep
-        working unchanged.
+        budgets.  A server's ``policy`` argument wins over it; ``None``
+        with no ``policy`` argument uses the default all-scope policy.
     scheduling:
         The deadline-scheduling and admission-control policy
         (:class:`repro.serve.SchedulingPolicy`): the traffic-class table

@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import os
 import stat
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -689,12 +690,7 @@ class PoseFrontend(SocketServerBase):
     # Requests
     # ------------------------------------------------------------------
     async def _submit(self, message: dict) -> dict:
-        try:
-            user = message["user"]
-            cloud = _parse_frame(message["frame"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise transport.ProtocolError(f"malformed submit message: {error}") from error
-        priority, deadline_ms = _parse_scheduling(message)
+        user, cloud, priority, deadline_ms = _parse_submit(message)
         self._admit(user)
         loop = asyncio.get_running_loop()
         start = loop.time()
@@ -707,10 +703,7 @@ class PoseFrontend(SocketServerBase):
         }
 
     async def _export_user(self, message: dict) -> dict:
-        try:
-            user = message["user"]
-        except KeyError as error:
-            raise transport.ProtocolError(f"malformed export_user message: {error}") from error
+        user = _parse_user(message, "export_user")
         forget = bool(message.get("forget", False))
         # A round of its own in the user's shard queue: the export drains
         # (flushes) the shard, and the snapshot holds exactly the frames
@@ -722,7 +715,7 @@ class PoseFrontend(SocketServerBase):
         state = message.get("state")
         if not isinstance(state, dict):
             raise transport.ProtocolError("import_user requires a state mapping")
-        user = state.get("user")
+        user = _parse_user(state, "import_user")
         user = await self._queue(user, partial(self.server.import_user, state))
         return {"type": "imported", "user": user}
 
@@ -813,8 +806,35 @@ def _parse_frame(frame: dict) -> PointCloudFrame:
     return PointCloudFrame(points, timestamp=timestamp, frame_index=frame_index)
 
 
-def _parse_scheduling(message: dict):
-    """Pull ``priority`` / ``deadline_ms`` off a request message."""
+def _parse_user(message: dict, kind: str) -> Hashable:
+    """A request's ``user``: a str or an int, never a bool.
+
+    Those are the ids a user's state keeps through export, migration and
+    failover restore (:func:`repro.serve.migration.validate_user_state`),
+    so any other is refused here, on both tiers, before admission control
+    or any queue.
+    """
+    user = message.get("user")
+    if isinstance(user, bool) or not isinstance(user, (str, int)):
+        raise transport.ProtocolError(f"{kind} needs a str or int user id, got {user!r}")
+    return user
+
+
+def _parse_submit(
+    message: dict,
+) -> Tuple[Hashable, PointCloudFrame, Optional[str], Optional[float]]:
+    """A ``submit``'s ``(user, cloud, priority, deadline_ms)``, on both tiers.
+
+    Any malformed field is a :class:`ProtocolError` before admission
+    control or any queue.  ``deadline_ms`` must be finite and non-negative:
+    ``0`` is an already-spent budget the backend sheds, a negative,
+    infinite or NaN budget is a client error.
+    """
+    user = _parse_user(message, "submit")
+    try:
+        cloud = _parse_frame(message["frame"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise transport.ProtocolError(f"malformed submit message: {error}") from error
     priority = message.get("priority")
     if priority is not None and not isinstance(priority, str):
         raise transport.ProtocolError("priority must be a traffic class name")
@@ -824,7 +844,11 @@ def _parse_scheduling(message: dict):
             deadline_ms = float(deadline_ms)
         except (TypeError, ValueError) as error:
             raise transport.ProtocolError(f"malformed deadline_ms: {error}") from error
-    return priority, deadline_ms
+        if not math.isfinite(deadline_ms) or deadline_ms < 0:
+            raise transport.ProtocolError(
+                f"deadline_ms must be finite and >= 0, got {deadline_ms!r}"
+            )
+    return user, cloud, priority, deadline_ms
 
 
 def _error_message(error: Exception, request_id=None) -> dict:

@@ -3,11 +3,13 @@
 A user's serving state is two things: their session ring (the ``2M + 1``
 frames feeding streaming fusion) and their adapted parameters (an
 :class:`AdapterRegistry` entry).  Both are already portable — the ring is a
-handful of point-cloud arrays, the adapter is a versioned ``.npz`` archive —
-so moving a user between backends is a *state copy*, not a retrain: export
-on the source, ship the dict over wire protocol v2 (arrays travel tagged,
-the adapter archive as a ``uint8`` byte array, which JSON carries),
-import on the destination.  Because serving is batch-invariant and the
+handful of point-cloud arrays, the adapter is the CRC-checked record a
+spill file holds (:func:`repro.nn.serialization.record_bytes`) — so moving
+a user between backends is a *state copy*, not a retrain: export on the
+source, ship the dict over wire protocol v2 (arrays travel tagged, the
+adapter record as a ``uint8`` byte array, which JSON carries), import on
+the destination, where the record's CRC is checked before anything is
+installed.  Because serving is batch-invariant and the
 restored ring is bitwise equal to the source's, the destination's next
 prediction for the user is bitwise identical to what the source would have
 produced — the property ``tests/serve/test_migration.py`` and the router
@@ -47,8 +49,9 @@ __all__ = [
     "validate_user_state",
 ]
 
-#: schema version of the user-state dict (bumped on incompatible change)
-USER_STATE_VERSION = 1
+#: schema version of the user-state dict (bumped on incompatible change;
+#: version 2 carries the adapter as a record instead of an ``.npz`` archive)
+USER_STATE_VERSION = 2
 
 _SESSION_KEYS = ("frames_seen", "points", "timestamps", "frame_indices")
 
@@ -90,8 +93,8 @@ def validate_user_state(state) -> dict:
             raise MigrationError("frames_seen cannot be below the ring length")
     adapter = state.get("adapter")
     if adapter is not None:
-        archive = np.asarray(adapter)
-        if archive.dtype != np.uint8 or archive.ndim != 1:
+        record = np.asarray(adapter)
+        if record.dtype != np.uint8 or record.ndim != 1:
             raise MigrationError("'adapter' must be a 1-d uint8 byte array or None")
     if session is None and adapter is None:
         raise MigrationError("user state carries neither session nor adapter")
@@ -99,19 +102,20 @@ def validate_user_state(state) -> dict:
 
 
 def export_user_state(server, user_id: Hashable, forget: bool = False) -> Optional[dict]:
-    """Export one user's session ring + adapter archive from a :class:`PoseServer`.
+    """Export one user's session ring + adapter record from a :class:`PoseServer`.
 
     The server's pending micro-batch is flushed first, so every in-flight
-    frame of the user resolves *before* the snapshot — combined with the
-    front-end's FIFO shard locks this is the drain step of a live
-    migration.  Returns ``None`` for a user with no state; with
+    frame of the user resolves *before* the snapshot — and the socket
+    front-end runs an export as a round of its own in the user's shard
+    queue, after every frame that arrived before it — so this is the drain
+    step of a live migration.  Returns ``None`` for a user with no state; with
     ``forget=True`` the user is dropped from the source after the snapshot
     (the atomic move used on planned topology changes).
     """
     server.flush()
     session = server.sessions.get(user_id)
-    archive = server.registry.export_user_bytes(user_id)
-    if session is None and archive is None:
+    record = server.registry.export_user_bytes(user_id)
+    if session is None and record is None:
         return None
     state: dict = {
         "version": USER_STATE_VERSION,
@@ -129,8 +133,8 @@ def export_user_state(server, user_id: Hashable, forget: bool = False) -> Option
             "timestamps": [float(frame.timestamp) for frame in history],
             "frame_indices": [int(frame.frame_index) for frame in history],
         }
-    if archive is not None:
-        state["adapter"] = np.frombuffer(archive, dtype=np.uint8)
+    if record is not None:
+        state["adapter"] = np.frombuffer(record, dtype=np.uint8)
     if forget:
         server.forget_user(user_id)
     return state
@@ -141,9 +145,10 @@ def import_user_state(server, state) -> Hashable:
 
     The session ring is restored bitwise (the destination keeps the newest
     ``ring_capacity`` frames — exactly what its own deque would retain);
-    adapter bytes go through the registry's schema validation, so a
-    scope/rank mismatch between source and destination policies raises
-    readably instead of corrupting the gather path.  When the state carries
+    the adapter record goes through the registry's CRC and schema checks,
+    so damaged bytes or a scope/rank mismatch between source and
+    destination policies raise readably instead of corrupting the gather
+    path; either leaves the destination unchanged.  When the state carries
     a ``num_context_frames`` that disagrees with the destination estimator,
     the import refuses: fusion windows would differ and predictions could
     never re-pin.
@@ -151,6 +156,7 @@ def import_user_state(server, state) -> Hashable:
     state = validate_user_state(state)
     user_id = state["user"]
     session_state = state.get("session")
+    frames: List[PointCloudFrame] = []
     if session_state is not None:
         expected_m = session_state.get("num_context_frames")
         if (
@@ -161,7 +167,6 @@ def import_user_state(server, state) -> Hashable:
                 f"session was recorded with num_context_frames={expected_m}, "
                 f"destination serves {server.sessions.num_context_frames}"
             )
-        session = server.sessions.get_or_create(user_id)
         frames = [
             PointCloudFrame(
                 np.array(points, dtype=float),
@@ -174,13 +179,17 @@ def import_user_state(server, state) -> Hashable:
                 session_state["frame_indices"],
             )
         ]
+    # The adapter record is checked before any session changes, so damaged
+    # bytes leave the destination as it was.
+    adapter = state.get("adapter")
+    if adapter is not None:
+        record = np.ascontiguousarray(np.asarray(adapter, dtype=np.uint8))
+        server.registry.import_user_bytes(user_id, record.tobytes())
+    if session_state is not None:
+        session = server.sessions.get_or_create(user_id)
         if len(frames) > session.ring_capacity:
             frames = frames[-session.ring_capacity :]
         session.restore(frames, int(session_state["frames_seen"]))
-    adapter = state.get("adapter")
-    if adapter is not None:
-        archive = np.ascontiguousarray(np.asarray(adapter, dtype=np.uint8))
-        server.registry.import_user_bytes(user_id, archive.tobytes())
     return user_id
 
 

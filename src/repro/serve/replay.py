@@ -159,15 +159,14 @@ def adaptation_split(
 def replay_users(
     server: PoseServer,
     streams: Mapping[Hashable, Sequence[LabelledFrame]],
-    poll_between_ticks: bool = False,
 ) -> ReplayResult:
     """Interleave every user's stream through the server, round-robin.
 
     Tick ``t`` submits frame ``t`` of every user (in stream order) — the
     maximally interleaved arrival pattern, so consecutive requests belong to
     different users and micro-batches genuinely coalesce across users.
-    Flushes happen when batches fill; with ``poll_between_ticks`` the server
-    additionally applies its latency deadline after every tick.
+    Flushes happen when batches fill; the remainder flushes after the last
+    tick.
     """
     users = list(streams)
     handles: Dict[Hashable, List[PendingPrediction]] = {user: [] for user in users}
@@ -180,8 +179,6 @@ def replay_users(
             stream = streams[user]
             if tick < len(stream):
                 handles[user].append(server.enqueue(user, stream[tick].cloud))
-        if poll_between_ticks:
-            server.poll()
     while server.flush():
         pass
     wall = time.perf_counter() - start

@@ -39,9 +39,9 @@ Migration
     Planned topology changes (:meth:`add_backend`, :meth:`remove_backend`)
     move exactly the users whose placement changes: under both backends'
     locks, ``export_user(forget=True)`` drains and snapshots the user on
-    the source (session ring + adapter npz bytes) and ``import_user``
-    installs it on the target — predictions continue bitwise-identically,
-    adapters included.
+    the source (session ring + the adapter's CRC-checked record, the bytes
+    its spill file holds) and ``import_user`` installs it on the target —
+    predictions continue bitwise-identically, adapters included.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from .frontend import (
     AsyncPoseClient,
     ServerClosing,
     SocketServerBase,
-    _parse_frame,
-    _parse_scheduling,
+    _parse_submit,
+    _parse_user,
 )
 from .health import HealthMonitor
 from .metrics import ServeMetrics, merge_expositions
@@ -78,6 +78,11 @@ __all__ = ["BackendSpec", "NoBackendAvailable", "PoseRouter", "RouterBackend"]
 #: exactly the pre-policy behaviour (the second attempt lands on the new
 #: placement after a mark-down, with the mirror restore in between)
 DEFAULT_FORWARD_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0)
+
+#: session frames mirrored per user for failover restore; a restored ring
+#: equals the dead backend's while this is at least the backends' ring
+#: capacity (``2M + 1`` frames by default)
+MIRROR_CAPACITY = 64
 
 _log = logging.getLogger(__name__)
 
@@ -201,8 +206,6 @@ class PoseRouter(SocketServerBase):
     health_interval_s / health_timeout_s / health_failures:
         :class:`HealthMonitor` cadence, per-ping deadline and the
         consecutive-failure threshold for declaring a backend dead.
-    mirror_capacity:
-        Session frames mirrored per user for failover restore.
     request_timeout_s:
         Per-request deadline on every routed backend call.  A timeout
         counts one failure against the backend's health streak (brownout
@@ -235,7 +238,6 @@ class PoseRouter(SocketServerBase):
         health_interval_s: float = 1.0,
         health_timeout_s: float = 1.0,
         health_failures: int = 3,
-        mirror_capacity: int = 64,
         request_timeout_s: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -252,7 +254,7 @@ class PoseRouter(SocketServerBase):
         self.connect_retries = connect_retries
         self.connect_backoff_s = connect_backoff_s
         self.ring = HashRing(vnodes=vnodes)
-        self.mirror = SessionMirror(capacity=mirror_capacity)
+        self.mirror = SessionMirror(capacity=MIRROR_CAPACITY)
         self.monitor = HealthMonitor(
             probe=self._ping_backend,
             interval_s=health_interval_s,
@@ -479,7 +481,9 @@ class PoseRouter(SocketServerBase):
         *remaining* budget lets the backend shed a request that already
         blew it instead of computing a prediction nobody is waiting for.
         Clamped to zero: the backend treats ``deadline_ms=0`` as "already
-        exhausted, shed" while a negative value is a client error.
+        exhausted, shed".  A client's negative, infinite or NaN budget
+        never gets here — :func:`_parse_submit` refuses it as a protocol
+        error.
         """
         if deadline_ms is None:
             return None
@@ -578,12 +582,7 @@ class PoseRouter(SocketServerBase):
     async def _submit(self, message: dict) -> dict:
         if self._closing.is_set():
             raise ServerClosing("router is shutting down")
-        try:
-            user = message["user"]
-            cloud = _parse_frame(message["frame"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise transport.ProtocolError(f"malformed submit message: {error}") from error
-        priority, deadline_ms = _parse_scheduling(message)
+        user, cloud, priority, deadline_ms = _parse_submit(message)
         loop = asyncio.get_running_loop()
         start = loop.time()
 
@@ -609,10 +608,7 @@ class PoseRouter(SocketServerBase):
         }
 
     async def _export_user(self, message: dict) -> dict:
-        try:
-            user = message["user"]
-        except KeyError as error:
-            raise transport.ProtocolError(f"malformed export_user message: {error}") from error
+        user = _parse_user(message, "export_user")
         forget = bool(message.get("forget", False))
 
         async def call(backend, forget):
@@ -628,7 +624,7 @@ class PoseRouter(SocketServerBase):
         state = message.get("state")
         if not isinstance(state, dict):
             raise transport.ProtocolError("import_user requires a state mapping")
-        user = state.get("user")
+        user = _parse_user(state, "import_user")
 
         async def call(backend, state):
             return await backend.client.import_user(state)

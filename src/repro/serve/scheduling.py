@@ -1,10 +1,17 @@
 """Deadline-driven scheduling policy and admission control primitives.
 
-The micro-batcher schedules by **deadline** instead of arrival order: every
-request carries an absolute deadline (arrival time plus its traffic class's
-latency budget), batches assemble earliest-deadline-first, and a partial
-batch closes exactly when its earliest deadline arrives — the per-request
-generalization of the old single global ``max_delay_ms``.
+The micro-batcher orders by **deadline** instead of arrival: every request
+carries an absolute deadline (arrival time plus its traffic class's latency
+budget), and batches drain earliest-deadline-first — the per-request
+generalization of the old single global ``max_delay_ms``.  What a deadline
+changes in the serving paths is accounting: a request served past it counts
+in ``deadline_misses``, and one whose ``deadline_ms`` is already spent (0)
+is shed before admission.  A partial batch closes at its earliest deadline
+only when an in-process caller calls :meth:`repro.serve.PoseServer.poll`;
+no serving path does.  Every socket round flushes at once, and
+:meth:`repro.serve.PoseServer.enqueue` flushes at ``max_batch_size``, so the
+queue never holds more than one batch and EDF order never changes which
+frames share a batch.
 
 Three pieces live here:
 
@@ -20,11 +27,13 @@ Three pieces live here:
   refills purely as a function of the injected clock reading, never the
   wall clock, so tests can assert refill behavior exactly.
 
-EDF with finite budgets is starvation-free: a waiting ``bulk`` request's
-absolute deadline is fixed, while every newer ``interactive`` arrival gets
-a *later* absolute deadline — the bulk request eventually holds the
-earliest deadline and rides the next batch.  The fairness suite pins this
-property under seeded randomized arrival schedules.
+EDF with finite budgets is starvation-free where a queue holds more than
+one batch (a :class:`repro.serve.MicroBatcher` driven directly): a waiting
+``bulk`` request's absolute deadline is fixed, while every newer
+``interactive`` arrival gets a *later* absolute deadline — the bulk request
+eventually holds the earliest deadline and rides the next batch.  The
+fairness suite pins this property under seeded randomized arrival
+schedules.
 """
 
 from __future__ import annotations

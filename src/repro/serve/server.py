@@ -6,7 +6,8 @@ pieces together per request:
 1. the user's :class:`UserSession` turns the incoming radar frame into a
    fused point cloud (streaming multi-frame fusion);
 2. the :class:`MicroBatcher` coalesces fused frames *across users* until the
-   batch is full or the oldest request's latency budget is spent;
+   batch is full or the caller flushes (a socket round flushes at once;
+   :meth:`poll` also closes a partial batch at its earliest deadline);
 3. a flush builds every feature map in one vectorized
    :meth:`FeatureMapBuilder.build_batch` call, then routes base-model users
    through the batch-invariant :class:`SharedParameterKernel` and adapted
@@ -133,7 +134,7 @@ class PoseServer:
         budget_s = (
             deadline_ms / 1000.0 if deadline_ms is not None else traffic_class.budget_s
         )
-        if budget_s < 0:
+        if not budget_s >= 0:  # NaN too: it compares false against every bound
             raise ValueError("deadline_ms must be non-negative")
         if deadline_ms is not None and budget_s <= 0:
             # A request that arrives with its deadline already spent (the
@@ -150,7 +151,7 @@ class PoseServer:
         session = self.sessions.get_or_create(user_id)
         fused = session.observe(frame)
         now = self.clock()
-        pending = PendingPrediction(user_id, self._sequence, now, flush=self.flush)
+        pending = PendingPrediction(user_id, self._sequence, flush=self.flush)
         self._sequence += 1
         request = ServeRequest(
             user_id=user_id,
@@ -209,8 +210,9 @@ class PoseServer:
         """Flush if the pending batch is due (full, or deadline exceeded).
 
         Returns the number of predictions produced (0 when nothing was due).
-        A serving loop calls this between arrivals so partial batches respect
-        ``max_delay_ms``.
+        An in-process serving loop may call this between arrivals so partial
+        batches respect ``max_delay_ms``; the socket tiers never do, because
+        each of their rounds flushes at once.
         """
         now = now if now is not None else self.clock()
         if not self._batcher.due(now):

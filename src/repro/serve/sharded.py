@@ -37,6 +37,7 @@ import json
 import logging
 import threading
 import time
+from functools import partial
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -46,13 +47,12 @@ from ..dataset.loader import ArrayDataset
 from ..dataset.sample import PoseDataset
 from ..radar.pointcloud import PointCloudFrame
 from ..runtime import shard_for
-from .batcher import FrameDropped, QueueFull
+from .batcher import FrameDropped, PendingPrediction, QueueFull
 from .config import ServeConfig
 from .metrics import ServeMetrics, prometheus_exposition
 from .policy import AdapterPolicy
 from .faults import RetryPolicy
 from .worker import (
-    DEFAULT_CHANNEL_DEPTH,
     DEFAULT_MAX_RESTARTS,
     AdaptUsers,
     EnqueueBatch,
@@ -87,72 +87,6 @@ def _rejection(name: str, detail: str, retry_after_ms: Optional[float]) -> Excep
     return ShardRemoteError(f"{name}: {detail}")
 
 
-class ProcessPendingPrediction:
-    """Parent-side handle to a prediction computed in a shard worker.
-
-    Mirrors the :class:`repro.serve.PendingPrediction` surface (``done`` /
-    ``dropped`` / ``result``) so the replay driver treats in-process and
-    process-backed serving identically.  Resolution arrives through the
-    shard's event ledger rather than a direct callback.
-    """
-
-    __slots__ = (
-        "user_id",
-        "sequence",
-        "shard_index",
-        "_value",
-        "_dropped",
-        "_drop_reason",
-        "_flush",
-    )
-
-    def __init__(self, user_id: Hashable, sequence: int, shard_index: int, flush) -> None:
-        self.user_id = user_id
-        self.sequence = sequence
-        self.shard_index = shard_index
-        self._value: Optional[np.ndarray] = None
-        self._dropped = False
-        self._drop_reason: Optional[str] = None
-        self._flush = flush
-
-    @property
-    def done(self) -> bool:
-        return self._value is not None
-
-    @property
-    def dropped(self) -> bool:
-        return self._dropped
-
-    @property
-    def drop_reason(self) -> Optional[str]:
-        """Why the shard dropped this request (``None`` while not dropped)."""
-        return self._drop_reason
-
-    def _resolve(self, value: np.ndarray) -> None:
-        self._value = value
-
-    def _drop(self, reason: Optional[str] = None) -> None:
-        self._dropped = True
-        self._drop_reason = reason
-
-    def result(self, flush: bool = True) -> np.ndarray:
-        """The ``(joints, 3)`` prediction, forcing shard flushes if pending."""
-        while self._value is None and not self._dropped and flush:
-            if self._flush(self.shard_index) == 0:
-                break
-        if self._dropped:
-            detail = self._drop_reason or "backpressure or shard restart"
-            raise FrameDropped(
-                f"request {self.sequence} of user {self.user_id!r} was dropped "
-                f"({detail})"
-            )
-        if self._value is None:
-            raise RuntimeError(
-                f"request {self.sequence} of user {self.user_id!r} is still pending"
-            )
-        return self._value
-
-
 class ProcessShardedPoseServer:
     """N :class:`PoseServer` shards, each in its own worker process.
 
@@ -167,7 +101,7 @@ class ProcessShardedPoseServer:
     ---------
     Workers start in the constructor and stop in :meth:`close` (the class is
     a context manager).  A worker that dies mid-call is restarted with the
-    same factory when ``auto_restart`` is on; the crashed shard's
+    same factory, within its restart budget; the crashed shard's
     outstanding predictions resolve as dropped, its session rings and
     adapted parameters are rebuilt from scratch (sessions re-warm on the
     next frames; call :meth:`adapt_users` again to restore personal
@@ -195,22 +129,16 @@ class ProcessShardedPoseServer:
         over ``config.adapter``; a policy with a spill directory is split
         into per-shard subdirectories (``shard000/…``) so shards never
         share spill files.
-    channel_depth:
-        Bound of each shard's request queue (see
-        :class:`repro.serve.worker.ShardProcess`).
     start_method:
         Multiprocessing start method override (default: ``fork`` where the
         platform has it, else ``spawn``).
-    auto_restart:
-        Restart a crashed shard worker automatically (default ``True``).
-        Restarts are paced by ``restart_backoff`` and bounded by
-        ``max_restarts`` — past the budget the shard stays down and is
-        reported degraded (``shards_degraded`` gauge) instead of
-        crash-looping.
     max_restarts / restart_backoff:
         Per-shard restart budget and capped-backoff pacing (see
-        :class:`repro.serve.worker.ShardProcess`).  ``max_restarts=None``
-        restores the old unbounded behaviour.
+        :class:`repro.serve.worker.ShardProcess`).  A crashed worker is
+        restarted automatically until its budget is spent; past it the
+        shard stays down and is reported degraded (``shards_degraded``
+        gauge) instead of crash-looping.  ``max_restarts=None`` restarts
+        without bound.
     """
 
     def __init__(
@@ -218,9 +146,7 @@ class ProcessShardedPoseServer:
         estimator: FusePoseEstimator,
         num_shards: int = 2,
         config: Optional[ServeConfig] = None,
-        channel_depth: int = DEFAULT_CHANNEL_DEPTH,
         start_method: Optional[str] = None,
-        auto_restart: bool = True,
         policy: Optional[AdapterPolicy] = None,
         max_restarts: Optional[int] = DEFAULT_MAX_RESTARTS,
         restart_backoff: Optional[RetryPolicy] = None,
@@ -233,7 +159,6 @@ class ProcessShardedPoseServer:
         if policy is None:
             policy = self.config.adapter
         self.policy = policy if policy is not None else AdapterPolicy()
-        self.auto_restart = auto_restart
         # Supervisor-side observability: restarts and the degraded gauge
         # happen in the parent (a dead worker cannot report its own death),
         # so they live on a parent ServeMetrics aggregated with the shards'.
@@ -243,7 +168,6 @@ class ProcessShardedPoseServer:
             ShardProcess(
                 factory,
                 index,
-                channel_depth=channel_depth,
                 start_method=start_method,
                 max_restarts=max_restarts,
                 restart_backoff=restart_backoff,
@@ -251,7 +175,7 @@ class ProcessShardedPoseServer:
             )
             for index in range(num_shards)
         ]
-        self._outstanding: List[Dict[int, ProcessPendingPrediction]] = [
+        self._outstanding: List[Dict[int, PendingPrediction]] = [
             {} for _ in range(num_shards)
         ]
         # Parent-side per-shard locks: the worker round-trip is serialized
@@ -301,7 +225,7 @@ class ProcessShardedPoseServer:
         arrives but before its event ledger is applied — the window in
         which an enqueue's own resolution may already sit in the ledger.
         On a worker crash every outstanding handle of the shard resolves as
-        dropped, the worker restarts (when ``auto_restart``), and the crash
+        dropped, the worker restarts (within its budget), and the crash
         propagates to the caller.
         """
         if self._closed:
@@ -318,7 +242,7 @@ class ProcessShardedPoseServer:
                 # A shard past its restart budget stays down (degraded)
                 # instead of crash-looping; callers keep getting
                 # ShardDegraded and a router drains its users to replicas.
-                if self.auto_restart and not worker.restart_budget_exhausted:
+                if not worker.restart_budget_exhausted:
                     worker.restart()
                 raise
             if register is not None:
@@ -343,7 +267,7 @@ class ProcessShardedPoseServer:
         frame: PointCloudFrame,
         priority: Optional[str] = None,
         deadline_ms: Optional[float] = None,
-    ) -> ProcessPendingPrediction:
+    ) -> PendingPrediction:
         """Route one frame to the user's shard process (may flush there).
 
         Raises the shard's rejection — ``FrameDropped``, ``QueueFull`` or
@@ -356,7 +280,7 @@ class ProcessShardedPoseServer:
 
     def enqueue_many(
         self, items: Sequence[tuple]
-    ) -> List[Union[ProcessPendingPrediction, Exception]]:
+    ) -> List[Union[PendingPrediction, Exception]]:
         """Enqueue many frames with one IPC hop per shard.
 
         Each item is ``(user_id, frame)``, optionally followed by the
@@ -371,7 +295,7 @@ class ProcessShardedPoseServer:
         orphans the admitted prefix — those handles stay registered and
         resolve normally.
         """
-        outcomes: List[Union[ProcessPendingPrediction, Exception, None]] = [None] * len(items)
+        outcomes: List[Union[PendingPrediction, Exception, None]] = [None] * len(items)
         by_shard: Dict[int, List[int]] = {}
         for position, item in enumerate(items):
             by_shard.setdefault(self.shard_index(item[0]), []).append(position)
@@ -398,8 +322,8 @@ class ProcessShardedPoseServer:
                     if sequence is None:
                         outcomes[position] = _rejection(*error)
                         continue
-                    handle = ProcessPendingPrediction(
-                        items[position][0], sequence, index, flush=self._flush_shard
+                    handle = PendingPrediction(
+                        items[position][0], sequence, flush=partial(self._flush_shard, index)
                     )
                     self._outstanding[index][sequence] = handle
                     outcomes[position] = handle

@@ -19,10 +19,10 @@ over a picklable request/reply transport:
 * **Replies** carry an :class:`ShardEvents` ledger — every prediction the
   shard resolved and every request it dropped since the last reply — so the
   parent's pending handles resolve without polling.
-* The request queue is **bounded** (``channel_depth``); combined with the
-  strict one-in-flight request/reply discipline of :class:`ShardProcess`,
-  a stalled worker back-pressures its caller instead of buffering without
-  limit.
+* :class:`ShardProcess` keeps **one command in flight** per shard, under
+  its lock: a caller puts a command and waits for its reply, so the
+  request queue never holds more than one command and a stalled worker
+  blocks its caller instead of buffering.
 * **Lifecycle** — :meth:`ShardProcess.stop` drains the shard gracefully
   (flush, resolve, exit); a crashed worker is detected mid-call
   (:class:`ShardCrashed`) and :meth:`ShardProcess.restart` brings up a
@@ -91,8 +91,8 @@ __all__ = [
     "shard_worker_main",
 ]
 
-#: default bound of the per-shard request queue
-DEFAULT_CHANNEL_DEPTH = 64
+#: seconds between liveness checks while a caller waits for a reply
+_REPLY_POLL_S = 0.1
 
 #: default restart budget of one shard worker ("generous": a worker that
 #: crashes this many times is systematically broken, not unlucky).
@@ -454,36 +454,30 @@ class ShardProcess:
 
     The handle enforces a strict one-in-flight request/reply discipline
     under an internal lock, which makes it safe to call from the executor
-    threads of the asyncio front-end, keeps the bounded request queue from
-    ever deepening past one command, and guarantees replies are matched to
-    the commands that produced them.
+    threads of the asyncio front-end, keeps the request queue from ever
+    deepening past one command, and guarantees replies are matched to the
+    commands that produced them.
     """
 
     def __init__(
         self,
         factory: ShardFactory,
         index: int,
-        channel_depth: int = DEFAULT_CHANNEL_DEPTH,
         start_method: Optional[str] = None,
-        reply_poll_s: float = 0.1,
         max_restarts: Optional[int] = DEFAULT_MAX_RESTARTS,
         restart_backoff: Optional[RetryPolicy] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if channel_depth < 1:
-            raise ValueError("channel_depth must be >= 1")
         if max_restarts is not None and max_restarts < 0:
             raise ValueError("max_restarts must be non-negative (or None for unlimited)")
         self.factory = factory
         self.index = index
-        self.channel_depth = channel_depth
         self.restarts = 0
         self.max_restarts = max_restarts
         self.restart_backoff = (
             restart_backoff if restart_backoff is not None else DEFAULT_RESTART_BACKOFF
         )
         self._sleep = sleep
-        self._reply_poll_s = reply_poll_s
         self._context = pool_context(start_method)
         self._lock = threading.Lock()
         self._process: Optional[multiprocessing.process.BaseProcess] = None
@@ -515,7 +509,7 @@ class ShardProcess:
     def start(self) -> None:
         if self.alive:
             raise RuntimeError(f"shard {self.index} is already running")
-        self._requests = self._context.Queue(maxsize=self.channel_depth)
+        self._requests = self._context.Queue()
         self._replies = self._context.Queue()
         self._process = self._context.Process(
             target=shard_worker_main,
@@ -611,9 +605,9 @@ class ShardProcess:
         waited = 0.0
         while True:
             try:
-                reply = self._replies.get(timeout=self._reply_poll_s)
+                reply = self._replies.get(timeout=_REPLY_POLL_S)
             except queue.Empty:
-                waited += self._reply_poll_s
+                waited += _REPLY_POLL_S
                 if not self.alive:
                     raise ShardCrashed(
                         f"shard {self.index} worker died while handling "

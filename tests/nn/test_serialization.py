@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import zlib
@@ -15,7 +16,13 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro import nn
 from repro.nn import serialization
-from repro.nn.serialization import load_record, read_record_header, save_record
+from repro.nn.serialization import (
+    load_record,
+    parse_record,
+    read_record_header,
+    record_bytes,
+    save_record,
+)
 from repro.nn.tensor import Tensor
 
 
@@ -139,6 +146,48 @@ class TestRecords:
             load_record(path)
         with pytest.raises(ValueError, match="magic"):
             read_record_header(path)
+
+    @given(state_dicts(), _METADATA)
+    @settings(max_examples=25, deadline=None)
+    def test_bytes_form_is_the_file_and_parses_without_copies(self, state, metadata):
+        data = record_bytes(state, metadata)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_record(state, Path(tmp) / "state.spill", metadata=metadata)
+            assert path.read_bytes() == data
+        loaded, loaded_metadata = parse_record(data)
+        assert loaded_metadata == metadata
+        assert list(loaded) == list(state)
+        raw = np.frombuffer(data, dtype=np.uint8)
+        for key, array in state.items():
+            assert loaded[key].tobytes() == array.tobytes()
+            assert not loaded[key].flags.writeable
+            if array.size:
+                assert np.shares_memory(loaded[key], raw)
+
+    def test_damaged_bytes_name_their_source(self):
+        data = record_bytes({"x": np.arange(4.0)}, {"user": "u"})
+        with pytest.raises(ValueError, match="migrated record failed its CRC32"):
+            parse_record(data[:-1] + bytes([data[-1] ^ 1]), "migrated record")
+        with pytest.raises(ValueError, match="migrated record is too short"):
+            parse_record(data[:5], "migrated record")
+
+    def test_record_bytes_are_pinned(self, tmp_path):
+        """The record layout is a storage format: spill directories written
+        by earlier versions attach unchanged only while the same state and
+        metadata give the same bytes."""
+        state = {
+            "p000": np.arange(160.0).reshape(2, 80) / 7.0,
+            "p001": (np.arange(32, dtype=np.float32) - 16).reshape(16, 2) / 3,
+            "p002": np.arange(7, dtype=np.int64),
+            "p003": np.zeros((0, 3)),
+        }
+        metadata = {"format": 2, "scope": "lora", "rank": 2, "user": ["str", "alice"]}
+        data = record_bytes(state, metadata)
+        assert len(data) == 1924
+        assert hashlib.sha256(data).hexdigest() == (
+            "a058afd85d8d76296c74a71b44ad467fe35317d03abaad764af3413a1740e592"
+        )
+        assert save_record(state, tmp_path / "u.spill", metadata).read_bytes() == data
 
     def test_write_is_atomic_and_leaves_no_temporaries(self, tmp_path):
         path = save_record({"x": np.arange(3.0)}, tmp_path / "nested" / "state.spill")

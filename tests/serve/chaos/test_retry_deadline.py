@@ -50,6 +50,17 @@ class TestDeadlineShedding:
             server.enqueue("alice", make_frame(np.random.default_rng(1)), deadline_ms=-5)
         assert server.metrics.deadline_shed == 0
 
+    def test_nan_deadline_is_a_caller_error(self, estimator):
+        """A NaN budget compares false against every bound, so it would
+        never shed and never count a miss; it is refused like a negative."""
+        server = PoseServer(estimator, LAZY)
+        with pytest.raises(ValueError, match="non-negative"):
+            server.enqueue(
+                "alice", make_frame(np.random.default_rng(1)), deadline_ms=float("nan")
+            )
+        assert len(server.sessions) == 0
+        assert server.pending == 0
+
     def test_live_budget_serves_normally(self, estimator):
         server = PoseServer(estimator, LAZY)
         handle = server.enqueue(

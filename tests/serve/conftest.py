@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core import FuseConfig, FusePoseEstimator
+from repro.core.models import PoseCNN, PoseCNNConfig
+from repro.dataset.loader import ArrayDataset
 from repro.dataset.synthetic import SyntheticDatasetConfig, generate_dataset
 from repro.radar.pointcloud import PointCloudFrame
 from repro.serve import PoseServer
@@ -44,6 +46,20 @@ def make_frame(rng: np.random.Generator, count: int = 24) -> PointCloudFrame:
         ]
     )
     return PointCloudFrame(points)
+
+
+def tiny_model() -> PoseCNN:
+    """A PoseCNN small enough that its records are a few hundred bytes."""
+    config = PoseCNNConfig(
+        input_height=2, input_width=2, conv_channels=(2,), hidden_units=4, output_dim=3
+    )
+    return PoseCNN(config, seed=0)
+
+
+def tiny_dataset() -> ArrayDataset:
+    """Four labelled frames shaped for :func:`tiny_model`."""
+    rng = np.random.default_rng(0)
+    return ArrayDataset(rng.normal(size=(4, 5, 2, 2)), rng.normal(size=(4, 3)))
 
 
 class HeldBackend(PoseServer):

@@ -1,4 +1,10 @@
-"""Round-trip persistence of per-user adapted parameter sets."""
+"""Persistence of per-user adapted parameter sets: spill re-attach and records.
+
+A registry with a spill directory is its own checkpoint: every adaptation
+is written through to the user's spill record, and a fresh registry on the
+same directory re-attaches every user.  Migration bytes are the same
+CRC-checked record in memory (``export_user_bytes`` / ``import_user_bytes``).
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,10 @@ import numpy as np
 import pytest
 
 from repro.dataset.loader import ArrayDataset
+from repro.nn.serialization import record_bytes, save_state
 from repro.serve import AdapterPolicy, AdapterRegistry
+
+from .conftest import tiny_dataset, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -21,54 +30,36 @@ def calibration_sets(estimator, serve_dataset):
 
 
 def _assert_registries_equal(a: AdapterRegistry, b: AdapterRegistry):
-    assert a.user_ids == b.user_ids
+    assert sorted(map(repr, a.user_ids)) == sorted(map(repr, b.user_ids))
     for user in a.user_ids:
-        for param_a, param_b in zip(a.parameters_for(user), b.parameters_for(user)):
+        params_a, params_b = a.parameters_for(user), b.parameters_for(user)
+        assert len(params_a) == len(params_b)
+        for param_a, param_b in zip(params_a, params_b):
             np.testing.assert_array_equal(param_a, param_b)
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("scope", ["all", "last"])
     def test_save_load_round_trip(self, estimator, calibration_sets, tmp_path, scope):
-        policy = AdapterPolicy(epochs=2, scope=scope)
+        """A fresh registry on the same spill directory re-attaches every
+        user, warm, with bitwise the parameters that were adapted."""
+        policy = AdapterPolicy(epochs=2, scope=scope, spill_dir=tmp_path / scope)
         registry = AdapterRegistry(estimator.model, policy=policy)
         registry.adapt_many(calibration_sets)
-        path = registry.save(tmp_path / f"adapters_{scope}.npz")
 
         restored = AdapterRegistry(estimator.model, policy=policy)
-        loaded_users = restored.load(path)
-        assert set(loaded_users) == set(calibration_sets)
+        assert restored.tier_sizes() == {"hot": 0, "warm": len(calibration_sets), "cold": 0}
         _assert_registries_equal(registry, restored)
 
     def test_restored_registry_serves_identically(self, estimator, calibration_sets, tmp_path):
-        policy = AdapterPolicy(epochs=2, scope="last")
+        policy = AdapterPolicy(epochs=2, scope="last", spill_dir=tmp_path / "spill")
         registry = AdapterRegistry(estimator.model, policy=policy, gemm_block=16)
         registry.adapt_many(calibration_sets)
-        path = registry.save(tmp_path / "adapters")
 
         restored = AdapterRegistry(estimator.model, policy=policy, gemm_block=16)
-        restored.load(path)
         users = list(calibration_sets)
         for original, reloaded in zip(registry.gather(users), restored.gather(users)):
             np.testing.assert_array_equal(original.data, reloaded.data)
-
-    def test_load_replaces_by_default_and_merges_on_request(
-        self, estimator, calibration_sets, tmp_path
-    ):
-        policy = AdapterPolicy(epochs=1, scope="last")
-        first = AdapterRegistry(estimator.model, policy=policy)
-        first.adapt_many({"alice": calibration_sets["alice"]})
-        path = first.save(tmp_path / "alice.npz")
-
-        second = AdapterRegistry(estimator.model, policy=policy)
-        second.adapt_many({"bob": calibration_sets["bob"]})
-        second.load(path)  # replace
-        assert second.user_ids == ["alice"]
-
-        third = AdapterRegistry(estimator.model, policy=policy)
-        third.adapt_many({"bob": calibration_sets["bob"]})
-        third.load(path, replace=False)  # merge
-        assert set(third.user_ids) == {"bob", "alice"}
 
     def test_load_bumps_version_and_invalidates_gather_cache(
         self, estimator, calibration_sets, tmp_path
@@ -78,8 +69,7 @@ class TestRoundTrip:
         registry.adapt_many(calibration_sets)
         registry.gather(["alice", "bob"])  # populate the gather cache
         version = registry.version
-        path = registry.save(tmp_path / "all.npz")
-        registry.load(path)
+        registry.import_user_bytes("alice", registry.export_user_bytes("alice"))
         assert registry.version == version + 1
         assert registry._gather_cache == {}
 
@@ -88,32 +78,104 @@ class TestErrorHandling:
     def test_scope_mismatch_rejected(self, estimator, calibration_sets, tmp_path):
         last = AdapterRegistry(estimator.model, policy=AdapterPolicy(epochs=1, scope="last"))
         last.adapt_many({"alice": calibration_sets["alice"]})
-        path = last.save(tmp_path / "last.npz")
         all_scope = AdapterRegistry(estimator.model, policy=AdapterPolicy(epochs=1, scope="all"))
         with pytest.raises(ValueError, match="scope"):
-            all_scope.load(path)
+            all_scope.import_user_bytes("alice", last.export_user_bytes("alice"))
+        assert len(all_scope) == 0
 
     def test_non_persistable_user_id_rejected(self, estimator, calibration_sets, tmp_path):
         policy = AdapterPolicy(epochs=1, scope="last")
         registry = AdapterRegistry(estimator.model, policy=policy)
         registry.adapt_many({("tuple", "id"): calibration_sets["alice"]})
         with pytest.raises(TypeError, match="user ids"):
-            registry.save(tmp_path / "bad.npz")
+            registry.export_user_bytes(("tuple", "id"))
 
     def test_foreign_checkpoint_rejected(self, estimator, tmp_path):
-        from repro.nn.serialization import save_state
-
-        path = save_state({"weights": np.zeros(3)}, tmp_path / "foreign.npz")
+        """A record that is not a user's adapter state, and bytes that are
+        not a record at all (a model checkpoint), are both refused."""
         registry = AdapterRegistry(estimator.model, policy=AdapterPolicy(epochs=1, scope="last"))
-        with pytest.raises(ValueError, match="checkpoint"):
-            registry.load(path)
+        with pytest.raises(ValueError, match="not an adapter-registry record"):
+            registry.import_user_bytes("alice", record_bytes({"weights": np.zeros(3)}))
+        checkpoint = save_state({"weights": np.zeros(3)}, tmp_path / "foreign.npz")
+        with pytest.raises(ValueError, match="magic"):
+            registry.import_user_bytes("alice", checkpoint.read_bytes())
+        assert len(registry) == 0
 
-    def test_int_user_ids_survive_the_round_trip(self, estimator, calibration_sets, tmp_path):
+    def test_record_of_another_model_is_refused(self, estimator, calibration_sets):
+        """A record whose scope and format match but whose tensors come from
+        another model is refused before it can reach the gather stack, where
+        one wrong shape would fail every user's gather."""
         policy = AdapterPolicy(epochs=1, scope="last")
         registry = AdapterRegistry(estimator.model, policy=policy)
+        registry.adapt_many({"bob": calibration_sets["bob"]})
+        other = AdapterRegistry(tiny_model(), policy=policy)
+        other.adapt_user("alice", tiny_dataset())
+        with pytest.raises(ValueError, match="shapes"):
+            registry.import_user_bytes("alice", other.export_user_bytes("alice"))
+        assert registry.user_ids == ["bob"]
+        assert registry.gather(["bob"])[0].shape[0] == 1
+
+    @pytest.mark.parametrize("user", [5, ["int", "7"], ["str"], ["int", True], ["float", 1.5]])
+    def test_malformed_user_metadata_is_refused(self, user):
+        """A CRC-valid record whose ``user`` is not what the registry writes
+        raises ``ValueError`` like every other bad record."""
+        policy = AdapterPolicy(scope="last", epochs=1)
+        source = AdapterRegistry(tiny_model(), policy)
+        source.adapt_user("alice", tiny_dataset())
+        state = {f"p{slot:03d}": p for slot, p in enumerate(source.parameters_for("alice"))}
+        record = record_bytes(state, {"format": 2, "scope": "last", "user": user})
+        registry = AdapterRegistry(tiny_model(), policy)
+        with pytest.raises(ValueError, match="malformed user id"):
+            registry.import_user_bytes("alice", record)
+        assert len(registry) == 0
+
+    def test_int_user_ids_survive_the_round_trip(self, estimator, calibration_sets, tmp_path):
+        policy = AdapterPolicy(epochs=1, scope="last", spill_dir=tmp_path / "spill")
+        registry = AdapterRegistry(estimator.model, policy=policy)
         registry.adapt_many({7: calibration_sets[7]})
-        path = registry.save(tmp_path / "int_user.npz")
         restored = AdapterRegistry(estimator.model, policy=policy)
-        assert restored.load(path) == [7]
+        assert restored.user_ids == [7]
         assert 7 in restored
         assert "7" not in restored
+        moved = AdapterRegistry(estimator.model, policy=AdapterPolicy(epochs=1, scope="last"))
+        moved.import_user_bytes(7, registry.export_user_bytes(7))
+        assert moved.user_ids == [7]
+
+
+class TestMigratedBytes:
+    @pytest.mark.parametrize("scope", ["all", "last", "lora"])
+    def test_every_flip_and_truncation_is_refused_before_the_registry_changes(
+        self, scope, tmp_path
+    ):
+        """Every single-byte flip and every truncation of an exported record
+        raises ``ValueError`` from ``import_user_bytes``, and the importing
+        registry — users, parameters, version, spill files — is untouched."""
+        model, data = tiny_model(), tiny_dataset()
+        source = AdapterRegistry(model, AdapterPolicy(scope=scope, rank=1, epochs=1))
+        source.adapt_many({"alice": data, "bob": data})
+        blob = source.export_user_bytes("alice")
+
+        policy = AdapterPolicy(scope=scope, rank=1, epochs=1, spill_dir=tmp_path / "spill")
+        target = AdapterRegistry(model, policy)
+        target.import_user_bytes("bob", source.export_user_bytes("bob"))
+        version = target.version
+        spill = {path.name: path.read_bytes() for path in (tmp_path / "spill").iterdir()}
+        bob = [p.copy() for p in target.parameters_for("bob")]
+
+        damaged = [blob[:length] for length in range(len(blob))]
+        for position in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[position] ^= 0xFF
+            damaged.append(bytes(flipped))
+        for candidate in damaged:
+            with pytest.raises(ValueError):
+                target.import_user_bytes("alice", candidate)
+
+        assert target.user_ids == ["bob"]
+        assert target.version == version
+        assert {p.name: p.read_bytes() for p in (tmp_path / "spill").iterdir()} == spill
+        for kept, before in zip(target.parameters_for("bob"), bob):
+            np.testing.assert_array_equal(kept, before)
+        target.import_user_bytes("alice", blob)  # the undamaged record installs
+        for got, expected in zip(target.parameters_for("alice"), source.parameters_for("alice")):
+            np.testing.assert_array_equal(got, expected)

@@ -7,9 +7,9 @@ The acceptance properties of the low-rank route:
 * a micro-batched replay of interleaved lora users is bitwise identical to
   the same replay served unbatched, and base users are unaffected;
 * per-user resident memory at rank 4 is at most 10% of ``scope="all"``;
-* the versioned npz schema round-trips lora factors and rejects archives
-  whose scope or rank does not match the registry's policy, while legacy
-  PR-3-era format-1 archives still load into a matching policy.
+* the versioned record schema round-trips lora factors through spill
+  re-attach and rejects migrated records whose format, scope or rank does
+  not match the registry's policy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.dataset.sample import PoseDataset
-from repro.nn.serialization import read_metadata, save_state
+from repro.nn.serialization import read_record_header, record_bytes
 from repro.serve import (
     AdapterPolicy,
     AdapterRegistry,
@@ -28,7 +28,7 @@ from repro.serve import (
     replay_users,
     user_streams_from_dataset,
 )
-from repro.serve.adapters import SAVE_FORMAT
+from repro.serve.adapters import RECORD_FORMAT
 
 
 def as_pose_dataset(frames) -> PoseDataset:
@@ -158,86 +158,77 @@ class TestLoraReplay:
 
 class TestVersionedSchema:
     def test_lora_round_trip_and_format_tag(self, estimator, calibration_arrays, tmp_path):
-        policy = AdapterPolicy(scope="lora", rank=2, epochs=1)
+        policy = AdapterPolicy(scope="lora", rank=2, epochs=1, spill_dir=tmp_path / "spill")
         registry = AdapterRegistry(estimator.model, policy=policy)
         users = list(calibration_arrays)[:2]
         registry.adapt_many({user: calibration_arrays[user] for user in users})
-        path = registry.save(tmp_path / "lora.npz")
 
-        metadata = read_metadata(path)
-        assert metadata["format"] == SAVE_FORMAT
-        assert metadata["scope"] == "lora"
-        assert metadata["rank"] == 2
+        for user in users:
+            metadata = read_record_header(registry._spill_paths[user])
+            assert metadata["format"] == RECORD_FORMAT
+            assert metadata["scope"] == "lora"
+            assert metadata["rank"] == 2
 
         restored = AdapterRegistry(estimator.model, policy=policy)
-        assert set(restored.load(path)) == set(users)
+        assert set(restored.user_ids) == set(users)
         for user in users:
             for a, b in zip(registry.parameters_for(user), restored.parameters_for(user)):
                 np.testing.assert_array_equal(a, b)
 
-    def test_rank_mismatch_raises_readable_error(
-        self, estimator, calibration_arrays, tmp_path
-    ):
+    def test_rank_mismatch_raises_readable_error(self, estimator, calibration_arrays):
         user = next(iter(calibration_arrays))
         saver = AdapterRegistry(
             estimator.model, policy=AdapterPolicy(scope="lora", rank=4, epochs=1)
         )
         saver.adapt_user(user, calibration_arrays[user])
-        path = saver.save(tmp_path / "rank4.npz")
         loader = AdapterRegistry(
             estimator.model, policy=AdapterPolicy(scope="lora", rank=8, epochs=1)
         )
         with pytest.raises(ValueError, match="rank-4.*rank=8"):
-            loader.load(path)
+            loader.import_user_bytes(user, saver.export_user_bytes(user))
 
-    def test_scope_mismatch_raises_readable_error(
-        self, estimator, calibration_arrays, tmp_path
-    ):
+    def test_scope_mismatch_raises_readable_error(self, estimator, calibration_arrays):
         user = next(iter(calibration_arrays))
         saver = AdapterRegistry(
             estimator.model, policy=AdapterPolicy(scope="last", epochs=1)
         )
         saver.adapt_user(user, calibration_arrays[user])
-        path = saver.save(tmp_path / "last.npz")
         loader = AdapterRegistry(
             estimator.model, policy=AdapterPolicy(scope="lora", rank=4, epochs=1)
         )
         with pytest.raises(ValueError, match="scope='last'"):
-            loader.load(path)
+            loader.import_user_bytes(user, saver.export_user_bytes(user))
 
     def test_legacy_format1_archive_is_rejected_naming_its_format(
-        self, estimator, calibration_arrays, tmp_path
+        self, estimator, calibration_arrays
     ):
-        """A format-1 archive (full tensors, no rank metadata) no longer
-        loads, even into a policy whose scope matches."""
+        """A format-1 record (full tensors, no rank metadata) does not
+        install, even into a policy whose scope matches."""
         policy = AdapterPolicy(scope="last", epochs=1)
         registry = AdapterRegistry(estimator.model, policy=policy)
         user = next(iter(calibration_arrays))
         registry.adapt_user(user, calibration_arrays[user])
         params = registry.parameters_for(user)
 
-        # Author the archive as format 1 wrote it: full tensors, metadata
-        # with just format/scope/users.
-        state = {f"user000000.p{slot:03d}": np.asarray(p) for slot, p in enumerate(params)}
-        legacy = save_state(
-            state,
-            tmp_path / "legacy.npz",
-            metadata={"format": 1, "scope": "last", "users": [["str", str(user)]]},
+        # Author the record as format 1 described it: full tensors, metadata
+        # with just format/scope/user.
+        state = {f"p{slot:03d}": np.asarray(p) for slot, p in enumerate(params)}
+        legacy = record_bytes(
+            state, metadata={"format": 1, "scope": "last", "user": ["str", str(user)]}
         )
 
         restored = AdapterRegistry(estimator.model, policy=policy)
-        with pytest.raises(ValueError, match="format-1 archive"):
-            restored.load(legacy)
+        with pytest.raises(ValueError, match="format-1 record"):
+            restored.import_user_bytes(user, legacy)
         assert len(restored) == 0
 
-    def test_legacy_format1_cannot_load_into_lora_policy(self, estimator, tmp_path):
-        legacy = save_state(
-            {"user000000.p000": np.zeros((3, 3))},
-            tmp_path / "legacy.npz",
-            metadata={"format": 1, "scope": "lora", "users": [["str", "alice"]]},
+    def test_legacy_format1_cannot_load_into_lora_policy(self, estimator):
+        legacy = record_bytes(
+            {"p000": np.zeros((3, 3))},
+            metadata={"format": 1, "scope": "lora", "user": ["str", "alice"]},
         )
         registry = AdapterRegistry(
             estimator.model, policy=AdapterPolicy(scope="lora", rank=4, epochs=1)
         )
         with pytest.raises(ValueError, match="format-1"):
-            registry.load(legacy)
+            registry.import_user_bytes("alice", legacy)

@@ -21,6 +21,7 @@ from repro.serve import (
     SessionMirror,
 )
 from repro.serve.migration import USER_STATE_VERSION, validate_user_state
+from repro.serve.transport import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_message
 
 from .conftest import make_frame
 
@@ -80,6 +81,26 @@ class TestExportImportRoundTrip:
             stayed.submit("alice", make_frame(rng_b)),
         )
 
+    def test_damaged_adapter_bytes_leave_the_destination_unchanged(
+        self, estimator, calibration
+    ):
+        """The adapter record's CRC is checked before the session ring is
+        restored, so a state with damaged adapter bytes installs nothing."""
+        policy = AdapterPolicy(scope="last", epochs=1)
+        source = PoseServer(estimator, LAZY, policy=policy)
+        source.adapt_user("alice", calibration)
+        feed(source, "alice", 2, seed=2)
+        state = source.export_user("alice")
+        damaged = state["adapter"].copy()
+        damaged[len(damaged) // 2] ^= 0xFF
+        state["adapter"] = damaged
+
+        target = PoseServer(estimator, LAZY, policy=policy)
+        with pytest.raises(ValueError, match="CRC32"):
+            target.import_user(state)
+        assert target.sessions.get("alice") is None
+        assert "alice" not in target.registry
+
     def test_export_without_state_is_none(self, estimator):
         assert PoseServer(estimator, LAZY).export_user("ghost") is None
 
@@ -99,6 +120,35 @@ class TestExportImportRoundTrip:
         state = source.export_user("bob")
         assert state["adapter"] is None  # never adapted: session only
         assert isinstance(state["session"]["points"][0], np.ndarray)
+
+
+class TestWireFrame:
+    def test_default_scope_user_state_fits_one_frame(self, estimator, calibration):
+        """A default-policy (``scope="all"``) user's ``user_state`` reply —
+        the uncompressed adapter record plus the session ring — encodes
+        under the default frame limit, so router migration and failover
+        of such users move in one frame; the decoded state imports to the
+        same next prediction."""
+        policy = AdapterPolicy()
+        assert policy.scope == "all"
+        source = PoseServer(estimator, LAZY, policy=policy)
+        stayed = PoseServer(estimator, LAZY, policy=policy)
+        for server in (source, stayed):
+            server.adapt_user("alice", calibration)
+            feed(server, "alice", 3, seed=11)
+
+        state = source.export_user("alice", forget=True)
+        frame = encode_message({"type": "user_state", "id": 1, "user": "alice", "state": state})
+        assert len(frame) < DEFAULT_MAX_FRAME_BYTES
+        [(reply, _)] = FrameDecoder().feed(frame)
+
+        target = PoseServer(estimator, LAZY, policy=policy)
+        target.import_user(reply["state"])
+        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+        np.testing.assert_array_equal(
+            target.submit("alice", make_frame(rng_a)),
+            stayed.submit("alice", make_frame(rng_b)),
+        )
 
 
 class TestShardedDelegation:

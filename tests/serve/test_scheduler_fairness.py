@@ -163,7 +163,7 @@ class TestSchedulingPolicy:
 # EDF batch assembly (pure MicroBatcher, dummy requests)
 # ----------------------------------------------------------------------
 def make_request(sequence: int, arrival: float, deadline: float) -> ServeRequest:
-    pending = PendingPrediction(f"u{sequence}", sequence, arrival, flush=lambda: 0)
+    pending = PendingPrediction(f"u{sequence}", sequence, flush=lambda: 0)
     return ServeRequest(
         f"u{sequence}", None, pending, arrival, deadline=deadline, traffic_class="x"
     )
