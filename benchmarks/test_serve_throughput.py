@@ -19,7 +19,7 @@ three serving paths:
   routing hop's overhead versus a direct front-end connection, and the
   fan-out recovery from consistent-hash placement over two backends;
 * **mixed-class scheduling** — interactive and bulk traffic classes
-  sharing one EDF-scheduled server (``mixed_class_serving``): interactive
+  sharing one server (``mixed_class_serving``): interactive
   p95 against its class budget, and the bulk throughput retained versus
   an isolated bulk-only replay (floor: >= 70%).
 
@@ -660,15 +660,14 @@ class TestFaultRecovery:
 
 class TestMixedClassServing:
     def test_mixed_class_latency_and_bulk_retention(self):
-        """Interactive and bulk classes sharing one EDF-scheduled server.
+        """Interactive and bulk classes sharing one server.
 
         10 interactive users ride alongside 40 bulk users through the same
         micro-batcher; the ``mixed_class_serving`` section records the
         interactive p95 against its class budget and the bulk throughput
         retained versus an isolated bulk-only replay of identical cadence.
         The floor asserts bulk keeps >= 70% of its isolated throughput —
-        deadline scheduling must not starve the relaxed class to serve the
-        tight one.
+        serving the tight class must not starve the relaxed one.
         """
         estimator, streams = _serve_fixture()
         users = sorted(streams)

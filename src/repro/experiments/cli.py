@@ -76,14 +76,32 @@ def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scheduling_policy_options(group) -> None:
-    """Deadline / admission flags shared by fuse-serve and fuse-router."""
+    """Micro-batch, deadline and admission flags shared by fuse-serve and
+    fuse-router."""
     group.add_argument(
-        "--interactive-budget-ms",
+        "--max-batch-size",
+        type=int,
+        default=32,
+        metavar="N",
+        help="frames one micro-batch coalesces; enqueue flushes when it is "
+        "full (default: 32)",
+    )
+    group.add_argument(
+        "--max-delay-ms",
         type=float,
-        default=None,
+        default=5.0,
         metavar="MS",
-        help="latency budget of the 'interactive' traffic class "
-        "(default: --max-delay-ms)",
+        help="latency budget of the 'interactive' traffic class; a frame "
+        "served past its budget counts as a deadline miss (default: 5)",
+    )
+    group.add_argument(
+        "--max-queue-depth",
+        type=int,
+        default=256,
+        metavar="N",
+        help="pending-queue bound; the queue never outgrows one batch, so "
+        "drop-oldest eviction only fires when this is below "
+        "--max-batch-size (default: 256)",
     )
     group.add_argument(
         "--bulk-budget-ms",
@@ -91,7 +109,7 @@ def _add_scheduling_policy_options(group) -> None:
         default=None,
         metavar="MS",
         help="latency budget of the 'bulk' traffic class "
-        "(default: 10x the interactive budget)",
+        "(default: 10x --max-delay-ms)",
     )
     group.add_argument(
         "--rate-limit-per-user",
@@ -123,36 +141,25 @@ def _scheduling_from_args(args: argparse.Namespace):
     """A SchedulingPolicy from the CLI flags, or None for the defaults.
 
     None keeps ServeConfig's derived policy (interactive = --max-delay-ms,
-    bulk = 10x, no rate limit) so the flagless CLI behaves exactly as
-    before the scheduling flags existed.
+    bulk = 10x, no rate limit).
     """
-    flags = (
-        args.interactive_budget_ms,
-        args.bulk_budget_ms,
-        args.rate_limit_per_user,
-        args.rate_limit_burst,
-        args.retry_after_ms,
-    )
-    if all(value is None for value in flags):
+    overrides = {
+        key: value
+        for key, value in (
+            ("rate_limit_per_user", args.rate_limit_per_user),
+            ("rate_limit_burst", args.rate_limit_burst),
+            ("retry_after_ms", args.retry_after_ms),
+        )
+        if value is not None
+    }
+    if args.bulk_budget_ms is None and not overrides:
         return None
     from ..serve import SchedulingPolicy, TrafficClass
 
-    interactive = (
-        args.interactive_budget_ms
-        if args.interactive_budget_ms is not None
-        else args.max_delay_ms
-    )
-    bulk = args.bulk_budget_ms if args.bulk_budget_ms is not None else interactive * 10.0
-    overrides = {}
-    if args.rate_limit_per_user is not None:
-        overrides["rate_limit_per_user"] = args.rate_limit_per_user
-    if args.rate_limit_burst is not None:
-        overrides["rate_limit_burst"] = args.rate_limit_burst
-    if args.retry_after_ms is not None:
-        overrides["retry_after_ms"] = args.retry_after_ms
+    bulk = args.bulk_budget_ms if args.bulk_budget_ms is not None else args.max_delay_ms * 10.0
     return SchedulingPolicy(
         classes=(
-            TrafficClass("interactive", interactive),
+            TrafficClass("interactive", args.max_delay_ms),
             TrafficClass("bulk", bulk),
         ),
         **overrides,
@@ -176,11 +183,7 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
         "--shards", type=int, default=2, help="serving shards / worker processes (default: 2)"
     )
 
-    scheduling = parser.add_argument_group("micro-batch scheduling")
-    scheduling.add_argument("--max-batch-size", type=int, default=32)
-    scheduling.add_argument("--max-delay-ms", type=float, default=5.0)
-    scheduling.add_argument("--max-queue-depth", type=int, default=256)
-    _add_scheduling_policy_options(scheduling)
+    _add_scheduling_policy_options(parser.add_argument_group("micro-batch scheduling"))
 
     wire = parser.add_argument_group("wire protocol")
     wire.add_argument(
@@ -435,9 +438,6 @@ def _add_router_options(parser: argparse.ArgumentParser) -> None:
     spawned.add_argument(
         "--shards", type=int, default=2, help="serving shards per spawned backend (default: 2)"
     )
-    spawned.add_argument("--max-batch-size", type=int, default=32)
-    spawned.add_argument("--max-delay-ms", type=float, default=5.0)
-    spawned.add_argument("--max-queue-depth", type=int, default=256)
     _add_scheduling_policy_options(spawned)
     spawned.add_argument("--train-seconds", type=float, default=9.0)
     spawned.add_argument("--train-epochs", type=int, default=3)
@@ -513,7 +513,6 @@ def _run_router(args: argparse.Namespace) -> int:
                     str(args.seed),
                 ]
                 for flag, value in (
-                    ("--interactive-budget-ms", args.interactive_budget_ms),
                     ("--bulk-budget-ms", args.bulk_budget_ms),
                     ("--rate-limit-per-user", args.rate_limit_per_user),
                     ("--rate-limit-burst", args.rate_limit_burst),

@@ -13,8 +13,8 @@ Pieces, inside-out:
   (``submit(user_id, frame) -> (joints, 3)``);
 * :class:`SessionManager` / :class:`UserSession` — per-user sliding frame
   windows feeding streaming fusion;
-* :class:`MicroBatcher` — bounded pending queue with max-batch/max-latency
-  scheduling and drop-oldest backpressure;
+* :class:`MicroBatcher` — bounded arrival-order pending queue: a batch
+  closes when it is full or flushed, with drop-oldest backpressure;
 * :class:`AdapterRegistry` — per-user fine-tuned parameter sets, adapted in
   grouped task-batched calls and gathered per micro-batch; each user's
   state is one CRC-checked record (:mod:`repro.nn.serialization`), spilled
@@ -71,7 +71,6 @@ from .migration import (
     SessionMirror,
     export_user_state,
     import_user_state,
-    migrate_user,
 )
 from .ring import HashRing
 from .router import BackendSpec, NoBackendAvailable, PoseRouter, RouterBackend
@@ -139,7 +138,6 @@ __all__ = [
     "import_user_state",
     "maybe_injector",
     "merge_expositions",
-    "migrate_user",
     "parse_ready_line",
     "percentile",
     "prometheus_exposition",

@@ -93,7 +93,6 @@ from ..engine.functional import (
     supports_batched_execution,
 )
 from ..nn.serialization import (
-    load_record,
     parse_record,
     read_record_header,
     record_bytes,
@@ -463,9 +462,10 @@ class AdapterRegistry:
         degradation, visible in the ``spill_quarantined`` counter and one
         log line.
         """
-        params = self._read_spill(user_id)
-        if params is None:
+        spilled = self._read_spill(user_id)
+        if spilled is None:
             return None
+        params, _ = spilled
         del self._warm[user_id]
         self._params[user_id] = params
         self._params.move_to_end(user_id)
@@ -476,12 +476,13 @@ class AdapterRegistry:
         self._fill_free_row(user_id, params)
         return params
 
-    def _read_spill(self, user_id: Hashable) -> Optional[List[np.ndarray]]:
+    def _read_spill(self, user_id: Hashable) -> Optional[Tuple[List[np.ndarray], bytes]]:
         """Read and verify a warm user's spill record, without promoting them.
 
         The one spill reader after attach: promotion and
         :meth:`export_user_bytes` both come here, so every read checks the
-        record's CRC, schema and tensor shapes.  A record that fails — torn,
+        record's CRC, schema and tensor shapes.  Returns the parameters and
+        the checked record bytes they view.  A record that fails — torn,
         corrupted, wrong schema or shapes — is *quarantined* (renamed aside
         for forensics, out of the attach scan), the user demoted to cold,
         and ``None`` returned.
@@ -489,9 +490,10 @@ class AdapterRegistry:
         path = self._warm[user_id]
         source = f"spill file {path}"
         try:
-            state, metadata = load_record(path)
+            data = path.read_bytes()
+            state, metadata = parse_record(data, source)
             self._validate_record(metadata, source)
-            return self._record_params(state, source)
+            return self._record_params(state, source), data
         except (OSError, ValueError) as exc:
             self._quarantine_spill(path, exc, user_id)
             return None
@@ -675,18 +677,20 @@ class AdapterRegistry:
 
         The record is the one a spill file holds (format/scope/rank plus
         the encoded user id in its metadata), so the importing registry
-        checks its CRC and its schema before accepting it.  Warm users are
-        read without promotion; cold/unknown users return ``None``, and so
-        does a warm user whose spill record fails verification (it is
-        quarantined, so corrupted factors never travel under a fresh CRC).
+        checks its CRC and its schema before accepting it.  A warm user's
+        export is their spill file's bytes, verified and returned without
+        promotion or re-serialization; cold/unknown users return ``None``,
+        and so does a warm user whose spill record fails verification (it
+        is quarantined, so corrupted factors never travel).
         This is the unit of adapter state that live user migration moves
         over the wire.
         """
         params = self._params.get(user_id)
-        if params is None and user_id in self._warm:
-            params = self._read_spill(user_id)
         if params is None:
-            return None
+            if user_id not in self._warm:
+                return None
+            spilled = self._read_spill(user_id)
+            return spilled[1] if spilled is not None else None
         state = {f"p{slot:03d}": array for slot, array in enumerate(params)}
         return record_bytes(state, metadata=self._record_metadata(self._encode_user(user_id)))
 

@@ -1,21 +1,15 @@
-"""Cross-user micro-batching: the deadline-ordered pending queue.
+"""Cross-user micro-batching: the arrival-ordered pending queue.
 
 The :class:`MicroBatcher` is the scheduling half of the serving layer.  It
-owns the bounded queue of pending requests ordered **earliest-deadline-first**
-(EDF): every request carries an absolute deadline — its arrival time plus its
-traffic class's latency budget — and batches drain in deadline order.  That
-is the per-request generalization of the old single global ``max_delay_ms``:
-with one class and a uniform budget, EDF order *is* arrival order and the
-batcher behaves bit-for-bit like its arrival-order predecessor.
-:meth:`MicroBatcher.due` also reports a partial batch due once its earliest
-deadline arrives, but only :meth:`repro.serve.PoseServer.poll` asks, and no
-serving path calls it: a socket round flushes at once and
-:meth:`repro.serve.PoseServer.enqueue` flushes at ``max_batch_size``, so in
-serving the queue never holds more than one batch and EDF order never
-changes which frames share one.  It applies backpressure when producers
-outrun the model — the classic request-coalescing pattern of RAN/inference
-serving systems (cf. ACCoRD in PAPERS.md), kept single-threaded and
-deterministic here so serving results are replayable.
+owns the bounded queue of pending requests in arrival order.  A batch
+closes when it is full (:meth:`repro.serve.PoseServer.enqueue` flushes at
+``max_batch_size``) or when its caller flushes (every socket round flushes
+at once), so in serving the queue never holds more than one batch.  Each
+request carries an absolute deadline — its arrival time plus its traffic
+class's latency budget — that only feeds accounting: a request served past
+it counts in ``deadline_misses``.  The batcher applies backpressure when
+producers outrun the model, kept single-threaded and deterministic so
+serving results are replayable.
 
 Execution of a drained batch belongs to :class:`repro.serve.PoseServer`; the
 batcher never touches the model.
@@ -23,8 +17,8 @@ batcher never touches the model.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Hashable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Hashable, List, Optional
 
 import numpy as np
 
@@ -122,7 +116,7 @@ class PendingPrediction:
 class ServeRequest:
     """One enqueued frame: the fused cloud plus scheduling bookkeeping."""
 
-    __slots__ = ("user_id", "fused", "pending", "arrival", "deadline", "traffic_class", "features")
+    __slots__ = ("user_id", "fused", "pending", "arrival", "deadline", "traffic_class")
 
     def __init__(
         self,
@@ -130,19 +124,15 @@ class ServeRequest:
         fused: PointCloudFrame,
         pending: PendingPrediction,
         arrival: float,
-        deadline: Optional[float] = None,
+        deadline: float,
         traffic_class: str = "interactive",
-        features: Optional[np.ndarray] = None,
     ) -> None:
         self.user_id = user_id
         self.fused = fused
         self.pending = pending
         self.arrival = arrival
-        # Back-compat: a request built without a deadline closes immediately,
-        # like a zero-budget class would.
-        self.deadline = deadline if deadline is not None else arrival
+        self.deadline = deadline
         self.traffic_class = traffic_class
-        self.features = features
 
     def __repr__(self) -> str:  # keep dataclass-era debuggability
         return (
@@ -153,19 +143,12 @@ class ServeRequest:
 
 
 class MicroBatcher:
-    """Bounded deterministic EDF queue of :class:`ServeRequest` objects.
-
-    The heap orders pending requests by ``(deadline, sequence)``: earliest
-    deadline first, arrival order as the deterministic tiebreak.  Because
-    the inference kernels are batch-composition invariant, the EDF
-    reordering never changes a request's predicted values — only *when* it
-    is served.
-    """
+    """Bounded deterministic arrival-order queue of :class:`ServeRequest` objects."""
 
     def __init__(self, config: ServeConfig, metrics: Optional[ServeMetrics] = None) -> None:
         self.config = config
         self.metrics = metrics
-        self._pending: List[Tuple[float, int, ServeRequest]] = []
+        self._pending: Deque[ServeRequest] = deque()
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -181,64 +164,28 @@ class MicroBatcher:
         Called *before* the request is built so a rejected submission has no
         side effects (in particular, it must not touch the user's session
         ring).  Under ``"drop_oldest"`` the oldest pending request — oldest
-        by *arrival*, not by deadline, so a loose-budget request cannot
-        shield itself from eviction — is dropped and its handle resolves to
-        the dropped state with a reason and retry hint; it never hangs a
+        by arrival, whatever its deadline — is dropped and its handle
+        resolves to the dropped state with a reason; it never hangs a
         poller.
         """
         if len(self._pending) < self.config.max_queue_depth:
             return
-        retry_after_ms = self.config.scheduler.retry_after_ms
         if self.config.overflow == "reject":
             raise QueueFull(
                 f"pending queue is at max_queue_depth={self.config.max_queue_depth}",
-                retry_after_ms=retry_after_ms,
+                retry_after_ms=self.config.scheduler.retry_after_ms,
             )
-        index = min(
-            range(len(self._pending)), key=lambda position: self._pending[position][1]
+        self._pending.popleft().pending._drop(
+            reason="evicted by a newer arrival under drop_oldest"
         )
-        _, _, oldest = self._pending.pop(index)
-        heapq.heapify(self._pending)
-        oldest.pending._drop(reason="evicted by a newer arrival under drop_oldest")
         if self.metrics is not None:
             self.metrics.record_drop()
 
     def enqueue(self, request: ServeRequest) -> None:
-        """Push an admitted request (see :meth:`admit`) in deadline order."""
-        heapq.heappush(
-            self._pending, (request.deadline, request.pending.sequence, request)
-        )
-
-    def oldest_age(self, now: float) -> float:
-        """Seconds the oldest pending request has waited (0.0 when empty)."""
-        if not self._pending:
-            return 0.0
-        earliest_arrival = min(entry[2].arrival for entry in self._pending)
-        return max(0.0, now - earliest_arrival)
-
-    def earliest_deadline(self) -> Optional[float]:
-        """The next batch-close time (``None`` when the queue is empty)."""
-        return self._pending[0][0] if self._pending else None
-
-    def due(self, now: float) -> bool:
-        """Whether a flush is due: capacity reached or a deadline arrived."""
-        if not self._pending:
-            return False
-        if self.full:
-            return True
-        return now >= self._pending[0][0]
+        """Append an admitted request (see :meth:`admit`)."""
+        self._pending.append(request)
 
     def drain(self) -> List[ServeRequest]:
-        """Pop the next micro-batch: up to ``max_batch_size`` requests, EDF."""
+        """Pop the next micro-batch: the first ``max_batch_size`` arrivals."""
         count = min(len(self._pending), self.config.max_batch_size)
-        return [heapq.heappop(self._pending)[2] for _ in range(count)]
-
-    def clear(self) -> int:
-        """Drop every pending request (server shutdown); returns the count."""
-        count = len(self._pending)
-        while self._pending:
-            _, _, request = heapq.heappop(self._pending)
-            request.pending._drop(reason="server shutdown")
-            if self.metrics is not None:
-                self.metrics.record_drop()
-        return count
+        return [self._pending.popleft() for _ in range(count)]

@@ -1,6 +1,6 @@
 """The injectable time source of the serving subsystem.
 
-Scheduling code is timing-sensitive: batch-close deadlines, token-bucket
+Scheduling code is timing-sensitive: request deadlines, token-bucket
 refills and latency measurements all read a clock.  Production reads the
 monotonic wall clock; tests must not — every scheduling decision has to be
 reproducible, so the whole serving tier takes its notion of "now" from one

@@ -31,20 +31,21 @@ class ServeConfig:
         triggers an immediate flush.
     max_delay_ms:
         Default latency budget of a request that names no traffic class:
-        its deadline is its arrival time plus this delay.  A request served
-        past its deadline counts in ``deadline_misses``.  A partial batch
-        closes at its earliest deadline only when an in-process caller
-        calls :meth:`PoseServer.poll`; no serving path does.  Every socket
-        round flushes at once, and :meth:`PoseServer.enqueue` flushes at
-        ``max_batch_size``.  With an explicit ``scheduling`` policy,
-        per-class budgets replace this single knob.
+        its deadline is its arrival time plus this delay.  Deadlines only
+        feed accounting — a request served past its deadline counts in
+        ``deadline_misses`` — and never close a batch: a batch closes when
+        it is full (:meth:`PoseServer.enqueue` flushes at
+        ``max_batch_size``) or when its caller flushes (every socket round
+        flushes at once).  With an explicit ``scheduling`` policy, per-class
+        budgets replace this single knob.
     max_queue_depth:
-        Bound of the pending-request queue.  Requests beyond this depth are
-        subject to the ``overflow`` policy — serving never buffers without
-        limit.
+        Bound of the pending-request queue; a request that arrives at this
+        depth is subject to the ``overflow`` policy.  Because enqueue
+        flushes at ``max_batch_size``, the queue never grows past that, so
+        the bound only fires when ``max_queue_depth < max_batch_size``.
     overflow:
-        Backpressure policy when the queue is full: ``"drop_oldest"``
-        (default) drops the oldest pending request (its
+        Backpressure policy when the queue is at ``max_queue_depth``:
+        ``"drop_oldest"`` (default) drops the oldest pending request (its
         :class:`PendingPrediction` resolves to the dropped state) so fresh
         frames stay relevant, ``"reject"`` raises on the incoming request
         instead.
@@ -71,15 +72,14 @@ class ServeConfig:
         budgets.  A server's ``policy`` argument wins over it; ``None``
         with no ``policy`` argument uses the default all-scope policy.
     scheduling:
-        The deadline-scheduling and admission-control policy
+        The deadline-accounting and admission-control policy
         (:class:`repro.serve.SchedulingPolicy`): the traffic-class table
         with per-class latency budgets, per-user token-bucket rate limits
         enforced at the front-end, and the ``retry_after`` shed hint.
         ``None`` derives the policy from ``max_delay_ms``
-        (``interactive`` = exactly that budget, so un-classed traffic
-        schedules identically to the legacy arrival-order batcher;
-        ``bulk`` = 10x it).  Like every other field it crosses the worker
-        pickle boundary, so shard processes schedule identically.
+        (``interactive`` = exactly that budget, ``bulk`` = 10x it).  Like
+        every other field it crosses the worker pickle boundary, so shard
+        processes account identically.
     fault_plan:
         Optional deterministic fault-injection schedule
         (:class:`repro.serve.FaultPlan`) for chaos testing and manual
@@ -115,11 +115,6 @@ class ServeConfig:
             raise ValueError("max_sessions must be >= 1")
         if self.gemm_block is not None and self.gemm_block < 2:
             raise ValueError("gemm_block must be >= 2 (width-1 GEMMs hit the gemv kernel)")
-
-    @property
-    def max_delay_s(self) -> float:
-        """The flush deadline in seconds."""
-        return self.max_delay_ms / 1000.0
 
     @property
     def scheduler(self) -> SchedulingPolicy:

@@ -15,14 +15,12 @@ prediction for the user is bitwise identical to what the source would have
 produced — the property ``tests/serve/test_migration.py`` and the router
 end-to-end tests pin.
 
-Three layers live here:
+Two layers live here:
 
 * the **user-state schema** (:func:`export_user_state` /
   :func:`import_user_state` / :func:`validate_user_state`) shared by
   :meth:`PoseServer.export_user`, the shard-worker commands and the
   front-end's ``export_user``/``import_user`` messages;
-* :func:`migrate_user`, the client-side drain-export-import step the router
-  runs on planned topology changes;
 * :class:`SessionMirror`, the router's bounded copy of recent frames per
   user — when a backend dies *unannounced* there is nothing left to export,
   so the router restores the user's session ring on the failover target
@@ -33,7 +31,7 @@ Three layers live here:
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Deque, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +43,6 @@ __all__ = [
     "USER_STATE_VERSION",
     "export_user_state",
     "import_user_state",
-    "migrate_user",
     "validate_user_state",
 ]
 
@@ -191,20 +188,6 @@ def import_user_state(server, state) -> Hashable:
             frames = frames[-session.ring_capacity :]
         session.restore(frames, int(session_state["frames_seen"]))
     return user_id
-
-
-async def migrate_user(source, target, user_id: Hashable, forget: bool = True) -> bool:
-    """Move one user's state between two backends over their clients.
-
-    ``source`` and ``target`` are :class:`AsyncPoseClient`-shaped objects.
-    Returns ``False`` when the source holds no state for the user (nothing
-    to move — a fresh user lands on the new placement naturally).
-    """
-    state = await source.export_user(user_id, forget=forget)
-    if state is None:
-        return False
-    await target.import_user(state)
-    return True
 
 
 # ----------------------------------------------------------------------

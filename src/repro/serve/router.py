@@ -418,32 +418,26 @@ class PoseRouter(SocketServerBase):
             lock.release()
 
     async def _ensure_placed(self, user: Hashable, name: str) -> RouterBackend:
-        """Pin the user to ``name``, moving or restoring state if needed.
+        """Pin the user to ``name``, restoring their session if needed.
 
-        Runs under ``name``'s FIFO lock.  Three cases:
+        Runs under ``name``'s FIFO lock.  Two cases, because
+        :meth:`_resolve` keeps a user on a live pin and planned moves go
+        through :meth:`_migrate`:
 
         * already pinned here — nothing to do;
-        * pinned to a live backend elsewhere (the ring moved the user
-          outside a planned migration) — live-migrate: export (drain +
-          forget) there, import here, adapters included;
-        * pinned to a dead backend — failover: restore the session ring
-          from the mirror (the adapter is lost with the backend).
+        * pinned to a backend that is down or detached — failover: restore
+          the session ring from the mirror (the adapter is lost with the
+          backend).
         """
         backend = self._backends[name]
         previous = self._placement.get(user)
         if previous == name:
             return backend
-        state: Optional[dict] = None
         if previous is not None:
-            source = self._backends.get(previous)
-            if source is not None and source.healthy:
-                state = await source.client.export_user(user, forget=True)
-                self.users_migrated += 1
-            else:
-                state = self.mirror.user_state(user)
-                self.users_failed_over += 1
-        if state is not None:
-            await backend.client.import_user(state)
+            state = self.mirror.user_state(user)
+            self.users_failed_over += 1
+            if state is not None:
+                await backend.client.import_user(state)
         self._placement[user] = name
         return backend
 

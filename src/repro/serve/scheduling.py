@@ -1,24 +1,19 @@
-"""Deadline-driven scheduling policy and admission control primitives.
+"""Deadline accounting and admission control primitives.
 
-The micro-batcher orders by **deadline** instead of arrival: every request
-carries an absolute deadline (arrival time plus its traffic class's latency
-budget), and batches drain earliest-deadline-first — the per-request
-generalization of the old single global ``max_delay_ms``.  What a deadline
-changes in the serving paths is accounting: a request served past it counts
-in ``deadline_misses``, and one whose ``deadline_ms`` is already spent (0)
-is shed before admission.  A partial batch closes at its earliest deadline
-only when an in-process caller calls :meth:`repro.serve.PoseServer.poll`;
-no serving path does.  Every socket round flushes at once, and
-:meth:`repro.serve.PoseServer.enqueue` flushes at ``max_batch_size``, so the
-queue never holds more than one batch and EDF order never changes which
-frames share a batch.
+Every request carries an absolute deadline: its arrival time plus its
+traffic class's latency budget, or its own ``deadline_ms``.  A deadline
+never closes a batch — a batch closes when it is full or when its caller
+flushes — it only feeds accounting: a request served past it counts in
+``deadline_misses`` and in its class's latency figures, and one whose
+``deadline_ms`` is already spent (0) is shed before admission.
 
 Three pieces live here:
 
 * :class:`TrafficClass` — a named latency budget.  The built-in classes are
   ``interactive`` (tight budget: a live pose stream) and ``bulk`` (loose
   budget: an offline replay), mirroring the conflict-aware resource classes
-  of RAN serving systems (cf. ACCoRD in PAPERS.md).
+  of RAN serving systems (cf. ACCoRD in PAPERS.md); they label deadline
+  accounting.
 * :class:`SchedulingPolicy` — the frozen policy object carried on
   :class:`repro.serve.ServeConfig`: the class table, the default class,
   per-user token-bucket rate limits enforced at the socket front-end, and
@@ -26,14 +21,6 @@ Three pieces live here:
 * :class:`TokenBucket` — the per-user admission meter.  Deterministic: it
   refills purely as a function of the injected clock reading, never the
   wall clock, so tests can assert refill behavior exactly.
-
-EDF with finite budgets is starvation-free where a queue holds more than
-one batch (a :class:`repro.serve.MicroBatcher` driven directly): a waiting
-``bulk`` request's absolute deadline is fixed, while every newer
-``interactive`` arrival gets a *later* absolute deadline — the bulk request
-eventually holds the earliest deadline and rides the next batch.  The
-fairness suite pins this property under seeded randomized arrival
-schedules.
 """
 
 from __future__ import annotations
@@ -65,9 +52,9 @@ class RateLimited(RuntimeError):
 class TrafficClass:
     """A named latency budget.
 
-    ``budget_ms`` is the time a request of this class may spend waiting for
-    batch co-riders: its absolute deadline is ``arrival + budget_ms`` and
-    the batcher closes a partial batch no later than that.
+    ``budget_ms`` is the latency a request of this class is allowed: its
+    absolute deadline is ``arrival + budget_ms``, and a request served past
+    it counts as a deadline miss.
     """
 
     name: str
@@ -86,7 +73,7 @@ class TrafficClass:
 
 @dataclass(frozen=True)
 class SchedulingPolicy:
-    """Deadline scheduling and admission control, in one frozen object.
+    """Deadline accounting and admission control, in one frozen object.
 
     Attributes
     ----------
@@ -94,8 +81,8 @@ class SchedulingPolicy:
         The traffic-class table.  Every request names one class (or the
         default); its latency budget becomes the request's deadline.
     default_class:
-        Class assumed by requests that name none — ``interactive``, so the
-        legacy single-knob configuration keeps its exact behavior.
+        Class assumed by requests that name none — ``interactive``, whose
+        budget a plain ``max_delay_ms`` configuration sets.
     rate_limit_per_user:
         Sustained per-user admission rate at the front-end, in requests per
         second (token-bucket refill rate).  ``None`` disables rate limiting.
@@ -141,21 +128,14 @@ class SchedulingPolicy:
         object.__setattr__(self, "_by_name", table)
 
     @classmethod
-    def from_delay(
-        cls, max_delay_ms: float, bulk_ratio: float = 10.0, **overrides
-    ) -> "SchedulingPolicy":
-        """The policy a plain ``max_delay_ms`` configuration expresses.
-
-        ``interactive`` gets exactly the legacy delay budget — so a config
-        that never names a class schedules bit-for-bit like the old
-        arrival-order batcher — and ``bulk`` gets ``bulk_ratio`` times it.
-        """
+    def from_delay(cls, max_delay_ms: float) -> "SchedulingPolicy":
+        """The policy a plain ``max_delay_ms`` configuration expresses:
+        ``interactive`` gets exactly that budget and ``bulk`` ten times it."""
         return cls(
             classes=(
                 TrafficClass(INTERACTIVE, max_delay_ms),
-                TrafficClass(BULK, max_delay_ms * bulk_ratio),
-            ),
-            **overrides,
+                TrafficClass(BULK, max_delay_ms * 10.0),
+            )
         )
 
     def resolve(self, name: Optional[str]) -> TrafficClass:

@@ -6,8 +6,7 @@ pieces together per request:
 1. the user's :class:`UserSession` turns the incoming radar frame into a
    fused point cloud (streaming multi-frame fusion);
 2. the :class:`MicroBatcher` coalesces fused frames *across users* until the
-   batch is full or the caller flushes (a socket round flushes at once;
-   :meth:`poll` also closes a partial batch at its earliest deadline);
+   batch is full or the caller flushes (a socket round flushes at once);
 3. a flush builds every feature map in one vectorized
    :meth:`FeatureMapBuilder.build_batch` call, then routes base-model users
    through the batch-invariant :class:`SharedParameterKernel` and adapted
@@ -19,8 +18,8 @@ interleaved users is bitwise identical to serving each user alone — the
 property that makes micro-batching safe to deploy and simple to test.
 
 The server is single-threaded and synchronous by design: "concurrency" is
-logical (many interleaved user streams), scheduling is explicit
-(:meth:`poll` / :meth:`flush`), and every run is deterministic.
+logical (many interleaved user streams), a batch closes only when it fills
+or on an explicit :meth:`flush`, and every run is deterministic.
 """
 
 from __future__ import annotations
@@ -205,19 +204,6 @@ class PoseServer:
         return self.enqueue(
             user_id, frame, priority=priority, deadline_ms=deadline_ms
         ).result(flush=True)
-
-    def poll(self, now: Optional[float] = None) -> int:
-        """Flush if the pending batch is due (full, or deadline exceeded).
-
-        Returns the number of predictions produced (0 when nothing was due).
-        An in-process serving loop may call this between arrivals so partial
-        batches respect ``max_delay_ms``; the socket tiers never do, because
-        each of their rounds flushes at once.
-        """
-        now = now if now is not None else self.clock()
-        if not self._batcher.due(now):
-            return 0
-        return self.flush()
 
     def flush(self) -> int:
         """Execute one micro-batch now; returns the number of predictions."""

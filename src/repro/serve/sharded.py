@@ -21,7 +21,7 @@ with the same scheduling config — ``tests/serve/test_sharded_server.py``
 and ``tests/serve/test_process_sharded.py`` pin this user for user.
 
 The façade mirrors the :class:`PoseServer` surface (``enqueue`` / ``submit``
-/ ``poll`` / ``flush`` / ``adapt_users`` / ``metrics_snapshot``), so the
+/ ``flush`` / ``adapt_users`` / ``metrics_snapshot``), so the
 replay driver, the socket front-end and the examples run unchanged against
 either.
 
@@ -61,7 +61,6 @@ from .worker import (
     ForgetUser,
     ImportUser,
     MetricsRequest,
-    Poll,
     ShardCrashed,
     ShardEvents,
     ShardFactory,
@@ -342,14 +341,6 @@ class ProcessShardedPoseServer:
         return self.enqueue(
             user_id, frame, priority=priority, deadline_ms=deadline_ms
         ).result(flush=True)
-
-    def poll(self, now: Optional[float] = None) -> int:
-        """Apply every shard's latency deadline (on the worker's clock).
-
-        ``now`` is accepted for façade compatibility but ignored: deadlines
-        are evaluated against each worker process's own monotonic clock.
-        """
-        return sum(self._call(index, Poll()).produced for index in range(self.num_shards))
 
     def flush(self) -> int:
         """Flush every shard's pending micro-batch now."""

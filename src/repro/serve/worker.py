@@ -4,9 +4,9 @@
 module runs each shard in its own worker process, talking to the parent
 over a picklable request/reply transport:
 
-* **Commands** (:class:`EnqueueBatch`, :class:`Flush`, :class:`Poll`,
-  :class:`AdaptUsers`, :class:`ForgetUser`, :class:`MetricsRequest`,
-  :class:`Shutdown`) are small frozen dataclasses; frames travel as raw
+* **Commands** (:class:`EnqueueBatch`, :class:`Flush`, :class:`AdaptUsers`,
+  :class:`ForgetUser`, :class:`MetricsRequest`, :class:`Shutdown`) are
+  small frozen dataclasses; frames travel as raw
   ``(N, 5)`` point arrays, never as live server objects.
   :class:`EnqueueBatch` is the one enqueue command: it carries N >= 1
   frames, each with its own traffic class and deadline, in one queue
@@ -77,7 +77,6 @@ __all__ = [
     "ImportUser",
     "MetricsReply",
     "MetricsRequest",
-    "Poll",
     "ShardCrashed",
     "ShardDegraded",
     "ShardEvents",
@@ -182,11 +181,6 @@ class Flush:
 
 
 @dataclass(frozen=True)
-class Poll:
-    """Apply the shard's latency deadline (worker-clock ``now``)."""
-
-
-@dataclass(frozen=True)
 class AdaptUsers:
     """Fine-tune personal parameters for a cohort living on this shard."""
 
@@ -262,7 +256,7 @@ class EnqueuedBatch:
 
 @dataclass
 class Flushed:
-    """Reply to :class:`Flush` / :class:`Poll`."""
+    """Reply to :class:`Flush`."""
 
     produced: int
     events: ShardEvents
@@ -419,8 +413,6 @@ def _dispatch(
         )
     if isinstance(command, Flush):
         return Flushed(produced=server.flush(), events=_collect_events(outstanding))
-    if isinstance(command, Poll):
-        return Flushed(produced=server.poll(), events=_collect_events(outstanding))
     if isinstance(command, AdaptUsers):
         server.adapt_users(command.datasets, epochs=command.epochs)
         return Done(events=_collect_events(outstanding))

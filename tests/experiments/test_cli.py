@@ -67,6 +67,22 @@ class TestServeCli:
         assert cli._adapter_policy(args) == AdapterPolicy(spill_dir=str(tmp_path))
         assert cli._adapter_policy(parser.parse_args([])) is None
 
+    def test_scheduling_flags_build_one_policy(self):
+        """--max-delay-ms is the interactive budget; with no scheduling flag
+        ServeConfig derives the policy itself."""
+        parser = argparse.ArgumentParser()
+        cli._add_serve_options(parser)
+        args = parser.parse_args(
+            ["--max-delay-ms", "8", "--bulk-budget-ms", "90", "--rate-limit-per-user", "5"]
+        )
+        policy = cli._scheduling_from_args(args)
+        assert policy.resolve("interactive").budget_ms == 8.0
+        assert policy.resolve("bulk").budget_ms == 90.0
+        assert policy.rate_limit_per_user == 5.0
+        assert cli._scheduling_from_args(parser.parse_args([])) is None
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--interactive-budget-ms", "8"])
+
     def test_unix_and_host_mutually_exclusive(self, capsys):
         exit_code = cli.main(["fuse-serve", "--unix", "/tmp/x.sock", "--host", "::1"])
         assert exit_code == 2

@@ -209,6 +209,21 @@ class TestQuarantine:
         assert path.with_name(path.name + ".quarantined").exists()
         assert registry.metrics.spill_quarantined == 1
 
+    def test_warm_export_is_its_spill_file_byte_for_byte(
+        self, estimator, calibration_sets, tmp_path
+    ):
+        """A warm user's export is the checked spill record as read, with no
+        promotion; a hot user's export, serialized from memory, is also the
+        record its write-through spill file holds."""
+        registry = _spilled_registry(estimator, calibration_sets, tmp_path / "spill")
+        warm_user, hot_user = list(calibration_sets)[:2]
+        for user in (warm_user, hot_user):
+            spill = registry._spill_paths[user].read_bytes()
+            assert registry.export_user_bytes(user) == spill
+        assert registry.tier_sizes()["warm"] == 1
+        assert registry.metrics.spill_quarantined == 0
+
+
 class TestQuarantineLog:
     def test_each_quarantine_logs_one_json_line(
         self, estimator, calibration_sets, tmp_path, caplog

@@ -78,15 +78,6 @@ class TestScheduling:
         assert server.pending == 0  # the 3rd enqueue flushed the batch
         assert all(handle.done for handle in handles)
 
-    def test_poll_respects_latency_deadline(self, estimator, clock, rng):
-        server = make_server(estimator, clock, max_batch_size=64, max_delay_ms=5.0)
-        handle = server.enqueue("a", make_frame(rng))
-        assert server.poll() == 0  # deadline not reached: batch keeps waiting
-        assert not handle.done
-        clock.advance(0.006)
-        assert server.poll() == 1  # oldest request exceeded max_delay_ms
-        assert handle.done
-
     def test_submit_is_synchronous_and_coalesces_pending(self, estimator, clock, rng):
         server = make_server(estimator, clock, max_batch_size=64, max_queue_depth=100)
         waiting = [server.enqueue(f"u{i}", make_frame(rng)) for i in range(5)]

@@ -150,16 +150,6 @@ class TestFacade:
             for handle in handles:
                 assert handle.result(flush=False).shape == (19, 3)
 
-    def test_poll_applies_worker_deadlines(self, estimator, streams):
-        config = ServeConfig(max_batch_size=64, max_delay_ms=0.0)
-        with ProcessShardedPoseServer(estimator, num_shards=2, config=config) as server:
-            users = list(streams)[:4]
-            for user in users:
-                server.enqueue(user, streams[user][0].cloud)
-            assert server.pending == 4
-            assert server.poll() == 4
-            assert server.pending == 0
-
     def test_forget_user_clears_shard_state(self, server, streams):
         user = next(iter(streams))
         server.submit(user, streams[user][0].cloud)

@@ -1,4 +1,4 @@
-"""Deterministic scheduler suite: clock seam, EDF fairness, rate limiting.
+"""Deterministic scheduler suite: clock seam, batch assembly, rate limiting.
 
 Every test here runs on the injected :class:`repro.serve.FakeClock` — no
 ``time.sleep``, no wall-clock flakiness — so the scheduling properties are
@@ -6,8 +6,9 @@ asserted exactly:
 
 * the :class:`Clock` seam (monotonic by default, fake/steppable in tests);
 * :class:`TokenBucket` refill is an exact pure function of the clock;
-* EDF batch assembly orders by ``(deadline, sequence)``, degenerating to
-  arrival order for a single class (the bitwise-replay invariant);
+* batch assembly is arrival order whatever the deadlines (the
+  bitwise-replay invariant), and a batch closes when full or flushed, so
+  the queue never holds a full batch (a seeded hypothesis property);
 * property-style randomized arrival schedules: no traffic class starves,
   drop-oldest evicts by arrival, and the mixed-class acceptance pin —
   interactive p95 within its budget while bulk keeps >= 70% of its
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     Clock,
@@ -27,6 +30,7 @@ from repro.serve import (
     MonotonicClock,
     PendingPrediction,
     PoseServer,
+    QueueFull,
     SchedulingPolicy,
     ServeConfig,
     ServeRequest,
@@ -71,7 +75,10 @@ class TestClockSeam:
         rng = np.random.default_rng(0)
         server.enqueue("u", make_frame(rng))
         clock.advance(0.010)
-        assert server.poll() == 1  # deadline applied on the fake clock
+        assert server.flush() == 1
+        snapshot = server.metrics_snapshot()
+        assert snapshot["latency_p50_ms"] == pytest.approx(10.0)  # the fake clock's 10 ms
+        assert snapshot["deadline_misses"] == 1  # past the 5 ms default budget
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +167,7 @@ class TestSchedulingPolicy:
 
 
 # ----------------------------------------------------------------------
-# EDF batch assembly (pure MicroBatcher, dummy requests)
+# Batch assembly (pure MicroBatcher, dummy requests)
 # ----------------------------------------------------------------------
 def make_request(sequence: int, arrival: float, deadline: float) -> ServeRequest:
     pending = PendingPrediction(f"u{sequence}", sequence, flush=lambda: 0)
@@ -170,33 +177,23 @@ def make_request(sequence: int, arrival: float, deadline: float) -> ServeRequest
 
 
 class TestEdfOrdering:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_drain_follows_deadline_then_sequence(self, seed):
-        rng = np.random.default_rng(seed)
-        batcher = MicroBatcher(ServeConfig(max_batch_size=16, max_queue_depth=512))
-        requests = [
-            make_request(sequence, arrival=0.0, deadline=float(rng.integers(0, 8)))
-            for sequence in range(64)
-        ]
-        for request in requests:
-            batcher.enqueue(request)
-        drained = []
-        while len(batcher):
-            batch = batcher.drain()
-            keys = [(r.deadline, r.pending.sequence) for r in batch]
-            assert keys == sorted(keys)  # EDF inside every batch
-            drained.extend(keys)
-        assert drained == sorted(drained)  # and across batches
+    """Drain and eviction order: arrival order, whatever the deadlines."""
 
     def test_single_class_degenerates_to_arrival_order(self):
-        """Uniform budgets make (deadline, sequence) == arrival order — the
-        invariant that keeps replay bitwise-identical to the pre-EDF batcher."""
-        batcher = MicroBatcher(ServeConfig(max_batch_size=64, max_queue_depth=512))
-        for sequence in range(32):
-            arrival = sequence * 0.001
-            batcher.enqueue(make_request(sequence, arrival, deadline=arrival + 0.005))
-        sequences = [request.pending.sequence for request in batcher.drain()]
-        assert sequences == list(range(32))
+        """Uniform budgets (one class) and mixed ones alike drain in arrival
+        order, across batches — the invariant that keeps replay
+        bitwise-identical whatever the traffic mix."""
+        rng = np.random.default_rng(0)
+        uniform = [0.005] * 32
+        mixed = rng.choice([0.0, 0.005, 0.050, 10.0], size=32)
+        for budgets in (uniform, mixed):
+            batcher = MicroBatcher(ServeConfig(max_batch_size=16, max_queue_depth=512))
+            for sequence, budget in enumerate(budgets):
+                arrival = sequence * 0.001
+                batcher.enqueue(make_request(sequence, arrival, deadline=arrival + budget))
+            drained = batcher.drain() + batcher.drain()
+            assert [request.pending.sequence for request in drained] == list(range(32))
+            assert len(batcher) == 0
 
     def test_drop_oldest_evicts_by_arrival_not_deadline(self):
         """A loose-budget (late-deadline) request cannot shield itself from
@@ -222,14 +219,6 @@ class TestEdfOrdering:
         with pytest.raises(FrameDropped, match="drop_oldest"):
             victim.pending.result(flush=False)
 
-    def test_deadline_driven_close_matches_old_max_delay_semantics(self):
-        clock = FakeClock()
-        batcher = MicroBatcher(ServeConfig(max_batch_size=64, max_queue_depth=64))
-        batcher.enqueue(make_request(0, arrival=clock.now(), deadline=clock.now() + 0.005))
-        assert not batcher.due(clock.now())
-        clock.advance(0.005)
-        assert batcher.due(clock.now())  # inclusive at equality, like oldest_age >=
-
 
 # ----------------------------------------------------------------------
 # Randomized fairness on a live server (fake clock)
@@ -238,8 +227,8 @@ class TestRandomizedFairness:
     @pytest.mark.parametrize("seed", [7, 19])
     def test_no_class_starves_under_random_mixed_load(self, estimator, seed):
         """Seeded random arrivals of both classes: every admitted request
-        resolves, bulk included, and bulk never waits past its budget when
-        capacity allows — EDF with finite budgets is starvation-free."""
+        resolves, bulk included — a batch closes when it fills, in arrival
+        order, and one final flush empties the queue."""
         rng = np.random.default_rng(seed)
         clock = FakeClock()
         server = PoseServer(
@@ -255,10 +244,7 @@ class TestRandomizedFairness:
                 user = f"{priority[0]}{int(rng.integers(0, 6))}"
                 handle = server.enqueue(user, make_frame(rng), priority=priority)
                 handles.append((priority, clock.now(), handle))
-            server.poll()
-        clock.advance(0.100)
-        while server.poll():
-            pass
+        server.flush()
         assert all(h.done for _, _, h in handles)  # nothing starved or stuck
         snapshot = server.metrics_snapshot()
         assert snapshot["completed"] == len(handles)
@@ -270,9 +256,8 @@ class TestRandomizedFairness:
     def test_bulk_request_completes_by_its_deadline_under_interactive_flood(
         self, estimator
     ):
-        """One bulk request, then a steady interactive flood: the bulk
-        deadline is fixed while new interactive deadlines recede, so EDF
-        serves it no later than its own budget."""
+        """One bulk request, then a steady interactive flood: arrival order
+        puts it in the first batch that fills, inside its own budget."""
         rng = np.random.default_rng(3)
         clock = FakeClock()
         server = PoseServer(
@@ -286,11 +271,12 @@ class TestRandomizedFairness:
             clock.advance(0.001)
             for i in range(3):
                 server.enqueue(f"i{i}", make_frame(rng), priority="interactive")
-            server.poll()
             if bulk.done:
                 break
+        server.flush()
         assert bulk.done
         assert clock.now() <= bulk_deadline + 1e-9
+        assert server.metrics_snapshot()["class_bulk_latency_p95_ms"] <= 50.0
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +289,9 @@ def _run_mixed_replay(estimator, include_interactive: bool) -> dict:
     frames every 25 ms (offsets 0/1/2 collide, 13 rides alone).  The queue
     depth (16) sits *below* the batch size (24), so enqueue's flush-on-full
     never rescues an overflowing queue: the colliding bursts genuinely
-    exercise drop-oldest eviction alongside EDF priority.  Both variants
-    flush on a capacity-matched 5 ms cadence so the isolated run measures
-    queue contention, not the lazier bulk deadline cadence.
+    exercise drop-oldest eviction.  Both variants flush on a
+    capacity-matched 5 ms cadence so the isolated run measures queue
+    contention.
     """
     clock = FakeClock()
     server = PoseServer(
@@ -325,7 +311,6 @@ def _run_mixed_replay(estimator, include_interactive: bool) -> dict:
             if tick % 25 == offset:
                 for _ in range(12):
                     server.enqueue(f"bulk-{user}", make_frame(rng), priority="bulk")
-        server.poll()
         if tick % 5 == 4:
             server.flush()  # capacity-matched service cadence for both runs
     while server.flush():
@@ -349,7 +334,7 @@ class TestMixedClassAcceptance:
         assert ratio >= 0.70
 
     def test_per_class_replay_is_bitwise_identical_to_unbatched(self, estimator):
-        """Within a class, micro-batched EDF serving returns bit-for-bit the
+        """Within a class, micro-batched serving returns bit-for-bit the
         predictions of an unbatched (max_batch_size=1) server."""
         rng = np.random.default_rng(9)
         frames = {f"u{i}": [make_frame(rng) for _ in range(4)] for i in range(3)}
@@ -365,8 +350,8 @@ class TestMixedClassAcceptance:
                     handles[user].append(
                         server.enqueue(user, stream[round_index], priority=priority)
                     )
-                server.poll()
-            server.flush()
+                if round_index % 2 == 1:
+                    server.flush()  # two batches of six mixed-class frames
             return {
                 user: [h.result(flush=False) for h in per_user]
                 for user, per_user in handles.items()
@@ -377,3 +362,60 @@ class TestMixedClassAcceptance:
         for user in frames:
             for got, want in zip(batched[user], unbatched[user]):
                 np.testing.assert_array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# The one batch-close rule: full or flushed, so never a full batch waiting
+# ----------------------------------------------------------------------
+_ENQUEUE = st.tuples(
+    st.just("enqueue"),
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from([None, "interactive", "bulk"]),
+    st.sampled_from([None, 0.0, 0.5, 1000.0]),
+)
+
+
+class TestQueueBound:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        max_batch_size=st.integers(1, 8),
+        max_queue_depth=st.integers(1, 12),
+        overflow=st.sampled_from(["drop_oldest", "reject"]),
+        calls=st.lists(st.one_of(st.just(("flush",)), _ENQUEUE), max_size=30),
+    )
+    def test_queue_never_holds_a_full_batch(
+        self, estimator, max_batch_size, max_queue_depth, overflow, calls
+    ):
+        """Random enqueue/flush sequences: after every call fewer than
+        ``max_batch_size`` and at most ``max_queue_depth`` frames wait, a
+        flush empties the queue, and every handle ends done or dropped."""
+        clock = FakeClock()
+        config = ServeConfig(
+            max_batch_size=max_batch_size,
+            max_queue_depth=max_queue_depth,
+            overflow=overflow,
+            gemm_block=8,
+        )
+        server = PoseServer(estimator, config, clock=clock)
+        rng = np.random.default_rng(0)
+        handles = []
+        for call in calls:
+            clock.advance(0.001)
+            if call[0] == "flush":
+                server.flush()
+                assert server.pending == 0
+            else:
+                _, user, priority, deadline_ms = call
+                try:
+                    handles.append(
+                        server.enqueue(
+                            user, make_frame(rng, 8), priority=priority, deadline_ms=deadline_ms
+                        )
+                    )
+                except (FrameDropped, QueueFull):
+                    pass
+            assert server.pending < max_batch_size
+            assert server.pending <= max_queue_depth
+        server.flush()
+        assert server.pending == 0
+        assert all(handle.done != handle.dropped for handle in handles)

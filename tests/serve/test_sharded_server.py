@@ -142,19 +142,6 @@ class TestAggregatedMetrics:
         assert snapshot["latency_p95_ms"] >= snapshot["latency_p50_ms"] >= 0.0
         assert snapshot["throughput_fps"] > 0
 
-    def test_poll_applies_every_shards_deadline(self, estimator, streams):
-        config = ServeConfig(max_batch_size=64, max_delay_ms=0.0)
-        # Two users on each shard, so both shards hold a pending request.
-        users = [user for user in streams if shard_for(user, 2) == 0][:2]
-        users += [user for user in streams if shard_for(user, 2) == 1][:2]
-        with ProcessShardedPoseServer(estimator, num_shards=2, config=config) as server:
-            for user in users:
-                server.enqueue(user, streams[user][0].cloud)
-            assert server.pending == 4
-            produced = server.poll()
-            assert produced == 4
-            assert server.pending == 0
-
     def test_prometheus_exposition_labels_every_shard(self, estimator, streams):
         with ProcessShardedPoseServer(
             estimator, num_shards=2, config=ServeConfig(max_batch_size=8)
