@@ -78,6 +78,22 @@ class TestScheduling:
         assert server.pending == 0  # the 3rd enqueue flushed the batch
         assert all(handle.done for handle in handles)
 
+    def test_partial_batch_waits_for_flush_past_its_deadline(self, estimator, clock, rng):
+        """A passed deadline closes no batch: a later arrival joins the same
+        partial batch, one flush serves both, and only the frame served past
+        its 5 ms budget counts as a miss."""
+        server = make_server(estimator, clock, max_batch_size=64, max_delay_ms=5.0)
+        late = server.enqueue("a", make_frame(rng))
+        clock.advance(0.006)
+        fresh = server.enqueue("b", make_frame(rng))
+        assert server.pending == 2
+        assert not late.done and not fresh.done
+        assert server.flush() == 2
+        assert late.done and fresh.done
+        snapshot = server.metrics_snapshot()
+        assert snapshot["flushes"] == 1
+        assert snapshot["deadline_misses"] == 1
+
     def test_submit_is_synchronous_and_coalesces_pending(self, estimator, clock, rng):
         server = make_server(estimator, clock, max_batch_size=64, max_queue_depth=100)
         waiting = [server.enqueue(f"u{i}", make_frame(rng)) for i in range(5)]

@@ -150,6 +150,23 @@ class TestFacade:
             for handle in handles:
                 assert handle.result(flush=False).shape == (19, 3)
 
+    def test_flush_closes_every_workers_partial_batch(self, estimator, streams):
+        """A worker closes a batch only when it fills or is flushed: with
+        every deadline spent at arrival (a 0 ms budget), partial batches
+        still wait on both workers through further commands, until one
+        façade flush serves them all, each counted as a deadline miss."""
+        config = ServeConfig(max_batch_size=64, max_delay_ms=0.0)
+        with ProcessShardedPoseServer(estimator, num_shards=2, config=config) as server:
+            users = [user for user in streams if server.shard_index(user) == 0][:2]
+            users += [user for user in streams if server.shard_index(user) == 1][:2]
+            handles = [server.enqueue(user, streams[user][0].cloud) for user in users]
+            assert [worker.call(MetricsRequest()).pending for worker in server.workers] == [2, 2]
+            assert server.pending == 4
+            assert server.flush() == 4
+            assert server.pending == 0
+            assert all(handle.done for handle in handles)
+            assert server.metrics_snapshot()["deadline_misses"] == 4
+
     def test_forget_user_clears_shard_state(self, server, streams):
         user = next(iter(streams))
         server.submit(user, streams[user][0].cloud)

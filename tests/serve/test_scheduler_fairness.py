@@ -195,6 +195,21 @@ class TestEdfOrdering:
             assert [request.pending.sequence for request in drained] == list(range(32))
             assert len(batcher) == 0
 
+    def test_drain_takes_at_most_one_batch_from_the_front(self):
+        """Each drain pops the next ``max_batch_size`` arrivals, earliest
+        deadline or not, leaving the rest queued; a short tail drains whole
+        and an empty queue drains nothing."""
+        batcher = MicroBatcher(ServeConfig(max_batch_size=8, max_queue_depth=64))
+        deadlines = np.random.default_rng(1).uniform(0.0, 1.0, size=20)
+        for sequence, deadline in enumerate(deadlines):
+            batcher.enqueue(make_request(sequence, sequence * 0.001, float(deadline)))
+        for start, remaining in ((0, 12), (8, 4), (16, 0)):
+            batch = batcher.drain()
+            expected = list(range(start, min(start + 8, 20)))
+            assert [request.pending.sequence for request in batch] == expected
+            assert len(batcher) == remaining
+        assert batcher.drain() == []
+
     def test_drop_oldest_evicts_by_arrival_not_deadline(self):
         """A loose-budget (late-deadline) request cannot shield itself from
         eviction: the oldest *arrival* goes, whatever its deadline."""
@@ -218,6 +233,50 @@ class TestEdfOrdering:
         assert victim.pending.dropped
         with pytest.raises(FrameDropped, match="drop_oldest"):
             victim.pending.result(flush=False)
+
+
+# ----------------------------------------------------------------------
+# Deadline accounting on a live server (fake clock)
+# ----------------------------------------------------------------------
+class TestDeadlineAccounting:
+    @pytest.mark.parametrize(
+        "priority, deadline_ms, wait_ms, missed",
+        [
+            ("interactive", None, 4.0, 0),
+            ("interactive", None, 6.0, 1),
+            ("bulk", None, 40.0, 0),
+            ("bulk", None, 60.0, 1),
+            ("interactive", 100.0, 60.0, 0),
+            ("bulk", 1.0, 4.0, 1),
+        ],
+        ids=[
+            "interactive-in-budget",
+            "interactive-late",
+            "bulk-in-budget",
+            "bulk-late",
+            "frame-deadline-loosens",
+            "frame-deadline-tightens",
+        ],
+    )
+    def test_flushed_frame_is_judged_against_its_own_deadline(
+        self, estimator, priority, deadline_ms, wait_ms, missed
+    ):
+        """A partial batch waits for its flush however late it runs; the
+        served frame then counts as a miss exactly when it waited past its
+        class budget (5 ms interactive, 50 ms bulk) or its own
+        ``deadline_ms``, and its wait lands in its class's latency figure."""
+        clock = FakeClock()
+        server = PoseServer(estimator, ServeConfig(max_batch_size=64), clock=clock)
+        handle = server.enqueue(
+            "u", make_frame(np.random.default_rng(0)), priority=priority, deadline_ms=deadline_ms
+        )
+        clock.advance(wait_ms / 1000.0)
+        assert server.pending == 1 and not handle.done
+        assert server.flush() == 1
+        snapshot = server.metrics_snapshot()
+        assert snapshot["deadline_misses"] == missed
+        assert snapshot[f"class_{priority}_completed"] == 1
+        assert snapshot[f"class_{priority}_latency_p95_ms"] == pytest.approx(wait_ms)
 
 
 # ----------------------------------------------------------------------

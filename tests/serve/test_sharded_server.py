@@ -142,6 +142,28 @@ class TestAggregatedMetrics:
         assert snapshot["latency_p95_ms"] >= snapshot["latency_p50_ms"] >= 0.0
         assert snapshot["throughput_fps"] > 0
 
+    def test_deadline_accounting_sums_every_shard(self, estimator, streams):
+        """Each shard judges its own frames' deadlines when a flush serves
+        them; the snapshot sums misses and per-class completions over the
+        shards.  Per shard, one frame's budget (1 ns) is spent before its
+        flush can run and one's (60 s) is not."""
+        users = [user for user in streams if shard_for(user, 2) == 0][:2]
+        users += [user for user in streams if shard_for(user, 2) == 1][:2]
+        with ProcessShardedPoseServer(
+            estimator, num_shards=2, config=ServeConfig(max_batch_size=64)
+        ) as server:
+            for user, (priority, deadline_ms) in zip(
+                users, [("interactive", 1e-6), ("bulk", 60_000.0)] * 2
+            ):
+                server.enqueue(user, streams[user][0].cloud, priority, deadline_ms)
+            assert server.flush() == 4
+            per_shard = [reply.state["deadline_misses"] for reply in shard_replies(server)]
+            snapshot = server.metrics_snapshot()
+        assert per_shard == [1, 1]
+        assert snapshot["deadline_misses"] == 2
+        assert snapshot["class_interactive_completed"] == 2
+        assert snapshot["class_bulk_completed"] == 2
+
     def test_prometheus_exposition_labels_every_shard(self, estimator, streams):
         with ProcessShardedPoseServer(
             estimator, num_shards=2, config=ServeConfig(max_batch_size=8)
