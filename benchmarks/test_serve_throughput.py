@@ -33,6 +33,7 @@ repository root; the scheduled CI slow tier uploads the file and
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -204,7 +205,10 @@ class TestServeThroughput:
           (users/sec) at ranks 2/4/8 against the ``scope="all"`` grouped
           baseline.  Training rank-r factors backpropagates and updates
           ``O(r * (in + out))`` values per layer instead of full tensors;
-          the bar is >= 5x the full-adaptation onboarding rate.
+          the bar is >= 5x the full-adaptation onboarding rate.  Beside it,
+          the rank-4 solo rate (users/sec of one warm ``adapt_user`` call,
+          median of nine): the shared-base fold pads a lone user's frames to
+          a full block, so its width trades solo cost against cohort cost.
         """
         estimator, streams = _serve_fixture()
         calibration, serving = adaptation_split(streams, adaptation_frames=5)
@@ -236,6 +240,20 @@ class TestServeThroughput:
             onboarding[f"lora_rank_{rank}_onboarding_per_sec"] = (
                 len(adapted_users) / seconds
             )
+        solo_user = adapted_users[0]
+        solo_server = PoseServer(
+            estimator,
+            ServeConfig(max_batch_size=64),
+            policy=AdapterPolicy(scope="lora", rank=4, epochs=3),
+        )
+        solo_seconds = []
+        for _ in range(10):  # the first call warms up; nine are timed
+            start = time.perf_counter()
+            solo_server.adapt_user(solo_user, datasets[solo_user])
+            solo_seconds.append(time.perf_counter() - start)
+        onboarding["lora_rank_4_solo_onboarding_per_sec"] = 1.0 / statistics.median(
+            solo_seconds[1:]
+        )
         _, all_seconds = onboard(AdapterPolicy(scope="all", epochs=3))
         onboarding["scope_all_onboarding_per_sec"] = len(adapted_users) / all_seconds
         onboarding["lora_rank_4_speedup_vs_all"] = (

@@ -9,24 +9,29 @@ upstream gradient and a ``needs`` tuple of booleans (one per differentiable
 input, in signature order) and returns one gradient per input, ``None``
 where it was not requested.
 
-The shared-base products of the four low-rank bodies (``x @ weight.T`` and
-``grad @ weight`` for linear layers, their im2col counterparts for
-convolutions) run once over every task's rows, not once per task.  The rows
-go through GEMMs of one fixed shape, :data:`FOLD_FRAMES` frames per block
-(the last block zero-padded), whatever the number of tasks.  A task's rows
-therefore come out bitwise the same alone or in any cohort: a row of a
-fixed-shape GEMM depends only on its own input row, the same batch-invariance
-rule :mod:`repro.serve.kernel` rests on.  A plain fold over all rows would not
-keep it, because BLAS picks a different kernel, and different bits, as the
-row count crosses its small-matrix thresholds.
+The low-rank linear bodies compute their shared-base products (``x @
+weight.T`` and ``grad @ weight``) once over every task's rows, in GEMMs of
+one fixed shape: :data:`FOLD_FRAMES` rows a block, the last block
+zero-padded, whatever the number of tasks.  A row of a fixed-shape GEMM
+depends only on its own input row (the batch-invariance rule
+:mod:`repro.serve.kernel` rests on), so a task's rows come out bitwise the
+same alone or in any cohort.  A plain fold over all rows would not keep
+that: BLAS picks a different kernel, and different bits, as the row count
+crosses its small-matrix thresholds.
+
+The low-rank conv bodies do not fold: their filter banks are too small for a
+shared product to save any packing.  Each task merges its factors into its
+own bank, ``filters + b[t] @ a[t]``, and runs one GEMM over its own patch
+rows, forward and backward.  That shape depends only on the task's own frame
+count, so conv rows are grouping-invariant too.
 
 The convolution bodies lower channels-last through :mod:`repro.nn.cols`,
 as :func:`repro.nn.conv2d` and the serving kernel do: the patches of the
 ``(T,B,C,H,W)`` input's NHWC view in ``(kh, kw, C)`` order, the filters (per
 task under ``conv2d_batched``) and the low-rank ``a`` factors permuted to
 that order per call, and ``grad_a`` / ``grad_weight`` permuted back to the
-stored ``(C, kh, kw)`` order.  The bias is added in place after the rank-r
-delta; the output and ``grad_x`` are NCHW views of NHWC memory.
+stored ``(C, kh, kw)`` order.  The bias is added in place after the filter
+product; the output and ``grad_x`` are NCHW views of NHWC memory.
 
 This is the only numeric path: every bitwise pin of the test suite
 (batched == sequential, sharded == serial, grouped == solo) covers it.
@@ -60,8 +65,8 @@ __all__ = [
 ]
 
 
-#: Frames per block of the low-rank bodies' shared-base products.
-FOLD_FRAMES = 16
+#: Frames (rows) per block of the low-rank linear bodies' shared-base products.
+FOLD_FRAMES = 32
 
 
 def active_backend_name() -> str:
@@ -69,26 +74,26 @@ def active_backend_name() -> str:
     return "reference"
 
 
-def _fold_product(rows: np.ndarray, weight: np.ndarray, frame_rows: int) -> np.ndarray:
-    """``rows @ weight`` over fixed-shape blocks of :data:`FOLD_FRAMES` frames.
+def _fold_product(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``rows @ weight`` over fixed-shape blocks of :data:`FOLD_FRAMES` rows.
 
-    ``rows`` is ``(tasks, task_rows, k)`` with ``frame_rows`` consecutive rows
-    per frame; ``weight`` is ``(k, n)``.  All tasks' rows are cut into blocks
-    of ``FOLD_FRAMES * frame_rows`` rows, and the blocks run as one
-    ``np.matmul`` stack: the full blocks as a view, the tail zero-padded in
-    the input's dtype.  Returns ``(tasks, task_rows, n)``.
+    ``rows`` is ``(tasks, task_rows, k)`` with one row per frame; ``weight``
+    is ``(k, n)``.  All tasks' rows are cut into blocks of ``FOLD_FRAMES``
+    rows, and the blocks run as one ``np.matmul`` stack: the full blocks as a
+    view, the tail zero-padded in the input's dtype.  Returns
+    ``(tasks, task_rows, n)``.
     """
     tasks, task_rows, k = rows.shape
     n = weight.shape[1]
     flat = rows.reshape(tasks * task_rows, k)
-    height = FOLD_FRAMES * frame_rows
-    full, tail = divmod(flat.shape[0], height)
-    out = np.empty((full + (tail > 0), height, n), dtype=np.result_type(flat, weight))
+    full, tail = divmod(flat.shape[0], FOLD_FRAMES)
+    out = np.empty((full + (tail > 0), FOLD_FRAMES, n), dtype=np.result_type(flat, weight))
     if full:
-        np.matmul(flat[: full * height].reshape(full, height, k), weight, out=out[:full])
+        blocks = flat[: full * FOLD_FRAMES].reshape(full, FOLD_FRAMES, k)
+        np.matmul(blocks, weight, out=out[:full])
     if tail:
-        padded = np.zeros((1, height, k), dtype=flat.dtype)
-        padded[0, :tail] = flat[full * height :]
+        padded = np.zeros((1, FOLD_FRAMES, k), dtype=flat.dtype)
+        padded[0, :tail] = flat[full * FOLD_FRAMES :]
         np.matmul(padded, weight, out=out[full:])
     return out.reshape(-1, n)[: flat.shape[0]].reshape(tasks, task_rows, n)
 
@@ -132,7 +137,7 @@ def linear_lowrank_forward(
     # Base path: one shared matrix, folded over every task's frames in
     # fixed-shape blocks.  Low-rank path: two rank-r products per task.
     hidden = np.matmul(x, a.transpose(0, 2, 1))  # (T, B, r)
-    out = _fold_product(x, weight.T, 1)
+    out = _fold_product(x, weight.T)
     out += np.matmul(hidden, b.transpose(0, 2, 1))
     if bias is not None:
         out += bias
@@ -152,7 +157,7 @@ def linear_lowrank_backward(
     grad_a = np.matmul(grad_hidden.transpose(0, 2, 1), x) if needs_a else None
     grad_x = None
     if needs_x:
-        grad_x = _fold_product(grad, weight, 1)
+        grad_x = _fold_product(grad, weight)
         grad_x += np.matmul(grad_hidden, a)
     grad_weight = (
         np.einsum("tbo,tbi->oi", grad, x, optimize=True) if needs_weight else None
@@ -261,15 +266,14 @@ def conv2d_lowrank_forward(
     out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, padding)
 
     cols_flat = _patch_rows(x, (kh, kw), stride, padding)  # (T, rows, patch)
-    weight_flat = filters_nhwc(weight)  # (O, patch)
     a_flat = patches_to_nhwc(a, in_channels, (kh, kw))
+    merged = filters_nhwc(weight) + np.matmul(b, a_flat)  # (T, O, patch)
 
     hidden = np.matmul(cols_flat, a_flat.transpose(0, 2, 1))  # (T, rows, r)
-    out = _fold_product(cols_flat, weight_flat.T, out_h * out_w)  # (T, rows, O)
-    out += np.matmul(hidden, b.transpose(0, 2, 1))
+    out = np.matmul(cols_flat, merged.transpose(0, 2, 1))  # (T, rows, O)
     if bias is not None:
         out += bias
-    ctx = (cols_flat, weight_flat, a_flat, b, hidden, x.shape, weight.shape, stride, padding)
+    ctx = (cols_flat, merged, b, hidden, x.shape, weight.shape, stride, padding)
     return _nchw(out, batch, out_h, out_w), ctx
 
 
@@ -277,18 +281,15 @@ def conv2d_lowrank_backward(
     ctx: Any, grad: np.ndarray, needs: Tuple[bool, bool, bool, bool, bool]
 ) -> Tuple[Optional[np.ndarray], ...]:
     """Gradients ``(gx, gweight, ga, gb, gbias)``; ``ga`` in the stored order."""
-    cols_flat, weight_flat, a_flat, b, hidden, x_shape, weight_shape, stride, padding = ctx
+    cols_flat, merged, b, hidden, x_shape, weight_shape, stride, padding = ctx
     in_channels, kh, kw = weight_shape[1:]
-    frame_rows = cols_flat.shape[1] // x_shape[1]
     needs_x, needs_weight, needs_a, needs_b, needs_bias = needs
 
     grad_flat = _grad_rows(grad)  # (T, rows, O)
     grad_b = np.matmul(grad_flat.transpose(0, 2, 1), hidden) if needs_b else None
-    grad_hidden = None
-    if needs_a or needs_x:
-        grad_hidden = np.matmul(grad_flat, b)  # (T, rows, r)
     grad_a = None
     if needs_a:
+        grad_hidden = np.matmul(grad_flat, b)  # (T, rows, r)
         grad_a = patches_to_nchw(
             np.matmul(grad_hidden.transpose(0, 2, 1), cols_flat), in_channels, (kh, kw)
         )
@@ -300,7 +301,6 @@ def conv2d_lowrank_backward(
     grad_bias = grad_flat.sum(axis=(0, 1)) if needs_bias else None
     grad_x = None
     if needs_x:
-        grad_cols = _fold_product(grad_flat, weight_flat, frame_rows)  # (T, rows, patch)
-        grad_cols += np.matmul(grad_hidden, a_flat)
+        grad_cols = np.matmul(grad_flat, merged)  # (T, rows, patch)
         grad_x = _grad_input(grad_cols, x_shape, (kh, kw), stride, padding)
     return grad_x, grad_weight, grad_a, grad_b, grad_bias

@@ -42,9 +42,13 @@ calling thread.
 
 The kernel is inference-only (no autograd) and holds its own contiguous copy
 of the shared parameters, so serving never races with training code mutating
-the live model.  Per-user *adapted* parameters take the task-batched
-:func:`repro.engine.batched_forward` path instead, which is slice-stable by
-construction.
+the live model.  It also serves two of the three adapted routes:
+``scope="lora"`` users through :meth:`SharedParameterKernel.predict_lowrank`
+(the shared base in the same blocks, each frame's rank-r deltas on top), and
+``scope="last"`` users' shared trunk (a kernel over the model's trunk, whose
+embedding feeds each frame's personal head).  Only ``scope="all"`` parameters
+take the task-batched :func:`repro.engine.batched_forward` path, which is
+slice-stable by construction.
 """
 
 from __future__ import annotations

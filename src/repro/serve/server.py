@@ -10,10 +10,15 @@ pieces together per request:
 3. a flush builds every feature map in one vectorized
    :meth:`FeatureMapBuilder.build_batch` call, then routes base-model users
    through the batch-invariant :class:`SharedParameterKernel` and adapted
-   users through the task-batched :func:`repro.engine.batched_forward` with
-   their per-user parameter slices from the :class:`AdapterRegistry`.
+   users by the registry's scope, with their per-user parameter slices from
+   the :class:`AdapterRegistry`: ``lora`` through
+   :meth:`SharedParameterKernel.predict_lowrank` (the shared base in fixed
+   blocks plus per-frame rank-r deltas), ``last`` through
+   :meth:`AdapterRegistry.trunk_embed` plus :func:`repro.nn.linear_batched`
+   over the frames' personal heads, and ``all`` through the task-batched
+   :func:`repro.engine.batched_forward`.
 
-Both inference routes are batch-composition invariant, so a replay of N
+Every inference route is batch-composition invariant, so a replay of N
 interleaved users is bitwise identical to serving each user alone — the
 property that makes micro-batching safe to deploy and simple to test.
 

@@ -235,7 +235,7 @@ class TestLinearBatched:
 
 
 class TestLinearLowRank:
-    # The last case's 21 frames fill one 16-frame block of the shared-base
+    # The last case's 35 frames fill one 32-row block of the shared-base
     # fold and leave a padded tail.
     CASES = [
         (1, 1, 3, 2, 1),
@@ -243,6 +243,7 @@ class TestLinearLowRank:
         (3, 2, 8, 8, 4),
         (4, 8, 16, 12, 3),
         (3, 7, 16, 12, 3),
+        (5, 7, 16, 12, 3),
     ]
 
     @pytest.mark.parametrize("tasks,batch,features_in,features_out,rank", CASES)
@@ -297,8 +298,6 @@ class TestConv2dBatched:
 
 
 class TestConv2dLowRank:
-    # The last case's 21 frames fill one 16-frame block of the shared-base
-    # fold and leave a padded tail.
     CASES = [
         (1, 1, 1, 5, 5, 2, 3, 1, 0, 1),
         (2, 2, 3, 6, 6, 4, 3, 1, 1, 2),

@@ -8,16 +8,20 @@ The low-rank batched ops promise two things:
    ``base + b[t] @ a[t]``.
 2. **Grouping invariance** — a task's output and gradients do not depend
    on which other tasks share the batched call, the bitwise property
-   per-user adaptation and grouped serving are built on.  The shared-base
-   products run over every task's frames in fixed-shape blocks of
-   ``FOLD_FRAMES`` frames, so the cases take the group past one block and
-   past two, and a canary pins the BLAS property that makes this hold.
+   per-user adaptation and grouped serving are built on.  The linear op's
+   shared-base products run over every task's frames in fixed-shape blocks
+   of ``FOLD_FRAMES`` rows, so the cases take the group past one block and
+   past three; the conv op runs one GEMM per task against the task's own
+   merged filter bank.  A seeded property draws cohorts at PoseCNN's widths,
+   and a canary pins the BLAS properties that make both hold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.core.models import PoseCNN
@@ -39,11 +43,12 @@ def _output_and_grads(op, x, weight, a, b, grad, **kwargs):
     return out.data, x.grad, a.grad, b.grad
 
 
-def _assert_grouping_invariant(op, x, weight, a, b, grad, **kwargs):
-    """Every task's forward, ``grad_x``, ``grad_a`` and ``grad_b`` in the
-    group equal the task's solo run bitwise."""
+def _assert_grouping_invariant(op, x, weight, a, b, grad, probes=None, **kwargs):
+    """The forward, ``grad_x``, ``grad_a`` and ``grad_b`` of every task in
+    ``probes`` (default: every task of the group) equal the task's solo run
+    bitwise."""
     grouped = _output_and_grads(op, x, weight, a, b, grad, **kwargs)
-    for t in range(x.shape[0]):
+    for t in range(x.shape[0]) if probes is None else probes:
         one = slice(t, t + 1)
         solo = _output_and_grads(op, x[one], weight, a[one], b[one], grad[one], **kwargs)
         for got, want in zip(grouped, solo):
@@ -102,17 +107,17 @@ class TestLinearLowRankBatched:
     @pytest.mark.parametrize("peers", [0, 1, 3, 5, 11])
     def test_grouping_invariance(self, rng, peers):
         """A task's rows and gradients are bitwise identical however the
-        group is composed: 3 frames a task, so 5 peers span two blocks of
-        the shared-base fold and 11 peers three, with tasks across block
-        boundaries and in the padded tail.  The 512 -> 57 width is PoseCNN's
-        output layer, where a BLAS build may give a row other bits when the
-        product's row count changes."""
+        group is composed: 9 frames a task, so 3 peers span two blocks of
+        the shared-base fold and 11 peers three blocks and a padded tail,
+        with tasks across block boundaries and in the tail.  The 512 -> 57
+        width is PoseCNN's output layer, where a BLAS build may give a row
+        other bits when the product's row count changes."""
         tasks = 1 + peers
-        x = rng.normal(size=(tasks, 3, 512))
+        x = rng.normal(size=(tasks, 9, 512))
         weight = rng.normal(size=(57, 512))
         a = rng.normal(size=(tasks, 2, 512))
         b = rng.normal(size=(tasks, 57, 2))
-        grad = rng.normal(size=(tasks, 3, 57))
+        grad = rng.normal(size=(tasks, 9, 57))
         _assert_grouping_invariant(nn.linear_lowrank_batched, x, weight, a, b, grad)
 
     def test_gradients_flow_to_factors(self, rng):
@@ -211,11 +216,11 @@ class TestConv2dLowRankBatched:
 
     @pytest.mark.parametrize("peers", [0, 2, 5, 11])
     def test_grouping_invariance(self, rng, peers):
-        """As for the linear op: 3 frames a task, so 5 peers span two blocks
-        of the shared-base fold and 11 peers three.  The channels are
-        PoseCNN's first conv (5 -> 16, 3x3); on 4x4 inputs a solo task's 48
-        rows and a cohort's hundreds can sit on either side of a BLAS
-        small-matrix threshold."""
+        """A task runs one GEMM against its own merged filter bank, so no
+        count of peers may change its rows.  The channels are PoseCNN's
+        first conv (5 -> 16, 3x3); on 4x4 inputs a solo task's 48 rows and a
+        cohort's hundreds would sit on either side of a BLAS small-matrix
+        threshold if the rows were ever folded across tasks."""
         tasks = 1 + peers
         x = rng.normal(size=(tasks, 3, 5, 4, 4))
         weight = rng.normal(size=(16, 5, 3, 3))
@@ -251,56 +256,130 @@ class TestConv2dLowRankBatched:
             nn.conv2d_lowrank_batched(x, weight, a, Tensor(rng.normal(size=(2, 2, 2))))
 
 
+#: PoseCNN's low-rank layers as the property draws them: (op, in, out,
+#: op keyword arguments); the conv layers take 8x8 inputs.
+_POSECNN_LAYERS = {
+    "fc1": (nn.linear_lowrank_batched, 2048, 512, {}),
+    "fc2": (nn.linear_lowrank_batched, 512, 57, {}),
+    "conv1": (nn.conv2d_lowrank_batched, 5, 16, {"padding": 1}),
+    "conv2": (nn.conv2d_lowrank_batched, 16, 32, {"padding": 1}),
+}
+
+
+class TestGroupingInvarianceProperty:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        layer=st.sampled_from(sorted(_POSECNN_LAYERS)),
+        tasks=st.integers(1, 40),
+        frames=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_random_task_matches_solo(self, layer, tasks, frames, data):
+        """A random task of a random cohort at PoseCNN's widths: forward,
+        ``grad_x``, ``grad_a`` and ``grad_b`` equal its solo run bitwise.
+        Up to 480 rows a linear group spans fifteen fold blocks, far past
+        the hand-picked peers above."""
+        op, fan_in, fan_out, kwargs = _POSECNN_LAYERS[layer]
+        probe = data.draw(st.integers(0, tasks - 1), label="probe")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rank = 4
+        if op is nn.conv2d_lowrank_batched:
+            x = rng.normal(size=(tasks, frames, fan_in, 8, 8))
+            weight = rng.normal(size=(fan_out, fan_in, 3, 3))
+            a = rng.normal(size=(tasks, rank, fan_in * 9))
+            grad = rng.normal(size=(tasks, frames, fan_out, 8, 8))
+        else:
+            x = rng.normal(size=(tasks, frames, fan_in))
+            weight = rng.normal(size=(fan_out, fan_in))
+            a = rng.normal(size=(tasks, rank, fan_in))
+            grad = rng.normal(size=(tasks, frames, fan_out))
+        b = rng.normal(size=(tasks, fan_out, rank))
+        _assert_grouping_invariant(op, x, weight, a, b, grad, probes=[probe], **kwargs)
+
+
 def _posecnn_base_products():
-    """Every shared-base product of a PoseCNN adaptation step: for each
-    layer, ``(name, weight operand, rows per frame)`` of the forward
-    (``rows @ weight.T``) and the input-gradient (``grad @ weight``)
-    product, in the layouts the low-rank bodies pass to BLAS.  Conv filters
-    are flattened by the bodies' own :func:`repro.nn.cols.filters_nhwc`,
-    in the channels-last ``(kh, kw, C)`` patch order."""
+    """Every base-weight product of a PoseCNN adaptation step: for each
+    layer, ``(name, kind, weight operand)`` of the forward (``rows @
+    weight.T``) and the input-gradient (``grad @ weight``) product, in the
+    layouts the low-rank bodies pass to BLAS.  Conv filters are flattened
+    by the bodies' own :func:`repro.nn.cols.filters_nhwc`, in the
+    channels-last ``(kh, kw, C)`` patch order, the layout of each task's
+    merged filter bank."""
     model = PoseCNN()
-    pixels = model.config.input_height * model.config.input_width  # same padding
     products = []
-    for kind, module_type, frame_rows in (("conv", nn.Conv2d, pixels), ("fc", nn.Linear, 1)):
+    for kind, module_type in (("conv", nn.Conv2d), ("fc", nn.Linear)):
         layers = [m for m in model.network if isinstance(m, module_type)]
         for index, layer in enumerate(layers, start=1):
             weight = layer.weight.data
             if kind == "conv":
                 weight = filters_nhwc(weight)
-            products.append((f"{kind}{index}-forward", weight.T, frame_rows))
-            products.append((f"{kind}{index}-grad_x", weight, frame_rows))
+            products.append((f"{kind}{index}-forward", kind, weight.T))
+            products.append((f"{kind}{index}-grad_x", kind, weight))
     return products
 
 
 class TestFixedShapeRowCanary:
-    """Canary for the BLAS property the shared-base fold rests on.
+    """Canary for the BLAS properties grouped == solo adaptation rests on.
 
-    Inside a GEMM of one fixed shape, a row's product must not depend on
-    the slot it occupies or on the other rows of the block.  BLAS builds do
-    *not* promise this across shapes (a row's bits change as the row count
-    crosses small-matrix thresholds), which is why every block has the same
-    shape.  If this fails on a new BLAS build, grouped == solo adaptation
-    breaks at the real shapes.
+    * Fully connected layers fold every task's rows through GEMMs of one
+      fixed shape, so inside such a GEMM a row's product must not depend on
+      the slot it occupies or on the other rows of the block.  BLAS builds
+      do *not* promise this across shapes (a row's bits change as the row
+      count crosses small-matrix thresholds), which is why every block has
+      the same shape.
+    * Convolutions run one GEMM per task against the task's own merged
+      filter bank, all tasks as one ``np.matmul`` stack, so a task's product
+      must not depend on its position in the stack or on its peers.
+
+    If this fails on a new BLAS build, grouped == solo adaptation breaks at
+    the real shapes.
     """
 
+    #: Frames per conv task: onboarding's calibration set; 64 rows a frame.
+    CONV_FRAMES = 5
+    CONV_TASKS = 4
+
     @pytest.mark.parametrize(
-        "weight,frame_rows",
-        [pytest.param(w, f, id=name) for name, w, f in _posecnn_base_products()],
+        "kind,weight",
+        [pytest.param(kind, w, id=name) for name, kind, w in _posecnn_base_products()],
     )
-    def test_row_is_slot_and_co_row_invariant(self, rng, weight, frame_rows):
-        height = backend.FOLD_FRAMES * frame_rows
+    def test_row_is_slot_and_co_row_invariant(self, rng, kind, weight):
+        if kind == "fc":
+            self._check_fold_rows(rng, weight)
+        else:
+            self._check_task_stack(rng, weight)
+
+    @staticmethod
+    def _check_fold_rows(rng, weight):
+        # FOLD_FRAMES blocks; block j holds the probe in slot j and random
+        # rows elsewhere: together the blocks put the probe in every slot.
+        height = backend.FOLD_FRAMES
         probe = rng.normal(size=weight.shape[0])
-        # FOLD_FRAMES blocks; block j holds the probe in every slot s with
-        # s % FOLD_FRAMES == j, random rows elsewhere: together the blocks
-        # put the probe in every slot of a block.
-        rows = rng.normal(size=(backend.FOLD_FRAMES, height, weight.shape[0]))
+        rows = rng.normal(size=(height, height, weight.shape[0]))
         slots = np.arange(height)
-        for j in range(backend.FOLD_FRAMES):
-            rows[j, slots % backend.FOLD_FRAMES == j] = probe
-        folded = backend._fold_product(rows.reshape(1, -1, weight.shape[0]), weight, frame_rows)
-        folded = folded.reshape(backend.FOLD_FRAMES, height, -1)
-        probes = np.stack(
-            [folded[j, slots % backend.FOLD_FRAMES == j] for j in range(backend.FOLD_FRAMES)]
-        )
-        solo = backend._fold_product(probe[None, None], weight, frame_rows)[0, 0]
+        rows[slots, slots] = probe
+        folded = backend._fold_product(rows.reshape(1, -1, weight.shape[0]), weight)
+        probes = folded.reshape(height, height, -1)[slots, slots]
+        solo = backend._fold_product(probe[None, None], weight)[0, 0]
         np.testing.assert_array_equal(probes, np.broadcast_to(solo, probes.shape))
+
+    def _check_task_stack(self, rng, weight):
+        k, n = weight.shape
+        rows_per_task = self.CONV_FRAMES * 64
+
+        def banks(tasks):
+            # Random per-task operands in the body's layout: a transposed
+            # view where the body passes ``merged.transpose(0, 2, 1)``.
+            if weight.flags.c_contiguous:
+                return rng.normal(size=(tasks, k, n))
+            return rng.normal(size=(tasks, n, k)).transpose(0, 2, 1)
+
+        probe_rows = rng.normal(size=(1, rows_per_task, k))
+        probe_bank = banks(1)
+        solo = np.matmul(probe_rows, probe_bank)[0]
+        for position in range(self.CONV_TASKS):
+            rows = rng.normal(size=(self.CONV_TASKS, rows_per_task, k))
+            stack = banks(self.CONV_TASKS)
+            rows[position] = probe_rows[0]
+            stack[position] = probe_bank[0]
+            np.testing.assert_array_equal(np.matmul(rows, stack)[position], solo)

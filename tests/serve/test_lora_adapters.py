@@ -54,9 +54,10 @@ def calibration_arrays(estimator, split_streams):
 
 class TestLoraAdaptation:
     def test_grouped_adaptation_matches_solo_bitwise(self, estimator, calibration_arrays):
-        """All 10 users x 6 frames: the grouped step's 60 frames fill three
-        16-frame blocks of the shared-base fold and a padded tail, so users
-        in later blocks, across block boundaries and in the tail are pinned."""
+        """All 10 users x 6 frames: the grouped step's 60 frames fill one
+        32-row block of the fully connected layers' shared-base fold and a
+        padded tail, so users in the block, across its boundary and in the
+        tail are pinned."""
         users = list(calibration_arrays)
         policy = AdapterPolicy(scope="lora", rank=2, epochs=2)
         grouped = AdapterRegistry(estimator.model, policy=policy)
