@@ -202,7 +202,7 @@ class TestServeThroughput:
           of ``scope="last"`` serving (full-network personalization at
           near-last-layer speed).
         * ``adapter_onboarding`` — grouped onboarding throughput
-          (users/sec) at ranks 2/4/8 against the ``scope="all"`` grouped
+          (users/sec) at ranks 2/4/8 against the ``scope="all"``
           baseline.  Training rank-r factors backpropagates and updates
           ``O(r * (in + out))`` values per layer instead of full tensors;
           the bar is >= 5x the full-adaptation onboarding rate.  Beside it,

@@ -18,7 +18,7 @@ every substrate it depends on:
   the radar engine): worker pools, shard layout, deterministic per-shard
   seeding and result merging,
 * :mod:`repro.engine` — the vectorized radar engine and the task-batched
-  model walker behind serving's grouped adaptation,
+  low-rank execution behind serving's grouped ``scope="lora"`` adaptation,
 * :mod:`repro.serve` — the streaming multi-user serving layer
   (:class:`repro.serve.PoseServer` /
   :class:`repro.serve.ProcessShardedPoseServer`): per-user sessions,

@@ -6,32 +6,20 @@ computes" and "how fast it computes it".  Its pieces:
 * :class:`BatchedRadarEngine` — whole-trajectory radar execution over
   ``(batch, frame, ...)`` arrays, with a per-frame reference twin selected
   by :meth:`repro.runtime.ExecutionPlan.reference`;
-* task-batched functional model execution
-  (:func:`replicate_parameters` / :func:`batched_forward`, and the
-  ``lowrank_*`` family) used by the serving tier's grouped per-user
-  adaptation.
+* task-batched low-rank model execution (the ``lowrank_*`` family), used
+  by the serving tier's grouped ``scope="lora"`` adaptation.
 
 The equivalence tests in ``tests/engine`` pin each batched path to its
 reference, and ``benchmarks/test_engine_throughput.py`` tracks the radar
 speedup in ``BENCH_engine.json``.
 """
 
-from .functional import (
-    batched_forward,
-    lowrank_forward,
-    lowrank_parameters,
-    lowrank_shapes,
-    replicate_parameters,
-    supports_batched_execution,
-)
+from .functional import lowrank_forward, lowrank_parameters, lowrank_shapes
 from .radar import BatchedRadarEngine
 
 __all__ = [
     "BatchedRadarEngine",
-    "batched_forward",
     "lowrank_forward",
     "lowrank_parameters",
     "lowrank_shapes",
-    "replicate_parameters",
-    "supports_batched_execution",
 ]

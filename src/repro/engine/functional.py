@@ -1,19 +1,19 @@
 """Task-batched functional execution of ``repro.nn`` models.
 
-The serving tier adapts one model per user, which naively means ``T``
-separate forward/backward passes per adaptation step.  This module runs all
-users at once: every parameter of the underlying model is replicated into a
-``(tasks, ...)`` tensor, and the network is replayed *functionally* — the
-module tree supplies the architecture while the per-task parameter tensors
-supply the weights — using the grouped kernels
-(:func:`repro.nn.conv2d_batched`, :func:`repro.nn.linear_batched`).
-:class:`repro.serve.AdapterRegistry` adapts ``scope="all"`` cohorts this way
-and :class:`repro.serve.PoseServer` serves their parameter stacks with
-:func:`batched_forward`; the ``lowrank_*`` functions adapt ``scope="lora"``
-factors the same way.
+The serving tier adapts one parameter set per user.  Under
+``scope="lora"`` every user trains only rank-r factors on top of frozen
+shared weights, so a whole cohort runs at once: each user's factors are one
+slice of a ``(tasks, ...)`` tensor, and the network is replayed
+*functionally* — the module tree supplies the architecture while the shared
+base parameters and the per-task factors supply the weights — through the
+grouped low-rank kernels (:func:`repro.nn.conv2d_lowrank_batched`,
+:func:`repro.nn.linear_lowrank_batched`).
+:class:`repro.serve.AdapterRegistry` adapts ``scope="lora"`` cohorts with
+the ``lowrank_*`` functions here and takes every scope's SGD step with
+:func:`gradient_step`.
 
 Because tasks are mathematically independent, backpropagating the **sum** of
-per-task losses through the ``(tasks, ...)`` parameters yields exactly each
+per-task losses through the ``(tasks, ...)`` factors yields exactly each
 task's own gradient in its slice — no cross-task terms.
 """
 
@@ -26,9 +26,6 @@ import numpy as np
 from .. import nn
 
 __all__ = [
-    "supports_batched_execution",
-    "replicate_parameters",
-    "batched_forward",
     "gradient_step",
     "lowrank_shapes",
     "lowrank_parameters",
@@ -36,82 +33,23 @@ __all__ = [
 ]
 
 
-def supports_batched_execution(module: nn.Module) -> bool:
-    """Whether every layer of ``module`` has a task-batched functional kernel."""
-    for child in module.modules():
-        if isinstance(
-            child, (nn.Sequential, nn.Conv2d, nn.Linear, nn.ReLU, nn.Tanh, nn.Sigmoid, nn.Flatten)
-        ):
-            continue
-        if isinstance(child, nn.Dropout):
-            if child.p == 0.0:
-                continue
-            return False
-        if child._modules and not child._parameters:
-            continue  # pure container (e.g. PoseCNN wrapping its Sequential)
-        return False
-    return True
+def gradient_step(params: Sequence[nn.Tensor], learning_rate: float) -> None:
+    """One plain gradient-descent step, in place, as :class:`repro.nn.SGD` takes it.
 
-
-def replicate_parameters(module: nn.Module, tasks: int) -> List[nn.Tensor]:
-    """Copy a module's parameters into per-task ``(tasks, ...)`` leaf tensors."""
-    if tasks < 1:
-        raise ValueError("tasks must be >= 1")
-    replicated: List[nn.Tensor] = []
-    for param in module.parameters():
-        stacked = np.broadcast_to(param.data, (tasks, *param.data.shape)).copy()
-        replicated.append(nn.Tensor(stacked, requires_grad=True))
-    return replicated
-
-
-def gradient_step(params: Sequence[nn.Tensor], learning_rate: float) -> List[nn.Tensor]:
-    """One plain gradient-descent step on per-task leaf tensors.
-
-    Returns fresh leaf tensors ``param - learning_rate * grad`` (parameters
-    without a gradient are copied unchanged) and consumes the gradient
-    buffers in place to avoid an extra ``(tasks, ...)``-sized temporary per
-    parameter.  This is the SGD update of the serving tier's grouped
-    ``scope="all"`` adaptation.
+    Each parameter with a gradient has its ``.data`` rebound to ``param -
+    learning_rate * grad`` and its gradient cleared; parameters without one
+    are left as they are.  The update is computed in the gradient buffer, so
+    it needs no temporary of the parameter's size.  This is the SGD step of
+    every adaptation scope of the serving tier.
     """
-    updated: List[nn.Tensor] = []
     for param in params:
         if param.grad is None:
-            updated.append(nn.Tensor(param.data.copy(), requires_grad=True))
             continue
         step = param.grad
         step *= -learning_rate
         step += param.data
+        param.data = step
         param.grad = None
-        updated.append(nn.Tensor(step, requires_grad=True))
-    return updated
-
-
-def batched_forward(
-    module: nn.Module, params: Sequence[nn.Tensor], x: nn.Tensor
-) -> nn.Tensor:
-    """Run ``module`` functionally with per-task parameters.
-
-    Parameters
-    ----------
-    module:
-        The architecture template (a :class:`repro.nn.Sequential` or a module
-        tree of supported layers).  Its own parameters are **not** used.
-    params:
-        Per-task parameter tensors in ``module.parameters()`` order; each has
-        shape ``(tasks, *original_shape)``.
-    x:
-        Input tensor of shape ``(tasks, batch, ...)``.
-
-    Returns
-    -------
-    Output tensor of shape ``(tasks, batch, out_features)``.
-    """
-    iterator = iter(params)
-    out = _forward_module(module, iterator, x)
-    leftover = next(iterator, None)
-    if leftover is not None:
-        raise ValueError("more per-task parameters supplied than the module consumes")
-    return out
 
 
 def lowrank_shapes(module: nn.Module) -> List[tuple]:
@@ -244,39 +182,3 @@ def _take(iterator: Iterator[nn.Tensor], layer: nn.Module, name: str) -> nn.Tens
         return next(iterator)
     except StopIteration:  # pragma: no cover - defensive
         raise ValueError(f"ran out of per-task parameters at {layer!r} ({name})") from None
-
-
-def _forward_module(
-    module: nn.Module, params: Iterator[nn.Tensor], x: nn.Tensor
-) -> nn.Tensor:
-    if isinstance(module, nn.Sequential):
-        for child in module:
-            x = _forward_module(child, params, x)
-        return x
-    if isinstance(module, nn.Conv2d):
-        weight = _take(params, module, "weight")
-        bias = _take(params, module, "bias") if module.bias is not None else None
-        return nn.conv2d_batched(x, weight, bias, stride=module.stride, padding=module.padding)
-    if isinstance(module, nn.Linear):
-        weight = _take(params, module, "weight")
-        bias = _take(params, module, "bias") if module.bias is not None else None
-        return nn.linear_batched(x, weight, bias)
-    if isinstance(module, nn.ReLU):
-        return x.relu()
-    if isinstance(module, nn.Tanh):
-        return x.tanh()
-    if isinstance(module, nn.Sigmoid):
-        return x.sigmoid()
-    if isinstance(module, nn.Flatten):
-        # Per-task flatten keeps the (tasks, batch) axes and folds the rest.
-        return x.reshape(x.shape[0], x.shape[1], -1)
-    if isinstance(module, nn.Dropout) and module.p == 0.0:
-        return x
-    # Modules with children but no kernel of their own (e.g. PoseCNN wrapping
-    # a Sequential) recurse into their children in registration order.
-    children = list(module._modules.values())
-    if children and not module._parameters:
-        for child in children:
-            x = _forward_module(child, params, x)
-        return x
-    raise NotImplementedError(f"no task-batched kernel for layer {module!r}")

@@ -47,7 +47,6 @@ from .ops import (
     avg_pool2d,
     col2im,
     conv2d,
-    conv2d_batched,
     conv2d_lowrank_batched,
     im2col,
     max_pool2d,
@@ -63,7 +62,6 @@ __all__ = [
     "is_grad_enabled",
     # ops
     "conv2d",
-    "conv2d_batched",
     "conv2d_lowrank_batched",
     "max_pool2d",
     "avg_pool2d",

@@ -1,7 +1,7 @@
 """Fused forward/backward bodies of the batched ``repro.nn`` hot-path ops.
 
 The task-batched ops in :mod:`repro.nn.functional` and :mod:`repro.nn.ops`
-(per-task linear and convolution, and their shared-base + rank-r variants)
+(per-task linear, and shared-base + rank-r linear and convolution)
 validate their inputs, keep the autograd bookkeeping, and run their
 arithmetic here on plain ``ndarray`` values.  Each forward function returns
 ``(out, ctx)``; the matching backward function takes that ``ctx``, the
@@ -25,16 +25,16 @@ own bank, ``filters + b[t] @ a[t]``, and runs one GEMM over its own patch
 rows, forward and backward.  That shape depends only on the task's own frame
 count, so conv rows are grouping-invariant too.
 
-The convolution bodies lower channels-last through :mod:`repro.nn.cols`,
+The low-rank conv bodies lower channels-last through :mod:`repro.nn.cols`,
 as :func:`repro.nn.conv2d` and the serving kernel do: the patches of the
-``(T,B,C,H,W)`` input's NHWC view in ``(kh, kw, C)`` order, the filters (per
-task under ``conv2d_batched``) and the low-rank ``a`` factors permuted to
-that order per call, and ``grad_a`` / ``grad_weight`` permuted back to the
-stored ``(C, kh, kw)`` order.  The bias is added in place after the filter
-product; the output and ``grad_x`` are NCHW views of NHWC memory.
+``(T,B,C,H,W)`` input's NHWC view in ``(kh, kw, C)`` order, the base filters
+and the low-rank ``a`` factors permuted to that order per call, and
+``grad_a`` / ``grad_weight`` permuted back to the stored ``(C, kh, kw)``
+order.  The bias is added in place after the filter product; the output and
+``grad_x`` are NCHW views of NHWC memory.
 
-This is the only numeric path: every bitwise pin of the test suite
-(batched == sequential, sharded == serial, grouped == solo) covers it.
+This is the only numeric path of these ops: every bitwise pin of the test
+suite that runs them (grouped == solo, batched == unbatched) covers it.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ __all__ = [
     "linear_batched_backward",
     "linear_lowrank_forward",
     "linear_lowrank_backward",
-    "conv2d_batched_forward",
-    "conv2d_batched_backward",
     "conv2d_lowrank_forward",
     "conv2d_lowrank_backward",
 ]
@@ -167,7 +165,7 @@ def linear_lowrank_backward(
 
 
 # ----------------------------------------------------------------------
-# Per-task convolution
+# Shared-base + low-rank convolution
 # ----------------------------------------------------------------------
 def _patch_rows(x: np.ndarray, kernel_size, stride, padding) -> np.ndarray:
     """``(T,B,C,H,W)`` input -> ``(T, B*OH*OW, kh*kw*C)`` channels-last patches."""
@@ -200,53 +198,6 @@ def _grad_input(grad_cols: np.ndarray, x_shape, kernel_size, stride, padding) ->
     return image.reshape(tasks, batch, height, width, in_channels).transpose(0, 1, 4, 2, 3)
 
 
-def conv2d_batched_forward(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride,
-    padding,
-) -> Tuple[np.ndarray, Any]:
-    """Per-task conv: ``(T,B,C,H,W) x (T,O,C,kh,kw) -> (T,B,O,OH,OW)``."""
-    _, batch, _, height, width = x.shape
-    kh, kw = weight.shape[-2:]
-    out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, padding)
-
-    cols_flat = _patch_rows(x, (kh, kw), stride, padding)  # (T, B*OH*OW, patch)
-    weight_flat = filters_nhwc(weight)  # (T, O, patch)
-
-    out = np.matmul(cols_flat, weight_flat.transpose(0, 2, 1))  # (T, B*OH*OW, O)
-    if bias is not None:
-        out += bias[:, None, :]
-    ctx = (cols_flat, weight_flat, x.shape, weight.shape, stride, padding)
-    return _nchw(out, batch, out_h, out_w), ctx
-
-
-def conv2d_batched_backward(
-    ctx: Any, grad: np.ndarray, needs: Tuple[bool, bool, bool]
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-    """Gradients ``(gx, gweight, gbias)`` for :func:`conv2d_batched_forward`."""
-    cols_flat, weight_flat, x_shape, weight_shape, stride, padding = ctx
-    in_channels, kh, kw = weight_shape[2:]
-    needs_x, needs_weight, needs_bias = needs
-
-    grad_flat = _grad_rows(grad)  # (T, B*OH*OW, O)
-    grad_weight = None
-    if needs_weight:
-        grad_weight = patches_to_nchw(
-            np.matmul(grad_flat.transpose(0, 2, 1), cols_flat), in_channels, (kh, kw)
-        ).reshape(weight_shape)
-    grad_bias = grad_flat.sum(axis=1) if needs_bias else None
-    grad_x = None
-    if needs_x:
-        grad_cols = np.matmul(grad_flat, weight_flat)  # (T, B*OH*OW, patch)
-        grad_x = _grad_input(grad_cols, x_shape, (kh, kw), stride, padding)
-    return grad_x, grad_weight, grad_bias
-
-
-# ----------------------------------------------------------------------
-# Shared-base + low-rank convolution
-# ----------------------------------------------------------------------
 def conv2d_lowrank_forward(
     x: np.ndarray,
     weight: np.ndarray,

@@ -38,7 +38,6 @@ __all__ = [
     "col2im",
     "conv_output_shape",
     "conv2d",
-    "conv2d_batched",
     "conv2d_lowrank_batched",
     "max_pool2d",
     "avg_pool2d",
@@ -100,74 +99,6 @@ def conv2d(
                 grad_cols, (batch, height, width, in_channels), (kh, kw), stride, padding
             )
             x._accumulate_owned(grad_x.transpose(0, 3, 1, 2))
-
-    return Tensor._make(out, parents, backward)
-
-
-def conv2d_batched(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: IntPair = 1,
-    padding: IntPair = 0,
-) -> Tensor:
-    """Grouped 2-D convolution with an independent filter bank per task.
-
-    This is the workhorse of grouped per-user adaptation: every task ``t`` in
-    the leading axis owns its own adapted weights, and all tasks' forward and
-    backward passes are computed with one ``im2col`` and one batched matrix
-    multiplication instead of a Python loop over tasks.
-
-    Parameters
-    ----------
-    x:
-        Input tensor of shape ``(tasks, batch, in_channels, height, width)``.
-    weight:
-        Filter tensor of shape ``(tasks, out_channels, in_channels, kh, kw)``.
-    bias:
-        Optional tensor of shape ``(tasks, out_channels)``.
-
-    Returns
-    -------
-    Tensor of shape ``(tasks, batch, out_channels, out_h, out_w)``.
-    """
-    if x.ndim != 5:
-        raise ValueError(f"conv2d_batched expects a 5-D input, got shape {x.shape}")
-    if weight.ndim != 5:
-        raise ValueError(f"conv2d_batched expects a 5-D weight, got shape {weight.shape}")
-    tasks, batch, in_channels, height, width = x.shape
-    w_tasks, out_channels, w_in, kh, kw = weight.shape
-    if w_tasks != tasks:
-        raise ValueError(f"weight has {w_tasks} task slots but input has {tasks}")
-    if w_in != in_channels:
-        raise ValueError(f"input has {in_channels} channels but weight expects {w_in}")
-    if bias is not None and bias.shape != (tasks, out_channels):
-        raise ValueError(
-            f"bias must have shape ({tasks}, {out_channels}), got {bias.shape}"
-        )
-
-    out, ctx = _backend.conv2d_batched_forward(
-        x.data, weight.data, None if bias is None else bias.data, stride, padding
-    )
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad: np.ndarray) -> None:
-        grad_x, grad_weight, grad_bias = _backend.conv2d_batched_backward(
-            ctx,
-            grad,
-            (
-                x.requires_grad,
-                weight.requires_grad,
-                bias is not None and bias.requires_grad,
-            ),
-        )
-        if grad_weight is not None:
-            weight._accumulate_owned(grad_weight)
-        if grad_bias is not None:
-            bias._accumulate_owned(grad_bias)
-        if grad_x is not None:
-            x._accumulate_owned(grad_x)
 
     return Tensor._make(out, parents, backward)
 

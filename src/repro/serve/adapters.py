@@ -1,23 +1,20 @@
-"""Per-user adapted parameter sets, fine-tuned in grouped calls.
+"""Per-user adapted parameter sets, fine-tuned from a few labelled frames.
 
 The FUSE deployment story is per-user adaptation: a handful of labelled
 frames from a new user fine-tune the meta-learned initialization into a
-personal parameter set.  Doing that one user at a time wastes the batched
-substrate, so :class:`AdapterRegistry` adapts *populations*: every user in an
-:meth:`AdapterRegistry.adapt_many` call becomes one slice of a
-``(users, ...)`` parameter tensor and all users share a single grouped
-forward/backward per mini-batch through :func:`repro.engine.batched_forward`.
-
-Because task slices are mathematically and bitwise independent, a user
-adapted inside a group ends up with exactly the parameters a solo
-:meth:`adapt_user` call would have produced — ``tests/serve`` pins this.
+personal parameter set.  :class:`AdapterRegistry` adapts *populations*
+(:meth:`AdapterRegistry.adapt_many`), and a user adapted among peers ends up
+with exactly the parameters a solo :meth:`adapt_user` call would have
+produced — ``tests/serve`` pins this.
 
 Three adaptation scopes, selected by :class:`repro.serve.AdapterPolicy`:
 
 * ``scope="all"`` personalises every layer as full per-user tensors.
-  Maximum capacity, but serving must read ~1.1 M parameters per user per
-  batch — adapted traffic becomes memory-bound (the throughput benchmark
-  documents the cost).
+  Maximum capacity, but nothing is shared: each user trains alone, and each
+  of their frames is served alone, through one clone of the model
+  (:meth:`AdapterRegistry.full_model`) carrying the user's parameters.
+  Serving must read ~1.1 M parameters per user per batch — adapted traffic
+  becomes memory-bound (the throughput benchmark documents the cost).
 * ``scope="last"`` personalises only the final FC layer (the paper's
   low-cost online regime): the convolutional/FC trunk stays shared — so
   serving runs it once per micro-batch through the batch-invariant kernel —
@@ -86,13 +83,10 @@ from .. import nn
 from ..core.models import PoseCNN
 from ..dataset.loader import ArrayDataset
 from ..engine.functional import (
-    batched_forward,
     gradient_step,
     lowrank_forward,
     lowrank_parameters,
     lowrank_shapes,
-    replicate_parameters,
-    supports_batched_execution,
 )
 from ..nn.serialization import (
     parse_record,
@@ -192,14 +186,12 @@ class AdapterRegistry:
             self._head_init = []
             self._lora_base = [nn.Tensor(p.data.copy()) for p in model.parameters()]
         else:
-            # The task-batched training kernels are only required once
-            # adaptation actually runs (checked in _adapt_group), so a model
-            # they cannot handle — e.g. with active dropout — still serves
-            # base traffic through a registry-less route.
             self._trunk_kernel = None
             self._head_init = []
             self._lora_base = []
             shapes = [p.data.shape for p in model.parameters()]
+        #: scope="all": the working model, built on first use (see full_model)
+        self._full_model: Optional[PoseCNN] = None
         #: the tensor shapes of one user's parameter set, in parameter order
         self._shapes: List[Tuple[int, ...]] = [tuple(shape) for shape in shapes]
         self.metrics = metrics
@@ -242,6 +234,18 @@ class AdapterRegistry:
         if self._trunk_kernel is None:
             raise ValueError("trunk_embed is only available with scope='last'")
         return self._trunk_kernel.predict(features)
+
+    def full_model(self) -> PoseCNN:
+        """The ``scope="all"`` working model: an eval-mode clone of the base.
+
+        Built on first use, so a registry that never adapts or serves an
+        ``all`` user holds no second copy of the weights.  Adaptation trains
+        one user at a time on it, and serving loads one user's parameters
+        into it per frame; every use sets all of its parameters first.
+        """
+        if self._full_model is None:
+            self._full_model = self.model.clone().eval()
+        return self._full_model
 
     # ------------------------------------------------------------------
     # Introspection
@@ -302,17 +306,18 @@ class AdapterRegistry:
         datasets: Mapping[Hashable, ArrayDataset],
         epochs: Optional[int] = None,
     ) -> Dict[Hashable, List[np.ndarray]]:
-        """Fine-tune many users at once through the task-batched kernels.
+        """Fine-tune many users, bitwise as :meth:`adapt_user` would one by one.
 
-        Users whose adaptation sets have equal sizes share one grouped
-        forward/backward per mini-batch (one ``(users, ...)`` parameter
-        tensor); unequal sizes are grouped by size so every set still runs
-        grouped with its peers.  Each user's slice starts from the shared
-        base parameters and follows exactly the update sequence a solo
-        adaptation would — results are bitwise identical to
-        :meth:`adapt_user` per user.  (Under ``scope="lora"`` the factor
-        initialization is seeded per user, so a user's trajectory is also
-        independent of which peers share the grouped call.)
+        Under ``scope="last"`` and ``scope="lora"``, users whose adaptation
+        sets have equal sizes share one grouped forward/backward per
+        mini-batch through the task-batched kernels (one ``(users, ...)``
+        tensor per parameter); unequal sizes are grouped by size.  Under
+        ``scope="all"`` each user trains alone on :meth:`full_model`.
+        Either way each user starts from the shared base parameters and
+        follows exactly the update sequence a solo adaptation would.
+        (Under ``scope="lora"`` the factor initialization is seeded per
+        user, so a user's trajectory is also independent of which peers
+        share the grouped call.)
         """
         if not datasets:
             raise ValueError("at least one adaptation set is required")
@@ -349,13 +354,37 @@ class AdapterRegistry:
         size: int,
         epochs: Optional[int],
     ) -> Dict[Hashable, List[np.ndarray]]:
-        """One grouped adaptation over equally sized sets."""
+        """One adaptation over equally sized sets."""
         policy = self.policy
         epochs = epochs if epochs is not None else policy.epochs
-        num_users = len(users)
         batch_size = min(policy.batch_size, size)
-        labels = np.stack([dataset.labels for dataset in datasets])
+        # Mirror BatchLoader's shuffling so grouped and solo adaptation
+        # consume mini-batches in the same order.
+        batches: List[np.ndarray] = []
+        for epoch in range(epochs):
+            indices = np.arange(size)
+            if policy.shuffle:
+                indices = np.random.default_rng(policy.seed + epoch).permutation(size)
+            batches.extend(
+                indices[start : start + batch_size] for start in range(0, size, batch_size)
+            )
 
+        if policy.scope == "all":
+            if any(isinstance(m, nn.Dropout) and m.p > 0 for m in self.model.modules()):
+                # Training with dropout needs its masks, and the working
+                # model's one mask generator would tie a user's parameters to
+                # who trained before them; refuse rather than train without.
+                raise ValueError(
+                    "scope='all' adaptation is unavailable for a model with active "
+                    "dropout (scope='last' may still work)"
+                )
+            return {
+                user: self._adapt_full(dataset, batches)
+                for user, dataset in zip(users, datasets)
+            }
+
+        num_users = len(users)
+        labels = np.stack([dataset.labels for dataset in datasets])
         if policy.scope == "last":
             # The trunk is shared and frozen: embed every calibration frame
             # in one batch-invariant kernel pass (per-frame results are
@@ -374,7 +403,7 @@ class AdapterRegistry:
 
             def forward(p: List[nn.Tensor], x: nn.Tensor) -> nn.Tensor:
                 return nn.linear_batched(x, p[0], p[1] if len(p) > 1 else None)
-        elif policy.scope == "lora":
+        else:
             # The base stays frozen; each user trains only per-layer rank-r
             # factors.  Factor initialization is seeded by the user id, not
             # the group slot, so the trajectory is bitwise independent of
@@ -388,37 +417,38 @@ class AdapterRegistry:
 
             def forward(p: List[nn.Tensor], x: nn.Tensor) -> nn.Tensor:
                 return lowrank_forward(self.model, base, p, x)
-        else:
-            if not supports_batched_execution(self.model):
-                raise ValueError(
-                    "model architecture has no task-batched kernels; "
-                    "scope='all' adaptation is unavailable (scope='last' may still work)"
-                )
-            features = np.stack([dataset.features for dataset in datasets])
-            params = replicate_parameters(self.model, num_users)
 
-            def forward(p: List[nn.Tensor], x: nn.Tensor) -> nn.Tensor:
-                return batched_forward(self.model, p, x)
-
-        for epoch in range(epochs):
-            # Mirror BatchLoader's shuffling so grouped and solo adaptation
-            # consume mini-batches in the same order.
-            indices = np.arange(size)
-            if policy.shuffle:
-                indices = np.random.default_rng(policy.seed + epoch).permutation(size)
-            for start in range(0, size, batch_size):
-                batch = indices[start : start + batch_size]
-                x = nn.Tensor(features[:, batch])
-                y = nn.Tensor(labels[:, batch])
-                predictions = forward(params, x)
-                losses = nn.per_task_loss(predictions, y, policy.loss)
-                losses.sum().backward()
-                params = gradient_step(params, policy.learning_rate)
+        for batch in batches:
+            x = nn.Tensor(features[:, batch])
+            y = nn.Tensor(labels[:, batch])
+            losses = nn.per_task_loss(forward(params, x), y, policy.loss)
+            losses.sum().backward()
+            gradient_step(params, policy.learning_rate)
 
         return {
             user: [stacked.data[slot].copy() for stacked in params]
             for slot, user in enumerate(users)
         }
+
+    def _adapt_full(self, dataset: ArrayDataset, batches: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Train one ``scope="all"`` user from the base parameters.
+
+        The model's own forward and autograd on :meth:`full_model`, one
+        in-place SGD step per mini-batch: the arithmetic of
+        :class:`repro.core.FineTuner` with plain SGD, bit for bit.
+        """
+        model = self.full_model()
+        params = model.parameters()
+        for param, base in zip(params, self.model.parameters()):
+            param.data = base.data.copy()
+            param.grad = None
+        for batch in batches:
+            # A cohort of one task, so every scope computes the policy's loss alike.
+            predictions = model(nn.Tensor(dataset.features[batch])).reshape(1, len(batch), -1)
+            labels = nn.Tensor(dataset.labels[None, batch])
+            nn.per_task_loss(predictions, labels, self.policy.loss).sum().backward()
+            gradient_step(params, self.policy.learning_rate)
+        return [param.data for param in params]
 
     # ------------------------------------------------------------------
     # Lifecycle tiers
@@ -804,8 +834,8 @@ class AdapterRegistry:
     def gather(self, user_ids: Sequence[Hashable]) -> List[nn.Tensor]:
         """Stack the users' parameter sets into ``(tasks, ...)`` tensors.
 
-        The result feeds :func:`repro.engine.batched_forward` (or the
-        low-rank kernels, for ``scope="lora"`` factor stacks) directly.  Warm
+        The result feeds the scope's serving route directly: row ``t`` is
+        the parameter set (or head, or factors) of ``user_ids[t]``.  Warm
         users are transparently promoted to the hot tier first; requesting a
         cold or unknown user raises :class:`KeyError` (the caller re-onboards
         on demand).  An exact composition repeat returns the memoized

@@ -61,7 +61,13 @@ class ServeConfig:
         parameter kernel (:class:`repro.serve.SharedParameterKernel`).
         ``None`` uses ``max_batch_size``.  Every micro-batch — including a
         single-request one — is computed with GEMMs of exactly this width,
-        so within one server any batch composition yields the same bits.
+        so a frame's bits never depend on its co-riders.  They may depend
+        on its slot in the block at some widths: within one server any
+        batch composition yields the same bits only where the BLAS computes
+        every column of a block alike.  On OpenBLAS 0.3.31 (one or two
+        threads) that held at 2, 4, 8, 16, 32 and 64 — every shipped width
+        — and not at 5, 6 or 7; ``scripts/blas_regimes.py`` lists where a
+        BLAS changes PoseCNN's bits with the width.
         Comparing *different* servers bitwise (e.g. the unbatched reference
         in ``tests/serve``) additionally requires pinning both to the same
         ``gemm_block``: different block widths use differently shaped GEMMs
@@ -84,7 +90,7 @@ class ServeConfig:
         Optional deterministic fault-injection schedule
         (:class:`repro.serve.FaultPlan`) for chaos testing and manual
         chaos runs (``--fault-plan``).  Like every other field it crosses
-        the worker pickle boundary inside :class:`repro.serve.ShardFactory`,
+        the worker pickle boundary inside :class:`repro.serve.worker.ShardFactory`,
         which is how ``worker_crash`` rules reach shard worker processes.
         ``None`` (the default) injects nothing and costs nothing.
     """

@@ -944,20 +944,17 @@ class AsyncPoseClient:
         retries: int = 0,
         backoff_s: float = 0.05,
         max_backoff_s: float = 1.0,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> "AsyncPoseClient":
         """Connect to a Unix socket, optionally retrying with backoff.
 
         ``retries`` extra attempts are spaced by an exponentially growing
         delay (``backoff_s``, doubled per attempt, capped at
         ``max_backoff_s``) — enough to absorb the race between launching
-        ``fuse-serve`` and its socket appearing, without spinning.  An
-        explicit ``retry_policy`` (:class:`repro.serve.RetryPolicy`)
-        replaces all three knobs, adding deterministic seeded jitter.
+        ``fuse-serve`` and its socket appearing, without spinning.
         """
         return await self._connect(
             lambda: asyncio.open_unix_connection(path),
-            self._dial_policy_from(retries, backoff_s, max_backoff_s, retry_policy),
+            self._dial_policy_from(retries, backoff_s, max_backoff_s),
         )
 
     async def connect_tcp(
@@ -967,26 +964,18 @@ class AsyncPoseClient:
         retries: int = 0,
         backoff_s: float = 0.05,
         max_backoff_s: float = 1.0,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> "AsyncPoseClient":
         """Connect over TCP, optionally retrying with bounded backoff."""
         return await self._connect(
             lambda: asyncio.open_connection(host, port),
-            self._dial_policy_from(retries, backoff_s, max_backoff_s, retry_policy),
+            self._dial_policy_from(retries, backoff_s, max_backoff_s),
         )
 
     @staticmethod
-    def _dial_policy_from(
-        retries: int,
-        backoff_s: float,
-        max_backoff_s: float,
-        retry_policy: Optional[RetryPolicy],
-    ) -> RetryPolicy:
-        """The legacy knobs expressed as a :class:`RetryPolicy` (the legacy
-        schedule — ``backoff_s`` doubled per attempt, capped — is exactly
-        the policy's jitter-free exponential)."""
-        if retry_policy is not None:
-            return retry_policy
+    def _dial_policy_from(retries: int, backoff_s: float, max_backoff_s: float) -> RetryPolicy:
+        """The dial knobs expressed as a :class:`RetryPolicy`: ``backoff_s``
+        doubled per attempt, capped, is exactly the policy's jitter-free
+        exponential."""
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if backoff_s <= 0 or max_backoff_s <= 0:

@@ -15,11 +15,18 @@ last block is zero-padded):
 * fully connected layers run transposed, ``weight @ x.T``, so the batch
   dimension is the GEMM's *column* count, again padded to ``block``.
 
-Because each output row/column of a fixed-shape GEMM is an independent dot
-product computed in a fixed reduction order, a frame's prediction depends
-only on its own features — not on how many co-riders shared the block, which
-slot it occupied, or what the padding contained.  This is verified bitwise by
-``tests/serve/test_replay_equivalence.py``.
+Because the GEMM shapes never change, a frame's prediction depends only on
+its own features and its slot in the block — not on how many co-riders
+shared the block or what they and the padding contained.  Whether the slot
+matters is a property of the BLAS at that width: a fully connected step's
+columns come out slot-independent only when the library computes every
+column of the ``(out, block)`` product with the same kernel.  On OpenBLAS
+0.3.31, with one or two threads, PoseCNN's predictions were slot-invariant
+at widths 2, 4, 8, 16, 32 and 64 (every shipped width) and were not at 5, 6
+or 7, where fc2's columns (``W(57, 512) @ x.T``) depend on the slot;
+``scripts/blas_regimes.py`` lists where each product's bits change with the
+width on another BLAS.  At a slot-invariant width, batch composition is
+invisible, which ``tests/serve/test_replay_equivalence.py`` verifies bitwise.
 
 Convolutions are lowered channels-last, through the same
 :func:`repro.nn.cols.patches_nhwc` helper every training conv op uses.  One
@@ -46,9 +53,10 @@ the live model.  It also serves two of the three adapted routes:
 ``scope="lora"`` users through :meth:`SharedParameterKernel.predict_lowrank`
 (the shared base in the same blocks, each frame's rank-r deltas on top), and
 ``scope="last"`` users' shared trunk (a kernel over the model's trunk, whose
-embedding feeds each frame's personal head).  Only ``scope="all"`` parameters
-take the task-batched :func:`repro.engine.batched_forward` path, which is
-slice-stable by construction.
+embedding feeds each frame's personal head).  ``scope="all"`` users bypass
+it: each of their frames runs alone, a batch of one, through
+:meth:`repro.serve.AdapterRegistry.full_model` carrying the user's
+parameters, so no co-rider can change its bits.
 """
 
 from __future__ import annotations

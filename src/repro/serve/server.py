@@ -15,8 +15,8 @@ pieces together per request:
    :meth:`SharedParameterKernel.predict_lowrank` (the shared base in fixed
    blocks plus per-frame rank-r deltas), ``last`` through
    :meth:`AdapterRegistry.trunk_embed` plus :func:`repro.nn.linear_batched`
-   over the frames' personal heads, and ``all`` through the task-batched
-   :func:`repro.engine.batched_forward`.
+   over the frames' personal heads, and ``all`` one frame at a time through
+   :meth:`AdapterRegistry.full_model` carrying that user's parameters.
 
 Every inference route is batch-composition invariant, so a replay of N
 interleaved users is bitwise identical to serving each user alone — the
@@ -38,7 +38,6 @@ from .. import nn
 from ..core.pipeline import FusePoseEstimator
 from ..dataset.loader import ArrayDataset
 from ..dataset.sample import PoseDataset
-from ..engine.functional import batched_forward
 from ..radar.pointcloud import PointCloudFrame
 from .adapters import AdapterRegistry
 from .batcher import FrameDropped, MicroBatcher, PendingPrediction, ServeRequest
@@ -273,9 +272,10 @@ class PoseServer:
         the fixed-block kernel with each request's rank-r factor slices
         applied as per-frame deltas (:meth:`SharedParameterKernel.predict_lowrank`)
         — near-base-model speed with full-network personalization.  Under
-        ``scope="all"`` each request rides one task slice of the fully
-        personalised network (a width-one batch axis).  Every route is
-        bitwise identical to serving each request alone.
+        ``scope="all"`` each request runs alone, a batch of one, through the
+        registry's working model carrying the request's row of the gathered
+        parameters.  Every route is bitwise identical to serving each request
+        alone.
         """
         if self.registry.scope == "lora":
             factors = self.registry.gather(user_ids)
@@ -287,12 +287,14 @@ class PoseServer:
             with nn.no_grad():
                 stacked = nn.linear_batched(nn.Tensor(hidden[:, None]), params[0], bias)
             return stacked.numpy()[:, 0]
-        params = self.registry.gather(user_ids)
-        with nn.no_grad():
-            stacked = batched_forward(
-                self.estimator.model, params, nn.Tensor(features[:, None])
-            )
-        return stacked.numpy()[:, 0]
+        stacks = self.registry.gather(user_ids)
+        model = self.registry.full_model()
+        outputs = np.empty((len(user_ids), model.config.output_dim))
+        for row in range(len(user_ids)):
+            for param, stack in zip(model.parameters(), stacks):
+                param.data = stack.data[row]
+            outputs[row] = model.predict(features[row : row + 1])[0]
+        return outputs
 
     # ------------------------------------------------------------------
     # Per-user adaptation

@@ -2,8 +2,8 @@
 
 The ``fast`` path is the arithmetic that runs on plain arrays, outside the
 per-op autograd graph: the fused task-batched bodies of
-:mod:`repro.nn.backend` (per-task linear and convolution, and their
-shared-base + rank-r variants), which the batched ``repro.nn`` ops run on,
+:mod:`repro.nn.backend` (per-task linear, and shared-base + rank-r linear
+and convolution), which the batched ``repro.nn`` ops run on,
 and the serving kernel's steps (:mod:`repro.serve.kernel`).  Every op runs
 over a table of (shape x dtype x input layout) cases and is checked against
 the same op built from plain ``Tensor`` ops:
@@ -12,8 +12,8 @@ the same op built from plain ``Tensor`` ops:
 * ``relu``, ``tanh``, ``sigmoid``: the serving kernel's activation steps
   against the ``Tensor`` activations;
 * ``linear_batched``: ``x[t] @ w[t].T + b[t]`` on each task;
-* ``conv2d_batched``: :func:`repro.nn.conv2d` on each task;
-* the two low-rank ops: the same, with the dense weight ``base + b[t] @ a[t]``.
+* the two low-rank ops: ``x[t] @ w.T`` and :func:`repro.nn.conv2d` on each
+  task, with the dense weight ``base + b[t] @ a[t]``.
 
 The fused ops are checked on their forward value and every gradient.
 ``planar`` inputs are C-ordered and ``blocked`` ones Fortran-ordered.
@@ -24,8 +24,8 @@ dtype and applied normwise: an array's largest error must sit within
 ``rtol`` of its largest magnitude (plus ``atol``).  float64 allows only
 reassociation-level error; float32 allows its own rounding, which on an
 entry that cancels to near zero is set by the size of its terms, not of the
-entry.  Finite-difference checks of the two per-task ops' ``Tensor`` entry
-points close the loop on their backward wiring.
+entry.  A finite-difference check of the per-task linear op's ``Tensor``
+entry point closes the loop on its backward wiring.
 """
 
 from __future__ import annotations
@@ -130,15 +130,6 @@ def _linear_lowrank_per_task(x, weight, a, b, bias):
     return Tensor.stack(
         [x[t] @ (weight + b[t] @ a[t]).T + bias for t in range(x.shape[0])]
     )
-
-
-def _conv_per_task(stride, padding):
-    def build(x, weight, bias):
-        return Tensor.stack(
-            [nn.conv2d(x[t], weight[t], bias[t], stride, padding) for t in range(x.shape[0])]
-        )
-
-    return build
 
 
 def _conv_lowrank_per_task(stride, padding):
@@ -268,35 +259,6 @@ class TestLinearLowRank:
         )
 
 
-class TestConv2dBatched:
-    # (tasks, batch, c_in, h, w, c_out, kernel, stride, padding)
-    CASES = [
-        (1, 1, 1, 5, 5, 2, 3, 1, 0),
-        (2, 2, 3, 6, 6, 4, 3, 1, 1),
-        (3, 2, 2, 8, 7, 5, 2, 2, 0),
-        (2, 3, 8, 9, 9, 4, 3, 1, 1),
-    ]
-
-    @pytest.mark.parametrize("tasks,batch,c_in,h,w,c_out,kernel,stride,padding", CASES)
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_forward_and_gradients(
-        self, fast, rng, tasks, batch, c_in, h, w, c_out, kernel, stride, padding, dtype
-    ):
-        arrays = [
-            _draw(rng, (tasks, batch, c_in, h, w), dtype),
-            _draw(rng, (tasks, c_out, c_in, kernel, kernel), dtype),
-            _draw(rng, (tasks, c_out), dtype),
-        ]
-        _check_fused(
-            lambda x, weight, bias: fast.conv2d_batched_forward(x, weight, bias, stride, padding),
-            fast.conv2d_batched_backward,
-            _conv_per_task(stride, padding),
-            arrays,
-            rng,
-            dtype,
-        )
-
-
 class TestConv2dLowRank:
     CASES = [
         (1, 1, 1, 5, 5, 2, 3, 1, 0, 1),
@@ -349,20 +311,6 @@ class TestPartialNeeds:
         _close(out.data, ref_out, "float64")
         _close(x.grad, ref_gx, "float64")
 
-    def test_conv2d_batched_without_bias_grads_only_the_weight(self, rng):
-        x = Tensor(rng.normal(size=(2, 2, 3, 6, 6)))
-        weight = Tensor(rng.normal(size=(2, 4, 3, 3, 3)), requires_grad=True)
-        out = nn.conv2d_batched(x, weight, stride=1, padding=1)
-        grad = rng.normal(size=out.shape)
-        out.backward(grad)
-        assert x.grad is None
-        _, (_, ref_gweight) = _per_task_reference(
-            lambda xx, ww: Tensor.stack([nn.conv2d(xx[t], ww[t], None, 1, 1) for t in range(2)]),
-            [x.data, weight.data],
-            grad,
-        )
-        _close(weight.grad, ref_gweight, "float64")
-
 
 class TestGradientCheck:
     def test_linear_batched_with_bias(self, rng):
@@ -375,18 +323,5 @@ class TestGradientCheck:
 
         def f(inp):
             return (nn.linear_batched(*inp) * probe).sum()
-
-        check_gradients(f, inputs, tolerance=1e-4)
-
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_conv2d_batched_with_bias_stride_2(self, rng, padding):
-        inputs = [
-            Tensor(rng.normal(size=(2, 2, 3, 7, 6)), requires_grad=True),
-            Tensor(rng.normal(size=(2, 4, 3, 3, 3)), requires_grad=True),
-            Tensor(rng.normal(size=(2, 4)), requires_grad=True),
-        ]
-
-        def f(inp):
-            return (nn.conv2d_batched(*inp, stride=2, padding=padding) ** 2).sum()
 
         check_gradients(f, inputs, tolerance=1e-4)

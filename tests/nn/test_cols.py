@@ -123,14 +123,6 @@ class TestConvOpsNeverWriteInputs:
         out.backward(rng.normal(size=out.shape))
         assert x.grad.shape == x.shape and weight.grad.shape == weight.shape
 
-    def test_conv2d_batched(self, rng):
-        x = Tensor(_read_only(rng, 2, 2, 3, 6, 5), requires_grad=True)
-        weight = Tensor(_read_only(rng, 2, 4, 3, 3, 3), requires_grad=True)
-        bias = Tensor(_read_only(rng, 2, 4), requires_grad=True)
-        out = nn.conv2d_batched(x, weight, bias, stride=2, padding=1)
-        out.backward(rng.normal(size=out.shape))
-        assert x.grad.shape == x.shape and weight.grad.shape == weight.shape
-
     def test_conv2d_lowrank_batched(self, rng):
         x = Tensor(_read_only(rng, 2, 2, 3, 6, 5), requires_grad=True)
         weight = Tensor(_read_only(rng, 4, 3, 3, 3), requires_grad=True)

@@ -192,12 +192,15 @@ class TestConv2dLowRankBatched:
         dense_weight = (
             weight.reshape(out_channels, patch)[None] + np.matmul(b, a)
         ).reshape(tasks, out_channels, channels, kernel, kernel)
-        dense = nn.conv2d_batched(
-            Tensor(x),
-            Tensor(dense_weight),
-            Tensor(np.broadcast_to(bias, (tasks, out_channels)).copy()),
-            stride=stride, padding=padding,
-        ).numpy()
+        dense = np.stack(
+            [
+                nn.conv2d(
+                    Tensor(x[t]), Tensor(dense_weight[t]), Tensor(bias),
+                    stride=stride, padding=padding,
+                ).numpy()
+                for t in range(tasks)
+            ]
+        )
         np.testing.assert_allclose(lowrank, dense, rtol=1e-12, atol=1e-12)
 
     def test_zero_b_factor_reduces_to_base(self, rng):

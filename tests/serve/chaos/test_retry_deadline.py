@@ -182,31 +182,22 @@ class TestBrownoutStreaks:
 
 class TestUnifiedDialPolicy:
     def test_legacy_knobs_translate_to_a_retry_policy(self):
-        policy = AsyncPoseClient._dial_policy_from(3, 0.05, 1.0, None)
+        policy = AsyncPoseClient._dial_policy_from(3, 0.05, 1.0)
         assert policy == RetryPolicy(max_attempts=4, base_delay_s=0.05, max_delay_s=1.0)
         # the legacy schedule was backoff_s doubled per attempt, capped
         assert policy.delays() == [0.05, 0.1, 0.2]
 
-    def test_explicit_policy_wins_over_knobs(self):
-        custom = RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0)
-        assert AsyncPoseClient._dial_policy_from(9, 9.0, 9.0, custom) is custom
-
     def test_legacy_knob_validation_survives(self):
         with pytest.raises(ValueError, match="retries"):
-            AsyncPoseClient._dial_policy_from(-1, 0.05, 1.0, None)
+            AsyncPoseClient._dial_policy_from(-1, 0.05, 1.0)
         with pytest.raises(ValueError, match="positive"):
-            AsyncPoseClient._dial_policy_from(0, 0.0, 1.0, None)
+            AsyncPoseClient._dial_policy_from(0, 0.0, 1.0)
 
     def test_connect_error_reports_the_attempt_budget(self, tmp_path):
         async def scenario():
             client = AsyncPoseClient()
             with pytest.raises(ConnectionError, match="after 2 attempt"):
-                await client.connect_unix(
-                    str(tmp_path / "nobody-home.sock"),
-                    retry_policy=RetryPolicy(
-                        max_attempts=2, base_delay_s=0.0, max_delay_s=0.0
-                    ),
-                )
+                await client.connect_unix(str(tmp_path / "nobody-home.sock"), retries=1)
 
         asyncio.run(scenario())
 

@@ -13,6 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import FuseConfig, FusePoseEstimator
+from repro.core.models import PoseCNN, PoseCNNConfig
+from repro.dataset.loader import ArrayDataset
 from repro.dataset.sample import PoseDataset
 from repro.serve import (
     AdapterPolicy,
@@ -24,6 +27,9 @@ from repro.serve import (
     sequential_reference,
     user_streams_from_dataset,
 )
+from repro.serve.session import SessionManager
+
+from .conftest import make_frame
 
 
 def as_pose_dataset(frames) -> PoseDataset:
@@ -125,6 +131,29 @@ class TestAdaptedReplay:
             > 0
         )
 
+    def test_served_frames_equal_the_plain_model_bitwise(self, estimator, split_streams):
+        """A ``scope="all"`` user's served frame, batched with co-riders, is
+        the plain model's answer: a ``PoseCNN`` clone carrying the user's
+        parameters, predicting that frame's features alone, gives the same
+        bits."""
+        calibration, serving = split_streams
+        adapted_users = list(serving)[:5]
+        server = PoseServer(estimator, ServeConfig(max_batch_size=16))
+        server.adapt_users(
+            {user: as_pose_dataset(calibration[user]) for user in adapted_users}, epochs=2
+        )
+        served = replay_users(server, serving)
+        assert served.metrics["max_batch_seen"] == 16
+        sessions = SessionManager(num_context_frames=estimator.config.num_context_frames)
+        for user in adapted_users:
+            model = estimator.model.clone()
+            for param, array in zip(model.parameters(), server.registry.parameters_for(user)):
+                param.data = np.array(array)
+            session = sessions.get_or_create(user)
+            for sample, prediction in zip(serving[user], served.predictions[user]):
+                features = estimator.feature_builder.build_batch([session.observe(sample.cloud)])
+                np.testing.assert_array_equal(prediction, model.predict_joints(features)[0])
+
     def test_adaptation_changes_predictions(self, estimator, split_streams):
         """The adapted route is real: personal weights alter the output."""
         calibration, serving = split_streams
@@ -210,6 +239,40 @@ class TestLastLayerAdaptedReplay:
             replay_users(plain, serving).predictions[base_user],
             replay_users(mixed, serving).predictions[base_user],
         )
+
+
+class TestActiveDropout:
+    """Dropout masks would tie a user's adapted parameters to who trained
+    before them, so ``scope="all"`` adaptation refuses a model with active
+    dropout; serving still takes its base traffic (dropout is identity at
+    inference)."""
+
+    @pytest.fixture
+    def server(self):
+        model = PoseCNN(PoseCNNConfig(dropout=0.3), seed=1)
+        estimator = FusePoseEstimator(FuseConfig(num_context_frames=1), model=model)
+        return PoseServer(estimator, ServeConfig(max_batch_size=4))
+
+    @staticmethod
+    def _refuse(server, rng) -> None:
+        dataset = ArrayDataset(rng.normal(size=(4, 5, 8, 8)), rng.normal(size=(4, 57)))
+        with pytest.raises(ValueError, match="dropout"):
+            server.adapt_user("u", dataset)
+
+    def test_all_scope_adaptation_is_refused(self, server, rng):
+        assert server.registry.scope == "all"
+        self._refuse(server, rng)
+        assert "u" not in server.registry
+
+    def test_base_traffic_still_serves(self, server, rng):
+        self._refuse(server, rng)
+        session = SessionManager(num_context_frames=1).get_or_create("u")
+        for _ in range(3):
+            frame = make_frame(rng)
+            features = server.estimator.feature_builder.build_batch([session.observe(frame)])
+            np.testing.assert_array_equal(
+                server.submit("u", frame), server.kernel.predict(features).reshape(-1, 3)
+            )
 
 
 class TestStreamSlicing:
