@@ -23,7 +23,11 @@ The low-rank conv bodies do not fold: their filter banks are too small for a
 shared product to save any packing.  Each task merges its factors into its
 own bank, ``filters + b[t] @ a[t]``, and runs one GEMM over its own patch
 rows, forward and backward.  That shape depends only on the task's own frame
-count, so conv rows are grouping-invariant too.
+count, so conv rows are grouping-invariant too.  The tasks run one after
+another, each building its patch matrix, using it and dropping it (the
+backward builds it again), so the working set is one task's patches — a
+few hundred KiB for PoseCNN's second conv at five frames — instead of the
+whole cohort's, which grows with the cohort and no longer fits in cache.
 
 The low-rank conv bodies lower channels-last through :mod:`repro.nn.cols`,
 as :func:`repro.nn.conv2d` and the serving kernel do: the patches of the
@@ -188,16 +192,6 @@ def _grad_rows(grad: np.ndarray) -> np.ndarray:
     return grad.transpose(0, 1, 3, 4, 2).reshape(tasks, -1, out_channels)
 
 
-def _grad_input(grad_cols: np.ndarray, x_shape, kernel_size, stride, padding) -> np.ndarray:
-    """``(T, B*OH*OW, kh*kw*C)`` column gradient -> ``(T,B,C,H,W)`` NCHW view
-    of the NHWC input gradient."""
-    tasks, batch, in_channels, height, width = x_shape
-    image = col2im_nhwc(
-        grad_cols, (tasks * batch, height, width, in_channels), kernel_size, stride, padding
-    )
-    return image.reshape(tasks, batch, height, width, in_channels).transpose(0, 1, 4, 2, 3)
-
-
 def conv2d_lowrank_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -212,19 +206,24 @@ def conv2d_lowrank_forward(
     ``a`` arrives in the stored ``(C, kh, kw)`` patch order and is permuted
     to the lowering's ``(kh, kw, C)`` order here, as the base weight is.
     """
-    _, batch, in_channels, height, width = x.shape
+    tasks, batch, in_channels, height, width = x.shape
     kh, kw = weight.shape[-2:]
     out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, padding)
 
-    cols_flat = _patch_rows(x, (kh, kw), stride, padding)  # (T, rows, patch)
     a_flat = patches_to_nhwc(a, in_channels, (kh, kw))
     merged = filters_nhwc(weight) + np.matmul(b, a_flat)  # (T, O, patch)
-
-    hidden = np.matmul(cols_flat, a_flat.transpose(0, 2, 1))  # (T, rows, r)
-    out = np.matmul(cols_flat, merged.transpose(0, 2, 1))  # (T, rows, O)
+    frames = x.transpose(0, 1, 3, 4, 2)  # (T, B, H, W, C) views
+    rows = batch * out_h * out_w
+    dtype = np.result_type(x, merged)
+    hidden = np.empty((tasks, rows, a.shape[1]), dtype)
+    out = np.empty((tasks, rows, merged.shape[1]), dtype)
+    for task in range(tasks):
+        cols = patches_nhwc(frames[task], (kh, kw), stride, padding)
+        np.matmul(cols, a_flat[task].T, out=hidden[task])
+        np.matmul(cols, merged[task].T, out=out[task])
     if bias is not None:
         out += bias
-    ctx = (cols_flat, merged, b, hidden, x.shape, weight.shape, stride, padding)
+    ctx = (x, merged, b, hidden, weight.shape, stride, padding)
     return _nchw(out, batch, out_h, out_w), ctx
 
 
@@ -232,26 +231,48 @@ def conv2d_lowrank_backward(
     ctx: Any, grad: np.ndarray, needs: Tuple[bool, bool, bool, bool, bool]
 ) -> Tuple[Optional[np.ndarray], ...]:
     """Gradients ``(gx, gweight, ga, gb, gbias)``; ``ga`` in the stored order."""
-    cols_flat, merged, b, hidden, x_shape, weight_shape, stride, padding = ctx
-    in_channels, kh, kw = weight_shape[1:]
+    x, merged, b, hidden, weight_shape, stride, padding = ctx
+    tasks, batch, in_channels, height, width = x.shape
+    kh, kw = weight_shape[-2:]
     needs_x, needs_weight, needs_a, needs_b, needs_bias = needs
 
     grad_flat = _grad_rows(grad)  # (T, rows, O)
     grad_b = np.matmul(grad_flat.transpose(0, 2, 1), hidden) if needs_b else None
-    grad_a = None
-    if needs_a:
-        grad_hidden = np.matmul(grad_flat, b)  # (T, rows, r)
-        grad_a = patches_to_nchw(
-            np.matmul(grad_hidden.transpose(0, 2, 1), cols_flat), in_channels, (kh, kw)
-        )
     grad_weight = None
     if needs_weight:
         grad_weight = patches_to_nchw(
-            np.einsum("tro,trp->op", grad_flat, cols_flat, optimize=True), in_channels, (kh, kw)
+            np.einsum(
+                "tro,trp->op", grad_flat, _patch_rows(x, (kh, kw), stride, padding),
+                optimize=True,
+            ),
+            in_channels,
+            (kh, kw),
         ).reshape(weight_shape)
     grad_bias = grad_flat.sum(axis=(0, 1)) if needs_bias else None
-    grad_x = None
+    if not (needs_a or needs_x):
+        return None, grad_weight, None, grad_b, grad_bias
+
+    frames = x.transpose(0, 1, 3, 4, 2)
+    dtype = np.result_type(grad_flat, merged)
+    grad_a = grad_hidden = grad_image = None
+    if needs_a:
+        grad_hidden = np.matmul(grad_flat, b)  # (T, rows, r)
+        grad_a = np.empty((tasks, b.shape[2], merged.shape[2]), dtype)
     if needs_x:
-        grad_cols = np.matmul(grad_flat, merged)  # (T, rows, patch)
-        grad_x = _grad_input(grad_cols, x_shape, (kh, kw), stride, padding)
+        grad_image = np.empty((tasks, batch, height, width, in_channels), dtype)
+    for task in range(tasks):
+        if needs_a:
+            cols = patches_nhwc(frames[task], (kh, kw), stride, padding)
+            np.matmul(grad_hidden[task].T, cols, out=grad_a[task])
+        if needs_x:
+            grad_image[task] = col2im_nhwc(
+                grad_flat[task] @ merged[task],
+                (batch, height, width, in_channels),
+                (kh, kw),
+                stride,
+                padding,
+            )
+    if needs_a:
+        grad_a = patches_to_nchw(grad_a, in_channels, (kh, kw))
+    grad_x = grad_image.transpose(0, 1, 4, 2, 3) if needs_x else None
     return grad_x, grad_weight, grad_a, grad_b, grad_bias

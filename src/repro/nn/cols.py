@@ -183,12 +183,12 @@ def col2im_nhwc(
     """Adjoint of :func:`patches_nhwc`: scatter-add columns into an NHWC image.
 
     ``cols`` holds ``batch * out_h * out_w`` rows of ``(kh, kw, C)`` patches;
-    ``input_shape`` is ``(batch, height, width, channels)``.  One tap-major
-    copy makes every tap's ``(batch, out_h, out_w, C)`` block contiguous, and
-    the taps accumulate straight into the unpadded gradient, each clipped to
-    the image.  Taps run in :func:`col2im`'s ``(i, j)`` order, so every
-    pixel sums the same terms in the same order and the result is bitwise
-    :func:`col2im`'s, transposed.
+    ``input_shape`` is ``(batch, height, width, channels)``.  Each tap's
+    ``(batch, out_h, out_w, C)`` block is read in place through a strided
+    view (every pixel's ``C`` values are one contiguous run) and accumulates
+    straight into the unpadded gradient, clipped to the image.  Taps run in
+    :func:`col2im`'s ``(i, j)`` order, so every pixel sums the same terms in
+    the same order and the result is bitwise :func:`col2im`'s, transposed.
     """
     kh, kw = _as_pair(kernel_size)
     sh, sw = _as_pair(stride)
@@ -196,9 +196,7 @@ def col2im_nhwc(
     batch, height, width, channels = input_shape
     out_h, out_w = conv_output_shape(height, width, (kh, kw), (sh, sw), (ph, pw))
 
-    taps = np.ascontiguousarray(
-        cols.reshape(batch, out_h, out_w, kh, kw, channels).transpose(3, 4, 0, 1, 2, 5)
-    )
+    taps = cols.reshape(batch, out_h, out_w, kh, kw, channels)
     image = np.zeros(input_shape, dtype=cols.dtype)
     for i in range(kh):
         first_h, stop_h, top = _tap_span(i, ph, sh, out_h, height)
@@ -210,7 +208,7 @@ def col2im_nhwc(
             if stop_w <= first_w:
                 continue
             image[:, rows, left : left + sw * (stop_w - first_w) : sw] += taps[
-                i, j, :, first_h:stop_h, first_w:stop_w
+                :, first_h:stop_h, first_w:stop_w, i, j
             ]
     return image
 

@@ -11,10 +11,10 @@ Three adaptation scopes, selected by :class:`repro.serve.AdapterPolicy`:
 
 * ``scope="all"`` personalises every layer as full per-user tensors.
   Maximum capacity, but nothing is shared: each user trains alone, and each
-  of their frames is served alone, through one clone of the model
-  (:meth:`AdapterRegistry.full_model`) carrying the user's parameters.
-  Serving must read ~1.1 M parameters per user per batch — adapted traffic
-  becomes memory-bound (the throughput benchmark documents the cost).
+  of their frames is served alone, through the registry's one working
+  clone of the model with the user's own stored arrays bound to it.  Every
+  frame reads the ~1.1 M parameters of its user (the throughput benchmark
+  documents the cost).
 * ``scope="last"`` personalises only the final FC layer (the paper's
   low-cost online regime): the convolutional/FC trunk stays shared — so
   serving runs it once per micro-batch through the batch-invariant kernel —
@@ -51,8 +51,9 @@ file read, one CRC check and zero-copy array views, and the migration bytes
 of :meth:`AdapterRegistry.export_user_bytes` are the same record in memory
 (:func:`~repro.nn.serialization.record_bytes`).
 
-The registry also answers the serving hot path: :meth:`gather` stacks the
-parameter sets of the users in one micro-batch into ``(tasks, ...)`` tensors.
+The registry also answers the serving hot path of ``last`` and ``lora``:
+:meth:`gather` stacks the parameter sets of the users in one micro-batch
+into ``(tasks, ...)`` tensors.
 Two cache levels back it: a hot-tier ``(rows, ...)`` stack (each gather is
 one vectorized row-index into it, never a per-user Python-level restack),
 and a small LRU of recently served batch compositions that skips even the
@@ -74,8 +75,9 @@ import hashlib
 import json
 import logging
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -190,8 +192,8 @@ class AdapterRegistry:
             self._head_init = []
             self._lora_base = []
             shapes = [p.data.shape for p in model.parameters()]
-        #: scope="all": the working model, built on first use (see full_model)
-        self._full_model: Optional[PoseCNN] = None
+        #: scope="all": the working model, built on first use (see _full_model)
+        self._full_clone: Optional[PoseCNN] = None
         #: the tensor shapes of one user's parameter set, in parameter order
         self._shapes: List[Tuple[int, ...]] = [tuple(shape) for shape in shapes]
         self.metrics = metrics
@@ -235,17 +237,24 @@ class AdapterRegistry:
             raise ValueError("trunk_embed is only available with scope='last'")
         return self._trunk_kernel.predict(features)
 
-    def full_model(self) -> PoseCNN:
+    @contextmanager
+    def _full_model(self) -> Iterator[PoseCNN]:
         """The ``scope="all"`` working model: an eval-mode clone of the base.
 
         Built on first use, so a registry that never adapts or serves an
-        ``all`` user holds no second copy of the weights.  Adaptation trains
-        one user at a time on it, and serving loads one user's parameters
-        into it per frame; every use sets all of its parameters first.
+        ``all`` user holds no second copy of the weights.  Inside the block
+        the caller binds one user's parameters to it at a time (adaptation
+        trains on it, serving predicts with it); on exit its parameters are
+        the base model's arrays again, so it keeps no user's state alive.
         """
-        if self._full_model is None:
-            self._full_model = self.model.clone().eval()
-        return self._full_model
+        if self._full_clone is None:
+            self._full_clone = self.model.clone().eval()
+        try:
+            yield self._full_clone
+        finally:
+            for param, base in zip(self._full_clone.parameters(), self.model.parameters()):
+                param.data = base.data
+                param.grad = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -312,7 +321,8 @@ class AdapterRegistry:
         sets have equal sizes share one grouped forward/backward per
         mini-batch through the task-batched kernels (one ``(users, ...)``
         tensor per parameter); unequal sizes are grouped by size.  Under
-        ``scope="all"`` each user trains alone on :meth:`full_model`.
+        ``scope="all"`` each user trains alone on the registry's working
+        clone of the model.
         Either way each user starts from the shared base parameters and
         follows exactly the update sequence a solo adaptation would.
         (Under ``scope="lora"`` the factor initialization is seeded per
@@ -378,10 +388,11 @@ class AdapterRegistry:
                     "scope='all' adaptation is unavailable for a model with active "
                     "dropout (scope='last' may still work)"
                 )
-            return {
-                user: self._adapt_full(dataset, batches)
-                for user, dataset in zip(users, datasets)
-            }
+            with self._full_model() as model:
+                return {
+                    user: self._adapt_full(model, dataset, batches)
+                    for user, dataset in zip(users, datasets)
+                }
 
         num_users = len(users)
         labels = np.stack([dataset.labels for dataset in datasets])
@@ -430,14 +441,15 @@ class AdapterRegistry:
             for slot, user in enumerate(users)
         }
 
-    def _adapt_full(self, dataset: ArrayDataset, batches: Sequence[np.ndarray]) -> List[np.ndarray]:
+    def _adapt_full(
+        self, model: PoseCNN, dataset: ArrayDataset, batches: Sequence[np.ndarray]
+    ) -> List[np.ndarray]:
         """Train one ``scope="all"`` user from the base parameters.
 
-        The model's own forward and autograd on :meth:`full_model`, one
+        The model's own forward and autograd on the working clone, one
         in-place SGD step per mini-batch: the arithmetic of
         :class:`repro.core.FineTuner` with plain SGD, bit for bit.
         """
-        model = self.full_model()
         params = model.parameters()
         for param, base in zip(params, self.model.parameters()):
             param.data = base.data.copy()
@@ -831,11 +843,50 @@ class AdapterRegistry:
     # ------------------------------------------------------------------
     # Serving hot path
     # ------------------------------------------------------------------
+    def _resolve(self, user_ids: Sequence[Hashable]) -> Dict[Hashable, List[np.ndarray]]:
+        """The hot-tier parameters of every user of one micro-batch.
+
+        Warm users are promoted, with the whole batch protected from the
+        demotions a promotion triggers; every distinct user records one
+        tier access.  A cold or unknown user — or one whose spill record
+        is quarantined on promotion — raises :class:`KeyError`.
+        """
+        resolved: Dict[Hashable, List[np.ndarray]] = {}
+        missing = []
+        composition = set(user_ids)
+        for user in dict.fromkeys(user_ids):
+            if user in self._params:
+                self._params.move_to_end(user)
+                resolved[user] = self._params[user]
+                if self.metrics is not None:
+                    self.metrics.record_adapter_access("hot")
+            elif user in self._warm:
+                promoted = self._promote(user, protect=composition)
+                if promoted is not None:
+                    resolved[user] = promoted
+                    if self.metrics is not None:
+                        self.metrics.record_adapter_access("warm")
+                else:
+                    # Spill file quarantined during promotion: the user is
+                    # now cold and must re-onboard from the base model.
+                    if self.metrics is not None:
+                        self.metrics.record_adapter_access("cold")
+                    missing.append(user)
+            else:
+                if self.metrics is not None and user in self._cold:
+                    self.metrics.record_adapter_access("cold")
+                missing.append(user)
+        if missing:
+            raise KeyError(f"no adapted parameters for users {missing!r}")
+        return resolved
+
     def gather(self, user_ids: Sequence[Hashable]) -> List[nn.Tensor]:
         """Stack the users' parameter sets into ``(tasks, ...)`` tensors.
 
-        The result feeds the scope's serving route directly: row ``t`` is
-        the parameter set (or head, or factors) of ``user_ids[t]``.  Warm
+        The result feeds the ``last`` and ``lora`` serving routes directly:
+        row ``t`` is the head or the factors (under ``scope="all"``, the
+        whole parameter set) of ``user_ids[t]``; ``all`` serving binds each
+        user's stored arrays instead and never stacks them.  Warm
         users are transparently promoted to the hot tier first; requesting a
         cold or unknown user raises :class:`KeyError` (the caller re-onboards
         on demand).  An exact composition repeat returns the memoized
@@ -853,30 +904,7 @@ class AdapterRegistry:
         """
         if not user_ids:
             raise ValueError("at least one user is required")
-        missing = []
-        composition = set(user_ids)
-        for user in dict.fromkeys(user_ids):
-            if user in self._params:
-                self._params.move_to_end(user)
-                if self.metrics is not None:
-                    self.metrics.record_adapter_access("hot")
-            elif user in self._warm:
-                promoted = self._promote(user, protect=composition)
-                if promoted is not None:
-                    if self.metrics is not None:
-                        self.metrics.record_adapter_access("warm")
-                else:
-                    # Spill file quarantined during promotion: the user is
-                    # now cold and must re-onboard from the base model.
-                    if self.metrics is not None:
-                        self.metrics.record_adapter_access("cold")
-                    missing.append(user)
-            else:
-                if self.metrics is not None and user in self._cold:
-                    self.metrics.record_adapter_access("cold")
-                missing.append(user)
-        if missing:
-            raise KeyError(f"no adapted parameters for users {missing!r}")
+        self._resolve(user_ids)
         key = (self.version, tuple(user_ids))
         cached = self._gather_cache.get(key)
         if cached is not None:

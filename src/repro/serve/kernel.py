@@ -54,9 +54,9 @@ the live model.  It also serves two of the three adapted routes:
 (the shared base in the same blocks, each frame's rank-r deltas on top), and
 ``scope="last"`` users' shared trunk (a kernel over the model's trunk, whose
 embedding feeds each frame's personal head).  ``scope="all"`` users bypass
-it: each of their frames runs alone, a batch of one, through
-:meth:`repro.serve.AdapterRegistry.full_model` carrying the user's
-parameters, so no co-rider can change its bits.
+it: each of their frames runs alone, a batch of one, through the
+registry's working clone of the model bound to the user's parameters, so
+no co-rider can change its bits.
 """
 
 from __future__ import annotations

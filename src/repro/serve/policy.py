@@ -12,7 +12,7 @@
   ``batch_size`` / ``loss`` / ``shuffle`` / ``seed``, the plain-SGD
   fine-tuning hyper-parameters the FUSE initialization was optimized for;
 * **where adapter state lives** — the hot/warm/cold lifecycle:
-  ``hot_capacity`` bounds the users resident in the in-memory gather stack,
+  ``hot_capacity`` bounds the users resident in the in-memory hot tier,
   ``spill_dir`` enables the warm tier (per-user CRC-checked spill records,
   written through on adaptation so they double as crash persistence), and
   ``warm_capacity`` bounds the spill files before the coldest users are

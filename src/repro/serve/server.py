@@ -16,7 +16,8 @@ pieces together per request:
    blocks plus per-frame rank-r deltas), ``last`` through
    :meth:`AdapterRegistry.trunk_embed` plus :func:`repro.nn.linear_batched`
    over the frames' personal heads, and ``all`` one frame at a time through
-   :meth:`AdapterRegistry.full_model` carrying that user's parameters.
+   the registry's working clone of the model, bound to that user's stored
+   parameter arrays.
 
 Every inference route is batch-composition invariant, so a replay of N
 interleaved users is bitwise identical to serving each user alone — the
@@ -273,9 +274,9 @@ class PoseServer:
         applied as per-frame deltas (:meth:`SharedParameterKernel.predict_lowrank`)
         — near-base-model speed with full-network personalization.  Under
         ``scope="all"`` each request runs alone, a batch of one, through the
-        registry's working model carrying the request's row of the gathered
-        parameters.  Every route is bitwise identical to serving each request
-        alone.
+        registry's working model with the user's stored arrays bound to it
+        (no stacked copy).  Every route is bitwise identical to serving each
+        request alone.
         """
         if self.registry.scope == "lora":
             factors = self.registry.gather(user_ids)
@@ -287,13 +288,13 @@ class PoseServer:
             with nn.no_grad():
                 stacked = nn.linear_batched(nn.Tensor(hidden[:, None]), params[0], bias)
             return stacked.numpy()[:, 0]
-        stacks = self.registry.gather(user_ids)
-        model = self.registry.full_model()
-        outputs = np.empty((len(user_ids), model.config.output_dim))
-        for row in range(len(user_ids)):
-            for param, stack in zip(model.parameters(), stacks):
-                param.data = stack.data[row]
-            outputs[row] = model.predict(features[row : row + 1])[0]
+        resolved = self.registry._resolve(user_ids)
+        outputs = np.empty((len(user_ids), self.estimator.model.config.output_dim))
+        with self.registry._full_model() as model:
+            for row, user in enumerate(user_ids):
+                for param, array in zip(model.parameters(), resolved[user]):
+                    param.data = array
+                outputs[row] = model.predict(features[row : row + 1])[0]
         return outputs
 
     # ------------------------------------------------------------------

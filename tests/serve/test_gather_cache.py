@@ -165,10 +165,13 @@ class TestGatherCache:
 
     def test_steady_state_replay_hit_rate_is_high(self, estimator, serve_dataset):
         """The end-to-end regression: a 10-user replay with drifting 8-wide
-        batches keeps a hot cache (it pinned at 0.0 before)."""
+        batches keeps a hot cache (it pinned at 0.0 before).  Under ``lora``,
+        a serving route that gathers."""
         streams = user_streams_from_dataset(serve_dataset, num_users=10, frames_per_user=8)
         calibration, serving = adaptation_split(streams, adaptation_frames=4)
-        server = PoseServer(estimator, ServeConfig(max_batch_size=8))
+        server = PoseServer(
+            estimator, ServeConfig(max_batch_size=8), policy=AdapterPolicy(scope="lora", rank=2)
+        )
         server.adapt_users(
             {user: _as_dataset(frames) for user, frames in calibration.items()},
             epochs=1,

@@ -10,6 +10,9 @@ user solo.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -125,11 +128,7 @@ class TestAdaptedReplay:
             )
         # Adapted users actually went down the adapted route.
         assert result_batched.metrics["adapted_parameter_sets"] == 5
-        assert (
-            result_batched.metrics["param_cache_hits"]
-            + result_batched.metrics["param_cache_misses"]
-            > 0
-        )
+        assert result_batched.metrics["adapter_hot_hits"] > 0
 
     def test_served_frames_equal_the_plain_model_bitwise(self, estimator, split_streams):
         """A ``scope="all"`` user's served frame, batched with co-riders, is
@@ -153,6 +152,24 @@ class TestAdaptedReplay:
             for sample, prediction in zip(serving[user], served.predictions[user]):
                 features = estimator.feature_builder.build_batch([session.observe(sample.cloud)])
                 np.testing.assert_array_equal(prediction, model.predict_joints(features)[0])
+
+    def test_forgotten_user_leaves_nothing_reachable(self, estimator, split_streams):
+        """Once a ``scope="all"`` user is forgotten, neither the registry nor
+        its working model keeps any of their arrays alive — not even when
+        they were the last user trained and the last one served."""
+        calibration, serving = split_streams
+        users = list(serving)[:2]
+        server = PoseServer(estimator, ServeConfig(max_batch_size=4))
+        server.adapt_users({user: as_pose_dataset(calibration[user]) for user in users})
+        forgotten = users[-1]
+        replay_users(server, {forgotten: serving[forgotten]})
+        stored = [weakref.ref(view.base) for view in server.registry.parameters_for(forgotten)]
+        assert all(ref() is not None for ref in stored)
+        server.forget_user(forgotten)
+        gc.collect()
+        assert all(ref() is None for ref in stored)
+        assert forgotten not in server.registry
+        assert users[0] in server.registry
 
     def test_adaptation_changes_predictions(self, estimator, split_streams):
         """The adapted route is real: personal weights alter the output."""
