@@ -178,7 +178,6 @@ class TestServeThroughput:
                     "grouped_adaptation_seconds": adapt_seconds,
                     "adaptation_users_per_sec": len(adapted_users) / adapt_seconds,
                     "batched_fps": result.frames_per_second,
-                    "param_cache_hit_rate": metrics["param_cache_hit_rate"],
                     "mean_batch_size": metrics["mean_batch_size"],
                     "latency_p95_ms": metrics["latency_p95_ms"],
                 },

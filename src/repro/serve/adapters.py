@@ -53,20 +53,10 @@ of :meth:`AdapterRegistry.export_user_bytes` are the same record in memory
 
 The registry also answers the serving hot path of ``last`` and ``lora``:
 :meth:`gather` stacks the parameter sets of the users in one micro-batch
-into ``(tasks, ...)`` tensors.
-Two cache levels back it: a hot-tier ``(rows, ...)`` stack (each gather is
-one vectorized row-index into it, never a per-user Python-level restack),
-and a small LRU of recently served batch compositions that skips even the
-row copy for exact repeats.  The stack survives tier moves: a demotion frees
-its user's row and a promotion writes the promoted user into a free row, so
-hot-tier churn costs one user's bytes per move.  It is rebuilt, sized to the
-hot population, only when a promotion finds no free row or when adaptation
-of new users, :meth:`remove` or :meth:`import_user_bytes` changes the
-cohort.  Steady-state traffic therefore hits on every micro-batch
-regardless of how batch boundaries drift across the user cohort or how
-often it churns the hot tier — the ``param_cache`` hit rate in
-:class:`repro.serve.ServeMetrics` counts a rebuild of the stack as the only
-miss.
+into ``(tasks, ...)`` tensors, one ``np.stack`` per parameter tensor over
+those users' stored arrays.  Nothing is kept between batches, so a tier
+move or an adaptation has no stacked copy to keep current, and a served
+batch's stack is freed with the batch.
 """
 
 from __future__ import annotations
@@ -111,8 +101,6 @@ RECORD_FORMAT = 2
 
 _SPILL_PREFIX = "user-"
 _SPILL_SUFFIX = ".spill"
-#: recently served ``(tasks, ...)`` parameter stacks memoized by :meth:`gather`
-_GATHER_CACHE_SIZE = 8
 
 _log = logging.getLogger(__name__)
 
@@ -137,7 +125,7 @@ class AdapterRegistry:
         hot/warm/cold tier budgets.  ``None`` uses the default policy
         (``scope="all"``, the paper's ~5-epoch online regime).
     metrics:
-        Optional :class:`ServeMetrics` receiving cache, adaptation and
+        Optional :class:`ServeMetrics` receiving adaptation and
         tier-lifecycle events.
     gemm_block:
         Block width of the trunk-embedding kernel under ``scope="last"``
@@ -198,7 +186,6 @@ class AdapterRegistry:
         self._shapes: List[Tuple[int, ...]] = [tuple(shape) for shape in shapes]
         self.metrics = metrics
         self.fault_injector = fault_injector
-        self.version = 0
         # Hot tier: in-memory parameter sets, LRU-ordered by last access.
         self._params: "OrderedDict[Hashable, List[np.ndarray]]" = OrderedDict()
         # Warm tier: users whose parameters live only in their spill file,
@@ -211,16 +198,6 @@ class AdapterRegistry:
         # remembered, so the registry can report a cold miss distinct from
         # "never adapted".
         self._cold: Set[Hashable] = set()
-        self._gather_cache: "OrderedDict[Tuple, List[nn.Tensor]]" = OrderedDict()
-        # Hot-tier (rows, ...) stack; the steady-state gather path
-        # row-indexes into it instead of restacking per-user arrays batch by
-        # batch.  Tier moves keep it current in place: a demoted user's row
-        # joins `_free_rows` and a promoted user fills one.  Dropped (and
-        # rebuilt lazily by the next gather) when no free row fits.
-        self._stack: Optional[List[np.ndarray]] = None
-        self._stack_rows: Dict[Hashable, int] = {}
-        self._free_rows: List[int] = []
-        self._stack_version = -1
         self._spill_dir = self.policy.spill_path()
         if self._spill_dir is not None:
             self._spill_dir.mkdir(parents=True, exist_ok=True)
@@ -283,9 +260,7 @@ class AdapterRegistry:
         rank-r factors.  Warm users are promoted to answer (their hot-tier
         footprint is the question being asked).
         """
-        params = self._lookup(user_id, record=False)
-        if params is None:
-            raise KeyError(f"no adapted parameters for user {user_id!r}")
+        params = self._resolve([user_id], record=False)[user_id]
         return sum(int(array.nbytes) for array in params)
 
     def parameters_for(self, user_id: Hashable) -> Optional[List[np.ndarray]]:
@@ -296,8 +271,9 @@ class AdapterRegistry:
         ``[weight, bias]``; under ``scope="lora"`` the per-layer factors
         ``[a0, b0, a1, b1, ...]``.  A warm user is transparently promoted.
         """
-        params = self._lookup(user_id, record=False)
-        if params is None:
+        try:
+            params = self._resolve([user_id], record=False)[user_id]
+        except KeyError:
             return None
         return [_readonly(p) for p in params]
 
@@ -351,7 +327,6 @@ class AdapterRegistry:
             self._warm.pop(user_id, None)
             self._cold.discard(user_id)
             self._write_spill(user_id, params)
-        self._absorb_adaptation(adapted)
         self._enforce_budgets()
         if self.metrics is not None:
             self.metrics.record_adaptation(len(adapted))
@@ -465,38 +440,8 @@ class AdapterRegistry:
     # ------------------------------------------------------------------
     # Lifecycle tiers
     # ------------------------------------------------------------------
-    def _lookup(
-        self, user_id: Hashable, record: bool = True
-    ) -> Optional[List[np.ndarray]]:
-        """Resolve a user's parameters across tiers, promoting warm users.
-
-        Hot users are touched (LRU refresh); warm users are promoted into the
-        hot tier; cold and unknown users return ``None`` (a known-cold miss
-        is recorded distinctly from never-adapted traffic).
-        """
-        params = self._params.get(user_id)
-        if params is not None:
-            self._params.move_to_end(user_id)
-            if record and self.metrics is not None:
-                self.metrics.record_adapter_access("hot")
-            return params
-        if user_id in self._warm:
-            params = self._promote(user_id)
-            if params is not None:
-                if record and self.metrics is not None:
-                    self.metrics.record_adapter_access("warm")
-                return params
-            # Quarantined on promotion: the user is now cold and serves
-            # from the base model until re-onboarded.
-            if record and self.metrics is not None:
-                self.metrics.record_adapter_access("cold")
-            return None
-        if record and self.metrics is not None and user_id in self._cold:
-            self.metrics.record_adapter_access("cold")
-        return None
-
     def _promote(
-        self, user_id: Hashable, protect: Set[Hashable] = frozenset()
+        self, user_id: Hashable, protect: Set[Hashable]
     ) -> Optional[List[np.ndarray]]:
         """Load a warm user's spill file back into the hot tier.
 
@@ -514,10 +459,8 @@ class AdapterRegistry:
         self._params[user_id] = params
         self._params.move_to_end(user_id)
         # The spill file stays current (write-through), so a later demotion
-        # of this user is again a pure in-memory drop.  Demote first: the
-        # users pushed out free the stack row the promoted user fills.
+        # of this user is again a pure in-memory drop.
         self._enforce_budgets(protect={user_id} | set(protect))
-        self._fill_free_row(user_id, params)
         return params
 
     def _read_spill(self, user_id: Hashable) -> Optional[Tuple[List[np.ndarray], bytes]]:
@@ -575,14 +518,9 @@ class AdapterRegistry:
         hot_capacity = self.policy.hot_capacity
         if hot_capacity is not None and len(self._params) > hot_capacity:
             evictable = [user for user in self._params if user not in protect]
-            evicted = False
             while len(self._params) > hot_capacity and evictable:
                 user = evictable.pop(0)
                 del self._params[user]
-                evicted = True
-                row = self._stack_rows.pop(user, None)
-                if row is not None:
-                    self._free_rows.append(row)
                 if user in self._spill_paths:
                     self._warm[user] = self._spill_paths[user]
                     if self.metrics is not None:
@@ -591,8 +529,6 @@ class AdapterRegistry:
                     self._cold.add(user)
                     if self.metrics is not None:
                         self.metrics.record_adapter_demotion("cold")
-            if evicted:
-                self._stack_moved()
         warm_capacity = self.policy.warm_capacity
         if warm_capacity is not None:
             while len(self._warm) > warm_capacity:
@@ -705,8 +641,8 @@ class AdapterRegistry:
     def _record_params(self, state: Mapping[str, np.ndarray], source: str) -> List[np.ndarray]:
         """A record's tensors in parameter order, refused unless their
         shapes are the ones this registry's model and policy adapt — a
-        record of another model must not reach the gather stack, where one
-        wrong shape fails every user's gather."""
+        record of another model must not reach :meth:`gather`, where one
+        wrong shape fails the whole batch's ``np.stack``."""
         params = [state[key] for key in sorted(state)]
         shapes = [array.shape for array in params]
         if shapes != self._shapes:
@@ -762,7 +698,6 @@ class AdapterRegistry:
         self._warm.pop(user_id, None)
         self._cold.discard(user_id)
         self._write_spill(user_id, params)
-        self._invalidate_gather_state()
         self._enforce_budgets()
 
     def remove(self, user_id: Hashable) -> bool:
@@ -773,84 +708,22 @@ class AdapterRegistry:
         if spill is not None:
             spill.unlink(missing_ok=True)
         self._cold.discard(user_id)
-        if existed:
-            self._invalidate_gather_state()
         return existed
-
-    def _invalidate_gather_state(self) -> None:
-        """Registry contents changed: bump the version, drop both caches."""
-        self.version += 1
-        self._gather_cache.clear()
-        self._stack = None
-        self._stack_rows = {}
-        self._free_rows = []
-
-    def _stack_moved(self) -> None:
-        """Stack rows changed in place: bump the version, drop only the memo.
-
-        A memoized composition may hold a row's old values; the stack itself
-        was updated, so it stays current.
-        """
-        self.version += 1
-        self._gather_cache.clear()
-        if self._stack is not None:
-            self._stack_version = self.version
-
-    def _fill_free_row(self, user_id: Hashable, params: Sequence[np.ndarray]) -> None:
-        """Write a promoted user into a free stack row, or drop the stack.
-
-        In place only when a row is free and every tensor has its block's
-        shape and dtype, so the row holds exactly what a rebuild's
-        ``np.stack`` would; otherwise the next gather rebuilds.
-        """
-        stack = self._stack
-        if (
-            stack is None
-            or not self._free_rows
-            or len(params) != len(stack)
-            or any(
-                array.shape != block.shape[1:] or array.dtype != block.dtype
-                for block, array in zip(stack, params)
-            )
-        ):
-            self._invalidate_gather_state()
-            return
-        row = self._free_rows.pop()
-        for block, array in zip(stack, params):
-            block[row] = array
-        self._stack_rows[user_id] = row
-        self._stack_moved()
-
-    def _absorb_adaptation(self, adapted: Mapping[Hashable, List[np.ndarray]]) -> None:
-        """Fold fresh adaptations into the gather state without a rebuild.
-
-        Composition memos always die (the values changed), but the hot-tier
-        stack survives a re-adaptation of *existing* users: their rows are
-        overwritten in place, so a deployment that adapts users while
-        serving pays O(adapted) per call instead of restacking the whole
-        cohort on the next gather.  New users still invalidate the stack
-        (their rows do not exist yet).
-        """
-        if self._stack is None or any(user not in self._stack_rows for user in adapted):
-            self._invalidate_gather_state()
-            return
-        for user, params in adapted.items():
-            row = self._stack_rows[user]
-            for block, array in zip(self._stack, params):
-                block[row] = array
-        self._stack_moved()
 
     # ------------------------------------------------------------------
     # Serving hot path
     # ------------------------------------------------------------------
-    def _resolve(self, user_ids: Sequence[Hashable]) -> Dict[Hashable, List[np.ndarray]]:
+    def _resolve(
+        self, user_ids: Sequence[Hashable], record: bool = True
+    ) -> Dict[Hashable, List[np.ndarray]]:
         """The hot-tier parameters of every user of one micro-batch.
 
         Warm users are promoted, with the whole batch protected from the
-        demotions a promotion triggers; every distinct user records one
-        tier access.  A cold or unknown user — or one whose spill record
-        is quarantined on promotion — raises :class:`KeyError`.
+        demotions a promotion triggers; with ``record``, every distinct user
+        records one tier access.  A cold or unknown user — or one whose
+        spill record is quarantined on promotion — raises :class:`KeyError`.
         """
+        metrics = self.metrics if record else None
         resolved: Dict[Hashable, List[np.ndarray]] = {}
         missing = []
         composition = set(user_ids)
@@ -858,23 +731,23 @@ class AdapterRegistry:
             if user in self._params:
                 self._params.move_to_end(user)
                 resolved[user] = self._params[user]
-                if self.metrics is not None:
-                    self.metrics.record_adapter_access("hot")
+                if metrics is not None:
+                    metrics.record_adapter_access("hot")
             elif user in self._warm:
                 promoted = self._promote(user, protect=composition)
                 if promoted is not None:
                     resolved[user] = promoted
-                    if self.metrics is not None:
-                        self.metrics.record_adapter_access("warm")
+                    if metrics is not None:
+                        metrics.record_adapter_access("warm")
                 else:
                     # Spill file quarantined during promotion: the user is
                     # now cold and must re-onboard from the base model.
-                    if self.metrics is not None:
-                        self.metrics.record_adapter_access("cold")
+                    if metrics is not None:
+                        metrics.record_adapter_access("cold")
                     missing.append(user)
             else:
-                if self.metrics is not None and user in self._cold:
-                    self.metrics.record_adapter_access("cold")
+                if metrics is not None and user in self._cold:
+                    metrics.record_adapter_access("cold")
                 missing.append(user)
         if missing:
             raise KeyError(f"no adapted parameters for users {missing!r}")
@@ -885,46 +758,34 @@ class AdapterRegistry:
 
         The result feeds the ``last`` and ``lora`` serving routes directly:
         row ``t`` is the head or the factors (under ``scope="all"``, the
-        whole parameter set) of ``user_ids[t]``; ``all`` serving binds each
-        user's stored arrays instead and never stacks them.  Warm
+        whole parameter set) of ``user_ids[t]``, one ``np.stack`` per
+        parameter tensor over the users' stored arrays; ``all`` serving
+        uses :meth:`predict_full` instead and never stacks them.  Warm
         users are transparently promoted to the hot tier first; requesting a
         cold or unknown user raises :class:`KeyError` (the caller re-onboards
-        on demand).  An exact composition repeat returns the memoized
-        tensors; any other composition row-indexes the hot-tier stack (one
-        vectorized copy per parameter tensor).  The stack survives tier
-        moves — a promotion writes one row that its demotions freed, and
-        re-adapting existing users overwrites their rows — so the only cache
-        *miss* is a rebuild: after adaptation of new users, :meth:`remove`
-        or :meth:`import_user_bytes`, or a promotion that found no free
-        row.  Steady-state serving hits on every micro-batch even
-        when batch boundaries drift across the user cohort (the bug the old
-        composition-keyed cache had: with 50 users and 64-wide batches no
-        composition ever repeated inside the LRU window, so the hit rate
-        pinned at 0) and when the working set churns the hot tier.
+        on demand).
         """
         if not user_ids:
             raise ValueError("at least one user is required")
-        self._resolve(user_ids)
-        key = (self.version, tuple(user_ids))
-        cached = self._gather_cache.get(key)
-        if cached is not None:
-            self._gather_cache.move_to_end(key)
-            if self.metrics is not None:
-                self.metrics.record_param_cache(hit=True)
-            return cached
-        hit = self._stack is not None and self._stack_version == self.version
-        if not hit:
-            users = list(self._params)
-            per_param = zip(*(self._params[user] for user in users))
-            self._stack = [np.stack(arrays) for arrays in per_param]
-            self._stack_rows = {user: row for row, user in enumerate(users)}
-            self._free_rows = []
-            self._stack_version = self.version
-        if self.metrics is not None:
-            self.metrics.record_param_cache(hit=hit)
-        rows = [self._stack_rows[user] for user in user_ids]
-        stacked = [nn.Tensor(block[rows]) for block in self._stack]
-        self._gather_cache[key] = stacked
-        while len(self._gather_cache) > _GATHER_CACHE_SIZE:
-            self._gather_cache.popitem(last=False)
-        return stacked
+        resolved = self._resolve(user_ids)
+        per_param = zip(*(resolved[user] for user in user_ids))
+        return [nn.Tensor(np.stack(arrays)) for arrays in per_param]
+
+    def predict_full(self, user_ids: Sequence[Hashable], features: np.ndarray) -> np.ndarray:
+        """``scope="all"`` predictions, one frame at a time.
+
+        Row ``t`` of ``features`` runs alone, a batch of one, through the
+        working model with ``user_ids[t]``'s stored arrays bound to it, so
+        no stacked copy of anyone's parameters is built.  Raises
+        :class:`KeyError` as :meth:`gather` does, before predicting anything.
+        """
+        if self.scope != "all":
+            raise ValueError("predict_full is only available with scope='all'")
+        resolved = self._resolve(user_ids)
+        outputs = np.empty((len(user_ids), self.model.config.output_dim))
+        with self._full_model() as model:
+            for row, user in enumerate(user_ids):
+                for param, array in zip(model.parameters(), resolved[user]):
+                    param.data = array
+                outputs[row] = model.predict(features[row : row + 1])[0]
+        return outputs

@@ -3,7 +3,7 @@
 :class:`ServeMetrics` is the single metrics surface of the serving subsystem.
 Every component reports into it — the server records submissions, flushes and
 completion latencies, the micro-batcher records drops and queue depth, the
-adapter registry records parameter-stack cache hits — and
+adapter registry records adaptation runs and tier traffic — and
 :meth:`ServeMetrics.snapshot` renders one flat dictionary suitable for
 logging, the benchmark JSONs and the replay driver's report.
 
@@ -69,8 +69,6 @@ class ServeMetrics:
         self.max_batch_seen = 0
         self.max_queue_depth_seen = 0
         self.session_evictions = 0
-        self.param_cache_hits = 0
-        self.param_cache_misses = 0
         self.adaptation_runs = 0
         self.adapted_users = 0
         self.adapter_hot_hits = 0
@@ -133,12 +131,6 @@ class ServeMetrics:
 
     def record_session_eviction(self) -> None:
         self.session_evictions += 1
-
-    def record_param_cache(self, hit: bool) -> None:
-        if hit:
-            self.param_cache_hits += 1
-        else:
-            self.param_cache_misses += 1
 
     def record_adaptation(self, users: int) -> None:
         self.adaptation_runs += 1
@@ -207,11 +199,6 @@ class ServeMetrics:
         return self.completed / elapsed if elapsed > 0 else 0.0
 
     @property
-    def param_cache_hit_rate(self) -> float:
-        requests = self.param_cache_hits + self.param_cache_misses
-        return self.param_cache_hits / requests if requests else 0.0
-
-    @property
     def adapter_tier_hit_rate(self) -> float:
         """Fraction of adapter lookups answered without re-onboarding."""
         accesses = self.adapter_hot_hits + self.adapter_warm_hits + self.adapter_cold_misses
@@ -235,9 +222,6 @@ class ServeMetrics:
             "latency_p50_ms": self.latency_p50_ms,
             "latency_p95_ms": self.latency_p95_ms,
             "throughput_fps": self.throughput_fps,
-            "param_cache_hits": self.param_cache_hits,
-            "param_cache_misses": self.param_cache_misses,
-            "param_cache_hit_rate": self.param_cache_hit_rate,
             "adaptation_runs": self.adaptation_runs,
             "adapted_users": self.adapted_users,
             "adapter_hot_hits": self.adapter_hot_hits,
@@ -275,8 +259,6 @@ class ServeMetrics:
         "max_batch_seen",
         "max_queue_depth_seen",
         "session_evictions",
-        "param_cache_hits",
-        "param_cache_misses",
         "adaptation_runs",
         "adapted_users",
         "adapter_hot_hits",
@@ -343,7 +325,6 @@ class ServeMetrics:
         "latency_p50_ms",
         "latency_p95_ms",
         "throughput_fps",
-        "param_cache_hit_rate",
         "adapter_tier_hit_rate",
     )
 
@@ -468,11 +449,6 @@ class ServeMetrics:
                     else 0.0
                 )
 
-        cache_hits = report.get("param_cache_hits", 0)
-        cache_requests = cache_hits + report.get("param_cache_misses", 0)
-        report["param_cache_hit_rate"] = (
-            cache_hits / cache_requests if cache_requests else 0.0
-        )
         tier_hits = report.get("adapter_hot_hits", 0) + report.get("adapter_warm_hits", 0)
         tier_accesses = tier_hits + report.get("adapter_cold_misses", 0)
         report["adapter_tier_hit_rate"] = (
@@ -497,8 +473,6 @@ class ServeMetrics:
         ("fuse_serve_flushes_total", "flushes", "Micro-batch flushes executed."),
         ("fuse_serve_batched_frames_total", "batched_frames", "Frames served through micro-batches."),
         ("fuse_serve_session_evictions_total", "session_evictions", "LRU session evictions."),
-        ("fuse_serve_param_cache_hits_total", "param_cache_hits", "Parameter-stack cache hits."),
-        ("fuse_serve_param_cache_misses_total", "param_cache_misses", "Parameter-stack cache misses."),
         ("fuse_serve_adaptation_runs_total", "adaptation_runs", "Grouped adaptation calls."),
         ("fuse_serve_adapted_users_total", "adapted_users", "Users adapted across all runs."),
         ("fuse_serve_adapter_hot_hits_total", "adapter_hot_hits", "Adapter lookups served from memory."),

@@ -16,8 +16,8 @@ pieces together per request:
    blocks plus per-frame rank-r deltas), ``last`` through
    :meth:`AdapterRegistry.trunk_embed` plus :func:`repro.nn.linear_batched`
    over the frames' personal heads, and ``all`` one frame at a time through
-   the registry's working clone of the model, bound to that user's stored
-   parameter arrays.
+   :meth:`AdapterRegistry.predict_full` (the registry's working clone of the
+   model, bound to that user's stored parameter arrays).
 
 Every inference route is batch-composition invariant, so a replay of N
 interleaved users is bitwise identical to serving each user alone — the
@@ -273,10 +273,9 @@ class PoseServer:
         the fixed-block kernel with each request's rank-r factor slices
         applied as per-frame deltas (:meth:`SharedParameterKernel.predict_lowrank`)
         — near-base-model speed with full-network personalization.  Under
-        ``scope="all"`` each request runs alone, a batch of one, through the
-        registry's working model with the user's stored arrays bound to it
-        (no stacked copy).  Every route is bitwise identical to serving each
-        request alone.
+        ``scope="all"`` each request runs alone, a batch of one, through
+        :meth:`AdapterRegistry.predict_full` (no stacked copy).  Every route
+        is bitwise identical to serving each request alone.
         """
         if self.registry.scope == "lora":
             factors = self.registry.gather(user_ids)
@@ -288,14 +287,7 @@ class PoseServer:
             with nn.no_grad():
                 stacked = nn.linear_batched(nn.Tensor(hidden[:, None]), params[0], bias)
             return stacked.numpy()[:, 0]
-        resolved = self.registry._resolve(user_ids)
-        outputs = np.empty((len(user_ids), self.estimator.model.config.output_dim))
-        with self.registry._full_model() as model:
-            for row, user in enumerate(user_ids):
-                for param, array in zip(model.parameters(), resolved[user]):
-                    param.data = array
-                outputs[row] = model.predict(features[row : row + 1])[0]
-        return outputs
+        return self.registry.predict_full(user_ids, features)
 
     # ------------------------------------------------------------------
     # Per-user adaptation
@@ -314,12 +306,17 @@ class PoseServer:
         datasets: Mapping[Hashable, Union[PoseDataset, ArrayDataset]],
         epochs: Optional[int] = None,
     ) -> None:
-        """Adapt many users in grouped task-batched calls.
+        """Adapt many users (see :meth:`AdapterRegistry.adapt_many`).
 
-        Labelled :class:`PoseDataset` inputs run through the estimator's
-        prepare path (fusion + feature building, memoized by the configured
-        feature cache), so repeated onboarding of the same calibration data
-        is cheap.
+        Under ``scope="last"`` and ``scope="lora"``, users with equally
+        sized calibration sets share grouped task-batched calls; under
+        ``scope="all"`` each user trains alone.  Labelled
+        :class:`PoseDataset` inputs run through the estimator's prepare path
+        (fusion + feature building), memoized by the estimator's feature
+        cache, which holds 16 calibration sets: re-onboarding up to 16 users
+        on the same data skips the feature build, but a cohort of 17 or
+        more evicts its own entries and rebuilds every user's features on
+        each onboarding.
         """
         arrays = {
             user_id: self.estimator.to_arrays(dataset)

@@ -61,17 +61,20 @@ class TestRoundTrip:
         for original, reloaded in zip(registry.gather(users), restored.gather(users)):
             np.testing.assert_array_equal(original.data, reloaded.data)
 
-    def test_load_bumps_version_and_invalidates_gather_cache(
-        self, estimator, calibration_sets, tmp_path
-    ):
+    def test_import_reaches_the_next_gather(self, estimator, calibration_sets):
+        """After ``import_user_bytes`` the next gather's row is the
+        imported parameters bitwise, even for a composition served before."""
         policy = AdapterPolicy(epochs=1, scope="last")
         registry = AdapterRegistry(estimator.model, policy=policy)
         registry.adapt_many(calibration_sets)
-        registry.gather(["alice", "bob"])  # populate the gather cache
-        version = registry.version
-        registry.import_user_bytes("alice", registry.export_user_bytes("alice"))
-        assert registry.version == version + 1
-        assert registry._gather_cache == {}
+        before = registry.gather(["alice", "bob"])
+        source = AdapterRegistry(estimator.model, policy=AdapterPolicy(epochs=2, scope="last"))
+        source.adapt_many({"alice": calibration_sets["alice"]})
+        registry.import_user_bytes("alice", source.export_user_bytes("alice"))
+        gathered = registry.gather(["alice", "bob"])
+        assert not np.array_equal(gathered[0].data[0], before[0].data[0])
+        for tensor, imported in zip(gathered, source.parameters_for("alice")):
+            np.testing.assert_array_equal(tensor.data[0], imported)
 
 
 class TestErrorHandling:
@@ -149,7 +152,7 @@ class TestMigratedBytes:
     ):
         """Every single-byte flip and every truncation of an exported record
         raises ``ValueError`` from ``import_user_bytes``, and the importing
-        registry — users, parameters, version, spill files — is untouched."""
+        registry — users, parameters, spill files — is untouched."""
         model, data = tiny_model(), tiny_dataset()
         source = AdapterRegistry(model, AdapterPolicy(scope=scope, rank=1, epochs=1))
         source.adapt_many({"alice": data, "bob": data})
@@ -158,7 +161,6 @@ class TestMigratedBytes:
         policy = AdapterPolicy(scope=scope, rank=1, epochs=1, spill_dir=tmp_path / "spill")
         target = AdapterRegistry(model, policy)
         target.import_user_bytes("bob", source.export_user_bytes("bob"))
-        version = target.version
         spill = {path.name: path.read_bytes() for path in (tmp_path / "spill").iterdir()}
         bob = [p.copy() for p in target.parameters_for("bob")]
 
@@ -172,7 +174,6 @@ class TestMigratedBytes:
                 target.import_user_bytes("alice", candidate)
 
         assert target.user_ids == ["bob"]
-        assert target.version == version
         assert {p.name: p.read_bytes() for p in (tmp_path / "spill").iterdir()} == spill
         for kept, before in zip(target.parameters_for("bob"), bob):
             np.testing.assert_array_equal(kept, before)

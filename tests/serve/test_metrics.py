@@ -63,13 +63,6 @@ class TestServeMetrics:
         assert metrics.mean_batch_size == pytest.approx(6.0)
         assert metrics.max_batch_seen == 8
 
-    def test_param_cache_hit_rate(self, clock):
-        metrics = ServeMetrics(clock=clock)
-        metrics.record_param_cache(hit=False)
-        metrics.record_param_cache(hit=True)
-        metrics.record_param_cache(hit=True)
-        assert metrics.param_cache_hit_rate == pytest.approx(2 / 3)
-
     def test_snapshot_contains_every_surface(self, clock):
         metrics = ServeMetrics(clock=clock)
         snapshot = metrics.snapshot(queue_depth=3)
@@ -82,7 +75,6 @@ class TestServeMetrics:
             "latency_p50_ms",
             "latency_p95_ms",
             "throughput_fps",
-            "param_cache_hit_rate",
             "queue_depth",
         ):
             assert key in snapshot
