@@ -26,7 +26,6 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from .. import nn
-from ..dataset.cache import FeatureCache
 from ..dataset.features import FeatureMapBuilder
 from ..dataset.loader import ArrayDataset
 from ..dataset.sample import PoseDataset
@@ -83,7 +82,6 @@ class FusePoseEstimator:
             if model is not None
             else build_fuse_model(self.feature_builder, seed=self.config.model_seed)
         )
-        self.feature_cache = FeatureCache()
         self.training_history: Optional[TrainingHistory] = None
         self.meta_history: Optional[MetaTrainingHistory] = None
         self.finetune_result: Optional[FineTuneResult] = None
@@ -91,16 +89,14 @@ class FusePoseEstimator:
     # ------------------------------------------------------------------
     # Data preparation
     # ------------------------------------------------------------------
-    def prepare(self, dataset: PoseDataset, fuse: bool = True) -> ArrayDataset:
+    def prepare(self, dataset: PoseDataset) -> ArrayDataset:
         """Fuse a labelled dataset and convert it to feature/label arrays.
 
-        The built arrays are memoized in :attr:`feature_cache` by content
-        hash, so repeated preparation of the same split (the adaptation
-        experiments re-prepare their evaluation sets many times) costs one
-        lookup.
+        The arrays are built on every call; each driver prepares a split
+        once and keeps the result.
         """
-        fused = self.fusion.fuse_dataset(dataset) if fuse else dataset
-        features, labels = self.feature_cache.get_or_build(fused, self.feature_builder)
+        fused = self.fusion.fuse_dataset(dataset)
+        features, labels = self.feature_builder.build_dataset(fused)
         return ArrayDataset(features, labels)
 
     # ------------------------------------------------------------------
@@ -216,8 +212,8 @@ class FusePoseEstimator:
     def to_arrays(self, data: PoseDataset | ArrayDataset) -> ArrayDataset:
         """Coerce labelled or pre-built data to feature/label arrays.
 
-        Labelled datasets run through :meth:`prepare` (fusion, feature
-        building, caching); array datasets pass through unchanged.
+        Labelled datasets run through :meth:`prepare` (fusion and feature
+        building); array datasets pass through unchanged.
         """
         if isinstance(data, ArrayDataset):
             return data

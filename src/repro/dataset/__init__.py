@@ -16,15 +16,13 @@ Public entry points:
 * :class:`PoseDataset` / :class:`LabelledFrame` — the labelled-frame
   containers every driver exchanges;
 * :class:`FeatureMapBuilder` — point-cloud-to-feature-map conversion
-  (vectorized ``build_batch``), with in-memory LRU :class:`FeatureCache`
-  memoization;
+  (vectorized ``build_batch``);
 * :func:`per_movement_split` / :func:`leave_out_split` — the paper's
   evaluation splits;
 * :class:`BatchLoader` / :func:`build_array_dataset` — batch iteration for
   training loops.
 """
 
-from .cache import CacheStats, FeatureCache
 from .features import FeatureMapBuilder, FeatureNormalization
 from .loader import ArrayDataset, BatchLoader, build_array_dataset
 from .mars import MarsLoadReport, load_mars_directory, load_mars_pair
@@ -49,8 +47,6 @@ __all__ = [
     "leave_out_split",
     "FeatureMapBuilder",
     "FeatureNormalization",
-    "FeatureCache",
-    "CacheStats",
     "ArrayDataset",
     "BatchLoader",
     "build_array_dataset",

@@ -11,6 +11,7 @@ keep their fused forward/backward arithmetic in :mod:`repro.nn.backend`, as
 plain numpy functions; there is one numeric path and nothing to select.
 """
 
+from .cols import col2im, im2col
 from .functional import (
     cross_entropy_loss,
     linear,
@@ -29,13 +30,10 @@ from .functional import (
 )
 from .grad_check import check_gradients, max_relative_error, numerical_gradient
 from .layers import (
-    AvgPool2d,
-    BatchNorm2d,
     Conv2d,
     Dropout,
     Flatten,
     Linear,
-    MaxPool2d,
     Module,
     Parameter,
     ReLU,
@@ -43,14 +41,7 @@ from .layers import (
     Sigmoid,
     Tanh,
 )
-from .ops import (
-    avg_pool2d,
-    col2im,
-    conv2d,
-    conv2d_lowrank_batched,
-    im2col,
-    max_pool2d,
-)
+from .ops import conv2d, conv2d_lowrank_batched
 from .optim import SGD, Adam, Optimizer
 from .serialization import load_model_into, load_state, save_model, save_state
 from .tensor import Tensor, is_grad_enabled, no_grad
@@ -63,8 +54,6 @@ __all__ = [
     # ops
     "conv2d",
     "conv2d_lowrank_batched",
-    "max_pool2d",
-    "avg_pool2d",
     "im2col",
     "col2im",
     # layers
@@ -77,9 +66,6 @@ __all__ = [
     "Sigmoid",
     "Flatten",
     "Dropout",
-    "BatchNorm2d",
-    "MaxPool2d",
-    "AvgPool2d",
     "Sequential",
     # functional
     "relu",

@@ -17,7 +17,7 @@ column gradient back tap by tap.  :func:`patches_to_nhwc` and
 the ``(C, kh, kw)`` order conv weights and low-rank factors are stored in;
 :func:`filters_nhwc` flattens a filter bank into the lowering's order.
 The NCHW :func:`im2col` / :func:`col2im` pair is the public reference the
-NHWC helpers are pinned against, and the pooling ops' lowering.
+NHWC helpers are pinned against.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Neural-network layers and the :class:`Module` container abstraction.
 
-The layer set intentionally covers exactly what the MARS baseline CNN and the
-FUSE model need (Conv2d, ReLU, Flatten, Linear) plus the regularization layers
-(Dropout, BatchNorm2d) used by the ablation experiments.
+The layer set covers what the MARS baseline CNN and the FUSE model build
+(Conv2d, ReLU, Flatten, Linear, Dropout) plus the Tanh and Sigmoid
+activations.
 
 :class:`Conv2d` and :class:`Linear` each run one fused autograd op,
 :func:`repro.nn.ops.conv2d` and :func:`repro.nn.functional.linear`, whose
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import init as initializers
 from .functional import linear
-from .ops import avg_pool2d, conv2d, max_pool2d
+from .ops import conv2d
 from .tensor import Tensor
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "Sigmoid",
     "Flatten",
     "Dropout",
-    "BatchNorm2d",
-    "MaxPool2d",
-    "AvgPool2d",
     "Sequential",
 ]
 
@@ -56,7 +53,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.training = True
 
     # ------------------------------------------------------------------
@@ -68,15 +64,6 @@ class Module:
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Register a non-learnable persistent array (e.g. running statistics)."""
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
-        object.__setattr__(self, name, self._buffers[name])
-
-    def _set_buffer(self, name: str, value: np.ndarray) -> None:
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
-        object.__setattr__(self, name, self._buffers[name])
 
     # ------------------------------------------------------------------
     # Parameter traversal
@@ -91,13 +78,6 @@ class Module:
     def parameters(self) -> List[Parameter]:
         """Return all parameters as a flat list (stable ordering)."""
         return [param for _, param in self.named_parameters()]
-
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        """Yield ``(qualified_name, buffer)`` pairs, depth first."""
-        for name, buffer in self._buffers.items():
-            yield (f"{prefix}{name}", buffer)
-        for module_name, module in self._modules.items():
-            yield from module.named_buffers(prefix=f"{prefix}{module_name}.")
 
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all descendants."""
@@ -132,14 +112,11 @@ class Module:
     # State management
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a copy of all parameters and buffers keyed by name."""
-        state = {name: param.data.copy() for name, param in self.named_parameters()}
-        for name, buffer in self.named_buffers():
-            state[f"{name}__buffer"] = buffer.copy()
-        return state
+        """Return a copy of all parameters keyed by name."""
+        return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers previously produced by :meth:`state_dict`."""
+        """Load parameters previously produced by :meth:`state_dict`."""
         params = dict(self.named_parameters())
         missing = [name for name in params if name not in state]
         if missing:
@@ -152,19 +129,6 @@ class Module:
                     f"got {value.shape}"
                 )
             param.data = value.astype(param.data.dtype).copy()
-        buffer_owners = self._buffer_owners()
-        for name, (owner, local_name) in buffer_owners.items():
-            key = f"{name}__buffer"
-            if key in state:
-                owner._set_buffer(local_name, np.asarray(state[key]).copy())
-
-    def _buffer_owners(self, prefix: str = "") -> Dict[str, Tuple["Module", str]]:
-        owners: Dict[str, Tuple[Module, str]] = {}
-        for name in self._buffers:
-            owners[f"{prefix}{name}"] = (self, name)
-        for module_name, module in self._modules.items():
-            owners.update(module._buffer_owners(prefix=f"{prefix}{module_name}."))
-        return owners
 
     def clone(self) -> "Module":
         """Return a functionally identical copy with independent parameters.
@@ -320,79 +284,6 @@ class Dropout(Module):
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"
-
-
-class BatchNorm2d(Module):
-    """Batch normalization over the channel dimension of 4-D inputs."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features), name="weight")
-        self.bias = Parameter(np.zeros(num_features), name="bias")
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm2d expected (N, {self.num_features}, H, W) input, got {x.shape}"
-            )
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = x.var(axis=(0, 2, 3), keepdims=True)
-            self._set_buffer(
-                "running_mean",
-                (1 - self.momentum) * self.running_mean
-                + self.momentum * mean.data.reshape(-1),
-            )
-            self._set_buffer(
-                "running_var",
-                (1 - self.momentum) * self.running_var
-                + self.momentum * var.data.reshape(-1),
-            )
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-        normalized = (x - mean) / ((var + self.eps) ** 0.5)
-        weight = self.weight.reshape(1, self.num_features, 1, 1)
-        bias = self.bias.reshape(1, self.num_features, 1, 1)
-        return normalized * weight + bias
-
-    def __repr__(self) -> str:
-        return f"BatchNorm2d({self.num_features})"
-
-
-class MaxPool2d(Module):
-    """Max pooling layer."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel_size, self.stride)
-
-    def __repr__(self) -> str:
-        return f"MaxPool2d(kernel={self.kernel_size}, stride={self.stride})"
-
-
-class AvgPool2d(Module):
-    """Average pooling layer."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(kernel={self.kernel_size}, stride={self.stride})"
 
 
 class Sequential(Module):

@@ -1,4 +1,4 @@
-"""Convolution and pooling primitives for the ``repro.nn`` substrate.
+"""Convolution primitives for the ``repro.nn`` substrate.
 
 The implementations use an im2col/col2im lowering so that the heavy lifting is
 delegated to a single matrix multiplication per layer, which keeps CPU
@@ -11,8 +11,7 @@ place on the ``(rows, out_channels)`` product.  A conv op returns the NCHW
 view of that NHWC memory, and its input gradient is the NCHW view of
 :func:`repro.nn.cols.col2im_nhwc`'s output, so the ops between two convs run
 in one memory order.  Stored layouts stay NCHW: weights ``(O, C, kh, kw)``
-and low-rank ``a`` factors in ``(C, kh, kw)`` patch order.  The pooling ops
-lower through the NCHW reference :func:`im2col` / :func:`col2im`.
+and low-rank ``a`` factors in ``(C, kh, kw)`` patch order.
 """
 
 from __future__ import annotations
@@ -22,25 +21,18 @@ import numpy as np
 from . import backend as _backend
 from .cols import (
     IntPair,
-    _as_pair,
-    col2im,
     col2im_nhwc,
     conv_output_shape,
     filters_nhwc,
-    im2col,
     patches_nhwc,
     patches_to_nchw,
 )
 from .tensor import Tensor
 
 __all__ = [
-    "im2col",
-    "col2im",
     "conv_output_shape",
     "conv2d",
     "conv2d_lowrank_batched",
-    "max_pool2d",
-    "avg_pool2d",
 ]
 
 
@@ -202,71 +194,3 @@ def conv2d_lowrank_batched(
             x._accumulate_owned(grad_x)
 
     return Tensor._make(out, parents, backward)
-
-
-def max_pool2d(x: Tensor, kernel_size: IntPair, stride: IntPair | None = None) -> Tensor:
-    """Differentiable 2-D max pooling."""
-    if stride is None:
-        stride = kernel_size
-    kh, kw = _as_pair(kernel_size)
-    sh, sw = _as_pair(stride)
-    batch, channels, height, width = x.shape
-    out_h, out_w = conv_output_shape(height, width, (kh, kw), (sh, sw), 0)
-
-    cols = im2col(
-        x.data.reshape(batch * channels, 1, height, width), (kh, kw), (sh, sw), 0
-    )  # (B*C, OH, OW, kh*kw)
-    flat = cols.reshape(batch * channels, out_h, out_w, kh * kw)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-    out = out.reshape(batch, channels, out_h, out_w)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        grad_cols = np.zeros_like(flat)
-        np.put_along_axis(
-            grad_cols,
-            argmax[..., None],
-            grad.reshape(batch * channels, out_h, out_w, 1),
-            axis=-1,
-        )
-        grad_x = col2im(
-            grad_cols,
-            (batch * channels, 1, height, width),
-            (kh, kw),
-            (sh, sw),
-            0,
-        )
-        x._accumulate(grad_x.reshape(batch, channels, height, width))
-
-    return Tensor._make(out, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: IntPair | None = None) -> Tensor:
-    """Differentiable 2-D average pooling."""
-    if stride is None:
-        stride = kernel_size
-    kh, kw = _as_pair(kernel_size)
-    sh, sw = _as_pair(stride)
-    batch, channels, height, width = x.shape
-    out_h, out_w = conv_output_shape(height, width, (kh, kw), (sh, sw), 0)
-
-    cols = im2col(
-        x.data.reshape(batch * channels, 1, height, width), (kh, kw), (sh, sw), 0
-    )
-    flat = cols.reshape(batch * channels, out_h, out_w, kh * kw)
-    out = flat.mean(axis=-1).reshape(batch, channels, out_h, out_w)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        grad_cols = np.repeat(
-            grad.reshape(batch * channels, out_h, out_w, 1) / (kh * kw), kh * kw, axis=-1
-        )
-        grad_x = col2im(
-            grad_cols, (batch * channels, 1, height, width), (kh, kw), (sh, sw), 0
-        )
-        x._accumulate(grad_x.reshape(batch, channels, height, width))
-
-    return Tensor._make(out, (x,), backward)

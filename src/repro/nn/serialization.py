@@ -303,7 +303,7 @@ def read_record_header(path: PathLike) -> Optional[Dict]:
 
 
 def save_model(model: Module, path: PathLike, metadata: Optional[Dict] = None) -> Path:
-    """Serialize a module's parameters and buffers to ``path``."""
+    """Serialize a module's parameters to ``path``."""
     return save_state(model.state_dict(), path, metadata=metadata)
 
 

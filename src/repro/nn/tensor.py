@@ -422,12 +422,6 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Population variance along ``axis`` (differentiable)."""
-        mean = self.mean(axis=axis, keepdims=True)
-        centered = self - mean
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
-
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=keepdims)
 

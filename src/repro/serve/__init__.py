@@ -16,14 +16,15 @@ Pieces, inside-out:
 * :class:`MicroBatcher` — bounded arrival-order pending queue: a batch
   closes when it is full or flushed, with drop-oldest backpressure;
 * :class:`AdapterRegistry` — per-user fine-tuned parameter sets, adapted in
-  grouped task-batched calls and gathered per micro-batch; each user's
-  state is one CRC-checked record (:mod:`repro.nn.serialization`), spilled
-  to disk and moved between backends in the same bytes;
+  grouped task-batched calls (``scope="last"`` / ``"lora"``) or one user at
+  a time (``scope="all"``) and gathered per micro-batch; each user's state
+  is one CRC-checked record (:mod:`repro.nn.serialization`), spilled to
+  disk and moved between backends in the same bytes;
 * :class:`SharedParameterKernel` — fixed-GEMM-shape inference for the shared
   base parameters (the reason batched == unbatched, bitwise);
 * :class:`ServeMetrics` — latency percentiles, throughput, queue depth and
-  cache hit rates, with Prometheus text export and picklable state transfer
-  for cross-process aggregation;
+  the adapter-tier hit rate, with Prometheus text export and picklable
+  state transfer for cross-process aggregation;
 * :class:`ProcessShardedPoseServer` — N :class:`PoseServer` shards behind
   one façade, each in its own worker process (:mod:`repro.serve.worker`);
   users hash onto shards (:func:`repro.runtime.shard_for`), each shard owns

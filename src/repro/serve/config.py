@@ -3,8 +3,7 @@
 One frozen :class:`ServeConfig` object describes how a :class:`PoseServer`
 schedules work: how many cross-user requests a micro-batch may coalesce, the
 latency budget a request carries, how deep the pending queue may grow before
-backpressure kicks in, and how much per-user frame history each session
-retains for streaming fusion.
+backpressure kicks in, and how many user sessions it tracks.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ class ServeConfig:
         :class:`PendingPrediction` resolves to the dropped state) so fresh
         frames stay relevant, ``"reject"`` raises on the incoming request
         instead.
-    ring_capacity:
-        Number of frames of per-user history each session retains for the
-        streaming fusion window.  ``None`` derives ``2M + 1`` from the
-        estimator's fusion setting.
     max_sessions:
         Bound on concurrently tracked user sessions; the least recently
         active session is evicted beyond it.
@@ -99,7 +94,6 @@ class ServeConfig:
     max_delay_ms: float = 5.0
     max_queue_depth: int = 256
     overflow: str = "drop_oldest"
-    ring_capacity: Optional[int] = None
     max_sessions: int = 1024
     gemm_block: Optional[int] = None
     adapter: Optional[AdapterPolicy] = None
@@ -115,8 +109,6 @@ class ServeConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.overflow not in ("drop_oldest", "reject"):
             raise ValueError(f"unknown overflow policy '{self.overflow}'")
-        if self.ring_capacity is not None and self.ring_capacity < 1:
-            raise ValueError("ring_capacity must be >= 1")
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         if self.gemm_block is not None and self.gemm_block < 2:

@@ -284,9 +284,9 @@ class SharedParameterKernel:
         block is copied into zero-padded buffers (features and factors
         padded alike).  Every GEMM shape — and therefore every frame's bit
         pattern — is independent of the batch size.  Because full blocks
-        are the caller's memory, a step must never write its input: the
-        registry's gather memo hands the same factor stacks to later
-        flushes.
+        are the caller's memory, a step must never write its input: they
+        are row views of the caller's feature matrix and of the gathered
+        factor stacks.
         """
         features = np.ascontiguousarray(features, dtype=float)
         if features.ndim != 4:

@@ -124,7 +124,6 @@ def export_user_state(server, user_id: Hashable, forget: bool = False) -> Option
         history = session.history
         state["session"] = {
             "frames_seen": int(session.frames_seen),
-            "ring_capacity": int(session.ring_capacity),
             "num_context_frames": int(session.num_context_frames),
             "points": [np.asarray(frame.points, dtype=float) for frame in history],
             "timestamps": [float(frame.timestamp) for frame in history],
@@ -141,7 +140,7 @@ def import_user_state(server, state) -> Hashable:
     """Install an exported user state into a :class:`PoseServer`; returns the id.
 
     The session ring is restored bitwise (the destination keeps the newest
-    ``ring_capacity`` frames — exactly what its own deque would retain);
+    ``2M + 1`` frames — exactly what its own deque would retain);
     the adapter record goes through the registry's CRC and schema checks,
     so damaged bytes or a scope/rank mismatch between source and
     destination policies raise readably instead of corrupting the gather
@@ -281,6 +280,3 @@ class SessionMirror:
 
     def forget(self, user_id: Hashable) -> None:
         self._users.pop(user_id, None)
-
-    def clear(self) -> None:
-        self._users.clear()

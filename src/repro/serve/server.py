@@ -92,7 +92,6 @@ class PoseServer:
         self.metrics = ServeMetrics(clock=clock)
         self.sessions = SessionManager(
             num_context_frames=estimator.config.num_context_frames,
-            ring_capacity=self.config.ring_capacity,
             max_sessions=self.config.max_sessions,
             on_evict=lambda _session: self.metrics.record_session_eviction(),
         )
@@ -312,11 +311,7 @@ class PoseServer:
         sized calibration sets share grouped task-batched calls; under
         ``scope="all"`` each user trains alone.  Labelled
         :class:`PoseDataset` inputs run through the estimator's prepare path
-        (fusion + feature building), memoized by the estimator's feature
-        cache, which holds 16 calibration sets: re-onboarding up to 16 users
-        on the same data skips the feature build, but a cohort of 17 or
-        more evicts its own entries and rebuilds every user's features on
-        each onboarding.
+        (fusion + feature building).
         """
         arrays = {
             user_id: self.estimator.to_arrays(dataset)
@@ -355,14 +350,12 @@ class PoseServer:
     # Observability
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, float]:
-        """Serving metrics plus queue, session and cache gauges."""
+        """Serving metrics plus queue, session and adapter-tier gauges."""
         report = self.metrics.snapshot(queue_depth=len(self._batcher))
         report["sessions"] = len(self.sessions)
         report["adapted_parameter_sets"] = len(self.registry)
         for tier, count in self.registry.tier_sizes().items():
             report[f"adapter_tier_{tier}"] = count
-        for key, value in self.estimator.feature_cache.stats.as_dict().items():
-            report[f"feature_cache_{key}"] = value
         return report
 
     def to_prometheus(self) -> str:

@@ -41,7 +41,7 @@ def streaming_window(history: Sequence[PointCloudFrame], m: int) -> List[PointCl
 
 @dataclass
 class UserSession:
-    """One user's streaming state: frame ring, counters and adapter flag.
+    """One user's streaming state: frame ring and frame counter.
 
     Parameters
     ----------
@@ -49,31 +49,25 @@ class UserSession:
         Opaque hashable identity of the user.
     num_context_frames:
         The fusion meta-parameter ``M`` of the serving estimator.
-    ring_capacity:
-        Frames of history retained; defaults to the fusion window ``2M + 1``.
     """
 
     user_id: Hashable
     num_context_frames: int = 1
-    ring_capacity: Optional[int] = None
     frames_seen: int = 0
     _ring: "deque[PointCloudFrame]" = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_context_frames < 0:
             raise ValueError("num_context_frames must be non-negative")
-        capacity = (
-            self.ring_capacity
-            if self.ring_capacity is not None
-            else 2 * self.num_context_frames + 1
-        )
-        if capacity < 1:
-            raise ValueError("ring_capacity must be >= 1")
-        self.ring_capacity = capacity
-        self._ring = deque(maxlen=capacity)
+        self._ring = deque(maxlen=self.ring_capacity)
 
     def __len__(self) -> int:
         return len(self._ring)
+
+    @property
+    def ring_capacity(self) -> int:
+        """Frames of history retained: the fusion window ``2M + 1``."""
+        return 2 * self.num_context_frames + 1
 
     @property
     def history(self) -> List[PointCloudFrame]:
@@ -95,10 +89,6 @@ class UserSession:
         fused.timestamp = frame.timestamp
         fused.frame_index = frame.frame_index
         return fused
-
-    def reset(self) -> None:
-        """Drop the frame history (e.g. on a detected recording gap)."""
-        self._ring.clear()
 
     def restore(self, frames: Sequence[PointCloudFrame], frames_seen: int) -> None:
         """Replace the ring contents without fusing (live-migration import).
@@ -125,14 +115,12 @@ class SessionManager:
     def __init__(
         self,
         num_context_frames: int = 1,
-        ring_capacity: Optional[int] = None,
         max_sessions: int = 1024,
         on_evict: Optional[Callable[[UserSession], None]] = None,
     ) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.num_context_frames = num_context_frames
-        self.ring_capacity = ring_capacity
         self.max_sessions = max_sessions
         self._on_evict = on_evict
         self._sessions: "OrderedDict[Hashable, UserSession]" = OrderedDict()
@@ -156,11 +144,7 @@ class SessionManager:
         """Return the user's session, creating (and possibly evicting) as needed."""
         session = self._sessions.get(user_id)
         if session is None:
-            session = UserSession(
-                user_id=user_id,
-                num_context_frames=self.num_context_frames,
-                ring_capacity=self.ring_capacity,
-            )
+            session = UserSession(user_id=user_id, num_context_frames=self.num_context_frames)
             self._sessions[user_id] = session
         self._sessions.move_to_end(user_id)
         while len(self._sessions) > self.max_sessions:
@@ -172,6 +156,3 @@ class SessionManager:
     def close(self, user_id: Hashable) -> bool:
         """Forget one user's session; returns whether it existed."""
         return self._sessions.pop(user_id, None) is not None
-
-    def clear(self) -> None:
-        self._sessions.clear()

@@ -8,7 +8,7 @@ from these tables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import List, Mapping, Sequence, Union
 
 __all__ = ["format_table", "format_curve", "format_comparison"]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.body.motion import MotionSynthesizer
-from repro.body.skeleton import JOINT_INDEX, SKELETON_EDGES
+from repro.body.skeleton import SKELETON_EDGES
 from repro.body.surface import BodyScatteringModel
 
 

@@ -10,8 +10,11 @@ from repro.core.maml import MetaLearningConfig
 from repro.core.models import PoseCNN, PoseCNNConfig
 from repro.core.pipeline import FuseConfig, FusePoseEstimator
 from repro.core.training import TrainingConfig
+from repro.dataset.features import FeatureMapBuilder
 from repro.dataset.loader import ArrayDataset
 from repro.dataset.splits import per_movement_split
+
+from ..nn.conftest import bits
 
 
 def small_estimator(num_context_frames=1):
@@ -49,14 +52,24 @@ class TestPreparation:
         estimator = small_estimator()
         assert estimator.to_arrays(tiny_arrays) is tiny_arrays
 
-    def test_second_prepare_hits_the_feature_cache(self, tiny_dataset):
-        estimator = FusePoseEstimator(FuseConfig(num_context_frames=1))
-        first = estimator.prepare(tiny_dataset[:10])
-        second = estimator.prepare(tiny_dataset[:10])
-        assert estimator.feature_cache.stats.misses == 1
-        assert estimator.feature_cache.stats.hits == 1
-        np.testing.assert_array_equal(second.features, first.features)
-        np.testing.assert_array_equal(second.labels, first.labels)
+    def test_prepare_returns_the_builders_bits_on_every_call(self, tiny_dataset):
+        """Two preparations of one split equal each other and the builder's
+        own output bitwise.  That holds under random point selection too:
+        with no generator passed the selection seeds itself, so determinism
+        needs no memo."""
+        split = tiny_dataset[:30]
+        model = PoseCNN(PoseCNNConfig(conv_channels=(8, 8), hidden_units=32), seed=0)
+        for builder in (
+            FeatureMapBuilder(),
+            FeatureMapBuilder(layout="sorted", selection="random"),
+        ):
+            estimator = FusePoseEstimator(
+                FuseConfig(num_context_frames=1, feature_builder=builder), model=model
+            )
+            features, labels = builder.build_dataset(estimator.fusion.fuse_dataset(split))
+            for arrays in (estimator.prepare(split), estimator.prepare(split)):
+                assert bits(arrays.features) == bits(features)
+                assert bits(arrays.labels) == bits(labels)
 
     def test_to_arrays_rejects_unknown_type(self):
         with pytest.raises(TypeError):

@@ -134,13 +134,12 @@ class TestTrainingArithmetic:
             assert bits(param.data) != bits(start.data), name
 
     def test_trained_estimator_pickles_to_its_parameters(self, tiny_dataset):
-        """Optimizer temporaries live on the optimizer, which training drops:
-        a trained estimator pickles to its parameters, its feature cache and
-        small metadata."""
+        """Optimizer temporaries live on the optimizer, which training drops,
+        and prepared features are not kept: a trained estimator pickles to
+        its parameters and small metadata."""
         estimator = FusePoseEstimator(
             FuseConfig(num_context_frames=1, training=TrainingConfig(epochs=1, batch_size=64))
         )
         estimator.fit_supervised(estimator.prepare(tiny_dataset))
         parameter_bytes = sum(p.data.nbytes for p in estimator.model.parameters())
-        cache_bytes = len(pickle.dumps(estimator.feature_cache))
-        assert len(pickle.dumps(estimator)) <= parameter_bytes + cache_bytes + 64 * 1024
+        assert len(pickle.dumps(estimator)) <= parameter_bytes + 64 * 1024

@@ -85,15 +85,6 @@ class TestStateDict:
         with pytest.raises(ValueError):
             model.load_state_dict(bad)
 
-    def test_buffers_round_trip(self):
-        bn = nn.BatchNorm2d(3)
-        bn(Tensor(np.random.default_rng(0).normal(size=(4, 3, 2, 2))))
-        state = bn.state_dict()
-        assert "running_mean__buffer" in state
-        fresh = nn.BatchNorm2d(3)
-        fresh.load_state_dict(state)
-        np.testing.assert_allclose(fresh.running_mean, bn.running_mean)
-
     def test_clone_is_independent(self):
         model = nn.Linear(3, 3, rng=make_rng())
         clone = model.clone()
@@ -266,44 +257,6 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             nn.Dropout(1.0)
-
-
-class TestBatchNorm:
-    def test_normalizes_in_training_mode(self):
-        bn = nn.BatchNorm2d(4)
-        x = np.random.default_rng(5).normal(loc=3.0, scale=2.0, size=(8, 4, 6, 6))
-        out = bn(Tensor(x)).numpy()
-        assert abs(out.mean()) < 1e-6
-        assert abs(out.std() - 1.0) < 1e-2
-
-    def test_running_stats_updated(self):
-        bn = nn.BatchNorm2d(2)
-        x = np.random.default_rng(6).normal(loc=5.0, size=(4, 2, 3, 3))
-        bn(Tensor(x))
-        assert np.all(bn.running_mean > 0)
-
-    def test_eval_mode_uses_running_stats(self):
-        bn = nn.BatchNorm2d(2)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            bn(Tensor(rng.normal(loc=2.0, size=(16, 2, 4, 4))))
-        bn.eval()
-        out = bn(Tensor(np.full((1, 2, 4, 4), 2.0))).numpy()
-        assert np.all(np.abs(out) < 0.5)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            nn.BatchNorm2d(3)(Tensor(np.zeros((2, 4, 3, 3))))
-
-
-class TestPoolingLayers:
-    def test_max_pool_layer(self):
-        out = nn.MaxPool2d(2)(Tensor(np.zeros((1, 2, 4, 4))))
-        assert out.shape == (1, 2, 2, 2)
-
-    def test_avg_pool_layer(self):
-        out = nn.AvgPool2d(2)(Tensor(np.ones((1, 2, 4, 4))))
-        np.testing.assert_allclose(out.numpy(), 1.0)
 
 
 class TestSequential:

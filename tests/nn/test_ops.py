@@ -1,4 +1,4 @@
-"""Tests for convolution and pooling primitives."""
+"""Tests for the convolution primitives."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro import nn
 from repro.nn.grad_check import check_gradients
-from repro.nn.ops import col2im, conv_output_shape, im2col
+from repro.nn.cols import col2im, conv_output_shape, im2col
 from repro.nn.tensor import Tensor
 
 
@@ -105,32 +105,3 @@ class TestConv2d:
         w = Tensor(rng.normal(size=(1, 3, 3, 3)))
         with pytest.raises(ValueError):
             nn.conv2d(x, w)
-
-
-class TestPooling:
-    def test_max_pool_values(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        out = nn.max_pool2d(x, 2)
-        assert out.numpy().item() == 4.0
-
-    def test_max_pool_gradient_routes_to_argmax(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]), requires_grad=True)
-        nn.max_pool2d(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, [[[[0.0, 0.0], [0.0, 1.0]]]])
-
-    def test_max_pool_finite_difference(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-        check_gradients(lambda inp: nn.max_pool2d(inp[0], 2).sum(), [x], tolerance=1e-4)
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        assert nn.avg_pool2d(x, 2).numpy().item() == pytest.approx(2.5)
-
-    def test_avg_pool_gradient(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-        check_gradients(lambda inp: (nn.avg_pool2d(inp[0], 2) ** 2).sum(), [x], tolerance=1e-4)
-
-    def test_pool_default_stride_equals_kernel(self, rng):
-        x = Tensor(rng.normal(size=(1, 1, 6, 6)))
-        assert nn.max_pool2d(x, 3).shape == (1, 1, 2, 2)
-        assert nn.max_pool2d(x, 3, stride=1).shape == (1, 1, 4, 4)

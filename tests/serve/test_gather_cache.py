@@ -26,8 +26,6 @@ from repro.dataset.sample import PoseDataset
 from repro.serve import (
     AdapterPolicy,
     AdapterRegistry,
-    PoseServer,
-    ServeConfig,
     ServeMetrics,
     adaptation_split,
     user_streams_from_dataset,
