@@ -71,6 +71,18 @@ class TestPreparation:
                 assert bits(arrays.features) == bits(features)
                 assert bits(arrays.labels) == bits(labels)
 
+    def test_prepare_returns_arrays_the_caller_owns(self, tiny_dataset):
+        """Each call builds its own writable arrays, so writing into one
+        preparation leaves the next one untouched."""
+        estimator = small_estimator()
+        first = estimator.prepare(tiny_dataset[:10])
+        features, labels = bits(first.features), bits(first.labels)
+        first.features[...] = 0.0
+        first.labels[...] = 0.0
+        second = estimator.prepare(tiny_dataset[:10])
+        assert bits(second.features) == features
+        assert bits(second.labels) == labels
+
     def test_to_arrays_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             small_estimator().to_arrays([1, 2, 3])

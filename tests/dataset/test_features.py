@@ -165,6 +165,18 @@ class TestSortedLayout:
         b = builder.build(random_frame(n=200), rng=np.random.default_rng(0))
         np.testing.assert_allclose(a, b)
 
+    def test_random_selection_without_rng_is_deterministic(self):
+        builder = FeatureMapBuilder(layout="sorted", selection="random")
+        frame = random_frame(n=200)
+        np.testing.assert_array_equal(builder.build(frame), builder.build(frame))
+
+    def test_random_selection_draws_anew_from_a_shared_rng(self):
+        builder = FeatureMapBuilder(layout="sorted", selection="random")
+        frame = random_frame(n=200)
+        rng = np.random.default_rng(0)
+        first = builder.build(frame, rng=rng)
+        assert not np.array_equal(builder.build(frame, rng=rng), first)
+
     def test_spatial_sort_orders_by_height(self):
         builder = FeatureMapBuilder(layout="sorted", sort_axis="spatial")
         points = np.zeros((10, 5))

@@ -85,6 +85,14 @@ class TestStateDict:
         with pytest.raises(ValueError):
             model.load_state_dict(bad)
 
+    def test_keys_are_exactly_the_parameter_names(self):
+        model = nn.Sequential(nn.Conv2d(2, 3, 3, rng=make_rng()), nn.ReLU(), nn.Flatten())
+        state = model.state_dict()
+        params = dict(model.named_parameters())
+        assert sorted(state) == sorted(params)
+        for name, value in state.items():
+            assert bits(value) == bits(params[name].data)
+
     def test_clone_is_independent(self):
         model = nn.Linear(3, 3, rng=make_rng())
         clone = model.clone()

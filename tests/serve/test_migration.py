@@ -104,6 +104,41 @@ class TestExportImportRoundTrip:
     def test_export_without_state_is_none(self, estimator):
         assert PoseServer(estimator, LAZY).export_user("ghost") is None
 
+    def test_exported_session_holds_the_ring_and_its_window(self, estimator):
+        """A ring's capacity is the window ``2M + 1``, so the session state
+        records ``M`` and the frames, never a capacity of its own."""
+        server = PoseServer(estimator, LAZY)
+        feed(server, "alice", 5)
+        session = server.export_user("alice")["session"]
+        assert set(session) == {
+            "frames_seen",
+            "num_context_frames",
+            "points",
+            "timestamps",
+            "frame_indices",
+        }
+        assert session["num_context_frames"] == 1
+        assert session["frames_seen"] == 5
+        assert len(session["points"]) == 3
+
+    def test_state_with_a_ring_capacity_key_still_imports(self, estimator):
+        """Version-2 states exported before the capacity key was dropped
+        carry ``ring_capacity``; import ignores it and moves the user
+        bitwise."""
+        source = PoseServer(estimator, LAZY)
+        stayed = PoseServer(estimator, LAZY)
+        target = PoseServer(estimator, LAZY)
+        feed(source, "alice", 4, seed=1)
+        feed(stayed, "alice", 4, seed=1)
+        state = source.export_user("alice", forget=True)
+        state["session"]["ring_capacity"] = 3
+        target.import_user(state)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        np.testing.assert_array_equal(
+            target.submit("alice", make_frame(rng_a)),
+            stayed.submit("alice", make_frame(rng_b)),
+        )
+
     def test_forget_false_keeps_the_source_serving(self, estimator):
         server = PoseServer(estimator, LAZY)
         feed(server, "alice", 2)
@@ -253,6 +288,18 @@ class TestSessionMirror:
             replacement.submit("erin", make_frame(rng_a)),
             unbroken.submit("erin", make_frame(rng_b)),
         )
+
+    def test_import_keeps_the_newest_frames_that_fit_the_ring(self, estimator):
+        """A mirror holds more frames than a ring: the destination keeps the
+        newest ``2M + 1`` of them and the full frame count."""
+        mirror = SessionMirror(capacity=8)
+        for index in range(6):
+            mirror.observe("erin", np.full((2, 5), float(index)), 0.1 * index, index)
+        server = PoseServer(estimator, LAZY)
+        server.import_user(mirror.user_state("erin"))
+        session = server.sessions.get("erin")
+        assert [frame.frame_index for frame in session.history] == [3, 4, 5]
+        assert session.frames_seen == 6
 
     def test_capacity_bounds_the_ring(self):
         mirror = SessionMirror(capacity=2)

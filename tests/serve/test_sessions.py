@@ -58,6 +58,38 @@ class TestUserSession:
         assert [f.frame_index for f in session.history] == [7, 8, 9]
         assert session.frames_seen == 10
 
+    @pytest.mark.parametrize("m", [0, 2, 3])
+    def test_ring_capacity_is_the_fusion_window(self, m):
+        session = UserSession(user_id="u", num_context_frames=m)
+        assert session.ring_capacity == 2 * m + 1
+        for index in range(2 * m + 4):
+            session.observe(frame_with_index(index))
+        assert [f.frame_index for f in session.history] == list(range(3, 2 * m + 4))
+
+    def test_negative_context_frames_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            UserSession(user_id="u", num_context_frames=-1)
+
+    def test_restore_replaces_the_ring_without_fusing(self):
+        session = UserSession(user_id="u", num_context_frames=1)
+        session.observe(frame_with_index(0))
+        session.restore([frame_with_index(5), frame_with_index(6)], frames_seen=7)
+        assert [f.frame_index for f in session.history] == [5, 6]
+        assert session.frames_seen == 7
+        # The next frame fuses against the restored ring: window [6, 7, 7].
+        assert session.observe(frame_with_index(7)).num_points == 6
+        assert [f.frame_index for f in session.history] == [5, 6, 7]
+
+    def test_restore_refuses_more_frames_than_the_ring(self):
+        session = UserSession(user_id="u", num_context_frames=1)
+        with pytest.raises(ValueError, match="capacity 3"):
+            session.restore([frame_with_index(i) for i in range(4)], frames_seen=4)
+
+    def test_restore_refuses_frames_seen_below_the_ring(self):
+        session = UserSession(user_id="u", num_context_frames=1)
+        with pytest.raises(ValueError, match="frames_seen"):
+            session.restore([frame_with_index(0), frame_with_index(1)], frames_seen=1)
+
     def test_matches_offline_clamp_fusion_when_window_available(self, rng):
         """The streaming window for frame k equals the offline clamp window
         of a sequence that ends at k."""
@@ -81,6 +113,11 @@ class TestSessionManager:
         session = manager.get_or_create("alice")
         assert manager.get_or_create("alice") is session
         assert len(manager) == 1
+
+    def test_sessions_ring_the_managers_fusion_window(self):
+        session = SessionManager(num_context_frames=2).get_or_create("alice")
+        assert session.num_context_frames == 2
+        assert session.ring_capacity == 5
 
     def test_lru_eviction_is_bounded_and_reported(self):
         evicted = []

@@ -46,6 +46,25 @@ def unused_imports(source: str) -> List[str]:
     return [f"{line}: {name}" for line, name in unused]
 
 
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        pytest.param("import os\n", ["1: os"], id="unused-import"),
+        pytest.param("import numpy as np\nnp.zeros(1)\n", [], id="attribute-use"),
+        pytest.param("import numpy as np\nnumpy = 1\n", ["1: np"], id="alias-is-the-bound-name"),
+        pytest.param("import os.path\nos.getcwd()\n", [], id="dotted-import-binds-its-head"),
+        pytest.param(
+            "from typing import Dict\nx: 'Dict[str, int]' = {}\n", [], id="string-annotation"
+        ),
+        pytest.param("from a import b\n__all__ = ['b']\n", [], id="all-entry"),
+        pytest.param("from __future__ import annotations\n", [], id="future-import"),
+        pytest.param("from os import *\n", [], id="star-import"),
+    ],
+)
+def test_checker_rules(source, expected):
+    assert unused_imports(source) == expected
+
+
 @pytest.mark.parametrize("tree", _TREES)
 def test_no_unused_imports(tree):
     files = sorted(path for path in (_ROOT / tree).rglob("*.py") if path.name != "__init__.py")
