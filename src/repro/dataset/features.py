@@ -103,7 +103,8 @@ class FeatureMapBuilder:
     selection:
         How the ``"sorted"`` layout reduces an over-full candidate set:
         ``"intensity"`` keeps the strongest returns, ``"random"`` samples
-        uniformly (requires an ``rng`` at call time).
+        uniformly from the call's ``rng`` (``default_rng(0)`` when none is
+        passed, one generator per call).
     """
 
     layout: str = "projection"
@@ -354,12 +355,17 @@ class FeatureMapBuilder:
         The default path vectorizes the conversion across the whole batch
         (one pass over a ragged concatenation of every frame's points);
         ``vectorized=False`` keeps the frame-at-a-time reference path used by
-        the equivalence tests.
+        the equivalence tests.  Under ``selection="random"`` every frame
+        draws from ``rng`` in turn; without one, the call draws from its own
+        ``default_rng(0)``, so a batch is deterministic and two frames with
+        equal point counts still draw different rows.
         """
         per_frame = [np.asarray(cloud.points, dtype=float) for cloud in clouds]
         batch = len(per_frame)
         if batch == 0:
             return np.zeros((0, *self.feature_shape))
+        if rng is None and self.layout == "sorted" and self.selection == "random":
+            rng = np.random.default_rng(0)
         if not vectorized:
             if self.layout == "projection":
                 return np.stack([self._build_projection(p) for p in per_frame])

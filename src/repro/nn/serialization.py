@@ -23,7 +23,6 @@ tensor starts on a 64-byte boundary of the record.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -208,23 +207,25 @@ def _parse_record_header(
     and the payload starts; ``size`` is the length of the whole record.
     Returns a fresh copy of the metadata and the tensor table as ``(key,
     dtype, shape, offset)`` rows, offsets relative to the payload.  Each
-    distinct header is decoded once (memoized by its exact bytes); the
-    length check runs on every call.
+    distinct header is decoded once (memoized by its exact bytes, with the
+    metadata kept as its compact JSON text, which each call decodes into
+    the fresh copy); the length check runs on every call.
     """
     if len(head) < end:
         raise ValueError(f"{path} is truncated inside its header")
     header = head[_RECORD_PREFIX.size : end]
     decoded = _HEADER_MEMO.get(header)
     if decoded is None:
-        decoded = _decode_record_header(header, path)
+        metadata, tensors, payload = _decode_record_header(header, path)
+        decoded = json.dumps(metadata, separators=(",", ":")), tensors, payload
         if len(_HEADER_MEMO) >= _HEADER_MEMO_SIZE:
             _HEADER_MEMO.clear()
         _HEADER_MEMO[header] = decoded
-    metadata, tensors, payload = decoded
+    metadata_json, tensors, payload = decoded
     expected = end + payload + _RECORD_CRC.size
     if size != expected:
         raise ValueError(f"{path} is {size} bytes long, its header describes {expected}")
-    return copy.deepcopy(metadata), tensors
+    return json.loads(metadata_json), tensors
 
 
 def _decode_record_header(

@@ -206,6 +206,11 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate gradients from this tensor through the graph.
 
+        Leaf tensors accumulate into :attr:`grad` across calls.  A non-leaf
+        tensor's gradient is released once its backward rule has sent it to
+        the parents, so a later call never re-sends it and the backward pass
+        holds only the gradients still waiting to propagate.
+
         Parameters
         ----------
         grad:
@@ -248,6 +253,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -61,6 +61,7 @@ batch's stack is freed with the batch.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -114,11 +115,21 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 class AdapterRegistry:
     """Stores per-user adapted parameter sets and produces them in bulk.
 
+    The registry takes one snapshot of the base model's parameters, at
+    construction, and every scope trains and serves from it without
+    copying it again: the ``lora`` base and the ``last`` trunk kernel and
+    head initialization are those arrays, the ``all`` working clone is
+    bound to them between uses and each ``all`` user starts from them, and
+    a :class:`repro.serve.PoseServer` builds its base kernel over them
+    (:attr:`base_parameters`).  Adaptation keeps one mini-batch step's
+    graph alive at a time.
+
     Parameters
     ----------
     model:
         The shared base model whose parameters seed every adaptation.  The
-        registry never mutates it.
+        registry never mutates it, and later changes to it reach neither
+        adaptation nor serving.
     policy:
         The :class:`repro.serve.AdapterPolicy` governing everything here:
         adaptation scope and hyper-parameters, the low-rank ``rank``, and the
@@ -148,18 +159,22 @@ class AdapterRegistry:
     ) -> None:
         self.model = model
         self.policy: AdapterPolicy = policy if policy is not None else AdapterPolicy()
+        # Read-only, so no route can write the weights every route shares.
+        self._base = [_readonly(p.data.astype(float)) for p in model.parameters()]
+        self._trunk_kernel: Optional[SharedParameterKernel] = None
+        self._head_init: List[np.ndarray] = []
+        self._lora_base: List[nn.Tensor] = []
+        self._full_clone: Optional[PoseCNN] = None
         if self.policy.scope == "last":
             head = model.last_layer
             if not isinstance(head, nn.Linear):
                 raise ValueError("scope='last' requires the final layer to be Linear")
             trunk = nn.Sequential(*list(model.network)[:-1])
-            self._trunk_kernel: Optional[SharedParameterKernel] = SharedParameterKernel(
-                trunk, block=gemm_block
+            split = len(trunk.parameters())
+            self._trunk_kernel = SharedParameterKernel(
+                trunk, parameters=self._base[:split], block=gemm_block
             )
-            self._head_init = [head.weight.data.copy()]
-            if head.bias is not None:
-                self._head_init.append(head.bias.data.copy())
-            self._lora_base: List[nn.Tensor] = []
+            self._head_init = self._base[split:]
             shapes = [p.shape for p in self._head_init]
         elif self.policy.scope == "lora":
             # The adaptable-layer census doubles as the architecture check;
@@ -172,16 +187,18 @@ class AdapterRegistry:
                 for fan_out, fan_in in lowrank_shapes(model)
                 for shape in ((rank, fan_in), (fan_out, rank))
             ]
-            self._trunk_kernel = None
-            self._head_init = []
-            self._lora_base = [nn.Tensor(p.data.copy()) for p in model.parameters()]
+            self._lora_base = [nn.Tensor(base) for base in self._base]
         else:
-            self._trunk_kernel = None
-            self._head_init = []
-            self._lora_base = []
-            shapes = [p.data.shape for p in model.parameters()]
-        #: scope="all": the working model, built on first use (see _full_model)
-        self._full_clone: Optional[PoseCNN] = None
+            # The working model: a deep copy of the module tree whose memo
+            # maps every parameter array to its snapshot (and any gradient
+            # to nothing), so no weight is copied.
+            memo = {}
+            for param, base in zip(model.parameters(), self._base):
+                memo[id(param.data)] = base
+                if param.grad is not None:
+                    memo[id(param.grad)] = None
+            self._full_clone = copy.deepcopy(model, memo).eval()
+            shapes = [base.shape for base in self._base]
         #: the tensor shapes of one user's parameter set, in parameter order
         self._shapes: List[Tuple[int, ...]] = [tuple(shape) for shape in shapes]
         self.metrics = metrics
@@ -208,6 +225,15 @@ class AdapterRegistry:
         """Which layers are personalised: ``"all"``, ``"last"`` or ``"lora"``."""
         return self.policy.scope
 
+    @property
+    def base_parameters(self) -> List[np.ndarray]:
+        """The snapshot of the base model's parameters every scope shares.
+
+        Read-only arrays in ``model.parameters()`` order, taken once at
+        construction; a server's base kernel is built over them.
+        """
+        return list(self._base)
+
     def trunk_embed(self, features: np.ndarray) -> np.ndarray:
         """The shared-trunk embedding under ``scope="last"`` (batch-invariant)."""
         if self._trunk_kernel is None:
@@ -218,20 +244,21 @@ class AdapterRegistry:
     def _full_model(self) -> Iterator[PoseCNN]:
         """The ``scope="all"`` working model: an eval-mode clone of the base.
 
-        Built on first use, so a registry that never adapts or serves an
-        ``all`` user holds no second copy of the weights.  Inside the block
-        the caller binds one user's parameters to it at a time (adaptation
-        trains on it, serving predicts with it); on exit its parameters are
-        the base model's arrays again, so it keeps no user's state alive.
+        The clone holds no weights of its own.  Inside the block the caller
+        binds one user's parameters to it at a time (adaptation trains on
+        it, serving predicts with it); on exit its parameters are the base
+        snapshot's arrays again, so it keeps no user's state alive.
         """
-        if self._full_clone is None:
-            self._full_clone = self.model.clone().eval()
         try:
             yield self._full_clone
         finally:
-            for param, base in zip(self._full_clone.parameters(), self.model.parameters()):
-                param.data = base.data
-                param.grad = None
+            self._bind_base(self._full_clone)
+
+    def _bind_base(self, model: PoseCNN) -> None:
+        """Bind the working model's parameters to the base snapshot, without gradients."""
+        for param, base in zip(model.parameters(), self._base):
+            param.data = base
+            param.grad = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -355,7 +382,7 @@ class AdapterRegistry:
             )
 
         if policy.scope == "all":
-            if any(isinstance(m, nn.Dropout) and m.p > 0 for m in self.model.modules()):
+            if any(isinstance(m, nn.Dropout) and m.p > 0 for m in self._full_clone.modules()):
                 # Training with dropout needs its masks, and the working
                 # model's one mask generator would tie a user's parameters to
                 # who trained before them; refuse rather than train without.
@@ -409,6 +436,8 @@ class AdapterRegistry:
             y = nn.Tensor(labels[:, batch])
             losses = nn.per_task_loss(forward(params, x), y, policy.loss)
             losses.sum().backward()
+            # Free this step's graph before the next forward builds one.
+            del losses, x, y
             gradient_step(params, policy.learning_rate)
 
         return {
@@ -419,21 +448,22 @@ class AdapterRegistry:
     def _adapt_full(
         self, model: PoseCNN, dataset: ArrayDataset, batches: Sequence[np.ndarray]
     ) -> List[np.ndarray]:
-        """Train one ``scope="all"`` user from the base parameters.
+        """Train one ``scope="all"`` user from the base snapshot.
 
-        The model's own forward and autograd on the working clone, one
-        in-place SGD step per mini-batch: the arithmetic of
-        :class:`repro.core.FineTuner` with plain SGD, bit for bit.
+        The model's own forward and autograd on the working clone, one SGD
+        step per mini-batch: the arithmetic of :class:`repro.core.FineTuner`
+        with plain SGD, bit for bit.  Each step rebinds a parameter to a new
+        array, so training starts on the snapshot without copying it.
         """
+        self._bind_base(model)
         params = model.parameters()
-        for param, base in zip(params, self.model.parameters()):
-            param.data = base.data.copy()
-            param.grad = None
         for batch in batches:
             # A cohort of one task, so every scope computes the policy's loss alike.
             predictions = model(nn.Tensor(dataset.features[batch])).reshape(1, len(batch), -1)
             labels = nn.Tensor(dataset.labels[None, batch])
             nn.per_task_loss(predictions, labels, self.policy.loss).sum().backward()
+            # Free this step's graph before the next forward builds one.
+            del predictions, labels
             gradient_step(params, self.policy.learning_rate)
         return [param.data for param in params]
 

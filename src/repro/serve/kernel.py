@@ -47,9 +47,13 @@ The arithmetic is plain numpy (``np.matmul`` for every product, and each
 activation's own expression), and the blocks run one after another on the
 calling thread.
 
-The kernel is inference-only (no autograd) and holds its own contiguous copy
-of the shared parameters, so serving never races with training code mutating
-the live model.  It also serves two of the three adapted routes:
+The kernel is inference-only (no autograd) and never writes its parameters.
+Built from a module alone it snapshots the module's parameters, so serving
+never races with training code mutating the live model; given explicit
+``parameters`` it reads those arrays as they are, without a copy.  A
+:class:`repro.serve.PoseServer` passes its registry's snapshot of the base
+model, so one copy of the base weights serves every route of a server.  The
+kernel also serves two of the three adapted routes:
 ``scope="lora"`` users through :meth:`SharedParameterKernel.predict_lowrank`
 (the shared base in the same blocks, each frame's rank-r deltas on top), and
 ``scope="last"`` users' shared trunk (a kernel over the model's trunk, whose
@@ -177,8 +181,9 @@ class SharedParameterKernel:
         types: ``Conv2d``, ``Linear``, ``ReLU``, ``Tanh``, ``Sigmoid``,
         ``Flatten``, inactive ``Dropout``, or a container of those).
     parameters:
-        Optional explicit parameter arrays in ``module.parameters()`` order;
-        defaults to a snapshot of the module's current parameters.
+        Optional explicit parameter arrays in ``module.parameters()`` order,
+        used as given (no copy; the kernel never writes them); defaults to a
+        snapshot of the module's current parameters.
     block:
         Fixed GEMM block width.  Must be >= 2: single-column products fall
         into BLAS's ``gemv`` fast path, whose reduction order differs from
@@ -195,9 +200,10 @@ class SharedParameterKernel:
             raise ValueError("block must be >= 2 for batch-invariant GEMM shapes")
         self.block = block
         if parameters is None:
-            parameters = [param.data for param in module.parameters()]
+            parameters = [param.data.astype(float) for param in module.parameters()]
+        else:
+            parameters = [np.asarray(p, dtype=float) for p in parameters]
         expected = sum(1 for _ in module.parameters())
-        parameters = [np.asarray(p, dtype=float).copy() for p in parameters]
         if len(parameters) != expected:
             raise ValueError(
                 f"module has {expected} parameters but {len(parameters)} were supplied"

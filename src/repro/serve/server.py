@@ -61,8 +61,9 @@ class PoseServer:
     estimator:
         A (typically trained) :class:`FusePoseEstimator`.  The server reuses
         its fusion setting, feature builder and model; the model is treated
-        as read-only — per-user adaptation lives in the registry, never in
-        the shared weights.
+        as read-only and its parameters are read once, into the registry's
+        snapshot, when the server is built — per-user adaptation lives in
+        the registry, never in the shared weights.
     config:
         Scheduling and capacity knobs (:class:`ServeConfig`).  Its
         ``adapter`` field is the canonical place to configure per-user
@@ -103,7 +104,13 @@ class PoseServer:
             gemm_block=self.config.block_width,
             fault_injector=self.fault_injector,
         )
-        self.kernel = SharedParameterKernel(estimator.model, block=self.config.block_width)
+        # Built over the registry's snapshot: one copy of the base weights
+        # serves base users and every adaptation scope.
+        self.kernel = SharedParameterKernel(
+            estimator.model,
+            parameters=self.registry.base_parameters,
+            block=self.config.block_width,
+        )
         self._batcher = MicroBatcher(self.config, metrics=self.metrics)
         self._sequence = 0
 

@@ -177,6 +177,18 @@ class TestSortedLayout:
         first = builder.build(frame, rng=rng)
         assert not np.array_equal(builder.build(frame, rng=rng), first)
 
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_random_selection_draws_anew_for_each_frame_of_a_batch(self, vectorized):
+        """Without an rng, one call's frames share one generator: two frames
+        with equal point counts draw different rows, and the call as a whole
+        is deterministic."""
+        builder = FeatureMapBuilder(layout="sorted", selection="random")
+        frame = random_frame(n=200)
+        batch = builder.build_batch([frame, frame], vectorized=vectorized)
+        assert not np.array_equal(batch[0], batch[1])
+        again = builder.build_batch([frame, frame], vectorized=vectorized)
+        np.testing.assert_array_equal(again, batch)
+
     def test_spatial_sort_orders_by_height(self):
         builder = FeatureMapBuilder(layout="sorted", sort_axis="spatial")
         points = np.zeros((10, 5))

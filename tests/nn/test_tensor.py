@@ -94,6 +94,24 @@ class TestGradientAccumulation:
         y2.backward()
         np.testing.assert_allclose(x.grad, [10.0])
 
+    def test_shared_intermediate_sends_only_the_new_gradient(self):
+        """A non-leaf's gradient from an earlier backward is not re-sent:
+        d(sum y)/dx = 2 and d(sum 3y)/dx = 6 add up to 8, not 10."""
+        x = _t(np.ones(3))
+        y = x * 2
+        y.sum().backward()
+        (y * 3).sum().backward()
+        np.testing.assert_array_equal(x.grad, [8.0, 8.0, 8.0])
+        assert y.grad is None
+
+    def test_backward_twice_on_one_root_adds_one_gradient_each(self):
+        x = _t(np.ones(3))
+        root = (x * 2).sum()
+        root.backward()
+        root.backward()
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+        assert root.grad is None
+
     def test_deep_chain_does_not_hit_recursion_limit(self):
         x = _t([1.0])
         y = x
