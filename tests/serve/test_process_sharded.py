@@ -184,6 +184,31 @@ class TestFacade:
         assert server.restarts == 0
 
 
+class TestReplyLedger:
+    """Every shard reply carries the events since the last one, so a handle
+    resolves from the reply of whichever call flushed its batch."""
+
+    CONFIG = ServeConfig(max_batch_size=64, max_delay_ms=10_000.0)
+
+    def test_export_reply_resolves_handles_a_metrics_reply_leaves_pending(self, estimator):
+        frames = [make_frame(np.random.default_rng(seed)) for seed in range(3)]
+        local = PoseServer(estimator, self.CONFIG)
+        expected = [local.enqueue("ann", frame) for frame in frames]
+        local.export_user("ann")
+        with ProcessShardedPoseServer(estimator, num_shards=1, config=self.CONFIG) as server:
+            handles = [server.enqueue("ann", frame) for frame in frames]
+            server.metrics_snapshot()  # does not flush
+            assert server.pending == 3
+            assert not any(handle.done for handle in handles)
+            server.export_user("ann")  # flushes inside the worker, not here
+            assert server.pending == 0
+            assert all(handle.done for handle in handles)
+        for remote, local_handle in zip(handles, expected):
+            np.testing.assert_array_equal(
+                remote.result(flush=False), local_handle.result(flush=False)
+            )
+
+
 class TestRejectionsCrossTheProcessBoundary:
     """A frame a shard refuses reaches the caller as the exception an
     in-process :class:`PoseServer` raises: same class, message and retry
