@@ -52,7 +52,7 @@ Pieces, inside-out:
 from .adapters import AdapterRegistry
 from .batcher import FrameDropped, MicroBatcher, PendingPrediction, QueueFull, ServeRequest
 from .cli_utils import ReadyAddress, format_ready_line, parse_ready_line, wait_for_ready
-from .clock import Clock, FakeClock, MonotonicClock, as_clock
+from .clock import FakeClock
 from .config import ServeConfig
 from .faults import FaultInjector, FaultPlan, FaultRule, RetryPolicy, maybe_injector
 from .policy import AdapterPolicy
@@ -92,7 +92,6 @@ __all__ = [
     "AdapterRegistry",
     "AsyncPoseClient",
     "BackendSpec",
-    "Clock",
     "FakeClock",
     "FaultInjector",
     "FaultPlan",
@@ -102,7 +101,6 @@ __all__ = [
     "HealthMonitor",
     "MicroBatcher",
     "MigrationError",
-    "MonotonicClock",
     "NoBackendAvailable",
     "PendingPrediction",
     "PoseFrontend",
@@ -133,7 +131,6 @@ __all__ = [
     "TrafficClass",
     "UserSession",
     "adaptation_split",
-    "as_clock",
     "export_user_state",
     "format_ready_line",
     "import_user_state",

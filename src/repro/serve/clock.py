@@ -1,49 +1,21 @@
-"""The injectable time source of the serving subsystem.
+"""A manually stepped clock for deterministic serving tests.
 
 Scheduling code is timing-sensitive: request deadlines, token-bucket
-refills and latency measurements all read a clock.  Production reads the
-monotonic wall clock; tests must not — every scheduling decision has to be
-reproducible, so the whole serving tier takes its notion of "now" from one
-injected :class:`Clock` seam instead of calling :func:`time.perf_counter`
-directly.
-
-A :class:`Clock` is *callable* (``clock()`` is ``clock.now()``), so an
-instance satisfies every pre-existing ``Callable[[], float]`` clock
-parameter — :class:`repro.serve.PoseServer`, :class:`ServeMetrics` and
-friends accept either a bare callable or a :class:`Clock` unchanged.
-
-* :class:`MonotonicClock` — the default; wraps :func:`time.perf_counter`.
-* :class:`FakeClock` — a manually stepped clock for deterministic tests:
-  time only moves when the test calls :meth:`FakeClock.advance`.
+refills and latency measurements all read a clock.  Every serving class
+that reads one (:class:`repro.serve.PoseServer`, :class:`ServeMetrics`,
+:class:`PoseFrontend`) takes it as a zero-argument callable returning
+seconds, defaulting to :func:`time.perf_counter`.  Tests must not read the
+wall clock — every scheduling decision has to be reproducible — so they
+pass a :class:`FakeClock`, whose time only moves when the test calls
+:meth:`FakeClock.advance`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
-__all__ = ["Clock", "MonotonicClock", "FakeClock", "as_clock"]
+__all__ = ["FakeClock"]
 
 
-class Clock:
-    """Abstract monotonic time source, callable like ``time.perf_counter``."""
-
-    def now(self) -> float:
-        """Seconds on this clock (monotonic within one instance)."""
-        raise NotImplementedError
-
-    def __call__(self) -> float:
-        return self.now()
-
-
-class MonotonicClock(Clock):
-    """The production clock: :func:`time.perf_counter`."""
-
-    def now(self) -> float:
-        return time.perf_counter()
-
-
-class FakeClock(Clock):
+class FakeClock:
     """A manually advanced clock for deterministic scheduling tests.
 
     Time starts at ``start`` and only moves via :meth:`advance`, so a test
@@ -53,7 +25,7 @@ class FakeClock(Clock):
     def __init__(self, start: float = 0.0) -> None:
         self.time = float(start)
 
-    def now(self) -> float:
+    def __call__(self) -> float:
         return self.time
 
     def advance(self, seconds: float) -> float:
@@ -62,22 +34,3 @@ class FakeClock(Clock):
             raise ValueError("a monotonic clock cannot move backwards")
         self.time += seconds
         return self.time
-
-
-class _CallableClock(Clock):
-    """Adapter giving a bare ``Callable[[], float]`` the :class:`Clock` API."""
-
-    def __init__(self, fn: Callable[[], float]) -> None:
-        self._fn = fn
-
-    def now(self) -> float:
-        return self._fn()
-
-
-def as_clock(clock: Callable[[], float]) -> Clock:
-    """Coerce a clock argument (a :class:`Clock` or bare callable) to a Clock."""
-    if isinstance(clock, Clock):
-        return clock
-    if not callable(clock):
-        raise TypeError(f"clock must be callable, got {type(clock).__name__}")
-    return _CallableClock(clock)

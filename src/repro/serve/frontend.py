@@ -46,6 +46,7 @@ import contextlib
 import math
 import os
 import stat
+import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -55,7 +56,6 @@ import numpy as np
 
 from ..radar.pointcloud import PointCloudFrame
 from .batcher import FrameDropped, QueueFull
-from .clock import MonotonicClock, as_clock
 from .faults import FaultInjector, RetryPolicy, maybe_injector
 from .metrics import ServeMetrics, merge_expositions
 from .scheduling import RateLimited, SchedulingPolicy, TokenBucket
@@ -494,11 +494,10 @@ class PoseFrontend(SocketServerBase):
         Honour the ``shutdown`` message type (handy for examples and tests;
         leave off for real deployments).
     clock:
-        Time source for admission control (token-bucket refill).  Any
-        zero-argument callable returning seconds, or a
-        :class:`repro.serve.Clock`; defaults to a monotonic clock.  Tests
-        inject a :class:`repro.serve.FakeClock` to make rate-limit refill
-        deterministic.
+        Time source for admission control (token-bucket refill): a
+        zero-argument callable returning seconds, :func:`time.perf_counter`
+        by default.  Tests inject a :class:`repro.serve.FakeClock` to make
+        rate-limit refill deterministic.
 
     **Group commit.**  A ``submit``, an ``export_user`` and an
     ``import_user`` each join their shard's arrival-ordered queue
@@ -534,7 +533,7 @@ class PoseFrontend(SocketServerBase):
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         protocol: int = PROTOCOL_VERSION,
         allow_remote_shutdown: bool = False,
-        clock: Optional[Callable[[], float]] = None,
+        clock: Callable[[], float] = time.perf_counter,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         if protocol != PROTOCOL_VERSION:
@@ -561,7 +560,7 @@ class PoseFrontend(SocketServerBase):
         self._queues: Dict[int, deque] = {}
         #: shard index -> the drain task working through that queue
         self._drains: Dict[int, asyncio.Task] = {}
-        self.clock = as_clock(clock) if clock is not None else MonotonicClock()
+        self.clock = clock
         config = getattr(server, "config", None)
         scheduler = getattr(config, "scheduler", None)
         self.scheduler: SchedulingPolicy = (
@@ -662,7 +661,7 @@ class PoseFrontend(SocketServerBase):
         backend work: a rate-limited frame must not reach a shard queue."""
         if self.scheduler.rate_limit_per_user is None:
             return
-        now = self.clock.now()
+        now = self.clock()
         bucket = self._buckets.get(user)
         if bucket is None:
             while len(self._buckets) >= self.MAX_TRACKED_USERS:

@@ -52,20 +52,17 @@ from .config import ServeConfig
 from .metrics import ServeMetrics, prometheus_exposition
 from .policy import AdapterPolicy
 from .faults import RetryPolicy
+from .server import PoseServer
 from .worker import (
     DEFAULT_MAX_RESTARTS,
-    AdaptUsers,
     EnqueueBatch,
-    ExportUser,
-    Flush,
-    ForgetUser,
-    ImportUser,
-    MetricsRequest,
+    ShardCall,
     ShardCrashed,
     ShardEvents,
     ShardFactory,
     ShardProcess,
     ShardRemoteError,
+    shard_metrics,
 )
 
 __all__ = ["ProcessShardedPoseServer"]
@@ -128,9 +125,6 @@ class ProcessShardedPoseServer:
         over ``config.adapter``; a policy with a spill directory is split
         into per-shard subdirectories (``shard000/…``) so shards never
         share spill files.
-    start_method:
-        Multiprocessing start method override (default: ``fork`` where the
-        platform has it, else ``spawn``).
     max_restarts / restart_backoff:
         Per-shard restart budget and capped-backoff pacing (see
         :class:`repro.serve.worker.ShardProcess`).  A crashed worker is
@@ -145,7 +139,6 @@ class ProcessShardedPoseServer:
         estimator: FusePoseEstimator,
         num_shards: int = 2,
         config: Optional[ServeConfig] = None,
-        start_method: Optional[str] = None,
         policy: Optional[AdapterPolicy] = None,
         max_restarts: Optional[int] = DEFAULT_MAX_RESTARTS,
         restart_backoff: Optional[RetryPolicy] = None,
@@ -167,7 +160,6 @@ class ProcessShardedPoseServer:
             ShardProcess(
                 factory,
                 index,
-                start_method=start_method,
                 max_restarts=max_restarts,
                 restart_backoff=restart_backoff,
                 sleep=restart_sleep,
@@ -217,10 +209,11 @@ class ProcessShardedPoseServer:
                 handle._drop(reason)
 
     def _call(self, shard_index: int, command, register=None):
-        """One command round-trip, with crash recovery, atomically.
+        """One command round-trip, with crash recovery, atomically; returns
+        the reply's value.
 
         The shard's parent-side lock covers the round-trip *and* the handle
-        bookkeeping: ``register(reply)`` (when given) runs after the reply
+        bookkeeping: ``register(value)`` (when given) runs after the reply
         arrives but before its event ledger is applied — the window in
         which an enqueue's own resolution may already sit in the ledger.
         On a worker crash every outstanding handle of the shard resolves as
@@ -245,12 +238,12 @@ class ProcessShardedPoseServer:
                     worker.restart()
                 raise
             if register is not None:
-                register(reply)
+                register(reply.value)
             self._apply_events(shard_index, reply.events)
-        return reply
+        return reply.value
 
     def _flush_shard(self, shard_index: int) -> int:
-        return self._call(shard_index, Flush()).produced
+        return self._call(shard_index, ShardCall(PoseServer.flush))
 
     # ------------------------------------------------------------------
     # Request path (PoseServer façade)
@@ -299,32 +292,20 @@ class ProcessShardedPoseServer:
         for position, item in enumerate(items):
             by_shard.setdefault(self.shard_index(item[0]), []).append(position)
         for index, positions in sorted(by_shard.items()):
-            # each item padded to (user_id, frame, priority, deadline_ms)
-            rows = [(*items[p], None, None)[:4] for p in positions]
-            user_ids, frames, priorities, deadlines = zip(*rows)
-            command = EnqueueBatch(
-                user_ids=user_ids,
-                points=tuple(frame.points for frame in frames),
-                timestamps=tuple(float(frame.timestamp) for frame in frames),
-                frame_indices=tuple(int(frame.frame_index) for frame in frames),
-                priorities=priorities,
-                deadlines_ms=deadlines,
-            )
+            command = EnqueueBatch(tuple(items[position] for position in positions))
 
-            def register(reply, index=index, positions=positions) -> None:
+            def register(value, index=index, positions=positions) -> None:
                 # Handles must exist before the reply's event ledger is
                 # applied: frames that completed a batch inside the worker
                 # already sit resolved in that ledger.
-                for position, sequence, error in zip(
-                    positions, reply.sequences, reply.errors
-                ):
-                    if sequence is None:
-                        outcomes[position] = _rejection(*error)
+                for position, outcome in zip(positions, value):
+                    if isinstance(outcome, tuple):
+                        outcomes[position] = _rejection(*outcome)
                         continue
                     handle = PendingPrediction(
-                        items[position][0], sequence, flush=partial(self._flush_shard, index)
+                        items[position][0], outcome, flush=partial(self._flush_shard, index)
                     )
-                    self._outstanding[index][sequence] = handle
+                    self._outstanding[index][outcome] = handle
                     outcomes[position] = handle
 
             self._call(index, command, register=register)
@@ -368,11 +349,11 @@ class ProcessShardedPoseServer:
         for user_id, dataset in datasets.items():
             by_shard.setdefault(self.shard_index(user_id), {})[user_id] = dataset
         for index, group in sorted(by_shard.items()):
-            self._call(index, AdaptUsers(datasets=group, epochs=epochs))
+            self._call(index, ShardCall(PoseServer.adapt_users, (group, epochs)))
 
     def forget_user(self, user_id: Hashable) -> None:
         """Drop a user's session history and adapted parameters."""
-        self._call(self.shard_index(user_id), ForgetUser(user_id=user_id))
+        self._call(self.shard_index(user_id), ShardCall(PoseServer.forget_user, (user_id,)))
 
     # ------------------------------------------------------------------
     # Live migration
@@ -384,21 +365,20 @@ class ProcessShardedPoseServer:
         pickle boundary unchanged (see :mod:`repro.serve.migration`).
         """
         index = self.shard_index(user_id)
-        return self._call(index, ExportUser(user_id=user_id, forget=forget)).state
+        return self._call(index, ShardCall(PoseServer.export_user, (user_id, forget)))
 
     def import_user(self, state: Mapping) -> Hashable:
         """Install an exported user state onto the user's shard process."""
         if not isinstance(state, Mapping) or "user" not in state:
             raise ValueError("user state requires a 'user' id")
-        user_id = state["user"]
-        self._call(self.shard_index(user_id), ImportUser(state=dict(state)))
-        return user_id
+        index = self.shard_index(state["user"])
+        return self._call(index, ShardCall(PoseServer.import_user, (dict(state),)))
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def _shard_reports(self):
-        """Fresh ``(metrics, reply)`` per shard, rebuilt from worker state.
+        """Fresh ``(metrics, gauges)`` per shard, rebuilt from worker state.
 
         A degraded shard (dead, budget exhausted) contributes an empty
         metrics instance instead of failing the whole report — degraded
@@ -409,8 +389,8 @@ class ProcessShardedPoseServer:
             if self.workers[index].degraded:
                 reports.append((ServeMetrics(), None))
                 continue
-            reply = self._call(index, MetricsRequest())
-            reports.append((ServeMetrics.from_state(reply.state), reply))
+            gauges = self._call(index, ShardCall(shard_metrics))
+            reports.append((ServeMetrics.from_state(gauges["state"]), gauges))
         return reports
 
     def _sync_supervisor_metrics(self) -> ServeMetrics:
@@ -426,15 +406,12 @@ class ProcessShardedPoseServer:
         report = ServeMetrics.aggregate(
             [metrics for metrics, _ in reports] + [supervisor]
         )
-        report["queue_depth"] = sum(
-            reply.pending for _, reply in reports if reply is not None
-        )
+        live = [gauges for _, gauges in reports if gauges is not None]
+        report["queue_depth"] = sum(gauges["pending"] for gauges in live)
         report["shards"] = self.num_shards
-        report["sessions"] = sum(
-            reply.sessions for _, reply in reports if reply is not None
-        )
+        report["sessions"] = sum(gauges["sessions"] for gauges in live)
         report["adapted_parameter_sets"] = sum(
-            reply.adapted_parameter_sets for _, reply in reports if reply is not None
+            gauges["adapted_parameter_sets"] for gauges in live
         )
         report["shard_restarts"] = self.restarts
         return report
@@ -449,8 +426,8 @@ class ProcessShardedPoseServer:
         reports = self._shard_reports()
         supervisor = self._sync_supervisor_metrics()
         instances = [
-            ({"shard": str(index)}, metrics, reply.pending if reply is not None else None)
-            for index, (metrics, reply) in enumerate(reports)
+            ({"shard": str(index)}, metrics, gauges["pending"] if gauges is not None else None)
+            for index, (metrics, gauges) in enumerate(reports)
         ]
         instances.append(({"shard": "supervisor"}, supervisor, None))
         return prometheus_exposition(instances)

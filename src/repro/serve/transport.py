@@ -35,9 +35,8 @@ goes through this module, so the protocol has exactly one definition:
   backoff hint.  All of these are optional flat fields; absent fields keep
   the class defaults.
 
-The module is deliberately transport-agnostic: :class:`FrameDecoder` does
-incremental parsing over any byte stream, and the ``read_message`` /
-``write_message`` coroutines adapt it to asyncio streams.
+The ``read_message`` / ``write_message`` coroutines read and write frames
+on asyncio streams; every server and client speaks through them.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import base64
 import binascii
 import json
 import struct
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "MESSAGE_TYPES",
     "PROTOCOL_VERSION",
-    "FrameDecoder",
     "FrameTooLarge",
     "ProtocolError",
     "TruncatedFrame",
@@ -66,7 +64,6 @@ __all__ = [
     "decode_payload",
     "encode_array",
     "encode_message",
-    "iter_frames",
     "read_message",
     "validate_message",
     "write_message",
@@ -250,57 +247,7 @@ def _codec_of(tag: bytes) -> str:
 
 
 # ----------------------------------------------------------------------
-# Incremental decoding
-# ----------------------------------------------------------------------
-class FrameDecoder:
-    """Incremental frame parser over an arbitrary byte stream.
-
-    Feed chunks with :meth:`feed`; complete messages pop out in order.  The
-    decoder enforces the frame limit as soon as a header is visible and
-    reports a truncated stream when :meth:`close` is called mid-frame, so
-    both socket servers and tests share one strict parsing path.
-    """
-
-    def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
-        if max_frame_bytes < 1:
-            raise ValueError("max_frame_bytes must be >= 1")
-        self.max_frame_bytes = max_frame_bytes
-        self._buffer = bytearray()
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet parsed into a complete frame."""
-        return len(self._buffer)
-
-    def feed(self, chunk: bytes) -> List[Tuple[dict, str]]:
-        """Consume a chunk; return every completed ``(message, codec)``."""
-        self._buffer.extend(chunk)
-        messages: List[Tuple[dict, str]] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return messages
-            tag, length = _HEADER.unpack_from(self._buffer)
-            codec = _codec_of(tag)
-            if length > self.max_frame_bytes:
-                raise FrameTooLarge(
-                    f"frame announces {length} bytes, limit is {self.max_frame_bytes}"
-                )
-            if len(self._buffer) < _HEADER.size + length:
-                return messages
-            payload = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
-            del self._buffer[: _HEADER.size + length]
-            messages.append((decode_payload(payload, codec), codec))
-
-    def close(self) -> None:
-        """Assert the stream ended on a frame boundary."""
-        if self._buffer:
-            raise TruncatedFrame(
-                f"stream ended with {len(self._buffer)} bytes of an incomplete frame"
-            )
-
-
-# ----------------------------------------------------------------------
-# asyncio stream adapters
+# asyncio streams
 # ----------------------------------------------------------------------
 async def read_message(
     reader: asyncio.StreamReader,
@@ -341,13 +288,3 @@ async def write_message(
     """Frame and send one message, draining the transport buffer."""
     writer.write(encode_message(message, codec, max_frame_bytes))
     await writer.drain()
-
-
-def iter_frames(
-    data: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> Iterable[Tuple[dict, str]]:
-    """Parse a complete byte string into messages (testing convenience)."""
-    decoder = FrameDecoder(max_frame_bytes)
-    messages = decoder.feed(data)
-    decoder.close()
-    return messages

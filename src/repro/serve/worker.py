@@ -4,21 +4,28 @@
 module runs each shard in its own worker process, talking to the parent
 over a picklable request/reply transport:
 
-* **Commands** (:class:`EnqueueBatch`, :class:`Flush`, :class:`AdaptUsers`,
-  :class:`ForgetUser`, :class:`MetricsRequest`, :class:`Shutdown`) are
-  small frozen dataclasses; frames travel as raw
-  ``(N, 5)`` point arrays, never as live server objects.
-  :class:`EnqueueBatch` is the one enqueue command: it carries N >= 1
-  frames, each with its own traffic class and deadline, in one queue
-  round-trip — the command behind ``ProcessShardedPoseServer.enqueue`` /
-  ``enqueue_many`` and so behind each group-commit round of the socket
-  front-end.  A frame the shard refuses (a deadline shed, a full queue, an
-  unknown traffic class) comes back as a per-frame outcome carrying the
-  exception's class, detail and retry hint, so the parent re-raises the
-  same rejection an in-process :class:`PoseServer` would.
-* **Replies** carry an :class:`ShardEvents` ledger — every prediction the
-  shard resolved and every request it dropped since the last reply — so the
-  parent's pending handles resolve without polling.
+* **Commands** are three small frozen dataclasses.
+  :class:`ShardCall` runs one :class:`PoseServer` function (``flush``,
+  ``adapt_users``, ``forget_user``, ``export_user``, ``import_user``) or
+  :func:`shard_metrics` on the shard's server.  :class:`EnqueueBatch` is
+  the one enqueue command: it carries N >= 1 frames, each with its own
+  traffic class and deadline, in one queue round-trip — the command behind
+  ``ProcessShardedPoseServer.enqueue`` / ``enqueue_many`` and so behind
+  each group-commit round of the socket front-end.  It stays a command of
+  its own because the worker loop checks the fault plan before each frame
+  and keeps each admitted frame's handle.  :class:`Shutdown` stops the
+  worker.  Frames travel as :class:`PointCloudFrame` values, never as live
+  server objects.
+* **Replies**: a :class:`ShardReply` carries the command's value plus a
+  :class:`ShardEvents` ledger — every prediction the shard resolved and
+  every request it dropped since the last reply — so the parent's pending
+  handles resolve without polling, from whichever call flushed them.  A
+  frame the shard refuses (a deadline shed, a full queue, an unknown
+  traffic class) comes back in :class:`EnqueueBatch`'s value as a
+  per-frame outcome carrying the exception's class, detail and retry
+  hint, so the parent re-raises the same rejection an in-process
+  :class:`PoseServer` would.  A command that raises comes back as a
+  :class:`WorkerError` with the remote traceback.
 * :class:`ShardProcess` keeps **one command in flight** per shard, under
   its lock: a caller puts a command and waits for its reply, so the
   request queue never holds more than one command and a stalled worker
@@ -50,14 +57,11 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.pipeline import FusePoseEstimator
-from ..dataset.loader import ArrayDataset
-from ..dataset.sample import PoseDataset
-from ..radar.pointcloud import PointCloudFrame
 from ..runtime import pool_context, seed_for_key
 from .batcher import PendingPrediction
 from .config import ServeConfig
@@ -66,27 +70,18 @@ from .policy import AdapterPolicy
 from .server import PoseServer
 
 __all__ = [
-    "AdaptUsers",
     "EnqueueBatch",
-    "EnqueuedBatch",
-    "Done",
-    "ExportUser",
-    "Flush",
-    "Flushed",
-    "ForgetUser",
-    "ImportUser",
-    "MetricsReply",
-    "MetricsRequest",
+    "ShardCall",
     "ShardCrashed",
     "ShardDegraded",
     "ShardEvents",
     "ShardFactory",
     "ShardProcess",
     "ShardRemoteError",
+    "ShardReply",
     "Shutdown",
-    "Stopped",
-    "UserStateReply",
     "WorkerError",
+    "shard_metrics",
     "shard_worker_main",
 ]
 
@@ -148,71 +143,38 @@ class ShardFactory:
 
 
 @dataclass(frozen=True)
+class ShardCall:
+    """Run ``fn(server, *args)`` on the shard's :class:`PoseServer`.
+
+    The reply's value is what ``fn`` returns.  ``fn`` is a
+    :class:`PoseServer` function (``PoseServer.flush``) or a module-level
+    one (:func:`shard_metrics`), never a lambda or a bound method: it
+    crosses the process boundary pickled by reference.  Its value must be
+    plain picklable data, because multiprocessing's feeder thread drops a
+    reply it cannot pickle and :meth:`ShardProcess.call` would then wait
+    forever.
+    """
+
+    fn: Callable
+    args: tuple = ()
+
+
+@dataclass(frozen=True)
 class EnqueueBatch:
     """Enqueue N frames in one command round-trip (one IPC hop for N).
 
-    Frames are enqueued strictly in tuple order, so per-user frame order —
-    what streaming fusion depends on — is exactly what the caller sent.
-    ``priorities[i]`` names frame i's traffic class (``None`` = the
-    config's default class) and ``deadlines_ms[i]`` overrides that class's
-    latency budget for the one frame.  The reply carries one shard-local
-    sequence id per admitted frame.
+    Each item is ``(user_id, frame)``, optionally followed by the frame's
+    ``priority`` and ``deadline_ms``, as :meth:`PoseServer.enqueue_many`
+    takes them.  Frames are enqueued strictly in order, so per-user frame
+    order — what streaming fusion depends on — is exactly what the caller
+    sent.  The reply's value holds one outcome per frame: its shard-local
+    sequence id, or ``(type name, detail, retry_after_ms)`` when its
+    enqueue failed — enough for the parent to re-raise the same rejection.
+    Per-frame outcomes keep a mid-batch admission failure from orphaning
+    the already-admitted prefix.
     """
 
-    user_ids: Tuple[Hashable, ...]
-    points: Tuple[np.ndarray, ...]
-    timestamps: Tuple[float, ...]
-    frame_indices: Tuple[int, ...]
-    priorities: Tuple[Optional[str], ...]
-    deadlines_ms: Tuple[Optional[float], ...]
-
-    def frames(self) -> List[PointCloudFrame]:
-        return [
-            PointCloudFrame(points, timestamp=timestamp, frame_index=frame_index)
-            for points, timestamp, frame_index in zip(
-                self.points, self.timestamps, self.frame_indices
-            )
-        ]
-
-
-@dataclass(frozen=True)
-class Flush:
-    """Force the shard's pending micro-batch out now."""
-
-
-@dataclass(frozen=True)
-class AdaptUsers:
-    """Fine-tune personal parameters for a cohort living on this shard."""
-
-    datasets: Mapping[Hashable, Union[PoseDataset, ArrayDataset]]
-    epochs: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ForgetUser:
-    """Drop one user's session history and adapted parameters."""
-
-    user_id: Hashable
-
-
-@dataclass(frozen=True)
-class ExportUser:
-    """Snapshot one user's session + adapter state (live migration source)."""
-
-    user_id: Hashable
-    forget: bool = False
-
-
-@dataclass(frozen=True)
-class ImportUser:
-    """Install an exported user state on this shard (migration destination)."""
-
-    state: dict
-
-
-@dataclass(frozen=True)
-class MetricsRequest:
-    """Ask for the shard's metrics state and occupancy gauges."""
+    items: Tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -235,73 +197,10 @@ class ShardEvents:
 
 
 @dataclass
-class EnqueuedBatch:
-    """Reply to :class:`EnqueueBatch`: one outcome per frame, in order.
+class ShardReply:
+    """A command's value plus the shard's event ledger since the last reply."""
 
-    ``sequences[i]`` is the frame's shard-local sequence id, or ``None``
-    when its enqueue failed — then ``errors[i]`` carries ``(type name,
-    detail, retry_after_ms)``, enough for the parent to re-raise the same
-    rejection (``FrameDropped`` for a deadline shed, ``QueueFull`` with
-    its hint under ``reject``, ``ValueError`` for an unknown traffic
-    class).  Per-frame outcomes keep a mid-batch admission failure from
-    orphaning the already-admitted prefix: those frames stay valid,
-    resolvable requests instead of being silently discarded with mutated
-    fusion rings behind them.
-    """
-
-    sequences: List[Optional[int]]
-    errors: List[Optional[Tuple[str, str, Optional[float]]]]
-    events: ShardEvents
-
-
-@dataclass
-class Flushed:
-    """Reply to :class:`Flush`."""
-
-    produced: int
-    events: ShardEvents
-
-
-@dataclass
-class Done:
-    """Reply to side-effect commands (adaptation, forget)."""
-
-    events: ShardEvents
-
-
-@dataclass
-class UserStateReply:
-    """Reply to :class:`ExportUser`: the user-state dict, or ``None``.
-
-    The state is plain arrays and scalars (see
-    :mod:`repro.serve.migration`), so it crosses the pickle boundary here
-    and the wire unchanged.
-    """
-
-    state: Optional[dict]
-    events: ShardEvents
-
-
-@dataclass
-class MetricsReply:
-    """Reply to :class:`MetricsRequest`.
-
-    ``state`` is a :meth:`repro.serve.ServeMetrics.state_dict` payload; the
-    parent rebuilds a :class:`ServeMetrics` from it and aggregates across
-    shards exactly as the in-process sharded server does.
-    """
-
-    state: dict
-    pending: int
-    sessions: int
-    adapted_parameter_sets: int
-    events: ShardEvents
-
-
-@dataclass
-class Stopped:
-    """Final reply of a graceful shutdown."""
-
+    value: Any
     events: ShardEvents
 
 
@@ -311,6 +210,21 @@ class WorkerError:
 
     message: str
     remote_traceback: str
+
+
+def shard_metrics(server: PoseServer) -> Dict[str, Any]:
+    """The shard's metrics state and occupancy gauges, as plain data.
+
+    ``state`` is a :meth:`repro.serve.ServeMetrics.state_dict` payload; the
+    parent rebuilds a :class:`ServeMetrics` from it and aggregates across
+    shards.
+    """
+    return {
+        "state": server.metrics.state_dict(),
+        "pending": server.pending,
+        "sessions": len(server.sessions),
+        "adapted_parameter_sets": len(server.registry),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -357,12 +271,10 @@ def shard_worker_main(
         command = requests.get()
         try:
             if isinstance(command, Shutdown):
-                server.flush()
-                replies.put(Stopped(events=_collect_events(outstanding)))
+                replies.put(ShardReply(server.flush(), _collect_events(outstanding)))
                 return
-            replies.put(
-                _dispatch(server, outstanding, command, injector=injector, shard_name=shard_name)
-            )
+            value = _dispatch(server, outstanding, command, injector, shard_name)
+            replies.put(ShardReply(value, _collect_events(outstanding)))
         except Exception as error:  # report, keep serving: shard state is intact
             replies.put(WorkerError(message=str(error), remote_traceback=traceback.format_exc()))
 
@@ -382,59 +294,29 @@ def _dispatch(
     server: PoseServer,
     outstanding: Dict[int, PendingPrediction],
     command,
-    injector: Optional[FaultInjector] = None,
-    shard_name: str = "",
+    injector: Optional[FaultInjector],
+    shard_name: str,
 ):
+    """Run one command; returns the reply's value."""
+    if isinstance(command, ShardCall):
+        return command.fn(server, *command.args)
     if isinstance(command, EnqueueBatch):
-        sequences: List[Optional[int]] = []
-        errors: List[Optional[Tuple[str, str, Optional[float]]]] = []
-        for user_id, frame, priority, deadline_ms in zip(
-            command.user_ids, command.frames(), command.priorities, command.deadlines_ms
-        ):
+        outcomes: List[Union[int, Tuple[str, str, Optional[float]]]] = []
+        for user_id, frame, *scheduling in command.items:
             # Checked per frame, so a mid-batch schedule kills the worker
             # with the batch prefix already admitted — the hardest case for
             # the parent's handle-resolution invariant.
             _maybe_crash(injector, shard_name)
             try:
-                handle = server.enqueue(
-                    user_id, frame, priority=priority, deadline_ms=deadline_ms
-                )
+                handle = server.enqueue(user_id, frame, *scheduling)
             except Exception as error:  # per-frame: the prefix stays valid
-                sequences.append(None)
-                errors.append(
+                outcomes.append(
                     (type(error).__name__, str(error), getattr(error, "retry_after_ms", None))
                 )
                 continue
             outstanding[handle.sequence] = handle
-            sequences.append(handle.sequence)
-            errors.append(None)
-        return EnqueuedBatch(
-            sequences=sequences, errors=errors, events=_collect_events(outstanding)
-        )
-    if isinstance(command, Flush):
-        return Flushed(produced=server.flush(), events=_collect_events(outstanding))
-    if isinstance(command, AdaptUsers):
-        server.adapt_users(command.datasets, epochs=command.epochs)
-        return Done(events=_collect_events(outstanding))
-    if isinstance(command, ForgetUser):
-        server.forget_user(command.user_id)
-        return Done(events=_collect_events(outstanding))
-    if isinstance(command, ExportUser):
-        state = server.export_user(command.user_id, forget=command.forget)
-        # The export's flush may have resolved outstanding handles; the
-        # ledger rides along so the parent settles them as usual.
-        return UserStateReply(state=state, events=_collect_events(outstanding))
-    if isinstance(command, ImportUser):
-        server.import_user(command.state)
-        return Done(events=_collect_events(outstanding))
-    if isinstance(command, MetricsRequest):
-        return MetricsReply(
-            state=server.metrics.state_dict(),
-            pending=server.pending,
-            sessions=len(server.sessions),
-            adapted_parameter_sets=len(server.registry),
-            events=_collect_events(outstanding),
-        )
+            outcomes.append(handle.sequence)
+        return outcomes
     raise TypeError(f"unknown shard command {type(command).__name__}")
 
 
@@ -532,8 +414,8 @@ class ShardProcess:
         self.restarts += 1
         self.start()
 
-    def stop(self, timeout: float = 5.0) -> Optional[Stopped]:
-        """Gracefully drain and stop the worker; returns its final events.
+    def stop(self, timeout: float = 5.0) -> Optional[ShardReply]:
+        """Gracefully drain and stop the worker; returns its final reply.
 
         A :class:`Shutdown` that fails (the worker crashed, raised or did
         not answer within ``timeout``) returns ``None`` and logs one JSON
@@ -542,12 +424,10 @@ class ShardProcess:
         down either way.
         """
         with self._lock:
-            final: Optional[Stopped] = None
+            final: Optional[ShardReply] = None
             if self.alive:
                 try:
-                    reply = self._roundtrip(Shutdown(), timeout=timeout)
-                    if isinstance(reply, Stopped):
-                        final = reply
+                    final = self._roundtrip(Shutdown(), timeout=timeout)
                 except (ShardCrashed, ShardRemoteError) as error:
                     entry = {
                         "event": "shard_stop_failed",
@@ -574,7 +454,7 @@ class ShardProcess:
     # ------------------------------------------------------------------
     # Command round-trips
     # ------------------------------------------------------------------
-    def call(self, command, timeout: Optional[float] = None):
+    def call(self, command) -> ShardReply:
         """Send one command and wait for its reply.
 
         Raises :class:`ShardCrashed` when the worker dies mid-call (the
@@ -590,9 +470,10 @@ class ShardProcess:
                         f"{self.restarts}/{self.max_restarts} exhausted)"
                     )
                 raise ShardCrashed(f"shard {self.index} worker is not running")
-            return self._roundtrip(command, timeout=timeout)
+            return self._roundtrip(command)
 
-    def _roundtrip(self, command, timeout: Optional[float] = None):
+    def _roundtrip(self, command, timeout: Optional[float] = None) -> ShardReply:
+        name = getattr(command, "fn", type(command)).__qualname__
         self._requests.put(command)
         waited = 0.0
         while True:
@@ -602,18 +483,16 @@ class ShardProcess:
                 waited += _REPLY_POLL_S
                 if not self.alive:
                     raise ShardCrashed(
-                        f"shard {self.index} worker died while handling "
-                        f"{type(command).__name__}"
+                        f"shard {self.index} worker died while handling {name}"
                     ) from None
                 if timeout is not None and waited >= timeout:
                     raise ShardCrashed(
-                        f"shard {self.index} did not reply to "
-                        f"{type(command).__name__} within {timeout:.1f}s"
+                        f"shard {self.index} did not reply to {name} within {timeout:.1f}s"
                     ) from None
                 continue
             if isinstance(reply, WorkerError):
                 raise ShardRemoteError(
-                    f"shard {self.index} failed on {type(command).__name__}: "
+                    f"shard {self.index} failed on {name}: "
                     f"{reply.message}\n--- remote traceback ---\n{reply.remote_traceback}"
                 )
             return reply

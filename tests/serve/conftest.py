@@ -14,6 +14,7 @@ from repro.dataset.loader import ArrayDataset
 from repro.dataset.synthetic import SyntheticDatasetConfig, generate_dataset
 from repro.radar.pointcloud import PointCloudFrame
 from repro.serve import PoseServer
+from repro.serve.transport import DEFAULT_MAX_FRAME_BYTES, read_message
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,22 @@ def make_frame(rng: np.random.Generator, count: int = 24) -> PointCloudFrame:
         ]
     )
     return PointCloudFrame(points)
+
+
+def read_all(data: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> list:
+    """Every ``(message, codec)`` that ``read_message`` parses from ``data``,
+    read from an ``asyncio.StreamReader`` up to a clean end of stream."""
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        messages = []
+        while (message := await read_message(reader, max_frame_bytes)) is not None:
+            messages.append(message)
+        return messages
+
+    return asyncio.run(scenario())
 
 
 def tiny_model() -> PoseCNN:

@@ -21,9 +21,9 @@ from repro.serve import (
     SessionMirror,
 )
 from repro.serve.migration import USER_STATE_VERSION, validate_user_state
-from repro.serve.transport import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_message
+from repro.serve.transport import DEFAULT_MAX_FRAME_BYTES, encode_message
 
-from .conftest import make_frame
+from .conftest import make_frame, read_all
 
 LAZY = ServeConfig(max_batch_size=8, max_delay_ms=10_000.0)
 
@@ -175,7 +175,7 @@ class TestWireFrame:
         state = source.export_user("alice", forget=True)
         frame = encode_message({"type": "user_state", "id": 1, "user": "alice", "state": state})
         assert len(frame) < DEFAULT_MAX_FRAME_BYTES
-        [(reply, _)] = FrameDecoder().feed(frame)
+        [(reply, _)] = read_all(frame)
 
         target = PoseServer(estimator, LAZY, policy=policy)
         target.import_user(reply["state"])

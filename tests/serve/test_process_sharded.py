@@ -30,7 +30,7 @@ from repro.serve import (
     replay_users,
     user_streams_from_dataset,
 )
-from repro.serve.worker import MetricsRequest, ShardFactory
+from repro.serve.worker import ShardCall, ShardFactory, shard_metrics
 
 from .conftest import make_frame
 
@@ -160,7 +160,8 @@ class TestFacade:
             users = [user for user in streams if server.shard_index(user) == 0][:2]
             users += [user for user in streams if server.shard_index(user) == 1][:2]
             handles = [server.enqueue(user, streams[user][0].cloud) for user in users]
-            assert [worker.call(MetricsRequest()).pending for worker in server.workers] == [2, 2]
+            gauges = [worker.call(ShardCall(shard_metrics)).value for worker in server.workers]
+            assert [shard["pending"] for shard in gauges] == [2, 2]
             assert server.pending == 4
             assert server.flush() == 4
             assert server.pending == 0
@@ -171,9 +172,9 @@ class TestFacade:
         user = next(iter(streams))
         server.submit(user, streams[user][0].cloud)
         index = server.shard_index(user)
-        assert server.workers[index].call(MetricsRequest()).sessions == 1
+        assert server.workers[index].call(ShardCall(shard_metrics)).value["sessions"] == 1
         server.forget_user(user)
-        assert server.workers[index].call(MetricsRequest()).sessions == 0
+        assert server.workers[index].call(ShardCall(shard_metrics)).value["sessions"] == 0
 
     def test_remote_error_reports_traceback_and_keeps_shard_alive(self, server, streams):
         user = next(iter(streams))

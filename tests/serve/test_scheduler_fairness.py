@@ -4,7 +4,8 @@ Every test here runs on the injected :class:`repro.serve.FakeClock` — no
 ``time.sleep``, no wall-clock flakiness — so the scheduling properties are
 asserted exactly:
 
-* the :class:`Clock` seam (monotonic by default, fake/steppable in tests);
+* the clock seam (:func:`time.perf_counter` by default, a steppable
+  :class:`repro.serve.FakeClock` in tests);
 * :class:`TokenBucket` refill is an exact pure function of the clock;
 * batch assembly is arrival order whatever the deadlines (the
   bitwise-replay invariant), and a batch closes when full or flushed, so
@@ -23,11 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import (
-    Clock,
     FakeClock,
     FrameDropped,
     MicroBatcher,
-    MonotonicClock,
     PendingPrediction,
     PoseServer,
     QueueFull,
@@ -36,7 +35,6 @@ from repro.serve import (
     ServeRequest,
     TokenBucket,
     TrafficClass,
-    as_clock,
 )
 
 from .conftest import make_frame
@@ -48,26 +46,13 @@ from .conftest import make_frame
 class TestClockSeam:
     def test_fake_clock_advances_exactly(self):
         clock = FakeClock()
-        assert clock.now() == 0.0
+        assert clock() == 0.0
         assert clock.advance(0.25) == 0.25
-        assert clock.now() == 0.25
-        assert clock() == 0.25  # callable: satisfies clock=... parameters
+        assert clock() == 0.25
 
     def test_fake_clock_rejects_negative_advance(self):
         with pytest.raises(ValueError):
             FakeClock().advance(-0.1)
-
-    def test_monotonic_clock_is_nondecreasing(self):
-        clock = MonotonicClock()
-        readings = [clock.now() for _ in range(100)]
-        assert all(b >= a for a, b in zip(readings, readings[1:]))
-
-    def test_as_clock_coerces_callables_and_passes_clocks_through(self):
-        fake = FakeClock(start=3.0)
-        assert as_clock(fake) is fake
-        wrapped = as_clock(lambda: 7.0)
-        assert isinstance(wrapped, Clock)
-        assert wrapped.now() == 7.0
 
     def test_server_accepts_a_clock_instance(self, estimator):
         clock = FakeClock()
@@ -87,36 +72,36 @@ class TestClockSeam:
 class TestTokenBucket:
     def test_starts_full_and_drains_per_acquire(self):
         clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=4.0, now=clock.now())
-        assert bucket.balance(clock.now()) == 4.0
-        assert all(bucket.try_acquire(clock.now()) for _ in range(4))
-        assert not bucket.try_acquire(clock.now())
+        bucket = TokenBucket(rate=2.0, burst=4.0, now=clock())
+        assert bucket.balance(clock()) == 4.0
+        assert all(bucket.try_acquire(clock()) for _ in range(4))
+        assert not bucket.try_acquire(clock())
 
     def test_refill_is_exact_on_the_fake_clock(self):
         clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=4.0, now=clock.now())
+        bucket = TokenBucket(rate=2.0, burst=4.0, now=clock())
         for _ in range(4):
-            bucket.try_acquire(clock.now())
+            bucket.try_acquire(clock())
         clock.advance(0.5)  # exactly one token at 2 tokens/s
-        assert bucket.balance(clock.now()) == pytest.approx(1.0)
-        assert bucket.try_acquire(clock.now())
-        assert not bucket.try_acquire(clock.now())
+        assert bucket.balance(clock()) == pytest.approx(1.0)
+        assert bucket.try_acquire(clock())
+        assert not bucket.try_acquire(clock())
 
     def test_retry_after_is_the_exact_deficit(self):
         clock = FakeClock()
-        bucket = TokenBucket(rate=4.0, burst=1.0, now=clock.now())
-        assert bucket.try_acquire(clock.now())
+        bucket = TokenBucket(rate=4.0, burst=1.0, now=clock())
+        assert bucket.try_acquire(clock())
         # One whole token short at 4 tokens/s: exactly 0.25 s away.
-        assert bucket.retry_after_s(clock.now()) == pytest.approx(0.25)
+        assert bucket.retry_after_s(clock()) == pytest.approx(0.25)
         clock.advance(0.25)
-        assert bucket.try_acquire(clock.now())
-        assert bucket.retry_after_s(clock.now()) == pytest.approx(0.25)
+        assert bucket.try_acquire(clock())
+        assert bucket.retry_after_s(clock()) == pytest.approx(0.25)
 
     def test_refill_never_exceeds_burst(self):
         clock = FakeClock()
-        bucket = TokenBucket(rate=100.0, burst=3.0, now=clock.now())
+        bucket = TokenBucket(rate=100.0, burst=3.0, now=clock())
         clock.advance(60.0)
-        assert bucket.balance(clock.now()) == 3.0
+        assert bucket.balance(clock()) == 3.0
 
     def test_randomized_refill_matches_closed_form(self):
         """Property: after any acquire/advance schedule the balance equals
@@ -124,15 +109,15 @@ class TestTokenBucket:
         rng = np.random.default_rng(11)
         clock = FakeClock()
         rate, burst = 3.0, 5.0
-        bucket = TokenBucket(rate=rate, burst=burst, now=clock.now())
+        bucket = TokenBucket(rate=rate, burst=burst, now=clock())
         expected = burst
         for _ in range(200):
             step = float(rng.uniform(0.0, 0.4))
             clock.advance(step)
             expected = min(burst, expected + rate * step)
-            assert bucket.balance(clock.now()) == pytest.approx(expected)
+            assert bucket.balance(clock()) == pytest.approx(expected)
             if rng.random() < 0.5 and expected >= 1.0:
-                assert bucket.try_acquire(clock.now())
+                assert bucket.try_acquire(clock())
                 expected -= 1.0
 
 
@@ -302,7 +287,7 @@ class TestRandomizedFairness:
                 priority = "interactive" if rng.random() < 0.7 else "bulk"
                 user = f"{priority[0]}{int(rng.integers(0, 6))}"
                 handle = server.enqueue(user, make_frame(rng), priority=priority)
-                handles.append((priority, clock.now(), handle))
+                handles.append((priority, clock(), handle))
         server.flush()
         assert all(h.done for _, _, h in handles)  # nothing starved or stuck
         snapshot = server.metrics_snapshot()
@@ -325,7 +310,7 @@ class TestRandomizedFairness:
             clock=clock,
         )
         bulk = server.enqueue("bulk-user", make_frame(rng), priority="bulk")
-        bulk_deadline = clock.now() + 0.050
+        bulk_deadline = clock() + 0.050
         for _ in range(80):  # 80 ms of flood at 3 interactive frames/ms
             clock.advance(0.001)
             for i in range(3):
@@ -334,7 +319,7 @@ class TestRandomizedFairness:
                 break
         server.flush()
         assert bulk.done
-        assert clock.now() <= bulk_deadline + 1e-9
+        assert clock() <= bulk_deadline + 1e-9
         assert server.metrics_snapshot()["class_bulk_latency_p95_ms"] <= 50.0
 
 

@@ -22,7 +22,7 @@ from repro.serve import (
     replay_users,
     user_streams_from_dataset,
 )
-from repro.serve.worker import MetricsRequest
+from repro.serve.worker import ShardCall, shard_metrics
 
 
 def as_pose_dataset(frames) -> PoseDataset:
@@ -33,7 +33,7 @@ def as_pose_dataset(frames) -> PoseDataset:
 
 def shard_replies(server: ProcessShardedPoseServer):
     """Each shard worker's occupancy report, in shard order."""
-    return [worker.call(MetricsRequest()) for worker in server.workers]
+    return [worker.call(ShardCall(shard_metrics)).value for worker in server.workers]
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ class TestReplayEquivalence:
         ) as sharded_server:
             sharded = replay_users(sharded_server, streams)
             # Traffic genuinely spread over the shards.
-            active = [reply for reply in shard_replies(sharded_server) if reply.sessions]
+            active = [reply for reply in shard_replies(sharded_server) if reply["sessions"]]
         assert sharded.frames_served == single.frames_served
         assert sharded.frames_dropped == 0
         for user in streams:
@@ -103,7 +103,7 @@ class TestReplayEquivalence:
             # Each adapted user's parameters live on exactly their shard.
             owners = [sharded_server.shard_index(user) for user in adapted_users]
             for index, reply in enumerate(shard_replies(sharded_server)):
-                assert reply.adapted_parameter_sets == owners.count(index)
+                assert reply["adapted_parameter_sets"] == owners.count(index)
         for user in serving:
             np.testing.assert_array_equal(
                 sharded.predictions[user], single.predictions[user]
@@ -118,10 +118,10 @@ class TestReplayEquivalence:
             owner = server.shard_index(user)
             joints = server.submit(user, frame)
             assert joints.shape == (19, 3)
-            sessions = [reply.sessions for reply in shard_replies(server)]
+            sessions = [reply["sessions"] for reply in shard_replies(server)]
             assert sessions[owner] == 1 and sum(sessions) == 1
             server.forget_user(user)
-            assert [reply.sessions for reply in shard_replies(server)] == [0, 0]
+            assert [reply["sessions"] for reply in shard_replies(server)] == [0, 0]
 
 
 class TestAggregatedMetrics:
@@ -130,7 +130,7 @@ class TestAggregatedMetrics:
         with ProcessShardedPoseServer(estimator, num_shards=3, config=config) as server:
             result = replay_users(server, streams)
             flushes = sum(
-                reply.state["flushes"] for reply in shard_replies(server)
+                reply["state"]["flushes"] for reply in shard_replies(server)
             )
         total = sum(len(stream) for stream in streams.values())
         snapshot = result.metrics
@@ -157,7 +157,7 @@ class TestAggregatedMetrics:
             ):
                 server.enqueue(user, streams[user][0].cloud, priority, deadline_ms)
             assert server.flush() == 4
-            per_shard = [reply.state["deadline_misses"] for reply in shard_replies(server)]
+            per_shard = [reply["state"]["deadline_misses"] for reply in shard_replies(server)]
             snapshot = server.metrics_snapshot()
         assert per_shard == [1, 1]
         assert snapshot["deadline_misses"] == 2

@@ -4,6 +4,8 @@ Pins the protocol of ``docs/serving.md``: the message catalogue is exactly
 the kept request/reply types, every type round-trips bitwise through the
 JSON codec, truncated and oversized frames are rejected with the
 dedicated errors, and malformed payloads never reach the serving layer.
+Frames are read back by ``read_message``, the reader every server and
+client runs, over an ``asyncio.StreamReader`` fed the bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import pytest
 from repro.serve import transport
 from repro.serve.transport import (
     MESSAGE_TYPES,
-    FrameDecoder,
     FrameTooLarge,
     ProtocolError,
     TruncatedFrame,
@@ -24,8 +25,9 @@ from repro.serve.transport import (
     decode_array,
     encode_array,
     encode_message,
-    iter_frames,
 )
+
+from .conftest import read_all
 
 CODECS = available_codecs()
 
@@ -103,7 +105,7 @@ class TestRoundTrip:
         "message", EXAMPLE_MESSAGES, ids=[m["type"] for m in EXAMPLE_MESSAGES]
     )
     def test_every_message_type_round_trips(self, codec, message):
-        frames = list(iter_frames(encode_message(message, codec)))
+        frames = read_all(encode_message(message, codec))
         assert len(frames) == 1
         decoded, seen_codec = frames[0]
         assert seen_codec == codec
@@ -112,7 +114,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("codec", CODECS)
     def test_back_to_back_frames_parse_in_order(self, codec):
         data = b"".join(encode_message(m, codec) for m in EXAMPLE_MESSAGES)
-        frames = list(iter_frames(data))
+        frames = read_all(data)
         assert [m["type"] for m, _ in frames] == [m["type"] for m in EXAMPLE_MESSAGES]
 
     @pytest.mark.parametrize(
@@ -147,22 +149,19 @@ class TestRejection:
         frame = bytearray(encode_message({"type": "ping"}))
         frame[0] = ord("Z")
         with pytest.raises(ProtocolError, match="codec tag"):
-            list(iter_frames(bytes(frame)))
+            read_all(bytes(frame))
 
     def test_truncated_frame_rejected(self):
         frame = encode_message({"type": "prediction", "user": 1, "joints": np.zeros((19, 3))})
         for cut in (1, 4, len(frame) // 2, len(frame) - 1):
-            decoder = FrameDecoder()
-            assert decoder.feed(frame[:cut]) == []
-            with pytest.raises(TruncatedFrame, match="incomplete frame"):
-                decoder.close()
+            with pytest.raises(TruncatedFrame, match="stream ended"):
+                read_all(frame[:cut])
 
     def test_oversized_frame_rejected_from_header_alone(self):
         frame = encode_message({"type": "ping"})
         big = frame[:1] + (2**31 - 1).to_bytes(4, "big")  # header only, huge length
-        decoder = FrameDecoder(max_frame_bytes=1024)
         with pytest.raises(FrameTooLarge, match="announces"):
-            decoder.feed(big)
+            read_all(big, max_frame_bytes=1024)
 
     def test_oversized_payload_rejected_at_encode_time(self):
         message = {"type": "prediction", "user": 0, "joints": np.zeros((4096, 3))}
@@ -197,11 +196,11 @@ class TestRejection:
         good = encode_message({"type": "ping"})
         bad = good[:5] + b"\xff" * (len(good) - 5)
         with pytest.raises(ProtocolError, match="undecodable JSON"):
-            list(iter_frames(bad))
+            read_all(bad)
 
 
 class TestAsyncioAdapters:
-    """The stream reader/writer adapters share the strict parsing path."""
+    """The stream reader's clean end of stream and its errors, frame by frame."""
 
     def run(self, coroutine):
         return asyncio.run(coroutine)

@@ -6,21 +6,28 @@ Docstrings cross-reference the package with Sphinx roles
 them, so a deleted or moved name leaves a stale pointer behind silently.
 These tests find every such name — roles in ``src/`` (docstrings and
 comments alike), backticked names in ``README.md`` and ``docs/*.md`` —
-and resolve each against the package, attribute by attribute.  The same
-documents name serving metrics (```fuse_serve_flushes_total```); each must
-be a family the serving exposition emits.
+and resolve each against the package, attribute by attribute.  The docs
+also name classes bare (```ShardCall```); each such capitalised name must
+be an attribute of some ``repro`` module, a builtin or a ``Test*`` class
+under ``tests/``.  The same documents name serving metrics
+(```fuse_serve_flushes_total```); each must be a family the serving
+exposition emits.
 """
 
 from __future__ import annotations
 
+import builtins
 import fnmatch
 import importlib
+import pkgutil
 import re
+from functools import cache
 from pathlib import Path
-from typing import List
+from typing import List, Set
 
 import pytest
 
+import repro
 from repro.serve import ServeMetrics
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -37,6 +44,9 @@ _DOTTED = r"repro(?:\.\w+)+"
 _ROLE = re.compile(rf":(?:func|class|meth|mod|data|attr):`~?({_DOTTED})`")
 #: a Markdown code span that is exactly one dotted name, optionally called
 _SPAN = re.compile(rf"(?<![:\w])`({_DOTTED})(?:\(\))?`")
+#: a Markdown code span that is exactly one capitalised identifier with a
+#: lower-case letter (```PoseServer```, ```Flatten```; not ```JSON```)
+_CLASS_SPAN = re.compile(r"(?<![`\w])`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`(?!`)")
 #: a code span opening with a serving metric name, which may carry a label
 #: set or a ``*`` glob (```fuse_serve_adapter_*_total```).  The router's
 #: ``fuse_router_*`` families are left out: it builds their names at run time.
@@ -53,6 +63,25 @@ def span_names(text: str) -> List[str]:
 
 def metric_names(text: str) -> List[str]:
     return _METRIC.findall(text)
+
+
+def class_names(text: str) -> List[str]:
+    return _CLASS_SPAN.findall(text)
+
+
+@cache
+def known_names() -> Set[str]:
+    """Every attribute of every ``repro`` module, every builtin, and every
+    ``Test*`` class defined under ``tests/``."""
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    names = {name for module in modules for name in dir(module)}
+    names.update(dir(builtins))
+    for path in (_ROOT / "tests").rglob("*.py"):
+        names.update(re.findall(r"^class (Test\w+)", path.read_text(encoding="utf-8"), re.M))
+    return names
 
 
 def emitted(name: str) -> bool:
@@ -88,6 +117,7 @@ def test_every_source_is_checked():
     assert len(_SOURCES) > 1 and len(_DOCUMENTS) > 1
     assert sum(len(role_names(_source(path))) for path in _SOURCES) > 0
     assert sum(len(span_names(path.read_text(encoding="utf-8"))) for path in _DOCUMENTS) > 0
+    assert sum(len(class_names(path.read_text(encoding="utf-8"))) for path in _DOCUMENTS) > 0
 
 
 def test_a_stale_name_is_caught():
@@ -120,6 +150,27 @@ def test_every_backticked_name_in_docs_resolves(path):
     names = span_names(path.read_text(encoding="utf-8"))
     stale = sorted({name for name in names if not resolves(name)})
     assert not stale, f"{path.name} names what does not exist: {stale}"
+
+
+def test_a_stale_class_name_is_caught():
+    text = (
+        "`ShardCall`, `ValueError` and `TestReplyLedger` exist; `MonotonicClock`\n"
+        "and `Flush` are gone; `JSON`, `repro.serve.PoseServer`, `x = Foo()` and\n"
+        "```Fenced``` are not bare class spans."
+    )
+    assert class_names(text) == [
+        "ShardCall", "ValueError", "TestReplyLedger", "MonotonicClock", "Flush",
+    ]  # fmt: skip
+    assert [name in known_names() for name in class_names(text)] == [
+        True, True, True, False, False,
+    ]  # fmt: skip
+
+
+@pytest.mark.parametrize("path", _DOCUMENTS, ids=lambda path: str(path.relative_to(_ROOT)))
+def test_every_bare_class_name_in_docs_exists(path):
+    names = class_names(path.read_text(encoding="utf-8"))
+    stale = sorted(set(names) - known_names())
+    assert not stale, f"{path.name} names classes that do not exist: {stale}"
 
 
 def test_a_stale_metric_name_is_caught():
