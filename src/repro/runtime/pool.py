@@ -26,7 +26,7 @@ from __future__ import annotations
 import multiprocessing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 __all__ = ["shard_items", "map_shards", "merge_shards", "pool_context", "shard_for"]
 
@@ -56,18 +56,16 @@ def shard_items(items: Sequence[ItemT], num_shards: int) -> List[List[ItemT]]:
     return shards
 
 
-def pool_context(start_method: Optional[str] = None) -> multiprocessing.context.BaseContext:
+def pool_context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context every runtime consumer shares.
 
-    Defaults to the cheapest available start method — ``fork`` where the OS
-    has it (child processes inherit large read-only state, e.g. a trained
+    The cheapest available start method — ``fork`` where the OS has it
+    (child processes inherit large read-only state, e.g. a trained
     estimator, copy-on-write), ``spawn`` elsewhere.  Both the shard pools
     here and the serving shard workers (:mod:`repro.serve.worker`) derive
-    their processes from this one policy, so a deployment overrides the
-    start method in exactly one place.
+    their processes from this one policy, so the start method is chosen in
+    exactly one place.
     """
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 

@@ -24,8 +24,10 @@ over a picklable request/reply transport:
   traffic class) comes back in :class:`EnqueueBatch`'s value as a
   per-frame outcome carrying the exception's class, detail and retry
   hint, so the parent re-raises the same rejection an in-process
-  :class:`PoseServer` would.  A command that raises comes back as a
-  :class:`WorkerError` with the remote traceback.
+  :class:`PoseServer` would.  A command that raises, or whose value does
+  not pickle, comes back as a :class:`WorkerError` with the remote
+  traceback.  Commands and replies are pickled before they are queued, so
+  a command that cannot cross raises in the caller.
 * :class:`ShardProcess` keeps **one command in flight** per shard, under
   its lock: a caller puts a command and waits for its reply, so the
   request queue never holds more than one command and a stalled worker
@@ -52,6 +54,7 @@ import json
 import logging
 import multiprocessing
 import os
+import pickle
 import queue
 import threading
 import time
@@ -150,9 +153,11 @@ class ShardCall:
     :class:`PoseServer` function (``PoseServer.flush``) or a module-level
     one (:func:`shard_metrics`), never a lambda or a bound method: it
     crosses the process boundary pickled by reference.  Its value must be
-    plain picklable data, because multiprocessing's feeder thread drops a
-    reply it cannot pickle and :meth:`ShardProcess.call` would then wait
-    forever.
+    plain picklable data.  Both sides pickle before they put, so a command
+    that cannot cross raises its pickling error in the caller, and a value
+    that cannot comes back as a :class:`WorkerError`; neither is left to
+    multiprocessing's feeder thread, which would drop it and leave the
+    caller waiting.
     """
 
     fn: Callable
@@ -230,8 +235,14 @@ def shard_metrics(server: PoseServer) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Worker body (runs in the child process)
 # ----------------------------------------------------------------------
-def _collect_events(outstanding: Dict[int, PendingPrediction]) -> ShardEvents:
-    """Harvest every handle that resolved or dropped since the last reply."""
+def _reply(value: Any, outstanding: Dict[int, PendingPrediction]) -> bytes:
+    """The pickled :class:`ShardReply`: ``value`` plus every handle that
+    resolved or dropped since the last reply.
+
+    A handle leaves ``outstanding`` only once the reply has pickled, so a
+    value that cannot cross the boundary loses no event: the next reply
+    carries it.
+    """
     events = ShardEvents()
     for sequence in sorted(outstanding):
         handle = outstanding[sequence]
@@ -239,10 +250,10 @@ def _collect_events(outstanding: Dict[int, PendingPrediction]) -> ShardEvents:
             events.resolved.append((sequence, handle.result(flush=False)))
         elif handle.dropped:
             events.dropped.append((sequence, handle.drop_reason))
-        else:
-            continue
+    payload = pickle.dumps(ShardReply(value, events))
+    for sequence, _ in events.resolved + events.dropped:
         del outstanding[sequence]
-    return events
+    return payload
 
 
 def shard_worker_main(
@@ -268,15 +279,17 @@ def shard_worker_main(
     shard_name = f"shard{shard_index}"
     outstanding: Dict[int, PendingPrediction] = {}
     while True:
-        command = requests.get()
+        payload = requests.get()
         try:
+            command = pickle.loads(payload)
             if isinstance(command, Shutdown):
-                replies.put(ShardReply(server.flush(), _collect_events(outstanding)))
+                replies.put(_reply(server.flush(), outstanding))
                 return
             value = _dispatch(server, outstanding, command, injector, shard_name)
-            replies.put(ShardReply(value, _collect_events(outstanding)))
+            replies.put(_reply(value, outstanding))
         except Exception as error:  # report, keep serving: shard state is intact
-            replies.put(WorkerError(message=str(error), remote_traceback=traceback.format_exc()))
+            failure = WorkerError(message=str(error), remote_traceback=traceback.format_exc())
+            replies.put(pickle.dumps(failure))
 
 
 def _maybe_crash(injector: Optional[FaultInjector], shard_name: str) -> None:
@@ -337,7 +350,6 @@ class ShardProcess:
         self,
         factory: ShardFactory,
         index: int,
-        start_method: Optional[str] = None,
         max_restarts: Optional[int] = DEFAULT_MAX_RESTARTS,
         restart_backoff: Optional[RetryPolicy] = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -352,7 +364,7 @@ class ShardProcess:
             restart_backoff if restart_backoff is not None else DEFAULT_RESTART_BACKOFF
         )
         self._sleep = sleep
-        self._context = pool_context(start_method)
+        self._context = pool_context()
         self._lock = threading.Lock()
         self._process: Optional[multiprocessing.process.BaseProcess] = None
         self._requests = None
@@ -474,11 +486,13 @@ class ShardProcess:
 
     def _roundtrip(self, command, timeout: Optional[float] = None) -> ShardReply:
         name = getattr(command, "fn", type(command)).__qualname__
-        self._requests.put(command)
+        # Pickled here, not in the queue's feeder thread: a command that
+        # cannot cross raises to the caller instead of never arriving.
+        self._requests.put(pickle.dumps(command))
         waited = 0.0
         while True:
             try:
-                reply = self._replies.get(timeout=_REPLY_POLL_S)
+                reply = pickle.loads(self._replies.get(timeout=_REPLY_POLL_S))
             except queue.Empty:
                 waited += _REPLY_POLL_S
                 if not self.alive:

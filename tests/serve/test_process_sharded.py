@@ -11,6 +11,8 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import pickle
+import threading
 import time
 
 import numpy as np
@@ -33,6 +35,12 @@ from repro.serve import (
 from repro.serve.worker import ShardCall, ShardFactory, shard_metrics
 
 from .conftest import make_frame
+
+
+def flush_then_return_a_lock(server: PoseServer):
+    """A shard call whose batch resolves but whose value cannot pickle."""
+    server.flush()
+    return threading.Lock()
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +218,33 @@ class TestReplyLedger:
             )
 
 
+class TestCallsThatCannotCross:
+    """A command or a value that does not pickle fails its call; the caller
+    never waits on a message the queue's feeder thread dropped."""
+
+    CONFIG = TestReplyLedger.CONFIG
+
+    def test_a_lambda_raises_in_the_caller_and_the_shard_keeps_serving(self, estimator):
+        with ProcessShardedPoseServer(estimator, num_shards=1, config=self.CONFIG) as server:
+            with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+                server.workers[0].call(ShardCall(lambda shard: shard.pending))
+            server.enqueue("ann", make_frame(np.random.default_rng(0)))
+            assert server.metrics_snapshot()["queue_depth"] == 1
+            assert server.restarts == 0
+
+    def test_an_unpicklable_value_fails_remotely_and_keeps_its_events(self, estimator):
+        frames = [make_frame(np.random.default_rng(seed)) for seed in range(3)]
+        with ProcessShardedPoseServer(estimator, num_shards=1, config=self.CONFIG) as server:
+            handles = [server.enqueue("ann", frame) for frame in frames]
+            with pytest.raises(ShardRemoteError, match="pickle"):
+                server.workers[0].call(ShardCall(flush_then_return_a_lock))
+            assert not any(handle.done for handle in handles)
+            server.metrics_snapshot()  # the next reply carries the flush's events
+            assert server.pending == 0
+            assert all(handle.done for handle in handles)
+            assert server.restarts == 0
+
+
 class TestRejectionsCrossTheProcessBoundary:
     """A frame a shard refuses reaches the caller as the exception an
     in-process :class:`PoseServer` raises: same class, message and retry
@@ -381,9 +416,7 @@ class TestLifecycle:
         # The forked worker inherits this flush, so its Shutdown outlives
         # the stop timeout.
         monkeypatch.setattr(PoseServer, "flush", lambda self: time.sleep(30))
-        worker = ShardProcess(
-            ShardFactory(estimator, ServeConfig()), 3, start_method="fork"
-        )
+        worker = ShardProcess(ShardFactory(estimator, ServeConfig()), 3)
         worker.start()
         with caplog.at_level(logging.WARNING, logger="repro.serve.worker"):
             assert worker.stop(timeout=0.5) is None

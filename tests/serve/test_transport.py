@@ -10,12 +10,9 @@ client runs, over an ``asyncio.StreamReader`` fed the bytes.
 
 from __future__ import annotations
 
-import asyncio
-
 import numpy as np
 import pytest
 
-from repro.serve import transport
 from repro.serve.transport import (
     MESSAGE_TYPES,
     FrameTooLarge,
@@ -154,7 +151,8 @@ class TestRejection:
     def test_truncated_frame_rejected(self):
         frame = encode_message({"type": "prediction", "user": 1, "joints": np.zeros((19, 3))})
         for cut in (1, 4, len(frame) // 2, len(frame) - 1):
-            with pytest.raises(TruncatedFrame, match="stream ended"):
+            part = "frame header" if cut < 5 else "payload"
+            with pytest.raises(TruncatedFrame, match=f"stream ended .* {part}"):
                 read_all(frame[:cut])
 
     def test_oversized_frame_rejected_from_header_alone(self):
@@ -198,50 +196,3 @@ class TestRejection:
         with pytest.raises(ProtocolError, match="undecodable JSON"):
             read_all(bad)
 
-
-class TestAsyncioAdapters:
-    """The stream reader's clean end of stream and its errors, frame by frame."""
-
-    def run(self, coroutine):
-        return asyncio.run(coroutine)
-
-    def test_read_message_round_trip_and_clean_eof(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_message({"type": "ping"}))
-            reader.feed_eof()
-            first = await transport.read_message(reader)
-            assert first is not None and first[0] == {"type": "ping"}
-            assert await transport.read_message(reader) is None  # clean EOF
-
-        self.run(scenario())
-
-    def test_read_message_truncated_mid_payload(self):
-        async def scenario():
-            frame = encode_message({"type": "metrics"})
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame[:-2])
-            reader.feed_eof()
-            with pytest.raises(TruncatedFrame, match="payload"):
-                await transport.read_message(reader)
-
-        self.run(scenario())
-
-    def test_read_message_truncated_mid_header(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"J\x00")
-            reader.feed_eof()
-            with pytest.raises(TruncatedFrame, match="header"):
-                await transport.read_message(reader)
-
-        self.run(scenario())
-
-    def test_read_message_oversized_header(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"J" + (10**6).to_bytes(4, "big"))
-            with pytest.raises(FrameTooLarge):
-                await transport.read_message(reader, max_frame_bytes=1024)
-
-        self.run(scenario())
